@@ -8,7 +8,14 @@ FUZZTIME ?= 30s
 # Where `make bench` writes its machine-readable results.
 BENCH_JSON ?= BENCH_pr10.json
 
-.PHONY: check build vet test race bench bench-smoke fuzz live-smoke shm-smoke fed-smoke store-smoke diff-smoke
+# `make bench-e2e` runs the repository benchmark (BENCHMARK.json) the way
+# the driver does: each workload untraced for run_seconds. The full output
+# goes to BENCH_E2E; the six gated metrics of each workload are printed.
+BENCH_SECONDS ?= $(shell sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
+BENCH_WORKLOADS ?= log_hot pipeline_ingest offline_analysis store_query
+BENCH_E2E ?= BENCH_E2E.txt
+
+.PHONY: check build vet test race bench bench-smoke bench-e2e fuzz live-smoke shm-smoke fed-smoke store-smoke diff-smoke
 
 check: vet build test race
 
@@ -51,6 +58,16 @@ bench:
 # baseline file with fresh numbers.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkShmLog' . | $(GO) run ./cmd/benchjson -baseline $(BENCH_JSON)
+
+# The end-to-end benchmark: four workloads over log → relay → collect →
+# store → query → analyse, eight end-to-end metrics each, six of them
+# gated. A workload with a failed op exits non-zero and stops the run.
+bench-e2e:
+	@rm -f $(BENCH_E2E)
+	@for w in $(BENCH_WORKLOADS); do \
+		$(GO) run ./bench --workload $$w --seconds $(BENCH_SECONDS) --trace 0 >> $(BENCH_E2E) || { cat $(BENCH_E2E); exit 1; }; \
+	done
+	@grep -E '^(workload |attempted |  (setup_s|op_alloc_mb|op2_alloc_mb|op_allocs_k|op2_allocs_k|peak_rss_mb) )' $(BENCH_E2E)
 
 # End-to-end live-monitoring smoke: collector + two producers + HTTP
 # surface + SIGTERM drain + tracecheck on the spill.

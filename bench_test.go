@@ -797,8 +797,9 @@ func BenchmarkTraceDiff(b *testing.B) {
 }
 
 // BenchmarkBlockDecode guards the zero-allocation decode path: allocs/op
-// for a warm ReadBlockInto must stay at 0 (the DecodeBuffer sub-bench
-// shows the remaining per-event cost for contrast).
+// for a warm ReadBlockInto must stay at 0 (the events-per-block sub-bench
+// shows the owning form for contrast: a fresh BlockBuf and DecodeBuffer's
+// event slice and payload slab, four allocations per block).
 func BenchmarkBlockDecode(b *testing.B) {
 	data := pbenchFile(b)
 	rd, err := stream.NewReader(bytes.NewReader(data), int64(len(data)))

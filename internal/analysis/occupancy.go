@@ -84,7 +84,7 @@ func (t *Trace) OccupancyRange(from, to uint64, windows int) *Occupancy {
 // with at most workers goroutines; the result is identical to the
 // sequential form for any worker count.
 func (t *Trace) OccupancyRangeParallel(from, to uint64, windows, workers int) *Occupancy {
-	streams := SplitByCPU(t.Events)
+	streams := t.perCPU()
 	nCPU := len(streams)
 	if nCPU == 0 {
 		return newOccupancy(from, to, windows, 1)

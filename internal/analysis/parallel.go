@@ -44,6 +44,20 @@ func SplitByCPU(evs []event.Event) [][]event.Event {
 	return streams
 }
 
+// perCPU is SplitByCPU(t.Events), computed on first use and shared by every
+// report after that, from any goroutine; the streams are read-only. A
+// caller that assigns a different slice to Events gets a fresh split: the
+// cache remembers which slice it split and checks on every call.
+func (t *Trace) perCPU() [][]event.Event {
+	t.split.Lock()
+	defer t.split.Unlock()
+	evs := t.Events
+	if of := t.split.of; len(evs) != len(of) || (len(evs) > 0 && &evs[0] != &of[0]) {
+		t.split.of, t.split.streams = evs, SplitByCPU(evs)
+	}
+	return t.split.streams
+}
+
 // forEachCPU runs fn over every non-empty stream with at most `workers`
 // goroutines (workers <= 0 means GOMAXPROCS). fn receives the CPU index
 // and its stream; results must be written to per-CPU storage, never
@@ -81,7 +95,7 @@ func forEachCPU(streams [][]event.Event, workers int, fn func(cpu int, evs []eve
 // LockStatParallel is LockStat fanned over per-CPU streams; output is
 // identical to the sequential report for any worker count.
 func (t *Trace) LockStatParallel(workers int) *LockReport {
-	streams := SplitByCPU(t.Events)
+	streams := t.perCPU()
 	maxCPU := len(streams) - 1
 	parts := make([]*LockReport, len(streams))
 	forEachCPU(streams, workers, func(cpu int, evs []event.Event) {
@@ -99,7 +113,7 @@ func (t *Trace) LockStatParallel(workers int) *LockReport {
 
 // ProfileParallel is Profile fanned over per-CPU streams.
 func (t *Trace) ProfileParallel(pid uint64, workers int) *Profile {
-	streams := SplitByCPU(t.Events)
+	streams := t.perCPU()
 	parts := make([]*Profile, len(streams))
 	forEachCPU(streams, workers, func(cpu int, evs []event.Event) {
 		parts[cpu] = t.profileOf(pid, evs)
@@ -119,7 +133,7 @@ func (t *Trace) ProfileParallel(pid uint64, workers int) *Profile {
 // records; the records are then replayed globally, exactly as the
 // sequential walk would have seen them.
 func (t *Trace) TimeBreakParallel(pid uint64, workers int) *TimeBreak {
-	streams := SplitByCPU(t.Events)
+	streams := t.perCPU()
 	maxCPU := len(streams) - 1
 	parts := make([]*TimeBreak, len(streams))
 	recs := make([][]ioRec, len(streams))
@@ -146,7 +160,7 @@ func (t *Trace) TimeBreakParallel(pid uint64, workers int) *TimeBreak {
 
 // OverviewParallel is Overview fanned over per-CPU streams.
 func (t *Trace) OverviewParallel(workers int) []ProcSummary {
-	streams := SplitByCPU(t.Events)
+	streams := t.perCPU()
 	maxCPU := len(streams) - 1
 	parts := make([][]ProcSummary, len(streams))
 	forEachCPU(streams, workers, func(cpu int, evs []event.Event) {
@@ -157,7 +171,7 @@ func (t *Trace) OverviewParallel(workers int) []ProcSummary {
 
 // MemProfileParallel is MemProfile fanned over per-CPU streams.
 func (t *Trace) MemProfileParallel(workers int) *MemReport {
-	streams := SplitByCPU(t.Events)
+	streams := t.perCPU()
 	parts := make([]*MemReport, len(streams))
 	forEachCPU(streams, workers, func(cpu int, evs []event.Event) {
 		parts[cpu] = t.memProfileOf(evs)

@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"k42trace/internal/clock"
@@ -253,5 +254,51 @@ func TestSplitByCPUPreservesOrder(t *testing.T) {
 	}
 	if SplitByCPU(nil) != nil {
 		t.Error("splitting nothing should return nil")
+	}
+}
+
+// TestSplitOncePerTrace: the *Parallel reports share one per-CPU split of
+// the trace, made on first use — also when the first uses race — and
+// remade when the caller points Events at a different stream.
+func TestSplitOncePerTrace(t *testing.T) {
+	tr := sdetTraceFull(t)
+	want := tr.Overview()
+	from, to := tr.Span()
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			switch i % 3 {
+			case 0:
+				if got := tr.OverviewParallel(2); !reflect.DeepEqual(got, want) {
+					t.Error("concurrent OverviewParallel differs from the sequential report")
+				}
+			case 1:
+				tr.LockStatParallel(2)
+			default:
+				tr.OccupancyRangeParallel(from, to+1, 4, 2)
+			}
+		}(i)
+	}
+	wg.Wait()
+	first := tr.perCPU()
+	if again := tr.perCPU(); &again[0] != &first[0] {
+		t.Error("a second report split the trace again")
+	}
+	if a := testing.AllocsPerRun(10, func() { tr.perCPU() }); a != 0 {
+		t.Errorf("perCPU on a split trace allocates %.0f objects", a)
+	}
+
+	// Half the stream, as a caller trimming to a window would assign it.
+	half := append([]event.Event(nil), tr.Events[:len(tr.Events)/2]...)
+	tr.Events = half
+	if got, want := tr.OverviewParallel(2), tr.Overview(); !reflect.DeepEqual(got, want) {
+		t.Error("OverviewParallel after Events was reassigned still reports the old stream")
+	}
+	tr.Events = nil
+	if got := tr.OverviewParallel(2); len(got) != 0 {
+		t.Errorf("OverviewParallel of an emptied trace reports %d processes", len(got))
 	}
 }

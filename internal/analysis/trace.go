@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"k42trace/internal/event"
 	"k42trace/internal/ksim"
@@ -29,6 +30,14 @@ type Trace struct {
 	// epochs — a subsystem silent after a narrowing epoch was not
 	// necessarily idle, it may just have been masked out.
 	MaskEpochs []MaskEpoch
+
+	// split caches Events partitioned per CPU, which every *Parallel
+	// report starts from; see perCPU.
+	split struct {
+		sync.Mutex
+		of      []event.Event // the Events the streams were split from
+		streams [][]event.Event
+	}
 }
 
 // MaskEpoch is one decoded CtrlMaskChange marker.

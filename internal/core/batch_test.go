@@ -1,9 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"k42trace/internal/clock"
 	"k42trace/internal/event"
@@ -351,10 +353,15 @@ func TestPLogConcurrent(t *testing.T) {
 		}(g)
 	}
 	// Concurrent control-plane traffic: ApplyMask must coexist with
-	// parked batches without deadlock.
+	// parked batches without deadlock. It holds every shard paused while it
+	// waits for a gap between logging calls, which on a busy host can be
+	// the whole run, so it starts once the fast path has opened a batch.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		for tr.Stats().BatchOpens == 0 {
+			runtime.Gosched()
+		}
 		for i := 0; i < 20; i++ {
 			tr.ApplyMask(event.MajorTest.Bit() | event.MajorControl.Bit())
 			tr.ApplyMask(^uint64(0))
@@ -389,6 +396,51 @@ func TestPLogConcurrent(t *testing.T) {
 	}
 	if st.FastHits > st.Events {
 		t.Errorf("fastHits %d > events %d", st.FastHits, st.Events)
+	}
+}
+
+// TestParkedBatchYieldsToBlockedLogger: a batch left open on a P that logs
+// nothing more must not wedge the ring. Its buffer cannot seal while it is
+// open, so once the ring wraps onto that buffer a Block-policy logger on
+// the shared path waits for a release only it can bring about.
+func TestParkedBatchYieldsToBlockedLogger(t *testing.T) {
+	tr := MustNew(Config{CPUs: 1, BufWords: 64, NumBufs: 2, Mode: Stream,
+		BatchWords: 8, Clock: clock.NewManual(1)})
+	tr.EnableAll()
+	done, stop := collect(tr)
+	// Park a batch in the first buffer, as a PLog on a P that then goes
+	// idle would leave it.
+	if !tr.pArena(0).OpenBatch(&tr.pslots[0].b, event.MajorTest, 8) {
+		t.Fatal("batch did not open")
+	}
+	const n = 200 // several times round the two-buffer ring
+	logged := make(chan struct{})
+	go func() {
+		defer close(logged)
+		for i := 0; i < n; i++ {
+			tr.CPU(0).Log1(event.MajorTest, 1, uint64(i))
+		}
+	}()
+	select {
+	case <-logged:
+	case <-time.After(10 * time.Second):
+		t.Fatal("logger still blocked on the buffer that holds the parked batch")
+	}
+	stop()
+	var decoded int
+	for _, b := range <-done {
+		evs, st := DecodeBuffer(b.cpu, b.words)
+		if b.anom || st.Garbled() {
+			t.Fatalf("buffer seq %d: anomalous %v, stats %+v", b.seq, b.anom, st)
+		}
+		for _, e := range evs {
+			if e.Major() == event.MajorTest {
+				decoded++
+			}
+		}
+	}
+	if decoded != n {
+		t.Errorf("decoded %d events, logged %d", decoded, n)
 	}
 }
 

@@ -23,19 +23,35 @@ type DecodeStats struct {
 // Garbled reports whether the decode had to skip any words.
 func (d DecodeStats) Garbled() bool { return d.SkippedWords > 0 }
 
-// DecodeBuffer walks one buffer's words and returns the decoded events, in
-// order. Variable-length decoding starts from word 0, which is always an
-// event start because events never cross buffer boundaries — this is what
-// makes buffer boundaries random-access points in a large trace.
+// DecodeInto is the one event-decode loop: it walks one buffer's words and
+// appends the decoded events to dst, in order. Variable-length decoding
+// starts from word 0, which is always an event start because events never
+// cross buffer boundaries — this is what makes buffer boundaries
+// random-access points in a large trace, and what lets a decoder size a
+// block's output before producing it.
 //
 // Full 64-bit timestamps are rebuilt from the 32-bit header stamps using
 // the buffer's clock-anchor event; a buffer lacking an anchor (e.g. a
 // partial flush mid-buffer never happens, but a garbled head can lose it)
 // falls back to epoch zero. Malformed headers are skipped word by word
 // until a plausible event start is found, and the skips are reported.
-func DecodeBuffer(cpu int, words []uint64) ([]event.Event, DecodeStats) {
+//
+// Payload lifetime: every Data is a sub-slice of words, capped at its own
+// length (words[a:b:b]), so the events are valid only while words is
+// neither reused nor rewritten, and an append to one event's Data
+// reallocates instead of writing into its neighbour. That makes DecodeInto
+// the form for a caller that owns words for as long as it keeps the events
+// (the two then travel together), or that filters or summarises the events
+// before words is reused and copies out what it keeps (event.Clone).
+// Anything that outlives the loop iteration that decoded it must own
+// storage sized to what it keeps; DecodeBuffer is that form for a whole
+// block.
+//
+// DecodeInto allocates nothing when dst has room for the block's events.
+// When it runs out, it sizes the rest of the block and grows dst once, to
+// exactly fit.
+func DecodeInto(dst []event.Event, cpu int, words []uint64) ([]event.Event, DecodeStats) {
 	var (
-		out    []event.Event
 		st     DecodeStats
 		un     clock.Unwrapper
 		seeded bool
@@ -69,14 +85,48 @@ func DecodeBuffer(cpu int, words []uint64) ([]event.Event, DecodeStats) {
 			CPU:    cpu,
 		}
 		if l > 1 {
-			e.Data = make([]uint64, l-1)
-			copy(e.Data, words[pos+1:pos+l])
+			e.Data = words[pos+1 : pos+l : pos+l]
 		}
-		out = append(out, e)
+		if len(dst) == cap(dst) {
+			grown := make([]event.Event, len(dst), len(dst)+countEvents(words[pos:]))
+			copy(grown, dst)
+			dst = grown
+		}
+		dst = append(dst, e)
 		st.Events++
 		pos += l
 	}
-	return out, st
+	return dst, st
+}
+
+// countEvents is DecodeInto's sizing pass: the number of events a decode
+// of words produces. It follows headers only, with the same resync rule.
+func countEvents(words []uint64) int {
+	n := 0
+	for pos := 0; pos < len(words); {
+		h := event.Header(words[pos])
+		switch {
+		case !h.WellFormed() || pos+h.Len() > len(words):
+			pos++
+		case h.IsFiller():
+			pos += h.Len()
+		default:
+			n++
+			pos += h.Len()
+		}
+	}
+	return n
+}
+
+// DecodeBuffer is the owning form of DecodeInto: the returned events share
+// nothing with words, which the caller may reuse at once. A block costs
+// two allocations, one event slice and one payload slab, both exact (none
+// for a block without events). Use it to hand events to a caller who keeps
+// them.
+func DecodeBuffer(cpu int, words []uint64) ([]event.Event, DecodeStats) {
+	evs, st := DecodeInto(nil, cpu, words)
+	event.OwnPayloads(evs)
+	return evs, st
 }
 
 // DumpInfo describes one CPU's flight-recorder contents.

@@ -225,6 +225,23 @@ func (t *Tracer) pSlow(s *pSlot, p int, major event.Major, minor uint16, n int, 
 	}
 }
 
+// closeParkedBatches closes the batch of every shard that nobody is logging
+// through at this instant, without waiting for the ones that are claimed:
+// their holders close or refill them on their own. The owner of a closed
+// batch reopens it on its next PLog, as after any miss.
+func (t *Tracer) closeParkedBatches() {
+	if t.batchWords == 0 {
+		return // the fast path is off: no shard ever holds a batch
+	}
+	for i := range t.pslots {
+		s := &t.pslots[i]
+		if s.state.CompareAndSwap(pFree, pHeld) {
+			s.b.Close()
+			s.state.Store(pFree)
+		}
+	}
+}
+
 // pauseBatches claims every per-P shard and closes its parked batch. A
 // parked batch holds its opener's in-flight registration, so every
 // quiescence wait (Quiesce, ApplyMask, Stop) must run this first or it

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"k42trace/internal/clock"
@@ -41,6 +42,24 @@ func FuzzDecodeBlock(f *testing.F) {
 		}
 		if st.Events != len(evs) {
 			t.Fatalf("stats count %d events, decode returned %d", st.Events, len(evs))
+		}
+		// The owning and the aliasing form are one decoder: same events,
+		// same stats, and the sizing pass agrees with the decode on garbled
+		// input too, so both results are exactly as long as they are wide.
+		aliased, ast := DecodeInto(nil, 0, words)
+		if ast != st || !reflect.DeepEqual(aliased, evs) {
+			t.Fatalf("DecodeInto decoded %d events (%+v), DecodeBuffer %d (%+v)", len(aliased), ast, len(evs), st)
+		}
+		if cap(evs) != len(evs) || cap(aliased) != len(aliased) {
+			t.Fatalf("sizing pass missed: len/cap %d/%d owned, %d/%d aliased",
+				len(evs), cap(evs), len(aliased), cap(aliased))
+		}
+		// Appending to a dst that already holds events keeps them.
+		if len(evs) > 0 {
+			both, _ := DecodeInto(aliased[:len(aliased):len(aliased)], 0, words)
+			if len(both) != 2*len(evs) || !reflect.DeepEqual(both[:len(evs)], evs) || !reflect.DeepEqual(both[len(evs):], evs) {
+				t.Fatalf("DecodeInto onto a full dst of %d events returned %d", len(evs), len(both))
+			}
 		}
 		// The flight-recorder reconstruction must survive the same bytes.
 		if len(words) >= 16 {

@@ -73,7 +73,10 @@ func New(cfg Config) (*Tracer, error) {
 	t.sealed = make(chan Sealed, (cfg.NumBufs+1)*cfg.CPUs)
 	var onFull func() bool
 	if cfg.Mode == Stream && cfg.OnFull == Block {
-		onFull = func() bool { runtime.Gosched(); return true }
+		// A parked batch keeps its buffer from sealing. If the ring has
+		// wrapped onto that buffer and the P the batch is parked on logs
+		// nothing more, the waiter is the only one left to close it.
+		onFull = func() bool { t.closeParkedBatches(); runtime.Gosched(); return true }
 	}
 	t.cpus = make([]*TrcCtl, cfg.CPUs)
 	for i := range t.cpus {

@@ -193,3 +193,41 @@ func (e *Event) Minor() uint16 { return e.Header.Minor() }
 
 // Words returns the total size of the event in 64-bit words.
 func (e *Event) Words() int { return 1 + len(e.Data) }
+
+// OwnPayloads moves the payloads of evs out of whatever they alias into one
+// slab allocated here, sized to the payload words exactly, and re-points
+// every Data at its part of the slab, capped at its own length so that an
+// append to one event's Data cannot write into the next event's. It is how
+// events decoded in place (core.DecodeInto) come to outlive the words they
+// were decoded from.
+func OwnPayloads(evs []Event) {
+	n := 0
+	for i := range evs {
+		n += len(evs[i].Data)
+	}
+	if n == 0 {
+		return
+	}
+	slab := make([]uint64, 0, n)
+	for i := range evs {
+		if d := evs[i].Data; len(d) > 0 {
+			at := len(slab)
+			slab = append(slab, d...)
+			evs[i].Data = slab[at:len(slab):len(slab)]
+		}
+	}
+}
+
+// Clone returns a copy of evs that shares no storage with it: an event
+// slice of exactly len(evs) and one exact payload slab (nil for no
+// events). It is the copy-out step for a loop that decodes into reused
+// scratch and keeps only some of what it decoded.
+func Clone(evs []Event) []Event {
+	if len(evs) == 0 {
+		return nil
+	}
+	out := make([]Event, len(evs))
+	copy(out, evs)
+	OwnPayloads(out)
+	return out
+}

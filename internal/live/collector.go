@@ -176,8 +176,8 @@ type producer struct {
 // and analysis under the collector lock).
 type feedItem struct {
 	h     stream.BlockHeader // CPU already remapped into collector space
-	words []uint64
-	evs   []event.Event
+	words []uint64           // the block, as BlockStream.Next allocated it
+	evs   []event.Event      // payloads alias words
 }
 
 // NewCollector builds a collector. The analysis engine and spill writer
@@ -348,10 +348,11 @@ func (c *Collector) serve(p *producer, bs *stream.BlockStream) error {
 		if h.Anomalous() {
 			p.stuck.Add(1)
 		}
-		wcopy := make([]uint64, len(words))
-		copy(wcopy, words)
+		// Next hands over a fresh word slice per block. The decoded payloads
+		// alias it: words and events cross the queue together, in one
+		// feedItem, and neither is written again.
 		h.CPU += p.cpuBase
-		evs, dst := core.DecodeBuffer(h.CPU, wcopy)
+		evs, dst := core.DecodeInto(nil, h.CPU, words)
 		if dst.Garbled() {
 			p.garbled.Add(1)
 		}
@@ -368,7 +369,7 @@ func (c *Collector) serve(p *producer, bs *stream.BlockStream) error {
 				p.maskChanges.Add(1)
 			}
 		}
-		item := feedItem{h: h, words: wcopy, evs: evs}
+		item := feedItem{h: h, words: words, evs: evs}
 		select {
 		case p.queue <- item:
 		default:

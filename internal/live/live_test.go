@@ -177,12 +177,35 @@ func newLoggedTracer(t *testing.T, n int) *core.Tracer {
 // disconnected with reason "slow" instead of stalling the collector
 // forever.
 func TestSlowProducerDisconnected(t *testing.T) {
-	c := NewCollector(Options{
+	// Wedge the analysis side on the producer's first block: the worker,
+	// which calls Forward after every block it applies, takes the collector
+	// lock there and holds it until released. The second block then fills
+	// the one-deep queue and the third cannot be enqueued, however the
+	// goroutines are scheduled. The lock is held as well because that is
+	// the failure being modelled: a disconnect must still be recorded while
+	// the analysis path sits on c.mu.
+	var c *Collector
+	release := make(chan struct{})
+	var wedge sync.Once
+	c = NewCollector(Options{
 		QueueBlocks:    1,
 		EnqueueTimeout: 50 * time.Millisecond,
 		CPUSlots:       8,
+		Forward: func(stream.BlockHeader, []uint64, []event.Event) {
+			wedge.Do(func() {
+				c.mu.Lock()
+				<-release
+				c.mu.Unlock()
+			})
+		},
 	})
-	srv, err := relay.ListenConns("127.0.0.1:0", c.Handler())
+	handler := c.Handler()
+	served := make(chan error, 1) // relay.Send makes one connection
+	srv, err := relay.ListenConns("127.0.0.1:0", func(conn relay.Conn) error {
+		err := handler(conn)
+		served <- err
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,24 +217,6 @@ func TestSlowProducerDisconnected(t *testing.T) {
 	})
 	tr.EnableAll()
 
-	// Wedge the analysis side once the producer has registered: grab the
-	// collector lock and hold it until released, so the worker stalls and
-	// the ingest queue backs up.
-	wedged := make(chan struct{})
-	release := make(chan struct{})
-	go func() {
-		for {
-			c.mu.Lock()
-			if len(c.producers) > 0 {
-				close(wedged)
-				<-release
-				c.mu.Unlock()
-				return
-			}
-			c.mu.Unlock()
-			time.Sleep(time.Millisecond)
-		}
-	}()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -223,16 +228,13 @@ func TestSlowProducerDisconnected(t *testing.T) {
 		}
 		tr.Stop()
 	}()
-	<-wedged
-	deadline := time.After(10 * time.Second)
-	for c.disconnectCounts()["slow"] == 0 {
-		select {
-		case <-deadline:
-			close(release)
-			t.Fatal("slow producer was never disconnected")
-		default:
+	select {
+	case err := <-served:
+		if n := c.disconnectCounts()["slow"]; err == nil || n != 1 {
+			t.Errorf("handler returned %v with %d slow disconnects, want an error and 1", err, n)
 		}
-		time.Sleep(5 * time.Millisecond)
+	case <-time.After(10 * time.Second):
+		t.Error("slow producer was never disconnected")
 	}
 	close(release)
 	<-done

@@ -62,6 +62,7 @@ type Server struct {
 	mu      sync.Mutex
 	errs    []error
 	closed  bool
+	forced  bool // CloseNow has swept conns; later accepts are closed at once
 	conns   map[net.Conn]struct{}
 }
 
@@ -98,6 +99,14 @@ func (s *Server) acceptLoop() {
 			return // listener closed
 		}
 		s.mu.Lock()
+		if s.forced {
+			// Accepted while CloseNow was closing the listener: its sweep
+			// of s.conns is over, and nothing else would end this
+			// connection while its producer keeps it open.
+			s.mu.Unlock()
+			conn.Close()
+			continue
+		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
@@ -145,6 +154,7 @@ func (s *Server) close(force bool) error {
 	}
 	s.closed = true
 	if force {
+		s.forced = true
 		for conn := range s.conns {
 			conn.Close()
 		}

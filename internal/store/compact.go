@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"k42trace/internal/core"
+	"k42trace/internal/event"
 	"k42trace/internal/stream"
 )
 
@@ -101,13 +102,14 @@ func (s *Store) compactOne(t *tenant) (merged bool, in int, events uint64, err e
 		want += si.Events
 	}
 	sb := newSegBuilder(run[0].Meta())
+	var bb stream.BlockBuf
+	var evs []event.Event
 	for cpu := 0; cpu < sb.meta.CPUs; cpu++ {
 		for _, sg := range segs {
 			rd, fi, err := sg.open(s.opt.Workers)
 			if err != nil {
 				return false, 0, 0, err
 			}
-			var bb stream.BlockBuf
 			for k := range fi.Blocks {
 				bs := &fi.Blocks[k]
 				if bs.CPU != cpu {
@@ -117,12 +119,12 @@ func (s *Store) compactOne(t *tenant) (merged bool, in int, events uint64, err e
 				if err != nil {
 					return false, 0, 0, err
 				}
-				evs, _ := core.DecodeBuffer(h.CPU, words)
-				blk := stream.SalvagedBlock{
-					Hdr:    h,
-					Words:  append([]uint64(nil), words...),
-					Events: evs,
-				}
+				// The builder keeps a copy of the words until the segment is
+				// written, and of the events only their summary: they decode
+				// into scratch that the next block reuses.
+				blk := stream.SalvagedBlock{Hdr: h, Words: append([]uint64(nil), words...)}
+				evs, _ = core.DecodeInto(evs[:0], h.CPU, blk.Words)
+				blk.Events = evs
 				sb.add(&blk, bs.EntryPid)
 			}
 		}

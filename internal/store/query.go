@@ -325,19 +325,30 @@ func (s *Store) query(p Params) (*Result, error) {
 		s.metrics.cacheScan(p.Tenant, hits, len(toScan))
 	}
 
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, scanParallelism(workers, len(toScan)))
-	for _, i := range toScan {
-		wg.Add(1)
-		go func(i int, sg *segment) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pr := &parts[i]
-			pr.evs, pr.scanned, pr.pruned, pr.err = scanSegment(sg, scan, workers)
-		}(i, pinned[i])
+	// Scan worker w takes every nw-th miss, so which worker scans which
+	// segment, and with it how far each worker's scratch grows, does not
+	// depend on timing. A single worker runs on the query's own goroutine.
+	nw := scanParallelism(workers, len(toScan))
+	scanWorker := func(w int) {
+		var sc scanScratch
+		for j := w; j < len(toScan); j += nw {
+			pr := &parts[toScan[j]]
+			pr.evs, pr.scanned, pr.pruned, pr.err = scanSegment(pinned[toScan[j]], scan, workers, &sc)
+		}
 	}
-	wg.Wait()
+	if nw == 1 {
+		scanWorker(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < nw; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				scanWorker(w)
+			}(w)
+		}
+		wg.Wait()
+	}
 
 	var n int
 	for i := range parts {
@@ -395,15 +406,36 @@ func scanParallelism(workers, n int) int {
 	return workers
 }
 
+// scanScratch is one scan worker's reusable storage: the block being read
+// and the events decoded from it, whose payloads alias the block. The next
+// block overwrites both, so what a scan keeps it clones out first.
+type scanScratch struct {
+	bb  stream.BlockBuf
+	evs []event.Event
+}
+
 // scanSegment scans one pinned segment: blocks whose summaries cannot
-// match are skipped, survivors are decoded and filtered exactly.
-func scanSegment(sg *segment, p Params, workers int) (evs []event.Event, scanned, pruned int, err error) {
+// match are skipped, survivors are decoded into sc and filtered exactly.
+// The result shares nothing with sc or the segment: the matches of each
+// block are cloned into an event slice and a payload slab of exactly their
+// size, so an answer that lives on in the cache or in a Result holds what
+// it matched and no more — a narrow answer never pins a block.
+func scanSegment(sg *segment, p Params, workers int, sc *scanScratch) (evs []event.Event, scanned, pruned int, err error) {
 	rd, fi, err := sg.open(workers)
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	// The index knows every block's event count: size the decode scratch
+	// once for the segment, so that the decodes below never grow it.
+	need := 0
+	for k := range fi.Blocks {
+		need = max(need, int(fi.Blocks[k].Events))
+	}
+	if cap(sc.evs) < need {
+		sc.evs = make([]event.Event, 0, need)
+	}
 	to := p.effTo()
-	var bb stream.BlockBuf
+	var kept [][]event.Event // per block with matches, in file order
 	for k := range fi.Blocks {
 		bs := &fi.Blocks[k]
 		if !p.NoPrune && !blockMayMatch(bs, p, to) {
@@ -411,12 +443,28 @@ func scanSegment(sg *segment, p Params, workers int) (evs []event.Event, scanned
 			continue
 		}
 		scanned++
-		h, words, err := rd.ReadBlockInto(k, &bb)
+		h, words, err := rd.ReadBlockInto(k, &sc.bb)
 		if err != nil {
 			return nil, scanned, pruned, err
 		}
-		devs, _ := core.DecodeBuffer(h.CPU, words)
-		evs = appendMatching(evs, devs, bs.EntryPid, p, to)
+		sc.evs, _ = core.DecodeInto(sc.evs[:0], h.CPU, words)
+		if m := keepMatching(sc.evs, bs.EntryPid, p, to); len(m) > 0 {
+			kept = append(kept, event.Clone(m))
+		}
+	}
+	switch len(kept) {
+	case 0:
+		return nil, scanned, pruned, nil
+	case 1:
+		return kept[0], scanned, pruned, nil
+	}
+	n := 0
+	for _, m := range kept {
+		n += len(m)
+	}
+	evs = make([]event.Event, 0, n)
+	for _, m := range kept {
+		evs = append(evs, m...)
 	}
 	return evs, scanned, pruned, nil
 }
@@ -439,23 +487,27 @@ func blockMayMatch(bs *stream.BlockSummary, p Params, to uint64) bool {
 	return true
 }
 
-// appendMatching applies the exact filter to one block's events. The pid
-// carry starts at the block's recorded entry pid; attribution follows the
-// analysis walker: an event belongs to the pid scheduled before it is
+// keepMatching applies the exact filter to one block's events in place:
+// the matches move to the front of evs, in order, and are returned. The
+// pid carry starts at the block's recorded entry pid; attribution follows
+// the analysis walker: an event belongs to the pid scheduled before it is
 // applied, so a context switch itself is attributed to the switched-from
 // process.
-func appendMatching(dst, evs []event.Event, entryPid uint64, p Params, to uint64) []event.Event {
+func keepMatching(evs []event.Event, entryPid uint64, p Params, to uint64) []event.Event {
 	cur := entryPid
+	n := 0
 	for i := range evs {
 		e := &evs[i]
-		if matchEvent(e, cur, p, to) {
-			dst = append(dst, *e)
-		}
+		match := matchEvent(e, cur, p, to)
 		if e.Major() == event.MajorSched && e.Minor() == ksim.EvSchedSwitch && len(e.Data) >= 2 {
 			cur = e.Data[1]
 		}
+		if match {
+			evs[n] = *e
+			n++
+		}
 	}
-	return dst
+	return evs[:n]
 }
 
 func matchEvent(e *event.Event, curPid uint64, p Params, to uint64) bool {

@@ -9,7 +9,8 @@ import (
 // SalvagedBlock is one surviving block of a (possibly damaged) trace: its
 // header, raw payload words, and decoded events. The header is the one
 // SalvageTo would have written — a clipped truncated tail is re-marked
-// partial with NWords matching the surviving words.
+// partial with NWords matching the surviving words. The payloads of Events
+// alias Words: whoever keeps the events keeps the words, unmodified.
 type SalvagedBlock struct {
 	Hdr    BlockHeader
 	Words  []uint64

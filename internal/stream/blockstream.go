@@ -41,10 +41,11 @@ func (s *BlockStream) Meta() Meta { return s.meta }
 // Blocks returns the number of blocks read so far.
 func (s *BlockStream) Blocks() int { return s.n }
 
-// Next reads the next block. It returns io.EOF after the final block; a
-// block cut off mid-transfer returns io.ErrUnexpectedEOF wrapped with the
-// block index and stream offset, so collectors can report where a
-// transfer was torn.
+// Next reads the next block. The returned words are allocated per call and
+// belong to the caller (NextInto is the reusing form). It returns io.EOF
+// after the final block; a block cut off mid-transfer returns
+// io.ErrUnexpectedEOF wrapped with the block index and stream offset, so
+// collectors can report where a transfer was torn.
 //
 // A block whose header fails validation comes back as a *BlockDamageError.
 // That error is not terminal: the full stride was consumed, so the stream

@@ -168,10 +168,15 @@ func (fi *FullIndex) EntryPids() []uint64 {
 // events (a store ingesting a spill) can build a FullIndex without
 // re-reading what they just wrote.
 func SummarizeEvents(bs *BlockSummary, evs []event.Event, entryPid uint64) (nextPid uint64) {
-	bs.EntryPid = entryPid
+	last, switched := summarize(bs, evs)
+	return enterBlock(bs, entryPid, last, switched)
+}
+
+// summarize is the part of SummarizeEvents that needs no carry from the
+// blocks before: everything but the entry pid. It reports the last pid the
+// block switched to, if it switched at all.
+func summarize(bs *BlockSummary, evs []event.Event) (lastPid uint64, switched bool) {
 	bs.Events = uint32(len(evs))
-	bs.PidBloom.Add(entryPid)
-	cur := entryPid
 	for i := range evs {
 		e := &evs[i]
 		if i == 0 || e.Time < bs.MinTime {
@@ -183,11 +188,22 @@ func SummarizeEvents(bs *BlockSummary, evs []event.Event, entryPid uint64) (next
 		bs.MajorMask |= e.Major().Bit()
 		bs.MinorBloom.Add(MinorKey(e.Major(), e.Minor()))
 		if e.Major() == event.MajorSched && e.Minor() == ksim.EvSchedSwitch && len(e.Data) >= 2 {
-			cur = e.Data[1]
-			bs.PidBloom.Add(cur)
+			lastPid, switched = e.Data[1], true
+			bs.PidBloom.Add(lastPid)
 		}
 	}
-	return cur
+	return lastPid, switched
+}
+
+// enterBlock is the carry step: it records the pid scheduled when the
+// block begins and returns the one scheduled when it ends.
+func enterBlock(bs *BlockSummary, entryPid, lastPid uint64, switched bool) (nextPid uint64) {
+	bs.EntryPid = entryPid
+	bs.PidBloom.Add(entryPid)
+	if switched {
+		return lastPid
+	}
+	return entryPid
 }
 
 // BuildFullIndex decodes every block (fanning over up to `workers`
@@ -210,21 +226,26 @@ func (rd *Reader) BuildFullIndex(workers int, entrySeed []uint64) (*FullIndex, e
 		}
 	}
 
-	// Pass 1 (parallel): decode each block, recording its events and
-	// last-switch pid; summaries that need no carry are filled here.
-	type decoded struct {
-		evs []event.Event
-		err error
+	// Pass 1 (parallel): decode each block into the worker's scratch and
+	// summarise it there; only the last-switch pid outlives the decode.
+	type partial struct {
+		lastPid  uint64
+		switched bool
+		err      error
 	}
-	results := make([]decoded, rd.nBlk)
-	decode := func(k int, bb *BlockBuf) {
-		h, words, err := rd.ReadBlockInto(k, bb)
+	results := make([]partial, rd.nBlk)
+	type scratch struct {
+		bb  BlockBuf
+		evs []event.Event
+	}
+	decode := func(k int, sc *scratch) {
+		h, words, err := rd.ReadBlockInto(k, &sc.bb)
 		if err != nil {
 			results[k].err = err
 			return
 		}
-		evs, _ := core.DecodeBuffer(h.CPU, words)
-		results[k].evs = evs
+		sc.evs, _ = core.DecodeInto(sc.evs[:0], h.CPU, words)
+		results[k].lastPid, results[k].switched = summarize(&fi.Blocks[k], sc.evs)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -233,9 +254,9 @@ func (rd *Reader) BuildFullIndex(workers int, entrySeed []uint64) (*FullIndex, e
 		workers = rd.nBlk
 	}
 	if workers <= 1 {
-		var bb BlockBuf
+		var sc scratch
 		for k := 0; k < rd.nBlk; k++ {
-			decode(k, &bb)
+			decode(k, &sc)
 		}
 	} else {
 		var next atomic.Int64
@@ -244,13 +265,13 @@ func (rd *Reader) BuildFullIndex(workers int, entrySeed []uint64) (*FullIndex, e
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var bb BlockBuf
+				var sc scratch
 				for {
 					k := int(next.Add(1)) - 1
 					if k >= rd.nBlk {
 						return
 					}
-					decode(k, &bb)
+					decode(k, &sc)
 				}
 			}()
 		}
@@ -265,7 +286,7 @@ func (rd *Reader) BuildFullIndex(workers int, entrySeed []uint64) (*FullIndex, e
 			return nil, results[k].err
 		}
 		bs := &fi.Blocks[k]
-		carry[bs.CPU] = SummarizeEvents(bs, results[k].evs, carry[bs.CPU])
+		carry[bs.CPU] = enterBlock(bs, carry[bs.CPU], results[k].lastPid, results[k].switched)
 	}
 	return fi, nil
 }

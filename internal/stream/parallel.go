@@ -99,7 +99,12 @@ func (rd *Reader) ReadAllParallel(workers int) ([]event.Event, core.DecodeStats,
 	}
 
 	// Group blocks into per-CPU streams in file order. Every block carries
-	// exactly one CPU's events, so this touches blocks, not events.
+	// exactly one CPU's events, so sizing touches blocks, not events, and
+	// each stream is allocated once, at its final length.
+	sizes := map[int]int{}
+	for k := range results {
+		sizes[results[k].cpu] += len(results[k].evs)
+	}
 	perCPU := map[int][]event.Event{}
 	var cpus []int
 	for k := range results {
@@ -109,8 +114,10 @@ func (rd *Reader) ReadAllParallel(workers int) ([]event.Event, core.DecodeStats,
 		c := results[k].cpu
 		if _, ok := perCPU[c]; !ok {
 			cpus = append(cpus, c)
+			perCPU[c] = make([]event.Event, 0, sizes[c])
 		}
 		perCPU[c] = append(perCPU[c], results[k].evs...)
+		results[k].evs = nil // the block's copy is garbage from here on
 	}
 	sort.Ints(cpus)
 	streams := make([][]event.Event, 0, len(cpus))

@@ -93,8 +93,11 @@ type BlockBuf struct {
 // ReadBlockInto reads the k-th block like Block, but into bb's reusable
 // storage: one ReadAt of the whole fixed stride (header and payload
 // together), no allocation once bb has warmed up. The returned word slice
-// aliases bb and is valid until the next ReadBlockInto on the same bb;
-// DecodeBuffer copies payloads out, so decode loops may reuse bb freely.
+// aliases bb and is valid until the next ReadBlockInto on the same bb.
+// core.DecodeBuffer copies payloads out, so a loop that keeps whole blocks
+// may reuse bb freely; core.DecodeInto does not — its events alias these
+// words and must be filtered, summarised or cloned before bb is read into
+// again.
 func (rd *Reader) ReadBlockInto(k int, bb *BlockBuf) (BlockHeader, []uint64, error) {
 	if k < 0 || k >= rd.nBlk {
 		return BlockHeader{}, nil, fmt.Errorf("stream: block %d out of range [0,%d)", k, rd.nBlk)

@@ -28,7 +28,9 @@ import (
 // unrecoverable input is one with no recognizable block structure at all.
 //
 // The returned events are merged across CPUs exactly like ReadAllParallel
-// output, and are identical to it on an undamaged file. The report is
+// output, and are identical to it on an undamaged file. Their payloads
+// alias the salvager's own copy of each surviving block, which lives as
+// long as they do. The report is
 // deterministic for any worker count (workers <= 0 means GOMAXPROCS).
 func Salvage(r io.ReaderAt, size int64, workers int) ([]event.Event, *SalvageReport, error) {
 	perCPU, rep, err := salvageScan(r, size, workers)
@@ -37,12 +39,16 @@ func Salvage(r io.ReaderAt, size int64, workers int) ([]event.Event, *SalvageRep
 	}
 	streams := make([][]event.Event, 0, len(perCPU))
 	for i := range perCPU {
-		var s []event.Event
+		n := 0
+		for _, b := range perCPU[i].blocks {
+			n += len(b.evs)
+		}
+		if n == 0 {
+			continue
+		}
+		s := make([]event.Event, 0, n)
 		for _, b := range perCPU[i].blocks {
 			s = append(s, b.evs...)
-		}
-		if len(s) == 0 {
-			continue
 		}
 		if !timesNonDecreasing(s) {
 			// Garbled stamps inside surviving blocks: restore the order the
@@ -208,7 +214,9 @@ func (rep *SalvageReport) String() string {
 const salvageMaxCPUs = 4096
 
 // salvagedBlock is one surviving block: its place in the damaged file,
-// its decoded events, and its raw payload words (for SalvageTo).
+// its decoded events, and its raw payload words (for SalvageTo). The words
+// are this block's own copy and the events' payloads alias them, so the
+// two live and die together.
 type salvagedBlock struct {
 	file  int
 	off   int64
@@ -314,7 +322,7 @@ func scanWith(r io.ReaderAt, size int64, meta Meta, dataOff int64, recovered boo
 			return
 		}
 		words := bytesToWords(b[blockHdrWords*8 : (blockHdrWords+h.NWords)*8])
-		evs, st := core.DecodeBuffer(h.CPU, words)
+		evs, st := core.DecodeInto(nil, h.CPU, words)
 		results[k].blk = &salvagedBlock{file: k, off: off, hdr: h, words: words, evs: evs, st: st}
 	}
 
@@ -382,7 +390,7 @@ func scanWith(r io.ReaderAt, size int64, meta Meta, dataOff int64, recovered boo
 						n = avail
 					}
 					words := bytesToWords(tb[blockHdrWords*8 : (blockHdrWords+n)*8])
-					evs, st := core.DecodeBuffer(h.CPU, words)
+					evs, st := core.DecodeInto(nil, h.CPU, words)
 					kept = append(kept, &salvagedBlock{
 						file: nWhole, off: off, hdr: h, words: words, evs: evs, st: st,
 					})
