@@ -1,6 +1,6 @@
 GO ?= go
 
-RACE_PKGS = ./internal/core/ ./internal/stream/ ./internal/relay/ ./internal/analysis/ ./internal/faultinject/ ./internal/live/ ./internal/shm/ ./internal/fed/ ./internal/store/ ./internal/diff/
+RACE_PKGS = ./internal/core/ ./internal/stream/ ./internal/relay/ ./internal/analysis/ ./internal/faultinject/ ./internal/live/ ./internal/shm/ ./internal/fed/ ./internal/store/ ./internal/diff/ ./cmd/ktrace/
 
 # Per-target budget for the fuzz smoke run (matches the CI job).
 FUZZTIME ?= 30s
@@ -30,7 +30,8 @@ test:
 
 # Race-check the concurrent layers: the lockless logger, the block-parallel
 # decode pipeline, the TCP relay, the per-CPU analysis fan-out, and the
-# fault-injection harness that stresses all of them.
+# fault-injection harness that stresses all of them — and the ktrace verbs,
+# which decode on eight workers in-process.
 race:
 	$(GO) test -race $(RACE_PKGS)
 
@@ -70,34 +71,34 @@ bench-e2e:
 	@grep -E '^(workload |attempted |  (setup_s|op_alloc_mb|op2_alloc_mb|op_allocs_k|op2_allocs_k|peak_rss_mb) )' $(BENCH_E2E)
 
 # End-to-end live-monitoring smoke: collector + two producers + HTTP
-# surface + SIGTERM drain + tracecheck on the spill.
+# surface + SIGTERM drain + ktrace check on the spill.
 live-smoke:
 	./scripts/live_smoke.sh
 
 # End-to-end shared-memory smoke: ktraced + real client processes +
-# SIGKILL mid-reservation + live tracecheck -shm + drain + exact loss
-# accounting via tracecheck -salvage.
+# SIGKILL mid-reservation + live ktrace check -shm + drain + exact loss
+# accounting via ktrace check -salvage.
 shm-smoke:
 	./scripts/shm_smoke.sh
 
 # End-to-end federation smoke: traceaggd + three federated tracecolld
 # shards + ring-resolved producers + aggregator mask fan-down + a
-# SIGKILLed shard expiring off the ring + drain + tracecheck.
+# SIGKILLed shard expiring off the ring + drain + ktrace check.
 fed-smoke:
 	./scripts/fed_smoke.sh
 
 # End-to-end trace-store smoke: tracestored + HTTP/watch-dir ingest +
 # queries and aggregations + cursor pagination vs the unpaginated listing
 # + segment-cache hits + admission-control 429s + event-conserving
-# compaction + byte-budget GC + tracecheck on every stored segment + the
+# compaction + byte-budget GC + ktrace check on every stored segment + the
 # tracecolld -store handoff.
 store-smoke:
 	./scripts/store_smoke.sh
 
 # End-to-end differential-analysis smoke: generate a coarse and a tuned run
-# of the same workload, tracediff must surface the planted lock regression,
+# of the same workload, ktrace diff must surface the planted lock regression,
 # self-diff must be exactly zero (gated with -max-divergence 0), the
 # threshold gate must exit 3, and the HTML timeline exports (kmon and
-# stacked tracediff) must be deterministic and self-contained.
+# stacked diff) must be deterministic and self-contained.
 diff-smoke:
 	./scripts/diff_smoke.sh

@@ -83,6 +83,6 @@ func main() {
 		meta.CPUs, meta.BufWords, dst.Garbled())
 	fmt.Println("\nfirst 8 events:")
 	trace.List(os.Stdout, ktrace.ListOptions{Limit: 8})
-	fmt.Printf("\n(%d events total; try cmd/tracelist and cmd/kmon on quickstart.ktr)\n",
+	fmt.Printf("\n(%d events total; try ktrace list and ktrace kmon on quickstart.ktr)\n",
 		len(trace.Events))
 }

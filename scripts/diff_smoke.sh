@@ -2,13 +2,13 @@
 # End-to-end smoke of the differential analyzer and the HTML timeline
 # export: generate a coarse and a tuned run of the identical SDET workload
 # (same seed, same samplers, same mid-run mask changes), then prove that
-#   1. tracediff aligns them on the planted mask epochs and surfaces the
+#   1. ktrace diff aligns them on the planted mask epochs and surfaces the
 #      coarse kernel's lock regression at the top of the report,
 #   2. diffing a trace against itself is exactly zero (gated in the
 #      strictest possible way: -max-divergence 0 must pass),
 #   3. the -max-divergence CI gate exits 3 on the real regression,
 #   4. the JSON report parses and agrees with the text on the headline,
-#   5. the HTML timeline exports (kmon single-run and tracediff stacked)
+#   5. the HTML timeline exports (kmon single-run and diff stacked)
 #      are byte-identical across renders and reference no network.
 set -euo pipefail
 
@@ -18,7 +18,7 @@ WORK="$(mktemp -d)"
 cleanup() { rm -rf "$BIN" "$WORK"; }
 trap cleanup EXIT
 
-go build -o "$BIN" ./cmd/sdet ./cmd/tracediff ./cmd/kmon
+go build -o "$BIN" ./cmd/sdet ./cmd/ktrace
 
 # The canonical fixture recipe (testdata/corpus coarse/tuned pair): 8 CPUs,
 # both samplers, timer IRQs, and two mid-run mask changes that plant
@@ -32,7 +32,7 @@ GEN="-cpus 8 -scripts 4 -cmds 6 -seed 11 -sample 15000 -irq 50000
 "$BIN/sdet" $GEN -config tuned -o "$WORK/tuned.ktr" >/dev/null
 
 # --- 1. the diff surfaces the planted regression -----------------------
-"$BIN/tracediff" "$WORK/coarse.ktr" "$WORK/tuned.ktr" >"$WORK/report.txt"
+"$BIN/ktrace" diff "$WORK/coarse.ktr" "$WORK/tuned.ktr" >"$WORK/report.txt"
 grep -q '^  alignment mask-epochs' "$WORK/report.txt" \
     || { echo "diff_smoke: runs not aligned on mask epochs" >&2; exit 1; }
 # lockwait must head the mode table (biggest |delta%|) and must drop B-A.
@@ -43,31 +43,31 @@ DIV=$(sed -n 's/^divergence \([0-9.]*\).*/\1/p' "$WORK/report.txt")
     || { echo "diff_smoke: divergence not positive ($DIV)" >&2; exit 1; }
 
 # --- 2. self-diff is exactly zero, gated at threshold zero -------------
-"$BIN/tracediff" -max-divergence 0 "$WORK/coarse.ktr" "$WORK/coarse.ktr" >"$WORK/self.txt"
+"$BIN/ktrace" diff -max-divergence 0 "$WORK/coarse.ktr" "$WORK/coarse.ktr" >"$WORK/self.txt"
 grep -q '^divergence 0\.000000' "$WORK/self.txt" \
     || { echo "diff_smoke: self-diff divergence nonzero" >&2; exit 1; }
 
 # --- 3. the CI gate trips on the real regression -----------------------
 set +e
-"$BIN/tracediff" -max-divergence 0.01 "$WORK/coarse.ktr" "$WORK/tuned.ktr" >/dev/null 2>&1
+"$BIN/ktrace" diff -max-divergence 0.01 "$WORK/coarse.ktr" "$WORK/tuned.ktr" >/dev/null 2>&1
 RC=$?
 set -e
 [ "$RC" -eq 3 ] || { echo "diff_smoke: threshold gate exited $RC, want 3" >&2; exit 1; }
 
 # --- 4. JSON agrees with the text report -------------------------------
-"$BIN/tracediff" -json "$WORK/coarse.ktr" "$WORK/tuned.ktr" >"$WORK/report.json"
+"$BIN/ktrace" diff -json "$WORK/coarse.ktr" "$WORK/tuned.ktr" >"$WORK/report.json"
 grep -q '"kind": "mask-epochs"' "$WORK/report.json" \
     || { echo "diff_smoke: JSON missing alignment kind" >&2; exit 1; }
 grep -q '"mode": "lockwait"' "$WORK/report.json" \
     || { echo "diff_smoke: JSON missing lockwait row" >&2; exit 1; }
 
 # --- 5. HTML exports: deterministic, self-contained, epoch-aware -------
-"$BIN/tracediff" -html "$WORK/stack1.html" "$WORK/coarse.ktr" "$WORK/tuned.ktr" >/dev/null 2>&1
-"$BIN/tracediff" -html "$WORK/stack2.html" "$WORK/coarse.ktr" "$WORK/tuned.ktr" >/dev/null 2>&1
+"$BIN/ktrace" diff -html "$WORK/stack1.html" "$WORK/coarse.ktr" "$WORK/tuned.ktr" >/dev/null 2>&1
+"$BIN/ktrace" diff -html "$WORK/stack2.html" "$WORK/coarse.ktr" "$WORK/tuned.ktr" >/dev/null 2>&1
 cmp -s "$WORK/stack1.html" "$WORK/stack2.html" \
-    || { echo "diff_smoke: tracediff HTML not deterministic" >&2; exit 1; }
-"$BIN/kmon" -html "$WORK/mon1.html" -svg "$WORK/mon.svg" "$WORK/coarse.ktr" >/dev/null
-"$BIN/kmon" -html "$WORK/mon2.html" "$WORK/coarse.ktr" >/dev/null
+    || { echo "diff_smoke: diff HTML not deterministic" >&2; exit 1; }
+"$BIN/ktrace" kmon -html "$WORK/mon1.html" -svg "$WORK/mon.svg" "$WORK/coarse.ktr" >/dev/null
+"$BIN/ktrace" kmon -html "$WORK/mon2.html" "$WORK/coarse.ktr" >/dev/null
 cmp -s "$WORK/mon1.html" "$WORK/mon2.html" \
     || { echo "diff_smoke: kmon HTML not deterministic" >&2; exit 1; }
 for f in "$WORK/stack1.html" "$WORK/mon1.html"; do

@@ -3,7 +3,7 @@
 # three tracecolld shards under it, stream ring-resolved tracerelay
 # producers through the tree, fan a mask down from the aggregator,
 # SIGKILL one shard and watch the ring expire it while producers rehash,
-# then drain and validate every spill with tracecheck.
+# then drain and validate every spill with ktrace check.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -26,7 +26,7 @@ AGG_HTTP="${FED_SMOKE_HTTP:-18053}"
 AGG="http://127.0.0.1:$AGG_HTTP"
 FLEET="$WORK/fleet.ktr"
 
-go build -o "$BIN" ./cmd/traceaggd ./cmd/tracecolld ./cmd/tracerelay ./cmd/tracecheck ./cmd/tracelist
+go build -o "$BIN" ./cmd/traceaggd ./cmd/tracecolld ./cmd/tracerelay ./cmd/ktrace
 
 "$BIN/traceaggd" -listen "127.0.0.1:$AGG_PORT" -http "127.0.0.1:$AGG_HTTP" \
     -spill "$FLEET" -member-ttl 2s &
@@ -143,12 +143,12 @@ AGG_PID=""
 # (c2 died by SIGKILL, so its spill may end mid-block; a shard that never
 # owned a key leaves an empty spill — both are skipped, not failures.)
 for s in c0 c1; do
-    if [ -s "$WORK/$s.ktr" ]; then "$BIN/tracecheck" "$WORK/$s.ktr"; fi
+    if [ -s "$WORK/$s.ktr" ]; then "$BIN/ktrace" check "$WORK/$s.ktr"; fi
 done
 [ -s "$FLEET" ] || { echo "fed_smoke: empty fleet spill" >&2; exit 1; }
-"$BIN/tracecheck" "$FLEET"
+"$BIN/ktrace" check "$FLEET"
 # The fan-down must be recorded in-band all the way up in the mirror.
-"$BIN/tracelist" -control "$FLEET" >"$WORK/listing.txt"
+"$BIN/ktrace" list -control "$FLEET" >"$WORK/listing.txt"
 grep -q TRACE_CTRL_MASK_CHANGE "$WORK/listing.txt" \
     || { echo "fed_smoke: no CtrlMaskChange markers in the fleet spill" >&2; exit 1; }
 echo "fed_smoke: OK (3-shard federation, mask fan-down, shard loss + rehash, $(wc -c <"$FLEET") byte fleet spill validated)"

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the live-monitoring pipeline: boot tracecolld, stream
 # two concurrent tracerelay producers into it, poke every HTTP endpoint,
-# SIGTERM-drain, and validate the spilled trace file with tracecheck.
+# SIGTERM-drain, and validate the spilled trace file with ktrace check.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -18,7 +18,7 @@ PORT="${LIVE_SMOKE_PORT:-17042}"
 HTTP="${LIVE_SMOKE_HTTP:-17043}"
 SPILL="$WORK/drained.ktr"
 
-go build -o "$BIN" ./cmd/tracecolld ./cmd/tracerelay ./cmd/tracecheck ./cmd/tracelist
+go build -o "$BIN" ./cmd/tracecolld ./cmd/tracerelay ./cmd/ktrace
 
 "$BIN/tracecolld" -listen "127.0.0.1:$PORT" -http "127.0.0.1:$HTTP" -spill "$SPILL" &
 COLLD_PID=$!
@@ -91,10 +91,10 @@ wait "$COLLD_PID"
 COLLD_PID=""
 
 [ -s "$SPILL" ] || { echo "live_smoke: empty spill file" >&2; exit 1; }
-"$BIN/tracecheck" "$SPILL"
+"$BIN/ktrace" check "$SPILL"
 # The mask flips must be recorded in-band in the drained spill. (Listing
-# goes to a file: grep -q would SIGPIPE tracelist and trip pipefail.)
-"$BIN/tracelist" -control "$SPILL" >"$WORK/listing.txt"
+# goes to a file: grep -q would SIGPIPE ktrace list and trip pipefail.)
+"$BIN/ktrace" list -control "$SPILL" >"$WORK/listing.txt"
 grep -q TRACE_CTRL_MASK_CHANGE "$WORK/listing.txt" \
     || { echo "live_smoke: no CtrlMaskChange markers in the spill" >&2; exit 1; }
 echo "live_smoke: OK ($(wc -c <"$SPILL") byte spill validated, mask markers present)"

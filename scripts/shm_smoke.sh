@@ -2,8 +2,8 @@
 # End-to-end smoke of the shared-memory cross-process path: boot ktraced
 # on a tmpfs segment, attach real shmlog client processes, SIGKILL one
 # with an uncommitted reservation mid-run, inspect the live segment with
-# tracecheck -shm, SIGTERM-drain, and assert exact loss accounting on the
-# spill with tracecheck -salvage: one anomalous block, the dead
+# ktrace check -shm, SIGTERM-drain, and assert exact loss accounting on the
+# spill with ktrace check -salvage: one anomalous block, the dead
 # reservation's words skipped, and nothing else lost.
 set -euo pipefail
 
@@ -30,7 +30,7 @@ SPILL="$WORK/drained.ktr"
 PAYLOAD=3
 HOLE=$((PAYLOAD + 1)) # header word + payload
 
-go build -o "$BIN" ./cmd/ktraced ./cmd/shmlog ./cmd/tracecheck
+go build -o "$BIN" ./cmd/ktraced ./cmd/shmlog ./cmd/ktrace
 
 "$BIN/ktraced" -seg "$SEG" -cpus 2 -spill "$SPILL" >"$WORK/ktraced.out" 2>&1 &
 KTRACED_PID=$!
@@ -38,7 +38,7 @@ KTRACED_PID=$!
 # Wait until the daemon publishes the segment as ready.
 up=""
 for _ in $(seq 1 50); do
-    if "$BIN/tracecheck" -shm "$SEG" 2>/dev/null | grep -q 'state: ready'; then up=1; break; fi
+    if "$BIN/ktrace" check -shm "$SEG" 2>/dev/null | grep -q 'state: ready'; then up=1; break; fi
     sleep 0.2
 done
 [ -n "$up" ] || { echo "shm_smoke: segment never became ready" >&2; cat "$WORK/ktraced.out" >&2; exit 1; }
@@ -62,7 +62,7 @@ done
 # show up in the client table with its OS pid and a raised in-flight
 # count. (The healthy client may already have finished and detached —
 # its slot is recycled, so only the hung one is guaranteed present.)
-"$BIN/tracecheck" -shm "$SEG" >"$WORK/inspect_live.txt"
+"$BIN/ktrace" check -shm "$SEG" >"$WORK/inspect_live.txt"
 grep -Eq "slot [0-9]+: pid $C2," "$WORK/inspect_live.txt" \
     || { echo "shm_smoke: live inspect missed the hung client" >&2; cat "$WORK/inspect_live.txt" >&2; exit 1; }
 grep -Eq 'clients: [0-9]+ attached' "$WORK/inspect_live.txt" \
@@ -76,7 +76,7 @@ wait "$C2" 2>/dev/null || true
 # slot.
 reaped=""
 for _ in $(seq 1 50); do
-    "$BIN/tracecheck" -shm "$SEG" >"$WORK/inspect_reap.txt"
+    "$BIN/ktrace" check -shm "$SEG" >"$WORK/inspect_reap.txt"
     if ! grep -Eq "pid $C2," "$WORK/inspect_reap.txt"; then reaped=1; break; fi
     sleep 0.2
 done
@@ -105,7 +105,7 @@ grep -q '1 dead clients reaped' "$WORK/ktraced.out" \
 # Exact loss accounting on the spill: the salvager must quarantine
 # nothing, lose no blocks, and skip exactly the dead reservation's words.
 [ -s "$SPILL" ] || { echo "shm_smoke: empty spill file" >&2; exit 1; }
-rc=0; "$BIN/tracecheck" -salvage "$SPILL" >"$WORK/salvage.txt" || rc=$?
+rc=0; "$BIN/ktrace" check -salvage "$SPILL" >"$WORK/salvage.txt" || rc=$?
 [ "$rc" -eq 1 ] || { echo "shm_smoke: salvage exit $rc, want 1 (loss detected)" >&2; cat "$WORK/salvage.txt" >&2; exit 1; }
 grep -Eq 'blocks: [0-9]+ good, 0 quarantined, 0 duplicates dropped, 0 reordered, 0 lost' "$WORK/salvage.txt" \
     || { echo "shm_smoke: salvage lost whole blocks on a kill-only trace" >&2; cat "$WORK/salvage.txt" >&2; exit 1; }

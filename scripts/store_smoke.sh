@@ -3,7 +3,7 @@
 # HTTP and through the watch directory, query events and aggregations, walk
 # a paginated listing against the unpaginated one, prove segment-cache hits
 # and admission-control 429s, compact (event-conserving), GC against a byte
-# budget, validate every stored segment with tracecheck, and prove the
+# budget, validate every stored segment with ktrace check, and prove the
 # tracecolld -store handoff.
 set -euo pipefail
 
@@ -26,7 +26,7 @@ BASE="http://127.0.0.1:$HTTP"
 ROOT="$WORK/store"
 SPOOL="$WORK/spool"
 
-go build -o "$BIN" ./cmd/tracestored ./cmd/tracecolld ./cmd/tracerelay ./cmd/tracecheck ./cmd/sdet
+go build -o "$BIN" ./cmd/tracestored ./cmd/tracecolld ./cmd/tracerelay ./cmd/ktrace ./cmd/sdet
 
 # A deterministic spill with enough blocks to split into many segments.
 "$BIN/sdet" -cpus 4 -scripts 12 -cmds 12 -sample 10000 -o "$WORK/spill.ktr" >/dev/null
@@ -146,7 +146,7 @@ got=$(qev "tenant=acme")
 [ "$got" = "$EVENTS" ] || { echo "store_smoke: compaction changed events $EVENTS -> $got" >&2; exit 1; }
 # Every stored segment, compacted or not, is a well-formed trace file.
 for f in "$ROOT"/acme/seg-*.ktr; do
-    "$BIN/tracecheck" "$f" >/dev/null || { echo "store_smoke: tracecheck failed on $f" >&2; exit 1; }
+    "$BIN/ktrace" check "$f" >/dev/null || { echo "store_smoke: ktrace check failed on $f" >&2; exit 1; }
 done
 
 # --- Watch-directory ingest -------------------------------------------
