@@ -462,6 +462,20 @@ func BenchmarkC7RandomAccess(b *testing.B) {
 			}
 		}
 	})
+	// "Jump to the middle of the trace": every CPU's events inside the time
+	// span of CPU 0's middle block, found by binary search over the index.
+	b.Run("window-via-index", func(b *testing.B) {
+		ix, err := rd.BuildIndex()
+		if err != nil {
+			b.Fatal(err)
+		}
+		mid := ix.PerCPU[0][len(ix.PerCPU[0])/2:]
+		for i := 0; i < b.N; i++ {
+			if evs, err := rd.EventsBetween(ix, mid[0].Start, mid[1].Start); err != nil || len(evs) == 0 {
+				b.Fatalf("window read: %d events, %v", len(evs), err)
+			}
+		}
+	})
 }
 
 // --- Figures 4-8: the analysis tools -----------------------------------------

@@ -1,3 +1,3 @@
 module k42trace
 
-go 1.22
+go 1.24

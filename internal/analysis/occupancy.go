@@ -84,23 +84,13 @@ func (t *Trace) OccupancyRange(from, to uint64, windows int) *Occupancy {
 // with at most workers goroutines; the result is identical to the
 // sequential form for any worker count.
 func (t *Trace) OccupancyRangeParallel(from, to uint64, windows, workers int) *Occupancy {
-	streams := t.perCPU()
-	nCPU := len(streams)
-	if nCPU == 0 {
-		return newOccupancy(from, to, windows, 1)
-	}
-	parts := make([]*Occupancy, nCPU)
-	forEachCPU(streams, workers, func(cpu int, evs []event.Event) {
-		p := newOccupancy(from, to, windows, nCPU)
-		p.feed(evs, nCPU-1)
-		parts[cpu] = p
-	})
+	nCPU := len(t.perCPU())
 	o := newOccupancy(from, to, windows, nCPU)
-	for _, p := range parts {
-		if p != nil {
-			o.Merge(p)
-		}
-	}
+	mergePerCPU(t, workers, func(evs []event.Event, maxCPU int) *Occupancy {
+		p := newOccupancy(from, to, windows, nCPU)
+		p.feed(evs, maxCPU)
+		return p
+	}, o.Merge)
 	return o
 }
 

@@ -58,72 +58,62 @@ func (t *Trace) perCPU() [][]event.Event {
 	return t.split.streams
 }
 
-// forEachCPU runs fn over every non-empty stream with at most `workers`
-// goroutines (workers <= 0 means GOMAXPROCS). fn receives the CPU index
-// and its stream; results must be written to per-CPU storage, never
-// shared — merging happens after the barrier, in CPU order, so the
-// combined result is deterministic.
-func forEachCPU(streams [][]event.Event, workers int, fn func(cpu int, evs []event.Event)) {
+// mergePerCPU is the three steps every per-CPU report shares: part analyses
+// one CPU's stream (it also receives the highest CPU index), on at most
+// `workers` goroutines (workers <= 0 means GOMAXPROCS); after the barrier
+// the parts of the non-empty streams go to merge in CPU order, so the
+// combined result is the same for any worker count. Parts land in per-CPU
+// storage and share nothing.
+func mergePerCPU[P any](t *Trace, workers int, part func(evs []event.Event, maxCPU int) P, merge func(P)) {
+	streams := t.perCPU()
+	parts := make([]P, len(streams))
+	run := func(c int) { parts[c] = part(streams[c], len(streams)-1) }
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers <= 1 {
 		for c, s := range streams {
 			if len(s) > 0 {
-				fn(c, s)
+				run(c)
 			}
 		}
-		return
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for c, s := range streams {
-		if len(s) == 0 {
-			continue
+	} else {
+		sem := make(chan struct{}, workers)
+		var wg sync.WaitGroup
+		for c, s := range streams {
+			if len(s) == 0 {
+				continue
+			}
+			wg.Add(1)
+			sem <- struct{}{}
+			go func() {
+				defer wg.Done()
+				run(c)
+				<-sem
+			}()
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(c int, s []event.Event) {
-			defer wg.Done()
-			fn(c, s)
-			<-sem
-		}(c, s)
+		wg.Wait()
 	}
-	wg.Wait()
+	for c, s := range streams {
+		if len(s) > 0 {
+			merge(parts[c])
+		}
+	}
 }
 
 // LockStatParallel is LockStat fanned over per-CPU streams; output is
 // identical to the sequential report for any worker count.
 func (t *Trace) LockStatParallel(workers int) *LockReport {
-	streams := t.perCPU()
-	maxCPU := len(streams) - 1
-	parts := make([]*LockReport, len(streams))
-	forEachCPU(streams, workers, func(cpu int, evs []event.Event) {
-		parts[cpu] = t.lockStatOf(evs, maxCPU)
-	})
 	rep := &LockReport{trace: t}
-	for _, p := range parts {
-		if p != nil {
-			rep.Merge(p)
-		}
-	}
+	mergePerCPU(t, workers, t.lockStatOf, rep.Merge)
 	rep.Sort(ByTime)
 	return rep
 }
 
 // ProfileParallel is Profile fanned over per-CPU streams.
 func (t *Trace) ProfileParallel(pid uint64, workers int) *Profile {
-	streams := t.perCPU()
-	parts := make([]*Profile, len(streams))
-	forEachCPU(streams, workers, func(cpu int, evs []event.Event) {
-		parts[cpu] = t.profileOf(pid, evs)
-	})
 	p := &Profile{Pid: pid, samples: map[uint64]int{}}
-	for _, part := range parts {
-		if part != nil {
-			p.Merge(part)
-		}
-	}
+	mergePerCPU(t, workers, func(evs []event.Event, _ int) *Profile { return t.profileOf(pid, evs) }, p.Merge)
 	p.finish(t)
 	return p
 }
@@ -133,13 +123,6 @@ func (t *Trace) ProfileParallel(pid uint64, workers int) *Profile {
 // records; the records are then replayed globally, exactly as the
 // sequential walk would have seen them.
 func (t *Trace) TimeBreakParallel(pid uint64, workers int) *TimeBreak {
-	streams := t.perCPU()
-	maxCPU := len(streams) - 1
-	parts := make([]*TimeBreak, len(streams))
-	recs := make([][]ioRec, len(streams))
-	forEachCPU(streams, workers, func(cpu int, evs []event.Event) {
-		parts[cpu], recs[cpu] = t.timeBreakOf(pid, evs, maxCPU)
-	})
 	tb := &TimeBreak{
 		Pid:      pid,
 		Name:     t.ProcName(pid),
@@ -147,41 +130,33 @@ func (t *Trace) TimeBreakParallel(pid uint64, workers int) *TimeBreak {
 		IPC:      map[string]*CallStats{},
 		Serviced: map[string]*CallStats{},
 	}
-	var all []ioRec
-	for c := range parts {
-		if parts[c] != nil {
-			tb.Merge(parts[c])
-			all = append(all, recs[c]...)
-		}
+	type part struct {
+		tb   *TimeBreak
+		recs []ioRec
 	}
+	var all []ioRec
+	mergePerCPU(t, workers, func(evs []event.Event, maxCPU int) (p part) {
+		p.tb, p.recs = t.timeBreakOf(pid, evs, maxCPU)
+		return p
+	}, func(p part) {
+		tb.Merge(p.tb)
+		all = append(all, p.recs...)
+	})
 	tb.resolveDiskWait(all)
 	return tb
 }
 
 // OverviewParallel is Overview fanned over per-CPU streams.
 func (t *Trace) OverviewParallel(workers int) []ProcSummary {
-	streams := t.perCPU()
-	maxCPU := len(streams) - 1
-	parts := make([][]ProcSummary, len(streams))
-	forEachCPU(streams, workers, func(cpu int, evs []event.Event) {
-		parts[cpu] = t.overviewOf(evs, maxCPU)
-	})
+	var parts [][]ProcSummary
+	mergePerCPU(t, workers, t.overviewOf, func(p []ProcSummary) { parts = append(parts, p) })
 	return MergeOverview(parts...)
 }
 
 // MemProfileParallel is MemProfile fanned over per-CPU streams.
 func (t *Trace) MemProfileParallel(workers int) *MemReport {
-	streams := t.perCPU()
-	parts := make([]*MemReport, len(streams))
-	forEachCPU(streams, workers, func(cpu int, evs []event.Event) {
-		parts[cpu] = t.memProfileOf(evs)
-	})
 	rep := &MemReport{trace: t}
-	for _, p := range parts {
-		if p != nil {
-			rep.Merge(p)
-		}
-	}
+	mergePerCPU(t, workers, func(evs []event.Event, _ int) *MemReport { return t.memProfileOf(evs) }, rep.Merge)
 	sortMemRows(rep.Rows)
 	return rep
 }

@@ -50,9 +50,6 @@ func parseWire(t *testing.T, raw []byte) []wireBlock {
 		if err != nil {
 			return out
 		}
-		if h.CPU >= bs.Meta().CPUs {
-			continue
-		}
 		out = append(out, wireBlock{h: h, words: append([]uint64(nil), words...)})
 	}
 }
@@ -150,9 +147,8 @@ func spillGroups(t *testing.T, ts *testShard) map[int][]wireBlock {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bb stream.BlockBuf
 	for {
-		h, words, err := bs.NextInto(&bb)
+		h, words, err := bs.Next()
 		if err == io.EOF {
 			return out
 		}

@@ -122,9 +122,8 @@ func spillMarkers(t *testing.T, ts *testShard) map[[2]int][]marker {
 	}
 	prodOfBase := map[int]int{}
 	pending := map[int][]marker{} // markers per absolute CPU, arrival order
-	var bb stream.BlockBuf
 	for {
-		h, words, err := bs.NextInto(&bb)
+		h, words, err := bs.Next()
 		if err == io.EOF {
 			break
 		}

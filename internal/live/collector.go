@@ -330,12 +330,6 @@ func (c *Collector) serve(p *producer, bs *stream.BlockStream) error {
 			return err
 		}
 		p.bytes.Add(uint64(g.BlockBytes))
-		if h.CPU < 0 || h.CPU >= p.cpus {
-			// A header that validates but names a CPU the producer doesn't
-			// have (corruption inside the CPU field): garbled, skip.
-			p.garbled.Add(1)
-			continue
-		}
 		if last := p.lastSeq[h.CPU]; last >= 0 && h.Seq <= uint64(last) {
 			// Out-of-order or re-delivered sequence number (reordering
 			// transports, at-least-once senders). Counted, not dropped: the

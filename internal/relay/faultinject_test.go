@@ -76,7 +76,7 @@ func expectedSurvivors(t *testing.T, clean, collected []byte) []event.Event {
 	}
 	alive := map[key]bool{}
 	for k := 0; k < crd.NumBlocks(); k++ {
-		h, err := crd.Header(k)
+		h, _, err := crd.Block(k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,9 +2,8 @@ package store
 
 import (
 	"fmt"
+	"slices"
 
-	"k42trace/internal/core"
-	"k42trace/internal/event"
 	"k42trace/internal/stream"
 )
 
@@ -102,8 +101,7 @@ func (s *Store) compactOne(t *tenant) (merged bool, in int, events uint64, err e
 		want += si.Events
 	}
 	sb := newSegBuilder(run[0].Meta())
-	var bb stream.BlockBuf
-	var evs []event.Event
+	var sc stream.BlockScratch
 	for cpu := 0; cpu < sb.meta.CPUs; cpu++ {
 		for _, sg := range segs {
 			rd, fi, err := sg.open(s.opt.Workers)
@@ -115,16 +113,14 @@ func (s *Store) compactOne(t *tenant) (merged bool, in int, events uint64, err e
 				if bs.CPU != cpu {
 					continue
 				}
-				h, words, err := rd.ReadBlockInto(k, &bb)
+				blk, err := rd.DecodeBlockInto(k, &sc)
 				if err != nil {
 					return false, 0, 0, err
 				}
-				// The builder keeps a copy of the words until the segment is
-				// written, and of the events only their summary: they decode
-				// into scratch that the next block reuses.
-				blk := stream.SalvagedBlock{Hdr: h, Words: append([]uint64(nil), words...)}
-				evs, _ = core.DecodeInto(evs[:0], h.CPU, blk.Words)
-				blk.Events = evs
+				// The builder keeps the words until the segment is written,
+				// so they need a copy the next block does not reuse; of the
+				// events it keeps only their summary.
+				blk.Words = slices.Clone(blk.Words)
 				sb.add(&blk, bs.EntryPid)
 			}
 		}

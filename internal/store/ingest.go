@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"k42trace/internal/stream"
 )
@@ -81,7 +82,7 @@ func (s *Store) Ingest(tenantName string, r io.ReaderAt, size int64) (*IngestRes
 	if len(order) == 0 {
 		return nil, fmt.Errorf("store: ingest %s: no events in spill", tenantName)
 	}
-	sortUint64(order)
+	slices.Sort(order)
 
 	// Reserve ids under the catalog lock; files are written unlocked.
 	t.mu.Lock()
@@ -258,12 +259,4 @@ func (sb *segBuilder) write(dir string, id, upload uint64, created int64) (*segm
 		EntryPids: append([]uint64(nil), sb.entry...),
 	}
 	return &segment{info: info, path: path, fi: fi}, nil
-}
-
-func sortUint64(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/url"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"k42trace/internal/analysis"
-	"k42trace/internal/core"
 	"k42trace/internal/event"
 	"k42trace/internal/ksim"
 	"k42trace/internal/stream"
@@ -330,7 +328,7 @@ func (s *Store) query(p Params) (*Result, error) {
 	// depend on timing. A single worker runs on the query's own goroutine.
 	nw := scanParallelism(workers, len(toScan))
 	scanWorker := func(w int) {
-		var sc scanScratch
+		var sc stream.BlockScratch
 		for j := w; j < len(toScan); j += nw {
 			pr := &parts[toScan[j]]
 			pr.evs, pr.scanned, pr.pruned, pr.err = scanSegment(pinned[toScan[j]], scan, workers, &sc)
@@ -350,14 +348,14 @@ func (s *Store) query(p Params) (*Result, error) {
 		wg.Wait()
 	}
 
-	var n int
+	merge := make([][]event.Event, len(parts))
 	for i := range parts {
 		if parts[i].err != nil {
 			return res, parts[i].err
 		}
 		res.BlocksScanned += parts[i].scanned
 		res.BlocksPruned += parts[i].pruned
-		n += len(parts[i].evs)
+		merge[i] = parts[i].evs
 	}
 	if useCache {
 		for _, i := range toScan {
@@ -365,19 +363,11 @@ func (s *Store) query(p Params) (*Result, error) {
 		}
 	}
 	// Pinned segments are in (MinTime, ID) order and each part keeps
-	// per-CPU stream order, so a stable (Time, CPU) sort reproduces the
-	// ReadAll merge order. Cached parts are shared read-only slices; the
-	// append copies them into this query's own merge buffer.
-	evs := make([]event.Event, 0, n)
-	for i := range parts {
-		evs = append(evs, parts[i].evs...)
-	}
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].Time != evs[j].Time {
-			return evs[i].Time < evs[j].Time
-		}
-		return evs[i].CPU < evs[j].CPU
-	})
+	// per-CPU stream order, so the stable (Time, CPU) order over their
+	// concatenation reproduces the ReadAll merge order. Cached parts are
+	// shared read-only slices; the merge copies them into this query's own
+	// buffer.
+	evs := stream.MergeByTime(merge...)
 	if cur != nil {
 		evs = applyCursor(evs, *cur)
 	}
@@ -406,21 +396,13 @@ func scanParallelism(workers, n int) int {
 	return workers
 }
 
-// scanScratch is one scan worker's reusable storage: the block being read
-// and the events decoded from it, whose payloads alias the block. The next
-// block overwrites both, so what a scan keeps it clones out first.
-type scanScratch struct {
-	bb  stream.BlockBuf
-	evs []event.Event
-}
-
 // scanSegment scans one pinned segment: blocks whose summaries cannot
 // match are skipped, survivors are decoded into sc and filtered exactly.
 // The result shares nothing with sc or the segment: the matches of each
 // block are cloned into an event slice and a payload slab of exactly their
 // size, so an answer that lives on in the cache or in a Result holds what
 // it matched and no more — a narrow answer never pins a block.
-func scanSegment(sg *segment, p Params, workers int, sc *scanScratch) (evs []event.Event, scanned, pruned int, err error) {
+func scanSegment(sg *segment, p Params, workers int, sc *stream.BlockScratch) (evs []event.Event, scanned, pruned int, err error) {
 	rd, fi, err := sg.open(workers)
 	if err != nil {
 		return nil, 0, 0, err
@@ -431,8 +413,8 @@ func scanSegment(sg *segment, p Params, workers int, sc *scanScratch) (evs []eve
 	for k := range fi.Blocks {
 		need = max(need, int(fi.Blocks[k].Events))
 	}
-	if cap(sc.evs) < need {
-		sc.evs = make([]event.Event, 0, need)
+	if cap(sc.Events) < need {
+		sc.Events = make([]event.Event, 0, need)
 	}
 	to := p.effTo()
 	var kept [][]event.Event // per block with matches, in file order
@@ -443,12 +425,11 @@ func scanSegment(sg *segment, p Params, workers int, sc *scanScratch) (evs []eve
 			continue
 		}
 		scanned++
-		h, words, err := rd.ReadBlockInto(k, &sc.bb)
+		b, err := rd.DecodeBlockInto(k, sc)
 		if err != nil {
 			return nil, scanned, pruned, err
 		}
-		sc.evs, _ = core.DecodeInto(sc.evs[:0], h.CPU, words)
-		if m := keepMatching(sc.evs, bs.EntryPid, p, to); len(m) > 0 {
+		if m := keepMatching(b.Events, bs.EntryPid, p, to); len(m) > 0 {
 			kept = append(kept, event.Clone(m))
 		}
 	}

@@ -48,7 +48,7 @@ func TestScanAllocsIndependentOfBlockDensity(t *testing.T) {
 		// NoPrune, or the index would skip every block undecoded.
 		p := Params{Tenant: "t", HasMajor: true, Major: event.MajorNet, NoPrune: true}
 		perScan = testing.AllocsPerRun(20, func() {
-			var sc scanScratch
+			var sc stream.BlockScratch
 			evs, scanned, _, err := scanSegment(sg, p, 1, &sc)
 			if err != nil || len(evs) != 0 || scanned != res.Blocks {
 				t.Fatalf("scan matched %d events in %d blocks: %v", len(evs), scanned, err)

@@ -1,45 +1,189 @@
 package stream
 
 import (
-	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
+	"k42trace/internal/core"
 	"k42trace/internal/event"
 )
 
-// SalvagedBlock is one surviving block of a (possibly damaged) trace: its
-// header, raw payload words, and decoded events. The header is the one
+// SalvagedBlock is one decoded block of a trace: its header, raw payload
+// words, and decoded events. It is what every whole-file scan produces per
+// block, strict or tolerant. From a salvage the header is the one
 // SalvageTo would have written — a clipped truncated tail is re-marked
-// partial with NWords matching the surviving words. The payloads of Events
-// alias Words: whoever keeps the events keeps the words, unmodified.
+// partial with NWords matching the surviving words — and the payloads of
+// Events alias Words: whoever keeps the events keeps the words,
+// unmodified.
 type SalvagedBlock struct {
 	Hdr    BlockHeader
 	Words  []uint64
 	Events []event.Event
+	st     core.DecodeStats
 }
 
-// SalvageBlocks runs the salvage scan and returns the surviving blocks in
-// write-out order (CPUs ascending, per-CPU sequence order, duplicates
-// dropped), plus the salvage report. It is SalvageTo without the writer:
-// callers that partition blocks — a time-sharded store splitting one spill
-// into many segment files — consume exactly the clean block sequence
-// SalvageTo would have written, with the decoded events alongside so the
-// partitioning key (time) needs no second decode pass.
-func SalvageBlocks(r io.ReaderAt, size int64, workers int) ([]SalvagedBlock, *SalvageReport, error) {
-	perCPU, rep, err := salvageScan(r, size, workers)
+// BlockScratch is one scan worker's reusable storage: the block being read
+// and the events decoded from it, whose payloads alias the block. The next
+// block overwrites both, so what a scan keeps it copies out first. The
+// zero value is ready to use; a caller that knows its largest block may
+// size Events up front so that no decode grows it.
+type BlockScratch struct {
+	Buf    BlockBuf
+	Events []event.Event
+}
+
+// DecodeBlockInto reads and decodes the k-th block into sc, allocating
+// nothing once sc has warmed up. The returned block's Words and Events are
+// sc's own and are valid until the next call on the same sc: filter,
+// summarise or clone (event.Clone) before then.
+func (rd *Reader) DecodeBlockInto(k int, sc *BlockScratch) (SalvagedBlock, error) {
+	h, words, err := rd.ReadBlockInto(k, &sc.Buf)
 	if err != nil {
-		return nil, nil, err
+		return SalvagedBlock{}, err
 	}
-	var out []SalvagedBlock
-	for _, cb := range perCPU {
-		for _, b := range cb.blocks {
-			h := b.hdr
-			if h.NWords != len(b.words) {
-				// Truncated final block: keep only the words that survived.
-				h.NWords = len(b.words)
-				h.Flags |= FlagPartial
+	b := SalvagedBlock{Hdr: h, Words: words}
+	sc.Events, b.st = core.DecodeInto(sc.Events[:0], h.CPU, words)
+	b.Events = sc.Events
+	return b, nil
+}
+
+// eachBlock is the one fan-out over a file's blocks: fn runs once per
+// block on up to `workers` goroutines (<= 0 means GOMAXPROCS), each of
+// which owns one scratch. Because every block starts at an alignment
+// boundary with a decodable event, blocks are independent units of work.
+// Workers pull the next unvisited block, so a slow block (cache miss,
+// large payload) does not stall a statically assigned shard; fn writes
+// what it learns to a per-block slot, which makes the outcome the same
+// for any worker count. errs[k] is what fn returned for block k; errs is
+// nil when no block failed.
+func (rd *Reader) eachBlock(workers int, fn func(k int, sc *BlockScratch) error) (errs []error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var mu sync.Mutex
+	visit := func(k int, sc *BlockScratch) {
+		if err := fn(k, sc); err != nil {
+			mu.Lock()
+			if errs == nil {
+				errs = make([]error, rd.nBlk)
 			}
-			out = append(out, SalvagedBlock{Hdr: h, Words: b.words, Events: b.evs})
+			errs[k] = err
+			mu.Unlock()
 		}
 	}
-	return out, rep, nil
+	if workers = min(workers, rd.nBlk); workers <= 1 {
+		var sc BlockScratch
+		for k := 0; k < rd.nBlk; k++ {
+			visit(k, &sc)
+		}
+		return errs
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc BlockScratch
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= rd.nBlk {
+					return
+				}
+				visit(k, &sc)
+			}
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// decodeAll is the one scan under every whole-file read: each block is
+// read, validated and decoded into its own slot, in file order. A block
+// that could not be read leaves its slot empty and its error in errs;
+// the strict reader fails on the first of those and the salvager
+// quarantines each, and that is all that separates them.
+//
+// The two differ in what they keep. With keepWords each block keeps its
+// own copy of the payload words and its events alias it, which is what a
+// rewrite needs. Without, the events' payloads are copied into a slab of
+// exactly their size (core.DecodeBuffer) and the words are dropped — about
+// one header word per event less to hold on to.
+func (rd *Reader) decodeAll(workers int, keepWords bool) ([]SalvagedBlock, []error) {
+	blocks := make([]SalvagedBlock, rd.nBlk)
+	errs := rd.eachBlock(workers, func(k int, sc *BlockScratch) error {
+		h, data, err := rd.readStride(k, &sc.Buf)
+		if err != nil {
+			return err
+		}
+		b := &blocks[k]
+		b.Hdr = h
+		if keepWords {
+			b.Words = bytesToWords(data)
+			b.Events, b.st = core.DecodeInto(nil, h.CPU, b.Words)
+		} else {
+			b.Events, b.st = core.DecodeBuffer(h.CPU, sc.Buf.load(data, rd.meta.BufWords))
+		}
+		return nil
+	})
+	return blocks, errs
+}
+
+// mergeBlocks is the tail every whole-trace read ends in. blocks hold each
+// CPU's blocks in stream order (blocks of different CPUs may interleave);
+// they are grouped into per-CPU streams, a stream whose stamps garbling
+// left out of order is repaired with a stable sort, and the streams are
+// merged by (Time, CPU): MergeByTime's order, without its second look at
+// whether the streams are sorted. The result is the stable (Time, CPU) sort
+// of the blocks' concatenation, for the price of a k-way merge. The blocks
+// give up their events: each stream is allocated once, at its final length,
+// and a block's own slice is garbage from then on.
+func mergeBlocks(blocks []SalvagedBlock) []event.Event {
+	var sizes []int
+	for k := range blocks {
+		if n := len(blocks[k].Events); n > 0 {
+			c := blocks[k].Hdr.CPU
+			for c >= len(sizes) {
+				sizes = append(sizes, 0)
+			}
+			sizes[c] += n
+		}
+	}
+	streams := make([][]event.Event, len(sizes))
+	for k := range blocks {
+		b := &blocks[k]
+		if len(b.Events) == 0 {
+			continue
+		}
+		c := b.Hdr.CPU
+		if streams[c] == nil {
+			streams[c] = make([]event.Event, 0, sizes[c])
+		}
+		streams[c] = append(streams[c], b.Events...)
+		b.Events = nil
+	}
+	for _, s := range streams {
+		if !inOrder(s) {
+			sortInOrder(s)
+		}
+	}
+	return mergeSorted(streams)
+}
+
+// firstErr returns the error of the lowest-numbered block that has one.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func addStats(dst *core.DecodeStats, s core.DecodeStats) {
+	dst.Events += s.Events
+	dst.FillerEvents += s.FillerEvents
+	dst.FillerWords += s.FillerWords
+	dst.SkippedWords += s.SkippedWords
 }

@@ -34,43 +34,6 @@ func streamFixture(t *testing.T, nBlocks int) ([]byte, []BlockHeader, [][]uint64
 	return buf.Bytes(), hs, ws
 }
 
-// TestNextIntoMatchesNext proves the zero-alloc path reads the same
-// blocks as the allocating one.
-func TestNextIntoMatchesNext(t *testing.T) {
-	data, hs, ws := streamFixture(t, 6)
-	a, err := NewBlockStream(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBlockStream(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bb BlockBuf
-	for k := 0; ; k++ {
-		h1, w1, err1 := a.Next()
-		h2, w2, err2 := b.NextInto(&bb)
-		if (err1 == io.EOF) != (err2 == io.EOF) {
-			t.Fatalf("block %d: EOF disagreement: %v vs %v", k, err1, err2)
-		}
-		if err1 == io.EOF {
-			if k != len(hs) {
-				t.Fatalf("stream ended after %d blocks, want %d", k, len(hs))
-			}
-			return
-		}
-		if err1 != nil || err2 != nil {
-			t.Fatalf("block %d: %v / %v", k, err1, err2)
-		}
-		if h1 != h2 || h1 != hs[k] {
-			t.Fatalf("block %d: headers %+v / %+v want %+v", k, h1, h2, hs[k])
-		}
-		if !equalWords(w1, w2) || !equalWords(w1, ws[k]) {
-			t.Fatalf("block %d: payload mismatch", k)
-		}
-	}
-}
-
 func equalWords(a, b []uint64) bool {
 	if len(a) != len(b) {
 		return false
@@ -85,10 +48,11 @@ func equalWords(a, b []uint64) bool {
 
 // TestNextSurvivesDamagedBlock destroys one mid-stream block magic: the
 // damaged block must come back as a *BlockDamageError with the right
-// index, and every other block must still read cleanly afterwards — the
-// fixed stride keeps the stream aligned across the damage.
+// index, and every other block must still read cleanly afterwards, header
+// and payload as written — the fixed stride keeps the stream aligned
+// across the damage.
 func TestNextSurvivesDamagedBlock(t *testing.T) {
-	data, hs, _ := streamFixture(t, 6)
+	data, hs, ws := streamFixture(t, 6)
 	meta, err := ParseFileHeader(data)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +69,7 @@ func TestNextSurvivesDamagedBlock(t *testing.T) {
 	got := 0
 	damaged := 0
 	for k := 0; ; k++ {
-		h, _, err := bs.Next()
+		h, words, err := bs.Next()
 		if err == io.EOF {
 			break
 		}
@@ -125,6 +89,9 @@ func TestNextSurvivesDamagedBlock(t *testing.T) {
 		}
 		if h != hs[k] {
 			t.Fatalf("block %d: header %+v want %+v", k, h, hs[k])
+		}
+		if !equalWords(words, ws[k]) {
+			t.Fatalf("block %d: payload mismatch", k)
 		}
 		got++
 	}

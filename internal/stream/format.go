@@ -45,8 +45,10 @@ const (
 	// MaxBufWords caps the per-buffer payload size a header may declare
 	// (2M words = 16 MiB per block, far above any real configuration).
 	MaxBufWords = 1 << 21
-	// MaxMetaCPUs caps the CPU count a header may declare.
-	MaxMetaCPUs = 1 << 20
+	// MaxMetaCPUs caps the CPU count a header may declare: a block header
+	// carries its CPU id in 16 bits, so a larger file could not name its
+	// own CPUs.
+	MaxMetaCPUs = 1 << 16
 )
 
 // Block flags.
@@ -183,6 +185,61 @@ func decodeBlockHeader(b []byte) (BlockHeader, error) {
 		Committed: getWord(b, 3),
 	}, nil
 }
+
+// blockHeader is the one place a block is declared sound: b, which begins
+// at a stride boundary, carries the block magic and a header that fits the
+// trace's geometry. Every reader — random-access, sequential, index build
+// and salvage — admits a block through here, so a damaged block is the
+// same block, for the same cause, to all of them.
+func (m Meta) blockHeader(b []byte) (BlockHeader, error) {
+	h, err := decodeBlockHeader(b)
+	if err != nil {
+		return BlockHeader{}, err
+	}
+	if h.NWords > m.BufWords {
+		return BlockHeader{}, fmt.Errorf("claims %d words > bufWords %d", h.NWords, m.BufWords)
+	}
+	if h.CPU >= m.CPUs {
+		return BlockHeader{}, fmt.Errorf("claims CPU %d >= cpus %d", h.CPU, m.CPUs)
+	}
+	return h, nil
+}
+
+// errTruncated is the cause every reader gives for a block the input ends
+// inside of.
+var errTruncated = fmt.Errorf("truncated block: %w", io.ErrUnexpectedEOF)
+
+// shortRead names the cause of a block read that came back short: the
+// input ending mid-block is a truncation, anything else is the I/O error.
+func shortRead(err error) error {
+	if err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
+		return errTruncated
+	}
+	return err
+}
+
+// blockErr wraps a per-block failure with the block index and byte offset,
+// so a truncated or corrupted input reports where it went wrong instead of
+// a bare io.ErrUnexpectedEOF.
+func blockErr(k int, off int64, err error) error {
+	return fmt.Errorf("stream: block %d (offset %d): %w", k, off, err)
+}
+
+// BlockDamageError reports a block that failed header validation. The
+// input remains aligned: the stride was fully consumed, so a sequential
+// caller may keep reading subsequent blocks, and a salvager quarantines
+// this one alone.
+type BlockDamageError struct {
+	Block  int   // block index in the file or stream
+	Offset int64 // byte offset of the block
+	Cause  error
+}
+
+func (e *BlockDamageError) Error() string {
+	return fmt.Sprintf("stream: block %d (offset %d) damaged: %v", e.Block, e.Offset, e.Cause)
+}
+
+func (e *BlockDamageError) Unwrap() error { return e.Cause }
 
 // wordsToBytes serializes words into a byte slice (little-endian).
 func wordsToBytes(dst []byte, words []uint64) {

@@ -15,11 +15,7 @@ package stream
 import (
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
-	"k42trace/internal/core"
 	"k42trace/internal/event"
 	"k42trace/internal/ksim"
 )
@@ -74,22 +70,6 @@ func MinorKey(major event.Major, minor uint16) uint64 {
 	return uint64(major)<<16 | uint64(minor)
 }
 
-// AnchorTimeWords is anchorTimeOK over an in-memory payload: the block's
-// start time from its leading clock anchor, or the 32-bit header-stamp
-// fallback (reported as not-anchored) when the anchor was lost. Writers
-// that build a FullIndex for blocks they are about to write use it to
-// fill Start exactly as a from-disk BuildIndex would.
-func AnchorTimeWords(words []uint64) (uint64, bool) {
-	if len(words) == 0 {
-		return 0, false
-	}
-	h := event.Header(words[0])
-	if h.Major() == event.MajorControl && h.Minor() == event.CtrlClockAnchor && h.Len() >= 2 && len(words) >= 2 {
-		return words[1], true
-	}
-	return uint64(h.Timestamp()), false
-}
-
 // BlockSummary is everything a pruned scan needs to know about one block
 // without reading it.
 type BlockSummary struct {
@@ -123,42 +103,11 @@ func (bs *BlockSummary) Overlaps(from, to uint64) bool {
 }
 
 // FullIndex is a per-block summary index over one trace file, in file
-// order. It subsumes Index (which it can reconstruct) and adds the
-// predicate summaries a query planner prunes with.
+// order: the time index BuildIndex computes plus the predicate summaries a
+// query planner prunes with.
 type FullIndex struct {
 	Meta   Meta
 	Blocks []BlockSummary
-}
-
-// Index reconstructs the per-CPU time index BuildIndex would return.
-func (fi *FullIndex) Index() *Index {
-	ix := &Index{PerCPU: make([][]IndexEntry, fi.Meta.CPUs)}
-	for k := range fi.Blocks {
-		bs := &fi.Blocks[k]
-		if bs.CPU < 0 || bs.CPU >= fi.Meta.CPUs {
-			continue
-		}
-		ix.PerCPU[bs.CPU] = append(ix.PerCPU[bs.CPU], IndexEntry{
-			Block: k, Seq: bs.Seq, Start: bs.Start, Flagged: bs.Flagged,
-		})
-	}
-	return ix
-}
-
-// EntryPids returns the per-CPU scheduled pid at the file's first block of
-// each CPU — the seed a later file in the same logical stream would pass
-// to BuildFullIndex. CPUs with no blocks report pid 0.
-func (fi *FullIndex) EntryPids() []uint64 {
-	out := make([]uint64, fi.Meta.CPUs)
-	seen := make([]bool, fi.Meta.CPUs)
-	for k := range fi.Blocks {
-		bs := &fi.Blocks[k]
-		if bs.CPU >= 0 && bs.CPU < fi.Meta.CPUs && !seen[bs.CPU] {
-			out[bs.CPU] = bs.EntryPid
-			seen[bs.CPU] = true
-		}
-	}
-	return out
 }
 
 // SummarizeEvents folds one block's decoded events into a summary:
@@ -215,78 +164,43 @@ func enterBlock(bs *BlockSummary, entryPid, lastPid uint64, switched bool) (next
 // sequence order (Writer output, SalvageTo output, store segments) is
 // stream order.
 func (rd *Reader) BuildFullIndex(workers int, entrySeed []uint64) (*FullIndex, error) {
-	ix, err := rd.BuildIndex()
-	if err != nil {
-		return nil, err
-	}
 	fi := &FullIndex{Meta: rd.meta, Blocks: make([]BlockSummary, rd.nBlk)}
-	for cpu, entries := range ix.PerCPU {
-		for _, e := range entries {
-			fi.Blocks[e.Block] = BlockSummary{CPU: cpu, Seq: e.Seq, Start: e.Start, Flagged: e.Flagged}
-		}
-	}
 
 	// Pass 1 (parallel): decode each block into the worker's scratch and
-	// summarise it there; only the last-switch pid outlives the decode.
-	type partial struct {
-		lastPid  uint64
+	// summarise it there. What a block cannot know alone it leaves raw for
+	// pass 2: Start is its own anchor reading, and only the pid it last
+	// switched to outlives the decode.
+	type exit struct {
+		pid      uint64
 		switched bool
-		err      error
 	}
-	results := make([]partial, rd.nBlk)
-	type scratch struct {
-		bb  BlockBuf
-		evs []event.Event
-	}
-	decode := func(k int, sc *scratch) {
-		h, words, err := rd.ReadBlockInto(k, &sc.bb)
+	exits := make([]exit, rd.nBlk)
+	errs := rd.eachBlock(workers, func(k int, sc *BlockScratch) error {
+		b, err := rd.DecodeBlockInto(k, sc)
 		if err != nil {
-			results[k].err = err
-			return
-		}
-		sc.evs, _ = core.DecodeInto(sc.evs[:0], h.CPU, words)
-		results[k].lastPid, results[k].switched = summarize(&fi.Blocks[k], sc.evs)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > rd.nBlk {
-		workers = rd.nBlk
-	}
-	if workers <= 1 {
-		var sc scratch
-		for k := 0; k < rd.nBlk; k++ {
-			decode(k, &sc)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var sc scratch
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= rd.nBlk {
-						return
-					}
-					decode(k, &sc)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	// Pass 2 (sequential): per-CPU entry-pid carry in file order.
-	carry := make([]uint64, rd.meta.CPUs)
-	copy(carry, entrySeed)
-	for k := 0; k < rd.nBlk; k++ {
-		if results[k].err != nil {
-			return nil, results[k].err
+			return err
 		}
 		bs := &fi.Blocks[k]
-		carry[bs.CPU] = enterBlock(bs, carry[bs.CPU], results[k].lastPid, results[k].switched)
+		bs.CPU, bs.Seq = b.Hdr.CPU, b.Hdr.Seq
+		start, anchored := AnchorTimeWords(b.Words)
+		bs.Start, bs.Flagged = start, !anchored
+		exits[k].pid, exits[k].switched = summarize(bs, b.Events)
+		return nil
+	})
+	if err := firstErr(errs); err != nil {
+		return nil, err
+	}
+
+	// Pass 2 (sequential): what runs along a CPU's blocks in file order —
+	// the entry-pid carry, and the clamp that keeps Start non-decreasing.
+	carry := make([]uint64, rd.meta.CPUs)
+	copy(carry, entrySeed)
+	prevStart := make([]uint64, rd.meta.CPUs)
+	for k := range fi.Blocks {
+		bs := &fi.Blocks[k]
+		bs.Start, bs.Flagged = clampStart(bs.Start, bs.Flagged, prevStart[bs.CPU])
+		prevStart[bs.CPU] = bs.Start
+		carry[bs.CPU] = enterBlock(bs, carry[bs.CPU], exits[k].pid, exits[k].switched)
 	}
 	return fi, nil
 }

@@ -16,14 +16,16 @@ import (
 // point" — and time-based access is a binary search over a small index
 // built from block headers alone, without reading event data.
 type Reader struct {
-	r      io.ReaderAt
-	meta   Meta
-	nBlk   int
-	stride int64
+	r       io.ReaderAt
+	meta    Meta
+	dataOff int64 // file offset of block 0
+	nBlk    int
+	stride  int64
 }
 
 // NewReader validates the file header and returns a Reader. size is the
-// file size in bytes (e.g. from os.FileInfo).
+// file size in bytes (e.g. from os.FileInfo). A file that ends inside a
+// block is refused, naming that block; Salvage reads what precedes the cut.
 func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 	hdr := make([]byte, fileHdrWords*8)
 	if _, err := r.ReadAt(hdr, 0); err != nil {
@@ -33,50 +35,46 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	stride := blockStride(meta.BufWords)
-	body := size - fileHdrWords*8
-	if body < 0 || body%stride != 0 {
-		return nil, fmt.Errorf("stream: file size %d not a whole number of blocks", size)
+	rd, tail := readerOver(r, size, meta, fileHdrWords*8)
+	if tail != 0 {
+		return nil, blockErr(rd.nBlk, rd.blockOff(rd.nBlk), errTruncated)
 	}
-	return &Reader{r: r, meta: meta, nBlk: int(body / stride), stride: stride}, nil
+	return rd, nil
+}
+
+// readerOver lays a Reader over the whole blocks that a geometry — the
+// file header's, or one a salvager re-derived — finds in size bytes
+// starting at dataOff. tail is the length of the fragment left after them.
+func readerOver(r io.ReaderAt, size int64, meta Meta, dataOff int64) (rd *Reader, tail int64) {
+	stride := blockStride(meta.BufWords)
+	body := max(size-dataOff, 0)
+	return &Reader{r: r, meta: meta, dataOff: dataOff, nBlk: int(body / stride), stride: stride}, body % stride
 }
 
 // Meta returns the file metadata.
 func (rd *Reader) Meta() Meta { return rd.meta }
 
 // blockOff returns the file offset of block k.
-func (rd *Reader) blockOff(k int) int64 { return fileHdrWords*8 + int64(k)*rd.stride }
-
-// blockErr wraps a per-block failure with the block index and file offset,
-// so a truncated or corrupted file reports where it went wrong instead of
-// a bare io.ErrUnexpectedEOF.
-func blockErr(k int, off int64, err error) error {
-	return fmt.Errorf("stream: block %d (offset %d): %w", k, off, err)
-}
+func (rd *Reader) blockOff(k int) int64 { return rd.dataOff + int64(k)*rd.stride }
 
 // NumBlocks returns the number of buffer blocks in the file.
 func (rd *Reader) NumBlocks() int { return rd.nBlk }
 
-// Header reads just the k-th block's header — cheap (32 bytes), used to
-// build indexes without touching event data.
-func (rd *Reader) Header(k int) (BlockHeader, error) {
-	return rd.headerInto(k, make([]byte, blockHdrWords*8))
-}
-
-// headerInto is Header with a caller-supplied scratch buffer (at least
-// blockHdrWords*8 bytes), so index builds and anomaly scans do not
-// allocate per block.
-func (rd *Reader) headerInto(k int, scratch []byte) (BlockHeader, error) {
+// readBlock fills b from the start of block k and admits the block through
+// Meta.blockHeader. b is a whole stride, or just the header and whatever
+// of the payload's head a header-only scan wants — index builds and
+// anomaly scans touch no event data and allocate nothing per block.
+func (rd *Reader) readBlock(k int, b []byte) (BlockHeader, error) {
 	if k < 0 || k >= rd.nBlk {
 		return BlockHeader{}, fmt.Errorf("stream: block %d out of range [0,%d)", k, rd.nBlk)
 	}
-	b := scratch[:blockHdrWords*8]
-	if _, err := rd.r.ReadAt(b, rd.blockOff(k)); err != nil {
-		return BlockHeader{}, blockErr(k, rd.blockOff(k), err)
+	off := rd.blockOff(k)
+	if n, err := rd.r.ReadAt(b, off); n < len(b) {
+		return BlockHeader{}, blockErr(k, off, shortRead(err))
 	}
-	h, err := decodeBlockHeader(b)
+	h, err := rd.meta.blockHeader(b)
 	if err != nil {
-		return BlockHeader{}, blockErr(k, rd.blockOff(k), err)
+		return BlockHeader{}, &BlockDamageError{Block: k, Offset: off, Cause: err}
 	}
 	return h, nil
 }
@@ -90,83 +88,69 @@ type BlockBuf struct {
 	words []uint64
 }
 
-// ReadBlockInto reads the k-th block like Block, but into bb's reusable
-// storage: one ReadAt of the whole fixed stride (header and payload
-// together), no allocation once bb has warmed up. The returned word slice
-// aliases bb and is valid until the next ReadBlockInto on the same bb.
-// core.DecodeBuffer copies payloads out, so a loop that keeps whole blocks
-// may reuse bb freely; core.DecodeInto does not — its events alias these
-// words and must be filtered, summarised or cloned before bb is read into
-// again.
+// ReadBlockInto reads the k-th block — header plus its valid data words —
+// into bb's reusable storage: one ReadAt of the whole fixed stride, no
+// allocation once bb has warmed up. This is the random-access primitive
+// under every reader of a trace file; it costs one seek regardless of k.
+// The returned word slice aliases bb and is valid until the next
+// ReadBlockInto on the same bb. core.DecodeBuffer copies payloads out, so
+// a loop that keeps whole blocks may reuse bb freely; core.DecodeInto does
+// not — its events alias these words and must be filtered, summarised or
+// cloned before bb is read into again.
+//
+// A block that fails validation is a *BlockDamageError; a read failure
+// carries the block index and offset.
 func (rd *Reader) ReadBlockInto(k int, bb *BlockBuf) (BlockHeader, []uint64, error) {
-	if k < 0 || k >= rd.nBlk {
-		return BlockHeader{}, nil, fmt.Errorf("stream: block %d out of range [0,%d)", k, rd.nBlk)
+	h, data, err := rd.readStride(k, bb)
+	if err != nil {
+		return BlockHeader{}, nil, err
 	}
+	return h, bb.load(data, rd.meta.BufWords), nil
+}
+
+// load parses a block's data bytes into bb's reusable words, sized once
+// for the largest block the file can hold.
+func (bb *BlockBuf) load(data []byte, bufWords int) []uint64 {
+	if cap(bb.words) < bufWords {
+		bb.words = make([]uint64, bufWords)
+	}
+	w := bb.words[:len(data)/8]
+	for i := range w {
+		w[i] = getWord(data, i)
+	}
+	return w
+}
+
+// readStride reads the k-th block's whole stride into bb and returns its
+// header and the bytes of its valid data words, which alias bb.
+func (rd *Reader) readStride(k int, bb *BlockBuf) (BlockHeader, []byte, error) {
 	if int64(len(bb.bytes)) < rd.stride {
 		bb.bytes = make([]byte, rd.stride)
 	}
 	b := bb.bytes[:rd.stride]
-	if _, err := rd.r.ReadAt(b, rd.blockOff(k)); err != nil {
-		return BlockHeader{}, nil, blockErr(k, rd.blockOff(k), err)
-	}
-	h, err := decodeBlockHeader(b)
+	h, err := rd.readBlock(k, b)
 	if err != nil {
-		return h, nil, blockErr(k, rd.blockOff(k), err)
+		return BlockHeader{}, nil, err
 	}
-	if h.NWords > rd.meta.BufWords {
-		return h, nil, blockErr(k, rd.blockOff(k),
-			fmt.Errorf("claims %d words > bufWords %d", h.NWords, rd.meta.BufWords))
-	}
-	if cap(bb.words) < h.NWords {
-		bb.words = make([]uint64, rd.meta.BufWords)
-	}
-	w := bb.words[:h.NWords]
-	data := b[blockHdrWords*8:]
-	for i := range w {
-		w[i] = getWord(data, i)
-	}
-	return h, w, nil
+	return h, b[blockHdrWords*8 : (blockHdrWords+h.NWords)*8], nil
 }
 
-// Block reads the k-th block: header plus its valid data words. This is
-// the random-access primitive; it costs one seek regardless of k. The
-// returned slice is freshly owned by the caller; hot loops should use
-// ReadBlockInto with a reused BlockBuf instead.
+// Block is ReadBlockInto into fresh storage: the returned slice is owned
+// by the caller. Hot loops hold a BlockBuf instead.
 func (rd *Reader) Block(k int) (BlockHeader, []uint64, error) {
 	var bb BlockBuf
 	return rd.ReadBlockInto(k, &bb)
 }
 
-// Events decodes the k-th block.
+// Events decodes the k-th block into events that share nothing with the
+// file's bytes.
 func (rd *Reader) Events(k int) ([]event.Event, core.DecodeStats, error) {
-	var bb BlockBuf
-	return rd.eventsInto(k, &bb)
-}
-
-// eventsInto decodes the k-th block through a reused BlockBuf.
-func (rd *Reader) eventsInto(k int, bb *BlockBuf) ([]event.Event, core.DecodeStats, error) {
-	h, words, err := rd.ReadBlockInto(k, bb)
+	h, words, err := rd.Block(k)
 	if err != nil {
 		return nil, core.DecodeStats{}, err
 	}
 	evs, st := core.DecodeBuffer(h.CPU, words)
 	return evs, st, nil
-}
-
-// BlockTime returns the start time of block k: the full timestamp in its
-// leading clock anchor. It reads only the anchor words, not the whole
-// block.
-func (rd *Reader) BlockTime(k int) (uint64, error) {
-	if k < 0 || k >= rd.nBlk {
-		return 0, fmt.Errorf("stream: block %d out of range", k)
-	}
-	b := make([]byte, 16) // anchor header + full timestamp
-	off := rd.blockOff(k) + blockHdrWords*8
-	if _, err := rd.r.ReadAt(b, off); err != nil {
-		return 0, blockErr(k, off, err)
-	}
-	// No anchor (garbled head): anchorTime falls back to the 32-bit stamp.
-	return anchorTime(b), nil
 }
 
 // IndexEntry locates one block of one CPU's stream in time.
@@ -201,46 +185,49 @@ type Index struct {
 // binary searches stay correct and seeks treat them conservatively.
 func (rd *Reader) BuildIndex() (*Index, error) {
 	ix := &Index{PerCPU: make([][]IndexEntry, rd.meta.CPUs)}
-	scratch := make([]byte, blockHdrWords*8+16) // header + anchor header + full timestamp
+	scratch := make([]byte, (blockHdrWords+2)*8) // header + anchor header + full timestamp
 	for k := 0; k < rd.nBlk; k++ {
-		if _, err := rd.r.ReadAt(scratch, rd.blockOff(k)); err != nil {
-			return nil, blockErr(k, rd.blockOff(k), err)
-		}
-		h, err := decodeBlockHeader(scratch)
+		h, err := rd.readBlock(k, scratch)
 		if err != nil {
-			return nil, blockErr(k, rd.blockOff(k), err)
+			return nil, err
 		}
-		if h.CPU < 0 || h.CPU >= rd.meta.CPUs {
-			return nil, fmt.Errorf("stream: block %d has CPU %d out of range", k, h.CPU)
+		head := [2]uint64{getWord(scratch, blockHdrWords), getWord(scratch, blockHdrWords+1)}
+		var prev uint64
+		if es := ix.PerCPU[h.CPU]; len(es) > 0 {
+			prev = es[len(es)-1].Start
 		}
-		start, anchored := anchorTimeOK(scratch[blockHdrWords*8:])
-		e := IndexEntry{Block: k, Seq: h.Seq, Start: start, Flagged: !anchored}
-		if prev := ix.PerCPU[h.CPU]; len(prev) > 0 && start < prev[len(prev)-1].Start {
-			e.Start = prev[len(prev)-1].Start
-			e.Flagged = true
-		}
+		start, anchored := AnchorTimeWords(head[:min(2, h.NWords)])
+		e := IndexEntry{Block: k, Seq: h.Seq}
+		e.Start, e.Flagged = clampStart(start, !anchored, prev)
 		ix.PerCPU[h.CPU] = append(ix.PerCPU[h.CPU], e)
 	}
 	return ix, nil
 }
 
-// anchorTime extracts a block's start time from its first 16 payload
-// bytes: the full timestamp of the leading clock anchor, or the 32-bit
-// header stamp when the anchor was lost to garbling.
-func anchorTime(b []byte) uint64 {
-	t, _ := anchorTimeOK(b)
-	return t
-}
-
-// anchorTimeOK is anchorTime plus whether a valid anchor was present; the
-// 32-bit fallback is only an epoch-relative guess, which BuildIndex must
-// know to keep its per-CPU order guarantee.
-func anchorTimeOK(b []byte) (uint64, bool) {
-	h := event.Header(getWord(b, 0))
-	if h.Major() == event.MajorControl && h.Minor() == event.CtrlClockAnchor && h.Len() >= 2 {
-		return getWord(b, 1), true
+// AnchorTimeWords extracts a block's start time from its payload: the full
+// timestamp of the leading clock anchor, or — reported as not anchored —
+// the 32-bit header stamp when the anchor was lost to garbling. That
+// fallback is only an epoch-relative guess, which an index must know to
+// keep its per-CPU order guarantee. Only the first two words are read.
+func AnchorTimeWords(words []uint64) (uint64, bool) {
+	if len(words) == 0 {
+		return 0, false
+	}
+	h := event.Header(words[0])
+	if h.Major() == event.MajorControl && h.Minor() == event.CtrlClockAnchor && h.Len() >= 2 && len(words) >= 2 {
+		return words[1], true
 	}
 	return uint64(h.Timestamp()), false
+}
+
+// clampStart is the index's per-CPU order guarantee: a block's start time
+// is raised to prev — the Start of the CPU's previous block, zero for its
+// first — and flagged when that was needed.
+func clampStart(start uint64, flagged bool, prev uint64) (uint64, bool) {
+	if start < prev {
+		return prev, true
+	}
+	return start, flagged
 }
 
 // SeekTime returns, per CPU, the index of the first block that could
@@ -286,11 +273,38 @@ func (rd *Reader) ReadAll() ([]event.Event, core.DecodeStats, error) {
 	return rd.ReadAllParallel(1)
 }
 
+// ReadAllParallel decodes the whole file like ReadAll, fanning block
+// decodes out over up to `workers` goroutines (workers <= 0 means
+// GOMAXPROCS). This is the read-side counterpart of the paper's write-side
+// scalability story: because every block starts at an alignment boundary
+// with a decodable event, blocks are independent decode units, so a
+// multi-gigabyte trace can be interpreted on all cores instead of through
+// a serial scan.
+//
+// It is the strict reading of the scan Salvage reads tolerantly: the first
+// unreadable block, in file order, fails the read. The output is
+// bit-identical for any worker count, and its payloads are copies that
+// share nothing with the file's bytes.
+//
+// The underlying io.ReaderAt must support concurrent ReadAt calls
+// (os.File and bytes.Reader both do).
+func (rd *Reader) ReadAllParallel(workers int) ([]event.Event, core.DecodeStats, error) {
+	blocks, errs := rd.decodeAll(workers, false)
+	var st core.DecodeStats
+	if err := firstErr(errs); err != nil {
+		return nil, st, err
+	}
+	for k := range blocks {
+		addStats(&st, blocks[k].st)
+	}
+	return mergeBlocks(blocks), st, nil
+}
+
 // EventsBetween returns events with from <= Time < to, merged across CPUs,
 // using the index to touch only the necessary blocks.
 func (rd *Reader) EventsBetween(ix *Index, from, to uint64) ([]event.Event, error) {
-	var out []event.Event
-	for _, entries := range ix.PerCPU {
+	streams := make([][]event.Event, len(ix.PerCPU))
+	for cpu, entries := range ix.PerCPU {
 		if len(entries) == 0 {
 			continue
 		}
@@ -306,24 +320,12 @@ func (rd *Reader) EventsBetween(ix *Index, from, to uint64) ([]event.Event, erro
 			}
 			for _, e := range evs {
 				if e.Time >= from && e.Time < to {
-					out = append(out, e)
+					streams[cpu] = append(streams[cpu], e)
 				}
 			}
 		}
 	}
-	sortEvents(out)
-	return out, nil
-}
-
-// sortEvents sorts by time, breaking ties by CPU (stable keeps per-CPU
-// stream order).
-func sortEvents(evs []event.Event) {
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].Time != evs[j].Time {
-			return evs[i].Time < evs[j].Time
-		}
-		return evs[i].CPU < evs[j].CPU
-	})
+	return MergeByTime(streams...), nil
 }
 
 // Anomalies returns the headers of all blocks flagged anomalous — the
@@ -332,7 +334,7 @@ func (rd *Reader) Anomalies() ([]BlockHeader, error) {
 	var out []BlockHeader
 	scratch := make([]byte, blockHdrWords*8)
 	for k := 0; k < rd.nBlk; k++ {
-		h, err := rd.headerInto(k, scratch)
+		h, err := rd.readBlock(k, scratch)
 		if err != nil {
 			return nil, err
 		}

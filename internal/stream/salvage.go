@@ -1,14 +1,14 @@
 package stream
 
 import (
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"k42trace/internal/core"
 	"k42trace/internal/event"
@@ -33,31 +33,11 @@ import (
 // long as they do. The report is
 // deterministic for any worker count (workers <= 0 means GOMAXPROCS).
 func Salvage(r io.ReaderAt, size int64, workers int) ([]event.Event, *SalvageReport, error) {
-	perCPU, rep, err := salvageScan(r, size, workers)
+	blocks, rep, err := SalvageBlocks(r, size, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	streams := make([][]event.Event, 0, len(perCPU))
-	for i := range perCPU {
-		n := 0
-		for _, b := range perCPU[i].blocks {
-			n += len(b.evs)
-		}
-		if n == 0 {
-			continue
-		}
-		s := make([]event.Event, 0, n)
-		for _, b := range perCPU[i].blocks {
-			s = append(s, b.evs...)
-		}
-		if !timesNonDecreasing(s) {
-			// Garbled stamps inside surviving blocks: restore the order the
-			// global sort would impose, as ReadAllParallel does.
-			sort.SliceStable(s, func(i, j int) bool { return s[i].Time < s[j].Time })
-		}
-		streams = append(streams, s)
-	}
-	return MergeByTime(streams...), rep, nil
+	return mergeBlocks(blocks), rep, nil
 }
 
 // SalvageTo rewrites a readable trace file from a damaged one: every
@@ -68,7 +48,7 @@ func Salvage(r io.ReaderAt, size int64, workers int) ([]event.Event, *SalvageRep
 // header carries the recovered geometry (CPU count inferred from the
 // blocks, clock rate unknown and recorded as zero).
 func SalvageTo(r io.ReaderAt, size int64, w io.Writer, workers int) (*SalvageReport, error) {
-	perCPU, rep, err := salvageScan(r, size, workers)
+	blocks, rep, err := SalvageBlocks(r, size, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -79,27 +59,12 @@ func SalvageTo(r io.ReaderAt, size int64, w io.Writer, workers int) (*SalvageRep
 	if err != nil {
 		return rep, err
 	}
-	for _, cb := range perCPU {
-		for _, b := range cb.blocks {
-			h := b.hdr
-			if h.NWords != len(b.words) {
-				// Truncated final block: keep only the words that survived.
-				h.NWords = len(b.words)
-				h.Flags |= FlagPartial
-			}
-			if err := wr.WriteBlock(h, b.words); err != nil {
-				return rep, err
-			}
+	for i := range blocks {
+		if err := wr.WriteBlock(blocks[i].Hdr, blocks[i].Words); err != nil {
+			return rep, err
 		}
 	}
 	return rep, nil
-}
-
-// SalvageParallel runs Salvage over an already-open Reader's file. It is
-// useful when a file opens (valid header, whole-block size) but individual
-// blocks fail to decode.
-func (rd *Reader) SalvageParallel(workers int) ([]event.Event, *SalvageReport, error) {
-	return Salvage(rd.r, fileHdrWords*8+int64(rd.nBlk)*rd.stride, workers)
 }
 
 // BadBlock records one quarantined block.
@@ -213,47 +178,34 @@ func (rep *SalvageReport) String() string {
 // header — and therefore true CPU count — was lost.
 const salvageMaxCPUs = 4096
 
-// salvagedBlock is one surviving block: its place in the damaged file,
-// its decoded events, and its raw payload words (for SalvageTo). The words
-// are this block's own copy and the events' payloads alias them, so the
-// two live and die together.
-type salvagedBlock struct {
-	file  int
-	off   int64
-	hdr   BlockHeader
-	words []uint64
-	evs   []event.Event
-	st    core.DecodeStats
-}
-
-// cpuBlocks is one CPU's surviving blocks in sequence order, deduped.
-type cpuBlocks struct {
-	cpu    int
-	blocks []*salvagedBlock
-}
-
-// salvageScan reads every block it can find, quarantining the unreadable,
-// and returns the survivors grouped per CPU in sequence order plus the
-// filled-in report (EventsRecovered and per-CPU stats included). It tries
-// the file header's geometry first; if the header is unreadable — or
-// claims a geometry under which nothing decodes — it falls back to
+// SalvageBlocks runs the salvage scan and returns the surviving blocks in
+// write-out order (CPUs ascending, per-CPU sequence order, duplicates
+// dropped), plus the filled-in salvage report. It is SalvageTo without the
+// writer and Salvage without the merge: callers that partition blocks — a
+// time-sharded store splitting one spill into many segment files — consume
+// exactly the clean block sequence SalvageTo would have written, with the
+// decoded events alongside so the partitioning key (time) needs no second
+// decode pass.
+//
+// It tries the file header's geometry first; if the header is unreadable —
+// or claims a geometry under which nothing decodes — it falls back to
 // re-deriving the geometry from block magics.
-func salvageScan(r io.ReaderAt, size int64, workers int) ([]cpuBlocks, *SalvageReport, error) {
+func SalvageBlocks(r io.ReaderAt, size int64, workers int) ([]SalvagedBlock, *SalvageReport, error) {
 	var (
-		hdrPer []cpuBlocks
-		hdrRep *SalvageReport
+		hdrBlocks []SalvagedBlock
+		hdrRep    *SalvageReport
 	)
 	hdr := make([]byte, fileHdrWords*8)
 	if size >= int64(len(hdr)) {
 		if _, err := r.ReadAt(hdr, 0); err == nil {
 			if meta, err := decodeFileHeader(hdr); err == nil {
-				hdrPer, hdrRep = scanWith(r, size, meta, fileHdrWords*8, false, workers)
+				hdrBlocks, hdrRep = scanWith(r, size, meta, fileHdrWords*8, false, workers)
 				nWhole := hdrRep.BlocksScanned
 				if hdrRep.TailBytes > 0 {
 					nWhole--
 				}
 				if hdrRep.BlocksGood > 0 || nWhole == 0 {
-					return hdrPer, hdrRep, nil
+					return hdrBlocks, hdrRep, nil
 				}
 				// A header that parses but under whose geometry nothing
 				// decodes is as good as no header (e.g. a bit-flipped
@@ -266,109 +218,43 @@ func salvageScan(r io.ReaderAt, size int64, workers int) ([]cpuBlocks, *SalvageR
 		if hdrRep != nil {
 			// The magic scan found even less than the header's geometry
 			// did; report the header-based (everything-quarantined) view.
-			return hdrPer, hdrRep, nil
+			return hdrBlocks, hdrRep, nil
 		}
 		return nil, nil, err
 	}
-	perCPU, rep := scanWith(r, size, meta, dataOff, true, workers)
+	blocks, rep := scanWith(r, size, meta, dataOff, true, workers)
 	if hdrRep != nil && rep.BlocksGood == 0 {
-		return hdrPer, hdrRep, nil
+		return hdrBlocks, hdrRep, nil
 	}
-	return perCPU, rep, nil
+	return blocks, rep, nil
 }
 
-// scanWith scans the file under one assumed geometry.
-func scanWith(r io.ReaderAt, size int64, meta Meta, dataOff int64, recovered bool, workers int) ([]cpuBlocks, *SalvageReport) {
+// scanWith scans the file under one assumed geometry: the strict reader's
+// own scan through a Reader laid over that geometry, except that a block
+// error quarantines the block instead of failing the read. The one thing
+// only a salvager reads is the fragment a truncation leaves after the last
+// whole block.
+func scanWith(r io.ReaderAt, size int64, meta Meta, dataOff int64, recovered bool, workers int) ([]SalvagedBlock, *SalvageReport) {
 	rep := &SalvageReport{
 		Meta:          meta,
 		MetaRecovered: recovered,
 		FileSize:      size,
 		DataOffset:    dataOff,
 	}
-	stride := blockStride(meta.BufWords)
-	nWhole := int((size - dataOff) / stride)
-	tail := (size - dataOff) % stride
-	cpuLimit := meta.CPUs
-	if recovered {
-		cpuLimit = salvageMaxCPUs
-	}
-
-	type scanRes struct {
-		blk *salvagedBlock
-		bad *BadBlock
-	}
-	results := make([]scanRes, nWhole)
-	scanOne := func(k int, scratch []byte) {
-		off := dataOff + int64(k)*stride
-		bad := func(cause string) {
-			results[k].bad = &BadBlock{Block: k, Offset: off, Cause: cause}
+	rd, tail := readerOver(r, size, meta, dataOff)
+	blocks, errs := rd.decodeAll(workers, true)
+	rep.BlocksScanned = rd.nBlk
+	kept := make([]*SalvagedBlock, 0, rd.nBlk+1)
+	for k := range blocks {
+		if errs != nil && errs[k] != nil {
+			// Both kinds of block error wrap their cause in the block's
+			// index and offset, which a BadBlock carries as fields.
+			rep.Skipped = append(rep.Skipped, BadBlock{
+				Block: k, Offset: rd.blockOff(k), Cause: errors.Unwrap(errs[k]).Error(),
+			})
+			continue
 		}
-		b := scratch[:stride]
-		if _, err := r.ReadAt(b, off); err != nil {
-			bad("read error: " + err.Error())
-			return
-		}
-		h, err := decodeBlockHeader(b)
-		if err != nil {
-			bad(err.Error())
-			return
-		}
-		if h.NWords > meta.BufWords {
-			bad(fmt.Sprintf("implausible word count %d > bufWords %d", h.NWords, meta.BufWords))
-			return
-		}
-		if h.CPU >= cpuLimit {
-			bad(fmt.Sprintf("implausible CPU %d", h.CPU))
-			return
-		}
-		words := bytesToWords(b[blockHdrWords*8 : (blockHdrWords+h.NWords)*8])
-		evs, st := core.DecodeInto(nil, h.CPU, words)
-		results[k].blk = &salvagedBlock{file: k, off: off, hdr: h, words: words, evs: evs, st: st}
-	}
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nWhole {
-		workers = nWhole
-	}
-	if workers <= 1 {
-		scratch := make([]byte, stride)
-		for k := 0; k < nWhole; k++ {
-			scanOne(k, scratch)
-		}
-	} else {
-		// Same dynamic fan-out as ReadAllParallel: workers pull the next
-		// unscanned block; results land in a per-block slot, so the report
-		// and the salvaged stream are identical for any worker count.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				scratch := make([]byte, stride)
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= nWhole {
-						return
-					}
-					scanOne(k, scratch)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	var kept []*salvagedBlock
-	rep.BlocksScanned = nWhole
-	for k := range results {
-		switch {
-		case results[k].blk != nil:
-			kept = append(kept, results[k].blk)
-		case results[k].bad != nil:
-			rep.Skipped = append(rep.Skipped, *results[k].bad)
-		}
+		kept = append(kept, &blocks[k])
 	}
 
 	// A trailing fragment: a file truncated mid-block. If its header is
@@ -377,110 +263,95 @@ func scanWith(r io.ReaderAt, size int64, meta Meta, dataOff int64, recovered boo
 	rep.TailBytes = tail
 	if tail > 0 {
 		rep.BlocksScanned++
-		off := dataOff + int64(nWhole)*stride
-		salvagedTail := false
-		if tail >= int64(blockHdrWords*8) {
-			tb := make([]byte, tail)
-			if _, err := r.ReadAt(tb, off); err == nil {
-				if h, err := decodeBlockHeader(tb); err == nil &&
-					h.NWords <= meta.BufWords && h.CPU < cpuLimit {
-					avail := int(tail)/8 - blockHdrWords
-					n := h.NWords
-					if n > avail {
-						n = avail
-					}
-					words := bytesToWords(tb[blockHdrWords*8 : (blockHdrWords+n)*8])
-					evs, st := core.DecodeInto(nil, h.CPU, words)
-					kept = append(kept, &salvagedBlock{
-						file: nWhole, off: off, hdr: h, words: words, evs: evs, st: st,
-					})
-					salvagedTail = true
-					rep.TailSalvaged = true
-				}
-			}
-		}
-		if !salvagedTail {
+		if b, ok := tailBlock(r, meta, rd.blockOff(rd.nBlk), tail); ok {
+			kept = append(kept, b)
+			rep.TailSalvaged = true
+		} else {
 			rep.Skipped = append(rep.Skipped, BadBlock{
-				Block: nWhole, Offset: off,
-				Cause: fmt.Sprintf("truncated tail: %d bytes, no decodable header", tail),
+				Block: rd.nBlk, Offset: rd.blockOff(rd.nBlk), Cause: errTruncated.Error(),
 			})
 		}
 	}
 	rep.BlocksGood = len(kept)
 	rep.BlocksSkipped = len(rep.Skipped)
 
-	perCPU := assemble(kept, rep)
+	out := assemble(kept, rep)
 	if recovered {
 		// The header is gone, so the CPU count is whatever the surviving
 		// blocks say it is.
-		maxCPU := -1
-		for _, cb := range perCPU {
-			if cb.cpu > maxCPU {
-				maxCPU = cb.cpu
-			}
+		rep.Meta.CPUs = 0
+		if len(out) > 0 {
+			rep.Meta.CPUs = out[len(out)-1].Hdr.CPU + 1
 		}
-		rep.Meta.CPUs = maxCPU + 1
 	}
-	return perCPU, rep
+	return out, rep
 }
 
-// assemble groups surviving blocks per CPU, restores sequence order,
-// drops duplicate deliveries, and accounts for gaps; it fills the
-// per-CPU and total sections of the report.
-func assemble(kept []*salvagedBlock, rep *SalvageReport) []cpuBlocks {
-	byCPU := map[int][]*salvagedBlock{}
-	var cpus []int
-	for _, b := range kept {
-		c := b.hdr.CPU
-		if _, ok := byCPU[c]; !ok {
-			cpus = append(cpus, c)
-		}
-		byCPU[c] = append(byCPU[c], b)
+// tailBlock decodes the tail-byte fragment at off that a truncation left
+// of the file's last block: the payload words before the cut, under a
+// header rewritten to say so.
+func tailBlock(r io.ReaderAt, meta Meta, off, tail int64) (*SalvagedBlock, bool) {
+	tb := make([]byte, tail)
+	if _, err := r.ReadAt(tb, off); err != nil {
+		return nil, false
 	}
-	sort.Ints(cpus)
+	h, err := meta.blockHeader(tb)
+	if err != nil {
+		return nil, false
+	}
+	if avail := int(tail)/8 - blockHdrWords; h.NWords > avail {
+		// Keep only the words that survived.
+		h.NWords = avail
+		h.Flags |= FlagPartial
+	}
+	b := &SalvagedBlock{Hdr: h, Words: bytesToWords(tb[blockHdrWords*8 : (blockHdrWords+h.NWords)*8])}
+	b.Events, b.st = core.DecodeInto(nil, h.CPU, b.Words)
+	return b, true
+}
 
-	out := make([]cpuBlocks, 0, len(cpus))
-	for _, c := range cpus {
-		blocks := byCPU[c]
-		cs := CPUSalvage{CPU: c}
-		// Out-of-sequence deliveries (a reordering relay): count the
-		// inversions in file order, then restore sequence order. The
-		// stable sort keeps file order among equal sequence numbers, so
-		// the first delivery of a duplicated block wins.
-		for i := 1; i < len(blocks); i++ {
-			if blocks[i].hdr.Seq < blocks[i-1].hdr.Seq {
-				cs.Reordered++
-			}
+// assemble puts surviving blocks in write-out order — CPUs ascending, each
+// CPU's blocks in sequence order, duplicate deliveries dropped — accounts
+// for gaps, and fills the per-CPU and total sections of the report.
+func assemble(kept []*SalvagedBlock, rep *SalvageReport) []SalvagedBlock {
+	// Out-of-sequence deliveries (a reordering relay) are the inversions
+	// among one CPU's blocks in file order, which is how kept arrives.
+	reordered := map[int]int{}
+	lastSeq := map[int]uint64{}
+	for _, b := range kept {
+		if last, ok := lastSeq[b.Hdr.CPU]; ok && b.Hdr.Seq < last {
+			reordered[b.Hdr.CPU]++
 		}
-		sort.SliceStable(blocks, func(i, j int) bool {
-			return blocks[i].hdr.Seq < blocks[j].hdr.Seq
-		})
-		deduped := blocks[:0:0]
-		for _, b := range blocks {
-			if n := len(deduped); n > 0 && b.hdr.Seq == deduped[n-1].hdr.Seq {
-				cs.DupBlocks++
-				continue
-			}
-			deduped = append(deduped, b)
+		lastSeq[b.Hdr.CPU] = b.Hdr.Seq
+	}
+	// The stable sort keeps file order among equal sequence numbers, so the
+	// first delivery of a duplicated block wins.
+	slices.SortStableFunc(kept, func(a, b *SalvagedBlock) int {
+		if c := cmp.Compare(a.Hdr.CPU, b.Hdr.CPU); c != 0 {
+			return c
 		}
-		// Sequence gaps are an exact count of lost buffer generations.
-		for i := 1; i < len(deduped); i++ {
-			if d := deduped[i].hdr.Seq - deduped[i-1].hdr.Seq; d > 1 {
-				lost := d - 1
-				if lost > 1<<20 { // garbled seq in a surviving block
-					lost = 1 << 20
+		return cmp.Compare(a.Hdr.Seq, b.Hdr.Seq)
+	})
+
+	out := make([]SalvagedBlock, 0, len(kept))
+	for i := 0; i < len(kept); {
+		cs := CPUSalvage{CPU: kept[i].Hdr.CPU, Reordered: reordered[kept[i].Hdr.CPU]}
+		first := len(out)
+		for ; i < len(kept) && kept[i].Hdr.CPU == cs.CPU; i++ {
+			b := kept[i]
+			if n := len(out); n > first {
+				d := b.Hdr.Seq - out[n-1].Hdr.Seq
+				if d == 0 {
+					cs.DupBlocks++
+					continue
 				}
-				cs.LostBlocks += int(lost)
+				// Sequence gaps are an exact count of lost buffer generations.
+				cs.LostBlocks += int(min(d-1, 1<<20)) // capped: a garbled seq in a surviving block
 			}
-		}
-		for _, b := range deduped {
+			out = append(out, *b)
 			cs.Blocks++
-			cs.Events += len(b.evs)
+			cs.Events += len(b.Events)
 			cs.SkippedWords += b.st.SkippedWords
-			rep.Stats.Events += b.st.Events
-			rep.Stats.FillerEvents += b.st.FillerEvents
-			rep.Stats.FillerWords += b.st.FillerWords
-			rep.Stats.SkippedWords += b.st.SkippedWords
+			addStats(&rep.Stats, b.st)
 		}
 		if cs.LostBlocks > 0 && cs.Blocks > 0 {
 			cs.LostEventsEst = int(float64(cs.LostBlocks)*float64(cs.Events)/float64(cs.Blocks) + 0.5)
@@ -491,7 +362,6 @@ func assemble(kept []*salvagedBlock, rep *SalvageReport) []cpuBlocks {
 		rep.LostEventsEst += cs.LostEventsEst
 		rep.EventsRecovered += cs.Events
 		rep.PerCPU = append(rep.PerCPU, cs)
-		out = append(out, cpuBlocks{cpu: c, blocks: deduped})
 	}
 	// BlocksGood counts survivors after dedup, so the report satisfies
 	// scanned == good + skipped + duplicates.
@@ -551,7 +421,7 @@ func recoverGeometry(r io.ReaderAt, size int64) (Meta, int64, error) {
 	if strideB%8 != 0 || bufWords < 16 || bufWords > MaxBufWords {
 		return Meta{}, 0, fmt.Errorf("stream: salvage: cannot infer block stride (best guess %d bytes)", strideB)
 	}
-	// CPUs is filled in after the scan from the blocks themselves; ClockHz
-	// is unrecoverable.
-	return Meta{BufWords: bufWords, CPUs: 1}, offs[0], nil
+	// CPUs is only a bound on the ids to believe: the scan replaces it with
+	// what the blocks themselves say. ClockHz is unrecoverable.
+	return Meta{BufWords: bufWords, CPUs: salvageMaxCPUs}, offs[0], nil
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"sort"
@@ -231,13 +232,13 @@ func TestSalvageDedupAndReorder(t *testing.T) {
 	}
 	// Find the first two blocks of the same CPU: swapping them reorders
 	// within that CPU's sequence stream.
-	first, err := rd.Header(0)
+	first, _, err := rd.Block(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	second := -1
 	for k := 1; k < n; k++ {
-		h, err := rd.Header(k)
+		h, _, err := rd.Block(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,5 +398,80 @@ func TestReaderTruncatedBlockErrorContext(t *testing.T) {
 	}
 	if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("wrapped error lost the underlying EOF: %v", err)
+	}
+}
+
+// TestDamagedBlockMeansTheSameToEveryReader is the fault × reader table: a
+// block the salvager quarantines is the block every strict reader fails
+// on, at the same offset and for the same cause — there is one place a
+// block is admitted, and strict and tolerant differ only in what they do
+// with its verdict.
+func TestDamagedBlockMeansTheSameToEveryReader(t *testing.T) {
+	clean := runCapture(t, 2, 64, 600)
+	rd := newReader(t, clean)
+	k := rd.NumBlocks() / 2
+	hdr := func(data []byte) []byte { return data[rd.blockOff(k):] }
+	faults := []struct {
+		name   string
+		damage func(data []byte) []byte
+	}{
+		{"bad block magic", func(d []byte) []byte { hdr(d)[0] ^= 0xff; return d }},
+		{"NWords > BufWords", func(d []byte) []byte {
+			putWord(hdr(d), 1, getWord(hdr(d), 1)&(1<<32-1)|uint64(rd.Meta().BufWords+1)<<32)
+			return d
+		}},
+		{"CPU >= CPUs", func(d []byte) []byte {
+			putWord(hdr(d), 1, getWord(hdr(d), 1)&^0xffff|uint64(rd.Meta().CPUs))
+			return d
+		}},
+		// Too little of the last block left to hold a header: nothing for
+		// the salvager to clip, so it quarantines the fragment.
+		{"truncated tail", func(d []byte) []byte { return d[:rd.blockOff(rd.NumBlocks()-1)+16] }},
+	}
+	strict := func(read func(*Reader) error) func([]byte) error {
+		return func(data []byte) error {
+			rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
+			if err != nil {
+				return err
+			}
+			return read(rd)
+		}
+	}
+	readers := []struct {
+		name string
+		read func(data []byte) error
+	}{
+		{"ReadAll", strict(func(rd *Reader) error { _, _, err := rd.ReadAll(); return err })},
+		{"ReadAllParallel(8)", strict(func(rd *Reader) error { _, _, err := rd.ReadAllParallel(8); return err })},
+		{"BuildFullIndex", strict(func(rd *Reader) error { _, err := rd.BuildFullIndex(8, nil); return err })},
+		{"BlockStream", func(data []byte) error {
+			bs, err := NewBlockStream(bytes.NewReader(data))
+			for err == nil {
+				_, _, err = bs.Next()
+			}
+			return err
+		}},
+	}
+	for _, f := range faults {
+		t.Run(f.name, func(t *testing.T) {
+			data := f.damage(append([]byte(nil), clean...))
+			_, rep, err := Salvage(bytes.NewReader(data), int64(len(data)), 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Skipped) != 1 {
+				t.Fatalf("salvage quarantined %d blocks, want 1:\n%s", len(rep.Skipped), rep)
+			}
+			bad := rep.Skipped[0]
+			at := fmt.Sprintf("stream: block %d (offset %d)", bad.Block, bad.Offset)
+			for _, r := range readers {
+				err := r.read(data)
+				if err == nil || err == io.EOF {
+					t.Errorf("%s read the damaged trace without an error (%v)", r.name, err)
+				} else if msg := err.Error(); !strings.HasPrefix(msg, at) || !strings.HasSuffix(msg, ": "+bad.Cause) {
+					t.Errorf("%s failed with %q, salvage quarantined %s for %q", r.name, msg, at, bad.Cause)
+				}
+			}
+		})
 	}
 }

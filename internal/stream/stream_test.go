@@ -117,6 +117,25 @@ func TestWriterValidation(t *testing.T) {
 	if err := wr.WriteSealed(core.Sealed{Words: make([]uint64, 65)}); err == nil {
 		t.Error("oversized buffer accepted")
 	}
+	// A header may not declare more CPUs than a block header's 16-bit CPU
+	// field can name...
+	if _, err := NewWriter(&buf, Meta{BufWords: 64, CPUs: MaxMetaCPUs + 1}); err == nil {
+		t.Error("header with more CPUs than a block can name accepted")
+	}
+	// ...and a block may not name a CPU its file does not declare: CPU
+	// 65537 would read back as CPU 1.
+	before := wr.Blocks()
+	for _, cpu := range []int{-1, 1, 65537} {
+		if err := wr.WriteBlock(BlockHeader{CPU: cpu}, nil); err == nil {
+			t.Errorf("WriteBlock accepted CPU %d in a 1-CPU file", cpu)
+		}
+		if err := wr.WriteSealed(core.Sealed{CPU: cpu}); err == nil {
+			t.Errorf("WriteSealed accepted CPU %d in a 1-CPU file", cpu)
+		}
+	}
+	if wr.Blocks() != before {
+		t.Errorf("%d refused blocks were written", wr.Blocks()-before)
+	}
 }
 
 func TestCaptureAndReadAll(t *testing.T) {
@@ -205,7 +224,7 @@ func TestRandomAccessMatchesSequential(t *testing.T) {
 	if _, _, err := rd.Block(rd.NumBlocks()); err == nil {
 		t.Error("out-of-range block accepted")
 	}
-	if _, err := rd.Header(-1); err == nil {
+	if _, _, err := rd.Block(-1); err == nil {
 		t.Error("negative block accepted")
 	}
 }
@@ -335,7 +354,7 @@ func TestPartialAndAnomalyFlags(t *testing.T) {
 // Seq2Block locates the file block carrying this header (test helper).
 func (h BlockHeader) Seq2Block(rd *Reader) int {
 	for k := 0; k < rd.NumBlocks(); k++ {
-		g, err := rd.Header(k)
+		g, _, err := rd.Block(k)
 		if err == nil && g.CPU == h.CPU && g.Seq == h.Seq {
 			return k
 		}

@@ -70,10 +70,6 @@ func (wr *Writer) Anomalies() int { return wr.anoms }
 // commit count disagrees with its data size ("report an anomaly if they do
 // not match").
 func (wr *Writer) WriteSealed(s core.Sealed) error {
-	if len(s.Words) > wr.meta.BufWords {
-		return fmt.Errorf("stream: buffer of %d words exceeds file bufWords %d",
-			len(s.Words), wr.meta.BufWords)
-	}
 	h := BlockHeader{
 		CPU:       s.CPU,
 		NWords:    len(s.Words),
@@ -85,25 +81,25 @@ func (wr *Writer) WriteSealed(s core.Sealed) error {
 	}
 	if s.Anomalous() {
 		h.Flags |= FlagAnomalous
-		wr.anoms++
 	}
-	return wr.writeBlock(h, s.Words)
+	return wr.WriteBlock(h, s.Words)
 }
 
 // WriteBlock writes a raw block (used by relays that already carry block
-// headers).
+// headers). It refuses a block the readers would: more words than the
+// file's stride holds, or a CPU the file header does not declare — the
+// block header's 16-bit CPU field would otherwise alias it onto another.
 func (wr *Writer) WriteBlock(h BlockHeader, words []uint64) error {
 	if len(words) > wr.meta.BufWords {
 		return fmt.Errorf("stream: block of %d words exceeds bufWords %d",
 			len(words), wr.meta.BufWords)
 	}
+	if h.CPU < 0 || h.CPU >= wr.meta.CPUs {
+		return fmt.Errorf("stream: block CPU %d outside [0,%d)", h.CPU, wr.meta.CPUs)
+	}
 	if h.Anomalous() {
 		wr.anoms++
 	}
-	return wr.writeBlock(h, words)
-}
-
-func (wr *Writer) writeBlock(h BlockHeader, words []uint64) error {
 	copy(wr.buf, encodeBlockHeader(h))
 	wordsToBytes(wr.buf[blockHdrWords*8:], words)
 	// Zero-pad partial blocks to the fixed stride.
