@@ -15,9 +15,18 @@ BENCH_SECONDS ?= $(shell sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMAR
 BENCH_WORKLOADS ?= log_hot pipeline_ingest offline_analysis store_query
 BENCH_E2E ?= BENCH_E2E.txt
 
-.PHONY: check build vet test race bench bench-smoke bench-e2e fuzz live-smoke shm-smoke fed-smoke store-smoke diff-smoke
+# The packages whose fan-outs promise the same bytes for any worker count,
+# and the core counts `make test-cores` runs them at.
+CORES_PKGS = ./internal/stream/ ./internal/analysis/ ./internal/store/ ./cmd/ktrace/
+CORES ?= 1 4
 
-check: vet build test race
+.PHONY: check fmt build vet test test-cores race bench bench-smoke bench-e2e fuzz live-smoke shm-smoke fed-smoke store-smoke diff-smoke
+
+check: fmt vet build test race
+
+# Fails, listing them, when any file is not gofmt-clean.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -27,6 +36,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The read-side fan-outs (block decode, store scan, per-CPU analysis) at
+# more than one core count: a test run sees one GOMAXPROCS, and the worker
+# defaults follow it. -count=1, because the test cache does not key on it.
+test-cores:
+	@for n in $(CORES); do echo "GOMAXPROCS=$$n"; GOMAXPROCS=$$n $(GO) test -count=1 $(CORES_PKGS) || exit 1; done
 
 # Race-check the concurrent layers: the lockless logger, the block-parallel
 # decode pipeline, the TCP relay, the per-CPU analysis fan-out, and the

@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	ktrace "k42trace"
-	"k42trace/internal/analysis"
 	"k42trace/internal/baseline"
 	"k42trace/internal/clock"
 	"k42trace/internal/diff"
@@ -748,14 +747,14 @@ func BenchmarkKWayMerge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	evs, _, err := rd.ReadAllParallel(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	streams := analysis.SplitByCPU(evs)
+	// The runs the readers merge: each block's own events, in file order.
+	streams := make([][]event.Event, rd.NumBlocks())
 	n := 0
-	for _, s := range streams {
-		n += len(s)
+	for k := range streams {
+		if streams[k], _, err = rd.Events(k); err != nil {
+			b.Fatal(err)
+		}
+		n += len(streams[k])
 	}
 	b.Run("kway-heap-merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -49,7 +49,7 @@ type MemReport struct {
 
 // MemProfile aggregates TRC_MEM_HWC samples by symbol.
 func (t *Trace) MemProfile() *MemReport {
-	return t.memProfileOf(t.Events)
+	return t.memProfileOf(whole(t.Events))
 }
 
 // newMemReport returns an empty hardware-counter accumulator.
@@ -96,10 +96,10 @@ func (rep *MemReport) snapshotRows() []MemRow {
 
 // memProfileOf aggregates one event stream; sample attribution has no
 // cross-event state, so any partition of the trace merges exactly.
-func (t *Trace) memProfileOf(evs []event.Event) *MemReport {
+func (t *Trace) memProfileOf(v view) *MemReport {
 	rep := newMemReport(t)
-	for i := range evs {
-		rep.observe(&evs[i])
+	for i, n := 0, v.len(); i < n; i++ {
+		rep.observe(v.at(i))
 	}
 	rep.Rows = rep.snapshotRows()
 	return rep

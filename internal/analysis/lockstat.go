@@ -58,16 +58,16 @@ type LockReport struct {
 // the replayed scheduling/PPC state, which is why integrating scheduling
 // events into the same trace matters.
 func (t *Trace) LockStat() *LockReport {
-	return t.lockStatOf(t.Events, MaxCPU(t.Events))
+	return t.lockStatOf(whole(t.Events), MaxCPU(t.Events))
 }
 
-// lockStatOf runs the lock walk over one event stream — the whole merged
-// trace, or a single CPU's stream in the parallel path (lock state is
-// keyed per (cpu, lock), so per-CPU streams are self-contained: a hold
-// spanning a block boundary still pairs up inside its own stream).
-func (t *Trace) lockStatOf(evs []event.Event, maxCPU int) *LockReport {
+// lockStatOf runs the lock walk over one view — the whole merged trace,
+// or a single CPU's stream in the parallel path (lock state is keyed per
+// (cpu, lock), so per-CPU streams are self-contained: a hold spanning a
+// block boundary still pairs up inside its own stream).
+func (t *Trace) lockStatOf(v view, maxCPU int) *LockReport {
 	acc := newLockAcc()
-	Walk(evs, maxCPU, Hooks{Event: acc.event})
+	NewStreamWalker(maxCPU, Hooks{Event: acc.event}).feed(v)
 	return acc.report(t)
 }
 

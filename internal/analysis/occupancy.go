@@ -76,7 +76,7 @@ func shareVec(ns [NumModes]uint64) [NumModes]float64 {
 // of windows (<=0 means 1).
 func (t *Trace) OccupancyRange(from, to uint64, windows int) *Occupancy {
 	o := newOccupancy(from, to, windows, MaxCPU(t.Events)+1)
-	o.feed(t.Events, len(o.CPUMode)-1)
+	o.feed(whole(t.Events), len(o.CPUMode)-1)
 	return o
 }
 
@@ -86,9 +86,9 @@ func (t *Trace) OccupancyRange(from, to uint64, windows int) *Occupancy {
 func (t *Trace) OccupancyRangeParallel(from, to uint64, windows, workers int) *Occupancy {
 	nCPU := len(t.perCPU())
 	o := newOccupancy(from, to, windows, nCPU)
-	mergePerCPU(t, workers, func(evs []event.Event, maxCPU int) *Occupancy {
+	mergePerCPU(t, workers, func(v view, maxCPU int) *Occupancy {
 		p := newOccupancy(from, to, windows, nCPU)
-		p.feed(evs, maxCPU)
+		p.feed(v, maxCPU)
 		return p
 	}, o.Merge)
 	return o
@@ -113,12 +113,12 @@ func newOccupancy(from, to uint64, windows, nCPU int) *Occupancy {
 	}
 }
 
-// feed walks one event stream into the accumulator. Spans are clipped to
+// feed walks one view into the accumulator. Spans are clipped to
 // [Start, End) and distributed exactly across the windows they overlap.
-func (o *Occupancy) feed(evs []event.Event, maxCPU int) {
+func (o *Occupancy) feed(v view, maxCPU int) {
 	span := o.End - o.Start
 	w64 := uint64(o.Windows)
-	Walk(evs, maxCPU, Hooks{
+	NewStreamWalker(maxCPU, Hooks{
 		Span: func(cpu int, st *CPUState, from, to uint64) {
 			if to <= o.Start || from >= o.End {
 				return
@@ -159,7 +159,7 @@ func (o *Occupancy) feed(evs []event.Event, maxCPU int) {
 			o.MajorCount[e.Major()]++
 			o.Events++
 		},
-	})
+	}).feed(v)
 }
 
 // Merge folds a partial occupancy (same range and window count) into o.

@@ -33,15 +33,15 @@ func (p ProcSummary) TotalNs() uint64 {
 // Overview attributes all scheduled time in the trace to processes and
 // returns per-process summaries sorted by total time, largest first.
 func (t *Trace) Overview() []ProcSummary {
-	return t.overviewOf(t.Events, MaxCPU(t.Events))
+	return t.overviewOf(whole(t.Events), MaxCPU(t.Events))
 }
 
 // overviewOf aggregates one event stream. All state is per-CPU, so
 // per-CPU partial overviews combine with MergeOverview into exactly the
 // whole-trace result.
-func (t *Trace) overviewOf(evs []event.Event, maxCPU int) []ProcSummary {
+func (t *Trace) overviewOf(v view, maxCPU int) []ProcSummary {
 	acc := newOverviewAcc()
-	Walk(evs, maxCPU, acc.hooks())
+	NewStreamWalker(maxCPU, acc.hooks()).feed(v)
 	return acc.rows(t)
 }
 

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math"
 	"runtime"
 	"sync"
 
@@ -8,21 +9,49 @@ import (
 )
 
 // This file is the analysis half of the parallel pipeline: the walker's
-// state machine is strictly per-CPU, so splitting the merged trace back
-// into per-CPU streams and analyzing each on its own goroutine produces
-// partial results that merge into exactly the sequential answer. Locks
-// held across block boundaries need no special handling — the hold stays
+// state machine is strictly per-CPU, so viewing the merged trace one CPU
+// at a time and analyzing each view on its own goroutine produces partial
+// results that merge into exactly the sequential answer. Locks held
+// across block boundaries need no special handling — the hold stays
 // inside its CPU's stream, and the resumable walker state spans blocks.
 // The one cross-CPU computation (disk-wait pairing in TimeBreak) is
 // carried out of each stream as records and resolved globally afterwards.
 
-// SplitByCPU partitions a time-merged stream into per-CPU streams,
-// preserving each CPU's event order (the exact inverse of the k-way merge
-// that produced it). The sub-slices are fresh, so workers can walk them
-// concurrently with the original untouched.
-func SplitByCPU(evs []event.Event) [][]event.Event {
+// view is the events one driver walks, in order: all of a merged slice, or
+// one CPU's share of it as positions into the slice, 4 bytes an event where
+// a copy would be 48. Views are read-only and can be walked concurrently.
+type view struct {
+	evs []event.Event
+	pos []uint32 // the viewed positions of evs, ascending
+	all bool     // every event of evs is viewed; pos is not consulted
+}
+
+// whole views every event of evs.
+func whole(evs []event.Event) view { return view{evs: evs, all: true} }
+
+func (v view) len() int {
+	if v.all {
+		return len(v.evs)
+	}
+	return len(v.pos)
+}
+
+func (v view) at(i int) *event.Event {
+	if v.all {
+		return &v.evs[i]
+	}
+	return &v.evs[v.pos[i]]
+}
+
+// perCPUViews views a time-merged slice one CPU at a time, each view in its
+// CPU's event order: the inverse of the k-way merge that produced the
+// slice, without a copy. Events on a negative CPU are in no view.
+func perCPUViews(evs []event.Event) []view {
 	if len(evs) == 0 {
 		return nil
+	}
+	if len(evs) > math.MaxUint32 {
+		panic("analysis: a trace of more than 2^32 events has no per-CPU view")
 	}
 	counts := make([]int, MaxCPU(evs)+1)
 	for i := range evs {
@@ -30,41 +59,41 @@ func SplitByCPU(evs []event.Event) [][]event.Event {
 			counts[c]++
 		}
 	}
-	streams := make([][]event.Event, len(counts))
-	for c, n := range counts {
-		if n > 0 {
-			streams[c] = make([]event.Event, 0, n)
-		}
+	slab := make([]uint32, len(evs)) // every view's positions, in one allocation
+	views := make([]view, len(counts))
+	for c, nc := range counts {
+		views[c] = view{evs: evs, pos: slab[:0:nc]}
+		slab = slab[nc:]
 	}
 	for i := range evs {
 		if c := evs[i].CPU; c >= 0 {
-			streams[c] = append(streams[c], evs[i])
+			views[c].pos = append(views[c].pos, uint32(i))
 		}
 	}
-	return streams
+	return views
 }
 
-// perCPU is SplitByCPU(t.Events), computed on first use and shared by every
-// report after that, from any goroutine; the streams are read-only. A
-// caller that assigns a different slice to Events gets a fresh split: the
-// cache remembers which slice it split and checks on every call.
-func (t *Trace) perCPU() [][]event.Event {
+// perCPU is perCPUViews(t.Events), computed on first use and shared by
+// every report after that, from any goroutine; the views are read-only. A
+// caller that assigns a different slice to Events gets fresh views: the
+// cache remembers which slice it viewed and checks on every call.
+func (t *Trace) perCPU() []view {
 	t.split.Lock()
 	defer t.split.Unlock()
 	evs := t.Events
 	if of := t.split.of; len(evs) != len(of) || (len(evs) > 0 && &evs[0] != &of[0]) {
-		t.split.of, t.split.streams = evs, SplitByCPU(evs)
+		t.split.of, t.split.views = evs, perCPUViews(evs)
 	}
-	return t.split.streams
+	return t.split.views
 }
 
 // mergePerCPU is the three steps every per-CPU report shares: part analyses
-// one CPU's stream (it also receives the highest CPU index), on at most
+// one CPU's view (it also receives the highest CPU index), on at most
 // `workers` goroutines (workers <= 0 means GOMAXPROCS); after the barrier
-// the parts of the non-empty streams go to merge in CPU order, so the
+// the parts of the non-empty views go to merge in CPU order, so the
 // combined result is the same for any worker count. Parts land in per-CPU
 // storage and share nothing.
-func mergePerCPU[P any](t *Trace, workers int, part func(evs []event.Event, maxCPU int) P, merge func(P)) {
+func mergePerCPU[P any](t *Trace, workers int, part func(v view, maxCPU int) P, merge func(P)) {
 	streams := t.perCPU()
 	parts := make([]P, len(streams))
 	run := func(c int) { parts[c] = part(streams[c], len(streams)-1) }
@@ -73,7 +102,7 @@ func mergePerCPU[P any](t *Trace, workers int, part func(evs []event.Event, maxC
 	}
 	if workers <= 1 {
 		for c, s := range streams {
-			if len(s) > 0 {
+			if s.len() > 0 {
 				run(c)
 			}
 		}
@@ -81,7 +110,7 @@ func mergePerCPU[P any](t *Trace, workers int, part func(evs []event.Event, maxC
 		sem := make(chan struct{}, workers)
 		var wg sync.WaitGroup
 		for c, s := range streams {
-			if len(s) == 0 {
+			if s.len() == 0 {
 				continue
 			}
 			wg.Add(1)
@@ -95,7 +124,7 @@ func mergePerCPU[P any](t *Trace, workers int, part func(evs []event.Event, maxC
 		wg.Wait()
 	}
 	for c, s := range streams {
-		if len(s) > 0 {
+		if s.len() > 0 {
 			merge(parts[c])
 		}
 	}
@@ -113,7 +142,7 @@ func (t *Trace) LockStatParallel(workers int) *LockReport {
 // ProfileParallel is Profile fanned over per-CPU streams.
 func (t *Trace) ProfileParallel(pid uint64, workers int) *Profile {
 	p := &Profile{Pid: pid, samples: map[uint64]int{}}
-	mergePerCPU(t, workers, func(evs []event.Event, _ int) *Profile { return t.profileOf(pid, evs) }, p.Merge)
+	mergePerCPU(t, workers, func(v view, _ int) *Profile { return t.profileOf(pid, v) }, p.Merge)
 	p.finish(t)
 	return p
 }
@@ -135,8 +164,8 @@ func (t *Trace) TimeBreakParallel(pid uint64, workers int) *TimeBreak {
 		recs []ioRec
 	}
 	var all []ioRec
-	mergePerCPU(t, workers, func(evs []event.Event, maxCPU int) (p part) {
-		p.tb, p.recs = t.timeBreakOf(pid, evs, maxCPU)
+	mergePerCPU(t, workers, func(v view, maxCPU int) (p part) {
+		p.tb, p.recs = t.timeBreakOf(pid, v, maxCPU)
 		return p
 	}, func(p part) {
 		tb.Merge(p.tb)
@@ -156,7 +185,7 @@ func (t *Trace) OverviewParallel(workers int) []ProcSummary {
 // MemProfileParallel is MemProfile fanned over per-CPU streams.
 func (t *Trace) MemProfileParallel(workers int) *MemReport {
 	rep := &MemReport{trace: t}
-	mergePerCPU(t, workers, func(evs []event.Event, _ int) *MemReport { return t.memProfileOf(evs) }, rep.Merge)
+	mergePerCPU(t, workers, func(v view, _ int) *MemReport { return t.memProfileOf(v) }, rep.Merge)
 	sortMemRows(rep.Rows)
 	return rep
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -42,10 +43,49 @@ func sdetTraceFull(t *testing.T) *Trace {
 // TestParallelAnalysesMatchSequential is the tentpole's acceptance test:
 // every report computed through per-CPU fan-out + merge must be identical
 // — struct-for-struct and byte-for-byte — to the sequential walk, for
-// every worker count.
+// every worker count. It holds for a trace as decoded, for one carrying
+// events on a negative CPU (no per-CPU view holds them, and the walker
+// skips them), and for a trace whose Events were pointed at another slice
+// after reports had already run on the first.
 func TestParallelAnalysesMatchSequential(t *testing.T) {
 	tr := sdetTraceFull(t)
+	t.Run("decoded", func(t *testing.T) { checkParallelMatchesSequential(t, tr) })
 
+	t.Run("negative-cpu", func(t *testing.T) {
+		var evs []event.Event
+		for i, e := range tr.Events {
+			if i%97 == 0 {
+				evs = append(evs,
+					mk(-1, e.Time, event.MajorSched, ksim.EvSchedSwitch, 0, 77),
+					mk(-3, e.Time, event.MajorLock, ksim.EvLockAcquired, 0xbad, 5, 1, 1))
+			}
+			evs = append(evs, e)
+		}
+		neg := Build(evs, tr.ClockHz, event.Default)
+		total := 0
+		for c, v := range neg.perCPU() {
+			total += v.len()
+			for i := 0; i < v.len(); i++ {
+				if v.at(i).CPU != c {
+					t.Fatalf("cpu %d view holds an event of cpu %d", c, v.at(i).CPU)
+				}
+			}
+		}
+		if total != len(tr.Events) {
+			t.Fatalf("per-CPU views hold %d events, want the %d on CPUs >= 0", total, len(tr.Events))
+		}
+		checkParallelMatchesSequential(t, neg)
+	})
+
+	t.Run("reassigned", func(t *testing.T) {
+		// The reports above left tr with views of the whole stream.
+		tr.Events = append([]event.Event(nil), tr.Events[len(tr.Events)/3:]...)
+		checkParallelMatchesSequential(t, tr)
+	})
+}
+
+func checkParallelMatchesSequential(t *testing.T, tr *Trace) {
+	t.Helper()
 	seqLock := tr.LockStat()
 	seqProf := tr.Profile(^uint64(0))
 	seqOver := tr.Overview()
@@ -97,6 +137,7 @@ func TestStreamWalkerChunkedMatchesWalk(t *testing.T) {
 		mk(1, 25, event.MajorLock, ksim.EvLockStartWait, 0xa, 1),
 		mk(0, 30, event.MajorException, ksim.EvPPCCall, 1),
 		mk(1, 35, event.MajorLock, ksim.EvLockAcquired, 0xa, 10, 3, 1),
+		mk(-1, 40, event.MajorSched, ksim.EvSchedSwitch, 0, 3), // no CPU's event: skipped
 		mk(0, 50, event.MajorException, ksim.EvPPCReturn, 1),
 		mk(1, 55, event.MajorLock, ksim.EvLockRelease, 0xa, 20),
 		mk(0, 60, event.MajorSyscall, ksim.EvSyscallExit, 5, ksim.SysRead),
@@ -135,6 +176,27 @@ func TestStreamWalkerChunkedMatchesWalk(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("chunk=%d: chunked walk differs from one-shot walk", chunk)
+		}
+	}
+
+	// A CPU's view walks to what the whole walk recorded for that CPU, on
+	// the slice the views were made of and on the one Events points at next.
+	tr := Build(evs, 1, event.Default)
+	for _, n := range []int{len(evs), 7} {
+		tr.Events = evs[:n]
+		var all []rec
+		Walk(tr.Events, MaxCPU(evs), capture(&all))
+		for c, v := range tr.perCPU() {
+			var want, got []rec
+			for _, r := range all {
+				if r.cpu == c {
+					want = append(want, r)
+				}
+			}
+			NewStreamWalker(MaxCPU(evs), capture(&got)).feed(v)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("first %d events: walking cpu %d's view differs from the whole walk's records for it", n, c)
+			}
 		}
 	}
 }
@@ -225,42 +287,51 @@ func TestCrossCPUDiskWait(t *testing.T) {
 	}
 }
 
-func TestSplitByCPUPreservesOrder(t *testing.T) {
+func TestPerCPUViewsPreserveOrder(t *testing.T) {
 	evs := []event.Event{
 		mk(0, 1, event.MajorTest, 1), mk(1, 1, event.MajorTest, 2),
 		mk(0, 2, event.MajorTest, 3), mk(2, 2, event.MajorTest, 4),
+		mk(-1, 2, event.MajorTest, 7),
 		mk(1, 3, event.MajorTest, 5), mk(0, 3, event.MajorTest, 6),
 	}
-	streams := SplitByCPU(evs)
-	if len(streams) != 3 {
-		t.Fatalf("got %d streams, want 3", len(streams))
+	views := perCPUViews(evs)
+	if len(views) != 3 {
+		t.Fatalf("got %d views, want 3", len(views))
 	}
 	total := 0
-	for cpu, s := range streams {
+	for cpu, v := range views {
 		last := uint64(0)
-		for _, e := range s {
+		for i := 0; i < v.len(); i++ {
+			e := v.at(i)
 			if e.CPU != cpu {
-				t.Fatalf("cpu %d stream has event from cpu %d", cpu, e.CPU)
+				t.Fatalf("cpu %d view has event from cpu %d", cpu, e.CPU)
 			}
 			if e.Time < last {
-				t.Fatalf("cpu %d stream out of order", cpu)
+				t.Fatalf("cpu %d view out of order", cpu)
+			}
+			if e != &evs[v.pos[i]] {
+				t.Fatalf("cpu %d view copied an event", cpu)
 			}
 			last = e.Time
 			total++
 		}
 	}
-	if total != len(evs) {
-		t.Fatalf("split lost events: %d of %d", total, len(evs))
+	if total != len(evs)-1 {
+		t.Fatalf("views hold %d events, want every one of the %d on a CPU >= 0", total, len(evs)-1)
 	}
-	if SplitByCPU(nil) != nil {
-		t.Error("splitting nothing should return nil")
+	if perCPUViews(nil) != nil {
+		t.Error("viewing nothing should return nil")
+	}
+	if w := whole(evs); w.len() != len(evs) || w.at(4) != &evs[4] {
+		t.Error("the whole view is not every event in place")
 	}
 }
 
-// TestSplitOncePerTrace: the *Parallel reports share one per-CPU split of
-// the trace, made on first use — also when the first uses race — and
-// remade when the caller points Events at a different stream.
-func TestSplitOncePerTrace(t *testing.T) {
+// TestViewOncePerTrace: the *Parallel reports share one set of per-CPU
+// views of the trace, made on first use — also when the first uses race —
+// costing positions and not events, and remade when the caller points
+// Events at a different stream.
+func TestViewOncePerTrace(t *testing.T) {
 	tr := sdetTraceFull(t)
 	want := tr.Overview()
 	from, to := tr.Span()
@@ -285,10 +356,19 @@ func TestSplitOncePerTrace(t *testing.T) {
 	wg.Wait()
 	first := tr.perCPU()
 	if again := tr.perCPU(); &again[0] != &first[0] {
-		t.Error("a second report split the trace again")
+		t.Error("a second report viewed the trace again")
 	}
 	if a := testing.AllocsPerRun(10, func() { tr.perCPU() }); a != 0 {
-		t.Errorf("perCPU on a split trace allocates %.0f objects", a)
+		t.Errorf("perCPU on a viewed trace allocates %.0f objects", a)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	views := perCPUViews(tr.Events)
+	runtime.ReadMemStats(&after)
+	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(5*len(tr.Events)); got > max {
+		t.Errorf("per-CPU views of %d events (%d CPUs) allocate %d bytes, want <= 5 per event",
+			len(tr.Events), len(views), got)
 	}
 
 	// Half the stream, as a caller trimming to a window would assign it.

@@ -35,7 +35,7 @@ type Profile struct {
 // pids combined). Samples are attributed to the domain pid recorded in the
 // sample event itself.
 func (t *Trace) Profile(pid uint64) *Profile {
-	p := t.profileOf(pid, t.Events)
+	p := t.profileOf(pid, whole(t.Events))
 	p.finish(t)
 	return p
 }
@@ -43,10 +43,10 @@ func (t *Trace) Profile(pid uint64) *Profile {
 // profileOf counts samples over one event stream; the rows are built by
 // finish. Sample counting has no cross-event state, so any partition of
 // the trace profiles independently and merges.
-func (t *Trace) profileOf(pid uint64, evs []event.Event) *Profile {
+func (t *Trace) profileOf(pid uint64, v view) *Profile {
 	p := newProfile(pid)
-	for i := range evs {
-		p.observe(&evs[i])
+	for i, n := 0, v.len(); i < n; i++ {
+		p.observe(v.at(i))
 	}
 	return p
 }

@@ -72,7 +72,7 @@ type ioRec struct {
 
 // TimeBreak computes the breakdown for one pid.
 func (t *Trace) TimeBreak(pid uint64) *TimeBreak {
-	tb, recs := t.timeBreakOf(pid, t.Events, MaxCPU(t.Events))
+	tb, recs := t.timeBreakOf(pid, whole(t.Events), MaxCPU(t.Events))
 	tb.resolveDiskWait(recs)
 	return tb
 }
@@ -80,9 +80,9 @@ func (t *Trace) TimeBreak(pid uint64) *TimeBreak {
 // timeBreakOf walks one event stream accumulating every per-CPU category,
 // and returns the I/O carry records for the one cross-CPU computation
 // (disk waits) to be resolved after all streams are in.
-func (t *Trace) timeBreakOf(pid uint64, evs []event.Event, maxCPU int) (*TimeBreak, []ioRec) {
+func (t *Trace) timeBreakOf(pid uint64, v view, maxCPU int) (*TimeBreak, []ioRec) {
 	acc := t.newTimeBreakAcc(pid)
-	Walk(evs, maxCPU, Hooks{Span: acc.span, Event: acc.event})
+	NewStreamWalker(maxCPU, Hooks{Span: acc.span, Event: acc.event}).feed(v)
 	acc.tb.Name = t.ProcName(pid)
 	return acc.tb, acc.recs
 }

@@ -31,12 +31,12 @@ type Trace struct {
 	// necessarily idle, it may just have been masked out.
 	MaskEpochs []MaskEpoch
 
-	// split caches Events partitioned per CPU, which every *Parallel
+	// split caches the per-CPU views of Events, which every *Parallel
 	// report starts from; see perCPU.
 	split struct {
 		sync.Mutex
-		of      []event.Event // the Events the streams were split from
-		streams [][]event.Event
+		of    []event.Event // the Events the views are of
+		views []view
 	}
 }
 

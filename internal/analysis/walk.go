@@ -160,9 +160,13 @@ func (w *StreamWalker) EnsureCPUs(n int) {
 // Feed replays a chunk of events, continuing from wherever the previous
 // chunk left each CPU.
 func (w *StreamWalker) Feed(evs []event.Event) {
+	w.feed(whole(evs))
+}
+
+func (w *StreamWalker) feed(v view) {
 	h := w.hooks
-	for i := range evs {
-		e := &evs[i]
+	for i, n := 0, v.len(); i < n; i++ {
+		e := v.at(i)
 		if e.CPU < 0 || e.CPU >= len(w.states) {
 			continue
 		}

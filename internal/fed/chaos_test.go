@@ -120,7 +120,7 @@ func chaosProducer(t *testing.T, aggURL, key string, idx int, gate <-chan struct
 		for k := from; k < to; k++ {
 			// Tag every event with (producer, counter) so blocks are globally
 			// unique and wire-vs-spill matching is content-checkable.
-			tr.CPU(k % 2).Log1(event.MajorTest, 1, uint64(idx)<<32|uint64(k))
+			tr.CPU(k%2).Log1(event.MajorTest, 1, uint64(idx)<<32|uint64(k))
 		}
 	}
 	logPhase(0, 600)
@@ -181,7 +181,7 @@ func spillGroups(t *testing.T, ts *testShard) map[int][]wireBlock {
 // between wire and spill totals.
 func TestChaosSoakFederation(t *testing.T) {
 	agg := startAgg(t, AggOptions{
-		Live:      live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 256},
+		Live: live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 256},
 		// Long enough that a loaded-but-alive shard's heartbeat goroutine
 		// never starves past it under the race detector, short enough that
 		// the killed shard expires well inside the waitFor deadline.

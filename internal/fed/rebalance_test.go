@@ -72,7 +72,7 @@ func startRebalProducer(t *testing.T, aggURL, key string, idx int) *rebalProd {
 // drives SendReliable to (re)connect.
 func (p *rebalProd) log(from, to int) {
 	for k := from; k < to; k++ {
-		p.tr.CPU(k % 2).Log1(event.MajorTest, 1, uint64(p.idx)<<32|uint64(k))
+		p.tr.CPU(k%2).Log1(event.MajorTest, 1, uint64(p.idx)<<32|uint64(k))
 	}
 }
 

@@ -59,7 +59,7 @@ func TestSnapshotUnderChurn(t *testing.T) {
 					relay.Send(tr, srv.Addr())
 				}()
 				for k := 0; k < 200; k++ {
-					tr.CPU(k % 2).Log1(event.MajorTest, 1, uint64(i)<<32|uint64(k))
+					tr.CPU(k%2).Log1(event.MajorTest, 1, uint64(i)<<32|uint64(k))
 				}
 				tr.Stop()
 				<-done

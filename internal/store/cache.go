@@ -7,8 +7,8 @@ import (
 	"k42trace/internal/event"
 )
 
-// segCache is the segment-level query result cache: the filtered event
-// slice one scanSegment call produced, keyed by (tenant, segment ID,
+// segCache is the segment-level query result cache: the filtered runs
+// one scanSegment call produced, keyed by (tenant, segment ID,
 // normalized params fingerprint). Segments are immutable, so an entry is
 // valid for the segment's whole life — entries are never invalidated,
 // only evicted (LRU by bytes) or dropped wholesale when their segment
@@ -61,7 +61,7 @@ type cacheKey struct {
 
 type cacheEntry struct {
 	key  cacheKey
-	evs  []event.Event
+	runs [][]event.Event
 	size int64
 }
 
@@ -87,10 +87,12 @@ func fingerprintFor(p *Params, si *SegmentInfo) fingerprint {
 
 // eventsSize estimates an entry's resident bytes: slice headers plus the
 // copied payload words.
-func eventsSize(evs []event.Event) int64 {
+func eventsSize(runs [][]event.Event) int64 {
 	n := int64(128) // map/list bookkeeping overhead per entry
-	for i := range evs {
-		n += 56 + 8*int64(len(evs[i].Data))
+	for _, evs := range runs {
+		for i := range evs {
+			n += 56 + 8*int64(len(evs[i].Data))
+		}
 	}
 	return n
 }
@@ -109,9 +111,9 @@ func newSegCache(maxBytes int64, metrics *Metrics) *segCache {
 
 func (c *segCache) enabled() bool { return c != nil && c.max > 0 }
 
-// get returns the cached filtered events for one segment scan. The
-// returned slice is shared and must be treated as read-only.
-func (c *segCache) get(key cacheKey) ([]event.Event, bool) {
+// get returns the cached filtered runs for one segment scan. The
+// returned runs are shared and must be treated as read-only.
+func (c *segCache) get(key cacheKey) ([][]event.Event, bool) {
 	if !c.enabled() {
 		return nil, false
 	}
@@ -122,16 +124,16 @@ func (c *segCache) get(key cacheKey) ([]event.Event, bool) {
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).evs, true
+	return el.Value.(*cacheEntry).runs, true
 }
 
 // put stores one scan's result, evicting from the LRU tail until the
 // budget holds. Results bigger than the whole budget are not cached.
-func (c *segCache) put(key cacheKey, evs []event.Event) {
+func (c *segCache) put(key cacheKey, runs [][]event.Event) {
 	if !c.enabled() {
 		return
 	}
-	size := eventsSize(evs)
+	size := eventsSize(runs)
 	if size > c.max {
 		return
 	}
@@ -142,7 +144,7 @@ func (c *segCache) put(key cacheKey, evs []event.Event) {
 		c.lru.MoveToFront(el)
 		return
 	}
-	e := &cacheEntry{key: key, evs: evs, size: size}
+	e := &cacheEntry{key: key, runs: runs, size: size}
 	c.entries[key] = c.lru.PushFront(e)
 	seg := c.bySeg[key.seg]
 	if seg == nil {

@@ -140,7 +140,7 @@ func TestCacheDropsRetiredSegments(t *testing.T) {
 // used entries evict first, touches refresh recency, oversized entries
 // are refused, and the byte accounting stays exact.
 func TestSegCacheLRU(t *testing.T) {
-	mkEvents := func(n int) []event.Event { return make([]event.Event, n) }
+	mkEvents := func(n int) [][]event.Event { return [][]event.Event{make([]event.Event, n)} }
 	one := eventsSize(mkEvents(10)) // all entries the same size
 	c := newSegCache(3*one, nil)
 

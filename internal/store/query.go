@@ -263,10 +263,9 @@ func (s *Store) query(p Params) (*Result, error) {
 	// against swap: a segment is either pinned before it retires (readers
 	// finish; files outlive them) or already gone from the catalog.
 	t.mu.Lock()
-	infos := append([]SegmentInfo(nil), t.man.Segments...)
 	var pinned []*segment
-	for i := range infos {
-		si := &infos[i]
+	for i := range t.man.Segments {
+		si := &t.man.Segments[i]
 		if !scan.NoPrune && (si.MaxTime < scan.From || si.MinTime >= to) {
 			res.SegsPruned++
 			continue
@@ -276,7 +275,7 @@ func (s *Store) query(p Params) (*Result, error) {
 			pinned = append(pinned, sg)
 		}
 	}
-	res.SegsTotal = len(infos)
+	res.SegsTotal = len(t.man.Segments)
 	res.SegsScanned = len(pinned)
 	t.mu.Unlock()
 	defer func() {
@@ -291,7 +290,7 @@ func (s *Store) query(p Params) (*Result, error) {
 
 	workers := s.opt.Workers
 	type segResult struct {
-		evs             []event.Event
+		runs            [][]event.Event // each matching block's matches, in file order
 		scanned, pruned int
 		err             error
 	}
@@ -310,8 +309,8 @@ func (s *Store) query(p Params) (*Result, error) {
 				seg: segRef{tenant: p.Tenant, id: sg.info.ID},
 				fp:  fingerprintFor(&scan, &sg.info),
 			}
-			if evs, ok := s.cache.get(keys[i]); ok {
-				parts[i].evs = evs
+			if runs, ok := s.cache.get(keys[i]); ok {
+				parts[i].runs = runs
 				hits++
 				continue
 			}
@@ -323,51 +322,49 @@ func (s *Store) query(p Params) (*Result, error) {
 		s.metrics.cacheScan(p.Tenant, hits, len(toScan))
 	}
 
-	// Scan worker w takes every nw-th miss, so which worker scans which
-	// segment, and with it how far each worker's scratch grows, does not
-	// depend on timing. A single worker runs on the query's own goroutine.
+	// Scan worker w takes every nw-th miss, with one scratch off the
+	// store's free list: a query on a warm store allocates its answer and
+	// nothing to scan into. Worker 0 runs on the query's own goroutine.
 	nw := scanParallelism(workers, len(toScan))
 	scanWorker := func(w int) {
-		var sc stream.BlockScratch
+		sc := s.getScratch()
+		defer s.putScratch(sc)
 		for j := w; j < len(toScan); j += nw {
 			pr := &parts[toScan[j]]
-			pr.evs, pr.scanned, pr.pruned, pr.err = scanSegment(pinned[toScan[j]], scan, workers, &sc)
+			pr.runs, pr.scanned, pr.pruned, pr.err = scanSegment(pinned[toScan[j]], scan, workers, sc)
 		}
 	}
-	if nw == 1 {
-		scanWorker(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				scanWorker(w)
-			}(w)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for w := 1; w < nw; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scanWorker(w)
+		}()
 	}
+	scanWorker(0)
+	wg.Wait()
 
-	merge := make([][]event.Event, len(parts))
+	var runs [][]event.Event
 	for i := range parts {
 		if parts[i].err != nil {
 			return res, parts[i].err
 		}
 		res.BlocksScanned += parts[i].scanned
 		res.BlocksPruned += parts[i].pruned
-		merge[i] = parts[i].evs
+		runs = append(runs, parts[i].runs...)
 	}
 	if useCache {
 		for _, i := range toScan {
-			s.cache.put(keys[i], parts[i].evs)
+			s.cache.put(keys[i], parts[i].runs)
 		}
 	}
-	// Pinned segments are in (MinTime, ID) order and each part keeps
-	// per-CPU stream order, so the stable (Time, CPU) order over their
-	// concatenation reproduces the ReadAll merge order. Cached parts are
-	// shared read-only slices; the merge copies them into this query's own
-	// buffer.
-	evs := stream.MergeByTime(merge...)
+	// Pinned segments are in (MinTime, ID) order and each part keeps its
+	// blocks in file order, so the stable (Time, CPU) order over the runs'
+	// concatenation reproduces the ReadAll merge order. Cached runs are
+	// shared and read-only: the merge copies their events into this
+	// query's own slice, and the payloads stay shared.
+	evs := stream.MergeByTime(runs...)
 	if cur != nil {
 		evs = applyCursor(evs, *cur)
 	}
@@ -383,26 +380,39 @@ func (s *Store) query(p Params) (*Result, error) {
 	return res, nil
 }
 
+// getScratch takes a scan scratch off the free list, or makes one.
+func (s *Store) getScratch() *stream.BlockScratch {
+	select {
+	case sc := <-s.scratch:
+		return sc
+	default:
+		return new(stream.BlockScratch)
+	}
+}
+
+// putScratch returns sc to the free list; a full list drops it.
+func (s *Store) putScratch(sc *stream.BlockScratch) {
+	select {
+	case s.scratch <- sc:
+	default:
+	}
+}
+
 func scanParallelism(workers, n int) int {
 	if workers <= 0 {
 		workers = 8
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return max(1, min(workers, n))
 }
 
 // scanSegment scans one pinned segment: blocks whose summaries cannot
 // match are skipped, survivors are decoded into sc and filtered exactly.
-// The result shares nothing with sc or the segment: the matches of each
-// block are cloned into an event slice and a payload slab of exactly their
-// size, so an answer that lives on in the cache or in a Result holds what
-// it matched and no more — a narrow answer never pins a block.
-func scanSegment(sg *segment, p Params, workers int, sc *stream.BlockScratch) (evs []event.Event, scanned, pruned int, err error) {
+// The result is one run per block that matched, in file order, and shares
+// nothing with sc or the segment: the matches of each block are cloned
+// into an event slice and a payload slab of exactly their size, so an
+// answer that lives on in the cache or in a Result holds what it matched
+// and no more — a narrow answer never pins a block.
+func scanSegment(sg *segment, p Params, workers int, sc *stream.BlockScratch) (runs [][]event.Event, scanned, pruned int, err error) {
 	rd, fi, err := sg.open(workers)
 	if err != nil {
 		return nil, 0, 0, err
@@ -417,7 +427,6 @@ func scanSegment(sg *segment, p Params, workers int, sc *stream.BlockScratch) (e
 		sc.Events = make([]event.Event, 0, need)
 	}
 	to := p.effTo()
-	var kept [][]event.Event // per block with matches, in file order
 	for k := range fi.Blocks {
 		bs := &fi.Blocks[k]
 		if !p.NoPrune && !blockMayMatch(bs, p, to) {
@@ -430,24 +439,10 @@ func scanSegment(sg *segment, p Params, workers int, sc *stream.BlockScratch) (e
 			return nil, scanned, pruned, err
 		}
 		if m := keepMatching(b.Events, bs.EntryPid, p, to); len(m) > 0 {
-			kept = append(kept, event.Clone(m))
+			runs = append(runs, event.Clone(m))
 		}
 	}
-	switch len(kept) {
-	case 0:
-		return nil, scanned, pruned, nil
-	case 1:
-		return kept[0], scanned, pruned, nil
-	}
-	n := 0
-	for _, m := range kept {
-		n += len(m)
-	}
-	evs = make([]event.Event, 0, n)
-	for _, m := range kept {
-		evs = append(evs, m...)
-	}
-	return evs, scanned, pruned, nil
+	return runs, scanned, pruned, nil
 }
 
 // blockMayMatch is the pruning predicate: every check is conservative

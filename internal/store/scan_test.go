@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -49,9 +50,9 @@ func TestScanAllocsIndependentOfBlockDensity(t *testing.T) {
 		p := Params{Tenant: "t", HasMajor: true, Major: event.MajorNet, NoPrune: true}
 		perScan = testing.AllocsPerRun(20, func() {
 			var sc stream.BlockScratch
-			evs, scanned, _, err := scanSegment(sg, p, 1, &sc)
-			if err != nil || len(evs) != 0 || scanned != res.Blocks {
-				t.Fatalf("scan matched %d events in %d blocks: %v", len(evs), scanned, err)
+			runs, scanned, _, err := scanSegment(sg, p, 1, &sc)
+			if err != nil || len(runs) != 0 || scanned != res.Blocks {
+				t.Fatalf("scan matched in %d of %d blocks: %v", len(runs), scanned, err)
 			}
 		})
 		return perScan, res.Events
@@ -68,11 +69,11 @@ func TestScanAllocsIndependentOfBlockDensity(t *testing.T) {
 }
 
 // TestCachedAnswersRetainWhatTheyCharge: a cache entry is charged
-// eventsSize, so that is all it may keep alive. Its event slice must be
-// exactly as long as the answer, and its payloads must sit back to back in
-// slabs of their own, at most one per block of the segment. Payloads that
-// aliased a decoded block would be a header word apart, and would pin the
-// whole block for as long as the entry lived.
+// eventsSize, so that is all it may keep alive. It holds one run per block
+// that matched; each run's event slice must be exactly as long as its
+// matches, and its payloads must sit back to back in one slab of their own.
+// Payloads that aliased a decoded block would be a header word apart, and
+// would pin the whole block for as long as the entry lived.
 func TestCachedAnswersRetainWhatTheyCharge(t *testing.T) {
 	data := sdetSpill(t, 42)
 	base, _ := readAllEvents(t, data)
@@ -90,41 +91,135 @@ func TestCachedAnswersRetainWhatTheyCharge(t *testing.T) {
 	for el := s.cache.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*cacheEntry)
 		entries++
-		if cap(e.evs) != len(e.evs) {
-			t.Errorf("entry %v holds %d events in a slice of %d", e.key.fp, len(e.evs), cap(e.evs))
+		if blocks := tn.segs[e.key.seg.id].info.Blocks; len(e.runs) > blocks {
+			t.Errorf("entry %v holds %d runs, segment has %d blocks", e.key.fp, len(e.runs), blocks)
 		}
-		// Walk the payloads in order: each either continues the slab of
-		// the one before it or starts the next slab.
-		var slabs, retained int64
-		var end uintptr
-		for i := range e.evs {
-			d := e.evs[i].Data
-			if len(d) == 0 {
-				continue
+		var events, retained int64
+		for r, evs := range e.runs {
+			if len(evs) == 0 || cap(evs) != len(evs) {
+				t.Errorf("entry %v run %d holds %d events in a slice of %d", e.key.fp, r, len(evs), cap(evs))
 			}
-			if len(d) != cap(d) {
-				t.Fatalf("entry %v event %d: payload len %d cap %d", e.key.fp, i, len(d), cap(d))
+			// Walk the payloads in order: each continues the run's slab.
+			slabs := 0
+			var end uintptr
+			for i := range evs {
+				d := evs[i].Data
+				if len(d) == 0 {
+					continue
+				}
+				if len(d) != cap(d) {
+					t.Fatalf("entry %v run %d event %d: payload len %d cap %d", e.key.fp, r, i, len(d), cap(d))
+				}
+				if at := uintptr(unsafe.Pointer(&d[0])); at != end {
+					slabs++
+				}
+				end = uintptr(unsafe.Pointer(&d[len(d)-1])) + 8
+				retained += 8 * int64(len(d))
 			}
-			if at := uintptr(unsafe.Pointer(&d[0])); at != end {
-				slabs++
+			if slabs > 1 {
+				t.Errorf("entry %v run %d: payloads of %d events lie in %d slabs: they are not packed",
+					e.key.fp, r, len(evs), slabs)
 			}
-			end = uintptr(unsafe.Pointer(&d[len(d)-1])) + 8
-			retained += 8 * int64(len(d))
+			events += int64(len(evs))
+			retained += int64(cap(evs))*int64(unsafe.Sizeof(event.Event{})) + int64(unsafe.Sizeof(evs))
 		}
-		retained += int64(cap(e.evs)) * int64(unsafe.Sizeof(event.Event{}))
-		blocks := int64(tn.segs[e.key.seg.id].info.Blocks)
-		if slabs > blocks {
-			t.Errorf("entry %v: payloads of %d events lie in %d runs, segment has %d blocks: they are not packed",
-				e.key.fp, len(e.evs), slabs, blocks)
+		if retained > e.size || e.size != eventsSize(e.runs) {
+			t.Errorf("entry %v retains %d bytes, charged %d (eventsSize %d)", e.key.fp, retained, e.size, eventsSize(e.runs))
 		}
-		if retained > e.size || e.size != eventsSize(e.evs) {
-			t.Errorf("entry %v retains %d bytes, charged %d (eventsSize %d)", e.key.fp, retained, e.size, eventsSize(e.evs))
-		}
-		if n := int64(len(e.evs)); n > 0 && n < int64(tn.segs[e.key.seg.id].info.Events)/20 {
+		if events > 0 && events < int64(tn.segs[e.key.seg.id].info.Events)/20 {
 			narrow++
 		}
 	}
 	if entries == 0 || narrow == 0 {
 		t.Fatalf("%d cache entries, %d of them narrow: the matrix exercised nothing", entries, narrow)
+	}
+}
+
+// payloadBytes is what the payloads of evs occupy.
+func payloadBytes(evs []event.Event) (n uint64) {
+	for i := range evs {
+		n += 8 * uint64(len(evs[i].Data))
+	}
+	return n
+}
+
+// TestSecondQueryAllocatesOnlyItsAnswer: scan scratch outlives the query
+// that grew it. With the cache off, a narrow query repeated on a warm store
+// allocates its answer — each block's matches cloned out, and the merged
+// slice — and no block buffer or decode scratch, either of which is several
+// times the size of such an answer.
+func TestSecondQueryAllocatesOnlyItsAnswer(t *testing.T) {
+	data := sdetSpill(t, 42)
+	base, meta := readAllEvents(t, data)
+	lo, hi := base[0].Time, base[len(base)-1].Time
+	// One worker: which scratch a second worker would pick up is the
+	// scheduler's choice.
+	s := openStore(t, Options{SegmentSpan: (hi - lo) / 3, Workers: 1})
+	ingestBytes(t, s, "acme", data)
+	for _, p := range []Params{
+		{Tenant: "acme", From: lo + (hi-lo)/2, To: lo + (hi-lo)/2 + (hi-lo)/16, HasMajor: true, Major: event.MajorSched},
+		{Tenant: "acme", From: lo + (hi-lo)/8, To: lo + (hi-lo)/8 + (hi-lo)/16, HasMajor: true, Major: event.MajorLock, Limit: 100},
+		{Tenant: "acme", From: lo + (hi-lo)/8, To: lo + (hi-lo)/8 + (hi-lo)/128},
+	} {
+		first, err := s.Query(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := s.Query(p)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(res.Events) == 0 || !sameEvents(res.Events, first.Events) {
+			t.Fatalf("%v: repeat gave %d events, first %d: %v", p.Values(), len(res.Events), len(first.Events), err)
+		}
+		// The clones and the merged slice hold every match, a page holds
+		// the first Limit of them; 9/8 is the allocator's size-class
+		// rounding at its worst.
+		got := after.TotalAlloc - before.TotalAlloc
+		all := p
+		all.Limit = 0
+		matches := MatchStream(base, all)
+		answer := 2*uint64(len(matches))*uint64(unsafe.Sizeof(event.Event{})) + payloadBytes(matches)
+		if got > answer*9/8+4<<10 {
+			t.Errorf("%v: repeat query allocates %d bytes for an answer of %d (%d events, %d blocks scanned); want at most 1/8 and 4 KiB over",
+				p.Values(), got, answer, len(matches), res.BlocksScanned)
+		}
+		if stride := uint64(8 * meta.BufWords); answer > stride {
+			t.Errorf("%v: an answer of %d bytes is not narrow next to a block's %d, which a scratch holds twice", p.Values(), answer, stride)
+		}
+	}
+}
+
+// TestCachedRunsAreNotTheCallers: a Result's events are the query's own
+// copies and their payloads are capped at their length, so whatever a
+// caller does to them — overwrite the events, append to a payload — the
+// cached runs the next query is answered from are as they were.
+func TestCachedRunsAreNotTheCallers(t *testing.T) {
+	data := sdetSpill(t, 42)
+	base, _ := readAllEvents(t, data)
+	s := openStore(t, Options{SegmentSpan: (base[len(base)-1].Time - base[0].Time) / 3, CacheBytes: 64 << 20})
+	ingestBytes(t, s, "acme", data)
+	p := Params{Tenant: "acme"}
+	res, err := s.Query(p)
+	if err != nil || !sameEvents(res.Events, base) {
+		t.Fatalf("cold query differs from the upload: %v", err)
+	}
+	for i := range res.Events {
+		e := &res.Events[i]
+		if i%2 == 0 {
+			e.Data = append(e.Data, 0xdead, 0xbeef) // must not land in the neighbour's payload
+		} else {
+			*e = event.Event{CPU: -1}
+		}
+	}
+	again, err := s.Query(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.SegsCached != again.SegsScanned || again.SegsCached == 0 {
+		t.Fatalf("repeat query served %d of %d segments from the cache", again.SegsCached, again.SegsScanned)
+	}
+	if !sameEvents(again.Events, base) {
+		t.Fatal("the cache saw what a caller did to its Result")
 	}
 }

@@ -2,12 +2,15 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"sync"
 	"time"
+
+	"k42trace/internal/stream"
 )
 
 // Options configures a Store.
@@ -61,6 +64,11 @@ type Store struct {
 	cache   *segCache
 	adm     *admission
 	metrics Metrics
+
+	// scratch is the free list of scan scratch, at most one query's worth:
+	// what one query's workers decoded into, the next query's decode into.
+	// Not a sync.Pool: a GC empties one, and scans would allocate when it ran.
+	scratch chan *stream.BlockScratch
 }
 
 // tenant is one namespace: its manifest (the catalog) and the live
@@ -102,6 +110,7 @@ func Open(opt Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{opt: opt, tenants: map[string]*tenant{}}
+	s.scratch = make(chan *stream.BlockScratch, scanParallelism(opt.Workers, math.MaxInt))
 	s.metrics.init()
 	s.cache = newSegCache(opt.CacheBytes, &s.metrics)
 	s.adm = newAdmission(opt.Admission, &s.metrics)

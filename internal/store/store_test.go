@@ -514,15 +514,15 @@ func TestSwapRejectsStaleRemove(t *testing.T) {
 // TestParseParamsErrors: the 400 path.
 func TestParseParamsErrors(t *testing.T) {
 	bad := []string{
-		"",                                // no tenant
-		"tenant=../evil",                  // path escape
-		"tenant=a&from=x",                 // bad number
-		"tenant=a&from=10&to=5",           // empty range
-		"tenant=a&minor=3",                // minor without major
-		"tenant=a&major=nosuch",           // unknown major
-		"tenant=a&agg=nosuch",             // unknown agg
-		"tenant=a&agg=timebreak",          // timebreak without pid
-		"tenant=a&limit=-1",               // bad limit
+		"",                                  // no tenant
+		"tenant=../evil",                    // path escape
+		"tenant=a&from=x",                   // bad number
+		"tenant=a&from=10&to=5",             // empty range
+		"tenant=a&minor=3",                  // minor without major
+		"tenant=a&major=nosuch",             // unknown major
+		"tenant=a&agg=nosuch",               // unknown agg
+		"tenant=a&agg=timebreak",            // timebreak without pid
+		"tenant=a&limit=-1",                 // bad limit
 		"tenant=" + strings.Repeat("x", 80), // too long
 	}
 	for _, q := range bad {

@@ -131,44 +131,16 @@ func (rd *Reader) decodeAll(workers int, keepWords bool) ([]SalvagedBlock, []err
 }
 
 // mergeBlocks is the tail every whole-trace read ends in. blocks hold each
-// CPU's blocks in stream order (blocks of different CPUs may interleave);
-// they are grouped into per-CPU streams, a stream whose stamps garbling
-// left out of order is repaired with a stable sort, and the streams are
-// merged by (Time, CPU): MergeByTime's order, without its second look at
-// whether the streams are sorted. The result is the stable (Time, CPU) sort
-// of the blocks' concatenation, for the price of a k-way merge. The blocks
-// give up their events: each stream is allocated once, at its final length,
-// and a block's own slice is garbage from then on.
+// CPU's blocks in stream order (blocks of different CPUs may interleave),
+// and each block's exact-size event slice is one run of the merge, which
+// copies the events once, from where the decode put them. The result is
+// the stable (Time, CPU) sort of the blocks' concatenation.
 func mergeBlocks(blocks []SalvagedBlock) []event.Event {
-	var sizes []int
+	runs := make([][]event.Event, len(blocks))
 	for k := range blocks {
-		if n := len(blocks[k].Events); n > 0 {
-			c := blocks[k].Hdr.CPU
-			for c >= len(sizes) {
-				sizes = append(sizes, 0)
-			}
-			sizes[c] += n
-		}
+		runs[k] = blocks[k].Events
 	}
-	streams := make([][]event.Event, len(sizes))
-	for k := range blocks {
-		b := &blocks[k]
-		if len(b.Events) == 0 {
-			continue
-		}
-		c := b.Hdr.CPU
-		if streams[c] == nil {
-			streams[c] = make([]event.Event, 0, sizes[c])
-		}
-		streams[c] = append(streams[c], b.Events...)
-		b.Events = nil
-	}
-	for _, s := range streams {
-		if !inOrder(s) {
-			sortInOrder(s)
-		}
-	}
-	return mergeSorted(streams)
+	return MergeByTime(runs...)
 }
 
 // firstErr returns the error of the lowest-numbered block that has one.

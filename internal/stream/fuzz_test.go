@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"k42trace/internal/event"
 )
 
 var updateFuzzSeeds = flag.Bool("updatefuzzseeds", false,
@@ -38,6 +40,17 @@ func FuzzReadStream(f *testing.F) {
 			if err1 == nil {
 				if st1 != st3 || !reflect.DeepEqual(evs1, evs3) {
 					t.Fatal("worker count changes decoded result")
+				}
+				// The oracle of the run merge: the stable (Time, CPU) sort
+				// of the blocks' events, concatenated in file order.
+				var all []event.Event
+				for k := 0; k < rd.NumBlocks(); k++ {
+					evs, _, _ := rd.Events(k)
+					all = append(all, evs...)
+				}
+				sortEvents(all)
+				if !reflect.DeepEqual(evs1, all) {
+					t.Fatal("merged read differs from the stable sort of its blocks")
 				}
 			}
 			rd.Anomalies()

@@ -7,88 +7,70 @@ import (
 	"k42trace/internal/event"
 )
 
-// byTimeCPU is the order of a merged trace: time first, CPU on equal
-// stamps. Every merged view — a whole-file read, a salvage, a time window,
-// a store query across segments — is the stable form of this one order.
-func byTimeCPU(a, b *event.Event) int {
-	if c := cmp.Compare(a.Time, b.Time); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.CPU, b.CPU)
-}
-
-// inOrder reports whether evs is already in merged order — the common case
-// for a per-CPU stream, guaranteed by the reservation loop's in-loop
-// timestamp re-read.
-func inOrder(evs []event.Event) bool {
-	for i := 1; i < len(evs); i++ {
-		if byTimeCPU(&evs[i-1], &evs[i]) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// sortInOrder puts evs in merged order, keeping the order of ties.
-func sortInOrder(evs []event.Event) {
-	slices.SortStableFunc(evs, func(a, b event.Event) int { return byTimeCPU(&a, &b) })
-}
-
-// MergeByTime returns the events of all the streams ordered by (Time, CPU),
-// stably: events that tie keep the order of their streams, and within one
-// stream their own. That is exactly what a stable sort of the streams'
-// concatenation produces, and it is how the streams are merged when one
-// of them is out of order — a store query's per-segment parts are
-// CPU-major. Per-CPU streams, each already in order, take the k-way merge
-// instead.
+// MergeByTime returns the events of all the runs ordered by (Time, CPU),
+// stably: events that tie keep the order of their runs, and within one run
+// their own. That is exactly what a stable sort of the runs' concatenation
+// produces, for the price of a k-way merge: O(n log k) for k CPUs.
 //
-// Empty streams are skipped; merging nothing returns nil.
-func MergeByTime(streams ...[]event.Event) []event.Event {
+// A run is a stretch of events in arrival order — a block's own exact-size
+// slice, a part of a cached answer, a per-CPU stream — and the one form
+// events take between decode and merge: runs are read where they lie and
+// each event is copied once, into the result. One CPU's runs, in the order
+// given, are its chain; chains may interleave, and a run of several CPUs'
+// events is cut where the CPU changes. Only a chain that is not in time
+// order (garbled stamps, overlapping uploads) is concatenated and
+// stable-sorted, that CPU alone: the key contains the CPU, so that is the
+// order the whole-slice sort gives it.
+//
+// The result is a fresh slice whose payloads are the runs' own. Empty runs
+// are skipped; merging nothing returns nil.
+func MergeByTime(runs ...[]event.Event) []event.Event {
 	total := 0
-	sorted := true
-	for _, s := range streams {
-		total += len(s)
-		sorted = sorted && inOrder(s)
-	}
-	if sorted {
-		return mergeSorted(streams)
-	}
-	out := make([]event.Event, 0, total)
-	for _, s := range streams {
-		out = append(out, s...)
-	}
-	sortInOrder(out)
-	return out
-}
-
-// mergeSorted is MergeByTime for streams known to be in order: a k-way
-// heap merge, O(n log k) for k streams rather than O(n log n) — and k is
-// the CPU count, typically tiny next to n.
-func mergeSorted(streams [][]event.Event) []event.Event {
-	type cursor struct {
-		evs  []event.Event
-		i, n int // next event; position of the stream among the inputs
-	}
-	var total int
-	cursors := make([]cursor, len(streams)) // one allocation backs the heap's entries
-	h := make([]*cursor, 0, len(streams))
-	for n, s := range streams {
-		if len(s) == 0 {
-			continue
+	parts := make([][]event.Event, 0, len(runs))
+	for _, r := range runs {
+		total += len(r)
+		for len(r) > 0 {
+			n := 1
+			for n < len(r) && r[n].CPU == r[0].CPU {
+				n++
+			}
+			parts, r = append(parts, r[:n]), r[n:]
 		}
-		total += len(s)
-		cursors[n] = cursor{evs: s, n: n}
-		h = append(h, &cursors[n])
 	}
 	if total == 0 {
 		return nil
 	}
+	// Group the runs by CPU, each CPU's in arrival order.
+	slices.SortStableFunc(parts, func(a, b []event.Event) int { return cmp.Compare(a[0].CPU, b[0].CPU) })
 
-	less := func(a, b *cursor) bool {
-		if c := byTimeCPU(&a.evs[a.i], &b.evs[b.i]); c != 0 {
-			return c < 0
+	// chain is a CPU's cursor: what is left of the run being merged (not
+	// empty while the chain is on the heap) and the runs after it.
+	type chain struct {
+		cur  []event.Event
+		rest [][]event.Event
+	}
+	var h []*chain
+	for a, b := 0, 0; a < len(parts); a = b {
+		// The CPU's chain is parts[a:b]; ordered, if its times never decrease.
+		ordered, last := true, uint64(0)
+		for b = a; b < len(parts) && parts[b][0].CPU == parts[a][0].CPU; b++ {
+			for i := range parts[b] {
+				ordered, last = ordered && last <= parts[b][i].Time, parts[b][i].Time
+			}
 		}
-		return a.n < b.n
+		c := &chain{cur: parts[a], rest: parts[a+1 : b]}
+		if !ordered {
+			c = &chain{cur: slices.Concat(parts[a:b]...)}
+			slices.SortStableFunc(c.cur, func(x, y event.Event) int { return cmp.Compare(x.Time, y.Time) })
+		}
+		h = append(h, c)
+	}
+
+	// Merged order is time first, CPU on equal stamps. Heads never tie:
+	// every chain is another CPU.
+	less := func(a, b *chain) bool {
+		x, y := &a.cur[0], &b.cur[0]
+		return x.Time < y.Time || x.Time == y.Time && x.CPU < y.CPU
 	}
 	down := func(i int) {
 		for {
@@ -113,11 +95,14 @@ func mergeSorted(streams [][]event.Event) []event.Event {
 	out := make([]event.Event, 0, total)
 	for len(h) > 0 {
 		c := h[0]
-		out = append(out, c.evs[c.i])
-		c.i++
-		if c.i == len(c.evs) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+		out = append(out, c.cur[0])
+		if c.cur = c.cur[1:]; len(c.cur) == 0 {
+			if len(c.rest) > 0 {
+				c.cur, c.rest = c.rest[0], c.rest[1:]
+			} else {
+				h[0] = h[len(h)-1]
+				h = h[:len(h)-1]
+			}
 		}
 		down(0)
 	}

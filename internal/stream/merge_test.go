@@ -1,0 +1,163 @@
+package stream
+
+import (
+	"bytes"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"k42trace/internal/clock"
+	"k42trace/internal/core"
+	"k42trace/internal/event"
+)
+
+// TestMergeByTimeIsTheStableSort is the merge's whole contract as a
+// property: whatever the runs — ties across CPUs and across the runs of one
+// CPU, empty runs, a single run, a CPU whose chain is out of order (the
+// one thing that is concatenated and sorted), CPUs interleaved in arrival
+// order, a run that changes CPU half way, a negative CPU — the result is
+// slices.SortStableFunc by (Time, CPU) of their concatenation, in a slice
+// of its own, and the runs are as they were.
+func TestMergeByTimeIsTheStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	serial := uint64(0) // tells tied events apart
+	mkRun := func(cpu, n int, from uint64, step int) []event.Event {
+		r := make([]event.Event, n)
+		for i := range r {
+			from += uint64(rng.Intn(step + 1))
+			serial++
+			r[i] = event.Event{Time: from, CPU: cpu, Data: []uint64{serial}}
+		}
+		return r
+	}
+	for round := 0; round < 400; round++ {
+		cpus := 1 + rng.Intn(5)
+		last := make([]uint64, cpus) // where each CPU's chain has got to
+		var runs [][]event.Event
+		for n := rng.Intn(12); n > 0; n-- {
+			cpu := rng.Intn(cpus)
+			r := mkRun(cpu-1, rng.Intn(6), last[cpu], rng.Intn(3)) // step 0: nothing but ties
+			switch rng.Intn(8) {
+			case 0: // overlaps the chain so far: the fallback
+				for i := range r {
+					r[i].Time = uint64(rng.Intn(8))
+				}
+			case 1: // changes CPU half way
+				r = append(r, mkRun((cpu+1)%cpus-1, rng.Intn(3), last[(cpu+1)%cpus], 2)...)
+			}
+			for _, e := range r {
+				last[e.CPU+1] = max(last[e.CPU+1], e.Time)
+			}
+			runs = append(runs, r)
+		}
+		var want []event.Event
+		var before [][]event.Event
+		for _, r := range runs {
+			want = append(want, r...)
+			before = append(before, slices.Clone(r))
+		}
+		sortEvents(want)
+		got := MergeByTime(runs...)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: merge of %d runs differs from the stable sort of their concatenation\nruns %v\ngot  %v\nwant %v",
+				round, len(runs), runs, got, want)
+		}
+		if !reflect.DeepEqual(runs, before) {
+			t.Fatalf("round %d: the merge changed its inputs", round)
+		}
+		for i := range got {
+			got[i].Time = ^uint64(0)
+		}
+		if !reflect.DeepEqual(runs, before) {
+			t.Fatalf("round %d: the merged slice aliases a run", round)
+		}
+	}
+}
+
+// densityCapture logs events of 1+payload words into 1024-word buffers on
+// two CPUs until `blocks` buffers have sealed: files of equal block count
+// that differ in how many events a block holds.
+func densityCapture(t *testing.T, payload, blocks int) []byte {
+	t.Helper()
+	tr := core.MustNew(core.Config{CPUs: 2, BufWords: 1024, NumBufs: 4,
+		Mode: core.Stream, Clock: clock.NewManual(1)})
+	tr.EnableAll()
+	var buf bytes.Buffer
+	wait := CaptureAsync(tr, &buf)
+	data := make([]uint64, payload)
+	for i := 0; tr.Stats().Seals < uint64(blocks); i++ {
+		tr.CPU(i%2).LogWords(event.MajorTest, 1, data)
+	}
+	tr.Stop()
+	if _, err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestEventsBetweenAllocsIndependentOfBlockDensity: a window read decodes
+// into one scratch and clones each block's share as one run, so what it
+// allocates is counted in blocks, not in events.
+func TestEventsBetweenAllocsIndependentOfBlockDensity(t *testing.T) {
+	allocs := func(payload int) (perCall float64, blocks, events int) {
+		rd := newReader(t, densityCapture(t, payload, 12))
+		ix, err := rd.BuildIndex()
+		if err != nil {
+			t.Fatal(err)
+		}
+		perCall = testing.AllocsPerRun(20, func() {
+			evs, err := rd.EventsBetween(ix, 0, ^uint64(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			events = len(evs)
+		})
+		return perCall, rd.NumBlocks(), events
+	}
+	sparse, blocks, few := allocs(15)
+	dense, _, many := allocs(0)
+	if many < 8*few {
+		t.Fatalf("fixtures hold %d and %d events: not a density contrast", few, many)
+	}
+	// Two per block (its run's events and payload slab), and the scratch,
+	// the run list and the merge besides.
+	if bound := float64(2*blocks + 24); sparse > bound || dense > bound {
+		t.Errorf("a whole-range EventsBetween over %d blocks allocates %.0f objects at %d events, %.0f at %d; want at most %.0f at both",
+			blocks, sparse, few, dense, many, bound)
+	}
+}
+
+// TestReadAllAllocatesTwoCopies pins the whole-file read at its two copies
+// of the event structs, decode and merge: the per-CPU concatenation between
+// them is gone. The allowance over 2 x 48 bytes an event is the allocator's
+// size-class rounding on sixteen block-sized slices.
+func TestReadAllAllocatesTwoCopies(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "corpus", "clean.ktr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := newReader(t, data)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	evs, _, err := rd.ReadAllParallel(1)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(evs) < 10000 {
+		t.Fatalf("fixture read gave %d events: %v", len(evs), err)
+	}
+	payload := uint64(0)
+	for i := range evs {
+		payload += 8 * uint64(len(evs[i].Data))
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	stride := uint64(blockStride(rd.Meta().BufWords)) + 8*uint64(rd.Meta().BufWords) // one worker's bytes and words
+	events := uint64(len(evs)) * uint64(unsafe.Sizeof(event.Event{}))
+	if max := events*22/10 + payload*9/8 + stride; got > max {
+		t.Errorf("ReadAllParallel(1) of %d events allocates %d bytes: %.2f event copies after %d payload and %d scratch bytes; want at most 2.2",
+			len(evs), got, float64(got-payload-stride)/float64(events), payload, stride)
+	}
+}

@@ -301,10 +301,12 @@ func (rd *Reader) ReadAllParallel(workers int) ([]event.Event, core.DecodeStats,
 }
 
 // EventsBetween returns events with from <= Time < to, merged across CPUs,
-// using the index to touch only the necessary blocks.
+// using the index to touch only the necessary blocks. Blocks are decoded
+// into one scratch, and what each holds of the window is cloned out as a run.
 func (rd *Reader) EventsBetween(ix *Index, from, to uint64) ([]event.Event, error) {
-	streams := make([][]event.Event, len(ix.PerCPU))
-	for cpu, entries := range ix.PerCPU {
+	var sc BlockScratch
+	var runs [][]event.Event
+	for _, entries := range ix.PerCPU {
 		if len(entries) == 0 {
 			continue
 		}
@@ -314,18 +316,20 @@ func (rd *Reader) EventsBetween(ix *Index, from, to uint64) ([]event.Event, erro
 			if entries[i].Start >= to {
 				break
 			}
-			evs, _, err := rd.Events(entries[i].Block)
+			b, err := rd.DecodeBlockInto(entries[i].Block, &sc)
 			if err != nil {
 				return nil, err
 			}
-			for _, e := range evs {
-				if e.Time >= from && e.Time < to {
-					streams[cpu] = append(streams[cpu], e)
+			in := b.Events[:0]
+			for j := range b.Events {
+				if t := b.Events[j].Time; t >= from && t < to {
+					in = append(in, b.Events[j])
 				}
 			}
+			runs = append(runs, event.Clone(in))
 		}
 	}
-	return MergeByTime(streams...), nil
+	return MergeByTime(runs...), nil
 }
 
 // Anomalies returns the headers of all blocks flagged anomalous — the
