@@ -5,8 +5,8 @@ RACE_PKGS = ./internal/core/ ./internal/stream/ ./internal/relay/ ./internal/ana
 # Per-target budget for the fuzz smoke run (matches the CI job).
 FUZZTIME ?= 30s
 
-# Where `make bench` writes its machine-readable results.
-BENCH_JSON ?= BENCH_pr10.json
+# Where `make bench` leaves its `go test -bench` output.
+BENCH_TXT ?= BENCH.txt
 
 # `make bench-e2e` runs the repository benchmark (BENCHMARK.json) the way
 # the driver does: each workload untraced for run_seconds. The full output
@@ -20,7 +20,7 @@ BENCH_E2E ?= BENCH_E2E.txt
 CORES_PKGS = ./internal/stream/ ./internal/analysis/ ./internal/store/ ./cmd/ktrace/
 CORES ?= 1 4
 
-.PHONY: check fmt build vet test test-cores race bench bench-smoke bench-e2e fuzz live-smoke shm-smoke fed-smoke store-smoke diff-smoke
+.PHONY: check fmt build vet test test-cores race bench bench-e2e fuzz live-smoke shm-smoke fed-smoke store-smoke diff-smoke
 
 check: fmt vet build test race
 
@@ -59,21 +59,13 @@ fuzz:
 	$(GO) test ./internal/stream/ -fuzz='^FuzzSalvage$$' -fuzztime=$(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/store/ -fuzz='^FuzzQueryParams$$' -fuzztime=$(FUZZTIME) -run '^$$'
 
-# All benchmarks — the offline suite at the repo root plus the live-ingest,
-# federation-ingest, and store-query benchmarks — converted to a JSON
-# artifact for CI upload and comparison (the fed rows carry an uplink_frac
-# extra metric; the store rows carry events/query).
+# The layer microbenchmarks — the offline suite at the repo root plus the
+# live-ingest, federation-ingest, and store-query benchmarks — as plain
+# `go test -bench` text (the fed rows carry an uplink_frac extra metric; the
+# store rows carry events/query). Printed and uploaded by CI, gated by
+# nothing: bench-e2e is the gate, and it repeats.
 bench:
-	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/live/ ./internal/fed/ ./internal/store/ > BENCH.txt
-	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) < BENCH.txt
-	@rm -f BENCH.txt
-
-# Hot-path regression gate: re-run the cross-address-space logging
-# benchmark and fail if any row regressed more than 20% against the
-# checked-in baseline artifact. Run before `bench`, which overwrites the
-# baseline file with fresh numbers.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkShmLog' . | $(GO) run ./cmd/benchjson -baseline $(BENCH_JSON)
+	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/live/ ./internal/fed/ ./internal/store/ | tee $(BENCH_TXT)
 
 # The end-to-end benchmark: four workloads over log → relay → collect →
 # store → query → analyse, eight end-to-end metrics each, six of them

@@ -60,12 +60,12 @@ func main() {
 	tear := flag.Float64("tear", 0, "sender: probability of tearing a block write")
 	fflip := flag.Float64("flip", 0, "sender: probability of flipping one bit in a block")
 	zero := flag.Float64("zero", 0, "sender: probability of zeroing a span of a block")
-	reconnect := flag.Bool("reconnect", false, "sender: redial with backoff if the collector drops, re-sending the failed block")
+	reconnect := flag.Bool("reconnect", false, "sender: give each block -attempts dial/write attempts instead of one: redial with backoff if the collector drops, re-sending the failed block")
 	backoff := flag.Duration("backoff", 50*time.Millisecond, "sender: initial reconnect backoff (doubles up to 2s)")
 	attempts := flag.Int("attempts", 8, "sender: dial/write attempts per block before giving up")
-	fedURL := flag.String("fed", "", "sender: resolve the collector through this traceaggd HTTP base URL's consistent-hash ring (implies the reliable path)")
+	fedURL := flag.String("fed", "", "sender: resolve the collector through this traceaggd HTTP base URL's consistent-hash ring (implies -reconnect)")
 	key := flag.String("key", "", "sender: stable ring key for -fed (default hostname-pid)")
-	remoteControl := flag.Bool("remote-control", false, "sender: apply mask updates pushed back by the collector (implies the reliable path)")
+	remoteControl := flag.Bool("remote-control", false, "sender: apply mask updates pushed back by the collector (implies -reconnect)")
 	loadgen := flag.Bool("loadgen", false, "sender: stream a steady synthetic workload instead of a finite SDET run")
 	duration := flag.Duration("duration", 10*time.Second, "sender: how long -loadgen runs")
 	rate := flag.Int("rate", 30000, "sender: -loadgen target logging attempts per second")
@@ -98,7 +98,7 @@ func main() {
 		}
 		f.Close()
 		blocks, anoms := st.Snapshot()
-		fmt.Printf("collected %d blocks (%d anomalous)\n", blocks, anoms)
+		fmt.Printf("collected %d blocks (%d anomalous), skipped %d damaged\n", blocks, anoms, st.Damaged)
 	case *send != "" || *fedURL != "":
 		useReliable := *reconnect || *remoteControl || *fedURL != ""
 		var tr *ktrace.Tracer
@@ -142,31 +142,27 @@ func main() {
 		done := make(chan error, 1)
 		var rstats relay.ReliableStats
 		go func() {
-			var err error
+			// One sender: without a reason to redial, a block gets one attempt.
+			opt := relay.ReliableOptions{Wrap: wrap, InitialBackoff: *backoff, MaxAttempts: 1}
 			if useReliable {
-				opt := relay.ReliableOptions{
-					Wrap:           wrap,
-					InitialBackoff: *backoff,
-					MaxAttempts:    *attempts,
-				}
-				if *remoteControl {
-					opt.OnControl = relay.MaskApplier(tr)
-				}
-				if *fedURL != "" {
-					// Every dial — including each reconnect — re-resolves the
-					// owner, so a shard death rehashes this producer onto the
-					// survivor the ring assigns it to.
-					k := *key
-					if k == "" {
-						host, _ := os.Hostname()
-						k = fmt.Sprintf("%s-%d", host, os.Getpid())
-					}
-					opt.Resolve = fed.RingResolver(*fedURL, k)
-				}
-				rstats, err = relay.SendReliable(tr, *send, opt)
-			} else {
-				_, err = relay.SendThrough(tr, *send, wrap)
+				opt.MaxAttempts = *attempts
 			}
+			if *remoteControl {
+				opt.OnControl = relay.MaskApplier(tr)
+			}
+			if *fedURL != "" {
+				// Every dial — including each reconnect — re-resolves the
+				// owner, so a shard death rehashes this producer onto the
+				// survivor the ring assigns it to.
+				k := *key
+				if k == "" {
+					host, _ := os.Hostname()
+					k = fmt.Sprintf("%s-%d", host, os.Getpid())
+				}
+				opt.Resolve = fed.RingResolver(*fedURL, k)
+			}
+			var err error
+			rstats, err = relay.SendReliable(tr, *send, opt)
 			done <- err
 		}()
 		summary, err := runWorkload()

@@ -28,7 +28,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -153,7 +152,9 @@ func main() {
 }
 
 // relayIngest spools each incoming block stream to a temp .ktr and
-// ingests it as one upload when the sender finishes.
+// ingests it as one upload when the sender finishes. A damaged block is
+// skipped and logged, as the salvager would on the same bytes POSTed to
+// /ingest; it does not end the upload.
 func relayIngest(s *store.Store, tenant string) relay.Handler {
 	return func(remote net.Addr, bs *stream.BlockStream) error {
 		tmp, err := os.CreateTemp("", "tracestored-relay-*.ktr")
@@ -166,24 +167,16 @@ func relayIngest(s *store.Store, tenant string) relay.Handler {
 		if err != nil {
 			return err
 		}
-		for {
-			h, words, err := bs.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			if err := wr.WriteBlock(h, words); err != nil {
-				return err
-			}
+		cs, err := bs.CopyTo(wr)
+		if err != nil {
+			return err
 		}
 		res, err := s.IngestFile(tenant, tmp.Name())
 		if err != nil {
 			return err
 		}
-		fmt.Printf("tracestored: relay upload %d from %v: %d events in %d segments\n",
-			res.Upload, remote, res.Events, len(res.Segments))
+		fmt.Printf("tracestored: relay upload %d from %v: %d events in %d segments, %d damaged blocks skipped\n",
+			res.Upload, remote, res.Events, len(res.Segments), cs.Damaged)
 		return nil
 	}
 }

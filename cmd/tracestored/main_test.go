@@ -1,0 +1,77 @@
+package main
+
+import (
+	"bytes"
+	"net"
+	"testing"
+
+	"k42trace/internal/clock"
+	"k42trace/internal/core"
+	"k42trace/internal/event"
+	"k42trace/internal/faultinject"
+	"k42trace/internal/relay"
+	"k42trace/internal/store"
+	"k42trace/internal/stream"
+)
+
+// TestRelayIngestSalvagesDamagedUpload sends an upload with one bit-flipped
+// block magic down the relay listener: it must be ingested, losing that
+// block only — the same events the same bytes yield through Store.Ingest,
+// the path POST /ingest takes.
+func TestRelayIngestSalvagesDamagedUpload(t *testing.T) {
+	tr := core.MustNew(core.Config{
+		CPUs: 2, BufWords: 64, NumBufs: 4,
+		Mode: core.Stream, Clock: clock.NewManual(1),
+	})
+	tr.EnableAll()
+	var clean bytes.Buffer
+	wait := stream.CaptureAsync(tr, &clean)
+	for i := 0; i < 2000; i++ {
+		tr.CPU(i%2).Log1(event.MajorTest, 1, uint64(i))
+	}
+	tr.Stop()
+	if _, err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	im, err := faultinject.OpenImage(clean.Bytes(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im.CorruptBlockMagic(im.NumBlocks() / 2)
+	damaged := im.Bytes()
+
+	s, err := store.Open(store.Options{Root: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	posted, err := s.Ingest("posted", bytes.NewReader(damaged), int64(len(damaged)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := relay.Listen("127.0.0.1:0", relayIngest(s, "relayed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(damaged); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("relay ingest of a damaged upload: %v", err)
+	}
+	for _, ts := range s.Tenants() {
+		if ts.Name == "relayed" {
+			if ts.Events == 0 || ts.Events != posted.Events {
+				t.Fatalf("relay upload stored %d events, the same bytes through Ingest %d", ts.Events, posted.Events)
+			}
+			return
+		}
+	}
+	t.Fatal("relay upload was discarded")
+}

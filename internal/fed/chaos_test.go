@@ -190,7 +190,7 @@ func TestChaosSoakFederation(t *testing.T) {
 	mkShard := func(name string, seed int64) *testShard {
 		return startShard(t, agg, name, ShardOptions{
 			Forward: ForwardAll,
-			Uplink: UplinkOptions{
+			Uplink: UplinkOptions{ReliableOptions: relay.ReliableOptions{
 				Wrap: func(w io.Writer) io.Writer {
 					return faultinject.NewInjector(w, faultinject.StreamFaults{
 						Seed:          seed,
@@ -200,7 +200,7 @@ func TestChaosSoakFederation(t *testing.T) {
 						FlipProb:      0.05,
 					})
 				},
-			},
+			}},
 			Live: live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 64},
 		})
 	}

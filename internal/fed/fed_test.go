@@ -248,12 +248,19 @@ func TestFederatedOverviewParity(t *testing.T) {
 	}
 	// Drain bottom-up: shards first (leaving heartbeats carry their exact
 	// final overviews), then the aggregator.
+	var uplinked uint64
 	for _, ts := range tss {
 		if ts.s.Uplink().Stats().DroppedFull != 0 {
 			t.Error("uplink dropped blocks on a clean run; mirror parity below would be vacuous")
 		}
 		ts.drain(t)
+		uplinked += ts.s.Uplink().Stats().Blocks
 	}
+	// A drained uplink has written its blocks to a socket; the mirror
+	// overview is comparable once the aggregator has fed them all.
+	waitFor(t, "aggregator mirror to feed every uplinked block", func() bool {
+		return agg.a.Collector().Snapshot().Stats.Blocks == uplinked
+	})
 
 	// The federated overview over HTTP, while the aggregator still serves.
 	resp, err := agg.web.Client().Get(agg.web.URL + "/fed/overview")

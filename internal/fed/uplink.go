@@ -6,18 +6,18 @@
 // mask frames the aggregator writes back down are surfaced via OnControl,
 // which the shard turns into its own fan-out to real producers.
 //
-// The uplink must never wedge the shard: Feed is bounded (blocks that
-// cannot be enqueued within EnqueueTimeout are dropped and counted), and
-// a block that cannot be delivered within MaxAttempts dial/write attempts
-// is dropped and counted, after which delivery continues with the next
-// block. Shard spills stay exact regardless; uplink loss only thins the
-// aggregator's mirrored stream, and the drop counters say by how much.
+// An Uplink is a bounded queue in front of a relay.Link, which owns the
+// connection, the redial and the control reader. The uplink must never
+// wedge the shard: Feed is bounded (blocks that cannot be enqueued within
+// EnqueueTimeout are dropped and counted), and its give-up policy for a
+// block the link could not deliver within MaxAttempts is to count it
+// dropped and go on with the next, so one long outage cannot absorb the
+// whole queue behind an undeliverable head. Shard spills stay exact
+// regardless; uplink loss only thins the aggregator's mirrored stream, and
+// the drop counters say by how much.
 package fed
 
 import (
-	"fmt"
-	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,21 +33,10 @@ type UplinkOptions struct {
 	// queue before dropping the block.
 	QueueBlocks    int
 	EnqueueTimeout time.Duration
-	// InitialBackoff (default 50ms) doubles per failed attempt up to
-	// MaxBackoff (default 2s); MaxAttempts (default 8) bounds dial+write
-	// attempts per block; DialTimeout (default 2s) bounds each dial.
-	InitialBackoff time.Duration
-	MaxBackoff     time.Duration
-	MaxAttempts    int
-	DialTimeout    time.Duration
-	// Wrap is the transport-transform seam (fault injection, compression),
-	// invoked once per dialed connection, as in relay.SendThrough.
-	Wrap func(io.Writer) io.Writer
-	// OnControl receives control frames the aggregator writes back down
-	// the uplink connection (a reader goroutine per dialed connection).
-	OnControl func(relay.ControlFrame)
-	// OnRetry observes failed attempts.
-	OnRetry func(err error, attempt int)
+	// ReliableOptions tunes the link to the aggregator: backoff, attempts
+	// per block, dial timeout, the Wrap transport seam, and OnControl for
+	// the frames the aggregator writes back down the connection.
+	relay.ReliableOptions
 }
 
 func (o *UplinkOptions) defaults() {
@@ -57,33 +46,14 @@ func (o *UplinkOptions) defaults() {
 	if o.EnqueueTimeout <= 0 {
 		o.EnqueueTimeout = 2 * time.Second
 	}
-	if o.InitialBackoff <= 0 {
-		o.InitialBackoff = 50 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 8
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
 }
 
 // UplinkStats summarizes an uplink's lifetime.
 type UplinkStats struct {
-	Blocks        uint64 `json:"blocks"`         // blocks written to some connection
-	Dials         uint64 `json:"dials"`          // successful dials
-	Retries       uint64 `json:"retries"`        // write attempts retried on a fresh connection
-	DroppedFull   uint64 `json:"dropped_full"`   // blocks dropped because the queue stayed full
-	DroppedGaveUp uint64 `json:"dropped_gaveup"` // blocks dropped after MaxAttempts
-	ControlFrames uint64 `json:"control_frames"` // frames delivered to OnControl
-}
-
-type upBlock struct {
-	h     stream.BlockHeader
-	words []uint64
+	Blocks          uint64 `json:"blocks"` // blocks written to some connection
+	relay.LinkStats        // dials, retries, control frames
+	DroppedFull     uint64 `json:"dropped_full"`   // blocks dropped because the queue stayed full
+	DroppedGaveUp   uint64 `json:"dropped_gaveup"` // blocks dropped after MaxAttempts
 }
 
 // Uplink relays blocks from one shard to the aggregator.
@@ -92,18 +62,15 @@ type Uplink struct {
 	opt  UplinkOptions
 
 	mu      sync.Mutex
-	queue   chan upBlock
-	started bool
+	queue   chan relay.LiveBlock
+	feeding sync.WaitGroup // Feeds past the closed check; Close waits them out before closing queue
+	link    *relay.Link    // set by Start
 	closed  bool
-	meta    stream.Meta
 	done    chan struct{}
 
 	blocks      atomic.Uint64
-	dials       atomic.Uint64
-	retries     atomic.Uint64
 	droppedFull atomic.Uint64
 	droppedGave atomic.Uint64
-	ctrlFrames  atomic.Uint64
 }
 
 // NewUplink builds an uplink to the aggregator's relay address. It is
@@ -114,25 +81,21 @@ func NewUplink(addr string, opt UplinkOptions) *Uplink {
 	return &Uplink{
 		addr:  addr,
 		opt:   opt,
-		queue: make(chan upBlock, opt.QueueBlocks),
+		queue: make(chan relay.LiveBlock, opt.QueueBlocks),
 		done:  make(chan struct{}),
 	}
 }
-
-// Addr returns the aggregator address this uplink relays to.
-func (u *Uplink) Addr() string { return u.addr }
 
 // Start launches the relay loop with the shard's stream geometry.
 // Idempotent; only the first call's meta is used.
 func (u *Uplink) Start(meta stream.Meta) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if u.started || u.closed {
+	if u.link != nil || u.closed {
 		return
 	}
-	u.started = true
-	u.meta = meta
-	go u.run()
+	u.link = relay.NewLink(u.addr, meta, u.opt.ReliableOptions)
+	go u.run(u.link)
 }
 
 // Feed enqueues one block for upward relay, copying words (callers reuse
@@ -145,8 +108,10 @@ func (u *Uplink) Feed(h stream.BlockHeader, words []uint64) {
 		u.droppedFull.Add(1)
 		return
 	}
+	u.feeding.Add(1)
 	u.mu.Unlock()
-	b := upBlock{h: h, words: append([]uint64(nil), words...)}
+	defer u.feeding.Done()
+	b := relay.LiveBlock{Header: h, Words: append([]uint64(nil), words...)}
 	select {
 	case u.queue <- b:
 		return
@@ -163,154 +128,56 @@ func (u *Uplink) Feed(h stream.BlockHeader, words []uint64) {
 
 // Close stops accepting blocks, waits for the queue to drain through the
 // relay loop (delivery or give-up), and closes the connection. Safe to
-// call more than once; a never-started uplink closes immediately.
+// call at any time and more than once; a never-started uplink closes
+// immediately.
 func (u *Uplink) Close() {
 	u.mu.Lock()
-	if u.closed {
-		started := u.started
-		u.mu.Unlock()
-		if started {
-			<-u.done
-		}
-		return
-	}
+	first := !u.closed
 	u.closed = true
-	started := u.started
-	close(u.queue)
+	started := u.link != nil
 	u.mu.Unlock()
-	if started {
-		<-u.done
-	} else {
-		close(u.done)
+	if first {
+		// Every Feed that saw the uplink open registered under mu before
+		// closed was set: once they have returned, nothing sends again.
+		u.feeding.Wait()
+		close(u.queue)
+		if !started {
+			close(u.done)
+		}
 	}
+	<-u.done
 }
 
 // Stats snapshots the counters.
 func (u *Uplink) Stats() UplinkStats {
-	return UplinkStats{
+	st := UplinkStats{
 		Blocks:        u.blocks.Load(),
-		Dials:         u.dials.Load(),
-		Retries:       u.retries.Load(),
 		DroppedFull:   u.droppedFull.Load(),
 		DroppedGaveUp: u.droppedGave.Load(),
-		ControlFrames: u.ctrlFrames.Load(),
 	}
+	u.mu.Lock()
+	l := u.link
+	u.mu.Unlock()
+	if l != nil {
+		st.LinkStats = l.Stats()
+	}
+	return st
 }
 
-// run is the relay loop: one block at a time off the queue, re-sending a
-// failed block on a fresh connection, and dropping it after MaxAttempts
-// so one long outage cannot absorb the whole queue behind an
-// undeliverable head. The first connection is established eagerly — the
-// uplink is also the aggregator's control path down to this shard (mask
-// fan-down rides the conn's back-channel), so it must exist before the
-// first block has any reason to flow.
-func (u *Uplink) run() {
+// run is the relay loop: one block at a time off the queue into the link.
+// The first connection is established eagerly — the uplink is also the
+// aggregator's control path down to this shard (mask fan-down rides the
+// conn's back-channel), so it must exist before the first block has any
+// reason to flow. If that fails, the first block redials.
+func (u *Uplink) run(l *relay.Link) {
 	defer close(u.done)
-	var (
-		conn net.Conn
-		w    io.Writer
-		wr   *stream.Writer
-	)
-	drop := func() {
-		flushWriter(w)
-		if conn != nil {
-			conn.Close()
-		}
-		conn, w, wr = nil, nil, nil
-	}
-	defer drop()
-	connect := func() error {
-		c, err := net.DialTimeout("tcp", u.addr, u.opt.DialTimeout)
-		if err != nil {
-			return err
-		}
-		w = io.Writer(c)
-		if u.opt.Wrap != nil {
-			w = u.opt.Wrap(c)
-		}
-		wr, err = stream.NewWriter(w, u.meta)
-		if err != nil {
-			c.Close()
-			w, wr = nil, nil
-			return err
-		}
-		conn = c
-		u.dials.Add(1)
-		if u.opt.OnControl != nil {
-			go u.readControls(c)
-		}
-		return nil
-	}
-
-	backoff := u.opt.InitialBackoff
-	for attempt := 0; wr == nil && attempt < u.opt.MaxAttempts; attempt++ {
-		if err := connect(); err == nil {
-			break
-		} else if u.opt.OnRetry != nil {
-			u.opt.OnRetry(fmt.Errorf("fed: uplink %s: %w", u.addr, err), attempt+1)
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > u.opt.MaxBackoff {
-			backoff = u.opt.MaxBackoff
-		}
-	}
-
+	defer l.Close()
+	l.Connect()
 	for b := range u.queue {
-		backoff = u.opt.InitialBackoff
-		for attempt := 0; ; {
-			if wr == nil {
-				if err := connect(); err != nil {
-					if attempt++; u.giveUp(err, attempt, &backoff) {
-						break
-					}
-					continue
-				}
-			}
-			if err := wr.WriteBlock(b.h, b.words); err != nil {
-				drop()
-				u.retries.Add(1)
-				if attempt++; u.giveUp(err, attempt, &backoff) {
-					break
-				}
-				continue
-			}
-			u.blocks.Add(1)
-			break
+		if err := l.WriteBlock(b.Header, b.Words); err != nil {
+			u.droppedGave.Add(1)
+			continue
 		}
-	}
-}
-
-// giveUp handles one failed attempt: true means drop the block.
-func (u *Uplink) giveUp(err error, attempt int, backoff *time.Duration) bool {
-	if u.opt.OnRetry != nil {
-		u.opt.OnRetry(fmt.Errorf("fed: uplink %s: %w", u.addr, err), attempt)
-	}
-	if attempt >= u.opt.MaxAttempts {
-		u.droppedGave.Add(1)
-		return true
-	}
-	time.Sleep(*backoff)
-	if *backoff *= 2; *backoff > u.opt.MaxBackoff {
-		*backoff = u.opt.MaxBackoff
-	}
-	return false
-}
-
-// readControls drains aggregator control frames off one uplink
-// connection until it dies.
-func (u *Uplink) readControls(r io.Reader) {
-	for {
-		f, err := relay.ReadControl(r)
-		if err != nil {
-			return
-		}
-		u.ctrlFrames.Add(1)
-		u.opt.OnControl(f)
-	}
-}
-
-func flushWriter(w io.Writer) {
-	if f, ok := w.(interface{ Flush() error }); ok {
-		f.Flush()
+		u.blocks.Add(1)
 	}
 }

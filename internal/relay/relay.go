@@ -17,47 +17,30 @@ import (
 	"k42trace/internal/stream"
 )
 
-// Send streams a tracer's sealed buffers to addr until the tracer is
-// stopped. It is the producer side: dial, then stream.Capture onto the
-// connection.
-func Send(tr stream.Source, addr string) (stream.CaptureStats, error) {
-	return SendThrough(tr, addr, nil)
-}
-
-// SendThrough is Send with a transport-transform hook: wrap receives the
-// dialed connection and returns the writer the capture drains into. It is
-// the seam where fault injection (or compression, throttling, ...) plugs
-// into the relay path without the tracer or the collector knowing. A nil
-// wrap sends directly. If the wrapped writer has a Flush method it is
-// called after the capture finishes, before the connection closes.
-func SendThrough(tr stream.Source, addr string, wrap func(io.Writer) io.Writer) (stream.CaptureStats, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return stream.CaptureStats{}, fmt.Errorf("relay: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	w := io.Writer(conn)
-	if wrap != nil {
-		w = wrap(conn)
-	}
-	st, err := stream.Capture(tr, w)
-	if f, ok := w.(interface{ Flush() error }); ok {
-		if ferr := f.Flush(); err == nil {
-			err = ferr
-		}
-	}
-	return st, err
-}
-
 // Handler processes one incoming trace stream. It is called once per
 // accepted connection with the already-validated block stream; returning
 // an error closes the connection.
 type Handler func(remote net.Addr, bs *stream.BlockStream) error
 
+// Conn identifies one producer connection for handlers that track
+// per-producer state: a unique id in accept order, the remote address,
+// the validated block stream, and the control back-channel for writing
+// frames (mask updates) back down the same TCP connection.
+type Conn struct {
+	ID      uint64
+	Remote  net.Addr
+	Stream  *stream.BlockStream
+	Control *ControlSender
+}
+
+// ConnHandler processes one producer connection with its identity;
+// returning an error closes the connection.
+type ConnHandler func(c Conn) error
+
 // Server accepts trace streams from traced systems.
 type Server struct {
 	ln      net.Listener
-	handler func(conn net.Conn, bs *stream.BlockStream) error
+	handler ConnHandler
 	wg      sync.WaitGroup
 	mu      sync.Mutex
 	errs    []error
@@ -69,15 +52,13 @@ type Server struct {
 // Listen starts a collector on addr (use "127.0.0.1:0" for an ephemeral
 // port) and serves connections with h until Close.
 func Listen(addr string, h Handler) (*Server, error) {
-	return listen(addr, func(conn net.Conn, bs *stream.BlockStream) error {
-		return h(conn.RemoteAddr(), bs)
-	})
+	return ListenConns(addr, func(c Conn) error { return h(c.Remote, c.Stream) })
 }
 
-// listen is the shared server constructor: handlers receive the raw
-// connection so per-connection facilities (the control back-channel) can
-// be attached without the public Handler signature knowing about them.
-func listen(addr string, h func(conn net.Conn, bs *stream.BlockStream) error) (*Server, error) {
+// ListenConns is Listen for handlers that need per-producer identity.
+// Connection ids start at 1, follow accept order and never repeat for the
+// server's lifetime.
+func ListenConns(addr string, h ConnHandler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("relay: listen %s: %w", addr, err)
@@ -93,7 +74,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
-	for {
+	for id := uint64(1); ; id++ {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			return // listener closed
@@ -118,7 +99,7 @@ func (s *Server) acceptLoop() {
 				delete(s.conns, conn)
 				s.mu.Unlock()
 			}()
-			if err := s.handleConn(conn); err != nil && !errors.Is(err, io.EOF) {
+			if err := s.handleConn(conn, id); err != nil && !errors.Is(err, io.EOF) {
 				s.mu.Lock()
 				s.errs = append(s.errs, err)
 				s.mu.Unlock()
@@ -127,12 +108,12 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-func (s *Server) handleConn(conn net.Conn) error {
+func (s *Server) handleConn(conn net.Conn, id uint64) error {
 	bs, err := stream.NewBlockStream(conn)
 	if err != nil {
 		return err
 	}
-	return s.handler(conn, bs)
+	return s.handler(Conn{ID: id, Remote: conn.RemoteAddr(), Stream: bs, Control: NewControlSender(conn)})
 }
 
 // Close stops accepting and waits for in-flight connections to finish,
@@ -167,96 +148,53 @@ func (s *Server) close(force bool) error {
 	return errors.Join(s.errs...)
 }
 
-// Conn identifies one producer connection for handlers that track
-// per-producer state: a unique id in accept order, the remote address,
-// the validated block stream, and the control back-channel for writing
-// frames (mask updates) back down the same TCP connection.
-type Conn struct {
-	ID      uint64
-	Remote  net.Addr
-	Stream  *stream.BlockStream
-	Control *ControlSender
-}
-
-// ConnHandler processes one producer connection with its identity;
-// returning an error closes the connection.
-type ConnHandler func(c Conn) error
-
-// ListenConns is Listen for handlers that need per-producer identity.
-// Connection ids start at 1 and never repeat for the server's lifetime.
-func ListenConns(addr string, h ConnHandler) (*Server, error) {
-	var mu sync.Mutex
-	var next uint64
-	return listen(addr, func(conn net.Conn, bs *stream.BlockStream) error {
-		mu.Lock()
-		next++
-		id := next
-		mu.Unlock()
-		return h(Conn{ID: id, Remote: conn.RemoteAddr(), Stream: bs, Control: NewControlSender(conn)})
-	})
-}
-
 // SaveHandler returns a Handler that re-serializes every incoming stream
 // into w in trace-file format, so the collected bytes are directly
 // openable with stream.NewReader. Multiple connections (sequential or
 // concurrent) append into the same file: the first writes the header and
 // later ones must carry identical metadata; block writes are serialized.
-// The returned stats pointer is updated as blocks arrive (read it after
-// Server.Close).
+// A block whose header fails validation is counted and skipped; the
+// connection and the blocks behind it are kept. The returned stats are
+// updated as each connection ends (read them after Server.Close).
 func SaveHandler(w io.Writer) (Handler, *SaveStats) {
 	st := &SaveStats{}
-	var (
-		mu sync.Mutex
-		wr *stream.Writer
-	)
+	var wr *stream.Writer // guarded, like the stats, by st.mu
 	h := func(remote net.Addr, bs *stream.BlockStream) error {
-		mu.Lock()
+		st.mu.Lock()
 		if wr == nil {
 			var err error
 			wr, err = stream.NewWriter(w, bs.Meta())
 			if err != nil {
-				mu.Unlock()
+				st.mu.Unlock()
 				return err
 			}
 		} else if wr.Meta() != bs.Meta() {
-			mu.Unlock()
+			st.mu.Unlock()
 			return fmt.Errorf("relay: stream from %v has metadata %+v, file has %+v",
 				remote, bs.Meta(), wr.Meta())
 		}
-		mu.Unlock()
-		blocks, anoms := 0, 0
-		for {
-			bh, words, err := bs.Next()
-			if err == io.EOF {
-				st.mu.Lock()
-				st.Blocks += blocks
-				st.Anomalies += anoms
-				st.mu.Unlock()
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if bh.Anomalous() {
-				anoms++
-			}
-			mu.Lock()
-			werr := wr.WriteBlock(bh, words)
-			mu.Unlock()
-			if werr != nil {
-				return werr
-			}
-			blocks++
-		}
+		st.mu.Unlock()
+		cs, err := bs.CopyTo(stream.SinkFunc(func(bh stream.BlockHeader, words []uint64) error {
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			return wr.WriteBlock(bh, words)
+		}))
+		st.mu.Lock()
+		st.Blocks += cs.Blocks
+		st.Anomalies += cs.Anomalies
+		st.Damaged += cs.Damaged
+		st.mu.Unlock()
+		return err
 	}
 	return h, st
 }
 
-// SaveStats reports what a SaveHandler collected.
+// SaveStats reports what a SaveHandler collected, from every connection
+// however it ended: a sender that dies mid-stream still left its blocks
+// in the file.
 type SaveStats struct {
-	mu        sync.Mutex
-	Blocks    int
-	Anomalies int
+	mu sync.Mutex
+	stream.CopyStats
 }
 
 // Snapshot returns the current counts.
@@ -275,22 +213,17 @@ type LiveBlock struct {
 // LiveHandler returns a Handler that decodes incoming buffers and sends
 // them on the returned channel, enabling live analysis while the traced
 // system runs ("this event log may be examined while the system is
-// running ... or streamed over the network"). The channel closes when the
-// sender finishes.
+// running ... or streamed over the network"). A damaged block is skipped.
+// The channel closes when the sender finishes.
 func LiveHandler(buffered int) (Handler, <-chan LiveBlock) {
 	ch := make(chan LiveBlock, buffered)
 	h := func(remote net.Addr, bs *stream.BlockStream) error {
 		defer close(ch)
-		for {
-			bh, words, err := bs.Next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
+		_, err := bs.CopyTo(stream.SinkFunc(func(bh stream.BlockHeader, words []uint64) error {
 			ch <- LiveBlock{Header: bh, Words: words}
-		}
+			return nil
+		}))
+		return err
 	}
 	return h, ch
 }

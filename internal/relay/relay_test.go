@@ -9,6 +9,7 @@ import (
 	"k42trace/internal/clock"
 	"k42trace/internal/core"
 	"k42trace/internal/event"
+	"k42trace/internal/faultinject"
 	"k42trace/internal/stream"
 )
 
@@ -259,5 +260,110 @@ func TestBlockStreamTruncatedBlock(t *testing.T) {
 	}
 	if lastErr == io.EOF {
 		t.Error("truncation reported as clean EOF")
+	}
+}
+
+// capturedTrace returns a clean trace file of n events over two CPUs.
+func capturedTrace(t *testing.T, n int) []byte {
+	t.Helper()
+	tr := newStreamTracer()
+	var buf bytes.Buffer
+	wait := stream.CaptureAsync(tr, &buf)
+	for i := 0; i < n; i++ {
+		tr.CPU(i%2).Log1(event.MajorTest, 1, uint64(i))
+	}
+	tr.Stop()
+	if _, err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// saveRaw plays raw wire bytes at a SaveHandler server and returns what it
+// saved, its stats and the server's error.
+func saveRaw(t *testing.T, wire []byte) (*stream.Reader, *SaveStats, error) {
+	t.Helper()
+	var file bytes.Buffer
+	h, st := SaveHandler(&file)
+	srv, err := Listen("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	srvErr := srv.Close()
+	rd, err := stream.NewReader(bytes.NewReader(file.Bytes()), int64(file.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rd, st, srvErr
+}
+
+// TestSaveHandlerKeepsConnectionAcrossDamagedHeader flips a bit in one
+// mid-stream block magic: SaveHandler must count that block damaged and
+// save every block behind it, not drop the connection.
+func TestSaveHandlerKeepsConnectionAcrossDamagedHeader(t *testing.T) {
+	clean := capturedTrace(t, 2000)
+	im, err := faultinject.OpenImage(clean, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = 3
+	n := im.NumBlocks()
+	if n < bad+3 {
+		t.Fatalf("fixture has only %d blocks", n)
+	}
+	im.CorruptBlockMagic(bad)
+	rd, st, srvErr := saveRaw(t, im.Bytes())
+	if srvErr != nil {
+		t.Fatalf("a damaged block is not a connection error: %v", srvErr)
+	}
+	if blocks, _ := st.Snapshot(); blocks != n-1 || st.Damaged != 1 {
+		t.Fatalf("stats: %d blocks, %d damaged; want %d and 1", blocks, st.Damaged, n-1)
+	}
+	crd, err := stream.NewReader(bytes.NewReader(clean), int64(len(clean)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.NumBlocks() != n-1 {
+		t.Fatalf("saved %d blocks, want %d", rd.NumBlocks(), n-1)
+	}
+	for k := 0; k < rd.NumBlocks(); k++ {
+		src := k
+		if k >= bad {
+			src = k + 1
+		}
+		got, _, err := rd.Block(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := crd.Block(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("saved block %d is %+v, want stream block %d %+v", k, got, src, want)
+		}
+	}
+}
+
+// TestSaveStatsCountTornConnection: a sender that dies mid-block leaves
+// its whole blocks in the file, and the stats must say so.
+func TestSaveStatsCountTornConnection(t *testing.T) {
+	clean := capturedTrace(t, 2000)
+	g := stream.Meta{BufWords: 64, CPUs: 2, ClockHz: 1}.Geometry()
+	const whole = 4
+	rd, st, srvErr := saveRaw(t, clean[:g.FileHeaderBytes+whole*g.BlockBytes+g.BlockBytes/2])
+	if srvErr == nil {
+		t.Error("torn connection should surface as a server error")
+	}
+	if blocks, _ := st.Snapshot(); blocks != whole || rd.NumBlocks() != whole {
+		t.Fatalf("stats count %d blocks, file holds %d, sender delivered %d", blocks, rd.NumBlocks(), whole)
 	}
 }

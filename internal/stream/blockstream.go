@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -65,4 +66,55 @@ func (s *BlockStream) Next() (BlockHeader, []uint64, error) {
 		return BlockHeader{}, nil, &BlockDamageError{Block: k, Offset: off, Cause: err}
 	}
 	return h, bytesToWords(s.buf[blockHdrWords*8 : (blockHdrWords+h.NWords)*8]), nil
+}
+
+// BlockSink is where a block goes next: a trace file (*Writer), a network
+// link, a channel. It is the one hand-off shape — the wire format is the
+// file format, so anything that accepts a header and its words can stand
+// behind any block source.
+type BlockSink interface {
+	WriteBlock(h BlockHeader, words []uint64) error
+}
+
+// SinkFunc adapts a function to a BlockSink.
+type SinkFunc func(h BlockHeader, words []uint64) error
+
+func (f SinkFunc) WriteBlock(h BlockHeader, words []uint64) error { return f(h, words) }
+
+// CopyStats counts what one CopyTo moved.
+type CopyStats struct {
+	Blocks    int // blocks dst accepted
+	Anomalies int // of those, blocks carrying the anomaly flag
+	Damaged   int // blocks whose header failed validation: counted, not copied
+}
+
+// CopyTo is the one pump from a block stream into a sink: it hands every
+// block to dst until the stream ends. A damaged block is counted and
+// skipped — Next keeps the stream aligned across it — so one garbled
+// header costs one block, not the connection. The counts are valid
+// whatever the error: a stream torn after N blocks reports N. A clean end
+// of stream is a nil error.
+func (s *BlockStream) CopyTo(dst BlockSink) (CopyStats, error) {
+	var st CopyStats
+	for {
+		h, words, err := s.Next()
+		if err == io.EOF {
+			return st, nil
+		}
+		var dmg *BlockDamageError
+		if errors.As(err, &dmg) {
+			st.Damaged++
+			continue
+		}
+		if err != nil {
+			return st, err
+		}
+		if err := dst.WriteBlock(h, words); err != nil {
+			return st, err
+		}
+		st.Blocks++
+		if h.Anomalous() {
+			st.Anomalies++
+		}
+	}
 }

@@ -128,3 +128,63 @@ func TestNextTornTailStillTerminal(t *testing.T) {
 		return
 	}
 }
+
+// TestCopyToCountsDamageAndTornTail runs the pump over a stream with one
+// destroyed block magic and a final block clipped mid-payload: the
+// damaged block is counted and skipped, every whole block on either side
+// of it reaches the sink as written, and the counts come back alongside
+// the terminal error.
+func TestCopyToCountsDamageAndTornTail(t *testing.T) {
+	data, hs, ws := streamFixture(t, 6)
+	meta, err := ParseFileHeader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := meta.Geometry()
+	const bad = 2
+	data[g.FileHeaderBytes+bad*g.BlockBytes] ^= 0xff
+	hs[1].Flags |= FlagAnomalous
+	copy(data[g.FileHeaderBytes+1*g.BlockBytes:], encodeBlockHeader(hs[1]))
+
+	bs, err := NewBlockStream(bytes.NewReader(data[:len(data)-40]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 1, 3, 4}
+	var got []int
+	st, err := bs.CopyTo(SinkFunc(func(h BlockHeader, words []uint64) error {
+		k := want[len(got)]
+		if h != hs[k] || !equalWords(words, ws[k]) {
+			t.Errorf("sink block %d is not stream block %d", len(got), k)
+		}
+		got = append(got, k)
+		return nil
+	}))
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("torn tail: want io.ErrUnexpectedEOF, got %v", err)
+	}
+	if st != (CopyStats{Blocks: 4, Anomalies: 1, Damaged: 1}) {
+		t.Fatalf("stats %+v, want 4 blocks, 1 anomalous, 1 damaged", st)
+	}
+}
+
+// TestCopyToStopsOnSinkError: a sink that refuses a block ends the copy
+// with that error, and the refused block is not counted.
+func TestCopyToStopsOnSinkError(t *testing.T) {
+	data, _, _ := streamFixture(t, 4)
+	bs, err := NewBlockStream(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := errors.New("sink full")
+	n := 0
+	st, err := bs.CopyTo(SinkFunc(func(BlockHeader, []uint64) error {
+		if n++; n == 3 {
+			return full
+		}
+		return nil
+	}))
+	if err != full || st.Blocks != 2 {
+		t.Fatalf("got %+v, %v; want 2 blocks and the sink's error", st, err)
+	}
+}

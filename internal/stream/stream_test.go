@@ -114,7 +114,7 @@ func TestWriterValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Oversized buffer rejected.
-	if err := wr.WriteSealed(core.Sealed{Words: make([]uint64, 65)}); err == nil {
+	if err := wr.WriteBlock(BlockHeader{NWords: 65}, make([]uint64, 65)); err == nil {
 		t.Error("oversized buffer accepted")
 	}
 	// A header may not declare more CPUs than a block header's 16-bit CPU
@@ -129,8 +129,8 @@ func TestWriterValidation(t *testing.T) {
 		if err := wr.WriteBlock(BlockHeader{CPU: cpu}, nil); err == nil {
 			t.Errorf("WriteBlock accepted CPU %d in a 1-CPU file", cpu)
 		}
-		if err := wr.WriteSealed(core.Sealed{CPU: cpu}); err == nil {
-			t.Errorf("WriteSealed accepted CPU %d in a 1-CPU file", cpu)
+		if err := wr.WriteBlock(BlockHeader{CPU: cpu}, nil); err == nil {
+			t.Errorf("WriteBlock accepted CPU %d in a 1-CPU file", cpu)
 		}
 	}
 	if wr.Blocks() != before {

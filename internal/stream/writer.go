@@ -36,7 +36,6 @@ type Writer struct {
 	w      io.Writer
 	meta   Meta
 	blocks int
-	anoms  int
 	buf    []byte // reusable block encoding buffer
 }
 
@@ -61,15 +60,15 @@ func (wr *Writer) Meta() Meta { return wr.meta }
 // Blocks returns the number of blocks written so far.
 func (wr *Writer) Blocks() int { return wr.blocks }
 
-// Anomalies returns the number of blocks written with the anomaly flag —
-// the write-out side of the paper's per-buffer-count garble detection.
-func (wr *Writer) Anomalies() int { return wr.anoms }
+// MetaOf is the stream header a source's blocks are written under.
+func MetaOf(src Source) Meta {
+	return Meta{BufWords: src.BufWords(), CPUs: src.NumCPUs(), ClockHz: src.Clock().Hz()}
+}
 
-// WriteSealed writes one sealed buffer as a block. Partial buffers are
-// zero-padded to the stride. The anomaly flag is set when the buffer's
-// commit count disagrees with its data size ("report an anomaly if they do
-// not match").
-func (wr *Writer) WriteSealed(s core.Sealed) error {
+// HeaderOf is the block header a sealed buffer is written under. The
+// anomaly flag is set when the buffer's commit count disagrees with its
+// data size ("report an anomaly if they do not match").
+func HeaderOf(s core.Sealed) BlockHeader {
 	h := BlockHeader{
 		CPU:       s.CPU,
 		NWords:    len(s.Words),
@@ -82,11 +81,11 @@ func (wr *Writer) WriteSealed(s core.Sealed) error {
 	if s.Anomalous() {
 		h.Flags |= FlagAnomalous
 	}
-	return wr.WriteBlock(h, s.Words)
+	return h
 }
 
-// WriteBlock writes a raw block (used by relays that already carry block
-// headers). It refuses a block the readers would: more words than the
+// WriteBlock writes one block, zero-padding a partial one to the stride.
+// It refuses a block the readers would: more words than the
 // file's stride holds, or a CPU the file header does not declare — the
 // block header's 16-bit CPU field would otherwise alias it onto another.
 func (wr *Writer) WriteBlock(h BlockHeader, words []uint64) error {
@@ -96,9 +95,6 @@ func (wr *Writer) WriteBlock(h BlockHeader, words []uint64) error {
 	}
 	if h.CPU < 0 || h.CPU >= wr.meta.CPUs {
 		return fmt.Errorf("stream: block CPU %d outside [0,%d)", h.CPU, wr.meta.CPUs)
-	}
-	if h.Anomalous() {
-		wr.anoms++
 	}
 	copy(wr.buf, encodeBlockHeader(h))
 	wordsToBytes(wr.buf[blockHdrWords*8:], words)
@@ -117,34 +113,45 @@ func (wr *Writer) WriteBlock(h BlockHeader, words []uint64) error {
 	return nil
 }
 
-// CaptureStats summarizes a Capture run.
+// CaptureStats summarizes a drain. Anomalies counts the blocks written
+// with the anomaly flag — the write-out side of the paper's
+// per-buffer-count garble detection.
 type CaptureStats struct {
 	Blocks    int
 	Anomalies int
 }
 
-// Capture drains a source's Sealed channel into a trace file until the
-// channel closes (i.e. until the source stops). It releases each buffer
-// back to the source after writing, which is what allows the logging side
-// to run lossless under the Block policy. This is the relayfs-style "code
-// responsible for writing the data (to a network stream, file, etc.)".
+// Drain hands a source's sealed buffers to dst, one block each, until the
+// Sealed channel closes (i.e. until the source stops) or dst refuses a
+// block. It releases each buffer back to the source after the write,
+// delivered or not, which is what allows the logging side to run lossless
+// under the Block policy. This is the relayfs-style "code responsible for
+// writing the data (to a network stream, file, etc.)": Capture drains
+// into a file, the relay senders into a network link.
+func Drain(src Source, dst BlockSink) (CaptureStats, error) {
+	var st CaptureStats
+	for s := range src.Sealed() {
+		h := HeaderOf(s)
+		err := dst.WriteBlock(h, s.Words)
+		src.Release(s)
+		if err != nil {
+			return st, err
+		}
+		st.Blocks++
+		if h.Anomalous() {
+			st.Anomalies++
+		}
+	}
+	return st, nil
+}
+
+// Capture drains a source into a trace file until the source stops.
 func Capture(tr Source, w io.Writer) (CaptureStats, error) {
-	wr, err := NewWriter(w, Meta{
-		BufWords: tr.BufWords(),
-		CPUs:     tr.NumCPUs(),
-		ClockHz:  tr.Clock().Hz(),
-	})
+	wr, err := NewWriter(w, MetaOf(tr))
 	if err != nil {
 		return CaptureStats{}, err
 	}
-	for s := range tr.Sealed() {
-		err := wr.WriteSealed(s)
-		tr.Release(s)
-		if err != nil {
-			return CaptureStats{wr.Blocks(), wr.Anomalies()}, err
-		}
-	}
-	return CaptureStats{wr.Blocks(), wr.Anomalies()}, nil
+	return Drain(tr, wr)
 }
 
 // CaptureAsync runs Capture in a goroutine and returns a wait function

@@ -285,7 +285,8 @@ func SalvageTo(r io.ReaderAt, size int64, w io.Writer, workers int) (*SalvageRep
 	return stream.SalvageTo(r, size, w, workers)
 }
 
-// RelaySend streams a tracer's buffers to a collector over TCP.
+// RelaySend streams a tracer's buffers to a collector over TCP, through
+// the same redialing link as every other sender, with one attempt a block.
 func RelaySend(tr *Tracer, addr string) (CaptureStats, error) { return relay.Send(tr, addr) }
 
 // RelayHandler processes one incoming trace stream.
@@ -363,8 +364,8 @@ func BuildTrace(evs []Event, hz uint64, reg *Registry) *Trace {
 // reserve/commit protocol as the in-process tracer directly on the shared
 // words — the paper's "buffers are mapped into the address space of the
 // application" design. A ktraced daemon (or an in-process ShmAgent) owns
-// each segment, drains sealed buffers into the standard stream/relay
-// paths, and writes off clients that die without detaching.
+// each segment, drains sealed buffers the way a Tracer's are drained, and
+// writes off clients that die without detaching.
 
 // ShmClient is a process's attachment to a shared trace segment.
 type ShmClient = shm.Client
@@ -373,8 +374,8 @@ type ShmClient = shm.Client
 type ShmCPU = shm.CPU
 
 // ShmAgent is the daemon side of a shared segment (ktraced embeds one).
-// It satisfies the same drain interfaces as a Tracer: pass it to
-// stream.Capture or relay.SendReliable via the cmd/ktraced flow.
+// It is a stream.Source like a Tracer, so the one drain serves both: into
+// a file with Capture, or over the network with the relay senders.
 type ShmAgent = shm.Agent
 
 // ShmGeometry describes a segment to create.
