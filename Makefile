@@ -50,11 +50,13 @@ test-cores:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Smoke-fuzz the decoders: the seed corpus lives under each package's
-# testdata/fuzz (regenerate with go test <pkg> -updatefuzzseeds). Go only
-# allows one fuzz target per invocation, hence one line per target.
+# Smoke-fuzz the decoders and the event renderer: the seed corpus lives
+# under each package's testdata/fuzz (regenerate with go test <pkg>
+# -updatefuzzseeds). Go only allows one fuzz target per invocation, hence
+# one line per target.
 fuzz:
 	$(GO) test ./internal/core/ -fuzz='^FuzzDecodeBlock$$' -fuzztime=$(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/event/ -fuzz='^FuzzAppendText$$' -fuzztime=$(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/stream/ -fuzz='^FuzzReadStream$$' -fuzztime=$(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/stream/ -fuzz='^FuzzSalvage$$' -fuzztime=$(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/store/ -fuzz='^FuzzQueryParams$$' -fuzztime=$(FUZZTIME) -run '^$$'

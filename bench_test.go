@@ -531,6 +531,22 @@ func BenchmarkFigure5Listing(b *testing.B) {
 	}
 }
 
+// BenchmarkList is the lister's cost per listed line: one op is one event, so
+// ns/op, B/op and allocs/op read per event (Figure5Listing above is a whole
+// listing into a fresh buffer).
+func BenchmarkList(b *testing.B) {
+	tr := figureTrace(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; {
+		n, err := tr.List(io.Discard, ktrace.ListOptions{ShowControl: true, Limit: left})
+		if err != nil || n == 0 {
+			b.Fatalf("listed %d lines: %v", n, err)
+		}
+		left -= n
+	}
+}
+
 func BenchmarkFigure6Profile(b *testing.B) {
 	tr := figureTrace(b)
 	b.ResetTimer()

@@ -109,7 +109,7 @@ func (t *Trace) Absorb(evs []event.Event) {
 			if e.Minor() == ksim.EvUserRunULoader && len(e.Data) >= 3 {
 				// payload: creator, pid, name-string
 				pid := e.Data[1]
-				if s, ok := decodeString(e.Data[2:]); ok {
+				if s, ok := event.UnpackString(e.Data[2:]); ok {
 					t.Procs[pid] = s
 				}
 			}
@@ -142,23 +142,8 @@ func wordAndString(data []uint64) (uint64, string, bool) {
 	if len(data) < 2 {
 		return 0, "", false
 	}
-	s, ok := decodeString(data[1:])
+	s, ok := event.UnpackString(data[1:])
 	return data[0], s, ok
-}
-
-// decodeString decodes a NUL-terminated word-packed string.
-func decodeString(words []uint64) (string, bool) {
-	var b []byte
-	for _, w := range words {
-		for j := 0; j < 8; j++ {
-			c := byte(w >> uint(8*j))
-			if c == 0 {
-				return string(b), true
-			}
-			b = append(b, c)
-		}
-	}
-	return "", false
 }
 
 // SymName resolves a symbol id.

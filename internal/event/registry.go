@@ -26,6 +26,8 @@ type Desc struct {
 	Name   string  // symbolic name, e.g. "TRACE_MEM_FCMCOM_ATCH_REG"
 	Tokens []Token // payload layout
 	Format string  // printf-like display string with %N[fmt] references
+
+	prog []seg // Format compiled against Tokens; AppendText runs it
 }
 
 // Registry maps (major, minor) pairs to event descriptions so that generic
@@ -48,8 +50,9 @@ func NewRegistry() *Registry {
 func key(major Major, minor uint16) uint32 { return uint32(major)<<16 | uint32(minor) }
 
 // Register adds a description. The token string is in K42's space-separated
-// form ("64 64 str"). Registering a duplicate (major, minor) or name
-// returns an error so clashes between subsystems surface early.
+// form ("64 64 str"); the display string is compiled here, once, so that
+// rendering an event parses nothing. Registering a duplicate (major, minor)
+// or name returns an error so clashes between subsystems surface early.
 func (r *Registry) Register(major Major, minor uint16, name, tokens, format string) (*Desc, error) {
 	if !major.Valid() {
 		return nil, fmt.Errorf("event: major %d out of range", major)
@@ -58,7 +61,8 @@ func (r *Registry) Register(major Major, minor uint16, name, tokens, format stri
 	if err != nil {
 		return nil, err
 	}
-	d := &Desc{Major: major, Minor: minor, Name: name, Tokens: toks, Format: format}
+	d := &Desc{Major: major, Minor: minor, Name: name, Tokens: toks, Format: format,
+		prog: compile(format, toks)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	k := key(major, minor)

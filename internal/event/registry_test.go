@@ -72,8 +72,7 @@ func TestRenderPaperExample(t *testing.T) {
 	r := NewRegistry()
 	d := r.MustRegister(MajorMem, 4, "TRACE_MEM_FCMCOM_ATCH_REG", "64 64",
 		"Region %0[%llx] attach to FCM %1[%llx]")
-	vals := []Value{{Int: 0x800000001022cc98}, {Int: 0xe100000000003f30}}
-	got := d.Render(vals)
+	got := render(t, d, Value{Int: 0x800000001022cc98}, Value{Int: 0xe100000000003f30})
 	want := "Region 800000001022cc98 attach to FCM e100000000003f30"
 	if got != want {
 		t.Errorf("got %q want %q", got, want)
@@ -84,7 +83,7 @@ func TestRenderOutOfOrderAndRepeats(t *testing.T) {
 	r := NewRegistry()
 	d := r.MustRegister(MajorTest, 1, "T_ORDER", "32 32",
 		"second %1[%d] first %0[%d] second again %1[%x]")
-	got := d.Render([]Value{{Int: 10}, {Int: 255}})
+	got := render(t, d, Value{Int: 10}, Value{Int: 255})
 	want := "second 255 first 10 second again ff"
 	if got != want {
 		t.Errorf("got %q want %q", got, want)
@@ -95,7 +94,7 @@ func TestRenderString(t *testing.T) {
 	r := NewRegistry()
 	d := r.MustRegister(MajorUser, 7, "T_STR", "64 str",
 		"process %0[%lld] name %1[%s]")
-	got := d.Render([]Value{{Int: 6}, {Str: "/shellServer", IsStr: true}})
+	got := render(t, d, Value{Int: 6}, Value{Str: "/shellServer", IsStr: true})
 	if got != "process 6 name /shellServer" {
 		t.Errorf("got %q", got)
 	}
@@ -104,7 +103,7 @@ func TestRenderString(t *testing.T) {
 func TestRenderEdgeCases(t *testing.T) {
 	r := NewRegistry()
 	d := r.MustRegister(MajorTest, 2, "T_EDGE", "64", "%% literal %0[%08x] end %9[%d] trailing")
-	got := d.Render([]Value{{Int: 0xab}})
+	got := render(t, d, Value{Int: 0xab})
 	if !strings.Contains(got, "% literal 000000ab") {
 		t.Errorf("literal/zero-pad rendering wrong: %q", got)
 	}
@@ -113,7 +112,23 @@ func TestRenderEdgeCases(t *testing.T) {
 	}
 	// A bare % that is not a token reference passes through.
 	d2 := r.MustRegister(MajorTest, 3, "T_PCT", "", "100% done")
-	if got := d2.Render(nil); got != "100% done" {
+	if got := render(t, d2); got != "100% done" {
+		t.Errorf("got %q", got)
+	}
+	// An unterminated reference is copied to the end of the string, a spec
+	// that is not a '%' spec is copied as it stands, and a '%' before
+	// digits that no '[' follows is just a '%'.
+	d3 := r.MustRegister(MajorTest, 4, "T_RAW", "64", "a %0[raw] b %12 c %0[%d")
+	if got := render(t, d3, Value{Int: 7}); got != "a raw b %12 c %0[%d" {
+		t.Errorf("got %q", got)
+	}
+}
+
+// A Desc that Register did not build has no compiled program and still
+// renders.
+func TestRenderHandBuiltDesc(t *testing.T) {
+	d := &Desc{Tokens: []Token{T64}, Format: "v=%0[%llx]"}
+	if got := render(t, d, Value{Int: 255}); got != "v=ff" {
 		t.Errorf("got %q", got)
 	}
 }
@@ -169,10 +184,47 @@ func TestFormatValueVerbs(t *testing.T) {
 		{"%p", Value{Int: 0x10}, "0x10"},
 		{"", Value{Int: 3}, "3"},
 		{"%08x", Value{Int: 0xab}, "000000ab"},
+		// A payload word is unsigned whatever the spec says.
+		{"%lld", Value{Int: 1 << 63}, "9223372036854775808"},
+		{"%d", Value{Int: ^uint64(0)}, "18446744073709551615"},
+		// Widths: space- and zero-padded by hand, the rest by fmt.
+		{"%6d", Value{Int: 42}, "    42"},
+		{"%06lld", Value{Int: 42}, "000042"},
+		{"%2x", Value{Int: 0xabc}, "abc"},
+		{"%-6d", Value{Int: 42}, "42    "},
+		{"%+d", Value{Int: 42}, "+42"},
+		{"%#x", Value{Int: 255}, "0xff"},
+		{"%.4d", Value{Int: 42}, "0042"},
+		{"%X", Value{Int: 255}, "FF"},
+		{"%o", Value{Int: 8}, "10"},
+		{"%5c", Value{Int: 'A'}, "A"},
+		{"%c", Value{Int: 1<<32 | 'A'}, "A"},
+		// A string under any verb, and an integer where a string is expected.
+		{"%llx", Value{Str: "hi", IsStr: true}, "hi"},
+		{"%5s", Value{Str: "hi", IsStr: true}, "   hi"},
+		{"%-5s", Value{Str: "hi", IsStr: true}, "hi   "},
+		{"%.1s", Value{Str: "hi", IsStr: true}, "h"},
+		{"%s", Value{Int: 12}, "12"},
+		{"%ls", Value{Str: "", IsStr: true}, ""},
 	}
-	for _, c := range cases {
-		if got := formatValue(c.spec, c.v); got != c.want {
-			t.Errorf("formatValue(%q, %+v) = %q, want %q", c.spec, c.v, got, c.want)
+	for i, c := range cases {
+		tok := "64"
+		if c.v.IsStr {
+			tok = "str"
+		}
+		d := NewRegistry().MustRegister(MajorTest, uint16(i), "T", tok, "%0["+c.spec+"]")
+		if got := render(t, d, c.v); got != c.want {
+			t.Errorf("spec %q of %+v rendered %q, want %q", c.spec, c.v, got, c.want)
 		}
 	}
+}
+
+// render packs vals by d's token list and renders the payload.
+func render(t *testing.T, d *Desc, vals ...Value) string {
+	t.Helper()
+	words, err := Pack(d.Tokens, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(d.AppendText(nil, words))
 }

@@ -158,22 +158,29 @@ func packString(s string) []uint64 {
 	return words
 }
 
-// Unpack decodes payload words according to the token list. It is the
-// inverse of Pack. Extra trailing words are ignored (events may carry more
-// data than the registered description, e.g. versioned events); missing
-// words are an error.
-func Unpack(toks []Token, words []uint64) ([]Value, error) {
-	vals := make([]Value, 0, len(toks))
+// field locates one token's value in a payload: an integer v, or (n >= 0)
+// a packed string of n bytes that starts at word v.
+type field struct {
+	v uint64
+	n int
+}
+
+// walk is the one pass over a payload's layout, appending one field per
+// token to dst; Unpack turns the fields into Values, Desc.AppendText
+// renders them in place. Extra trailing words are ignored (events may
+// carry more data than the registered description, e.g. versioned events);
+// missing words are an error.
+func walk(dst []field, toks []Token, words []uint64) ([]field, error) {
 	wi := 0   // current word index
 	bit := 64 // next bit to consume in words[wi-1]; 64 forces a new word
 	for i, t := range toks {
 		if t == TStr {
-			s, n, err := unpackString(words[wi:])
-			if err != nil {
-				return nil, fmt.Errorf("event: token %d: %w", i, err)
+			n := stringLen(words[wi:])
+			if n < 0 {
+				return nil, fmt.Errorf("event: token %d: unterminated string in payload", i)
 			}
-			vals = append(vals, Value{Str: s, IsStr: true})
-			wi += n
+			dst = append(dst, field{v: uint64(wi), n: n})
+			wi += n/8 + 1
 			bit = 64
 			continue
 		}
@@ -189,24 +196,66 @@ func Unpack(toks []Token, words []uint64) ([]Value, error) {
 		if w < 64 {
 			mask = 1<<uint(w) - 1
 		}
-		vals = append(vals, Value{Int: (words[wi-1] >> uint(bit)) & mask})
+		dst = append(dst, field{v: (words[wi-1] >> uint(bit)) & mask, n: -1})
 		bit += w
+	}
+	return dst, nil
+}
+
+// Unpack decodes payload words according to the token list. It is the
+// inverse of Pack.
+func Unpack(toks []Token, words []uint64) ([]Value, error) {
+	fs, err := walk(make([]field, 0, len(toks)), toks, words)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]Value, len(fs))
+	for i, f := range fs {
+		if f.n < 0 {
+			vals[i].Int = f.v
+		} else {
+			vals[i].Str, vals[i].IsStr = UnpackString(words[f.v:])
+		}
 	}
 	return vals, nil
 }
 
-func unpackString(words []uint64) (string, int, error) {
-	var b []byte
-	for n, w := range words {
+// stringLen returns the byte length of the NUL-terminated string packed
+// LSB first at the start of words, or -1 if no word holds a terminator.
+func stringLen(words []uint64) int {
+	for i, w := range words {
 		for j := 0; j < 8; j++ {
-			c := byte(w >> uint(8*j))
-			if c == 0 {
-				return string(b), n + 1, nil
+			if byte(w>>uint(8*j)) == 0 {
+				return 8*i + j
 			}
-			b = append(b, c)
 		}
 	}
-	return "", 0, fmt.Errorf("unterminated string in payload")
+	return -1
+}
+
+// appendPacked appends the first n bytes packed in words to dst.
+func appendPacked(dst []byte, words []uint64, n int) []byte {
+	for i := 0; i < n; i++ {
+		dst = append(dst, byte(words[i/8]>>uint(8*(i%8))))
+	}
+	return dst
+}
+
+// UnpackString decodes the NUL-terminated, word-packed string at the start
+// of words (a TStr token's encoding), finding the terminator before it
+// allocates so that the string is the only allocation. ok is false when
+// the string is unterminated.
+func UnpackString(words []uint64) (s string, ok bool) {
+	n := stringLen(words)
+	if n < 0 {
+		return "", false
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i := 0; i < n; i++ {
+		b.WriteByte(byte(words[i/8] >> uint(8*(i%8))))
+	}
+	return b.String(), true
 }
 
 // WordsFor returns the number of payload words Pack would produce for the
