@@ -15,9 +15,11 @@ BENCH_SECONDS ?= $(shell sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMAR
 BENCH_WORKLOADS ?= log_hot pipeline_ingest offline_analysis store_query
 BENCH_E2E ?= BENCH_E2E.txt
 
-# The packages whose fan-outs promise the same bytes for any worker count,
-# and the core counts `make test-cores` runs them at.
-CORES_PKGS = ./internal/stream/ ./internal/analysis/ ./internal/store/ ./cmd/ktrace/
+# The packages whose fan-outs promise the same bytes for any worker count
+# — and the collector, where the core count decides how far a connection's
+# reader runs ahead of its worker, and so which word buffers are recycled
+# under which blocks — and the core counts `make test-cores` runs them at.
+CORES_PKGS = ./internal/stream/ ./internal/analysis/ ./internal/store/ ./internal/live/ ./cmd/ktrace/
 CORES ?= 1 4
 
 .PHONY: check fmt build vet test test-cores race bench bench-e2e fuzz live-smoke shm-smoke fed-smoke store-smoke diff-smoke
@@ -37,9 +39,10 @@ vet:
 test:
 	$(GO) test ./...
 
-# The read-side fan-outs (block decode, store scan, per-CPU analysis) at
-# more than one core count: a test run sees one GOMAXPROCS, and the worker
-# defaults follow it. -count=1, because the test cache does not key on it.
+# The read-side fan-outs (block decode, store scan, per-CPU analysis) and
+# the collector's live ≡ offline parity at more than one core count: a test
+# run sees one GOMAXPROCS, and the worker defaults follow it. -count=1,
+# because the test cache does not key on it.
 test-cores:
 	@for n in $(CORES); do echo "GOMAXPROCS=$$n"; GOMAXPROCS=$$n $(GO) test -count=1 $(CORES_PKGS) || exit 1; done
 

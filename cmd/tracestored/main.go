@@ -154,7 +154,11 @@ func main() {
 // relayIngest spools each incoming block stream to a temp .ktr and
 // ingests it as one upload when the sender finishes. A damaged block is
 // skipped and logged, as the salvager would on the same bytes POSTed to
-// /ingest; it does not end the upload.
+// /ingest; it does not end the upload. Nor does a torn connection undo
+// it: the blocks spooled before the tear are whole (CopyStats.Blocks
+// counts them whatever the error), and a relay.Link re-sends only the
+// block that failed, on a new connection — so they are ingested, and the
+// tear is still the handler's error.
 func relayIngest(s *store.Store, tenant string) relay.Handler {
 	return func(remote net.Addr, bs *stream.BlockStream) error {
 		tmp, err := os.CreateTemp("", "tracestored-relay-*.ktr")
@@ -167,9 +171,13 @@ func relayIngest(s *store.Store, tenant string) relay.Handler {
 		if err != nil {
 			return err
 		}
-		cs, err := bs.CopyTo(wr)
-		if err != nil {
-			return err
+		cs, torn := bs.CopyTo(wr)
+		if torn != nil {
+			if cs.Blocks == 0 {
+				return torn
+			}
+			fmt.Fprintf(os.Stderr, "tracestored: relay upload from %v torn after %d blocks, ingesting those: %v\n",
+				remote, cs.Blocks, torn)
 		}
 		res, err := s.IngestFile(tenant, tmp.Name())
 		if err != nil {
@@ -177,7 +185,7 @@ func relayIngest(s *store.Store, tenant string) relay.Handler {
 		}
 		fmt.Printf("tracestored: relay upload %d from %v: %d events in %d segments, %d damaged blocks skipped\n",
 			res.Upload, remote, res.Events, len(res.Segments), cs.Damaged)
-		return nil
+		return torn
 	}
 }
 

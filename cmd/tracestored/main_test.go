@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net"
 	"testing"
 
@@ -14,11 +16,9 @@ import (
 	"k42trace/internal/stream"
 )
 
-// TestRelayIngestSalvagesDamagedUpload sends an upload with one bit-flipped
-// block magic down the relay listener: it must be ingested, losing that
-// block only — the same events the same bytes yield through Store.Ingest,
-// the path POST /ingest takes.
-func TestRelayIngestSalvagesDamagedUpload(t *testing.T) {
+// capture is a clean two-CPU trace of some sixty small blocks.
+func capture(t *testing.T) []byte {
+	t.Helper()
 	tr := core.MustNew(core.Config{
 		CPUs: 2, BufWords: 64, NumBufs: 4,
 		Mode: core.Stream, Clock: clock.NewManual(1),
@@ -33,7 +33,15 @@ func TestRelayIngestSalvagesDamagedUpload(t *testing.T) {
 	if _, err := wait(); err != nil {
 		t.Fatal(err)
 	}
-	im, err := faultinject.OpenImage(clean.Bytes(), 5)
+	return clean.Bytes()
+}
+
+// TestRelayIngestSalvagesDamagedUpload sends an upload with one bit-flipped
+// block magic down the relay listener: it must be ingested, losing that
+// block only — the same events the same bytes yield through Store.Ingest,
+// the path POST /ingest takes.
+func TestRelayIngestSalvagesDamagedUpload(t *testing.T) {
+	im, err := faultinject.OpenImage(capture(t), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,4 +82,55 @@ func TestRelayIngestSalvagesDamagedUpload(t *testing.T) {
 		}
 	}
 	t.Fatal("relay upload was discarded")
+}
+
+// TestRelayIngestKeepsBlocksBeforeATear cuts the connection in the middle
+// of block k: the k blocks before it arrived whole, and a redialing sender
+// resumes with block k, so the store must hold exactly their events — and
+// the tear must still be reported.
+func TestRelayIngestKeepsBlocksBeforeATear(t *testing.T) {
+	clean := capture(t)
+	rd, err := stream.NewReader(bytes.NewReader(clean), int64(len(clean)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 7
+	if rd.NumBlocks() <= k {
+		t.Fatalf("capture has %d blocks, want more than %d", rd.NumBlocks(), k)
+	}
+	g := rd.Meta().Geometry()
+	whole := clean[:g.FileHeaderBytes+k*g.BlockBytes]
+	prefix, err := stream.NewReader(bytes.NewReader(whole), int64(len(whole)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := prefix.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := store.Open(store.Options{Root: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	srv, err := relay.Listen("127.0.0.1:0", relayIngest(s, "relayed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(clean[:len(whole)+g.BlockBytes/2]); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	if err := srv.Close(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("relay ingest of a torn upload reported %v, want the truncation", err)
+	}
+	ts := s.Tenants()
+	if len(ts) != 1 || ts[0].Name != "relayed" || ts[0].Events != uint64(len(want)) {
+		t.Fatalf("store holds %+v after a tear behind %d blocks of %d events", ts, k, len(want))
+	}
 }

@@ -35,7 +35,7 @@ func main() {
 			return err
 		}
 		for {
-			h, words, err := bs.Next()
+			h, words, err := bs.Next(nil)
 			if errors.Is(err, io.EOF) {
 				return nil
 			}

@@ -48,8 +48,10 @@ func (d DecodeStats) Garbled() bool { return d.SkippedWords > 0 }
 // block.
 //
 // DecodeInto allocates nothing when dst has room for the block's events.
-// When it runs out, it sizes the rest of the block and grows dst once, to
-// exactly fit.
+// When it runs out, it sizes the rest of the block and grows dst once: to
+// exactly fit, or — a dst that came with capacity is a scratch kept from
+// block to block — by a quarter of what it was, if that is more, so that
+// blocks each a little fuller than the last do not each cost a scratch.
 func DecodeInto(dst []event.Event, cpu int, words []uint64) ([]event.Event, DecodeStats) {
 	var (
 		st     DecodeStats
@@ -88,7 +90,7 @@ func DecodeInto(dst []event.Event, cpu int, words []uint64) ([]event.Event, Deco
 			e.Data = words[pos+1 : pos+l : pos+l]
 		}
 		if len(dst) == cap(dst) {
-			grown := make([]event.Event, len(dst), len(dst)+countEvents(words[pos:]))
+			grown := make([]event.Event, len(dst), max(len(dst)+countEvents(words[pos:]), cap(dst)+cap(dst)/4))
 			copy(grown, dst)
 			dst = grown
 		}

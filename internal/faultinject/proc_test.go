@@ -213,7 +213,7 @@ func totalBlockWords(t *testing.T, data []byte) int {
 	}
 	total := 0
 	for {
-		bh, _, err := bs.Next()
+		bh, _, err := bs.Next(nil)
 		if err == io.EOF {
 			return total
 		}

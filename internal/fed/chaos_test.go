@@ -39,7 +39,7 @@ func parseWire(t *testing.T, raw []byte) []wireBlock {
 	}
 	var out []wireBlock
 	for {
-		h, words, err := bs.Next()
+		h, words, err := bs.Next(nil)
 		if err == io.EOF {
 			return out
 		}
@@ -148,7 +148,7 @@ func spillGroups(t *testing.T, ts *testShard) map[int][]wireBlock {
 		t.Fatal(err)
 	}
 	for {
-		h, words, err := bs.Next()
+		h, words, err := bs.Next(nil)
 		if err == io.EOF {
 			return out
 		}

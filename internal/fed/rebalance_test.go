@@ -123,7 +123,7 @@ func spillMarkers(t *testing.T, ts *testShard) map[[2]int][]marker {
 	prodOfBase := map[int]int{}
 	pending := map[int][]marker{} // markers per absolute CPU, arrival order
 	for {
-		h, words, err := bs.Next()
+		h, words, err := bs.Next(nil)
 		if err == io.EOF {
 			break
 		}

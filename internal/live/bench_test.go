@@ -17,7 +17,7 @@ import (
 
 // benchTrace builds one producer's worth of wire bytes: a 2-CPU trace
 // with nEvents test events, serialized in stream format.
-func benchTrace(b *testing.B, nEvents int) []byte {
+func benchTrace(b testing.TB, nEvents int) []byte {
 	b.Helper()
 	tr := core.MustNew(core.Config{
 		CPUs: 2, BufWords: 2048, NumBufs: 8,

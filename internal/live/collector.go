@@ -65,8 +65,9 @@ type Options struct {
 	// (blocks from one producer never reorder; blocks from different
 	// producers interleave, which is harmless — they live on disjoint CPU
 	// slots). This is the federation seam: a shard's uplink relays the
-	// forwarded blocks to the aggregator. The callback must not retain
-	// words or evs beyond the call.
+	// forwarded blocks to the aggregator. words and evs are valid during
+	// the call only: when it returns the worker decodes the producer's next
+	// block into evs and the reader reads a later one into words.
 	Forward func(h stream.BlockHeader, words []uint64, evs []event.Event)
 	// OnSession, if set, is called exactly once, when the first producer
 	// fixes the session geometry. It runs with the collector lock held and
@@ -149,7 +150,14 @@ type producer struct {
 	cpuBase int
 	cpus    int
 	queue   chan feedItem
-	ctrl    *relay.ControlSender
+	// free is the connection's word buffers between blocks: the worker
+	// puts a block's words here when it is done with them, the reader
+	// takes its next buffer from here. QueueBlocks+2 slots, because that
+	// is every buffer that can exist (a full queue, one block with the
+	// worker, one with the reader). The worker drops the list when it
+	// exits, so that a drained session holds no block.
+	free chan []uint64
+	ctrl *relay.ControlSender
 
 	connected atomic.Bool
 	blocks    atomic.Uint64
@@ -171,13 +179,13 @@ type producer struct {
 	lastSeq []int64 // per local CPU, -1 before the first block
 }
 
-// feedItem is one decoded block in flight between a producer's reader
-// (which decodes outside any lock) and its worker (which applies spill
-// and analysis under the collector lock).
+// feedItem is one block in flight between a producer's reader and its
+// worker. The reader owns words until the item is enqueued, the worker
+// from then until Forward has returned; then they go back to the
+// producer's free list, and the reader reads a later block into them.
 type feedItem struct {
 	h     stream.BlockHeader // CPU already remapped into collector space
-	words []uint64           // the block, as BlockStream.Next allocated it
-	evs   []event.Event      // payloads alias words
+	words []uint64
 }
 
 // NewCollector builds a collector. The analysis engine and spill writer
@@ -291,6 +299,7 @@ func (c *Collector) register(conn relay.Conn) (p *producer, pending uint64, pend
 		cpuBase: base,
 		cpus:    meta.CPUs,
 		queue:   make(chan feedItem, c.opt.QueueBlocks),
+		free:    make(chan []uint64, c.opt.QueueBlocks+2),
 		ctrl:    conn.Control,
 		lastSeq: make([]int64, meta.CPUs),
 	}
@@ -305,14 +314,24 @@ func (c *Collector) register(conn relay.Conn) (p *producer, pending uint64, pend
 	return p, c.maskDesired, c.maskSet, nil
 }
 
-// serve is a producer's read loop: read a block, decode it with the
-// remapped CPU, enqueue for the worker. Decoding happens here — outside
-// the collector lock — so producers decode in parallel and only the
-// final apply is serialized.
+// serve is a producer's read loop: take a word buffer off the free list
+// (a new one of the stream's block size when every buffer is in flight),
+// read the next block into it, account for the block, enqueue it for the
+// worker. A buffer whose block was refused, or that ended the connection,
+// goes back to the list. No event is decoded here.
 func (c *Collector) serve(p *producer, bs *stream.BlockStream) error {
 	g := bs.Meta().Geometry()
 	for {
-		h, words, err := bs.Next()
+		var buf []uint64
+		select {
+		case buf = <-p.free:
+		default:
+			buf = make([]uint64, bs.Meta().BufWords)
+		}
+		h, words, err := bs.Next(buf)
+		if err != nil {
+			p.free <- buf
+		}
 		if err == io.EOF {
 			return nil
 		}
@@ -342,15 +361,44 @@ func (c *Collector) serve(p *producer, bs *stream.BlockStream) error {
 		if h.Anomalous() {
 			p.stuck.Add(1)
 		}
-		// Next hands over a fresh word slice per block. The decoded payloads
-		// alias it: words and events cross the queue together, in one
-		// feedItem, and neither is written again.
+		p.blocks.Add(1)
 		h.CPU += p.cpuBase
-		evs, dst := core.DecodeInto(nil, h.CPU, words)
-		if dst.Garbled() {
+		item := feedItem{h: h, words: words}
+		select {
+		case p.queue <- item:
+		default:
+			timer := time.NewTimer(c.opt.EnqueueTimeout)
+			select {
+			case p.queue <- item:
+				timer.Stop()
+			case <-timer.C:
+				p.free <- buf
+				c.countDisconnect("slow")
+				return fmt.Errorf("live: producer %d (%s) backlogged %v, disconnecting",
+					p.id, p.remote, c.opt.EnqueueTimeout)
+			}
+		}
+	}
+}
+
+// worker drains one producer's queue: it decodes each block into its one
+// event scratch — outside the collector lock, so producers decode in
+// parallel and only the apply is serialized — and applies spill and
+// analysis under the lock. The events never leave it: Feed and Forward
+// read them and keep nothing, and the next block overwrites them. It exits
+// when the handler closes the queue, after draining whatever is left — so
+// Drain never loses accepted blocks. Forwarding happens outside the lock:
+// per-producer order is preserved (one worker per producer), which is all
+// the downstream per-CPU analysis needs.
+func (c *Collector) worker(p *producer) {
+	defer c.wg.Done()
+	var evs []event.Event
+	for it := range p.queue {
+		var st core.DecodeStats
+		evs, st = core.DecodeInto(evs[:0], it.h.CPU, it.words)
+		if st.Garbled() {
 			p.garbled.Add(1)
 		}
-		p.blocks.Add(1)
 		p.events.Add(uint64(len(evs)))
 		for i := range evs {
 			if t := evs[i].Time; t > p.lastTick.Load() {
@@ -363,32 +411,6 @@ func (c *Collector) serve(p *producer, bs *stream.BlockStream) error {
 				p.maskChanges.Add(1)
 			}
 		}
-		item := feedItem{h: h, words: words, evs: evs}
-		select {
-		case p.queue <- item:
-		default:
-			timer := time.NewTimer(c.opt.EnqueueTimeout)
-			select {
-			case p.queue <- item:
-				timer.Stop()
-			case <-timer.C:
-				c.countDisconnect("slow")
-				return fmt.Errorf("live: producer %d (%s) backlogged %v, disconnecting",
-					p.id, p.remote, c.opt.EnqueueTimeout)
-			}
-		}
-	}
-}
-
-// worker drains one producer's queue, applying spill and analysis under
-// the collector lock. It exits when the handler closes the queue, after
-// draining whatever is left — so Drain never loses accepted blocks.
-// Forwarding happens outside the lock: per-producer order is preserved
-// (one worker per producer), which is all the downstream per-CPU analysis
-// needs.
-func (c *Collector) worker(p *producer) {
-	defer c.wg.Done()
-	for it := range p.queue {
 		c.mu.Lock()
 		if c.spill != nil {
 			if err := c.spill.WriteBlock(it.h, it.words); err != nil {
@@ -396,12 +418,16 @@ func (c *Collector) worker(p *producer) {
 				c.spill = nil
 			}
 		}
-		c.win.Feed(it.evs)
+		c.win.Feed(evs)
 		c.mu.Unlock()
 		if c.opt.Forward != nil {
-			c.opt.Forward(it.h, it.words, it.evs)
+			c.opt.Forward(it.h, it.words, evs)
 		}
+		p.free <- it.words
 	}
+	// The handler closed the queue after its reader returned: nobody takes
+	// from the free list again.
+	p.free = nil
 	if c.opt.ReclaimSlots {
 		// The queue is closed and fully applied: nothing can land on this
 		// producer's CPU slice anymore, so it is safe to hand to the next

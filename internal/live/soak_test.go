@@ -34,7 +34,7 @@ func parseWire(t *testing.T, raw []byte) []soakBlock {
 	}
 	var out []soakBlock
 	for {
-		h, words, err := bs.Next()
+		h, words, err := bs.Next(nil)
 		if err == io.EOF {
 			return out
 		}
@@ -136,7 +136,7 @@ func TestSoakFaultyProducers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		h, words, err := rs.Next()
+		h, words, err := rs.Next(nil)
 		if err == io.EOF {
 			break
 		}

@@ -64,7 +64,7 @@ func (fc *flakyCollector) serve(conn *net.TCPConn, n int) {
 		return
 	}
 	for k := 1; ; k++ {
-		h, _, err := bs.Next()
+		h, _, err := bs.Next(nil)
 		if err != nil {
 			return
 		}

@@ -252,7 +252,7 @@ func TestBlockStreamTruncatedBlock(t *testing.T) {
 	}
 	var lastErr error
 	for {
-		_, _, err := bs.Next()
+		_, _, err := bs.Next(nil)
 		if err != nil {
 			lastErr = err
 			break

@@ -142,7 +142,7 @@ func TestListenConnsAssignsIdentity(t *testing.T) {
 	srv, err := ListenConns("127.0.0.1:0", func(c Conn) error {
 		ids <- c.ID
 		for {
-			if _, _, err := c.Stream.Next(); err != nil {
+			if _, _, err := c.Stream.Next(nil); err != nil {
 				if err == io.EOF {
 					return nil
 				}

@@ -153,3 +153,38 @@ func BenchmarkStoreQuery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreIngest measures the write path alone: one SDET spill
+// through the tolerant scan into the segment files and sidecars of a fresh
+// tenant, for a spill in order and for one the salvager has to put back in
+// sequence. B/op is the row to watch: ingest holds a spill's words until
+// its segments are written and none of its events, so it stays near the
+// spill's size.
+func BenchmarkStoreIngest(b *testing.B) {
+	clean := sdetSpill(b, 42)
+	base, _ := readAllEvents(b, clean)
+	span := (base[len(base)-1].Time - base[0].Time) / 11
+	for _, row := range []struct {
+		name string
+		data []byte
+	}{
+		{"clean", clean},
+		{"out-of-sequence", reverseBlocks(b, clean)},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			s := openStore(b, Options{SegmentSpan: span})
+			b.SetBytes(int64(len(row.data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				res, err := s.Ingest(fmt.Sprintf("t%d", i), bytes.NewReader(row.data), int64(len(row.data)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				events = res.Events
+			}
+			b.ReportMetric(float64(events), "events/op")
+		})
+	}
+}

@@ -101,7 +101,8 @@ func (s *Store) compactOne(t *tenant) (merged bool, in int, events uint64, err e
 		want += si.Events
 	}
 	sb := newSegBuilder(run[0].Meta())
-	var sc stream.BlockScratch
+	sc := s.getScratch()
+	defer s.putScratch(sc)
 	for cpu := 0; cpu < sb.meta.CPUs; cpu++ {
 		for _, sg := range segs {
 			rd, fi, err := sg.open(s.opt.Workers)
@@ -113,15 +114,15 @@ func (s *Store) compactOne(t *tenant) (merged bool, in int, events uint64, err e
 				if bs.CPU != cpu {
 					continue
 				}
-				blk, err := rd.DecodeBlockInto(k, &sc)
+				blk, err := rd.DecodeBlockInto(k, sc)
 				if err != nil {
 					return false, 0, 0, err
 				}
 				// The builder keeps the words until the segment is written,
 				// so they need a copy the next block does not reuse; of the
-				// events it keeps only their summary.
-				blk.Words = slices.Clone(blk.Words)
-				sb.add(&blk, bs.EntryPid)
+				// events it takes only their digest.
+				d := stream.DigestEvents(blk.Events)
+				sb.add(blk.Hdr, slices.Clone(blk.Words), &d, bs.EntryPid)
 			}
 		}
 	}

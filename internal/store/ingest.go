@@ -50,7 +50,9 @@ func (s *Store) Ingest(tenantName string, r io.ReaderAt, size int64) (*IngestRes
 	// Partition blocks into SegmentSpan windows by exact first-event time.
 	// Iteration is cpu-major in per-CPU sequence order (SalvageBlocks
 	// guarantees it), so each window receives every CPU's blocks in stream
-	// order and the per-CPU entry-pid carry is exact.
+	// order and the per-CPU entry-pid carry is exact. The scan kept each
+	// block's words, which the segment files are written from, and a digest
+	// of its events, which is all partitioning and indexing read.
 	span := s.opt.SegmentSpan
 	builders := map[uint64]*segBuilder{}
 	var order []uint64
@@ -65,19 +67,19 @@ func (s *Store) Ingest(tenantName string, r io.ReaderAt, size int64) (*IngestRes
 	var events uint64
 	for i := range blocks {
 		b := &blocks[i]
-		if len(b.Events) == 0 {
+		if b.Digest.Sum.Events == 0 {
 			empty++
 			continue
 		}
-		w := window(b.Events[0].Time)
+		w := window(b.Digest.FirstTime)
 		sb := builders[w]
 		if sb == nil {
 			sb = newSegBuilder(rep.Meta)
 			builders[w] = sb
 			order = append(order, w)
 		}
-		carry[b.Hdr.CPU] = sb.add(b, carry[b.Hdr.CPU])
-		events += uint64(len(b.Events))
+		carry[b.Hdr.CPU] = sb.add(b.Hdr, b.Words, b.Digest, carry[b.Hdr.CPU])
+		events += uint64(b.Digest.Sum.Events)
 	}
 	if len(order) == 0 {
 		return nil, fmt.Errorf("store: ingest %s: no events in spill", tenantName)
@@ -143,8 +145,9 @@ func (s *Store) IngestFile(tenant, path string) (*IngestResult, error) {
 }
 
 // segBuilder accumulates one output segment: block payloads plus the
-// in-memory FullIndex that becomes its sidecar, built from the events we
-// already hold instead of re-reading the file after writing it.
+// in-memory FullIndex that becomes its sidecar, built from the digests the
+// scan took of the blocks' events instead of re-reading the file after
+// writing it.
 type segBuilder struct {
 	meta    stream.Meta
 	hdrs    []stream.BlockHeader
@@ -177,29 +180,30 @@ func initLast(n int) []int {
 	return l
 }
 
-// add appends one salvaged block, returning the pid carry after it. The
-// block's summary is identical to what BuildFullIndex would compute when
-// reopening the written segment with this builder's entry pids as seed.
-func (sb *segBuilder) add(b *stream.SalvagedBlock, entryPid uint64) (nextPid uint64) {
-	cpu := b.Hdr.CPU
+// add appends one block — its header, its words, which the builder holds
+// until the segment is written, and the digest of its events — and returns
+// the pid carry after it. The block's summary is identical to what
+// BuildFullIndex would compute when reopening the written segment with
+// this builder's entry pids as seed.
+func (sb *segBuilder) add(h stream.BlockHeader, words []uint64, d *stream.BlockDigest, entryPid uint64) (nextPid uint64) {
+	cpu := h.CPU
 	if !sb.seen[cpu] {
 		sb.seen[cpu] = true
 		sb.entry[cpu] = entryPid
 	}
-	h := b.Hdr
 	h.Seq = sb.nextSeq[cpu]
 	sb.nextSeq[cpu]++
 
-	var bs stream.BlockSummary
+	nextPid = d.Enter(entryPid)
+	bs := d.Sum
 	bs.CPU = cpu
 	bs.Seq = h.Seq
-	start, anchored := stream.AnchorTimeWords(b.Words)
+	start, anchored := stream.AnchorTimeWords(words)
 	bs.Start, bs.Flagged = start, !anchored
 	if p := sb.lastOf[cpu]; p >= 0 && start < sb.sums[p].Start {
 		bs.Start = sb.sums[p].Start
 		bs.Flagged = true
 	}
-	nextPid = stream.SummarizeEvents(&bs, b.Events, entryPid)
 
 	if sb.events == 0 || bs.MinTime < sb.minT {
 		sb.minT = bs.MinTime
@@ -210,7 +214,7 @@ func (sb *segBuilder) add(b *stream.SalvagedBlock, entryPid uint64) (nextPid uin
 	sb.events += uint64(bs.Events)
 	sb.lastOf[cpu] = len(sb.sums)
 	sb.hdrs = append(sb.hdrs, h)
-	sb.words = append(sb.words, b.Words)
+	sb.words = append(sb.words, words)
 	sb.sums = append(sb.sums, bs)
 	return nextPid
 }

@@ -9,17 +9,21 @@ import (
 	"k42trace/internal/event"
 )
 
-// SalvagedBlock is one decoded block of a trace: its header, raw payload
-// words, and decoded events. It is what every whole-file scan produces per
-// block, strict or tolerant. From a salvage the header is the one
-// SalvageTo would have written — a clipped truncated tail is re-marked
-// partial with NWords matching the surviving words — and the payloads of
-// Events alias Words: whoever keeps the events keeps the words,
-// unmodified.
+// SalvagedBlock is one decoded block of a trace: its header, and whatever
+// of its raw payload words, its decoded events and their digest the scan
+// that produced it keeps. From a salvage the header is the one SalvageTo
+// would have written — a clipped truncated tail is re-marked partial with
+// NWords matching the surviving words. Where a block holds both Words and
+// Events, the events' payloads alias the words: whoever keeps the events
+// keeps the words, unmodified.
 type SalvagedBlock struct {
 	Hdr    BlockHeader
 	Words  []uint64
 	Events []event.Event
+	// Digest stands in for Events in a scan that keeps none (SalvageBlocks).
+	// It is a pointer so that the scans that do keep events do not carry
+	// its size in every block.
+	Digest *BlockDigest
 	st     core.DecodeStats
 }
 
@@ -99,32 +103,57 @@ func (rd *Reader) eachBlock(workers int, fn func(k int, sc *BlockScratch) error)
 	return errs
 }
 
+// keep is what a whole-file scan holds on to of each block once the
+// worker that decoded it has moved on to the next.
+type keep int
+
+const (
+	// keepEvents: the events, their payloads copied into a slab of exactly
+	// their size (core.DecodeBuffer), and no words — about one header word
+	// per event less to hold on to. The strict reader's.
+	keepEvents keep = iota
+	// keepAliased: the block's own copy of the payload words, and events
+	// whose payloads alias it. Salvage's, which returns events.
+	keepAliased
+	// keepDigest: the words, and of the events — decoded into the worker's
+	// scratch and gone with the next block — only their digest. What a
+	// rewrite or a store ingest needs: it writes the words back out and
+	// never reads an event twice.
+	keepDigest
+)
+
+// keepBlock fills b, whose header is set, from the bytes of its payload
+// words. data and sc are the scan worker's, reused for the next block.
+func (rd *Reader) keepBlock(b *SalvagedBlock, what keep, data []byte, sc *BlockScratch) {
+	switch what {
+	case keepEvents:
+		b.Events, b.st = core.DecodeBuffer(b.Hdr.CPU, sc.Buf.load(data, rd.meta.BufWords))
+	case keepAliased:
+		b.Words = bytesToWords(data)
+		b.Events, b.st = core.DecodeInto(nil, b.Hdr.CPU, b.Words)
+	case keepDigest:
+		b.Words = bytesToWords(data)
+		sc.Events, b.st = core.DecodeInto(sc.Events[:0], b.Hdr.CPU, b.Words)
+		d := DigestEvents(sc.Events)
+		b.Digest = &d
+	}
+}
+
 // decodeAll is the one scan under every whole-file read: each block is
-// read, validated and decoded into its own slot, in file order. A block
-// that could not be read leaves its slot empty and its error in errs;
-// the strict reader fails on the first of those and the salvager
-// quarantines each, and that is all that separates them.
-//
-// The two differ in what they keep. With keepWords each block keeps its
-// own copy of the payload words and its events alias it, which is what a
-// rewrite needs. Without, the events' payloads are copied into a slab of
-// exactly their size (core.DecodeBuffer) and the words are dropped — about
-// one header word per event less to hold on to.
-func (rd *Reader) decodeAll(workers int, keepWords bool) ([]SalvagedBlock, []error) {
+// read, validated and decoded into its own slot, in file order, and keeps
+// there what the caller asked for. A block that could not be read leaves
+// its slot empty and its error in errs; the strict reader fails on the
+// first of those and the salvager quarantines each, and that is all that
+// separates them.
+func (rd *Reader) decodeAll(workers int, what keep) ([]SalvagedBlock, []error) {
 	blocks := make([]SalvagedBlock, rd.nBlk)
 	errs := rd.eachBlock(workers, func(k int, sc *BlockScratch) error {
 		h, data, err := rd.readStride(k, &sc.Buf)
 		if err != nil {
 			return err
 		}
-		b := &blocks[k]
-		b.Hdr = h
-		if keepWords {
-			b.Words = bytesToWords(data)
-			b.Events, b.st = core.DecodeInto(nil, h.CPU, b.Words)
-		} else {
-			b.Events, b.st = core.DecodeBuffer(h.CPU, sc.Buf.load(data, rd.meta.BufWords))
-		}
+		blocks[k].Hdr = h
+		rd.keepBlock(&blocks[k], what, data, sc)
 		return nil
 	})
 	return blocks, errs

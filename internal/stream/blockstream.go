@@ -39,11 +39,16 @@ func NewBlockStream(r io.Reader) (*BlockStream, error) {
 // Meta returns the stream metadata.
 func (s *BlockStream) Meta() Meta { return s.meta }
 
-// Next reads the next block. The returned words are allocated per call and
-// belong to the caller. It returns io.EOF after the final block; a block
-// cut off mid-transfer returns io.ErrUnexpectedEOF wrapped with the block
-// index and stream offset, so collectors can report where a transfer was
-// torn.
+// Next reads the next block into dst and returns its words, dst[:NWords].
+// The words are the caller's, as dst was: a consumer that is done with a
+// block before it asks for the next hands the same buffer back and reads
+// a stream without allocating. A dst too small for the block — nil always
+// is — is left alone, and the words are a fresh slice of exactly the
+// block's size. When Next returns an error it has not written to dst.
+//
+// It returns io.EOF after the final block; a block cut off mid-transfer
+// returns io.ErrUnexpectedEOF wrapped with the block index and stream
+// offset, so collectors can report where a transfer was torn.
 //
 // A block whose header fails validation comes back as a *BlockDamageError.
 // That error is not terminal: the full stride was consumed, so the stream
@@ -51,7 +56,7 @@ func (s *BlockStream) Meta() Meta { return s.meta }
 // This is what lets a live collector count a garbled block and keep the
 // producer connected — the fixed stride is the resynchronization point,
 // the same property the offline salvager leans on.
-func (s *BlockStream) Next() (BlockHeader, []uint64, error) {
+func (s *BlockStream) Next(dst []uint64) (BlockHeader, []uint64, error) {
 	off := int64(fileHdrWords*8) + int64(s.n)*int64(len(s.buf))
 	if n, err := io.ReadFull(s.r, s.buf); err != nil {
 		if n == 0 && err == io.EOF {
@@ -65,7 +70,7 @@ func (s *BlockStream) Next() (BlockHeader, []uint64, error) {
 	if err != nil {
 		return BlockHeader{}, nil, &BlockDamageError{Block: k, Offset: off, Cause: err}
 	}
-	return h, bytesToWords(s.buf[blockHdrWords*8 : (blockHdrWords+h.NWords)*8]), nil
+	return h, wordsInto(dst, s.buf[blockHdrWords*8:(blockHdrWords+h.NWords)*8]), nil
 }
 
 // BlockSink is where a block goes next: a trace file (*Writer), a network
@@ -93,11 +98,12 @@ type CopyStats struct {
 // skipped — Next keeps the stream aligned across it — so one garbled
 // header costs one block, not the connection. The counts are valid
 // whatever the error: a stream torn after N blocks reports N. A clean end
-// of stream is a nil error.
+// of stream is a nil error. Every block is read into words of its own,
+// because a sink may keep what it is handed.
 func (s *BlockStream) CopyTo(dst BlockSink) (CopyStats, error) {
 	var st CopyStats
 	for {
-		h, words, err := s.Next()
+		h, words, err := s.Next(nil)
 		if err == io.EOF {
 			return st, nil
 		}

@@ -69,7 +69,7 @@ func TestNextSurvivesDamagedBlock(t *testing.T) {
 	got := 0
 	damaged := 0
 	for k := 0; ; k++ {
-		h, words, err := bs.Next()
+		h, words, err := bs.Next(nil)
 		if err == io.EOF {
 			break
 		}
@@ -111,7 +111,7 @@ func TestNextTornTailStillTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		_, _, err := bs.Next()
+		_, _, err := bs.Next(nil)
 		if err == nil {
 			continue
 		}

@@ -248,14 +248,23 @@ func wordsToBytes(dst []byte, words []uint64) {
 	}
 }
 
-// bytesToWords parses little-endian words.
-func bytesToWords(b []byte) []uint64 {
-	words := make([]uint64, len(b)/8)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(b[i*8:])
+// wordsInto parses b's little-endian words into dst and returns them. A
+// dst without room for them is left alone, and the words are a fresh slice
+// of exactly their size.
+func wordsInto(dst []uint64, b []byte) []uint64 {
+	n := len(b) / 8
+	if cap(dst) < n {
+		dst = make([]uint64, n)
 	}
-	return words
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = getWord(b, i)
+	}
+	return dst
 }
+
+// bytesToWords parses little-endian words into a slice of their own.
+func bytesToWords(b []byte) []uint64 { return wordsInto(nil, b) }
 
 // blockStride returns a block's on-disk size in bytes.
 func blockStride(bufWords int) int64 { return int64(blockHdrWords+bufWords) * 8 }

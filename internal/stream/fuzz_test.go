@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"k42trace/internal/core"
 	"k42trace/internal/event"
 )
 
@@ -60,7 +61,7 @@ func FuzzReadStream(f *testing.F) {
 		}
 		if bs, err := NewBlockStream(bytes.NewReader(b)); err == nil {
 			for {
-				if _, _, err := bs.Next(); err != nil {
+				if _, _, err := bs.Next(nil); err != nil {
 					break
 				}
 			}
@@ -101,7 +102,36 @@ func FuzzSalvage(f *testing.F) {
 		if len(got) != rep2.EventsRecovered {
 			t.Fatalf("rewrite decodes %d events, salvage recovered %d", len(got), rep2.EventsRecovered)
 		}
+		blocks, _, err := SalvageBlocks(bytes.NewReader(b), int64(len(b)), 2)
+		if err != nil {
+			t.Fatalf("SalvageTo read what SalvageBlocks cannot: %v", err)
+		}
+		if n := len(decodeDigested(t, blocks)); n != rep2.EventsRecovered {
+			t.Fatalf("SalvageBlocks words decode to %d events, salvage recovered %d", n, rep2.EventsRecovered)
+		}
 	})
+}
+
+// decodeDigested decodes the words of blocks from a scan that kept no
+// events, and holds each block's digest and decode statistics — taken by a
+// scan worker from a scratch that has since moved on — to the events.
+func decodeDigested(t *testing.T, blocks []SalvagedBlock) []event.Event {
+	t.Helper()
+	var all []event.Event
+	for i, b := range blocks {
+		if b.Events != nil {
+			t.Fatalf("block %d: the scan kept %d events", i, len(b.Events))
+		}
+		evs, st := core.DecodeInto(nil, b.Hdr.CPU, b.Words)
+		if want := DigestEvents(evs); *b.Digest != want {
+			t.Fatalf("block %d: scan digest %+v, its words digest to %+v", i, *b.Digest, want)
+		}
+		if b.st != st {
+			t.Fatalf("block %d: scan decode stats %+v, its words decode with %+v", i, b.st, st)
+		}
+		all = append(all, evs...)
+	}
+	return all
 }
 
 // TestFuzzSeedCorpus regenerates (with -updatefuzzseeds) or verifies the

@@ -110,20 +110,44 @@ type FullIndex struct {
 	Blocks []BlockSummary
 }
 
-// SummarizeEvents folds one block's decoded events into a summary:
-// min/max time, majors, minors, and attributed pids starting from
-// entryPid. It returns the pid scheduled after the block (the next
-// block's entry pid). Exposed so writers that already hold decoded
-// events (a store ingesting a spill) can build a FullIndex without
-// re-reading what they just wrote.
-func SummarizeEvents(bs *BlockSummary, evs []event.Event, entryPid uint64) (nextPid uint64) {
-	last, switched := summarize(bs, evs)
-	return enterBlock(bs, entryPid, last, switched)
+// BlockDigest is what is left of a block's events once they are gone: the
+// part of its index summary that needs no carry from the blocks before it
+// (summarize), and the time of its first event. A scan worker computes it
+// from the events in its scratch, so that a writer who indexes what it
+// writes — a store ingesting a spill — keeps no events to do it.
+type BlockDigest struct {
+	// Sum has Events, MinTime, MaxTime, MajorMask, MinorBloom and the
+	// switch targets in PidBloom. CPU, Seq, Start and Flagged are for
+	// whoever places the block in a file; Enter adds the entry pid.
+	Sum BlockSummary
+	// FirstTime is the time of the block's first event in stream order
+	// (zero for a block without events), which need not be MinTime.
+	FirstTime uint64
+
+	exitPid  uint64 // the last pid the block switched to,
+	switched bool   // if it switched at all
 }
 
-// summarize is the part of SummarizeEvents that needs no carry from the
-// blocks before: everything but the entry pid. It reports the last pid the
-// block switched to, if it switched at all.
+// DigestEvents digests one block's decoded events.
+func DigestEvents(evs []event.Event) (d BlockDigest) {
+	d.exitPid, d.switched = summarize(&d.Sum, evs)
+	if len(evs) > 0 {
+		d.FirstTime = evs[0].Time
+	}
+	return d
+}
+
+// Enter completes d.Sum with entryPid, the pid scheduled on the block's
+// CPU when it begins, exactly as BuildFullIndex's carry pass does. It
+// returns the pid scheduled after the block: the next block's entry pid.
+func (d *BlockDigest) Enter(entryPid uint64) (nextPid uint64) {
+	return enterBlock(&d.Sum, entryPid, d.exitPid, d.switched)
+}
+
+// summarize folds one block's decoded events into its summary: min/max
+// time, majors, minors, and the pids it switches to — everything that needs
+// no carry from the blocks before. It reports the last pid the block
+// switched to, if it switched at all.
 func summarize(bs *BlockSummary, evs []event.Event) (lastPid uint64, switched bool) {
 	bs.Events = uint32(len(evs))
 	for i := range evs {

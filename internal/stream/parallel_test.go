@@ -134,10 +134,9 @@ func TestReadAllParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var concat []event.Event
-			for _, b := range blocks {
-				concat = append(concat, b.Events...)
-			}
+			// SalvageBlocks keeps words and a digest, no events: the row
+			// decodes the words itself.
+			concat := decodeDigested(t, blocks)
 			sortEvents(concat)
 			var out bytes.Buffer
 			if _, err := SalvageTo(src, size, &out, 8); err != nil {

@@ -114,11 +114,7 @@ func (bb *BlockBuf) load(data []byte, bufWords int) []uint64 {
 	if cap(bb.words) < bufWords {
 		bb.words = make([]uint64, bufWords)
 	}
-	w := bb.words[:len(data)/8]
-	for i := range w {
-		w[i] = getWord(data, i)
-	}
-	return w
+	return wordsInto(bb.words, data)
 }
 
 // readStride reads the k-th block's whole stride into bb and returns its
@@ -289,7 +285,7 @@ func (rd *Reader) ReadAll() ([]event.Event, core.DecodeStats, error) {
 // The underlying io.ReaderAt must support concurrent ReadAt calls
 // (os.File and bytes.Reader both do).
 func (rd *Reader) ReadAllParallel(workers int) ([]event.Event, core.DecodeStats, error) {
-	blocks, errs := rd.decodeAll(workers, false)
+	blocks, errs := rd.decodeAll(workers, keepEvents)
 	var st core.DecodeStats
 	if err := firstErr(errs); err != nil {
 		return nil, st, err

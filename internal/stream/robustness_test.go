@@ -36,7 +36,7 @@ func TestBlockStreamNeverPanicsOnRandomBytes(t *testing.T) {
 			return true
 		}
 		for i := 0; i < 8; i++ {
-			if _, _, err := bs.Next(); err != nil {
+			if _, _, err := bs.Next(nil); err != nil {
 				return true
 			}
 		}
@@ -80,7 +80,7 @@ func TestBlockStreamEmptyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := bs.Next(); err != io.EOF {
+	if _, _, err := bs.Next(nil); err != io.EOF {
 		t.Errorf("want io.EOF, got %v", err)
 	}
 }

@@ -33,7 +33,7 @@ import (
 // long as they do. The report is
 // deterministic for any worker count (workers <= 0 means GOMAXPROCS).
 func Salvage(r io.ReaderAt, size int64, workers int) ([]event.Event, *SalvageReport, error) {
-	blocks, rep, err := SalvageBlocks(r, size, workers)
+	blocks, rep, err := salvageScan(r, size, workers, keepAliased)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -46,7 +46,8 @@ func Salvage(r io.ReaderAt, size int64, workers int) ([]event.Event, *SalvageRep
 // result opens cleanly with NewReader and decodes to exactly the events
 // Salvage recovers. When the source file header was lost, the rewritten
 // header carries the recovered geometry (CPU count inferred from the
-// blocks, clock rate unknown and recorded as zero).
+// blocks, clock rate unknown and recorded as zero). It holds the surviving
+// blocks' words until they are written, and no events.
 func SalvageTo(r io.ReaderAt, size int64, w io.Writer, workers int) (*SalvageReport, error) {
 	blocks, rep, err := SalvageBlocks(r, size, workers)
 	if err != nil {
@@ -181,16 +182,23 @@ const salvageMaxCPUs = 4096
 // SalvageBlocks runs the salvage scan and returns the surviving blocks in
 // write-out order (CPUs ascending, per-CPU sequence order, duplicates
 // dropped), plus the filled-in salvage report. It is SalvageTo without the
-// writer and Salvage without the merge: callers that partition blocks — a
-// time-sharded store splitting one spill into many segment files — consume
-// exactly the clean block sequence SalvageTo would have written, with the
-// decoded events alongside so the partitioning key (time) needs no second
-// decode pass.
+// writer: callers that partition blocks — a time-sharded store splitting
+// one spill into many segment files — consume exactly the clean block
+// sequence SalvageTo would have written. Each block has its Words and,
+// for Events, a Digest: the partitioning key (first-event time) and the
+// index summary need no second decode pass, and no event outlives the scan
+// worker that decoded it.
+func SalvageBlocks(r io.ReaderAt, size int64, workers int) ([]SalvagedBlock, *SalvageReport, error) {
+	return salvageScan(r, size, workers, keepDigest)
+}
+
+// salvageScan is the scan under Salvage, SalvageTo and SalvageBlocks, which
+// differ in what they keep of a block.
 //
 // It tries the file header's geometry first; if the header is unreadable —
 // or claims a geometry under which nothing decodes — it falls back to
 // re-deriving the geometry from block magics.
-func SalvageBlocks(r io.ReaderAt, size int64, workers int) ([]SalvagedBlock, *SalvageReport, error) {
+func salvageScan(r io.ReaderAt, size int64, workers int, what keep) ([]SalvagedBlock, *SalvageReport, error) {
 	var (
 		hdrBlocks []SalvagedBlock
 		hdrRep    *SalvageReport
@@ -199,7 +207,7 @@ func SalvageBlocks(r io.ReaderAt, size int64, workers int) ([]SalvagedBlock, *Sa
 	if size >= int64(len(hdr)) {
 		if _, err := r.ReadAt(hdr, 0); err == nil {
 			if meta, err := decodeFileHeader(hdr); err == nil {
-				hdrBlocks, hdrRep = scanWith(r, size, meta, fileHdrWords*8, false, workers)
+				hdrBlocks, hdrRep = scanWith(r, size, meta, fileHdrWords*8, false, workers, what)
 				nWhole := hdrRep.BlocksScanned
 				if hdrRep.TailBytes > 0 {
 					nWhole--
@@ -222,7 +230,7 @@ func SalvageBlocks(r io.ReaderAt, size int64, workers int) ([]SalvagedBlock, *Sa
 		}
 		return nil, nil, err
 	}
-	blocks, rep := scanWith(r, size, meta, dataOff, true, workers)
+	blocks, rep := scanWith(r, size, meta, dataOff, true, workers, what)
 	if hdrRep != nil && rep.BlocksGood == 0 {
 		return hdrBlocks, hdrRep, nil
 	}
@@ -234,7 +242,7 @@ func SalvageBlocks(r io.ReaderAt, size int64, workers int) ([]SalvagedBlock, *Sa
 // error quarantines the block instead of failing the read. The one thing
 // only a salvager reads is the fragment a truncation leaves after the last
 // whole block.
-func scanWith(r io.ReaderAt, size int64, meta Meta, dataOff int64, recovered bool, workers int) ([]SalvagedBlock, *SalvageReport) {
+func scanWith(r io.ReaderAt, size int64, meta Meta, dataOff int64, recovered bool, workers int, what keep) ([]SalvagedBlock, *SalvageReport) {
 	rep := &SalvageReport{
 		Meta:          meta,
 		MetaRecovered: recovered,
@@ -242,7 +250,7 @@ func scanWith(r io.ReaderAt, size int64, meta Meta, dataOff int64, recovered boo
 		DataOffset:    dataOff,
 	}
 	rd, tail := readerOver(r, size, meta, dataOff)
-	blocks, errs := rd.decodeAll(workers, true)
+	blocks, errs := rd.decodeAll(workers, what)
 	rep.BlocksScanned = rd.nBlk
 	kept := make([]*SalvagedBlock, 0, rd.nBlk+1)
 	for k := range blocks {
@@ -263,7 +271,7 @@ func scanWith(r io.ReaderAt, size int64, meta Meta, dataOff int64, recovered boo
 	rep.TailBytes = tail
 	if tail > 0 {
 		rep.BlocksScanned++
-		if b, ok := tailBlock(r, meta, rd.blockOff(rd.nBlk), tail); ok {
+		if b, ok := rd.tailBlock(tail, what); ok {
 			kept = append(kept, b)
 			rep.TailSalvaged = true
 		} else {
@@ -287,15 +295,15 @@ func scanWith(r io.ReaderAt, size int64, meta Meta, dataOff int64, recovered boo
 	return out, rep
 }
 
-// tailBlock decodes the tail-byte fragment at off that a truncation left
-// of the file's last block: the payload words before the cut, under a
-// header rewritten to say so.
-func tailBlock(r io.ReaderAt, meta Meta, off, tail int64) (*SalvagedBlock, bool) {
+// tailBlock decodes the tail-byte fragment that a truncation left of the
+// file's last block, after the whole ones: the payload words before the
+// cut, under a header rewritten to say so.
+func (rd *Reader) tailBlock(tail int64, what keep) (*SalvagedBlock, bool) {
 	tb := make([]byte, tail)
-	if _, err := r.ReadAt(tb, off); err != nil {
+	if _, err := rd.r.ReadAt(tb, rd.blockOff(rd.nBlk)); err != nil {
 		return nil, false
 	}
-	h, err := meta.blockHeader(tb)
+	h, err := rd.meta.blockHeader(tb)
 	if err != nil {
 		return nil, false
 	}
@@ -304,8 +312,8 @@ func tailBlock(r io.ReaderAt, meta Meta, off, tail int64) (*SalvagedBlock, bool)
 		h.NWords = avail
 		h.Flags |= FlagPartial
 	}
-	b := &SalvagedBlock{Hdr: h, Words: bytesToWords(tb[blockHdrWords*8 : (blockHdrWords+h.NWords)*8])}
-	b.Events, b.st = core.DecodeInto(nil, h.CPU, b.Words)
+	b := &SalvagedBlock{Hdr: h}
+	rd.keepBlock(b, what, tb[blockHdrWords*8:(blockHdrWords+h.NWords)*8], new(BlockScratch))
 	return b, true
 }
 
@@ -349,7 +357,7 @@ func assemble(kept []*SalvagedBlock, rep *SalvageReport) []SalvagedBlock {
 			}
 			out = append(out, *b)
 			cs.Blocks++
-			cs.Events += len(b.Events)
+			cs.Events += b.st.Events
 			cs.SkippedWords += b.st.SkippedWords
 			addStats(&rep.Stats, b.st)
 		}

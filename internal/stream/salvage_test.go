@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -331,6 +332,32 @@ func TestSalvageToRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSalvageToKeepsNoEvents: a rewrite holds the surviving blocks' words
+// until they are written and nothing of their events, so it allocates the
+// input once over plus what a block costs to track. Keeping each block's
+// decoded events, as the scan did at the parent commit, is 48 bytes for
+// every two- to five-word event on top.
+func TestSalvageToKeepsNoEvents(t *testing.T) {
+	data := runCapture(t, 2, 1024, 120_000)
+	src := bytes.NewReader(data)
+	nBlk := newReader(t, data).NumBlocks()
+	if nBlk < 40 {
+		t.Fatalf("want many blocks, got %d", nBlk)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := SalvageTo(src, int64(len(data)), io.Discard, 1)
+	runtime.ReadMemStats(&after)
+	if err != nil || !rep.Clean() {
+		t.Fatalf("salvage of a clean capture: %v\n%v", err, rep)
+	}
+	const perBlock = 1 << 10
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(len(data))*13/10 + uint64(nBlk)*perBlock; got > limit {
+		t.Errorf("SalvageTo of %d bytes in %d blocks allocated %d bytes, limit %d", len(data), nBlk, got, limit)
+	}
+}
+
 func TestSalvageWorkerDeterminism(t *testing.T) {
 	data := runCapture(t, 4, 64, 800)
 	rd := newReader(t, data)
@@ -447,7 +474,7 @@ func TestDamagedBlockMeansTheSameToEveryReader(t *testing.T) {
 		{"BlockStream", func(data []byte) error {
 			bs, err := NewBlockStream(bytes.NewReader(data))
 			for err == nil {
-				_, _, err = bs.Next()
+				_, _, err = bs.Next(nil)
 			}
 			return err
 		}},
