@@ -16,6 +16,19 @@ import (
 	"k42trace/internal/stream"
 )
 
+// hangUp ends the upload on conn and waits for the server to have handled
+// it: the server hangs up once its handler returns. Closing the listener
+// right behind a plain conn.Close can beat the accept loop to the
+// connection on a loaded host, and the upload is then never seen.
+func hangUp(t *testing.T, conn net.Conn) {
+	t.Helper()
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, conn)
+	conn.Close()
+}
+
 // capture is a clean two-CPU trace of some sixty small blocks.
 func capture(t *testing.T) []byte {
 	t.Helper()
@@ -69,7 +82,7 @@ func TestRelayIngestSalvagesDamagedUpload(t *testing.T) {
 	if _, err := conn.Write(damaged); err != nil {
 		t.Fatal(err)
 	}
-	conn.Close()
+	hangUp(t, conn)
 	if err := srv.Close(); err != nil {
 		t.Fatalf("relay ingest of a damaged upload: %v", err)
 	}
@@ -125,7 +138,7 @@ func TestRelayIngestKeepsBlocksBeforeATear(t *testing.T) {
 	if _, err := conn.Write(clean[:len(whole)+g.BlockBytes/2]); err != nil {
 		t.Fatal(err)
 	}
-	conn.Close()
+	hangUp(t, conn)
 	if err := srv.Close(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("relay ingest of a torn upload reported %v, want the truncation", err)
 	}

@@ -157,9 +157,8 @@ func BenchmarkStoreQuery(b *testing.B) {
 // BenchmarkStoreIngest measures the write path alone: one SDET spill
 // through the tolerant scan into the segment files and sidecars of a fresh
 // tenant, for a spill in order and for one the salvager has to put back in
-// sequence. B/op is the row to watch: ingest holds a spill's words until
-// its segments are written and none of its events, so it stays near the
-// spill's size.
+// sequence. B/op is the row to watch: ingest holds one block of the spill at
+// a time, so it stays at a few strides however large the spill.
 func BenchmarkStoreIngest(b *testing.B) {
 	clean := sdetSpill(b, 42)
 	base, _ := readAllEvents(b, clean)
@@ -187,4 +186,32 @@ func BenchmarkStoreIngest(b *testing.B) {
 			b.ReportMetric(float64(events), "events/op")
 		})
 	}
+}
+
+// BenchmarkStoreCompact measures the merge alone: the eight segments an SDET
+// spill twice the usual size was split into, decoded and written through
+// into one. The ingest that sets each iteration up is not timed or counted.
+// B/op is the row to watch, as for ingest: a merge holds one block at a time.
+func BenchmarkStoreCompact(b *testing.B) {
+	data := sdetRun(b, 32, 20, 42)
+	base, _ := readAllEvents(b, data)
+	s := openStore(b, Options{SegmentSpan: (base[len(base)-1].Time - base[0].Time) / 8})
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *CompactResult
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tenant := fmt.Sprintf("t%d", i)
+		ingestBytes(b, s, tenant, data)
+		b.StartTimer()
+		var err error
+		if res, err = s.Compact(tenant); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if res.Out != 1 || res.In != 8 {
+		b.Fatalf("want eight segments merged into one, got %+v", res)
+	}
+	b.ReportMetric(float64(res.Events), "events/op")
 }

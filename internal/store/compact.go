@@ -2,20 +2,21 @@ package store
 
 import (
 	"fmt"
-	"slices"
 
 	"k42trace/internal/stream"
 )
 
-// compactKill, when non-nil, is invoked at compaction killpoints. Crash
-// tests install a hook that dies mid-mutation ("compact-before-swap",
-// "compact-after-swap") to prove the manifest swap is the only commit
+// killHook, when non-nil, is invoked at the killpoints of ingest and
+// compaction. Crash tests install a hook that dies mid-mutation — after a
+// block of a segment file went out ("ingest-mid-segment",
+// "compact-mid-write"), around the swap ("compact-before-swap",
+// "compact-after-swap") — to prove the manifest swap is the only commit
 // point.
-var compactKill func(stage string)
+var killHook func(stage string)
 
 func killpoint(stage string) {
-	if compactKill != nil {
-		compactKill(stage)
+	if killHook != nil {
+		killHook(stage)
 	}
 }
 
@@ -95,12 +96,26 @@ func (s *Store) compactOne(t *tenant) (merged bool, in int, events uint64, err e
 
 	// Rebuild the merged segment cpu-major so the per-CPU renumbered
 	// sequences stay contiguous; every block keeps its recorded entry pid,
-	// so attribution is byte-identical to the inputs.
+	// so attribution is byte-identical to the inputs. Each block is written
+	// from the scratch it was just decoded into: the decode is what notices
+	// a rotted input before the merge commits, and what the event count
+	// below is a count of. Whatever fails from here on, the output goes.
 	var want uint64
 	for _, si := range run {
 		want += si.Events
 	}
-	sb := newSegBuilder(run[0].Meta())
+	sb, err := newSegBuilder(t.dir, run[0].Meta())
+	if err != nil {
+		return false, 0, 0, err
+	}
+	defer func() {
+		if err != nil {
+			sb.abort()
+		}
+	}()
+	if err := sb.begin(outID); err != nil {
+		return false, 0, 0, err
+	}
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	for cpu := 0; cpu < sb.meta.CPUs; cpu++ {
@@ -118,26 +133,22 @@ func (s *Store) compactOne(t *tenant) (merged bool, in int, events uint64, err e
 				if err != nil {
 					return false, 0, 0, err
 				}
-				// The builder keeps the words until the segment is written,
-				// so they need a copy the next block does not reuse; of the
-				// events it takes only their digest.
 				d := stream.DigestEvents(blk.Events)
-				sb.add(blk.Hdr, slices.Clone(blk.Words), &d, bs.EntryPid)
+				d.Start, d.Anchored = stream.AnchorTimeWords(blk.Words)
+				d.Enter(bs.EntryPid)
+				if err := sb.wr.WriteBlock(sb.place(blk.Hdr, &d), blk.Words); err != nil {
+					return false, 0, 0, err
+				}
+				killpoint("compact-mid-write")
 			}
 		}
 	}
 	if sb.events != want {
 		return false, 0, 0, fmt.Errorf("store: compaction would change event count (%d != %d)", sb.events, want)
 	}
-
-	now := s.opt.Now().Unix()
-	out, err := sb.write(t.dir, outID, run[0].Upload, now)
+	out, err := sb.finish(run[0].Upload, s.opt.Now().Unix())
 	if err != nil {
 		return false, 0, 0, err
-	}
-	if out.info.Events != want {
-		out.unlink()
-		return false, 0, 0, fmt.Errorf("store: compacted segment holds %d events, inputs held %d", out.info.Events, want)
 	}
 
 	killpoint("compact-before-swap")
@@ -149,7 +160,6 @@ func (s *Store) compactOne(t *tenant) (merged bool, in int, events uint64, err e
 	err = t.swap([]*segment{out}, removeIDs)
 	t.mu.Unlock()
 	if err != nil {
-		out.unlink()
 		return false, 0, 0, err
 	}
 	killpoint("compact-after-swap")

@@ -6,19 +6,24 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // The crash-safety harness re-execs the test binary: the child installs a
-// compactKill hook that hard-exits at a chosen killpoint, the parent then
+// killHook that hard-exits at a chosen killpoint, the parent then
 // re-opens the wounded store and proves recovery lands on exactly the
-// pre- or post-compaction view. Env vars, not flags, select child mode so
+// pre- or post-mutation view. Env vars, not flags, select child mode so
 // the go test flag machinery never sees them.
 const (
 	crashStageEnv = "K42TRACE_STORE_CRASH_STAGE"
+	crashHitEnv   = "K42TRACE_STORE_CRASH_HIT" // which pass through the killpoint dies
+	crashSpanEnv  = "K42TRACE_STORE_CRASH_SPAN"
 	crashRootEnv  = "K42TRACE_STORE_CRASH_ROOT"
 	crashExitCode = 3
+
+	crashSpill = "spill.ktr" // under the root: what an ingest stage ingests
 )
 
 func TestMain(m *testing.M) {
@@ -29,27 +34,39 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// crashChild runs compaction and dies, without cleanup, at the requested
-// killpoint — simulating a crash at the worst moments: after the merged
-// segment hit disk but before the manifest swap, and right after it.
+// crashChild runs the mutation the stage belongs to — a second ingest of the
+// root's spill, or compaction — and dies, without cleanup, at the requested
+// pass through the stage's killpoint — simulating a crash at the worst
+// moments: with a segment file half written, after the merged segment hit
+// disk but before the manifest swap, and right after it.
 func crashChild(stage, root string) {
-	compactKill = func(st string) {
-		if st == stage {
+	hit, _ := strconv.Atoi(os.Getenv(crashHitEnv))
+	span, _ := strconv.ParseUint(os.Getenv(crashSpanEnv), 10, 64)
+	killHook = func(st string) {
+		if st != stage {
+			return
+		}
+		if hit--; hit <= 0 {
 			fmt.Printf("killpoint:%s\n", st)
 			os.Stdout.Sync()
 			os.Exit(crashExitCode)
 		}
 	}
-	s, err := Open(Options{Root: root})
+	s, err := Open(Options{Root: root, SegmentSpan: span})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crash child:", err)
 		os.Exit(1)
 	}
-	if _, err := s.Compact("acme"); err != nil {
+	if strings.HasPrefix(stage, "ingest-") {
+		_, err = s.IngestFile("acme", filepath.Join(root, crashSpill))
+	} else {
+		_, err = s.Compact("acme")
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "crash child:", err)
 		os.Exit(1)
 	}
-	fmt.Println("compact-done")
+	fmt.Println("done")
 	os.Exit(0)
 }
 
@@ -121,11 +138,12 @@ func segIDs(man manifest) []uint64 {
 	return ids
 }
 
-// TestCrashDuringCompaction kills compaction at both killpoints and
-// verifies the reopened store is exactly the pre-swap view (before-swap:
-// the orphaned output segment is swept, the catalog is untouched) or
-// exactly the post-swap view (after-swap: the merge is committed, the
-// inputs are gone) — with the event stream byte-identical either way.
+// TestCrashDuringCompaction kills compaction — and a second ingest of the
+// same spill — at every killpoint and verifies the reopened store is exactly
+// the pre-swap view (the orphaned output, whole or cut off in the middle of a
+// block run, is swept, the catalog is untouched) or exactly the post-swap
+// view (after-swap: the merge is committed, the inputs are gone) — with the
+// event stream byte-identical either way.
 func TestCrashDuringCompaction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec crash test")
@@ -137,8 +155,12 @@ func TestCrashDuringCompaction(t *testing.T) {
 	// Template store: one tenant, one upload split fine enough that
 	// compaction has real work (adjacent same-upload runs).
 	tmpl := t.TempDir()
-	s, err := Open(Options{Root: tmpl, SegmentSpan: (hi - lo) / 9})
+	span := (hi - lo) / 9
+	s, err := Open(Options{Root: tmpl, SegmentSpan: span})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(tmpl, crashSpill), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Ingest("acme", strings.NewReader(string(data)), int64(len(data)))
@@ -159,14 +181,25 @@ func TestCrashDuringCompaction(t *testing.T) {
 		preEvents += si.Events
 	}
 
-	for _, stage := range []string{"compact-before-swap", "compact-after-swap"} {
+	for _, kp := range []struct {
+		stage string
+		hit   int // die at the hit-th pass through the killpoint
+	}{
+		// One segment whole and uncommitted, the second two blocks in.
+		{"ingest-mid-segment", res.Segments[0].Blocks + 2},
+		{"compact-mid-write", 3},
+		{"compact-before-swap", 1},
+		{"compact-after-swap", 1},
+	} {
+		stage := kp.stage
 		t.Run(stage, func(t *testing.T) {
 			root := t.TempDir()
 			copyDir(t, tmpl, root)
 
 			cmd := exec.Command(os.Args[0])
 			cmd.Env = append(os.Environ(),
-				crashStageEnv+"="+stage, crashRootEnv+"="+root)
+				crashStageEnv+"="+stage, crashHitEnv+"="+strconv.Itoa(kp.hit),
+				crashSpanEnv+"="+strconv.FormatUint(span, 10), crashRootEnv+"="+root)
 			out, err := cmd.CombinedOutput()
 			ee, ok := err.(*exec.ExitError)
 			if !ok || ee.ExitCode() != crashExitCode {
@@ -177,12 +210,19 @@ func TestCrashDuringCompaction(t *testing.T) {
 			}
 
 			// Recovery: reopen and inspect.
+			wounded, err := os.ReadDir(filepath.Join(root, "acme"))
+			if err != nil {
+				t.Fatal(err)
+			}
 			rs, err := Open(Options{Root: root, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer rs.Close()
 			man := tenantFilesMatchManifest(t, filepath.Join(root, "acme"))
+			if swept := len(wounded) - (1 + 2*len(man.Segments)); stage != "compact-after-swap" && swept <= 0 {
+				t.Errorf("the crash left nothing for recovery to sweep (%d files)", len(wounded))
+			}
 			ids := segIDs(man)
 			var events uint64
 			for _, si := range man.Segments {
@@ -192,8 +232,8 @@ func TestCrashDuringCompaction(t *testing.T) {
 				t.Fatalf("recovered catalog holds %d events, expected %d", events, preEvents)
 			}
 			switch stage {
-			case "compact-before-swap":
-				// Exactly the pre-compaction view: same segments, and the
+			default:
+				// Exactly the pre-crash view: same segments, and the whole or
 				// half-written output must have been swept.
 				if fmt.Sprint(ids) != fmt.Sprint(preIDs) {
 					t.Fatalf("pre-swap crash changed the catalog: %v -> %v", preIDs, ids)

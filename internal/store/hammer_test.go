@@ -42,7 +42,7 @@ func TestConcurrentCompactionConserves(t *testing.T) {
 	var first atomic.Bool
 	parked := make(chan struct{})
 	release := make(chan struct{})
-	compactKill = func(stage string) {
+	killHook = func(stage string) {
 		if stage != "compact-before-swap" {
 			return
 		}
@@ -51,7 +51,7 @@ func TestConcurrentCompactionConserves(t *testing.T) {
 			<-release
 		}
 	}
-	defer func() { compactKill = nil }()
+	defer func() { killHook = nil }()
 
 	var wg sync.WaitGroup
 	wg.Add(1)

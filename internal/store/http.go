@@ -67,8 +67,10 @@ func (s *Store) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("invalid tenant %q", tenant), http.StatusBadRequest)
 		return
 	}
-	// Spool to a temp file: Ingest needs random access, and decoding from
-	// disk keeps huge uploads out of memory.
+	// Spool to a temp file: Ingest needs random access — it scans the
+	// spill, then copies each block from it to its segment file — and holds
+	// one block at a time, so an upload of any size stays out of memory.
+	// Nobody else writes the spool, which is what reading it twice needs.
 	tmp, err := os.CreateTemp("", "tracestored-upload-*.ktr")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -6,7 +6,9 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"k42trace/internal/stream"
@@ -125,13 +127,23 @@ func reverseBlocks(t testing.TB, data []byte) []byte {
 	return out.Bytes()
 }
 
-// TestIngestKeepsNoEvents: ingest holds a spill's words until its segments
-// are written and nothing of its events, so it allocates the input once
-// over plus what a block costs to track and index — for a spill in order
-// and for one the salvager has to re-sequence. Keeping every block's
-// decoded events until the last segment was written, as ingest did at the
-// parent commit, is 48 bytes for every 28-byte SDET event on top.
-func TestIngestKeepsNoEvents(t *testing.T) {
+// allocated reports the bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestIngestKeepsNoWords: ingest and compaction hold one block at a time —
+// in a scan scratch, then in the segment writer's stride buffer — so what
+// they allocate is a few strides plus what a block costs to track and index
+// and a segment to finish, far under the input's size: for a spill in order
+// and for one the salvager has to re-sequence, split into a segment a block
+// and merged back into one. Keeping every block's words until its segment
+// was written, as both did at the parent commit, is the input once over.
+func TestIngestKeepsNoWords(t *testing.T) {
 	clean := sdetSpill(t, 11)
 	for _, row := range []struct {
 		name string
@@ -141,17 +153,107 @@ func TestIngestKeepsNoEvents(t *testing.T) {
 		{"out-of-sequence", reverseBlocks(t, clean)},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			s := openStore(t, Options{Workers: 1})
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			res := ingestBytes(t, s, "acme", row.data)
-			runtime.ReadMemStats(&after)
-			const perBlock = 4 << 10
-			got := after.TotalAlloc - before.TotalAlloc
-			if limit := uint64(len(row.data))*13/10 + uint64(res.Blocks)*perBlock; got > limit {
-				t.Errorf("ingest of %d bytes in %d blocks allocated %d bytes, limit %d",
-					len(row.data), res.Blocks, got, limit)
+			s := openStore(t, Options{Workers: 1, SegmentSpan: 1})
+			var res *IngestResult
+			got := allocated(func() { res = ingestBytes(t, s, "acme", row.data) })
+			if len(res.Segments) < res.Blocks/2 {
+				t.Fatalf("want about a segment a block, got %d segments of %d blocks", len(res.Segments), res.Blocks)
+			}
+			const perBlock, perSegment = 4 << 10, 4 << 10
+			limit := uint64(len(row.data)/2 + res.Blocks*perBlock + len(res.Segments)*perSegment)
+			if got > limit {
+				t.Errorf("ingest of %d bytes into %d blocks of %d segments allocated %d bytes, limit %d",
+					len(row.data), res.Blocks, len(res.Segments), got, limit)
+			}
+			var cr *CompactResult
+			var err error
+			got = allocated(func() { cr, err = s.Compact("acme") })
+			if err != nil || cr.In != len(res.Segments) || cr.Out != 1 {
+				t.Fatalf("compaction of %d segments: %+v, %v", len(res.Segments), cr, err)
+			}
+			if got > limit {
+				t.Errorf("compaction of %d bytes in %d blocks of %d segments allocated %d bytes, limit %d",
+					len(row.data), res.Blocks, len(res.Segments), got, limit)
 			}
 		})
+	}
+}
+
+// dirFiles maps every file under dir to the CRC of its bytes.
+func dirFiles(t testing.TB, dir string) map[string]uint32 {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]uint32{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = crc32.ChecksumIEEE(b)
+	}
+	return files
+}
+
+// TestFailedWriteLeavesNothing: an ingest whose source changes under it
+// after the scan — the block header CopyBlock re-reads no longer carries the
+// commit count the scan saw — is refused in the middle of its second
+// segment, and a compaction whose inputs do not hold the events the
+// manifest says they do is refused after its last block. Neither commits
+// anything, and neither waits for the next Open to take its files away: the
+// tenant directory holds exactly what it held before the call.
+func TestFailedWriteLeavesNothing(t *testing.T) {
+	data := sdetSpill(t, 5)
+	base, _ := readAllEvents(t, data)
+	s := openStore(t, Options{SegmentSpan: (base[len(base)-1].Time - base[0].Time) / 5})
+	res := ingestBytes(t, s, "acme", data)
+	if len(res.Segments) < 3 {
+		t.Fatalf("want >= 3 segments, got %d", len(res.Segments))
+	}
+	dir := filepath.Join(s.opt.Root, "acme")
+	before := dirFiles(t, dir)
+
+	src := append([]byte(nil), data...)
+	rd, err := stream.NewReader(bytes.NewReader(src), int64(len(src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := rd.Meta().Geometry()
+	copied := 0
+	killHook = func(stage string) {
+		if stage != "ingest-mid-segment" {
+			return
+		}
+		if copied++; copied == res.Segments[0].Blocks+1 {
+			for k := 0; k < rd.NumBlocks(); k++ {
+				src[geo.FileHeaderBytes+k*geo.BlockBytes+3*8] ^= 1
+			}
+		}
+	}
+	defer func() { killHook = nil }()
+	_, err = s.Ingest("acme", bytes.NewReader(src), int64(len(src)))
+	if err == nil || !strings.Contains(err.Error(), "changed since it was scanned") {
+		t.Fatalf("ingest of a source that changed after the scan: %v", err)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("failed ingest left the tenant directory changed:\n%v\nbefore:\n%v", after, before)
+	}
+
+	tn := s.getTenant("acme")
+	tn.man.Segments[0].Events++
+	_, err = s.Compact("acme")
+	tn.man.Segments[0].Events--
+	if err == nil || !strings.Contains(err.Error(), "would change event count") {
+		t.Fatalf("compaction against a manifest that miscounts: %v", err)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("failed compaction left the tenant directory changed:\n%v\nbefore:\n%v", after, before)
+	}
+
+	r, err := s.Query(Params{Tenant: "acme"})
+	if err != nil || !sameEvents(r.Events, MatchStream(base, Params{Tenant: "acme"})) {
+		t.Errorf("the store no longer answers with the spill it holds: %v", err)
 	}
 }

@@ -22,24 +22,17 @@ func fixedNow(sec *int64) func() time.Time {
 
 // sdetSpill builds one clean SDET trace big enough to span many blocks
 // (the store's canonical input; ~18 blocks over 4 CPUs).
-func sdetSpill(t testing.TB, seed int64) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := sdet.Run(sdet.Config{CPUs: 4, Trace: sdet.TraceOn,
-		Params: sdet.Params{ScriptsPerCPU: 16, CommandsPerScript: 20, Seed: seed},
-		Sample: 10_000, HWCSample: 12_000}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
+func sdetSpill(t testing.TB, seed int64) []byte { return sdetRun(t, 16, 20, seed) }
 
 // sdetSmall is a cheaper single-block-per-CPU spill for tests that only
 // need bytes in the store, not a multi-segment split.
-func sdetSmall(t testing.TB, seed int64) []byte {
+func sdetSmall(t testing.TB, seed int64) []byte { return sdetRun(t, 6, 8, seed) }
+
+func sdetRun(t testing.TB, scripts, commands int, seed int64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := sdet.Run(sdet.Config{CPUs: 4, Trace: sdet.TraceOn,
-		Params: sdet.Params{ScriptsPerCPU: 6, CommandsPerScript: 8, Seed: seed},
+		Params: sdet.Params{ScriptsPerCPU: scripts, CommandsPerScript: commands, Seed: seed},
 		Sample: 10_000, HWCSample: 12_000}, &buf); err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,11 @@ import (
 
 // SalvagedBlock is one decoded block of a trace: its header, and whatever
 // of its raw payload words, its decoded events and their digest the scan
-// that produced it keeps. From a salvage the header is the one SalvageTo
-// would have written — a clipped truncated tail is re-marked partial with
-// NWords matching the surviving words. Where a block holds both Words and
-// Events, the events' payloads alias the words: whoever keeps the events
-// keeps the words, unmodified.
+// that produced it keeps (SalvageBlocks: the digest alone). From a salvage
+// the header is the one SalvageTo would have written — a clipped truncated
+// tail is re-marked partial with NWords matching the surviving words. Where
+// a block holds both Words and Events, the events' payloads alias the
+// words: whoever keeps the events keeps the words, unmodified.
 type SalvagedBlock struct {
 	Hdr    BlockHeader
 	Words  []uint64
@@ -115,16 +115,19 @@ const (
 	// keepAliased: the block's own copy of the payload words, and events
 	// whose payloads alias it. Salvage's, which returns events.
 	keepAliased
-	// keepDigest: the words, and of the events — decoded into the worker's
-	// scratch and gone with the next block — only their digest. What a
-	// rewrite or a store ingest needs: it writes the words back out and
-	// never reads an event twice.
+	// keepDigest: no words and no events — both are the worker's scratch
+	// and gone with the next block — only the events' digest, the block's
+	// anchor and where in the source it lies. What a rewrite or a store
+	// ingest needs: it plans from the digests and copies each block from
+	// the source to where it goes (Writer.CopyBlock), so it never holds a
+	// block's words and never reads an event twice.
 	keepDigest
 )
 
 // keepBlock fills b, whose header is set, from the bytes of its payload
-// words. data and sc are the scan worker's, reused for the next block.
-func (rd *Reader) keepBlock(b *SalvagedBlock, what keep, data []byte, sc *BlockScratch) {
+// words. data and sc are the scan worker's, reused for the next block; off
+// is the block's byte offset in the source.
+func (rd *Reader) keepBlock(b *SalvagedBlock, what keep, off int64, data []byte, sc *BlockScratch) {
 	switch what {
 	case keepEvents:
 		b.Events, b.st = core.DecodeBuffer(b.Hdr.CPU, sc.Buf.load(data, rd.meta.BufWords))
@@ -132,9 +135,11 @@ func (rd *Reader) keepBlock(b *SalvagedBlock, what keep, data []byte, sc *BlockS
 		b.Words = bytesToWords(data)
 		b.Events, b.st = core.DecodeInto(nil, b.Hdr.CPU, b.Words)
 	case keepDigest:
-		b.Words = bytesToWords(data)
-		sc.Events, b.st = core.DecodeInto(sc.Events[:0], b.Hdr.CPU, b.Words)
+		words := sc.Buf.load(data, rd.meta.BufWords)
+		sc.Events, b.st = core.DecodeInto(sc.Events[:0], b.Hdr.CPU, words)
 		d := DigestEvents(sc.Events)
+		d.Start, d.Anchored = AnchorTimeWords(words)
+		d.Off = off
 		b.Digest = &d
 	}
 }
@@ -153,7 +158,7 @@ func (rd *Reader) decodeAll(workers int, what keep) ([]SalvagedBlock, []error) {
 			return err
 		}
 		blocks[k].Hdr = h
-		rd.keepBlock(&blocks[k], what, data, sc)
+		rd.keepBlock(&blocks[k], what, rd.blockOff(k), data, sc)
 		return nil
 	})
 	return blocks, errs

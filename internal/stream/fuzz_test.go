@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -102,28 +103,64 @@ func FuzzSalvage(f *testing.F) {
 		if len(got) != rep2.EventsRecovered {
 			t.Fatalf("rewrite decodes %d events, salvage recovered %d", len(got), rep2.EventsRecovered)
 		}
-		blocks, _, err := SalvageBlocks(bytes.NewReader(b), int64(len(b)), 2)
+		src := bytes.NewReader(b)
+		blocks, _, err := SalvageBlocks(src, int64(len(b)), 2)
 		if err != nil {
 			t.Fatalf("SalvageTo read what SalvageBlocks cannot: %v", err)
 		}
-		if n := len(decodeDigested(t, blocks)); n != rep2.EventsRecovered {
+		if n := len(decodeDigested(t, src, blocks)); n != rep2.EventsRecovered {
 			t.Fatalf("SalvageBlocks words decode to %d events, salvage recovered %d", n, rep2.EventsRecovered)
+		}
+		// The rewrite copied each block from the source (CopyBlock): it is,
+		// byte for byte, what writing the words found at Off gives.
+		var viaWords bytes.Buffer
+		wr, err := NewWriter(&viaWords, rep2.Meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range blocks {
+			if err := wr.WriteBlock(blocks[i].Hdr, wordsAt(t, src, &blocks[i])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(out.Bytes(), viaWords.Bytes()) {
+			t.Fatal("rewrite by CopyBlock differs from WriteBlock of the words at Off")
 		}
 	})
 }
 
-// decodeDigested decodes the words of blocks from a scan that kept no
-// events, and holds each block's digest and decode statistics — taken by a
-// scan worker from a scratch that has since moved on — to the events.
-func decodeDigested(t *testing.T, blocks []SalvagedBlock) []event.Event {
+// wordsAt reads the payload words of a block from a scan that kept none,
+// from where its digest says they are.
+func wordsAt(t *testing.T, src io.ReaderAt, b *SalvagedBlock) []uint64 {
+	t.Helper()
+	raw := make([]byte, (blockHdrWords+b.Hdr.NWords)*8)
+	if _, err := src.ReadAt(raw, b.Digest.Off); err != nil {
+		t.Fatalf("block at offset %d: %v", b.Digest.Off, err)
+	}
+	if h, err := decodeBlockHeader(raw); err != nil || h.CPU != b.Hdr.CPU || h.Seq != b.Hdr.Seq {
+		t.Fatalf("offset %d holds block %+v (%v), scan says %+v", b.Digest.Off, h, err, b.Hdr)
+	}
+	return bytesToWords(raw[blockHdrWords*8:])
+}
+
+// decodeDigested decodes the blocks of a scan that kept neither words nor
+// events, from their words in src, and holds each block's digest, anchor,
+// offset and decode statistics — taken by a scan worker from a scratch that
+// has since moved on — to them.
+func decodeDigested(t *testing.T, src io.ReaderAt, blocks []SalvagedBlock) []event.Event {
 	t.Helper()
 	var all []event.Event
-	for i, b := range blocks {
-		if b.Events != nil {
-			t.Fatalf("block %d: the scan kept %d events", i, len(b.Events))
+	for i := range blocks {
+		b := &blocks[i]
+		if b.Events != nil || b.Words != nil {
+			t.Fatalf("block %d: the scan kept %d events, %d words", i, len(b.Events), len(b.Words))
 		}
-		evs, st := core.DecodeInto(nil, b.Hdr.CPU, b.Words)
-		if want := DigestEvents(evs); *b.Digest != want {
+		words := wordsAt(t, src, b)
+		evs, st := core.DecodeInto(nil, b.Hdr.CPU, words)
+		want := DigestEvents(evs)
+		want.Start, want.Anchored = AnchorTimeWords(words)
+		want.Off = b.Digest.Off
+		if *b.Digest != want {
 			t.Fatalf("block %d: scan digest %+v, its words digest to %+v", i, *b.Digest, want)
 		}
 		if b.st != st {

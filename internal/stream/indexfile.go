@@ -110,11 +110,12 @@ type FullIndex struct {
 	Blocks []BlockSummary
 }
 
-// BlockDigest is what is left of a block's events once they are gone: the
-// part of its index summary that needs no carry from the blocks before it
-// (summarize), and the time of its first event. A scan worker computes it
-// from the events in its scratch, so that a writer who indexes what it
-// writes — a store ingesting a spill — keeps no events to do it.
+// BlockDigest is what is left of a block once its words and events are
+// gone: the part of its index summary that needs no carry from the blocks
+// before it (summarize), the time of its first event, its anchor, and where
+// it lies in the source. A scan worker computes it from the words and events
+// in its scratch, so that a writer who indexes what it writes — a store
+// ingesting a spill — keeps neither to do it.
 type BlockDigest struct {
 	// Sum has Events, MinTime, MaxTime, MajorMask, MinorBloom and the
 	// switch targets in PidBloom. CPU, Seq, Start and Flagged are for
@@ -123,6 +124,15 @@ type BlockDigest struct {
 	// FirstTime is the time of the block's first event in stream order
 	// (zero for a block without events), which need not be MinTime.
 	FirstTime uint64
+	// Start and Anchored are AnchorTimeWords of the block's words: what an
+	// index's Start and Flagged are clamped from. DigestEvents, which sees
+	// no words, leaves them zero.
+	Start    uint64
+	Anchored bool
+	// Off is the byte offset of the block's header in the scanned source
+	// (of the fragment, for a truncated tail), for Writer.CopyBlock.
+	// DigestEvents leaves it zero.
+	Off int64
 
 	exitPid  uint64 // the last pid the block switched to,
 	switched bool   // if it switched at all

@@ -134,9 +134,9 @@ func TestReadAllParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// SalvageBlocks keeps words and a digest, no events: the row
-			// decodes the words itself.
-			concat := decodeDigested(t, blocks)
+			// SalvageBlocks keeps a digest, no words and no events: the row
+			// decodes the words where the digests say they are.
+			concat := decodeDigested(t, src, blocks)
 			sortEvents(concat)
 			var out bytes.Buffer
 			if _, err := SalvageTo(src, size, &out, 8); err != nil {

@@ -46,8 +46,11 @@ func Salvage(r io.ReaderAt, size int64, workers int) ([]event.Event, *SalvageRep
 // result opens cleanly with NewReader and decodes to exactly the events
 // Salvage recovers. When the source file header was lost, the rewritten
 // header carries the recovered geometry (CPU count inferred from the
-// blocks, clock rate unknown and recorded as zero). It holds the surviving
-// blocks' words until they are written, and no events.
+// blocks, clock rate unknown and recorded as zero).
+//
+// It is a scan and then one Writer.CopyBlock per surviving block, so it
+// holds one block's words at a time and no events. r is read twice and must
+// not change during the call: w must not be r's storage.
 func SalvageTo(r io.ReaderAt, size int64, w io.Writer, workers int) (*SalvageReport, error) {
 	blocks, rep, err := SalvageBlocks(r, size, workers)
 	if err != nil {
@@ -61,7 +64,7 @@ func SalvageTo(r io.ReaderAt, size int64, w io.Writer, workers int) (*SalvageRep
 		return rep, err
 	}
 	for i := range blocks {
-		if err := wr.WriteBlock(blocks[i].Hdr, blocks[i].Words); err != nil {
+		if err := wr.CopyBlock(r, blocks[i].Digest.Off, blocks[i].Hdr); err != nil {
 			return rep, err
 		}
 	}
@@ -184,10 +187,12 @@ const salvageMaxCPUs = 4096
 // dropped), plus the filled-in salvage report. It is SalvageTo without the
 // writer: callers that partition blocks — a time-sharded store splitting
 // one spill into many segment files — consume exactly the clean block
-// sequence SalvageTo would have written. Each block has its Words and,
-// for Events, a Digest: the partitioning key (first-event time) and the
-// index summary need no second decode pass, and no event outlives the scan
-// worker that decoded it.
+// sequence SalvageTo would have written. Each block has its header and a
+// Digest, and neither Words nor Events: the partitioning key (first-event
+// time), the index summary and the anchor need no second decode pass, and
+// no word or event outlives the scan worker that decoded it. The words are
+// where Digest.Off says they are, for Writer.CopyBlock under the block's
+// header — so r must not change between the scan and the copy.
 func SalvageBlocks(r io.ReaderAt, size int64, workers int) ([]SalvagedBlock, *SalvageReport, error) {
 	return salvageScan(r, size, workers, keepDigest)
 }
@@ -313,7 +318,7 @@ func (rd *Reader) tailBlock(tail int64, what keep) (*SalvagedBlock, bool) {
 		h.Flags |= FlagPartial
 	}
 	b := &SalvagedBlock{Hdr: h}
-	rd.keepBlock(b, what, tb[blockHdrWords*8:(blockHdrWords+h.NWords)*8], new(BlockScratch))
+	rd.keepBlock(b, what, rd.blockOff(rd.nBlk), tb[blockHdrWords*8:(blockHdrWords+h.NWords)*8], new(BlockScratch))
 	return b, true
 }
 

@@ -138,6 +138,115 @@ func TestWriterValidation(t *testing.T) {
 	}
 }
 
+// TestCopyBlock: CopyBlock lays out the stride WriteBlock would have, from
+// the source's bytes instead of a word slice — whatever lies past the
+// header's word count in the source comes out zero — and refuses a source
+// that no longer holds the block its header was scanned from.
+func TestCopyBlock(t *testing.T) {
+	meta := Meta{BufWords: 64, CPUs: 2, ClockHz: 1e9}
+	h := BlockHeader{CPU: 1, Flags: FlagPartial, NWords: 10, Seq: 7, Committed: 10}
+	words := make([]uint64, h.NWords)
+	for i := range words {
+		words[i] = 0x0101010101010101 * uint64(i+1)
+	}
+	var srcBuf, want bytes.Buffer
+	for _, buf := range []*bytes.Buffer{&srcBuf, &want} {
+		wr, err := NewWriter(buf, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		placed := h
+		if buf == &want {
+			placed.Seq = 0 // the copy renumbers
+		}
+		if err := wr.WriteBlock(placed, words); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := srcBuf.Bytes()
+	const off = fileHdrWords * 8
+	for i := off + (blockHdrWords+h.NWords)*8; i < len(src); i++ {
+		src[i] = 0xee // what a recycled buffer leaves behind its valid words
+	}
+
+	var out bytes.Buffer
+	wr, err := NewWriter(&out, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	placed := h
+	placed.Seq = 0
+	if err := wr.CopyBlock(bytes.NewReader(src), off, placed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want.Bytes()) {
+		t.Error("CopyBlock and WriteBlock lay the same block out differently")
+	}
+
+	for name, damage := range map[string]func(b []byte) []byte{
+		"magic":        func(b []byte) []byte { b[off] ^= 1; return b },
+		"cpu":          func(b []byte) []byte { b[off+8] ^= 1; return b },
+		"commit count": func(b []byte) []byte { b[off+24] ^= 1; return b },
+		"fewer words":  func(b []byte) []byte { putWord(b[off:], 1, getWord(b[off:], 1)-1<<32); return b },
+		"cut short":    func(b []byte) []byte { return b[:off+(blockHdrWords+h.NWords)*8-1] },
+	} {
+		changed := damage(append([]byte(nil), src...))
+		size, blocks := out.Len(), wr.Blocks()
+		if err := wr.CopyBlock(bytes.NewReader(changed), off, placed); err == nil {
+			t.Errorf("%s: CopyBlock copied a block that changed since its header was read", name)
+		}
+		if out.Len() != size || wr.Blocks() != blocks {
+			t.Errorf("%s: the refused block was written", name)
+		}
+	}
+	if err := wr.CopyBlock(bytes.NewReader(src), off, BlockHeader{CPU: 2, NWords: 10, Committed: 10}); err == nil {
+		t.Error("CopyBlock accepted CPU 2 in a 2-CPU file")
+	}
+	if err := wr.CopyBlock(bytes.NewReader(src), off, BlockHeader{CPU: 1, NWords: 65, Committed: 10}); err == nil {
+		t.Error("CopyBlock accepted 65 words in a 64-word file")
+	}
+}
+
+// TestCopyBlockClippedTail: the block a truncation cut is copied under the
+// header the scan gave it — exactly the words that survived, re-marked
+// partial — and reads back as that.
+func TestCopyBlockClippedTail(t *testing.T) {
+	data := runCapture(t, 1, 64, 400)
+	rd := newReader(t, data)
+	last := rd.NumBlocks() - 2 // the capture's own last block is a flush's partial
+	srcHdr, srcWords, err := rd.Block(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const survive = 20
+	if srcHdr.Partial() || srcHdr.NWords <= survive {
+		t.Fatalf("want a full last block, got %+v", srcHdr)
+	}
+	cut := data[:int(rd.blockOff(last))+(blockHdrWords+survive)*8]
+	src := bytes.NewReader(cut)
+	blocks, rep, err := SalvageBlocks(src, int64(len(cut)), 1)
+	if err != nil || !rep.TailSalvaged || len(blocks) != last+1 {
+		t.Fatalf("salvage of the cut capture: %v\n%v", err, rep)
+	}
+	var out bytes.Buffer
+	wr, err := NewWriter(&out, rep.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range blocks {
+		if err := wr.CopyBlock(src, blocks[i].Digest.Off, blocks[i].Hdr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, words, err := newReader(t, out.Bytes()).Block(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h.Partial() || h.NWords != survive || !equalWords(words, srcWords[:survive]) {
+		t.Errorf("clipped tail reads back as %+v with %d words, want partial with the %d that survived", h, len(words), survive)
+	}
+}
+
 func TestCaptureAndReadAll(t *testing.T) {
 	const n = 500
 	data := runCapture(t, 2, 64, n)

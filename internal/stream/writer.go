@@ -89,24 +89,62 @@ func HeaderOf(s core.Sealed) BlockHeader {
 // file's stride holds, or a CPU the file header does not declare — the
 // block header's 16-bit CPU field would otherwise alias it onto another.
 func (wr *Writer) WriteBlock(h BlockHeader, words []uint64) error {
-	if len(words) > wr.meta.BufWords {
-		return fmt.Errorf("stream: block of %d words exceeds bufWords %d",
-			len(words), wr.meta.BufWords)
+	if err := wr.admit(h, len(words)); err != nil {
+		return err
+	}
+	wordsToBytes(wr.buf[blockHdrWords*8:], words)
+	return wr.writeStride(h, len(words))
+}
+
+// CopyBlock writes, under the header h, the block a scan found at offset
+// off of r: header and h.NWords payload words are read straight into the
+// writer's stride buffer, so the words are never anyone else's. h is the
+// scan's header for the block or an edit of it — Seq renumbered, a clipped
+// tail's NWords cut to what survived and re-marked partial — and replaces
+// the source's; source bytes past h.NWords are not read and come out zero.
+//
+// r must still hold what the scan saw. CopyBlock re-checks the header —
+// block magic, CPU, commit count, and at least h.NWords words — and refuses
+// a block that changed; it does not re-check the payload words, which only a
+// second decode could.
+func (wr *Writer) CopyBlock(r io.ReaderAt, off int64, h BlockHeader) error {
+	if err := wr.admit(h, h.NWords); err != nil {
+		return err
+	}
+	b := wr.buf[:(blockHdrWords+h.NWords)*8]
+	if n, err := r.ReadAt(b, off); n < len(b) {
+		return fmt.Errorf("stream: copying block at offset %d: %w", off, shortRead(err))
+	}
+	src, err := decodeBlockHeader(b)
+	if err != nil || src.CPU != h.CPU || src.Committed != h.Committed || src.NWords < h.NWords {
+		return fmt.Errorf("stream: block at offset %d changed since it was scanned", off)
+	}
+	return wr.writeStride(h, h.NWords)
+}
+
+// admit refuses a block of n words under h that the file's geometry cannot
+// hold.
+func (wr *Writer) admit(h BlockHeader, n int) error {
+	if n < 0 || n > wr.meta.BufWords {
+		return fmt.Errorf("stream: block of %d words exceeds bufWords %d", n, wr.meta.BufWords)
 	}
 	if h.CPU < 0 || h.CPU >= wr.meta.CPUs {
 		return fmt.Errorf("stream: block CPU %d outside [0,%d)", h.CPU, wr.meta.CPUs)
 	}
+	return nil
+}
+
+// writeStride is the one place a stride is laid out: the stride buffer
+// already holds the block's n payload words; h goes in front of them, zeros
+// behind, and the stride goes out.
+func (wr *Writer) writeStride(h BlockHeader, n int) error {
 	copy(wr.buf, encodeBlockHeader(h))
-	wordsToBytes(wr.buf[blockHdrWords*8:], words)
-	// Zero-pad partial blocks to the fixed stride.
-	for i := (blockHdrWords + len(words)) * 8; i < len(wr.buf); i++ {
-		wr.buf[i] = 0
-	}
-	n, err := wr.w.Write(wr.buf)
+	clear(wr.buf[(blockHdrWords+n)*8:])
+	m, err := wr.w.Write(wr.buf)
 	if err != nil {
 		return fmt.Errorf("stream: writing block %d: %w", wr.blocks, err)
 	}
-	if n != len(wr.buf) {
+	if m != len(wr.buf) {
 		return errShortWrite
 	}
 	wr.blocks++

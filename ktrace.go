@@ -280,7 +280,9 @@ func Salvage(r io.ReaderAt, size int64, workers int) ([]Event, *SalvageReport, e
 }
 
 // SalvageTo rewrites the readable blocks of a damaged trace into w as a
-// clean trace file openable with NewReader.
+// clean trace file openable with NewReader. It scans r and then copies each
+// surviving block from r to w, so r must not change during the call: w must
+// not be r's storage.
 func SalvageTo(r io.ReaderAt, size int64, w io.Writer, workers int) (*SalvageReport, error) {
 	return stream.SalvageTo(r, size, w, workers)
 }
