@@ -22,7 +22,19 @@ BENCH_E2E ?= BENCH_E2E.txt
 CORES_PKGS = ./internal/stream/ ./internal/analysis/ ./internal/store/ ./internal/live/ ./cmd/ktrace/
 CORES ?= 1 4
 
-.PHONY: check fmt build vet test test-cores race bench bench-e2e fuzz live-smoke shm-smoke fed-smoke store-smoke diff-smoke
+# `make stress` repeats, under the race detector and at each of these core
+# counts, the tests whose outcome a schedule can change: the store's queries
+# against ingest, compaction and GC (a segment stays pinned through the whole
+# merge), the chains that decode one block ahead of the merge, the merge's
+# pulled sources, and the collector's buffer recycling. Ten repeats take
+# about seven minutes on the 2-core host this was grown on, so the default
+# is three (2 min 10 s there); CI's stress job runs STRESS_COUNT=10.
+STRESS_PKGS = ./internal/store/ ./internal/stream/ ./internal/live/
+STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents
+STRESS_CORES ?= 1 2 4
+STRESS_COUNT ?= 3
+
+.PHONY: check fmt build vet test test-cores race stress bench bench-e2e fuzz live-smoke shm-smoke fed-smoke store-smoke diff-smoke
 
 check: fmt vet build test race
 
@@ -53,6 +65,13 @@ test-cores:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
+# A failing test is named by go test's own "--- FAIL" line; the line after
+# it names the core count to rerun it at.
+stress:
+	@for n in $(STRESS_CORES); do echo "GOMAXPROCS=$$n -race -count=$(STRESS_COUNT)"; \
+		GOMAXPROCS=$$n $(GO) test -race -count=$(STRESS_COUNT) -run '^($(STRESS_RUN))' $(STRESS_PKGS) \
+			|| { echo "stress: failed at GOMAXPROCS=$$n"; exit 1; }; done
+
 # Smoke-fuzz the decoders and the event renderer: the seed corpus lives
 # under each package's testdata/fuzz (regenerate with go test <pkg>
 # -updatefuzzseeds). Go only allows one fuzz target per invocation, hence
@@ -67,7 +86,8 @@ fuzz:
 # The layer microbenchmarks — the offline suite at the repo root plus the
 # live-ingest, federation-ingest, and store-query benchmarks — as plain
 # `go test -bench` text (the fed rows carry an uplink_frac extra metric; the
-# store rows carry events/query). Printed and uploaded by CI, gated by
+# store rows carry events/query, and StoreQuery/wholerange's B/op is the
+# uncached answer built once). Printed and uploaded by CI, gated by
 # nothing: bench-e2e is the gate, and it repeats.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/live/ ./internal/fed/ ./internal/store/ | tee $(BENCH_TXT)

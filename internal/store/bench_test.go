@@ -102,23 +102,29 @@ func getBenchFixture(b *testing.B) *benchFixture {
 // the indexed query against a store whose segment cache is pre-warmed
 // (scans are answered from cached partials instead of block decodes);
 // the admitted rows add the admission semaphore on top, so their delta
-// against warmcache is the queueing overhead under contention.
+// against warmcache is the queueing overhead under contention. The
+// wholerange rows ask the uncached store for everything, unpredicated: every
+// block matches whole and is pulled under the merge, and B/op is the row to
+// watch — the answer, once.
 func BenchmarkStoreQuery(b *testing.B) {
 	fix := getBenchFixture(b)
+	fullscan := fix.narrow
+	fullscan.NoPrune = true
 	for _, mode := range []struct {
-		name    string
-		s       *Store
-		noPrune bool
+		name  string
+		s     *Store
+		p     Params
+		concs []int
 	}{
-		{"indexed", fix.s, false},
-		{"fullscan", fix.s, true},
-		{"warmcache", fix.cached, false},
-		{"admitted", fix.admitted, false},
+		{"indexed", fix.s, fix.narrow, []int{1, 16, 64}},
+		{"fullscan", fix.s, fullscan, []int{1, 16, 64}},
+		{"warmcache", fix.cached, fix.narrow, []int{1, 16, 64}},
+		{"admitted", fix.admitted, fix.narrow, []int{1, 16, 64}},
+		{"wholerange", fix.s, Params{Tenant: "bench"}, []int{1, 16}},
 	} {
-		for _, conc := range []int{1, 16, 64} {
+		for _, conc := range mode.concs {
 			b.Run(fmt.Sprintf("%s/c%d", mode.name, conc), func(b *testing.B) {
-				p := fix.narrow
-				p.NoPrune = mode.noPrune
+				p := mode.p
 				if mode.s.cache.enabled() {
 					// Warm the cache so every timed iteration hits.
 					if _, err := mode.s.Query(p); err != nil {
@@ -146,7 +152,7 @@ func BenchmarkStoreQuery(b *testing.B) {
 				wg.Wait()
 				b.StopTimer()
 				if b.N > 0 && evTotal.Load() == 0 {
-					b.Fatal("narrow query matched nothing; fixture window is wrong")
+					b.Fatal("query matched nothing; fixture window is wrong")
 				}
 				b.ReportMetric(float64(evTotal.Load())/float64(b.N), "events/query")
 			})

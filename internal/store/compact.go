@@ -116,8 +116,8 @@ func (s *Store) compactOne(t *tenant) (merged bool, in int, events uint64, err e
 	if err := sb.begin(outID); err != nil {
 		return false, 0, 0, err
 	}
-	sc := s.getScratch()
-	defer s.putScratch(sc)
+	sc := s.scratch.Get()
+	defer s.scratch.Put(sc)
 	for cpu := 0; cpu < sb.meta.CPUs; cpu++ {
 		for _, sg := range segs {
 			rd, fi, err := sg.open(s.opt.Workers)

@@ -15,8 +15,11 @@ import (
 // fuzzFixture is built once per fuzz process: a store with one tenant
 // split across segments, plus the flat baseline stream for oracle checks.
 type fuzzFixture struct {
-	s    *Store
-	base []event.Event
+	s *Store
+	// plain is a second, read-only handle on s's root with the cache off:
+	// nobody keeps its runs, so the merge pulls its whole-matching blocks.
+	plain *Store
+	base  []event.Event
 }
 
 var (
@@ -64,7 +67,12 @@ func getFuzzFixture(t testing.TB) *fuzzFixture {
 			fuzzErr = err
 			return
 		}
-		fuzzFix = &fuzzFixture{s: s, base: evs}
+		plain, err := Open(Options{Root: rootDir, Workers: 2})
+		if err != nil {
+			fuzzErr = err
+			return
+		}
+		fuzzFix = &fuzzFixture{s: s, plain: plain, base: evs}
 	})
 	if fuzzErr != nil {
 		t.Fatal(fuzzErr)
@@ -74,7 +82,8 @@ func getFuzzFixture(t testing.TB) *fuzzFixture {
 
 // FuzzQueryParams fuzzes the query parameter parser and, for every query
 // string that parses, checks the transparency invariant: an index-pruned
-// cached scan (cold and warm) must return exactly the events of a
+// scan — uncached, its whole-matching blocks pulled under the merge, and
+// cached, cold and warm — must return exactly the events of a
 // cache-bypassing full scan, which must in turn match the offline filter
 // of the original merged stream — with the cursor's skip applied to the
 // oracle when the query carries one.
@@ -132,6 +141,10 @@ func FuzzQueryParams(f *testing.F) {
 		p.Agg = "events"
 		p.Limit = 0
 		p.NoPrune = false
+		pulled, err := fix.plain.Query(p)
+		if err != nil {
+			t.Fatalf("uncached query: %v", err)
+		}
 		cold, err := fix.s.Query(p)
 		if err != nil {
 			t.Fatalf("cold cached query: %v", err)
@@ -144,6 +157,10 @@ func FuzzQueryParams(f *testing.F) {
 		full, err := fix.s.Query(p)
 		if err != nil {
 			t.Fatalf("full-scan query: %v", err)
+		}
+		if !sameEvents(pulled.Events, full.Events) {
+			t.Fatalf("pruned+pulled (uncached) changed results for %q: %d vs %d full events",
+				query, len(pulled.Events), len(full.Events))
 		}
 		if !sameEvents(cold.Events, full.Events) {
 			t.Fatalf("pruned+cached (cold) changed results for %q: %d vs %d full events",

@@ -44,7 +44,7 @@ func (s *Store) Ingest(tenantName string, r io.ReaderAt, size int64) (res *Inges
 	if err != nil {
 		return nil, err
 	}
-	blocks, rep, err := stream.SalvageBlocks(r, size, s.opt.Workers)
+	blocks, rep, err := stream.SalvageBlocks(r, size, s.opt.Workers, s.scratch)
 	if err != nil {
 		return nil, fmt.Errorf("store: ingest %s: %w", tenantName, err)
 	}

@@ -1,0 +1,268 @@
+package store
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+	"unsafe"
+
+	"k42trace/internal/event"
+	"k42trace/internal/sdet"
+	"k42trace/internal/stream"
+)
+
+// pulledQueries are the unkept queries whose blocks the merge may pull:
+// no predicate, the whole range and ranges that cut blocks at either end.
+// (A pid predicate would not compare across uploads: MatchStream replays
+// one scheduling state per CPU number.)
+func pulledQueries(tenant string, base []event.Event) []Params {
+	lo, hi := base[0].Time, base[len(base)-1].Time
+	return []Params{
+		{Tenant: tenant},
+		{Tenant: tenant, From: lo + (hi-lo)/4, To: lo + 3*(hi-lo)/4},
+		{Tenant: tenant, To: lo + (hi-lo)/2},
+		{Tenant: tenant, From: lo + (hi-lo)/3, Agg: "overview"},
+		{Tenant: tenant, From: lo + (hi-lo)/4, To: lo + 3*(hi-lo)/4, HasMajor: true, Major: event.MajorSched},
+	}
+}
+
+// bothWays runs fn against a store whose chains draw in step with the merge
+// and one whose chains draw ahead of it.
+func bothWays(t *testing.T, fn func(t *testing.T, workers int)) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("j%d", workers), func(t *testing.T) { fn(t, workers) })
+	}
+}
+
+// TestOverlappingUploadsAnswerInMergeOrder: a tenant holds two uploads that
+// overlap in time, so on the CPUs both have the chain of blocks is not in
+// time order and the index says so before anything is merged: those CPUs
+// are cloned and sorted, the CPUs only one upload has are pulled, and the
+// answer is what filtering the merge of both uploads gives.
+func TestOverlappingUploadsAnswerInMergeOrder(t *testing.T) {
+	four := sdetSpill(t, 42)
+	var two bytes.Buffer
+	if _, err := sdet.Run(sdet.Config{CPUs: 2, Trace: sdet.TraceOn,
+		Params: sdet.Params{ScriptsPerCPU: 16, CommandsPerScript: 20, Seed: 43},
+		Sample: 10_000, HWCSample: 12_000}, &two); err != nil {
+		t.Fatal(err)
+	}
+	baseFour, _ := readAllEvents(t, four)
+	baseTwo, _ := readAllEvents(t, two.Bytes())
+	// One segment an upload, so the tenant's chains are the first upload's
+	// blocks and then the second's, in catalog (MinTime, ID) order.
+	uploads, bases := [][]byte{four, two.Bytes()}, [][]event.Event{baseFour, baseTwo}
+	if baseTwo[0].Time < baseFour[0].Time {
+		bases[0], bases[1] = bases[1], bases[0]
+	}
+	base := stream.MergeByTime(bases...)
+	if baseTwo[0].Time > baseFour[len(baseFour)-1].Time || baseFour[0].Time > baseTwo[len(baseTwo)-1].Time {
+		t.Fatal("the uploads do not overlap in time")
+	}
+	bothWays(t, func(t *testing.T, workers int) {
+		s := openStore(t, Options{Workers: workers})
+		for _, data := range uploads {
+			ingestBytes(t, s, "acme", data)
+		}
+		ps := pullSet{p: Params{Tenant: "acme"}, to: ^uint64(0)}
+		if err := ps.plan(pinAll(s, "acme"), workers); err != nil || fmt.Sprint(ps.cpus) != "[false false true true]" {
+			t.Fatalf("CPUs pulled: %v (%v); want the two CPUs that only one upload has", ps.cpus, err)
+		}
+		for _, p := range pulledQueries("acme", base) {
+			got, err := s.Query(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := MatchStream(base, p); len(want) == 0 || !sameEvents(got.Events, want) {
+				t.Errorf("%v: %d events, the merged uploads hold %d (or order differs)", p.Values(), len(got.Events), len(want))
+			}
+		}
+	})
+}
+
+// pinAll returns the tenant's segments in catalog order, as a query that
+// prunes none would pin them (without the pin: nothing retires them here).
+func pinAll(s *Store, tenant string) []*segment {
+	tn := s.getTenant(tenant)
+	tn.mu.Lock()
+	defer tn.mu.Unlock()
+	var all []*segment
+	for i := range tn.man.Segments {
+		all = append(all, tn.segs[tn.man.Segments[i].ID])
+	}
+	return all
+}
+
+// rotBlock rewrites an event in the middle of one of the spill's blocks as
+// a clock anchor that says the time of the block's first event: the block's
+// stamps then go back once, inside it, while its bounds stay between its
+// neighbours'. It returns the rewritten spill.
+func rotBlock(t *testing.T, data []byte, block int) []byte {
+	t.Helper()
+	rd, err := stream.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	wr, err := stream.NewWriter(&out, rd.Meta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < rd.NumBlocks(); k++ {
+		h, words, err := rd.Block(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == block {
+			// A two-word event in the block's second half; the block's first
+			// event is its anchor, whose payload is the full stamp.
+			at := -1
+			for pos := 0; pos < len(words); pos += event.Header(words[pos]).Len() {
+				hdr := event.Header(words[pos])
+				if !hdr.WellFormed() {
+					t.Fatalf("block %d word %d is no event header", block, pos)
+				}
+				if pos > len(words)/2 && hdr.Len() == 2 && hdr.Major() != event.MajorControl {
+					at = pos
+					break
+				}
+			}
+			if first, anchored := stream.AnchorTimeWords(words); at >= 0 && anchored {
+				words[at] = uint64(event.MakeHeader(uint32(first), 2, event.MajorControl, event.CtrlClockAnchor))
+				words[at+1] = first
+			} else {
+				t.Fatalf("block %d: no anchor, or no two-word event to rewrite", block)
+			}
+		}
+		if err := wr.WriteBlock(h, words); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out.Bytes()
+}
+
+// TestRottedBlockIsSortedWhereItLies: a block whose stamps go back inside
+// it, between bounds that still lie between its neighbours', is pulled like
+// any other — the index shows its CPU's chain in order — and sorted in the
+// chain's scratch before the merge draws it. The answer is the filtered
+// ReadAll merge, which sorts that CPU's whole chain.
+func TestRottedBlockIsSortedWhereItLies(t *testing.T) {
+	clean := sdetSpill(t, 42)
+	const rotted = 9
+	data := rotBlock(t, clean, rotted)
+	base, _ := readAllEvents(t, data)
+	cleanBase, _ := readAllEvents(t, clean)
+	if len(base) != len(cleanBase) || sameEvents(base, cleanBase) {
+		t.Fatalf("rewriting block %d left %d events of %d, or changed nothing", rotted, len(base), len(cleanBase))
+	}
+	bothWays(t, func(t *testing.T, workers int) {
+		s := openStore(t, Options{Workers: workers})
+		res := ingestBytes(t, s, "acme", data)
+		if !res.Salvage.Clean() {
+			t.Fatalf("the rotted spill needed salvage: %v", res.Salvage)
+		}
+		// The one stored block that is out of order inside is the rotted one,
+		// and the index still shows its CPU's chain in order.
+		sg := pinAll(s, "acme")
+		rd, fi, err := sg[0].open(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rottedCPUs []int
+		for k := range fi.Blocks {
+			evs, _, err := rd.Events(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.IsSortedFunc(evs, byTime) {
+				rottedCPUs = append(rottedCPUs, fi.Blocks[k].CPU)
+			}
+		}
+		ps := pullSet{p: Params{Tenant: "acme"}, to: ^uint64(0)}
+		if err := ps.plan(sg, workers); err != nil || len(rottedCPUs) != 1 || !ps.cpus[rottedCPUs[0]] {
+			t.Fatalf("blocks out of order inside on CPUs %v, CPUs pulled %v (%v): want one such block and its CPU pulled", rottedCPUs, ps.cpus, err)
+		}
+		for _, p := range pulledQueries("acme", base) {
+			got, err := s.Query(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := MatchStream(base, p); len(want) == 0 || !sameEvents(got.Events, want) {
+				t.Errorf("%v: %d events, the spill's merge holds %d (or order differs)", p.Values(), len(got.Events), len(want))
+			}
+		}
+	})
+}
+
+// TestBrokenChainFailsTheQuery: a block that stops reading under the merge
+// — after the scan, which never touched it — fails the query with the
+// block's error, leaves no chain's goroutine behind and every scratch back
+// on the free list: the same query answers again once the block reads.
+func TestBrokenChainFailsTheQuery(t *testing.T) {
+	data := sdetSpill(t, 42)
+	base, _ := readAllEvents(t, data)
+	bothWays(t, func(t *testing.T, workers int) {
+		s := openStore(t, Options{Workers: workers})
+		ingestBytes(t, s, "acme", data)
+		p := Params{Tenant: "acme"}
+		if res, err := s.Query(p); err != nil || !sameEvents(res.Events, base) {
+			t.Fatalf("query before the damage: %v", err)
+		}
+		sg := pinAll(s, "acme")[0]
+		rd, _, err := sg.open(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Flip the magic of the file's last block, in place: the segment
+		// stays open and its index stays loaded.
+		f, err := os.OpenFile(sg.path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		st, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := st.Size() - (st.Size()-64)/int64(rd.NumBlocks())
+		magic := make([]byte, 8)
+		if _, err := f.ReadAt(magic, off); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(make([]byte, 8), off); err != nil {
+			t.Fatal(err)
+		}
+		goroutines := runtime.NumGoroutine()
+		var damage *stream.BlockDamageError
+		if _, err := s.Query(p); !errors.As(err, &damage) || damage.Block != rd.NumBlocks()-1 {
+			t.Fatalf("query over a block with no magic: %v", err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines before the failed query, %d after", goroutines, runtime.NumGoroutine())
+			}
+		}
+		if _, err := f.WriteAt(magic, off); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := s.Query(p)
+		runtime.ReadMemStats(&after)
+		if err != nil || !sameEvents(res.Events, base) {
+			t.Fatalf("query after the repair: %v", err)
+		}
+		// Had the failed query dropped its scratch, this one would make a
+		// block's bytes, words and events again for every chain.
+		got := after.TotalAlloc - before.TotalAlloc
+		answer := uint64(len(base))*uint64(unsafe.Sizeof(event.Event{})) + payloadBytes(base)
+		if workers == 1 && got > answer*9/8+4<<10 {
+			t.Errorf("the query after a failed one allocates %d bytes for an answer of %d", got, answer)
+		}
+	})
+}

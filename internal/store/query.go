@@ -185,7 +185,14 @@ type Result struct {
 	// Hz is the clock rate used for rendering (the tenant's segments all
 	// share it within one upload; mixed-upload tenants use the first
 	// scanned segment's rate).
-	Hz     uint64
+	Hz uint64
+	// Events is the answer in (Time, CPU) merge order, a slice of the
+	// query's own, and the one copy of the event structs the query made
+	// that outlives it: a whole-matching block nobody keeps is decoded
+	// under the merge and copied from its scratch straight into here.
+	// Payloads are capped at their length and may be shared with the
+	// segment cache: overwrite or append to the events freely, never write
+	// through Data.
 	Events []event.Event
 
 	// NextCursor is the token for the page after this one ("" = listing
@@ -204,8 +211,9 @@ type Result struct {
 // Query runs one query: segments overlapping the time range are pinned
 // under the catalog lock, then scanned in parallel outside it — each
 // scan decodes only the blocks whose index summaries survive the
-// predicates. Events return in global (Time, CPU) merge order, the same
-// order stream.ReadAll produces.
+// predicates — and stay pinned until the merge has drawn its last block.
+// Events return in global (Time, CPU) merge order, the same order
+// stream.ReadAll produces.
 func (s *Store) Query(p Params) (*Result, error) {
 	return s.QueryCtx(context.Background(), p)
 }
@@ -290,7 +298,7 @@ func (s *Store) query(p Params) (*Result, error) {
 
 	workers := s.opt.Workers
 	type segResult struct {
-		runs            [][]event.Event // each matching block's matches, in file order
+		runs            [][]event.Event // each cloned block's matches, in file order
 		scanned, pruned int
 		err             error
 	}
@@ -300,7 +308,10 @@ func (s *Store) query(p Params) (*Result, error) {
 	// bypasses the cache — it is the transparency baseline the cached
 	// path is checked against.
 	useCache := s.cache.enabled() && !scan.NoPrune
-	keys := make([]cacheKey, len(pinned))
+	var keys []cacheKey
+	if useCache {
+		keys = make([]cacheKey, len(pinned))
+	}
 	var toScan []int
 	hits := 0
 	for i, sg := range pinned {
@@ -322,16 +333,33 @@ func (s *Store) query(p Params) (*Result, error) {
 		s.metrics.cacheScan(p.Tenant, hits, len(toScan))
 	}
 
+	// The runs of a query that neither fills the cache nor is the NoPrune
+	// baseline are nobody's to keep: the scan leaves its whole-matching
+	// blocks, on the CPUs whose chains the index shows in time order, for
+	// the merge to pull (pull.go).
+	ps := pullSet{s: s, p: scan, to: to, ahead: workers != 1}
+	if !useCache && !scan.NoPrune {
+		if err := ps.plan(pinned, workers); err != nil {
+			return res, err
+		}
+	}
+
 	// Scan worker w takes every nw-th miss, with one scratch off the
 	// store's free list: a query on a warm store allocates its answer and
 	// nothing to scan into. Worker 0 runs on the query's own goroutine.
 	nw := scanParallelism(workers, len(toScan))
+	pull, left := ps.cpus, ps.left
 	scanWorker := func(w int) {
-		sc := s.getScratch()
-		defer s.putScratch(sc)
+		sc := s.scratch.Get()
+		defer s.scratch.Put(sc)
 		for j := w; j < len(toScan); j += nw {
-			pr := &parts[toScan[j]]
-			pr.runs, pr.scanned, pr.pruned, pr.err = scanSegment(pinned[toScan[j]], scan, workers, sc)
+			i := toScan[j]
+			pr := &parts[i]
+			var pulled []pulledBlock
+			pr.runs, pulled, pr.scanned, pr.pruned, pr.err = scanSegment(pinned[i], scan, workers, sc, pull)
+			if left != nil {
+				left[i] = pulled
+			}
 		}
 	}
 	var wg sync.WaitGroup
@@ -345,26 +373,29 @@ func (s *Store) query(p Params) (*Result, error) {
 	scanWorker(0)
 	wg.Wait()
 
-	var runs [][]event.Event
+	// Pinned segments are in (MinTime, ID) order and each part keeps its
+	// blocks in file order, so the stable (Time, CPU) order over the runs'
+	// concatenation reproduces the ReadAll merge order.
 	for i := range parts {
 		if parts[i].err != nil {
 			return res, parts[i].err
 		}
 		res.BlocksScanned += parts[i].scanned
 		res.BlocksPruned += parts[i].pruned
-		runs = append(runs, parts[i].runs...)
+		ps.add(i, parts[i].runs)
 	}
 	if useCache {
 		for _, i := range toScan {
 			s.cache.put(keys[i], parts[i].runs)
 		}
 	}
-	// Pinned segments are in (MinTime, ID) order and each part keeps its
-	// blocks in file order, so the stable (Time, CPU) order over the runs'
-	// concatenation reproduces the ReadAll merge order. Cached runs are
-	// shared and read-only: the merge copies their events into this
-	// query's own slice, and the payloads stay shared.
-	evs := stream.MergeByTime(runs...)
+	// Cached runs are shared and read-only: the merge copies their events
+	// into this query's own slice, and the payloads stay shared. The pinned
+	// segments stay pinned until the merge has pulled its last block.
+	evs, err := ps.merge()
+	if err != nil {
+		return res, err
+	}
 	if cur != nil {
 		evs = applyCursor(evs, *cur)
 	}
@@ -378,24 +409,6 @@ func (s *Store) query(p Params) (*Result, error) {
 		res.NextCursor = encodeCursor(nextCursor(page, cur))
 	}
 	return res, nil
-}
-
-// getScratch takes a scan scratch off the free list, or makes one.
-func (s *Store) getScratch() *stream.BlockScratch {
-	select {
-	case sc := <-s.scratch:
-		return sc
-	default:
-		return new(stream.BlockScratch)
-	}
-}
-
-// putScratch returns sc to the free list; a full list drops it.
-func (s *Store) putScratch(sc *stream.BlockScratch) {
-	select {
-	case s.scratch <- sc:
-	default:
-	}
 }
 
 func scanParallelism(workers, n int) int {
@@ -412,10 +425,14 @@ func scanParallelism(workers, n int) int {
 // into an event slice and a payload slab of exactly their size, so an
 // answer that lives on in the cache or in a Result holds what it matched
 // and no more — a narrow answer never pins a block.
-func scanSegment(sg *segment, p Params, workers int, sc *stream.BlockScratch) (runs [][]event.Event, scanned, pruned int, err error) {
+//
+// pull, when the query's runs are nobody's to keep, says by CPU whose
+// whole-matching blocks are left undecoded for the merge: they are counted
+// as scanned and returned in pulled, each with its place among the runs.
+func scanSegment(sg *segment, p Params, workers int, sc *stream.BlockScratch, pull []bool) (runs [][]event.Event, pulled []pulledBlock, scanned, pruned int, err error) {
 	rd, fi, err := sg.open(workers)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, nil, 0, 0, err
 	}
 	// The index knows every block's event count: size the decode scratch
 	// once for the segment, so that the decodes below never grow it.
@@ -434,15 +451,19 @@ func scanSegment(sg *segment, p Params, workers int, sc *stream.BlockScratch) (r
 			continue
 		}
 		scanned++
+		if bs.CPU < len(pull) && pull[bs.CPU] && wholeMatch(bs, &p, to) {
+			pulled = append(pulled, pulledBlock{at: len(runs), rd: rd, k: k, bs: bs})
+			continue
+		}
 		b, err := rd.DecodeBlockInto(k, sc)
 		if err != nil {
-			return nil, scanned, pruned, err
+			return nil, nil, scanned, pruned, err
 		}
 		if m := keepMatching(b.Events, bs.EntryPid, p, to); len(m) > 0 {
 			runs = append(runs, event.Clone(m))
 		}
 	}
-	return runs, scanned, pruned, nil
+	return runs, pulled, scanned, pruned, nil
 }
 
 // blockMayMatch is the pruning predicate: every check is conservative

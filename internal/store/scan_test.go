@@ -50,7 +50,7 @@ func TestScanAllocsIndependentOfBlockDensity(t *testing.T) {
 		p := Params{Tenant: "t", HasMajor: true, Major: event.MajorNet, NoPrune: true}
 		perScan = testing.AllocsPerRun(20, func() {
 			var sc stream.BlockScratch
-			runs, scanned, _, err := scanSegment(sg, p, 1, &sc)
+			runs, _, scanned, _, err := scanSegment(sg, p, 1, &sc, nil)
 			if err != nil || len(runs) != 0 || scanned != res.Blocks {
 				t.Fatalf("scan matched in %d of %d blocks: %v", len(runs), scanned, err)
 			}
@@ -222,4 +222,64 @@ func TestCachedRunsAreNotTheCallers(t *testing.T) {
 	if !sameEvents(again.Events, base) {
 		t.Fatal("the cache saw what a caller did to its Result")
 	}
+}
+
+// TestWholeRangeQueryAllocatesItsAnswerOnce: with nobody to keep its runs
+// (cache off), a query whose blocks the index proves to match whole builds
+// its answer once — each block decoded under the merge into scratch off the
+// free list, the structs copied from there into Result.Events, the payloads
+// into one slab a block — where cloning every block as a run first made it
+// twice. One worker, so that the chains draw in step with the merge and
+// which scratch they pick up is not the scheduler's choice.
+func TestWholeRangeQueryAllocatesItsAnswerOnce(t *testing.T) {
+	once := func(t *testing.T, s *Store, p Params, base []event.Event, wantBlocks int) {
+		t.Helper()
+		want := MatchStream(base, p)
+		if _, err := s.Query(p); err != nil { // warms the free list
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := s.Query(p)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(want) == 0 || !sameEvents(res.Events, want) {
+			t.Fatalf("%v: %d events, oracle %d: %v", p.Values(), len(res.Events), len(want), err)
+		}
+		if wantBlocks > 0 && res.BlocksScanned != wantBlocks {
+			t.Fatalf("%v: scanned %d blocks, the range was cut to cover %d", p.Values(), res.BlocksScanned, wantBlocks)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		answer := uint64(len(want))*uint64(unsafe.Sizeof(event.Event{})) + payloadBytes(want)
+		if got > answer*9/8+4<<10 {
+			t.Errorf("%v: query allocates %d bytes for an answer of %d (%d events, %d blocks): %.2f times; want at most 1/8 and 4 KiB over",
+				p.Values(), got, answer, len(want), res.BlocksScanned, float64(got)/float64(answer))
+		}
+	}
+
+	t.Run("whole range", func(t *testing.T) {
+		data := sdetSpill(t, 42)
+		base, _ := readAllEvents(t, data)
+		s := openStore(t, Options{SegmentSpan: (base[len(base)-1].Time - base[0].Time) / 3, Workers: 1})
+		ingestBytes(t, s, "acme", data)
+		once(t, s, Params{Tenant: "acme"}, base, 0)
+		once(t, s, Params{Tenant: "acme", Agg: "overview"}, base, 0)
+	})
+	t.Run("whole blocks", func(t *testing.T) {
+		data := denseSpill(t, 3, 12)
+		base, _ := readAllEvents(t, data)
+		s := openStore(t, Options{Workers: 1})
+		res := ingestBytes(t, s, "t", data)
+		_, fi, err := s.getTenant("t").segs[res.Segments[0].ID].open(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// From the first event of block 2 to the last of block 9: on one CPU
+		// the range then holds those blocks and cuts none.
+		first, last := &fi.Blocks[2], &fi.Blocks[9]
+		if fi.Blocks[1].MaxTime >= first.MinTime || last.MaxTime >= fi.Blocks[10].MinTime {
+			t.Fatalf("blocks share a stamp with their neighbours: %d %d, %d %d",
+				fi.Blocks[1].MaxTime, first.MinTime, last.MaxTime, fi.Blocks[10].MinTime)
+		}
+		once(t, s, Params{Tenant: "t", From: first.MinTime, To: last.MaxTime + 1}, base, 8)
+	})
 }

@@ -65,10 +65,10 @@ type Store struct {
 	adm     *admission
 	metrics Metrics
 
-	// scratch is the free list of scan scratch, at most one query's worth:
-	// what one query's workers decoded into, the next query's decode into.
-	// Not a sync.Pool: a GC empties one, and scans would allocate when it ran.
-	scratch chan *stream.BlockScratch
+	// scratch is the free list of scan scratch, at most one call's worth:
+	// what one query's scan workers and chains, an ingest's scan or a
+	// compaction decoded into, the next one's decode into.
+	scratch *stream.ScratchList
 }
 
 // tenant is one namespace: its manifest (the catalog) and the live
@@ -110,7 +110,7 @@ func Open(opt Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{opt: opt, tenants: map[string]*tenant{}}
-	s.scratch = make(chan *stream.BlockScratch, scanParallelism(opt.Workers, math.MaxInt))
+	s.scratch = stream.NewScratchList(scanParallelism(opt.Workers, math.MaxInt))
 	s.metrics.init()
 	s.cache = newSegCache(opt.CacheBytes, &s.metrics)
 	s.adm = newAdmission(opt.Admission, &s.metrics)

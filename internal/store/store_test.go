@@ -311,7 +311,7 @@ func TestCompactionParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rep, err := stream.SalvageBlocks(bytes.NewReader(b), int64(len(b)), 2)
+		_, rep, err := stream.SalvageBlocks(bytes.NewReader(b), int64(len(b)), 2, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}

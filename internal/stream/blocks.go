@@ -37,6 +37,57 @@ type BlockScratch struct {
 	Events []event.Event
 }
 
+// ScratchList is a free list of BlockScratch that outlives the calls that
+// draw on it, so that a long-lived owner — a store — scans, ingests and
+// queries without making a block's worth of bytes, words and events each
+// time. It holds at most a bound's worth and drops what is put back beyond
+// that. A nil *ScratchList is the list that holds nothing: Get makes a
+// scratch and Put drops it. It is not a sync.Pool, which a GC empties: what
+// a call allocated would follow the collector.
+type ScratchList struct {
+	mu   sync.Mutex
+	free []*BlockScratch
+	max  int
+}
+
+// NewScratchList returns an empty list that holds up to max scratches.
+func NewScratchList(max int) *ScratchList { return &ScratchList{max: max} }
+
+// Hold raises the list's bound to n, for a caller about to take that many
+// at once: what it puts back is then there for the next such caller.
+func (l *ScratchList) Hold(n int) {
+	l.mu.Lock()
+	l.max = max(l.max, n)
+	l.mu.Unlock()
+}
+
+// Get takes a scratch off the list, or makes one.
+func (l *ScratchList) Get() *BlockScratch {
+	if l != nil {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if n := len(l.free); n > 0 {
+			sc := l.free[n-1]
+			l.free[n-1] = nil
+			l.free = l.free[:n-1]
+			return sc
+		}
+	}
+	return new(BlockScratch)
+}
+
+// Put returns sc to the list; a full list drops it.
+func (l *ScratchList) Put(sc *BlockScratch) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	if len(l.free) < l.max {
+		l.free = append(l.free, sc)
+	}
+	l.mu.Unlock()
+}
+
 // DecodeBlockInto reads and decodes the k-th block into sc, allocating
 // nothing once sc has warmed up. The returned block's Words and Events are
 // sc's own and are valid until the next call on the same sc: filter,
@@ -54,14 +105,15 @@ func (rd *Reader) DecodeBlockInto(k int, sc *BlockScratch) (SalvagedBlock, error
 
 // eachBlock is the one fan-out over a file's blocks: fn runs once per
 // block on up to `workers` goroutines (<= 0 means GOMAXPROCS), each of
-// which owns one scratch. Because every block starts at an alignment
+// which owns one scratch, taken off free for the call (a nil list makes
+// it). Because every block starts at an alignment
 // boundary with a decodable event, blocks are independent units of work.
 // Workers pull the next unvisited block, so a slow block (cache miss,
 // large payload) does not stall a statically assigned shard; fn writes
 // what it learns to a per-block slot, which makes the outcome the same
 // for any worker count. errs[k] is what fn returned for block k; errs is
 // nil when no block failed.
-func (rd *Reader) eachBlock(workers int, fn func(k int, sc *BlockScratch) error) (errs []error) {
+func (rd *Reader) eachBlock(workers int, free *ScratchList, fn func(k int, sc *BlockScratch) error) (errs []error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -77,9 +129,10 @@ func (rd *Reader) eachBlock(workers int, fn func(k int, sc *BlockScratch) error)
 		}
 	}
 	if workers = min(workers, rd.nBlk); workers <= 1 {
-		var sc BlockScratch
+		sc := free.Get()
+		defer free.Put(sc)
 		for k := 0; k < rd.nBlk; k++ {
-			visit(k, &sc)
+			visit(k, sc)
 		}
 		return errs
 	}
@@ -89,13 +142,14 @@ func (rd *Reader) eachBlock(workers int, fn func(k int, sc *BlockScratch) error)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sc BlockScratch
+			sc := free.Get()
+			defer free.Put(sc)
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= rd.nBlk {
 					return
 				}
-				visit(k, &sc)
+				visit(k, sc)
 			}
 		}()
 	}
@@ -150,9 +204,9 @@ func (rd *Reader) keepBlock(b *SalvagedBlock, what keep, off int64, data []byte,
 // its slot empty and its error in errs; the strict reader fails on the
 // first of those and the salvager quarantines each, and that is all that
 // separates them.
-func (rd *Reader) decodeAll(workers int, what keep) ([]SalvagedBlock, []error) {
+func (rd *Reader) decodeAll(workers int, what keep, free *ScratchList) ([]SalvagedBlock, []error) {
 	blocks := make([]SalvagedBlock, rd.nBlk)
-	errs := rd.eachBlock(workers, func(k int, sc *BlockScratch) error {
+	errs := rd.eachBlock(workers, free, func(k int, sc *BlockScratch) error {
 		h, data, err := rd.readStride(k, &sc.Buf)
 		if err != nil {
 			return err

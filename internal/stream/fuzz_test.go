@@ -104,7 +104,7 @@ func FuzzSalvage(f *testing.F) {
 			t.Fatalf("rewrite decodes %d events, salvage recovered %d", len(got), rep2.EventsRecovered)
 		}
 		src := bytes.NewReader(b)
-		blocks, _, err := SalvageBlocks(src, int64(len(b)), 2)
+		blocks, _, err := SalvageBlocks(src, int64(len(b)), 2, nil)
 		if err != nil {
 			t.Fatalf("SalvageTo read what SalvageBlocks cannot: %v", err)
 		}

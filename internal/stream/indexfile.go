@@ -209,7 +209,7 @@ func (rd *Reader) BuildFullIndex(workers int, entrySeed []uint64) (*FullIndex, e
 		switched bool
 	}
 	exits := make([]exit, rd.nBlk)
-	errs := rd.eachBlock(workers, func(k int, sc *BlockScratch) error {
+	errs := rd.eachBlock(workers, nil, func(k int, sc *BlockScratch) error {
 		b, err := rd.DecodeBlockInto(k, sc)
 		if err != nil {
 			return err

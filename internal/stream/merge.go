@@ -2,10 +2,44 @@ package stream
 
 import (
 	"cmp"
+	"io"
 	"slices"
 
 	"k42trace/internal/event"
 )
+
+// A RunSource is one CPU's chain of events, handed to the merge a run at a
+// time: the merge draws the chain's next run when it has copied the last
+// event of the one before, so the source may decode each run into storage
+// it reuses. Every event of a source is one CPU's, no other chain of the
+// same merge has that CPU, and along the draws times never decrease: a
+// source that cannot promise this hands MergeFrom its runs instead.
+type RunSource interface {
+	// Next returns the chain's next run. The event structs are the
+	// source's and valid until the next call of Next or Close; what their
+	// payloads point to is not — the merged events keep pointing there. A
+	// run may be empty; io.EOF, returned bare as a Reader does, ends the
+	// chain.
+	Next() ([]event.Event, error)
+	// Close ends the draw, at io.EOF or before it. MergeFrom calls it once
+	// on every source it was given, after the last Next.
+	Close()
+}
+
+// runChain is the RunSource over runs that lie in memory: one CPU's, in the
+// order given.
+type runChain struct{ rest [][]event.Event }
+
+func (c *runChain) Next() ([]event.Event, error) {
+	if len(c.rest) == 0 {
+		return nil, io.EOF
+	}
+	r := c.rest[0]
+	c.rest = c.rest[1:]
+	return r, nil
+}
+
+func (c *runChain) Close() {}
 
 // MergeByTime returns the events of all the runs ordered by (Time, CPU),
 // stably: events that tie keep the order of their runs, and within one run
@@ -23,8 +57,30 @@ import (
 // order the whole-slice sort gives it.
 //
 // The result is a fresh slice whose payloads are the runs' own. Empty runs
-// are skipped; merging nothing returns nil.
+// are skipped; merging nothing returns nil. It is MergeFrom with no chain
+// to pull.
 func MergeByTime(runs ...[]event.Event) []event.Event {
+	out, _ := MergeFrom(0, nil, runs...) // chains over memory do not fail
+	return out
+}
+
+// MergeFrom is the one k-way merge: MergeByTime of runs, and under the same
+// order the chains of pulled, whose runs exist one at a time. The merge
+// draws a pulled chain's next run when it has drained the last, so between
+// a block and the answer an event struct is copied once, out of the
+// storage its source decodes every run into, and never held as a run. A
+// pulled chain's CPU is one no run and no other chain has.
+//
+// hint is how many events pulled will yield, as far as the caller knows:
+// the result is made to hold that and the runs, and grows if it was short.
+// Every source is closed when MergeFrom returns; the first error of a draw
+// is returned with no events.
+func MergeFrom(hint int, pulled []RunSource, runs ...[]event.Event) ([]event.Event, error) {
+	defer func() {
+		for _, src := range pulled {
+			src.Close()
+		}
+	}()
 	total := 0
 	parts := make([][]event.Event, 0, len(runs))
 	for _, r := range runs {
@@ -37,19 +93,40 @@ func MergeByTime(runs ...[]event.Event) []event.Event {
 			parts, r = append(parts, r[:n]), r[n:]
 		}
 	}
-	if total == 0 {
-		return nil
+	if total == 0 && len(pulled) == 0 {
+		return nil, nil
 	}
 	// Group the runs by CPU, each CPU's in arrival order.
 	slices.SortStableFunc(parts, func(a, b []event.Event) int { return cmp.Compare(a[0].CPU, b[0].CPU) })
-
-	// chain is a CPU's cursor: what is left of the run being merged (not
-	// empty while the chain is on the heap) and the runs after it.
-	type chain struct {
-		cur  []event.Event
-		rest [][]event.Event
+	cpus := 0
+	for i := range parts {
+		if i == 0 || parts[i][0].CPU != parts[i-1][0].CPU {
+			cpus++
+		}
 	}
-	var h []*chain
+
+	// cursor is a chain on the heap: what is left of the run being merged
+	// (not empty while the chain is on the heap) and where the next comes
+	// from.
+	type cursor struct {
+		cur []event.Event
+		src RunSource
+	}
+	// draw moves c to its chain's next event; io.EOF when there is none.
+	draw := func(c *cursor) error {
+		for {
+			r, err := c.src.Next()
+			if err != nil {
+				return err
+			}
+			if len(r) > 0 {
+				c.cur = r
+				return nil
+			}
+		}
+	}
+	h := make([]cursor, 0, cpus+len(pulled))
+	inMemory := make([]runChain, 0, cpus)
 	for a, b := 0, 0; a < len(parts); a = b {
 		// The CPU's chain is parts[a:b]; ordered, if its times never decrease.
 		ordered, last := true, uint64(0)
@@ -58,17 +135,29 @@ func MergeByTime(runs ...[]event.Event) []event.Event {
 				ordered, last = ordered && last <= parts[b][i].Time, parts[b][i].Time
 			}
 		}
-		c := &chain{cur: parts[a], rest: parts[a+1 : b]}
-		if !ordered {
-			c = &chain{cur: slices.Concat(parts[a:b]...)}
+		c := cursor{cur: parts[a]}
+		if ordered {
+			inMemory = append(inMemory, runChain{rest: parts[a+1 : b]})
+		} else {
+			c.cur = slices.Concat(parts[a:b]...)
 			slices.SortStableFunc(c.cur, func(x, y event.Event) int { return cmp.Compare(x.Time, y.Time) })
+			inMemory = append(inMemory, runChain{})
 		}
+		c.src = &inMemory[len(inMemory)-1]
 		h = append(h, c)
+	}
+	for _, src := range pulled {
+		c := cursor{src: src}
+		if err := draw(&c); err == nil {
+			h = append(h, c)
+		} else if err != io.EOF {
+			return nil, err
+		}
 	}
 
 	// Merged order is time first, CPU on equal stamps. Heads never tie:
 	// every chain is another CPU.
-	less := func(a, b *chain) bool {
+	less := func(a, b *cursor) bool {
 		x, y := &a.cur[0], &b.cur[0]
 		return x.Time < y.Time || x.Time == y.Time && x.CPU < y.CPU
 	}
@@ -76,10 +165,10 @@ func MergeByTime(runs ...[]event.Event) []event.Event {
 		for {
 			l, r := 2*i+1, 2*i+2
 			min := i
-			if l < len(h) && less(h[l], h[min]) {
+			if l < len(h) && less(&h[l], &h[min]) {
 				min = l
 			}
-			if r < len(h) && less(h[r], h[min]) {
+			if r < len(h) && less(&h[r], &h[min]) {
 				min = r
 			}
 			if min == i {
@@ -92,19 +181,22 @@ func MergeByTime(runs ...[]event.Event) []event.Event {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		down(i)
 	}
-	out := make([]event.Event, 0, total)
+	out := make([]event.Event, 0, total+hint)
 	for len(h) > 0 {
-		c := h[0]
+		c := &h[0]
 		out = append(out, c.cur[0])
 		if c.cur = c.cur[1:]; len(c.cur) == 0 {
-			if len(c.rest) > 0 {
-				c.cur, c.rest = c.rest[0], c.rest[1:]
-			} else {
+			if err := draw(c); err == io.EOF {
 				h[0] = h[len(h)-1]
 				h = h[:len(h)-1]
+			} else if err != nil {
+				return nil, err
 			}
 		}
 		down(0)
 	}
-	return out
+	if len(out) == 0 {
+		return nil, nil
+	}
+	return out, nil
 }

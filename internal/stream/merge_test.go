@@ -2,6 +2,8 @@ package stream
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 	"unsafe"
 
 	"k42trace/internal/clock"
@@ -16,14 +19,81 @@ import (
 	"k42trace/internal/event"
 )
 
+// pulledChain is a RunSource the way a store's is: a goroutine of its own
+// hands the chain's runs over one at a time, each lies in the one scratch
+// until the next draw, and Close stops the goroutine and waits for it. What
+// the merge was handed last is poisoned at every draw and at Close, so a
+// merge that reads a run after asking for the next one merges poison.
+type pulledChain struct {
+	out     chan []event.Event // closed after the last run
+	stop    chan struct{}
+	err     error // what Next returns once out is closed; nil means io.EOF
+	scratch []event.Event
+	closed  int
+}
+
+var errChainBroke = errors.New("chain broke")
+
+// newPulledChain serves runs; with failAfter >= 0 the draw after that many
+// fails instead.
+func newPulledChain(runs [][]event.Event, failAfter int) *pulledChain {
+	c := &pulledChain{out: make(chan []event.Event), stop: make(chan struct{})}
+	if failAfter >= 0 {
+		runs, c.err = runs[:min(failAfter, len(runs))], errChainBroke
+	}
+	go func() {
+		defer close(c.out)
+		for _, r := range runs {
+			select {
+			case c.out <- r:
+			case <-c.stop:
+				return
+			}
+		}
+	}()
+	return c
+}
+
+func (c *pulledChain) poison() {
+	for i := range c.scratch {
+		c.scratch[i] = event.Event{Time: 1 << 62, CPU: 1 << 20, Data: []uint64{0xdead}}
+	}
+}
+
+func (c *pulledChain) Next() ([]event.Event, error) {
+	c.poison()
+	r, ok := <-c.out
+	if !ok {
+		if c.err != nil {
+			return nil, c.err
+		}
+		return nil, io.EOF
+	}
+	c.scratch = append(c.scratch[:0], r...)
+	return c.scratch, nil
+}
+
+func (c *pulledChain) Close() {
+	c.poison()
+	c.closed++
+	close(c.stop)
+	for range c.out {
+	}
+}
+
 // TestMergeByTimeIsTheStableSort is the merge's whole contract as a
 // property: whatever the runs — ties across CPUs and across the runs of one
 // CPU, empty runs, a single run, a CPU whose chain is out of order (the
 // one thing that is concatenated and sorted), CPUs interleaved in arrival
 // order, a run that changes CPU half way, a negative CPU — the result is
 // slices.SortStableFunc by (Time, CPU) of their concatenation, in a slice
-// of its own, and the runs are as they were.
+// of its own, and the runs are as they were. And it is the same when some
+// of the CPUs whose chains are in order are pulled instead — a run at a
+// time through one scratch, empty draws among them, with a hint that is
+// short, exact or long — and a chain that breaks half way fails the merge
+// with that error, every source closed once and no goroutine left.
 func TestMergeByTimeIsTheStableSort(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(17))
 	serial := uint64(0) // tells tied events apart
 	mkRun := func(cpu, n int, from uint64, step int) []event.Event {
@@ -35,6 +105,7 @@ func TestMergeByTimeIsTheStableSort(t *testing.T) {
 		}
 		return r
 	}
+	pulledRounds, brokenRounds := 0, 0
 	for round := 0; round < 400; round++ {
 		cpus := 1 + rng.Intn(5)
 		last := make([]uint64, cpus) // where each CPU's chain has got to
@@ -75,6 +146,91 @@ func TestMergeByTimeIsTheStableSort(t *testing.T) {
 		}
 		if !reflect.DeepEqual(runs, before) {
 			t.Fatalf("round %d: the merged slice aliases a run", round)
+		}
+
+		// The same events with some CPUs pulled. A chain may be pulled if it
+		// is in time order; its events leave the runs, cut where the CPU
+		// changes, and come back a run at a time.
+		chains := make([][][]event.Event, cpus) // by CPU + 1
+		inOrder := make([]bool, cpus)
+		at := make([]uint64, cpus)
+		for i := range inOrder {
+			inOrder[i] = true
+		}
+		for _, r := range runs {
+			for _, e := range r {
+				inOrder[e.CPU+1] = inOrder[e.CPU+1] && at[e.CPU+1] <= e.Time
+				at[e.CPU+1] = e.Time
+			}
+		}
+		pull := make([]bool, cpus)
+		for i := range pull {
+			pull[i] = inOrder[i] && rng.Intn(2) == 0
+		}
+		var rest [][]event.Event
+		for _, r := range runs {
+			var kept []event.Event
+			for len(r) > 0 {
+				n := 1
+				for n < len(r) && r[n].CPU == r[0].CPU {
+					n++
+				}
+				if c := r[0].CPU + 1; pull[c] {
+					chains[c] = append(chains[c], r[:n])
+					if rng.Intn(3) == 0 {
+						chains[c] = append(chains[c], nil) // an empty draw
+					}
+				} else {
+					kept = append(kept, r[:n]...)
+				}
+				r = r[n:]
+			}
+			rest = append(rest, kept)
+		}
+		hint, broken := 0, false
+		var sources []RunSource
+		var made []*pulledChain
+		for c := range chains {
+			if !pull[c] {
+				continue
+			}
+			failAfter := -1
+			if rng.Intn(16) == 0 {
+				failAfter, broken = rng.Intn(len(chains[c])+1), true
+			}
+			for _, r := range chains[c] {
+				hint += len(r)
+			}
+			made = append(made, newPulledChain(chains[c], failAfter))
+			sources = append(sources, made[len(made)-1])
+		}
+		if len(sources) > 0 {
+			pulledRounds++
+		}
+		// Compared after MergeFrom has closed the chains, so with every pulled
+		// run poisoned: got holds copies, or it holds poison.
+		got, err := MergeFrom(hint*rng.Intn(3)/2, sources, rest...)
+		if broken {
+			brokenRounds++
+			if !errors.Is(err, errChainBroke) || got != nil {
+				t.Fatalf("round %d: a chain that breaks gave %d events and error %v", round, len(got), err)
+			}
+		} else if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: merge with %d chains pulled differs from the stable sort (%v)\nruns %v\npull %v\ngot  %v\nwant %v",
+				round, len(sources), err, runs, pull, got, want)
+		}
+		for _, c := range made {
+			if c.closed != 1 {
+				t.Fatalf("round %d: a pulled chain was closed %d times", round, c.closed)
+			}
+		}
+	}
+	if pulledRounds < 100 || brokenRounds < 10 {
+		t.Fatalf("%d rounds pulled a chain and %d broke one: the generator exercises nothing", pulledRounds, brokenRounds)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the merges, %d after", goroutines, runtime.NumGoroutine())
 		}
 	}
 }

@@ -130,7 +130,7 @@ func TestReadAllParallelMatchesSequential(t *testing.T) {
 				t.Errorf("salvage decode stats %+v, strict read %+v", rep.Stats, wantSt)
 			}
 
-			blocks, _, err := SalvageBlocks(src, size, 8)
+			blocks, _, err := SalvageBlocks(src, size, 8, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -285,7 +285,7 @@ func (rd *Reader) ReadAll() ([]event.Event, core.DecodeStats, error) {
 // The underlying io.ReaderAt must support concurrent ReadAt calls
 // (os.File and bytes.Reader both do).
 func (rd *Reader) ReadAllParallel(workers int) ([]event.Event, core.DecodeStats, error) {
-	blocks, errs := rd.decodeAll(workers, keepEvents)
+	blocks, errs := rd.decodeAll(workers, keepEvents, nil)
 	var st core.DecodeStats
 	if err := firstErr(errs); err != nil {
 		return nil, st, err

@@ -33,7 +33,7 @@ import (
 // long as they do. The report is
 // deterministic for any worker count (workers <= 0 means GOMAXPROCS).
 func Salvage(r io.ReaderAt, size int64, workers int) ([]event.Event, *SalvageReport, error) {
-	blocks, rep, err := salvageScan(r, size, workers, keepAliased)
+	blocks, rep, err := salvageScan(r, size, workers, keepAliased, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -52,7 +52,7 @@ func Salvage(r io.ReaderAt, size int64, workers int) ([]event.Event, *SalvageRep
 // holds one block's words at a time and no events. r is read twice and must
 // not change during the call: w must not be r's storage.
 func SalvageTo(r io.ReaderAt, size int64, w io.Writer, workers int) (*SalvageReport, error) {
-	blocks, rep, err := SalvageBlocks(r, size, workers)
+	blocks, rep, err := SalvageBlocks(r, size, workers, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -192,9 +192,10 @@ const salvageMaxCPUs = 4096
 // time), the index summary and the anchor need no second decode pass, and
 // no word or event outlives the scan worker that decoded it. The words are
 // where Digest.Off says they are, for Writer.CopyBlock under the block's
-// header — so r must not change between the scan and the copy.
-func SalvageBlocks(r io.ReaderAt, size int64, workers int) ([]SalvagedBlock, *SalvageReport, error) {
-	return salvageScan(r, size, workers, keepDigest)
+// header — so r must not change between the scan and the copy. The scan
+// workers' scratch is taken off free and put back; nil makes it for the call.
+func SalvageBlocks(r io.ReaderAt, size int64, workers int, free *ScratchList) ([]SalvagedBlock, *SalvageReport, error) {
+	return salvageScan(r, size, workers, keepDigest, free)
 }
 
 // salvageScan is the scan under Salvage, SalvageTo and SalvageBlocks, which
@@ -203,7 +204,7 @@ func SalvageBlocks(r io.ReaderAt, size int64, workers int) ([]SalvagedBlock, *Sa
 // It tries the file header's geometry first; if the header is unreadable —
 // or claims a geometry under which nothing decodes — it falls back to
 // re-deriving the geometry from block magics.
-func salvageScan(r io.ReaderAt, size int64, workers int, what keep) ([]SalvagedBlock, *SalvageReport, error) {
+func salvageScan(r io.ReaderAt, size int64, workers int, what keep, free *ScratchList) ([]SalvagedBlock, *SalvageReport, error) {
 	var (
 		hdrBlocks []SalvagedBlock
 		hdrRep    *SalvageReport
@@ -212,7 +213,7 @@ func salvageScan(r io.ReaderAt, size int64, workers int, what keep) ([]SalvagedB
 	if size >= int64(len(hdr)) {
 		if _, err := r.ReadAt(hdr, 0); err == nil {
 			if meta, err := decodeFileHeader(hdr); err == nil {
-				hdrBlocks, hdrRep = scanWith(r, size, meta, fileHdrWords*8, false, workers, what)
+				hdrBlocks, hdrRep = scanWith(r, size, meta, fileHdrWords*8, false, workers, what, free)
 				nWhole := hdrRep.BlocksScanned
 				if hdrRep.TailBytes > 0 {
 					nWhole--
@@ -235,7 +236,7 @@ func salvageScan(r io.ReaderAt, size int64, workers int, what keep) ([]SalvagedB
 		}
 		return nil, nil, err
 	}
-	blocks, rep := scanWith(r, size, meta, dataOff, true, workers, what)
+	blocks, rep := scanWith(r, size, meta, dataOff, true, workers, what, free)
 	if hdrRep != nil && rep.BlocksGood == 0 {
 		return hdrBlocks, hdrRep, nil
 	}
@@ -247,7 +248,7 @@ func salvageScan(r io.ReaderAt, size int64, workers int, what keep) ([]SalvagedB
 // error quarantines the block instead of failing the read. The one thing
 // only a salvager reads is the fragment a truncation leaves after the last
 // whole block.
-func scanWith(r io.ReaderAt, size int64, meta Meta, dataOff int64, recovered bool, workers int, what keep) ([]SalvagedBlock, *SalvageReport) {
+func scanWith(r io.ReaderAt, size int64, meta Meta, dataOff int64, recovered bool, workers int, what keep, free *ScratchList) ([]SalvagedBlock, *SalvageReport) {
 	rep := &SalvageReport{
 		Meta:          meta,
 		MetaRecovered: recovered,
@@ -255,7 +256,7 @@ func scanWith(r io.ReaderAt, size int64, meta Meta, dataOff int64, recovered boo
 		DataOffset:    dataOff,
 	}
 	rd, tail := readerOver(r, size, meta, dataOff)
-	blocks, errs := rd.decodeAll(workers, what)
+	blocks, errs := rd.decodeAll(workers, what, free)
 	rep.BlocksScanned = rd.nBlk
 	kept := make([]*SalvagedBlock, 0, rd.nBlk+1)
 	for k := range blocks {
@@ -276,7 +277,7 @@ func scanWith(r io.ReaderAt, size int64, meta Meta, dataOff int64, recovered boo
 	rep.TailBytes = tail
 	if tail > 0 {
 		rep.BlocksScanned++
-		if b, ok := rd.tailBlock(tail, what); ok {
+		if b, ok := rd.tailBlock(tail, what, free); ok {
 			kept = append(kept, b)
 			rep.TailSalvaged = true
 		} else {
@@ -303,7 +304,7 @@ func scanWith(r io.ReaderAt, size int64, meta Meta, dataOff int64, recovered boo
 // tailBlock decodes the tail-byte fragment that a truncation left of the
 // file's last block, after the whole ones: the payload words before the
 // cut, under a header rewritten to say so.
-func (rd *Reader) tailBlock(tail int64, what keep) (*SalvagedBlock, bool) {
+func (rd *Reader) tailBlock(tail int64, what keep, free *ScratchList) (*SalvagedBlock, bool) {
 	tb := make([]byte, tail)
 	if _, err := rd.r.ReadAt(tb, rd.blockOff(rd.nBlk)); err != nil {
 		return nil, false
@@ -318,7 +319,9 @@ func (rd *Reader) tailBlock(tail int64, what keep) (*SalvagedBlock, bool) {
 		h.Flags |= FlagPartial
 	}
 	b := &SalvagedBlock{Hdr: h}
-	rd.keepBlock(b, what, rd.blockOff(rd.nBlk), tb[blockHdrWords*8:(blockHdrWords+h.NWords)*8], new(BlockScratch))
+	sc := free.Get()
+	defer free.Put(sc)
+	rd.keepBlock(b, what, rd.blockOff(rd.nBlk), tb[blockHdrWords*8:(blockHdrWords+h.NWords)*8], sc)
 	return b, true
 }
 

@@ -224,7 +224,7 @@ func TestCopyBlockClippedTail(t *testing.T) {
 	}
 	cut := data[:int(rd.blockOff(last))+(blockHdrWords+survive)*8]
 	src := bytes.NewReader(cut)
-	blocks, rep, err := SalvageBlocks(src, int64(len(cut)), 1)
+	blocks, rep, err := SalvageBlocks(src, int64(len(cut)), 1, nil)
 	if err != nil || !rep.TailSalvaged || len(blocks) != last+1 {
 		t.Fatalf("salvage of the cut capture: %v\n%v", err, rep)
 	}
