@@ -26,11 +26,12 @@ CORES ?= 1 4
 # counts, the tests whose outcome a schedule can change: the store's queries
 # against ingest, compaction and GC (a segment stays pinned through the whole
 # merge), the chains that decode one block ahead of the merge, the merge's
-# pulled sources, and the collector's buffer recycling. Ten repeats take
+# pulled sources — a whole-file read's chains over a disordered file among
+# them — and the collector's buffer recycling. Ten repeats take
 # about seven minutes on the 2-core host this was grown on, so the default
 # is three (2 min 10 s there); CI's stress job runs STRESS_COUNT=10.
 STRESS_PKGS = ./internal/store/ ./internal/stream/ ./internal/live/
-STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents
+STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestDisorderedFileReadsAsTheStableSort
 STRESS_CORES ?= 1 2 4
 STRESS_COUNT ?= 3
 

@@ -757,6 +757,43 @@ func BenchmarkParallelAnalysis(b *testing.B) {
 	}
 }
 
+// BenchmarkReadAll is the whole-file read alone, strict and tolerant: B/op
+// is the answer — 48 bytes an event and the reader's copy of the payload
+// words — and whatever the read allocates besides it.
+func BenchmarkReadAll(b *testing.B) {
+	data := pbenchFile(b)
+	rd, err := stream.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reads := []struct {
+		name string
+		read func(workers int) (int, error)
+	}{
+		{"strict", func(workers int) (int, error) {
+			evs, _, err := rd.ReadAllParallel(workers)
+			return len(evs), err
+		}},
+		{"salvage", func(workers int) (int, error) {
+			evs, _, err := stream.Salvage(bytes.NewReader(data), int64(len(data)), workers)
+			return len(evs), err
+		}},
+	}
+	for _, r := range reads {
+		for _, w := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/workers=%d", r.name, w), func(b *testing.B) {
+				b.SetBytes(int64(len(data)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if n, err := r.read(w); err != nil || n < 600_000 {
+						b.Fatalf("%d events: %v", n, err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkKWayMerge(b *testing.B) {
 	data := pbenchFile(b)
 	rd, err := stream.NewReader(bytes.NewReader(data), int64(len(data)))

@@ -23,12 +23,20 @@ type DecodeStats struct {
 // Garbled reports whether the decode had to skip any words.
 func (d DecodeStats) Garbled() bool { return d.SkippedWords > 0 }
 
-// DecodeInto is the one event-decode loop: it walks one buffer's words and
-// appends the decoded events to dst, in order. Variable-length decoding
-// starts from word 0, which is always an event start because events never
-// cross buffer boundaries — this is what makes buffer boundaries
-// random-access points in a large trace, and what lets a decoder size a
-// block's output before producing it.
+// Decoder is the one event-decode loop, with what it carries from one event
+// to the next — the position, the clock unwrapper and whether an anchor has
+// seeded it, the statistics — in a struct, so that a block can be decoded a
+// stretch at a time: a consumer that takes events as it needs them (the
+// merge under a whole-file read) lends the decoder a small scratch and
+// calls Fill again when it has used what is there, and no slice of the
+// block's events ever exists. The zero Decoder is done; Reset points it at
+// a block.
+//
+// It walks one buffer's words. Variable-length decoding starts from word 0,
+// which is always an event start because events never cross buffer
+// boundaries — this is what makes buffer boundaries random-access points in
+// a large trace, and what lets a decoder size a block's output before
+// producing it.
 //
 // Full 64-bit timestamps are rebuilt from the 32-bit header stamps using
 // the buffer's clock-anchor event; a buffer lacking an anchor (e.g. a
@@ -39,26 +47,35 @@ func (d DecodeStats) Garbled() bool { return d.SkippedWords > 0 }
 // Payload lifetime: every Data is a sub-slice of words, capped at its own
 // length (words[a:b:b]), so the events are valid only while words is
 // neither reused nor rewritten, and an append to one event's Data
-// reallocates instead of writing into its neighbour. That makes DecodeInto
-// the form for a caller that owns words for as long as it keeps the events
-// (the two then travel together), or that filters or summarises the events
-// before words is reused and copies out what it keeps (event.Clone).
-// Anything that outlives the loop iteration that decoded it must own
-// storage sized to what it keeps; DecodeBuffer is that form for a whole
-// block.
-//
-// DecodeInto allocates nothing when dst has room for the block's events.
-// When it runs out, it sizes the rest of the block and grows dst once: to
-// exactly fit, or — a dst that came with capacity is a scratch kept from
-// block to block — by a quarter of what it was, if that is more, so that
-// blocks each a little fuller than the last do not each cost a scratch.
-func DecodeInto(dst []event.Event, cpu int, words []uint64) ([]event.Event, DecodeStats) {
-	var (
-		st     DecodeStats
-		un     clock.Unwrapper
-		seeded bool
-	)
-	pos := 0
+// reallocates instead of writing into its neighbour.
+type Decoder struct {
+	cpu    int
+	words  []uint64
+	pos    int
+	un     clock.Unwrapper
+	seeded bool
+	st     DecodeStats
+}
+
+// Reset starts d on a block: cpu's, whose payload is words.
+func (d *Decoder) Reset(cpu int, words []uint64) { *d = Decoder{cpu: cpu, words: words} }
+
+// Done reports whether d has walked every word of its block.
+func (d *Decoder) Done() bool { return d.pos >= len(d.words) }
+
+// Stats is what the decode has met so far: the block's, once d is done.
+func (d *Decoder) Stats() DecodeStats { return d.st }
+
+// Fill appends the block's next events to dst, in order, for as long as dst
+// has room, and allocates nothing. It stops in front of the first event
+// that does not fit — having walked the filler and the garble before it —
+// or at the end of the block, so a dst as long as the block's events ends
+// the block in one call.
+func (d *Decoder) Fill(dst []event.Event) []event.Event {
+	// The loop runs on locals, which stay in registers, and stores its
+	// state back once: run to the end of a block it costs what it did as a
+	// plain function.
+	words, pos, st, un, seeded := d.words, d.pos, d.st, d.un, d.seeded
 	for pos < len(words) {
 		h := event.Header(words[pos])
 		if !h.WellFormed() || pos+h.Len() > len(words) {
@@ -73,6 +90,9 @@ func DecodeInto(dst []event.Event, cpu int, words []uint64) ([]event.Event, Deco
 			pos += l
 			continue
 		}
+		if len(dst) == cap(dst) {
+			break
+		}
 		if h.Major() == event.MajorControl && h.Minor() == event.CtrlClockAnchor && l >= 2 {
 			un.Seed(words[pos+1])
 			seeded = true
@@ -84,26 +104,47 @@ func DecodeInto(dst []event.Event, cpu int, words []uint64) ([]event.Event, Deco
 		e := event.Event{
 			Header: h,
 			Time:   un.Full(h.Timestamp()),
-			CPU:    cpu,
+			CPU:    d.cpu,
 		}
 		if l > 1 {
 			e.Data = words[pos+1 : pos+l : pos+l]
-		}
-		if len(dst) == cap(dst) {
-			grown := make([]event.Event, len(dst), max(len(dst)+countEvents(words[pos:]), cap(dst)+cap(dst)/4))
-			copy(grown, dst)
-			dst = grown
 		}
 		dst = append(dst, e)
 		st.Events++
 		pos += l
 	}
-	return dst, st
+	d.pos, d.st, d.un, d.seeded = pos, st, un, seeded
+	return dst
 }
 
-// countEvents is DecodeInto's sizing pass: the number of events a decode
-// of words produces. It follows headers only, with the same resync rule.
-func countEvents(words []uint64) int {
+// DecodeInto is the Decoder run to the end of one block: it appends the
+// events of words to dst, in order, under the Decoder's payload lifetime.
+// That makes it the form for a caller that owns words for as long as it
+// keeps the events (the two then travel together), or that filters or
+// summarises the events before words is reused and copies out what it keeps
+// (event.Clone). Anything that outlives the loop iteration that decoded it
+// must own storage sized to what it keeps; DecodeBuffer is that form for a
+// whole block.
+//
+// DecodeInto allocates nothing when dst has room for the block's events.
+// When it runs out, it sizes the rest of the block and grows dst once: to
+// exactly fit, or — a dst that came with capacity is a scratch kept from
+// block to block — by a quarter of what it was, if that is more, so that
+// blocks each a little fuller than the last do not each cost a scratch.
+func DecodeInto(dst []event.Event, cpu int, words []uint64) ([]event.Event, DecodeStats) {
+	d := Decoder{cpu: cpu, words: words}
+	for dst = d.Fill(dst); !d.Done(); dst = d.Fill(dst) {
+		grown := make([]event.Event, len(dst), max(len(dst)+CountEvents(words[d.pos:]), cap(dst)+cap(dst)/4))
+		copy(grown, dst)
+		dst = grown
+	}
+	return dst, d.st
+}
+
+// CountEvents is the sizing pass: the number of events a decode of words
+// produces. It follows headers only, with the same resync rule, so a reader
+// can size a whole file's answer before it decodes an event of it.
+func CountEvents(words []uint64) int {
 	n := 0
 	for pos := 0; pos < len(words); {
 		h := event.Header(words[pos])

@@ -76,7 +76,7 @@ func eventsOf(evs []event.Event, _ DecodeStats) []event.Event { return evs }
 // per-event allocation coming back fails here, not only in the benchmark.
 func TestDecodeAllocs(t *testing.T) {
 	words := sealedBufferWords(t)
-	n := countEvents(words)
+	n := CountEvents(words)
 	if n < 10 {
 		t.Fatalf("block holds %d events", n)
 	}

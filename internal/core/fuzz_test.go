@@ -61,6 +61,34 @@ func FuzzDecodeBlock(f *testing.F) {
 				t.Fatalf("DecodeInto onto a full dst of %d events returned %d", len(evs), len(both))
 			}
 		}
+		// Decoded a stretch at a time — an event, a few, more than a block of
+		// this size holds — the block is what it is decoded at once: the same
+		// events, their payloads the same words of the buffer, the same
+		// statistics once the decoder is done.
+		for _, chunk := range []int{1, 7, 256} {
+			var d Decoder
+			if !d.Done() {
+				t.Fatal("the zero Decoder is not done")
+			}
+			d.Reset(0, words)
+			lent := make([]event.Event, 0, chunk)
+			var all []event.Event
+			for !d.Done() {
+				lent = d.Fill(lent[:0])
+				if len(lent) == 0 && !d.Done() {
+					t.Fatalf("chunk %d: Fill made no progress at event %d", chunk, len(all))
+				}
+				all = append(all, lent...)
+			}
+			if d.Stats() != st || !reflect.DeepEqual(all, aliased) {
+				t.Fatalf("chunk %d: %d events (%+v) a chunk at a time, %d (%+v) at once", chunk, len(all), d.Stats(), len(aliased), st)
+			}
+			for i := range all {
+				if a, b := all[i].Data, aliased[i].Data; len(a) > 0 && (&a[0] != &b[0] || cap(a) != len(a)) {
+					t.Fatalf("chunk %d: event %d's payload is not its %d words of the buffer", chunk, i, len(b))
+				}
+			}
+		}
 		// The flight-recorder reconstruction must survive the same bytes.
 		if len(words) >= 16 {
 			DecodeRecorder(0, words[:16], words[0]%1024, 4, 4)

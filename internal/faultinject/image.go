@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -10,8 +11,9 @@ import (
 // Image corrupts a complete trace file held in memory. It parses the file
 // header once to learn the block geometry, then applies targeted,
 // seeded damage: the file-side faults of the injection matrix (bit-flipped
-// headers, garbled payloads, zero-filled regions, torn writes, truncated
-// tails). The original bytes are copied, never modified.
+// headers, garbled payloads and anchors, zero-filled regions, torn writes,
+// truncated tails, blocks out of sequence or delivered twice). The original
+// bytes are copied, never modified.
 type Image struct {
 	data []byte
 	meta stream.Meta
@@ -116,6 +118,35 @@ func (im *Image) TearBlock(k, keepWords int) {
 	}
 	note(&im.log, "block %d: torn after %d words", k, keepWords)
 }
+
+// GarbleAnchor overwrites the full timestamp of block k's leading clock
+// anchor with a seeded time far in the future. The block stays well formed
+// and every one of its events decodes, under a wrong epoch: its CPU's
+// stream steps back where the next block begins.
+func (im *Image) GarbleAnchor(k int) {
+	t := uint64(1+im.rng.Intn(1<<16)) << 40
+	binary.LittleEndian.PutUint64(im.data[im.blockOff(k)+im.geo.BlockHeaderBytes+8:], t)
+	note(&im.log, "block %d: anchor time overwritten with %#x", k, t)
+}
+
+// SwapBlocks exchanges blocks i and j whole, headers included — delivery
+// out of sequence, when both are one CPU's.
+func (im *Image) SwapBlocks(i, j int) {
+	tmp := append([]byte(nil), im.block(i)...)
+	copy(im.block(i), im.block(j))
+	copy(im.block(j), tmp)
+	note(&im.log, "blocks %d and %d: swapped", i, j)
+}
+
+// DuplicateBlock appends a second copy of block k to the image: a block
+// delivered twice.
+func (im *Image) DuplicateBlock(k int) {
+	im.data = append(im.data, im.block(k)...)
+	note(&im.log, "block %d: duplicated at the tail", k)
+}
+
+// block is the bytes of whole block k.
+func (im *Image) block(k int) []byte { return im.data[im.blockOff(k):im.blockOff(k+1)] }
 
 // TruncateTail removes the final n bytes of the image — a copy or
 // transfer that stopped early.

@@ -1,7 +1,10 @@
 package stream
 
 import (
+	"cmp"
+	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -9,21 +12,26 @@ import (
 	"k42trace/internal/event"
 )
 
-// SalvagedBlock is one decoded block of a trace: its header, and whatever
-// of its raw payload words, its decoded events and their digest the scan
-// that produced it keeps (SalvageBlocks: the digest alone). From a salvage
-// the header is the one SalvageTo would have written — a clipped truncated
-// tail is re-marked partial with NWords matching the surviving words. Where
-// a block holds both Words and Events, the events' payloads alias the
-// words: whoever keeps the events keeps the words, unmodified.
+// SalvagedBlock is one block of a trace: its header, and whatever of its
+// raw payload words, its decoded events and their digest the read that
+// produced it keeps (DecodeBlockInto: words and events, its scratch's;
+// SalvageBlocks: the digest alone). From a salvage the header is the one
+// SalvageTo would have written — a clipped truncated tail is re-marked
+// partial with NWords matching the surviving words. Where a block holds
+// both Words and Events, the events' payloads alias the words: whoever
+// keeps the events keeps the words, unmodified.
 type SalvagedBlock struct {
 	Hdr    BlockHeader
 	Words  []uint64
 	Events []event.Event
 	// Digest stands in for Events in a scan that keeps none (SalvageBlocks).
-	// It is a pointer so that the scans that do keep events do not carry
+	// It is a pointer so that the reads that do keep events do not carry
 	// its size in every block.
 	Digest *BlockDigest
+	// events is how many events Words hold, counted from their headers by a
+	// scan that decodes none (keepWords); st is the block's decode
+	// statistics, there once something has decoded it.
+	events int
 	st     core.DecodeStats
 }
 
@@ -158,17 +166,16 @@ func (rd *Reader) eachBlock(workers int, free *ScratchList, fn func(k int, sc *B
 }
 
 // keep is what a whole-file scan holds on to of each block once the
-// worker that decoded it has moved on to the next.
+// worker that read it has moved on to the next.
 type keep int
 
 const (
-	// keepEvents: the events, their payloads copied into a slab of exactly
-	// their size (core.DecodeBuffer), and no words — about one header word
-	// per event less to hold on to. The strict reader's.
-	keepEvents keep = iota
-	// keepAliased: the block's own copy of the payload words, and events
-	// whose payloads alias it. Salvage's, which returns events.
-	keepAliased
+	// keepWords: the reader's own copy of the block's payload words, and how
+	// many events they hold by a count over their headers (core.CountEvents)
+	// — no event. The reads that return events: the events are decoded under
+	// the merge, from these words into the answer (mergeChains), and their
+	// payloads alias them.
+	keepWords keep = iota
 	// keepDigest: no words and no events — both are the worker's scratch
 	// and gone with the next block — only the events' digest, the block's
 	// anchor and where in the source it lies. What a rewrite or a store
@@ -183,11 +190,9 @@ const (
 // is the block's byte offset in the source.
 func (rd *Reader) keepBlock(b *SalvagedBlock, what keep, off int64, data []byte, sc *BlockScratch) {
 	switch what {
-	case keepEvents:
-		b.Events, b.st = core.DecodeBuffer(b.Hdr.CPU, sc.Buf.load(data, rd.meta.BufWords))
-	case keepAliased:
+	case keepWords:
 		b.Words = bytesToWords(data)
-		b.Events, b.st = core.DecodeInto(nil, b.Hdr.CPU, b.Words)
+		b.events = core.CountEvents(b.Words)
 	case keepDigest:
 		words := sc.Buf.load(data, rd.meta.BufWords)
 		sc.Events, b.st = core.DecodeInto(sc.Events[:0], b.Hdr.CPU, words)
@@ -199,11 +204,11 @@ func (rd *Reader) keepBlock(b *SalvagedBlock, what keep, off int64, data []byte,
 }
 
 // decodeAll is the one scan under every whole-file read: each block is
-// read, validated and decoded into its own slot, in file order, and keeps
-// there what the caller asked for. A block that could not be read leaves
-// its slot empty and its error in errs; the strict reader fails on the
-// first of those and the salvager quarantines each, and that is all that
-// separates them.
+// read and validated into its own slot, in file order, and keeps there what
+// the caller asked for. A block that could not be read leaves its slot
+// empty and its error in errs; the strict reader fails on the first of
+// those and the salvager quarantines each, and that is all that separates
+// them.
 func (rd *Reader) decodeAll(workers int, what keep, free *ScratchList) ([]SalvagedBlock, []error) {
 	blocks := make([]SalvagedBlock, rd.nBlk)
 	errs := rd.eachBlock(workers, free, func(k int, sc *BlockScratch) error {
@@ -218,17 +223,66 @@ func (rd *Reader) decodeAll(workers int, what keep, free *ScratchList) ([]Salvag
 	return blocks, errs
 }
 
-// mergeBlocks is the tail every whole-trace read ends in. blocks hold each
-// CPU's blocks in stream order (blocks of different CPUs may interleave),
-// and each block's exact-size event slice is one run of the merge, which
-// copies the events once, from where the decode put them. The result is
-// the stable (Time, CPU) sort of the blocks' concatenation.
-func mergeBlocks(blocks []SalvagedBlock) []event.Event {
-	runs := make([][]event.Event, len(blocks))
-	for k := range blocks {
-		runs[k] = blocks[k].Events
+// chainChunk is how many events a block chain lends the merge at a time:
+// enough that a draw is rare beside the events it yields, small enough that
+// every CPU's scratch together is nothing beside the answer.
+const chainChunk = 256
+
+// blockChain is one CPU's blocks under the merge, a RunSource: the blocks'
+// words are decoded a chunk at a time into the chain's scratch by one
+// resumable decoder, and a block's decode statistics are written to its
+// slot when the decoder leaves it.
+type blockChain struct {
+	blocks []*SalvagedBlock // the blocks still to decode, the first being decoded
+	dec    core.Decoder
+	chunk  []event.Event
+}
+
+func (c *blockChain) Next() ([]event.Event, error) {
+	if c.dec.Done() {
+		if len(c.blocks) == 0 {
+			return nil, io.EOF
+		}
+		c.dec.Reset(c.blocks[0].Hdr.CPU, c.blocks[0].Words)
 	}
-	return MergeByTime(runs...)
+	c.chunk = c.dec.Fill(c.chunk[:0])
+	if c.dec.Done() {
+		c.blocks[0].st = c.dec.Stats()
+		c.blocks = c.blocks[1:]
+	}
+	return c.chunk, nil
+}
+
+func (c *blockChain) Close() {}
+
+// mergeChains is the tail every whole-file read ends in. blocks hold each
+// CPU's blocks in stream order (blocks of different CPUs may interleave),
+// their words kept and their events counted (keepWords). Every CPU is one
+// chain of the one merge, which draws the events out of the words as it
+// places them, so each event is written once, into a result made at its
+// exact size: the stable (Time, CPU) sort of the concatenation of the
+// blocks' decodes. The events' payloads alias the blocks' words, and every
+// block's decode statistics are filled in on the way.
+func mergeChains(blocks []SalvagedBlock) []event.Event {
+	byCPU := make([]*SalvagedBlock, len(blocks))
+	for k := range blocks {
+		byCPU[k] = &blocks[k]
+	}
+	slices.SortStableFunc(byCPU, func(a, b *SalvagedBlock) int { return cmp.Compare(a.Hdr.CPU, b.Hdr.CPU) })
+	var sources []RunSource
+	total := 0
+	for a, b := 0, 0; a < len(byCPU); a = b {
+		events := 0
+		for b = a; b < len(byCPU) && byCPU[b].Hdr.CPU == byCPU[a].Hdr.CPU; b++ {
+			events += byCPU[b].events
+		}
+		// A chain that holds less than a chunk lends all it has: the scratch
+		// is never more than the answer.
+		sources = append(sources, &blockChain{blocks: byCPU[a:b], chunk: make([]event.Event, 0, min(events, chainChunk))})
+		total += events
+	}
+	out, _ := MergeFrom(total, sources) // chains over memory do not fail
+	return out
 }
 
 // firstErr returns the error of the lowest-numbered block that has one.

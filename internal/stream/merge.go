@@ -11,9 +11,12 @@ import (
 // A RunSource is one CPU's chain of events, handed to the merge a run at a
 // time: the merge draws the chain's next run when it has copied the last
 // event of the one before, so the source may decode each run into storage
-// it reuses. Every event of a source is one CPU's, no other chain of the
-// same merge has that CPU, and along the draws times never decrease: a
-// source that cannot promise this hands MergeFrom its runs instead.
+// it reuses. Every event of a source is one CPU's, and no other chain of the
+// same merge has that CPU. Order along the draws is not promised: a source
+// with no index to tell it (a whole-file read) need not look, the merge
+// notices a step back itself. A source that knows its chain to be in time
+// order — or puts it in order, as a store's does run by run — spares the
+// merge the sort that answers one.
 type RunSource interface {
 	// Next returns the chain's next run. The event structs are the
 	// source's and valid until the next call of Next or Close; what their
@@ -40,6 +43,22 @@ func (c *runChain) Next() ([]event.Event, error) {
 }
 
 func (c *runChain) Close() {}
+
+// watched is a pulled chain as the merge draws it: the times of every run
+// are looked at on the way through, for a step back along the chain.
+type watched struct {
+	RunSource
+	last        uint64
+	steppedBack bool
+}
+
+func (w *watched) Next() ([]event.Event, error) {
+	r, err := w.RunSource.Next()
+	for i := range r {
+		w.steppedBack, w.last = w.steppedBack || r[i].Time < w.last, r[i].Time
+	}
+	return r, err
+}
 
 // MergeByTime returns the events of all the runs ordered by (Time, CPU),
 // stably: events that tie keep the order of their runs, and within one run
@@ -70,6 +89,16 @@ func MergeByTime(runs ...[]event.Event) []event.Event {
 // a block and the answer an event struct is copied once, out of the
 // storage its source decodes every run into, and never held as a run. A
 // pulled chain's CPU is one no run and no other chain has.
+//
+// A pulled chain whose times step back (a garbled anchor, blocks out of
+// sequence) is seen as it is drawn — every run's times are looked at once,
+// while the run is still warm from the decode that made it — and the result
+// is then stable-sorted by (Time, CPU) once, at the end. That is the same
+// answer: every CPU is one chain, the merge keeps a chain's own order, and
+// so events that tie on the key stand in the result as they stand in the
+// concatenation — which is all a stable sort leaves to its input. A trace
+// in order pays one compare an event, and the runs, which were put in order
+// before the merge, nothing.
 //
 // hint is how many events pulled will yield, as far as the caller knows:
 // the result is made to hold that and the runs, and grows if it was short.
@@ -146,8 +175,10 @@ func MergeFrom(hint int, pulled []RunSource, runs ...[]event.Event) ([]event.Eve
 		c.src = &inMemory[len(inMemory)-1]
 		h = append(h, c)
 	}
-	for _, src := range pulled {
-		c := cursor{src: src}
+	watch := make([]watched, len(pulled))
+	for i, src := range pulled {
+		watch[i].RunSource = src
+		c := cursor{src: &watch[i]}
 		if err := draw(&c); err == nil {
 			h = append(h, c)
 		} else if err != io.EOF {
@@ -197,6 +228,14 @@ func MergeFrom(hint int, pulled []RunSource, runs ...[]event.Event) ([]event.Eve
 	}
 	if len(out) == 0 {
 		return nil, nil
+	}
+	if slices.ContainsFunc(watch, func(w watched) bool { return w.steppedBack }) {
+		slices.SortStableFunc(out, func(x, y event.Event) int {
+			if c := cmp.Compare(x.Time, y.Time); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.CPU, y.CPU)
+		})
 	}
 	return out, nil
 }

@@ -88,10 +88,11 @@ func (c *pulledChain) Close() {
 // order, a run that changes CPU half way, a negative CPU — the result is
 // slices.SortStableFunc by (Time, CPU) of their concatenation, in a slice
 // of its own, and the runs are as they were. And it is the same when some
-// of the CPUs whose chains are in order are pulled instead — a run at a
-// time through one scratch, empty draws among them, with a hint that is
-// short, exact or long — and a chain that breaks half way fails the merge
-// with that error, every source closed once and no goroutine left.
+// of the CPUs are pulled instead, the ones whose chains step back among
+// them — a run at a time through one scratch, empty draws among them, with
+// a hint that is short, exact or long — and a chain that breaks half way
+// fails the merge with that error, every source closed once and no
+// goroutine left.
 func TestMergeByTimeIsTheStableSort(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(17))
@@ -105,7 +106,7 @@ func TestMergeByTimeIsTheStableSort(t *testing.T) {
 		}
 		return r
 	}
-	pulledRounds, brokenRounds := 0, 0
+	pulledRounds, brokenRounds, steppedBackRounds := 0, 0, 0
 	for round := 0; round < 400; round++ {
 		cpus := 1 + rng.Intn(5)
 		last := make([]uint64, cpus) // where each CPU's chain has got to
@@ -148,9 +149,9 @@ func TestMergeByTimeIsTheStableSort(t *testing.T) {
 			t.Fatalf("round %d: the merged slice aliases a run", round)
 		}
 
-		// The same events with some CPUs pulled. A chain may be pulled if it
-		// is in time order; its events leave the runs, cut where the CPU
-		// changes, and come back a run at a time.
+		// The same events with some CPUs pulled, in time order or not. A
+		// pulled chain's events leave the runs, cut where the CPU changes,
+		// and come back a run at a time.
 		chains := make([][][]event.Event, cpus) // by CPU + 1
 		inOrder := make([]bool, cpus)
 		at := make([]uint64, cpus)
@@ -164,8 +165,10 @@ func TestMergeByTimeIsTheStableSort(t *testing.T) {
 			}
 		}
 		pull := make([]bool, cpus)
+		steppedBack := false
 		for i := range pull {
-			pull[i] = inOrder[i] && rng.Intn(2) == 0
+			pull[i] = rng.Intn(2) == 0
+			steppedBack = steppedBack || pull[i] && !inOrder[i]
 		}
 		var rest [][]event.Event
 		for _, r := range runs {
@@ -210,6 +213,9 @@ func TestMergeByTimeIsTheStableSort(t *testing.T) {
 		// Compared after MergeFrom has closed the chains, so with every pulled
 		// run poisoned: got holds copies, or it holds poison.
 		got, err := MergeFrom(hint*rng.Intn(3)/2, sources, rest...)
+		if steppedBack && !broken {
+			steppedBackRounds++
+		}
 		if broken {
 			brokenRounds++
 			if !errors.Is(err, errChainBroke) || got != nil {
@@ -225,8 +231,9 @@ func TestMergeByTimeIsTheStableSort(t *testing.T) {
 			}
 		}
 	}
-	if pulledRounds < 100 || brokenRounds < 10 {
-		t.Fatalf("%d rounds pulled a chain and %d broke one: the generator exercises nothing", pulledRounds, brokenRounds)
+	if pulledRounds < 100 || brokenRounds < 10 || steppedBackRounds < 30 {
+		t.Fatalf("%d rounds pulled a chain, %d broke one and %d pulled one that steps back: the generator exercises nothing",
+			pulledRounds, brokenRounds, steppedBackRounds)
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -288,10 +295,12 @@ func TestEventsBetweenAllocsIndependentOfBlockDensity(t *testing.T) {
 	}
 }
 
-// TestReadAllAllocatesTwoCopies pins the whole-file read at its two copies
-// of the event structs, decode and merge: the per-CPU concatenation between
-// them is gone. The allowance over 2 x 48 bytes an event is the allocator's
-// size-class rounding on sixteen block-sized slices.
+// TestReadAllAllocatesTwoCopies holds the whole-file read of the corpus
+// file under the two copies of the event structs, decode and merge, that it
+// made while a block was decoded into a run of its own. It makes one now,
+// which TestReadAllAllocatesItsAnswerOnce pins on a trace of enough blocks
+// to show it; this one keeps the sixteen-block file, where a worker's
+// scratch is a sixteenth of everything, from going back.
 func TestReadAllAllocatesTwoCopies(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "corpus", "clean.ktr"))
 	if err != nil {
@@ -315,5 +324,59 @@ func TestReadAllAllocatesTwoCopies(t *testing.T) {
 	if max := events*22/10 + payload*9/8 + stride; got > max {
 		t.Errorf("ReadAllParallel(1) of %d events allocates %d bytes: %.2f event copies after %d payload and %d scratch bytes; want at most 2.2",
 			len(evs), got, float64(got-payload-stride)/float64(events), payload, stride)
+	}
+}
+
+// TestReadAllAllocatesItsAnswerOnce pins the whole-file reads, strict and
+// tolerant, at one copy of what they return: the events, written once by
+// the merge that decodes them, and the reader's own copy of the payload
+// words that the events' Data point into. No per-block run, no payload
+// slab: the tenth over is the workers' byte scratch, the block slots and
+// the chains' chunks. (A run per block and the merged slice after it came
+// to 1.6.)
+func TestReadAllAllocatesItsAnswerOnce(t *testing.T) {
+	data := runCapture(t, 4, 1024, 30000)
+	rd := newReader(t, data)
+	if rd.NumBlocks() < 64 {
+		t.Fatalf("want a trace of at least 64 blocks, got %d", rd.NumBlocks())
+	}
+	words := uint64(0)
+	hdr := make([]byte, blockHdrWords*8)
+	for k := 0; k < rd.NumBlocks(); k++ {
+		h, err := rd.readBlock(k, hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words += uint64(h.NWords)
+	}
+	reads := []struct {
+		name string
+		read func(workers int) ([]event.Event, error)
+	}{
+		{"strict", func(workers int) ([]event.Event, error) {
+			evs, _, err := rd.ReadAllParallel(workers)
+			return evs, err
+		}},
+		{"salvage", func(workers int) ([]event.Event, error) {
+			evs, _, err := Salvage(bytes.NewReader(data), int64(len(data)), workers)
+			return evs, err
+		}},
+	}
+	for _, r := range reads {
+		for _, workers := range []int{1, 4} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			evs, err := r.read(workers)
+			runtime.ReadMemStats(&after)
+			if err != nil || len(evs) < 30000 {
+				t.Fatalf("%s, %d workers: %d events: %v", r.name, workers, len(evs), err)
+			}
+			got := after.TotalAlloc - before.TotalAlloc
+			answer := uint64(len(evs))*uint64(unsafe.Sizeof(event.Event{})) + 8*words
+			if got > answer*11/10 {
+				t.Errorf("%s, %d workers: %d events over %d payload words allocate %d bytes, %.2f times the %d they come to; want at most 1.1",
+					r.name, workers, len(evs), words, got, float64(got)/float64(answer), answer)
+			}
+		}
 	}
 }

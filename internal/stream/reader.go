@@ -269,36 +269,44 @@ func (rd *Reader) ReadAll() ([]event.Event, core.DecodeStats, error) {
 	return rd.ReadAllParallel(1)
 }
 
-// ReadAllParallel decodes the whole file like ReadAll, fanning block
-// decodes out over up to `workers` goroutines (workers <= 0 means
-// GOMAXPROCS). This is the read-side counterpart of the paper's write-side
-// scalability story: because every block starts at an alignment boundary
-// with a decodable event, blocks are independent decode units, so a
-// multi-gigabyte trace can be interpreted on all cores instead of through
-// a serial scan.
+// ReadAllParallel reads the whole file like ReadAll, fanning the blocks out
+// over up to `workers` goroutines (workers <= 0 means GOMAXPROCS). This is
+// the read-side counterpart of the paper's write-side scalability story:
+// because every block starts at an alignment boundary with a decodable
+// event, blocks are independent units, so a multi-gigabyte trace is read,
+// admitted and sized on all cores instead of through a serial scan. What
+// the workers keep of a block is its header, its payload words and a count
+// of its events; the events are decoded under the merge, one resumable
+// decoder per CPU, straight into a result made at its exact size — an event
+// struct is written once, and no per-block run exists.
 //
 // It is the strict reading of the scan Salvage reads tolerantly: the first
 // unreadable block, in file order, fails the read. The output is
-// bit-identical for any worker count, and its payloads are copies that
-// share nothing with the file's bytes.
+// bit-identical for any worker count — the stable (Time, CPU) sort of the
+// blocks' decodes in file order, whether or not a CPU's blocks are in time
+// order — and its payloads alias the reader's private copy of each block's
+// words, which lives as long as they do: nothing of the file's bytes.
 //
 // The underlying io.ReaderAt must support concurrent ReadAt calls
 // (os.File and bytes.Reader both do).
 func (rd *Reader) ReadAllParallel(workers int) ([]event.Event, core.DecodeStats, error) {
-	blocks, errs := rd.decodeAll(workers, keepEvents, nil)
+	blocks, errs := rd.decodeAll(workers, keepWords, nil)
 	var st core.DecodeStats
 	if err := firstErr(errs); err != nil {
 		return nil, st, err
 	}
+	evs := mergeChains(blocks)
 	for k := range blocks {
 		addStats(&st, blocks[k].st)
 	}
-	return mergeBlocks(blocks), st, nil
+	return evs, st, nil
 }
 
 // EventsBetween returns events with from <= Time < to, merged across CPUs,
 // using the index to touch only the necessary blocks. Blocks are decoded
-// into one scratch, and what each holds of the window is cloned out as a run.
+// into one scratch, and what each holds of the window is cloned out as a
+// run — a block that holds nothing of it leaves none — so a narrow window's
+// answer pins no block's words.
 func (rd *Reader) EventsBetween(ix *Index, from, to uint64) ([]event.Event, error) {
 	var sc BlockScratch
 	var runs [][]event.Event
@@ -322,7 +330,9 @@ func (rd *Reader) EventsBetween(ix *Index, from, to uint64) ([]event.Event, erro
 					in = append(in, b.Events[j])
 				}
 			}
-			runs = append(runs, event.Clone(in))
+			if len(in) > 0 {
+				runs = append(runs, event.Clone(in))
+			}
 		}
 	}
 	return MergeByTime(runs...), nil

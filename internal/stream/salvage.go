@@ -28,16 +28,20 @@ import (
 // unrecoverable input is one with no recognizable block structure at all.
 //
 // The returned events are merged across CPUs exactly like ReadAllParallel
-// output, and are identical to it on an undamaged file. Their payloads
-// alias the salvager's own copy of each surviving block, which lives as
-// long as they do. The report is
-// deterministic for any worker count (workers <= 0 means GOMAXPROCS).
+// output — the scan orders and de-duplicates the surviving blocks by their
+// headers, and the same tail decodes them under the merge — and are
+// identical to it on an undamaged file. Their payloads alias the salvager's
+// own copy of each surviving block, which lives as long as they do. The
+// report is deterministic for any worker count (workers <= 0 means
+// GOMAXPROCS).
 func Salvage(r io.ReaderAt, size int64, workers int) ([]event.Event, *SalvageReport, error) {
-	blocks, rep, err := salvageScan(r, size, workers, keepAliased, nil)
+	blocks, rep, err := salvageScan(r, size, workers, keepWords, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	return mergeBlocks(blocks), rep, nil
+	evs := mergeChains(blocks)
+	rep.addDecodeStats(blocks)
+	return evs, rep, nil
 }
 
 // SalvageTo rewrites a readable trace file from a damaged one: every
@@ -195,11 +199,18 @@ const salvageMaxCPUs = 4096
 // header — so r must not change between the scan and the copy. The scan
 // workers' scratch is taken off free and put back; nil makes it for the call.
 func SalvageBlocks(r io.ReaderAt, size int64, workers int, free *ScratchList) ([]SalvagedBlock, *SalvageReport, error) {
-	return salvageScan(r, size, workers, keepDigest, free)
+	blocks, rep, err := salvageScan(r, size, workers, keepDigest, free)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep.addDecodeStats(blocks)
+	return blocks, rep, nil
 }
 
 // salvageScan is the scan under Salvage, SalvageTo and SalvageBlocks, which
-// differ in what they keep of a block.
+// differ in what they keep of a block — and so in when its events are
+// decoded: the report comes back without its decode statistics, which the
+// caller adds (addDecodeStats) once the blocks have theirs.
 //
 // It tries the file header's geometry first; if the header is unreadable —
 // or claims a geometry under which nothing decodes — it falls back to
@@ -327,7 +338,8 @@ func (rd *Reader) tailBlock(tail int64, what keep, free *ScratchList) (*Salvaged
 
 // assemble puts surviving blocks in write-out order — CPUs ascending, each
 // CPU's blocks in sequence order, duplicate deliveries dropped — accounts
-// for gaps, and fills the per-CPU and total sections of the report.
+// for gaps, and starts the per-CPU section of the report. It reads headers
+// only: what the blocks decode to is added by addDecodeStats.
 func assemble(kept []*SalvagedBlock, rep *SalvageReport) []SalvagedBlock {
 	// Out-of-sequence deliveries (a reordering relay) are the inversions
 	// among one CPU's blocks in file order, which is how kept arrives.
@@ -365,24 +377,38 @@ func assemble(kept []*SalvagedBlock, rep *SalvageReport) []SalvagedBlock {
 			}
 			out = append(out, *b)
 			cs.Blocks++
-			cs.Events += b.st.Events
-			cs.SkippedWords += b.st.SkippedWords
-			addStats(&rep.Stats, b.st)
-		}
-		if cs.LostBlocks > 0 && cs.Blocks > 0 {
-			cs.LostEventsEst = int(float64(cs.LostBlocks)*float64(cs.Events)/float64(cs.Blocks) + 0.5)
 		}
 		rep.DupBlocks += cs.DupBlocks
 		rep.Reordered += cs.Reordered
 		rep.LostBlocks += cs.LostBlocks
-		rep.LostEventsEst += cs.LostEventsEst
-		rep.EventsRecovered += cs.Events
 		rep.PerCPU = append(rep.PerCPU, cs)
 	}
 	// BlocksGood counts survivors after dedup, so the report satisfies
 	// scanned == good + skipped + duplicates.
 	rep.BlocksGood -= rep.DupBlocks
 	return out
+}
+
+// addDecodeStats finishes the report with what its blocks — assemble's, in
+// that order, each decoded by now — decoded to: the events recovered and
+// words skipped per CPU and in all, and from a CPU's mean events per block
+// the estimate of what its gaps cost.
+func (rep *SalvageReport) addDecodeStats(blocks []SalvagedBlock) {
+	for i := range rep.PerCPU {
+		cs := &rep.PerCPU[i]
+		for k := range blocks[:cs.Blocks] {
+			st := blocks[k].st
+			cs.Events += st.Events
+			cs.SkippedWords += st.SkippedWords
+			addStats(&rep.Stats, st)
+		}
+		blocks = blocks[cs.Blocks:]
+		if cs.LostBlocks > 0 && cs.Blocks > 0 {
+			cs.LostEventsEst = int(float64(cs.LostBlocks)*float64(cs.Events)/float64(cs.Blocks) + 0.5)
+		}
+		rep.LostEventsEst += cs.LostEventsEst
+		rep.EventsRecovered += cs.Events
+	}
 }
 
 // recoverGeometry re-derives a destroyed file header from the blocks
