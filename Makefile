@@ -1,8 +1,8 @@
 GO ?= go
 
-RACE_PKGS = ./internal/core/ ./internal/stream/ ./internal/relay/ ./internal/analysis/ ./internal/faultinject/ ./internal/live/ ./internal/shm/ ./internal/fed/ ./internal/store/ ./internal/diff/ ./cmd/ktrace/
+RACE_PKGS = ./internal/core/ ./internal/stream/ ./internal/relay/ ./internal/analysis/ ./internal/faultinject/ ./internal/live/ ./internal/shm/ ./internal/fed/ ./internal/store/ ./internal/diff/ ./internal/daemon/ ./cmd/ktrace/
 
-# Per-target budget for the fuzz smoke run (matches the CI job).
+# Per-target budget for `make fuzz` (matches the CI job).
 FUZZTIME ?= 30s
 
 # Where `make bench` leaves its `go test -bench` output.
@@ -18,8 +18,10 @@ BENCH_E2E ?= BENCH_E2E.txt
 # The packages whose fan-outs promise the same bytes for any worker count
 # — and the collector, where the core count decides how far a connection's
 # reader runs ahead of its worker, and so which word buffers are recycled
-# under which blocks — and the core counts `make test-cores` runs them at.
-CORES_PKGS = ./internal/stream/ ./internal/analysis/ ./internal/store/ ./internal/live/ ./cmd/ktrace/
+# under which blocks, and the daemons composed in one process, where it
+# decides who runs while a test polls — and the core counts `make
+# test-cores` runs them at.
+CORES_PKGS = ./internal/stream/ ./internal/analysis/ ./internal/store/ ./internal/live/ ./internal/daemon/ ./cmd/ktrace/
 CORES ?= 1 4
 
 # `make stress` repeats, under the race detector and at each of these core
@@ -27,15 +29,16 @@ CORES ?= 1 4
 # against ingest, compaction and GC (a segment stays pinned through the whole
 # merge), the chains that decode one block ahead of the merge, the merge's
 # pulled sources — a whole-file read's chains over a disordered file among
-# them — and the collector's buffer recycling. Ten repeats take
-# about seven minutes on the 2-core host this was grown on, so the default
-# is three (2 min 10 s there); CI's stress job runs STRESS_COUNT=10.
-STRESS_PKGS = ./internal/store/ ./internal/stream/ ./internal/live/
-STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestDisorderedFileReadsAsTheStableSort
+# them — the collector's buffer recycling, and the daemons composed in one
+# process (collector, federation, store). Ten repeats take
+# about eight minutes on the 2-core host this was grown on, so the default
+# is three (2 min 30 s there); CI's stress job runs STRESS_COUNT=10.
+STRESS_PKGS = ./internal/store/ ./internal/stream/ ./internal/live/ ./internal/daemon/
+STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$
 STRESS_CORES ?= 1 2 4
 STRESS_COUNT ?= 3
 
-.PHONY: check fmt build vet test test-cores race stress bench bench-e2e fuzz live-smoke shm-smoke fed-smoke store-smoke diff-smoke
+.PHONY: check fmt build vet test test-cores race stress bench bench-e2e fuzz
 
 check: fmt vet build test race
 
@@ -61,8 +64,9 @@ test-cores:
 
 # Race-check the concurrent layers: the lockless logger, the block-parallel
 # decode pipeline, the TCP relay, the per-CPU analysis fan-out, and the
-# fault-injection harness that stresses all of them — and the ktrace verbs,
-# which decode on eight workers in-process.
+# fault-injection harness that stresses all of them — the ktrace verbs,
+# which decode on eight workers in-process, and the daemons, which the
+# internal/daemon tests start together in one process.
 race:
 	$(GO) test -race $(RACE_PKGS)
 
@@ -73,7 +77,7 @@ stress:
 		GOMAXPROCS=$$n $(GO) test -race -count=$(STRESS_COUNT) -run '^($(STRESS_RUN))' $(STRESS_PKGS) \
 			|| { echo "stress: failed at GOMAXPROCS=$$n"; exit 1; }; done
 
-# Smoke-fuzz the decoders and the event renderer: the seed corpus lives
+# Fuzz the decoders and the event renderer: the seed corpus lives
 # under each package's testdata/fuzz (regenerate with go test <pkg>
 # -updatefuzzseeds). Go only allows one fuzz target per invocation, hence
 # one line per target.
@@ -102,36 +106,3 @@ bench-e2e:
 		$(GO) run ./bench --workload $$w --seconds $(BENCH_SECONDS) --trace 0 >> $(BENCH_E2E) || { cat $(BENCH_E2E); exit 1; }; \
 	done
 	@grep -E '^(workload |attempted |  (setup_s|op_alloc_mb|op2_alloc_mb|op_allocs_k|op2_allocs_k|peak_rss_mb) )' $(BENCH_E2E)
-
-# End-to-end live-monitoring smoke: collector + two producers + HTTP
-# surface + SIGTERM drain + ktrace check on the spill.
-live-smoke:
-	./scripts/live_smoke.sh
-
-# End-to-end shared-memory smoke: ktraced + real client processes +
-# SIGKILL mid-reservation + live ktrace check -shm + drain + exact loss
-# accounting via ktrace check -salvage.
-shm-smoke:
-	./scripts/shm_smoke.sh
-
-# End-to-end federation smoke: traceaggd + three federated tracecolld
-# shards + ring-resolved producers + aggregator mask fan-down + a
-# SIGKILLed shard expiring off the ring + drain + ktrace check.
-fed-smoke:
-	./scripts/fed_smoke.sh
-
-# End-to-end trace-store smoke: tracestored + HTTP/watch-dir ingest +
-# queries and aggregations + cursor pagination vs the unpaginated listing
-# + segment-cache hits + admission-control 429s + event-conserving
-# compaction + byte-budget GC + ktrace check on every stored segment + the
-# tracecolld -store handoff.
-store-smoke:
-	./scripts/store_smoke.sh
-
-# End-to-end differential-analysis smoke: generate a coarse and a tuned run
-# of the same workload, ktrace diff must surface the planted lock regression,
-# self-diff must be exactly zero (gated with -max-divergence 0), the
-# threshold gate must exit 3, and the HTML timeline exports (kmon and
-# stacked diff) must be deterministic and self-contained.
-diff-smoke:
-	./scripts/diff_smoke.sh

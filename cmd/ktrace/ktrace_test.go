@@ -239,31 +239,42 @@ func TestFindingsExit(t *testing.T) {
 	}
 }
 
-// TestKmonHTML pins the timeline export's portability claims at the CLI:
-// two runs write the same bytes, and the page references no network.
+// TestKmonHTML pins the timeline exports' portability claims at the CLI,
+// for kmon's page and for diff's stacked one: two runs write the same
+// bytes, and the page references no network and embeds the mask epochs.
+// kmon's SVG draws the epochs too, as dashed lines.
 func TestKmonHTML(t *testing.T) {
 	dir := t.TempDir()
-	var pages [2][]byte
-	for i := range pages {
-		path := filepath.Join(dir, strconv.Itoa(i)+".html")
-		if _, stderr, code := ktraceRun("kmon", "-html", path, corpus("coarse.ktr")); code != 0 {
-			t.Fatalf("kmon -html: exit %d: %s", code, stderr)
+	svg := filepath.Join(dir, "mon.svg")
+	for _, cmd := range [][]string{
+		{"kmon", "-svg", svg, corpus("coarse.ktr")},
+		{"diff", corpus("coarse.ktr"), corpus("tuned.ktr")},
+	} {
+		var pages [2][]byte
+		for i := range pages {
+			path := filepath.Join(dir, strconv.Itoa(i)+".html")
+			if _, stderr, code := ktraceRun(withFlags(cmd, "", "-html", path)...); code != 0 {
+				t.Fatalf("%s -html: exit %d: %s", cmd[0], code, stderr)
+			}
+			var err error
+			if pages[i], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
 		}
-		var err error
-		if pages[i], err = os.ReadFile(path); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(pages[0], pages[1]) {
+			t.Errorf("%s -html is not deterministic across runs", cmd[0])
+		}
+		for _, sub := range []string{"http://", "https://"} {
+			if bytes.Contains(pages[0], []byte(sub)) {
+				t.Errorf("%s -html references the network: contains %q", cmd[0], sub)
+			}
+		}
+		if !bytes.Contains(pages[0], []byte("maskEpochs")) {
+			t.Errorf("%s -html does not embed the run data", cmd[0])
 		}
 	}
-	if !bytes.Equal(pages[0], pages[1]) {
-		t.Error("kmon -html is not deterministic across runs")
-	}
-	for _, sub := range []string{"http://", "https://"} {
-		if bytes.Contains(pages[0], []byte(sub)) {
-			t.Errorf("kmon -html references the network: contains %q", sub)
-		}
-	}
-	if !bytes.Contains(pages[0], []byte("maskEpochs")) {
-		t.Error("kmon -html does not embed the run data")
+	if img, err := os.ReadFile(svg); err != nil || !bytes.Contains(img, []byte("stroke-dasharray")) {
+		t.Errorf("kmon -svg draws no mask epoch as a dashed line (%v)", err)
 	}
 }
 

@@ -30,162 +30,9 @@
 package main
 
 import (
-	"flag"
-	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
-	"syscall"
 
-	ktrace "k42trace"
-	"k42trace/internal/event"
-	"k42trace/internal/relay"
-	"k42trace/internal/shm"
-	"k42trace/internal/stream"
+	"k42trace/internal/daemon"
 )
 
-// serveAdmin starts the mask control plane on addr and returns the bound
-// address (for tests using port 0).
-func serveAdmin(ag *shm.Agent, addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /masks", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "mask %#016x (%s)\n", ag.Mask(), ktrace.MaskString(ag.Mask()))
-		info, err := shm.Inspect(ag.Path())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		for _, c := range info.Clients {
-			fmt.Fprintf(w, "slot %d pid %d override %#016x eff %#016x\n",
-				c.Slot, c.Pid, c.MaskOverride, c.MaskEff)
-		}
-	})
-	mux.HandleFunc("POST /mask", func(w http.ResponseWriter, r *http.Request) {
-		mask, err := event.ParseMask(r.FormValue("mask"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if slotStr := r.FormValue("client"); slotStr != "" {
-			slot, err := strconv.Atoi(slotStr)
-			if err != nil {
-				http.Error(w, "bad client slot: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			if err := ag.SetClientMask(slot, mask); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			_, eff := ag.ClientMask(slot)
-			fmt.Fprintf(w, "slot %d override %#016x eff %#016x\n", slot, mask, eff)
-			return
-		}
-		ag.SetMask(mask)
-		fmt.Fprintf(w, "mask %#016x (%s)\n", mask, ktrace.MaskString(mask))
-	})
-	go http.Serve(ln, mux)
-	return ln.Addr().String(), nil
-}
-
-func main() {
-	seg := flag.String("seg", "", "segment file to create and own (tmpfs recommended)")
-	cpus := flag.Int("cpus", 2, "processor slots")
-	bufWords := flag.Int("bufwords", 0, "buffer size in words (power of two; 0 = default)")
-	numBufs := flag.Int("numbufs", 0, "buffers per CPU (power of two; 0 = default)")
-	maxClients := flag.Int("max-clients", 64, "client table capacity")
-	spill := flag.String("spill", "", "write drained buffers to this trace file")
-	relayAddr := flag.String("relay", "", "stream drained buffers to this collector address instead")
-	maskSpec := flag.String("mask", "all", `trace mask ("all", hex literal, or major names like "sched,lock")`)
-	admin := flag.String("admin", "", "serve the mask control plane on this HTTP address (e.g. 127.0.0.1:7043)")
-	rm := flag.Bool("rm", false, "remove the segment file on exit")
-	flag.Parse()
-
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "ktraced:", err)
-		os.Exit(1)
-	}
-	if *seg == "" {
-		fmt.Fprintln(os.Stderr, "ktraced: -seg is required")
-		os.Exit(2)
-	}
-	if (*spill == "") == (*relayAddr == "") {
-		fmt.Fprintln(os.Stderr, "ktraced: exactly one of -spill or -relay is required")
-		os.Exit(2)
-	}
-	mask, err := event.ParseMask(*maskSpec)
-	if err != nil {
-		fail(err)
-	}
-
-	ag, err := shm.Create(*seg, shm.Geometry{
-		CPUs: *cpus, BufWords: *bufWords, NumBufs: *numBufs, MaxClients: *maxClients,
-	})
-	if err != nil {
-		fail(err)
-	}
-	ag.SetMask(mask)
-	g := ag.Geometry()
-	fmt.Printf("ktraced: segment %s ready: %d cpu x %d bufs x %d words, %d client slots, mask %s\n",
-		*seg, g.CPUs, g.NumBufs, g.BufWords, g.MaxClients, ktrace.MaskString(mask))
-	if *admin != "" {
-		addr, err := serveAdmin(ag, *admin)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("ktraced: admin on http://%s\n", addr)
-	}
-
-	// The drain runs until Stop closes the Sealed channel; the signal
-	// handler is what triggers that.
-	type result struct {
-		blocks, anoms int
-		err           error
-	}
-	done := make(chan result, 1)
-	if *relayAddr != "" {
-		go func() {
-			st, err := relay.SendReliable(ag, *relayAddr, relay.ReliableOptions{})
-			done <- result{st.Blocks, st.Anomalies, err}
-		}()
-	} else {
-		f, err := os.Create(*spill)
-		if err != nil {
-			fail(err)
-		}
-		go func() {
-			st, err := stream.Capture(ag, f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			done <- result{st.Blocks, st.Anomalies, err}
-		}()
-	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	sig := <-sigc
-	fmt.Printf("ktraced: %v: draining\n", sig)
-	ag.Stop()
-	res := <-done
-	if res.err != nil {
-		fmt.Fprintln(os.Stderr, "ktraced: drain:", res.err)
-	}
-	st := ag.Stats()
-	fmt.Printf("ktraced: %d blocks (%d anomalous), %d events, %d dead clients reaped\n",
-		res.blocks, res.anoms, st.Events, ag.Reaped())
-	if err := ag.Close(); err != nil {
-		fail(err)
-	}
-	if *rm {
-		os.Remove(*seg)
-	}
-	if res.err != nil || res.anoms > 0 {
-		os.Exit(1)
-	}
-}
+func main() { os.Exit(daemon.Main(daemon.Ktraced)) }

@@ -20,84 +20,11 @@
 package main
 
 import (
-	"flag"
-	"fmt"
+	"context"
 	"os"
-	"time"
 
-	ktrace "k42trace"
-	"k42trace/internal/event"
-	"k42trace/internal/faultinject"
+	"k42trace/internal/daemon"
 )
 
-func main() {
-	seg := flag.String("seg", "", "segment file to attach to")
-	cpu := flag.Int("cpu", -1, "CPU slot to log on (-1: round-robin over all)")
-	n := flag.Int("n", 10000, "events (default mode) or workload rounds (-workload)")
-	pid := flag.Uint64("pid", uint64(os.Getpid()), "logical pid stamped into events")
-	workload := flag.Bool("workload", false, "run the synthetic sched/syscall/lock workload")
-	sleep := flag.Duration("sleep", 0, "pause between events (rate limiting)")
-	hang := flag.Bool("hang", false, "reserve one event, never commit it, and block until killed (fault injection)")
-	payload := flag.Int("payload", 3, "with -hang: payload words of the dead reservation")
-	flag.Parse()
-
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "shmlog:", err)
-		os.Exit(1)
-	}
-	if *seg == "" {
-		fmt.Fprintln(os.Stderr, "shmlog: -seg is required")
-		os.Exit(2)
-	}
-	cl, err := ktrace.Attach(*seg)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("shmlog: attached to %s as client slot %d (pid %d)\n", *seg, cl.Slot(), os.Getpid())
-
-	if *hang {
-		slot := *cpu
-		if slot < 0 {
-			slot = 0
-		}
-		words, ok := cl.CPU(slot).ReserveHang(event.MajorTest, 9, *payload)
-		if !ok {
-			fmt.Fprintln(os.Stderr, "shmlog: hang reservation failed (masked or dropped)")
-			os.Exit(1)
-		}
-		fmt.Printf("shmlog: hung with %d uncommitted words, waiting for SIGKILL\n", words)
-		select {} // the only way out is the kill — that is the point
-	}
-
-	start := time.Now()
-	logged := 0
-	if *workload {
-		slot := *cpu
-		if slot < 0 {
-			slot = 0
-		}
-		logged = faultinject.SyntheticWorkload(cl.CPU(slot), *pid, *n)
-	} else {
-		for i := 0; i < *n; i++ {
-			slot := *cpu
-			if slot < 0 {
-				slot = i % cl.NumCPUs()
-			}
-			if cl.CPU(slot).Log2(event.MajorTest, 1, uint64(i), *pid) {
-				logged++
-			}
-			if *sleep > 0 {
-				time.Sleep(*sleep)
-			}
-		}
-	}
-	el := time.Since(start)
-	if err := cl.Detach(); err != nil {
-		fail(err)
-	}
-	rate := float64(logged) / el.Seconds()
-	fmt.Printf("shmlog: logged %d events in %v (%.0f ev/s)\n", logged, el.Round(time.Millisecond), rate)
-	if logged == 0 {
-		os.Exit(1)
-	}
-}
+// No signal handling: a client is killed, not drained.
+func main() { os.Exit(daemon.Shmlog(context.Background(), os.Args[1:], os.Stdout, os.Stderr)) }

@@ -25,114 +25,9 @@
 package main
 
 import (
-	"flag"
-	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
-	"time"
 
-	"k42trace/internal/event"
-	"k42trace/internal/fed"
-	"k42trace/internal/live"
-	"k42trace/internal/relay"
+	"k42trace/internal/daemon"
 )
 
-func main() {
-	listen := flag.String("listen", "127.0.0.1:7052", "shard uplink listen address")
-	httpAddr := flag.String("http", "127.0.0.1:7053", "federation HTTP address")
-	window := flag.Duration("window", 250*time.Millisecond, "analysis window width (trace time)")
-	maxWindows := flag.Int("max-windows", 32, "live windows kept before eviction")
-	queue := flag.Int("queue", 64, "per-uplink ingest queue depth, blocks")
-	cpuSlots := flag.Int("cpu-slots", 4096, "total remapped CPU slots across all shard uplinks")
-	spillPath := flag.String("spill", "", "spill every mirrored block to this trace file")
-	memberTTL := flag.Duration("member-ttl", 3*time.Second, "expire shards whose heartbeats stop for this long")
-	maskSpec := flag.String("mask", "", `initial trace mask fanned down to every shard ("all", a hex literal, or major names)`)
-	flag.Parse()
-
-	opt := fed.AggOptions{
-		Live: live.Options{
-			Window:      *window,
-			MaxWindows:  *maxWindows,
-			QueueBlocks: *queue,
-			CPUSlots:    *cpuSlots,
-		},
-		MemberTTL: *memberTTL,
-	}
-	var spill *os.File
-	if *spillPath != "" {
-		f, err := os.Create(*spillPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "traceaggd:", err)
-			os.Exit(1)
-		}
-		spill = f
-		opt.Live.Spill = f
-	}
-
-	a := fed.NewAggregator(opt)
-	if *maskSpec != "" {
-		m, err := event.ParseMask(*maskSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "traceaggd: bad -mask: %v\n", err)
-			os.Exit(2)
-		}
-		a.SetMask(m)
-		fmt.Printf("traceaggd: desired mask %s (%s)\n",
-			event.MaskString(m|event.MajorControl.Bit()),
-			strings.Join(event.MaskMajors(m|event.MajorControl.Bit()), ","))
-	}
-	srv, err := relay.ListenConns(*listen, a.Handler())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "traceaggd:", err)
-		os.Exit(1)
-	}
-	web := &http.Server{Addr: *httpAddr, Handler: a.Mux()}
-	webErr := make(chan error, 1)
-	go func() { webErr <- web.ListenAndServe() }()
-	fmt.Printf("traceaggd: uplinks on %s, http on %s\n", srv.Addr(), *httpAddr)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		fmt.Printf("traceaggd: %v, draining\n", s)
-	case err := <-webErr:
-		fmt.Fprintln(os.Stderr, "traceaggd: http:", err)
-	}
-
-	srv.CloseNow()
-	if err := a.Drain(); err != nil {
-		fmt.Fprintln(os.Stderr, "traceaggd: spill:", err)
-	}
-	if spill != nil {
-		if err := spill.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "traceaggd: spill:", err)
-		}
-	}
-	web.Close()
-
-	doc := a.Overview()
-	var active, left, expired int
-	for _, m := range doc.Members {
-		switch m.State {
-		case fed.StateActive:
-			active++
-		case fed.StateLeft:
-			left++
-		case fed.StateExpired:
-			expired++
-		}
-	}
-	fmt.Printf("traceaggd: %d shards seen (%d active, %d left, %d expired), %d processes in merged overview\n",
-		len(doc.Members), active, left, expired, len(doc.Overview))
-	for _, m := range doc.Members {
-		fmt.Printf("traceaggd: shard %s (%s) %s: %d producers, %d blocks, %d events\n",
-			m.Name, m.Addr, m.State, m.Producers, m.Blocks, m.Events)
-	}
-	if *spillPath != "" {
-		fmt.Printf("traceaggd: mirrored spill in %s\n", *spillPath)
-	}
-}
+func main() { os.Exit(daemon.Main(daemon.Traceaggd)) }

@@ -27,210 +27,9 @@
 package main
 
 import (
-	"flag"
-	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
-	"strings"
-	"syscall"
-	"time"
 
-	"k42trace/internal/event"
-	"k42trace/internal/fed"
-	"k42trace/internal/live"
-	"k42trace/internal/relay"
+	"k42trace/internal/daemon"
 )
 
-func main() {
-	listen := flag.String("listen", "127.0.0.1:7042", "producer listen address")
-	httpAddr := flag.String("http", "127.0.0.1:7043", "metrics/snapshot HTTP address")
-	window := flag.Duration("window", 250*time.Millisecond, "analysis window width (trace time)")
-	maxWindows := flag.Int("max-windows", 32, "live windows kept before eviction")
-	queue := flag.Int("queue", 64, "per-producer ingest queue depth, blocks")
-	slow := flag.Duration("slow", 5*time.Second, "how long a producer may wait on a full queue before disconnection")
-	cpuSlots := flag.Int("cpu-slots", 256, "total remapped CPU slots across all producers")
-	spillPath := flag.String("spill", "", "spill every accepted block to this trace file")
-	storeURL := flag.String("store", "", "tracestored base URL to upload the final spill to (e.g. http://127.0.0.1:7045)")
-	storeTenant := flag.String("store-tenant", "default", "tenant namespace for the -store upload")
-	watch := flag.String("watch", "", "comma-separated pids to keep per-window time breakdowns for")
-	maskSpec := flag.String("mask", "", `initial trace mask pushed to every producer that connects ("all", a hex literal, or major names like "ctrl,sched,lock")`)
-	up := flag.String("up", "", "federate: relay accepted blocks up to this traceaggd uplink address")
-	aggHTTP := flag.String("agg-http", "", "federate: heartbeat to this traceaggd HTTP base URL (e.g. http://127.0.0.1:7053)")
-	name := flag.String("name", "", "federate: stable shard name (default: the -listen address)")
-	advertise := flag.String("advertise", "", "federate: producer-facing address announced on the ring (default: the -listen address)")
-	upForward := flag.String("up-forward", "all", "federate: uplink relay policy, all or ctrl")
-	heartbeat := flag.Duration("heartbeat", time.Second, "federate: heartbeat period")
-	flag.Parse()
-
-	opt := live.Options{
-		Window:         *window,
-		MaxWindows:     *maxWindows,
-		QueueBlocks:    *queue,
-		EnqueueTimeout: *slow,
-		CPUSlots:       *cpuSlots,
-	}
-	if *watch != "" {
-		for _, s := range strings.Split(*watch, ",") {
-			pid, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tracecolld: bad -watch pid %q: %v\n", s, err)
-				os.Exit(2)
-			}
-			opt.WatchPids = append(opt.WatchPids, pid)
-		}
-	}
-	var spill *os.File
-	if *spillPath != "" {
-		f, err := os.Create(*spillPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracecolld:", err)
-			os.Exit(1)
-		}
-		spill = f
-		opt.Spill = f
-	}
-
-	// Federated mode wraps the collector in a shard: an uplink relays
-	// accepted blocks to the aggregator (whose mask frames fan down to
-	// this shard's producers), and heartbeats keep it on the ring.
-	var shard *fed.Shard
-	var c *live.Collector
-	if *up != "" || *aggHTTP != "" {
-		if *name == "" {
-			*name = *listen
-		}
-		if *advertise == "" {
-			*advertise = *listen
-		}
-		s, err := fed.NewShard(fed.ShardOptions{
-			Name:           *name,
-			Advertise:      *advertise,
-			HTTP:           *httpAddr,
-			AggAddr:        *up,
-			AggHTTP:        *aggHTTP,
-			HeartbeatEvery: *heartbeat,
-			Forward:        fed.ForwardMode(*upForward),
-			Live:           opt,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracecolld:", err)
-			os.Exit(2)
-		}
-		shard = s
-		c = s.Collector()
-	} else {
-		c = live.NewCollector(opt)
-	}
-	if *maskSpec != "" {
-		m, err := event.ParseMask(*maskSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracecolld: bad -mask: %v\n", err)
-			os.Exit(2)
-		}
-		c.SetMask(m, 0)
-		fmt.Printf("tracecolld: desired mask %s (%s)\n",
-			event.MaskString(m|event.MajorControl.Bit()),
-			strings.Join(event.MaskMajors(m|event.MajorControl.Bit()), ","))
-	}
-	srv, err := relay.ListenConns(*listen, c.Handler())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracecolld:", err)
-		os.Exit(1)
-	}
-	handler := c.Mux()
-	if shard != nil {
-		handler = shard.Mux()
-	}
-	web := &http.Server{Addr: *httpAddr, Handler: handler}
-	webErr := make(chan error, 1)
-	go func() { webErr <- web.ListenAndServe() }()
-	fmt.Printf("tracecolld: producers on %s, http on %s\n", srv.Addr(), *httpAddr)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		fmt.Printf("tracecolld: %v, draining\n", s)
-	case err := <-webErr:
-		fmt.Fprintln(os.Stderr, "tracecolld: http:", err)
-	}
-
-	// Force-close producer connections (their read loops end, queues
-	// close), then wait for every queued block to reach analysis + spill.
-	srv.CloseNow()
-	if shard != nil {
-		// Shard drain also flushes the uplink and sends the final Leaving
-		// heartbeat, whose overview is this shard's exact total.
-		if err := shard.Drain(); err != nil {
-			fmt.Fprintln(os.Stderr, "tracecolld: spill:", err)
-		}
-	} else if err := c.Drain(); err != nil {
-		fmt.Fprintln(os.Stderr, "tracecolld: spill:", err)
-	}
-	if spill != nil {
-		if err := spill.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "tracecolld: spill:", err)
-		}
-	}
-	web.Close()
-
-	snap := c.Snapshot()
-	var blocks, events, garbled, stuck uint64
-	for _, p := range snap.Producers {
-		blocks += p.Blocks
-		events += p.Events
-		garbled += p.Garbled
-		stuck += p.StuckSeals
-	}
-	fmt.Printf("tracecolld: %d producers, %d blocks, %d events (%d garbled, %d stuck-seal blocks)\n",
-		len(snap.Producers), blocks, events, garbled, stuck)
-	if *spillPath != "" {
-		fmt.Printf("tracecolld: spilled to %s\n", *spillPath)
-		if *storeURL != "" {
-			if err := uploadSpill(*storeURL, *storeTenant, *spillPath); err != nil {
-				fmt.Fprintln(os.Stderr, "tracecolld: store upload:", err)
-			} else {
-				fmt.Printf("tracecolld: spill uploaded to %s (tenant %s)\n", *storeURL, *storeTenant)
-			}
-		}
-	}
-	for reason, n := range snap.Disconnects {
-		fmt.Printf("tracecolld: disconnects %s: %d\n", reason, n)
-	}
-	if shard != nil {
-		st := shard.Stats()
-		if st.Uplink != nil {
-			fmt.Printf("tracecolld: uplink %d blocks, %d dials, %d retries, %d dropped (full %d, gave up %d), %d control frames\n",
-				st.Uplink.Blocks, st.Uplink.Dials, st.Uplink.Retries,
-				st.Uplink.DroppedFull+st.Uplink.DroppedGaveUp,
-				st.Uplink.DroppedFull, st.Uplink.DroppedGaveUp, st.Uplink.ControlFrames)
-		}
-		fmt.Printf("tracecolld: heartbeats %d ok, %d failed; %d mask frames fanned down\n",
-			st.HeartbeatsOK, st.HeartbeatsErr, st.CtrlMaskFrames)
-	}
-}
-
-// uploadSpill hands the drained spill to a tracestored daemon: the
-// collector keeps no long-term state, the store owns retention and
-// queries from here on.
-func uploadSpill(base, tenant, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	url := strings.TrimRight(base, "/") + "/ingest?tenant=" + tenant
-	resp, err := http.Post(url, "application/octet-stream", f)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	return nil
-}
+func main() { os.Exit(daemon.Main(daemon.Tracecolld)) }

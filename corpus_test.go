@@ -70,6 +70,28 @@ func buildDiffPair(t testing.TB) (coarse, tuned []byte) {
 	return gen(false), gen(true)
 }
 
+// TestDiffPairRecipe pins the recipe to the fixture: the pair is virtual
+// time end to end, so generating it again gives the checked-in bytes, on any
+// host. cmd/sdet writes the same bytes (the first mask is everything but
+// the sample and alloc majors, as a literal, because the marker records the
+// mask word):
+//
+//	sdet -cpus 8 -scripts 4 -cmds 6 -seed 11 -sample 15000 -irq 50000 \
+//	    -mask-at 800000=0xfffffffffffff3ff -mask-at 1400000=all \
+//	    -config coarse|tuned -o <file>
+func TestDiffPairRecipe(t *testing.T) {
+	coarse, tuned := buildDiffPair(t)
+	for name, data := range map[string][]byte{"coarse.ktr": coarse, "tuned.ktr": tuned} {
+		want, err := os.ReadFile(filepath.Join(corpusDir, name))
+		if err != nil {
+			t.Fatalf("fixture missing (run go test . -update): %v", err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Errorf("buildDiffPair no longer reproduces %s (%d bytes against %d checked in)", name, len(data), len(want))
+		}
+	}
+}
+
 // garbleCorpus applies the corpus damage recipe to the clean trace and
 // returns the damaged image plus the indices of the fully quarantined
 // (magic-destroyed) blocks. The recipe is pure function of the input, so

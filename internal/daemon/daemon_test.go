@@ -1,0 +1,290 @@
+package daemon
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"strings"
+	"sync"
+	"syscall"
+	"testing"
+	"time"
+)
+
+var runs = map[string]Run{
+	"ktraced": Ktraced, "shmlog": Shmlog, "tracerelay": Tracerelay,
+	"tracecolld": Tracecolld, "traceaggd": Traceaggd, "tracestored": Tracestored,
+}
+
+// childEnv names the command this test binary runs in place of its tests:
+// the clients and the shard that must die by SIGKILL are real processes.
+const childEnv = "DAEMON_TEST_RUN"
+
+func TestMain(m *testing.M) {
+	if run := runs[os.Getenv(childEnv)]; run != nil {
+		os.Exit(Main(run))
+	}
+	os.Exit(m.Run())
+}
+
+// eventually polls cond until it holds or the deadline passes.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// output is one stream of a running command, readable while it is written.
+type output struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (o *output) Write(p []byte) (int, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.b.Write(p)
+}
+
+func (o *output) String() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.b.String()
+}
+
+// running is a command under test: a goroutine of this process (start) or
+// a child process (spawn).
+type running struct {
+	t              *testing.T
+	stdout, stderr output
+	cancel         func()   // what SIGTERM is to the command
+	exited         chan int // its exit status
+	child          *exec.Cmd
+}
+
+func start(t *testing.T, run Run, args ...string) *running {
+	ctx, cancel := context.WithCancel(context.Background())
+	r := &running{t: t, cancel: cancel, exited: make(chan int, 1)}
+	go func() { r.exited <- run(ctx, args, &r.stdout, &r.stderr) }()
+	t.Cleanup(func() { r.end(cancel, args) })
+	return r
+}
+
+func spawn(t *testing.T, name string, args ...string) *running {
+	r := &running{t: t, exited: make(chan int, 1), child: exec.Command(os.Args[0], args...)}
+	r.child.Env = append(os.Environ(), childEnv+"="+name)
+	r.child.Stdout, r.child.Stderr = &r.stdout, &r.stderr
+	if err := r.child.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.cancel = func() { r.child.Process.Signal(syscall.SIGTERM) }
+	go func() {
+		r.child.Wait()
+		r.exited <- r.child.ProcessState.ExitCode()
+	}()
+	t.Cleanup(func() { r.end(func() { r.child.Process.Kill() }, args) })
+	return r
+}
+
+// end is the cleanup of a command: whatever is left of it goes, and a
+// failed test shows what it wrote.
+func (r *running) end(kill func(), args []string) {
+	kill()
+	if r.t.Failed() {
+		r.t.Logf("%v\nstdout:\n%s\nstderr:\n%s", args, &r.stdout, &r.stderr)
+	}
+}
+
+// exits waits for the command to return and fails the test unless its
+// status is code. What it announced on stdout — "… on ADDR" — must by then
+// refuse a dial: a Run that has returned holds no listener.
+func (r *running) exits(code int) {
+	r.t.Helper()
+	select {
+	case got := <-r.exited:
+		r.exited <- got
+		if got != code {
+			r.t.Fatalf("exit %d, want %d", got, code)
+		}
+	case <-time.After(time.Minute):
+		r.t.Fatal("still running")
+	}
+	for _, m := range announced.FindAllStringSubmatch(r.stdout.String(), -1) {
+		if c, err := net.Dial("tcp", m[1]); err == nil {
+			c.Close()
+			r.t.Errorf("still listening on %s after it returned", m[1])
+		}
+	}
+}
+
+var announced = regexp.MustCompile(` on (?:http://)?(127\.0\.0\.1:\d+)`)
+
+// stopped is exits after what SIGTERM is to the command.
+func (r *running) stopped(code int) {
+	r.t.Helper()
+	r.cancel()
+	r.exits(code)
+}
+
+// settles returns the check that the goroutines of this process are back to
+// their number now — deferred by a test around everything it starts.
+func settles(t *testing.T) func() {
+	before := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		if t.Failed() {
+			return // whatever it started may still be running
+		}
+		eventually(t, "the goroutines to settle", func() bool { return runtime.NumGoroutine() <= before })
+	}
+}
+
+// expect waits for stdout to match pattern and returns the submatches.
+func (r *running) expect(pattern string) (m []string) {
+	r.t.Helper()
+	re := regexp.MustCompile(pattern)
+	eventually(r.t, "stdout to match "+pattern, func() bool {
+		m = re.FindStringSubmatch(r.stdout.String())
+		return m != nil
+	})
+	return m
+}
+
+// client keeps no connection, so a closed server leaves no goroutine here.
+var client = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+
+// call makes one request and returns the status, the headers and the body.
+func call(t *testing.T, method, url, body string) (int, http.Header, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if method == "POST" {
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header, string(b)
+}
+
+// getJSON decodes a 200 answer into v.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	code, _, body := call(t, "GET", url, "")
+	if err := json.Unmarshal([]byte(body), v); code != 200 || err != nil {
+		t.Fatalf("GET %s: status %d, %v: %s", url, code, err, body)
+	}
+}
+
+// TestExitStatus: -h is 0 with the usage on stderr, a flag the command
+// cannot run with is 2 with a message naming it, and a file it cannot open
+// or an HTTP port already in use is 1 — each with nothing announced on
+// stdout, and with the listener opened before the refused one closed again.
+func TestExitStatus(t *testing.T) {
+	taken, err := net.Listen("tcp", lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	free, err := net.Listen("tcp", lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	free.Close()
+	inUse := []string{"-listen", free.Addr().String(), "-http", taken.Addr().String()}
+	type exitRow struct {
+		name   string
+		args   []string
+		code   int
+		stderr string // a substring of it
+	}
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "no-such-dir", "x")
+	rows := []exitRow{
+		{"ktraced", nil, 2, "ktraced: -seg is required\n"},
+		{"ktraced", []string{"-seg", missing}, 2, "ktraced: exactly one of -spill or -relay is required\n"},
+		{"ktraced", []string{"-seg", missing, "-spill", "a", "-relay", "b"}, 2, "exactly one of -spill or -relay"},
+		{"ktraced", []string{"-seg", filepath.Join(dir, "seg"), "-spill", missing}, 1, "ktraced: open "},
+		{"ktraced", []string{"-seg", missing, "-spill", filepath.Join(dir, "spill")}, 1, "ktraced: "},
+		{"shmlog", nil, 2, "shmlog: -seg is required\n"},
+		{"shmlog", []string{"-seg", missing}, 1, "shmlog: "},
+		{"tracerelay", nil, 2, "usage: tracerelay -collect [-listen addr -o file] | -send addr\n  -attempts int"},
+		{"tracerelay", []string{"-collect", "-o", missing}, 1, "tracerelay: open "},
+		{"tracecolld", []string{"-watch", "1,x"}, 2, `tracecolld: bad -watch pid "x": `},
+		{"tracecolld", []string{"-mask", "nope"}, 2, "tracecolld: bad -mask: "},
+		{"tracecolld", []string{"-store", "http://127.0.0.1:1", "-store-tenant", "a/b"}, 2, `tracecolld: bad -store-tenant "a/b"` + "\n"},
+		{"tracecolld", []string{"-up", "127.0.0.1:1", "-up-forward", "some", "-listen", lo, "-http", lo}, 2, `tracecolld: fed: unknown forward mode "some"`},
+		{"tracecolld", []string{"-spill", missing}, 1, "tracecolld: open "},
+		{"tracecolld", inUse, 1, "address already in use"},
+		{"traceaggd", inUse, 1, "address already in use"},
+		{"tracestored", append([]string{"-root", dir, "-relay"}, inUse[1:]...), 1, "address already in use"},
+		{"traceaggd", []string{"-mask", "nope"}, 2, "traceaggd: bad -mask: "},
+		{"traceaggd", []string{"-spill", missing}, 1, "traceaggd: open "},
+		{"tracestored", nil, 2, "usage: tracestored -root DIR [-http ADDR] [-watch DIR] [-relay ADDR]\n  -cache-bytes int"},
+		{"tracestored", []string{"-root", filepath.Join(os.Args[0], "under-a-file")}, 1, "tracestored: "},
+	}
+	for name := range runs {
+		rows = append(rows,
+			exitRow{name, []string{"-h"}, 0, "Usage of " + name + ":\n  -"},
+			exitRow{name, []string{"-no-such-flag"}, 2, "flag provided but not defined: -no-such-flag\nUsage of " + name + ":\n"})
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel() // a command that got past its flags would drain at once
+	for _, r := range rows {
+		var stdout, stderr bytes.Buffer
+		code := runs[r.name](cancelled, r.args, &stdout, &stderr)
+		if code != r.code || stdout.Len() != 0 || !strings.Contains(stderr.String(), r.stderr) {
+			t.Errorf("%s %v: exit %d, stdout %q, stderr %q; want %d, none, and %q",
+				r.name, r.args, code, &stdout, &stderr, r.code, r.stderr)
+		}
+	}
+	if c, err := net.Dial("tcp", free.Addr().String()); err == nil {
+		c.Close()
+		t.Errorf("a command refused its HTTP port and left its relay listener on %s open", free.Addr())
+	}
+}
+
+// TestStoreTenantIsEscaped: the -store upload sends the tenant as one query
+// value whatever it holds.
+func TestStoreTenantIsEscaped(t *testing.T) {
+	got := make(chan string, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got <- r.URL.Query().Get("tenant")
+	}))
+	defer srv.Close()
+	if err := uploadSpill(srv.URL+"/", "a&b=c d", "daemon.go"); err != nil {
+		t.Fatal(err)
+	}
+	if tenant := <-got; tenant != "a&b=c d" {
+		t.Errorf("tenant arrived as %q", tenant)
+	}
+}
+
+// TestMainCancelsOnSIGTERM: in a real process the first signal is the
+// cancellation, named in the drain line, and the exit status is the drain's.
+func TestMainCancelsOnSIGTERM(t *testing.T) {
+	r := spawn(t, "tracerelay", "-collect", "-listen", lo, "-o", filepath.Join(t.TempDir(), "got.ktr"))
+	r.expect(`collecting on `)
+	r.stopped(0)
+	r.expect(`collected 0 blocks \(0 anomalous\), skipped 0 damaged\n`)
+}

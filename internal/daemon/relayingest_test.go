@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"bytes"
@@ -71,7 +71,7 @@ func TestRelayIngestSalvagesDamagedUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := relay.Listen("127.0.0.1:0", relayIngest(s, "relayed"))
+	srv, err := relay.Listen("127.0.0.1:0", newProc("tracestored", io.Discard, io.Discard).relayIngest(s, "relayed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestRelayIngestKeepsBlocksBeforeATear(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	srv, err := relay.Listen("127.0.0.1:0", relayIngest(s, "relayed"))
+	srv, err := relay.Listen("127.0.0.1:0", newProc("tracestored", io.Discard, io.Discard).relayIngest(s, "relayed"))
 	if err != nil {
 		t.Fatal(err)
 	}

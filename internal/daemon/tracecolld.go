@@ -1,0 +1,213 @@
+package daemon
+
+import (
+	"cmp"
+	"context"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/url"
+	"os"
+	"strconv"
+	"strings"
+	"time"
+
+	"k42trace/internal/event"
+	"k42trace/internal/fed"
+	"k42trace/internal/live"
+	"k42trace/internal/relay"
+	"k42trace/internal/store"
+)
+
+// collectorCore is what tracecolld and traceaggd serve and drain: a
+// live.Collector, a fed.Shard around one, or a fed.Aggregator around one.
+type collectorCore interface {
+	Handler() relay.ConnHandler
+	Mux() *http.ServeMux
+	Drain() error
+}
+
+// collect is the life tracecolld and traceaggd share, from parsed flags to
+// a drained collector: check -mask, create -spill into *spillTo, bind both
+// listeners, build the core around the bound addresses, announce with
+// ready, serve until cancel; then force-close the relay connections, drain
+// every queued block into the analysis and the spill, close the spill,
+// close the HTTP server. The status is 0 once it has served.
+func (p *proc) collect(ctx context.Context, listen, httpAddr, spillPath, maskSpec, ready string, spillTo *io.Writer,
+	build func(bound, web string) (collectorCore, *live.Collector, error)) int {
+	var mask uint64
+	var err error
+	if maskSpec != "" {
+		if mask, err = event.ParseMask(maskSpec); err != nil {
+			return p.usage("bad -mask: %v", err)
+		}
+	}
+	var spill *os.File
+	if spillPath != "" {
+		if spill, err = os.Create(spillPath); err != nil {
+			return p.fail(err)
+		}
+		defer spill.Close()
+		*spillTo = spill
+	}
+	ln, err := net.Listen("tcp", listen)
+	if err != nil {
+		return p.fail(err)
+	}
+	defer ln.Close()
+	webLn, err := net.Listen("tcp", httpAddr)
+	if err != nil {
+		return p.fail(err)
+	}
+	defer webLn.Close()
+	core, c, err := build(ln.Addr().String(), webLn.Addr().String())
+	if err != nil {
+		return p.usage("%v", err)
+	}
+	if maskSpec != "" {
+		c.SetMask(mask, 0)
+		mask |= event.MajorControl.Bit()
+		p.say("desired mask %s (%s)", event.MaskString(mask), strings.Join(event.MaskMajors(mask), ","))
+	}
+	srv := relay.Serve(ln, core.Handler())
+	p.serve(webLn, core.Mux())
+	p.say(ready, srv.Addr(), webLn.Addr())
+
+	p.wait(ctx, ", draining")
+	srv.CloseNow()
+	if err := core.Drain(); err != nil {
+		p.warn("spill: %v", err)
+	}
+	if spill != nil {
+		if err := spill.Close(); err != nil {
+			p.warn("spill: %v", err)
+		}
+	}
+	p.closeWeb()
+	return 0
+}
+
+// Tracecolld is the live collector, standalone or (with -up / -agg-http)
+// one shard of a federation, whose drain also flushes the uplink and sends
+// the leaving heartbeat. After the drain it prints the totals and hands the
+// spill to -store.
+func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	p := newProc("tracecolld", stdout, stderr)
+	var opt live.Options
+	var so fed.ShardOptions
+	listen := p.fs.String("listen", "127.0.0.1:7042", "producer listen address")
+	httpAddr := p.fs.String("http", "127.0.0.1:7043", "metrics/snapshot HTTP address")
+	p.fs.DurationVar(&opt.Window, "window", 250*time.Millisecond, "analysis window width (trace time)")
+	p.fs.IntVar(&opt.MaxWindows, "max-windows", 32, "live windows kept before eviction")
+	p.fs.IntVar(&opt.QueueBlocks, "queue", 64, "per-producer ingest queue depth, blocks")
+	p.fs.DurationVar(&opt.EnqueueTimeout, "slow", 5*time.Second, "how long a producer may wait on a full queue before disconnection")
+	p.fs.IntVar(&opt.CPUSlots, "cpu-slots", 256, "total remapped CPU slots across all producers")
+	spillPath := p.fs.String("spill", "", "spill every accepted block to this trace file")
+	storeURL := p.fs.String("store", "", "tracestored base URL to upload the final spill to (e.g. http://127.0.0.1:7045)")
+	storeTenant := p.fs.String("store-tenant", "default", "tenant namespace for the -store upload")
+	watch := p.fs.String("watch", "", "comma-separated pids to keep per-window time breakdowns for")
+	maskSpec := p.fs.String("mask", "", `initial trace mask pushed to every producer that connects ("all", a hex literal, or major names like "ctrl,sched,lock")`)
+	p.fs.StringVar(&so.AggAddr, "up", "", "federate: relay accepted blocks up to this traceaggd uplink address")
+	p.fs.StringVar(&so.AggHTTP, "agg-http", "", "federate: heartbeat to this traceaggd HTTP base URL (e.g. http://127.0.0.1:7053)")
+	p.fs.StringVar(&so.Name, "name", "", "federate: stable shard name (default: the -listen address)")
+	p.fs.StringVar(&so.Advertise, "advertise", "", "federate: producer-facing address announced on the ring (default: the -listen address)")
+	upForward := p.fs.String("up-forward", "all", "federate: uplink relay policy, all or ctrl")
+	p.fs.DurationVar(&so.HeartbeatEvery, "heartbeat", time.Second, "federate: heartbeat period")
+	if code, ok := p.parse(args); !ok {
+		return code
+	}
+	if *watch != "" {
+		for _, s := range strings.Split(*watch, ",") {
+			pid, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
+			if err != nil {
+				return p.usage("bad -watch pid %q: %v", s, err)
+			}
+			opt.WatchPids = append(opt.WatchPids, pid)
+		}
+	}
+	if !store.ValidTenant(*storeTenant) {
+		return p.usage("bad -store-tenant %q", *storeTenant)
+	}
+
+	// Federated mode wraps the collector in a shard: an uplink relays
+	// accepted blocks to the aggregator (whose mask frames fan down to
+	// this shard's producers), and heartbeats keep it on the ring under
+	// the address the listener is bound to.
+	var shard *fed.Shard
+	var c *live.Collector
+	code := p.collect(ctx, *listen, *httpAddr, *spillPath, *maskSpec, "producers on %s, http on %s", &opt.Spill,
+		func(bound, web string) (collectorCore, *live.Collector, error) {
+			if so.AggAddr == "" && so.AggHTTP == "" {
+				c = live.NewCollector(opt)
+				return c, c, nil
+			}
+			so.Name, so.Advertise = cmp.Or(so.Name, bound), cmp.Or(so.Advertise, bound)
+			so.HTTP, so.Forward, so.Live = web, fed.ForwardMode(*upForward), opt
+			var err error
+			if shard, err = fed.NewShard(so); err != nil {
+				return nil, nil, err
+			}
+			c = shard.Collector()
+			return shard, c, nil
+		})
+	if c == nil {
+		return code
+	}
+
+	snap := c.Snapshot()
+	var blocks, events, garbled, stuck uint64
+	for _, pr := range snap.Producers {
+		blocks += pr.Blocks
+		events += pr.Events
+		garbled += pr.Garbled
+		stuck += pr.StuckSeals
+	}
+	p.say("%d producers, %d blocks, %d events (%d garbled, %d stuck-seal blocks)",
+		len(snap.Producers), blocks, events, garbled, stuck)
+	if *spillPath != "" {
+		p.say("spilled to %s", *spillPath)
+		if *storeURL != "" {
+			if err := uploadSpill(*storeURL, *storeTenant, *spillPath); err != nil {
+				p.warn("store upload: %v", err)
+			} else {
+				p.say("spill uploaded to %s (tenant %s)", *storeURL, *storeTenant)
+			}
+		}
+	}
+	for reason, n := range snap.Disconnects {
+		p.say("disconnects %s: %d", reason, n)
+	}
+	if shard != nil {
+		st := shard.Stats()
+		if u := st.Uplink; u != nil {
+			p.say("uplink %d blocks, %d dials, %d retries, %d dropped (full %d, gave up %d), %d control frames",
+				u.Blocks, u.Dials, u.Retries, u.DroppedFull+u.DroppedGaveUp, u.DroppedFull, u.DroppedGaveUp, u.ControlFrames)
+		}
+		p.say("heartbeats %d ok, %d failed; %d mask frames fanned down",
+			st.HeartbeatsOK, st.HeartbeatsErr, st.CtrlMaskFrames)
+	}
+	return 0
+}
+
+// uploadSpill hands the drained spill to a tracestored daemon: the
+// collector keeps no long-term state, the store owns retention and
+// queries from here on.
+func uploadSpill(base, tenant, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	u := strings.TrimRight(base, "/") + "/ingest?" + url.Values{"tenant": {tenant}}.Encode()
+	resp, err := http.Post(u, "application/octet-stream", f)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
+	}
+	return nil
+}

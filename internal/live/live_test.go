@@ -353,6 +353,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	for _, want := range []string{
 		`tracecolld_blocks_received_total{producer="1"}`,
 		`tracecolld_events_received_total{producer="1"}`,
+		"tracecolld_events_total ",
 		"tracecolld_producers_connected 0",
 		"tracecolld_windows_live",
 		"# TYPE tracecolld_blocks_received_total counter",

@@ -63,10 +63,17 @@ func ListenConns(addr string, h ConnHandler) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("relay: listen %s: %w", addr, err)
 	}
+	return Serve(ln, h), nil
+}
+
+// Serve is ListenConns on a listener the caller has already opened — a
+// daemon that must know every bound address before it builds its handler.
+// The server owns ln from here on: Close and CloseNow close it.
+func Serve(ln net.Listener, h ConnHandler) *Server {
 	s := &Server{ln: ln, handler: h, conns: map[net.Conn]struct{}{}}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the listening address, for clients to dial.
