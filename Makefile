@@ -18,10 +18,11 @@ BENCH_E2E ?= BENCH_E2E.txt
 # The packages whose fan-outs promise the same bytes for any worker count
 # — and the collector, where the core count decides how far a connection's
 # reader runs ahead of its worker, and so which word buffers are recycled
-# under which blocks, and the daemons composed in one process, where it
-# decides who runs while a test polls — and the core counts `make
-# test-cores` runs them at.
-CORES_PKGS = ./internal/stream/ ./internal/analysis/ ./internal/store/ ./internal/live/ ./internal/daemon/ ./cmd/ktrace/
+# under which blocks, the daemons composed in one process, where it
+# decides who runs while a test polls, and the logger, whose per-P batch
+# shards are sized from GOMAXPROCS — and the core counts `make test-cores`
+# runs them at.
+CORES_PKGS = ./internal/core/ ./internal/stream/ ./internal/analysis/ ./internal/store/ ./internal/live/ ./internal/daemon/ ./cmd/ktrace/
 CORES ?= 1 4
 
 # `make stress` repeats, under the race detector and at each of these core
@@ -29,12 +30,14 @@ CORES ?= 1 4
 # against ingest, compaction and GC (a segment stays pinned through the whole
 # merge), the chains that decode one block ahead of the merge, the merge's
 # pulled sources — a whole-file read's chains over a disordered file among
-# them — the collector's buffer recycling, and the daemons composed in one
-# process (collector, federation, store). Ten repeats take
-# about eight minutes on the 2-core host this was grown on, so the default
-# is three (2 min 30 s there); CI's stress job runs STRESS_COUNT=10.
-STRESS_PKGS = ./internal/store/ ./internal/stream/ ./internal/live/ ./internal/daemon/
-STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$
+# them — the collector's buffer recycling, the daemons composed in one
+# process (collector, federation, store), and the per-P logging path's
+# parked batches against mask flips, quiescence and a blocked logger. Ten
+# repeats take about eight minutes on the 2-core host this was grown on, so
+# the default is three (2 min 30 s there); CI's stress job runs
+# STRESS_COUNT=10.
+STRESS_PKGS = ./internal/core/ ./internal/store/ ./internal/stream/ ./internal/live/ ./internal/daemon/
+STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$
 STRESS_CORES ?= 1 2 4
 STRESS_COUNT ?= 3
 

@@ -249,9 +249,6 @@ func (a *Arena) BufWords() int { return int(a.bufWords) }
 // NumBufs returns the number of buffers in the ring.
 func (a *Arena) NumBufs() int { return int(a.numBufs) }
 
-// CPUSlot returns the processor slot number the arena logs as.
-func (a *Arena) CPUSlot() int { return a.cpu }
-
 // InflightTotal returns the number of loggers currently between reserve
 // and commit across every context sharing the arena.
 func (a *Arena) InflightTotal() uint64 {

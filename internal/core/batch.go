@@ -142,76 +142,40 @@ func (b *Batch) slot(length uint64) (pos uint64, ok bool) {
 // full, or the major is masked off: fall back to Close + OpenBatch or to
 // the arena's own Log0.
 func (b *Batch) Log0(major event.Major, minor uint16) bool {
-	if !b.open || b.a.mask.Load()&major.Bit() == 0 {
-		return false
-	}
-	p, ok := b.slot(1)
-	if !ok {
-		return false
-	}
-	b.a.buf[p] = uint64(event.MakeHeader(uint32(b.ts), 1, major, minor))
-	return true
+	return b.logN(major, minor, 1, 0, 0, 0, 0)
 }
 
 // Log1 appends an event with one 64-bit payload word.
 func (b *Batch) Log1(major event.Major, minor uint16, d0 uint64) bool {
-	if !b.open || b.a.mask.Load()&major.Bit() == 0 {
-		return false
-	}
-	p, ok := b.slot(2)
-	if !ok {
-		return false
-	}
-	b.a.buf[p] = uint64(event.MakeHeader(uint32(b.ts), 2, major, minor))
-	b.a.buf[p+1] = d0
-	return true
+	return b.logN(major, minor, 2, d0, 0, 0, 0)
 }
 
 // Log2 appends an event with two 64-bit payload words.
 func (b *Batch) Log2(major event.Major, minor uint16, d0, d1 uint64) bool {
-	if !b.open || b.a.mask.Load()&major.Bit() == 0 {
-		return false
-	}
-	p, ok := b.slot(3)
-	if !ok {
-		return false
-	}
-	b.a.buf[p] = uint64(event.MakeHeader(uint32(b.ts), 3, major, minor))
-	b.a.buf[p+1] = d0
-	b.a.buf[p+2] = d1
-	return true
+	return b.logN(major, minor, 3, d0, d1, 0, 0)
 }
 
 // Log3 appends an event with three 64-bit payload words.
 func (b *Batch) Log3(major event.Major, minor uint16, d0, d1, d2 uint64) bool {
-	if !b.open || b.a.mask.Load()&major.Bit() == 0 {
-		return false
-	}
-	p, ok := b.slot(4)
-	if !ok {
-		return false
-	}
-	b.a.buf[p] = uint64(event.MakeHeader(uint32(b.ts), 4, major, minor))
-	b.a.buf[p+1] = d0
-	b.a.buf[p+2] = d1
-	b.a.buf[p+3] = d2
-	return true
+	return b.logN(major, minor, 4, d0, d1, d2, 0)
 }
 
 // Log4 appends an event with four 64-bit payload words.
 func (b *Batch) Log4(major event.Major, minor uint16, d0, d1, d2, d3 uint64) bool {
+	return b.logN(major, minor, 5, d0, d1, d2, d3)
+}
+
+// logN is the body of Log0..Log4, the batch's Arena.logN: an n-word event
+// stamped with the open timestamp.
+func (b *Batch) logN(major event.Major, minor uint16, n int, d0, d1, d2, d3 uint64) bool {
 	if !b.open || b.a.mask.Load()&major.Bit() == 0 {
 		return false
 	}
-	p, ok := b.slot(5)
+	p, ok := b.slot(uint64(n))
 	if !ok {
 		return false
 	}
-	b.a.buf[p] = uint64(event.MakeHeader(uint32(b.ts), 5, major, minor))
-	b.a.buf[p+1] = d0
-	b.a.buf[p+2] = d1
-	b.a.buf[p+3] = d2
-	b.a.buf[p+4] = d3
+	putN(b.a.buf, p, n, uint64(event.MakeHeader(uint32(b.ts), n, major, minor)), d0, d1, d2, d3)
 	return true
 }
 

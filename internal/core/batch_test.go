@@ -444,6 +444,51 @@ func TestParkedBatchYieldsToBlockedLogger(t *testing.T) {
 	}
 }
 
+// TestLoggingAllocatesNothing holds the fixed-arity entry points of all
+// three receivers — CPU.Log0–4, Batch.Log0–4 and Tracer.PLog0–4 — to zero
+// allocations, logging and masked off, so a shared body whose payload
+// escapes to the heap cannot land silently. The flight recorder wraps, so
+// every run logs.
+func TestLoggingAllocatesNothing(t *testing.T) {
+	tr := MustNew(Config{CPUs: 1, BufWords: 64, NumBufs: 4, BatchWords: 15,
+		Clock: clock.NewManual(1)})
+	tr.SetMask(event.MajorTest.Bit())
+	c := tr.CPU(0)
+	var b Batch
+	receivers := []struct {
+		name string
+		log  func(m event.Major) [5]bool
+	}{
+		{"CPU", func(m event.Major) [5]bool {
+			return [5]bool{c.Log0(m, 1), c.Log1(m, 2, 1), c.Log2(m, 3, 1, 2),
+				c.Log3(m, 4, 1, 2, 3), c.Log4(m, 5, 1, 2, 3, 4)}
+		}},
+		{"Batch", func(m event.Major) [5]bool {
+			c.OpenBatch(&b, event.MajorTest, 15)
+			ok := [5]bool{b.Log0(m, 1), b.Log1(m, 2, 1), b.Log2(m, 3, 1, 2),
+				b.Log3(m, 4, 1, 2, 3), b.Log4(m, 5, 1, 2, 3, 4)}
+			b.Close()
+			return ok
+		}},
+		{"PLog", func(m event.Major) [5]bool {
+			return [5]bool{tr.PLog0(m, 1), tr.PLog1(m, 2, 1), tr.PLog2(m, 3, 1, 2),
+				tr.PLog3(m, 4, 1, 2, 3), tr.PLog4(m, 5, 1, 2, 3, 4)}
+		}},
+	}
+	for _, r := range receivers {
+		for _, m := range []event.Major{event.MajorTest, event.MajorMem} {
+			var got [5]bool
+			if a := testing.AllocsPerRun(100, func() { got = r.log(m) }); a != 0 {
+				t.Errorf("%s, %s: %v allocations a run of Log0..Log4, want 0", r.name, m, a)
+			}
+			on := m == event.MajorTest
+			if got != [5]bool{on, on, on, on, on} {
+				t.Errorf("%s, %s: logged %v, want all %v", r.name, m, got, on)
+			}
+		}
+	}
+}
+
 // TestPLogFallbackWithoutBatching: BatchWords 0 disables the per-P batch
 // but PLog must still log through the per-P arena shard.
 func TestPLogFallbackWithoutBatching(t *testing.T) {

@@ -65,164 +65,69 @@ func (t *Tracer) pArena(p int) *Arena { return t.cpus[p%len(t.cpus)].a }
 // Log0 it reports whether the event was logged; unlike Log0 the caller
 // does not pick a CPU slot — the current P does.
 func (t *Tracer) PLog0(major event.Major, minor uint16) bool {
-	bit := major.Bit()
-	if t.mask.Load()&bit == 0 {
-		return false
-	}
-	p := procPin()
-	if t.batchWords > 0 {
-		s := &t.pslots[p%len(t.pslots)]
-		if s.state.CompareAndSwap(pFree, pHeld) {
-			if s.b.Log0(major, minor) {
-				s.state.Store(pFree)
-				procUnpin()
-				return true
-			}
-			procUnpin()
-			return t.pSlow(s, p, major, minor, 0, 0, 0, 0, 0)
-		}
-	}
-	procUnpin()
-	return t.pArena(p).Log0(major, minor)
+	return t.plogN(major, minor, 1, 0, 0, 0, 0)
 }
 
 // PLog1 logs an event with one 64-bit payload word through the per-P
 // fast path.
 func (t *Tracer) PLog1(major event.Major, minor uint16, d0 uint64) bool {
-	bit := major.Bit()
-	if t.mask.Load()&bit == 0 {
-		return false
-	}
-	p := procPin()
-	if t.batchWords > 0 {
-		s := &t.pslots[p%len(t.pslots)]
-		if s.state.CompareAndSwap(pFree, pHeld) {
-			if s.b.Log1(major, minor, d0) {
-				s.state.Store(pFree)
-				procUnpin()
-				return true
-			}
-			procUnpin()
-			return t.pSlow(s, p, major, minor, 1, d0, 0, 0, 0)
-		}
-	}
-	procUnpin()
-	return t.pArena(p).Log1(major, minor, d0)
+	return t.plogN(major, minor, 2, d0, 0, 0, 0)
 }
 
 // PLog2 logs an event with two 64-bit payload words through the per-P
 // fast path.
 func (t *Tracer) PLog2(major event.Major, minor uint16, d0, d1 uint64) bool {
-	bit := major.Bit()
-	if t.mask.Load()&bit == 0 {
-		return false
-	}
-	p := procPin()
-	if t.batchWords > 0 {
-		s := &t.pslots[p%len(t.pslots)]
-		if s.state.CompareAndSwap(pFree, pHeld) {
-			if s.b.Log2(major, minor, d0, d1) {
-				s.state.Store(pFree)
-				procUnpin()
-				return true
-			}
-			procUnpin()
-			return t.pSlow(s, p, major, minor, 2, d0, d1, 0, 0)
-		}
-	}
-	procUnpin()
-	return t.pArena(p).Log2(major, minor, d0, d1)
+	return t.plogN(major, minor, 3, d0, d1, 0, 0)
 }
 
 // PLog3 logs an event with three 64-bit payload words through the per-P
 // fast path.
 func (t *Tracer) PLog3(major event.Major, minor uint16, d0, d1, d2 uint64) bool {
-	bit := major.Bit()
-	if t.mask.Load()&bit == 0 {
-		return false
-	}
-	p := procPin()
-	if t.batchWords > 0 {
-		s := &t.pslots[p%len(t.pslots)]
-		if s.state.CompareAndSwap(pFree, pHeld) {
-			if s.b.Log3(major, minor, d0, d1, d2) {
-				s.state.Store(pFree)
-				procUnpin()
-				return true
-			}
-			procUnpin()
-			return t.pSlow(s, p, major, minor, 3, d0, d1, d2, 0)
-		}
-	}
-	procUnpin()
-	return t.pArena(p).Log3(major, minor, d0, d1, d2)
+	return t.plogN(major, minor, 4, d0, d1, d2, 0)
 }
 
 // PLog4 logs an event with four 64-bit payload words through the per-P
 // fast path.
 func (t *Tracer) PLog4(major event.Major, minor uint16, d0, d1, d2, d3 uint64) bool {
-	bit := major.Bit()
-	if t.mask.Load()&bit == 0 {
+	return t.plogN(major, minor, 5, d0, d1, d2, d3)
+}
+
+// plogN is the body of PLog0..PLog4: an n-word event, appended to the
+// current P's parked batch when its shard is free, else logged on the
+// shard's arena.
+func (t *Tracer) plogN(major event.Major, minor uint16, n int, d0, d1, d2, d3 uint64) bool {
+	if t.mask.Load()&major.Bit() == 0 {
 		return false
 	}
 	p := procPin()
 	if t.batchWords > 0 {
 		s := &t.pslots[p%len(t.pslots)]
 		if s.state.CompareAndSwap(pFree, pHeld) {
-			if s.b.Log4(major, minor, d0, d1, d2, d3) {
+			if s.b.logN(major, minor, n, d0, d1, d2, d3) {
 				s.state.Store(pFree)
 				procUnpin()
 				return true
 			}
 			procUnpin()
-			return t.pSlow(s, p, major, minor, 4, d0, d1, d2, d3)
+			return t.pSlow(s, p, major, minor, n, d0, d1, d2, d3)
 		}
 	}
 	procUnpin()
-	return t.pArena(p).Log4(major, minor, d0, d1, d2, d3)
+	return t.pArena(p).logN(major, minor, n, d0, d1, d2, d3)
 }
 
 // pSlow is the miss path: the claimed shard's batch was closed, full, or
 // masked for this major. The caller has unpinned but still holds the
 // slot claim, so the batch is exclusively ours while we cycle it. Cycling
 // may block (full ring under the Block policy), which is why it runs
-// unpinned.
+// unpinned. If the batch will not open (masked, dropped, shutdown) or the
+// event is larger than the batch, the shared reservation path decides.
 func (t *Tracer) pSlow(s *pSlot, p int, major event.Major, minor uint16, n int, d0, d1, d2, d3 uint64) bool {
 	a := t.pArena(p)
 	s.b.Close()
-	ok := false
-	if a.OpenBatch(&s.b, major, t.batchWords) {
-		switch n {
-		case 0:
-			ok = s.b.Log0(major, minor)
-		case 1:
-			ok = s.b.Log1(major, minor, d0)
-		case 2:
-			ok = s.b.Log2(major, minor, d0, d1)
-		case 3:
-			ok = s.b.Log3(major, minor, d0, d1, d2)
-		case 4:
-			ok = s.b.Log4(major, minor, d0, d1, d2, d3)
-		}
-	}
+	ok := a.OpenBatch(&s.b, major, t.batchWords) && s.b.logN(major, minor, n, d0, d1, d2, d3)
 	s.state.Store(pFree)
-	if ok {
-		return true
-	}
-	// Batch would not open (masked, dropped, shutdown) or the event is
-	// larger than the batch: the shared reservation path decides.
-	switch n {
-	case 0:
-		return a.Log0(major, minor)
-	case 1:
-		return a.Log1(major, minor, d0)
-	case 2:
-		return a.Log2(major, minor, d0, d1)
-	case 3:
-		return a.Log3(major, minor, d0, d1, d2)
-	default:
-		return a.Log4(major, minor, d0, d1, d2, d3)
-	}
+	return ok || a.logN(major, minor, n, d0, d1, d2, d3)
 }
 
 // closeParkedBatches closes the batch of every shard that nobody is logging

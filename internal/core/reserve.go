@@ -281,113 +281,73 @@ func (a *Arena) Enabled(m event.Major) bool { return a.mask.Load()&m.Bit() != 0 
 //
 // Log0..Log4 are the analogue of K42's per-major-ID macros: "events with a
 // constant number of data words [are] logged efficiently, without the use
-// of variable argument functions." LogWords is the generic function used
-// for non-constant-length data.
+// of variable argument functions." Each is one call to logN with its event
+// length a constant; LogWords is the generic function used for
+// non-constant-length data.
 
 // Log0 logs an event with no payload. It reports whether the event was
 // logged (false: tracing disabled for the major, event dropped, or too
 // large).
 func (a *Arena) Log0(major event.Major, minor uint16) bool {
-	bit := major.Bit()
-	if a.mask.Load()&bit == 0 {
-		return false
-	}
-	idx, ts, ok := a.begin(bit, 1)
-	if !ok {
-		return false
-	}
-	a.buf[idx&a.indexMask] = uint64(event.MakeHeader(uint32(ts), 1, major, minor))
-	a.commit(idx, 1)
-	a.statAdd(ctlStatEvents, 1)
-	a.statAdd(ctlStatWords, 1)
-	a.end()
-	return true
+	return a.logN(major, minor, 1, 0, 0, 0, 0)
 }
 
 // Log1 logs an event with one 64-bit payload word.
 func (a *Arena) Log1(major event.Major, minor uint16, d0 uint64) bool {
-	bit := major.Bit()
-	if a.mask.Load()&bit == 0 {
-		return false
-	}
-	idx, ts, ok := a.begin(bit, 2)
-	if !ok {
-		return false
-	}
-	p := idx & a.indexMask
-	a.buf[p] = uint64(event.MakeHeader(uint32(ts), 2, major, minor))
-	a.buf[p+1] = d0
-	a.commit(idx, 2)
-	a.statAdd(ctlStatEvents, 1)
-	a.statAdd(ctlStatWords, 2)
-	a.end()
-	return true
+	return a.logN(major, minor, 2, d0, 0, 0, 0)
 }
 
 // Log2 logs an event with two 64-bit payload words.
 func (a *Arena) Log2(major event.Major, minor uint16, d0, d1 uint64) bool {
-	bit := major.Bit()
-	if a.mask.Load()&bit == 0 {
-		return false
-	}
-	idx, ts, ok := a.begin(bit, 3)
-	if !ok {
-		return false
-	}
-	p := idx & a.indexMask
-	a.buf[p] = uint64(event.MakeHeader(uint32(ts), 3, major, minor))
-	a.buf[p+1] = d0
-	a.buf[p+2] = d1
-	a.commit(idx, 3)
-	a.statAdd(ctlStatEvents, 1)
-	a.statAdd(ctlStatWords, 3)
-	a.end()
-	return true
+	return a.logN(major, minor, 3, d0, d1, 0, 0)
 }
 
 // Log3 logs an event with three 64-bit payload words.
 func (a *Arena) Log3(major event.Major, minor uint16, d0, d1, d2 uint64) bool {
-	bit := major.Bit()
-	if a.mask.Load()&bit == 0 {
-		return false
-	}
-	idx, ts, ok := a.begin(bit, 4)
-	if !ok {
-		return false
-	}
-	p := idx & a.indexMask
-	a.buf[p] = uint64(event.MakeHeader(uint32(ts), 4, major, minor))
-	a.buf[p+1] = d0
-	a.buf[p+2] = d1
-	a.buf[p+3] = d2
-	a.commit(idx, 4)
-	a.statAdd(ctlStatEvents, 1)
-	a.statAdd(ctlStatWords, 4)
-	a.end()
-	return true
+	return a.logN(major, minor, 4, d0, d1, d2, 0)
 }
 
 // Log4 logs an event with four 64-bit payload words.
 func (a *Arena) Log4(major event.Major, minor uint16, d0, d1, d2, d3 uint64) bool {
+	return a.logN(major, minor, 5, d0, d1, d2, d3)
+}
+
+// logN is the body of Log0..Log4: an n-word event (1 <= n <= 5, header
+// included) whose payload is the first n-1 of d0..d3.
+func (a *Arena) logN(major event.Major, minor uint16, n int, d0, d1, d2, d3 uint64) bool {
 	bit := major.Bit()
 	if a.mask.Load()&bit == 0 {
 		return false
 	}
-	idx, ts, ok := a.begin(bit, 5)
+	idx, ts, ok := a.begin(bit, n)
 	if !ok {
 		return false
 	}
-	p := idx & a.indexMask
-	a.buf[p] = uint64(event.MakeHeader(uint32(ts), 5, major, minor))
-	a.buf[p+1] = d0
-	a.buf[p+2] = d1
-	a.buf[p+3] = d2
-	a.buf[p+4] = d3
-	a.commit(idx, 5)
+	putN(a.buf, idx&a.indexMask, n, uint64(event.MakeHeader(uint32(ts), n, major, minor)), d0, d1, d2, d3)
+	a.commit(idx, uint64(n))
 	a.statAdd(ctlStatEvents, 1)
-	a.statAdd(ctlStatWords, 5)
+	a.statAdd(ctlStatWords, uint64(n))
 	a.end()
 	return true
+}
+
+// putN stores an n-word event at buf[p:p+n]: the header h, then the first
+// n-1 of d0..d3.
+func putN(buf []uint64, p uint64, n int, h, d0, d1, d2, d3 uint64) {
+	w := buf[p : p+uint64(n)]
+	w[0] = h
+	if n > 1 {
+		w[1] = d0
+	}
+	if n > 2 {
+		w[2] = d1
+	}
+	if n > 3 {
+		w[3] = d2
+	}
+	if n > 4 {
+		w[4] = d3
+	}
 }
 
 // LogWords logs an event whose payload is the given word slice. Use
@@ -430,14 +390,7 @@ func (a *Arena) logWords(major event.Major, minor uint16, data []uint64) bool {
 // event, but before it actually performs the log" (killed mid-log) — so
 // tests can verify that commit-count anomaly detection catches it.
 func (a *Arena) ReserveOnly(major event.Major, minor uint16, payloadWords int) bool {
-	bit := major.Bit()
-	if a.mask.Load()&bit == 0 {
-		return false
-	}
-	if !a.fits(1 + payloadWords) {
-		return false
-	}
-	_, _, ok := a.begin(bit, 1+payloadWords)
+	_, ok := a.ReserveHang(major, minor, payloadWords)
 	if ok {
 		a.end()
 	}

@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"k42trace/internal/analysis"
-	"k42trace/internal/event"
 )
 
 // Alignment describes how the two runs were put on a common footing. Each
@@ -121,13 +120,4 @@ func align(a, b *analysis.Trace, anchorNames []string) (al Alignment, aStart, aE
 		al.Scale = 1
 	}
 	return al, aStart, aEnd, bStart, bEnd
-}
-
-// EventName resolves an event's registered name, for anchor selection
-// diagnostics.
-func EventName(t *analysis.Trace, e *event.Event) string {
-	if d := t.Reg.Lookup(e.Major(), e.Minor()); d != nil {
-		return d.Name
-	}
-	return fmt.Sprintf("%s/%d", e.Major(), e.Minor())
 }

@@ -69,16 +69,6 @@ func (im *Image) CorruptBlockMagic(k int) {
 	note(&im.log, "block %d: flipped magic bit %d", k, bit-off*8)
 }
 
-// FlipBlockHeaderBit flips one random bit anywhere in block k's header —
-// magic, cpu/flags/word-count, sequence, or commit count. Unlike
-// CorruptBlockMagic the damage may instead surface as an implausible
-// header field, a phantom sequence gap, or a commit-count anomaly.
-func (im *Image) FlipBlockHeaderBit(k int) {
-	off := im.blockOff(k)
-	bit := flipBit(im.rng, im.data, off, off+im.geo.BlockHeaderBytes)
-	note(&im.log, "block %d: flipped header bit %d", k, bit-off*8)
-}
-
 // FlipPayloadBits flips n random bits in block k's payload, garbling
 // events the decoder must skip past.
 func (im *Image) FlipPayloadBits(k, n int) {

@@ -85,14 +85,6 @@ func (r *Ring) Remove(member string) bool {
 	return true
 }
 
-// Has reports membership.
-func (r *Ring) Has(member string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.members[member]
-	return ok
-}
-
 // Members returns the current members, sorted.
 func (r *Ring) Members() []string {
 	r.mu.RLock()

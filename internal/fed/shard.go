@@ -187,10 +187,6 @@ func (s *Shard) onControl(f relay.ControlFrame) {
 	s.coll.SetMask(f.Mask, 0)
 }
 
-// Announce sends one heartbeat synchronously; callers use it to ensure
-// the shard is on the ring before pointing producers at the federation.
-func (s *Shard) Announce() error { return s.heartbeat(false) }
-
 func (s *Shard) heartbeatLoop() {
 	defer s.hbWG.Done()
 	s.heartbeat(false)

@@ -106,11 +106,5 @@ type Thread struct {
 	ioWaited bool
 }
 
-// TID returns the thread id.
-func (t *Thread) TID() uint64 { return t.tid }
-
-// Proc returns the owning process.
-func (t *Thread) Proc() *Process { return t.proc }
-
 // pid is shorthand for the owning process's id.
 func (t *Thread) pid() uint64 { return t.proc.pid }

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -588,11 +587,4 @@ func (c *Collector) Windows() []analysis.WindowSnapshot {
 		return nil
 	}
 	return c.win.Windows()
-}
-
-// WatchedPids returns the configured watch list, sorted.
-func (c *Collector) WatchedPids() []uint64 {
-	out := append([]uint64(nil), c.opt.WatchPids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
