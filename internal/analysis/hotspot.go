@@ -175,15 +175,25 @@ func (rep *MemReport) Format(w io.Writer, top int) error {
 		rep.Samples, "misses", "remote", "cycles", "mpkc"); err != nil {
 		return err
 	}
-	for _, r := range rep.Rows[:top] {
-		if _, err := fmt.Fprintf(w, "%10d %10d %10d %8.2f  %s\n",
-			r.Misses, r.Remote, r.Cycles, r.MPKC(), r.Name); err != nil {
+	// Each row, and the total after them, is "%10d %10d %10d %8.2f  %s\n",
+	// built in one reused line.
+	line := make([]byte, 0, 96)
+	for i := 0; i <= top; i++ {
+		r := rep.Totals
+		r.Name = "TOTAL"
+		if i < top {
+			r = rep.Rows[i]
+		}
+		line = append(appendUint(line[:0], r.Misses, 10), ' ')
+		line = append(appendUint(line, r.Remote, 10), ' ')
+		line = append(appendUint(line, r.Cycles, 10), ' ')
+		line = append(appendFloat(line, r.MPKC(), 2, 8), "  "...)
+		line = append(append(line, r.Name...), '\n')
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "%10d %10d %10d %8.2f  TOTAL\n",
-		rep.Totals.Misses, rep.Totals.Remote, rep.Totals.Cycles, rep.Totals.MPKC())
-	return err
+	return nil
 }
 
 // String renders the top-12 table.

@@ -79,9 +79,9 @@ func switches(n int) []event.Event {
 
 func TestListStopsAtLimitAndAtWriteError(t *testing.T) {
 	evs := switches(100)
-	// Replaying this event costs 2^16 CPU states, several megabytes: a List
-	// that walks on past its stop shows in the bytes it allocated.
-	evs = append(evs, mk(1<<16, 10000, event.MajorSched, ksim.EvSchedSwitch, 0, 1, 0))
+	// Replaying this event costs 2^18 CPUs' pids, two megabytes: a List that
+	// walks on past its stop shows in the bytes it allocated.
+	evs = append(evs, mk(1<<18, 10000, event.MajorSched, ksim.EvSchedSwitch, 0, 1, 0))
 	allocated := func() uint64 {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
@@ -131,4 +131,26 @@ func TestListAllocationsDoNotGrowWithTheTrace(t *testing.T) {
 		t.Errorf("List allocates %v times over 500 events and %v over 5000", small, large)
 	}
 	t.Logf("List: %v allocations over 500 events, %v over 5000", small, large)
+}
+
+// TestListReplaysOnlyPids: a listing reads one piece of the walker's state,
+// the pid scheduled on each CPU, and replays only that. A syscall entry
+// whose exit is not in the stream (a filter removed it, a flight recorder
+// lapped it) would leave a frame on the walker's mode stack for good; the
+// lister keeps no stack, so ten thousand of them cost what ten do.
+func TestListReplaysOnlyPids(t *testing.T) {
+	allocs := func(n int) float64 {
+		evs := make([]event.Event, n)
+		for i := range evs {
+			evs[i] = mk(0, uint64(i), event.MajorSyscall, ksim.EvSyscallEnter, 7, uint64(i%300))
+		}
+		return testing.AllocsPerRun(10, func() {
+			if lines, err := List(io.Discard, evs, 1e9, event.Default, ListOptions{HasPid: true}); err != nil || lines != n {
+				t.Fatalf("%d lines, err %v", lines, err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(10000); many > few {
+		t.Errorf("List allocates %v times over 10 unmatched syscall entries and %v over 10 000", few, many)
+	}
 }

@@ -150,17 +150,22 @@ func MergeOverview(parts ...[]ProcSummary) []ProcSummary {
 	return out
 }
 
-// FormatOverview writes the per-process table (times in microseconds).
+// FormatOverview writes the per-process table (times in microseconds). A
+// row is "%6d %-14s %10.1f %10.1f %10.1f %10.1f %10.1f %8d\n", built in one
+// reused line.
 func FormatOverview(w io.Writer, rows []ProcSummary) error {
-	us := func(ns uint64) float64 { return float64(ns) / 1000 }
 	if _, err := fmt.Fprintf(w, "%6s %-14s %10s %10s %10s %10s %10s %8s\n",
 		"pid", "name", "user(us)", "kernel(us)", "ipc(us)", "lock(us)", "total(us)", "events"); err != nil {
 		return err
 	}
+	line := make([]byte, 0, 96)
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%6d %-14s %10.1f %10.1f %10.1f %10.1f %10.1f %8d\n",
-			r.Pid, r.Name, us(r.UserNs), us(r.KernelNs), us(r.IPCNs),
-			us(r.LockNs), us(r.TotalNs()), r.Events); err != nil {
+		line = append(appendLeft(append(appendUint(line[:0], r.Pid, 6), ' '), r.Name, 14), ' ')
+		for _, ns := range [...]uint64{r.UserNs, r.KernelNs, r.IPCNs, r.LockNs, r.TotalNs()} {
+			line = append(appendFloat(line, float64(ns)/1000, 1, 10), ' ')
+		}
+		line = append(appendUint(line, r.Events, 8), '\n')
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}

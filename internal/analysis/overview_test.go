@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -75,5 +77,69 @@ func TestOverviewOnSDETTrace(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("top rows lack sdet scripts:\n%s", OverviewString(rows[:3]))
+	}
+}
+
+// TestReportRowsAreTheFmtRows: the overview and memory hot-spot rows are
+// appended by hand into one reused line and must not differ by a byte from
+// the fmt verbs they replaced, over rows the reports never produce too:
+// names past the column, multi-byte names, zeros, and values near 2^64
+// (whose float rendering is twenty digits).
+func TestReportRowsAreTheFmtRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	names := []string{"", "sh", "exactly14runes", "a-name-longer-than-fourteen", "größe", "日本語のプロセス名前", "ÜBERLÄNGE_ÜBERLÄNGE", "tab\there"}
+	value := func() uint64 {
+		switch rng.Intn(5) {
+		case 0:
+			return 0
+		case 1:
+			return ^uint64(0) - uint64(rng.Intn(1000))
+		case 2:
+			return uint64(rng.Intn(100000))
+		case 3:
+			return 1<<63 + uint64(rng.Int63n(1<<62))
+		}
+		return rng.Uint64() >> rng.Intn(64)
+	}
+	for round := 0; round < 200; round++ {
+		var rows []ProcSummary
+		var mem MemReport
+		for n := rng.Intn(6); n > 0; n-- {
+			name := names[rng.Intn(len(names))]
+			rows = append(rows, ProcSummary{Pid: value(), Name: name, UserNs: value(), KernelNs: value(),
+				IPCNs: value(), LockNs: value(), Events: value()})
+			mem.Rows = append(mem.Rows, MemRow{Name: name, Cycles: value(), Misses: value(), Remote: value()})
+		}
+		mem.Samples = rng.Intn(1000)
+		mem.Totals = MemRow{Cycles: value(), Misses: value(), Remote: value()}
+
+		var want strings.Builder
+		fmt.Fprintf(&want, "%6s %-14s %10s %10s %10s %10s %10s %8s\n",
+			"pid", "name", "user(us)", "kernel(us)", "ipc(us)", "lock(us)", "total(us)", "events")
+		us := func(ns uint64) float64 { return float64(ns) / 1000 }
+		for _, r := range rows {
+			fmt.Fprintf(&want, "%6d %-14s %10.1f %10.1f %10.1f %10.1f %10.1f %8d\n",
+				r.Pid, r.Name, us(r.UserNs), us(r.KernelNs), us(r.IPCNs), us(r.LockNs), us(r.TotalNs()), r.Events)
+		}
+		if got := OverviewString(rows); got != want.String() {
+			t.Fatalf("round %d: overview differs from the fmt rendering\n got:\n%s\nwant:\n%s", round, got, want.String())
+		}
+
+		top := rng.Intn(len(mem.Rows) + 2)
+		want.Reset()
+		fmt.Fprintf(&want, "memory hot spots (%d hwc samples)\n%10s %10s %10s %8s  method\n",
+			mem.Samples, "misses", "remote", "cycles", "mpkc")
+		shown := mem.Rows
+		if top > 0 && top < len(shown) {
+			shown = shown[:top]
+		}
+		for _, r := range shown {
+			fmt.Fprintf(&want, "%10d %10d %10d %8.2f  %s\n", r.Misses, r.Remote, r.Cycles, r.MPKC(), r.Name)
+		}
+		fmt.Fprintf(&want, "%10d %10d %10d %8.2f  TOTAL\n", mem.Totals.Misses, mem.Totals.Remote, mem.Totals.Cycles, mem.Totals.MPKC())
+		var got strings.Builder
+		if err := mem.Format(&got, top); err != nil || got.String() != want.String() {
+			t.Fatalf("round %d: memory report (top %d) differs from the fmt rendering (%v)\n got:\n%s\nwant:\n%s", round, top, err, got.String(), want.String())
+		}
 	}
 }

@@ -45,7 +45,8 @@ func (v view) at(i int) *event.Event {
 
 // perCPUViews views a time-merged slice one CPU at a time, each view in its
 // CPU's event order: the inverse of the k-way merge that produced the
-// slice, without a copy. Events on a negative CPU are in no view.
+// slice, without a copy. Events on a negative CPU are in no view. When one
+// CPU holds every event, the slice is that CPU's view as it stands.
 func perCPUViews(evs []event.Event) []view {
 	if len(evs) == 0 {
 		return nil
@@ -59,8 +60,12 @@ func perCPUViews(evs []event.Event) []view {
 			counts[c]++
 		}
 	}
-	slab := make([]uint32, len(evs)) // every view's positions, in one allocation
 	views := make([]view, len(counts))
+	if c := evs[0].CPU; c >= 0 && counts[c] == len(evs) {
+		views[c] = whole(evs)
+		return views
+	}
+	slab := make([]uint32, len(evs)) // every view's positions, in one allocation
 	for c, nc := range counts {
 		views[c] = view{evs: evs, pos: slab[:0:nc]}
 		slab = slab[nc:]

@@ -287,41 +287,57 @@ func TestCrossCPUDiskWait(t *testing.T) {
 	}
 }
 
+// TestPerCPUViewsPreserveOrder: the i-th event of CPU c's view is the i-th
+// event of CPU c in the slice, in place. A slice one CPU holds is that CPU's
+// view as it stands, with no positions.
 func TestPerCPUViewsPreserveOrder(t *testing.T) {
-	evs := []event.Event{
-		mk(0, 1, event.MajorTest, 1), mk(1, 1, event.MajorTest, 2),
-		mk(0, 2, event.MajorTest, 3), mk(2, 2, event.MajorTest, 4),
-		mk(-1, 2, event.MajorTest, 7),
-		mk(1, 3, event.MajorTest, 5), mk(0, 3, event.MajorTest, 6),
-	}
-	views := perCPUViews(evs)
-	if len(views) != 3 {
-		t.Fatalf("got %d views, want 3", len(views))
-	}
-	total := 0
-	for cpu, v := range views {
-		last := uint64(0)
-		for i := 0; i < v.len(); i++ {
-			e := v.at(i)
-			if e.CPU != cpu {
-				t.Fatalf("cpu %d view has event from cpu %d", cpu, e.CPU)
-			}
-			if e.Time < last {
-				t.Fatalf("cpu %d view out of order", cpu)
-			}
-			if e != &evs[v.pos[i]] {
-				t.Fatalf("cpu %d view copied an event", cpu)
-			}
-			last = e.Time
-			total++
+	for _, tc := range []struct {
+		name  string
+		evs   []event.Event
+		views int
+	}{
+		{"three CPUs", []event.Event{
+			mk(0, 1, event.MajorTest, 1), mk(1, 1, event.MajorTest, 2),
+			mk(0, 2, event.MajorTest, 3), mk(2, 2, event.MajorTest, 4),
+			mk(-1, 2, event.MajorTest, 7),
+			mk(1, 3, event.MajorTest, 5), mk(0, 3, event.MajorTest, 6),
+		}, 3},
+		{"one CPU", []event.Event{
+			mk(2, 1, event.MajorTest, 1), mk(2, 1, event.MajorTest, 2), mk(2, 4, event.MajorTest, 3),
+		}, 3},
+		{"one CPU and a negative one", []event.Event{
+			mk(1, 1, event.MajorTest, 1), mk(-1, 2, event.MajorTest, 2), mk(1, 4, event.MajorTest, 3),
+		}, 2},
+	} {
+		evs := tc.evs
+		views := perCPUViews(evs)
+		if len(views) != tc.views {
+			t.Fatalf("%s: got %d views, want %d", tc.name, len(views), tc.views)
 		}
-	}
-	if total != len(evs)-1 {
-		t.Fatalf("views hold %d events, want every one of the %d on a CPU >= 0", total, len(evs)-1)
+		next := make([]int, len(views))
+		for i := range evs {
+			c := evs[i].CPU
+			if c < 0 {
+				continue
+			}
+			if next[c] >= views[c].len() || views[c].at(next[c]) != &evs[i] {
+				t.Fatalf("%s: event %d of the slice is not event %d of CPU %d's view, in place", tc.name, i, next[c], c)
+			}
+			next[c]++
+		}
+		for c, v := range views {
+			if next[c] != v.len() {
+				t.Fatalf("%s: CPU %d's view holds %d events, the slice %d", tc.name, c, v.len(), next[c])
+			}
+			if v.len() == len(evs) && (!v.all || v.pos != nil) {
+				t.Errorf("%s: CPU %d holds every event and its view is %d positions, not the slice", tc.name, c, len(v.pos))
+			}
+		}
 	}
 	if perCPUViews(nil) != nil {
 		t.Error("viewing nothing should return nil")
 	}
+	evs := switches(5)
 	if w := whole(evs); w.len() != len(evs) || w.at(4) != &evs[4] {
 		t.Error("the whole view is not every event in place")
 	}
@@ -369,6 +385,25 @@ func TestViewOncePerTrace(t *testing.T) {
 	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(5*len(tr.Events)); got > max {
 		t.Errorf("per-CPU views of %d events (%d CPUs) allocate %d bytes, want <= 5 per event",
 			len(tr.Events), len(views), got)
+	}
+
+	// One CPU's share alone, as a one-CPU trace: its view is the slice, and
+	// costs a count and a view a CPU, however many events it holds.
+	var one []event.Event
+	for i := range tr.Events {
+		if tr.Events[i].CPU == len(views)-1 {
+			one = append(one, tr.Events[i])
+		}
+	}
+	runtime.ReadMemStats(&before)
+	oneViews := perCPUViews(one)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; len(one) < 256 || got > 512 {
+		t.Errorf("per-CPU views of %d events on one CPU allocate %d bytes, want <= 512", len(one), got)
+	}
+	oneTrace := Build(one, tr.ClockHz, tr.Reg)
+	if got, want := oneTrace.OverviewParallel(2), oneTrace.Overview(); len(oneViews) != len(views) || !reflect.DeepEqual(got, want) {
+		t.Error("OverviewParallel of a one-CPU trace differs from the sequential report")
 	}
 
 	// Half the stream, as a caller trimming to a window would assign it.

@@ -62,12 +62,7 @@ func Build(evs []event.Event, hz uint64, reg *event.Registry) *Trace {
 // point for a live collector, which grows it with Absorb as blocks arrive
 // instead of scanning a complete stream up front.
 func NewTrace(hz uint64, reg *event.Registry) *Trace {
-	if hz == 0 {
-		hz = 1e9
-	}
-	if reg == nil {
-		reg = event.Default
-	}
+	hz, reg = withDefaults(hz, reg)
 	return &Trace{
 		ClockHz:   hz,
 		Reg:       reg,
@@ -77,6 +72,18 @@ func NewTrace(hz uint64, reg *event.Registry) *Trace {
 		Procs:     map[uint64]string{PidKernelID: "kernel", PidBaseServersID: "baseServers"},
 		ThreadPid: map[uint64]uint64{},
 	}
+}
+
+// withDefaults reads a clock rate of 0 as 1 GHz and no registry as the
+// default one.
+func withDefaults(hz uint64, reg *event.Registry) (uint64, *event.Registry) {
+	if hz == 0 {
+		hz = 1e9
+	}
+	if reg == nil {
+		reg = event.Default
+	}
+	return hz, reg
 }
 
 // Absorb scans a chunk of events for the self-describing definition

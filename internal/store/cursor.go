@@ -3,6 +3,8 @@ package store
 import (
 	"encoding/base64"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"k42trace/internal/event"
 )
@@ -31,49 +33,57 @@ type cursor struct {
 
 const cursorPrefix = "k1."
 
-// encodeCursor renders the opaque token.
+// encodeCursor renders the opaque token: "time:cpu:seen", base64url after
+// the version prefix.
 func encodeCursor(c cursor) string {
-	raw := fmt.Sprintf("%d:%d:%d", c.time, c.cpu, c.seen)
-	return cursorPrefix + base64.RawURLEncoding.EncodeToString([]byte(raw))
+	var raw [64]byte // three decimal numbers and two colons: 61 at most
+	b := strconv.AppendUint(raw[:0], c.time, 10)
+	b = strconv.AppendInt(append(b, ':'), int64(c.cpu), 10)
+	b = strconv.AppendUint(append(b, ':'), c.seen, 10)
+	var tok [96]byte
+	return string(base64.RawURLEncoding.AppendEncode(append(tok[:0], cursorPrefix...), b))
 }
 
 // decodeCursor parses a token; any malformation is an error (the HTTP 400
 // path — cursors are opaque, clients must not synthesize them).
 func decodeCursor(s string) (cursor, error) {
 	var c cursor
-	if len(s) < len(cursorPrefix) || s[:len(cursorPrefix)] != cursorPrefix {
+	enc, ok := strings.CutPrefix(s, cursorPrefix)
+	if !ok {
 		return c, fmt.Errorf("unknown cursor version")
 	}
-	raw, err := base64.RawURLEncoding.DecodeString(s[len(cursorPrefix):])
+	raw, err := base64.RawURLEncoding.DecodeString(enc)
 	if err != nil {
 		return c, fmt.Errorf("undecodable cursor")
 	}
-	if _, err := fmt.Sscanf(string(raw), "%d:%d:%d", &c.time, &c.cpu, &c.seen); err != nil {
-		return c, fmt.Errorf("malformed cursor")
-	}
-	if c.cpu < 0 {
-		return c, fmt.Errorf("malformed cursor")
+	t, rest, ok1 := strings.Cut(string(raw), ":")
+	cpu, seen, ok2 := strings.Cut(rest, ":")
+	var err1, err2, err3 error
+	c.time, err1 = strconv.ParseUint(t, 10, 64)
+	c.cpu, err2 = strconv.Atoi(cpu)
+	c.seen, err3 = strconv.ParseUint(seen, 10, 64)
+	if !ok1 || !ok2 || err1 != nil || err2 != nil || err3 != nil || c.cpu < 0 {
+		return cursor{}, fmt.Errorf("malformed cursor")
 	}
 	return c, nil
 }
 
-// applyCursor drops the prefix of the merged, filtered event stream that
-// earlier pages already emitted: events ordered before the position, and
-// the first seen events at exactly the position's (Time, CPU).
-func applyCursor(evs []event.Event, c cursor) []event.Event {
+// head is the part of the merged, filtered listing that earlier pages
+// already emitted, as the merge asks about it (stream.Cap.Head): events
+// ordered before the position, and the first seen events at exactly the
+// position's (Time, CPU).
+func (c cursor) head() func(e *event.Event) bool {
 	skipped := uint64(0)
-	for i := range evs {
-		e := &evs[i]
-		if e.Time < c.time || (e.Time == c.time && e.CPU < c.cpu) {
-			continue
+	return func(e *event.Event) bool {
+		if e.Time < c.time || e.Time == c.time && e.CPU < c.cpu {
+			return true
 		}
 		if e.Time == c.time && e.CPU == c.cpu && skipped < c.seen {
 			skipped++
-			continue
+			return true
 		}
-		return evs[i:]
+		return false
 	}
-	return nil
 }
 
 // nextCursor computes the token for the page after this one. prev is the

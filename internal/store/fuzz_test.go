@@ -19,6 +19,9 @@ type fuzzFixture struct {
 	// plain is a second, read-only handle on s's root with the cache off:
 	// nobody keeps its runs, so the merge pulls its whole-matching blocks.
 	plain *Store
+	// paged is a third handle with a cache of its own, asked only for
+	// pages: a page's first query of a window fills it cold.
+	paged *Store
 	base  []event.Event
 }
 
@@ -72,7 +75,12 @@ func getFuzzFixture(t testing.TB) *fuzzFixture {
 			fuzzErr = err
 			return
 		}
-		fuzzFix = &fuzzFixture{s: s, plain: plain, base: evs}
+		paged, err := Open(Options{Root: rootDir, Workers: 2, CacheBytes: 32 << 20})
+		if err != nil {
+			fuzzErr = err
+			return
+		}
+		fuzzFix = &fuzzFixture{s: s, plain: plain, paged: paged, base: evs}
 	})
 	if fuzzErr != nil {
 		t.Fatal(fuzzErr)
@@ -86,7 +94,9 @@ func getFuzzFixture(t testing.TB) *fuzzFixture {
 // cached, cold and warm — must return exactly the events of a
 // cache-bypassing full scan, which must in turn match the offline filter
 // of the original merged stream — with the cursor's skip applied to the
-// oracle when the query carries one.
+// oracle when the query carries one. A query with a limit is then asked
+// again as the page it is, of every handle: the merge that stops after the
+// page must stop exactly there.
 func FuzzQueryParams(f *testing.F) {
 	seeds := []string{
 		"tenant=acme",
@@ -109,6 +119,8 @@ func FuzzQueryParams(f *testing.F) {
 		"tenant=acme&major=sched&cursor=k1.MjAwMDA6Mzox",
 		"tenant=acme&cursor=garbage",
 		"tenant=acme&agg=overview&cursor=k1.MTAwOjA6MQ",
+		"tenant=acme&major=sched&limit=3&cursor=k1.MjAwMDA6Mzox",
+		"tenant=acme&pid=2&limit=1",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -139,6 +151,7 @@ func FuzzQueryParams(f *testing.F) {
 		fix := getFuzzFixture(t)
 		p.Tenant = "acme"
 		p.Agg = "events"
+		limit := p.Limit
 		p.Limit = 0
 		p.NoPrune = false
 		pulled, err := fix.plain.Query(p)
@@ -182,5 +195,49 @@ func FuzzQueryParams(f *testing.F) {
 			t.Fatalf("store scan diverges from offline filter for %q: %d vs %d events",
 				query, len(full.Events), len(want))
 		}
+
+		// The page: with the Limit kept, every handle returns the first
+		// Limit events of the answer after the cursor, and a token exactly
+		// when more remain.
+		if limit == 0 {
+			return
+		}
+		p.Limit = limit
+		wantPage := want[:min(limit, len(want))]
+		for _, h := range []struct {
+			name    string
+			s       *Store
+			noPrune bool
+		}{{"pulled", fix.plain, false}, {"cold", fix.paged, false}, {"warm", fix.paged, false}, {"full-scan", fix.s, true}} {
+			p.NoPrune = h.noPrune
+			r, err := h.s.Query(p)
+			if err != nil {
+				t.Fatalf("%s page: %v", h.name, err)
+			}
+			if !sameEvents(r.Events, wantPage) || (r.NextCursor != "") != (len(want) > limit) {
+				t.Fatalf("%s page of %q: %d events and next cursor %q; want the first %d of %d",
+					h.name, query, len(r.Events), r.NextCursor, len(wantPage), len(want))
+			}
+		}
 	})
+}
+
+// applyCursor is the offline cursor: it drops the prefix of a merged,
+// filtered event stream that earlier pages already emitted — events ordered
+// before the position, and the first seen events at exactly the position's
+// (Time, CPU).
+func applyCursor(evs []event.Event, c cursor) []event.Event {
+	skipped := uint64(0)
+	for i := range evs {
+		e := &evs[i]
+		if e.Time < c.time || (e.Time == c.time && e.CPU < c.cpu) {
+			continue
+		}
+		if e.Time == c.time && e.CPU == c.cpu && skipped < c.seen {
+			skipped++
+			continue
+		}
+		return evs[i:]
+	}
+	return nil
 }

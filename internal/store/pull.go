@@ -146,13 +146,18 @@ func (ps *pullSet) add(i int, runs [][]event.Event) {
 // merge is the one merge every query ends in. A chain takes its scratch off
 // the store's free list for as long as the merge runs — one, and a second
 // when it draws ahead — so the list is told to hold that many.
-func (ps *pullSet) merge() ([]event.Event, error) {
+//
+// A page caps the merge exactly: the plan pulls only CPUs whose chains the
+// index shows in time order, and a chain sorts each run where it lies, so
+// no chain steps back after the merge stops. A capped merge closes the
+// chains it stopped drawing, goroutines and all.
+func (ps *pullSet) merge(page stream.Cap) ([]event.Event, error) {
 	if hold := len(ps.sources); ps.ahead {
 		ps.s.scratch.Hold(2 * hold)
 	} else {
 		ps.s.scratch.Hold(hold)
 	}
-	return stream.MergeFrom(ps.hint, ps.sources, ps.runs...)
+	return stream.MergeFrom(ps.hint, page, ps.sources, ps.runs...)
 }
 
 // drawn is what a chain's goroutine hands the merge: a link's run, the

@@ -150,7 +150,8 @@ func rotBlock(t *testing.T, data []byte, block int) []byte {
 // it, between bounds that still lie between its neighbours', is pulled like
 // any other — the index shows its CPU's chain in order — and sorted in the
 // chain's scratch before the merge draws it. The answer is the filtered
-// ReadAll merge, which sorts that CPU's whole chain.
+// ReadAll merge, which sorts that CPU's whole chain, whole or a page at a
+// time.
 func TestRottedBlockIsSortedWhereItLies(t *testing.T) {
 	clean := sdetSpill(t, 42)
 	const rotted = 9
@@ -174,13 +175,14 @@ func TestRottedBlockIsSortedWhereItLies(t *testing.T) {
 			t.Fatal(err)
 		}
 		var rottedCPUs []int
+		var rotten *stream.BlockSummary
 		for k := range fi.Blocks {
 			evs, _, err := rd.Events(k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !slices.IsSortedFunc(evs, byTime) {
-				rottedCPUs = append(rottedCPUs, fi.Blocks[k].CPU)
+				rottedCPUs, rotten = append(rottedCPUs, fi.Blocks[k].CPU), &fi.Blocks[k]
 			}
 		}
 		ps := pullSet{p: Params{Tenant: "acme"}, to: ^uint64(0)}
@@ -195,6 +197,15 @@ func TestRottedBlockIsSortedWhereItLies(t *testing.T) {
 			if want := MatchStream(base, p); len(want) == 0 || !sameEvents(got.Events, want) {
 				t.Errorf("%v: %d events, the spill's merge holds %d (or order differs)", p.Values(), len(got.Events), len(want))
 			}
+		}
+		// Once more a page at a time, over the rotted block's span: every page
+		// but the last stops inside it, which is exact because the block was
+		// sorted before the merge drew it (pulled on the first page, cloned
+		// past a cursor after that), so no chain steps back behind a stop.
+		p := Params{Tenant: "acme", From: rotten.MinTime, To: rotten.MaxTime + 1}
+		want := MatchStream(base, p)
+		if evs, _, pages := walkPages(t, s, p, len(want)/4+1, nil); pages < 4 || !sameEvents(evs, want) {
+			t.Errorf("%v: %d pages of %d events, the spill's merge holds %d (or order differs)", p.Values(), pages, len(evs), len(want))
 		}
 	})
 }

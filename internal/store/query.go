@@ -251,19 +251,25 @@ func (s *Store) query(p Params) (*Result, error) {
 	// A cursor resumes mid-listing: everything before its position is
 	// already emitted, so raise the scan's lower bound to the cursor time
 	// — index pruning and the segment cache then skip the emitted prefix.
-	// Events exactly at the cursor time stay in scope; applyCursor drops
-	// the already-emitted ones after the merge.
+	// Events exactly at the cursor time stay in scope; the merge drops the
+	// already-emitted ones as it meets them, and they do not count towards
+	// the page. A page stops the merge at its Limit-th event and one more,
+	// which says whether anything remains. Aggregations take every match.
 	var cur *cursor
+	var page stream.Cap
 	scan := p
 	if p.Cursor != "" {
 		c, err := decodeCursor(p.Cursor)
 		if err != nil {
 			return nil, fmt.Errorf("store: %v", err)
 		}
-		cur = &c
+		cur, page.Head = &c, c.head()
 		if c.time > scan.From {
 			scan.From = c.time
 		}
+	}
+	if (p.Agg == "" || p.Agg == "events") && p.Limit > 0 {
+		page.Max = p.Limit + 1
 	}
 	to := scan.effTo()
 
@@ -392,21 +398,16 @@ func (s *Store) query(p Params) (*Result, error) {
 	// Cached runs are shared and read-only: the merge copies their events
 	// into this query's own slice, and the payloads stay shared. The pinned
 	// segments stay pinned until the merge has pulled its last block.
-	evs, err := ps.merge()
+	evs, err := ps.merge(page)
 	if err != nil {
 		return res, err
 	}
-	if cur != nil {
-		evs = applyCursor(evs, *cur)
-	}
 	res.Events = evs
-	// Paginate the events listing: a page of exactly Limit events with
-	// more behind it carries the token for the next page. Aggregations
-	// always consume the full matching set.
-	if (p.Agg == "" || p.Agg == "events") && p.Limit > 0 && len(evs) > p.Limit {
-		page := evs[:p.Limit]
-		res.Events = page
-		res.NextCursor = encodeCursor(nextCursor(page, cur))
+	// A page of exactly Limit events with more behind it carries the token
+	// for the next page.
+	if page.Max > 0 && len(evs) > p.Limit {
+		res.Events = evs[:p.Limit]
+		res.NextCursor = encodeCursor(nextCursor(res.Events, cur))
 	}
 	return res, nil
 }
@@ -545,13 +546,15 @@ func MatchStream(evs []event.Event, p Params) []event.Event {
 
 // Format renders the result: the events listing, or one of the five
 // aggregated reports, built from the matching events with the same
-// analysis code every offline tool uses.
+// analysis code every offline tool uses. A listing names each event from
+// the registry alone, so it builds no naming context.
 func (r *Result) Format(w io.Writer, workers int) error {
+	if r.Params.Agg == "" || r.Params.Agg == "events" {
+		_, err := analysis.List(w, r.Events, r.Hz, event.Default, analysis.ListOptions{ShowControl: true, Limit: r.Params.Limit})
+		return err
+	}
 	tr := analysis.Build(r.Events, r.Hz, event.Default)
 	switch r.Params.Agg {
-	case "", "events":
-		_, err := tr.List(w, analysis.ListOptions{ShowControl: true, Limit: r.Params.Limit})
-		return err
 	case "overview":
 		return analysis.FormatOverview(w, tr.OverviewParallel(workers))
 	case "lockstat":

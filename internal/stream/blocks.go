@@ -281,7 +281,7 @@ func mergeChains(blocks []SalvagedBlock) []event.Event {
 		sources = append(sources, &blockChain{blocks: byCPU[a:b], chunk: make([]event.Event, 0, min(events, chainChunk))})
 		total += events
 	}
-	out, _ := MergeFrom(total, sources) // chains over memory do not fail
+	out, _ := MergeFrom(total, Cap{}, sources) // chains over memory do not fail; a disordered file is sorted whole
 	return out
 }
 

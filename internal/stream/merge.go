@@ -2,6 +2,7 @@ package stream
 
 import (
 	"cmp"
+	"errors"
 	"io"
 	"slices"
 
@@ -79,9 +80,33 @@ func (w *watched) Next() ([]event.Event, error) {
 // are skipped; merging nothing returns nil. It is MergeFrom with no chain
 // to pull.
 func MergeByTime(runs ...[]event.Event) []event.Event {
-	out, _ := MergeFrom(0, nil, runs...) // chains over memory do not fail
+	out, _ := MergeFrom(0, Cap{}, nil, runs...) // chains over memory do not fail
 	return out
 }
+
+// A Cap keeps a page of a merge's order instead of all of it: the events
+// after a head, up to a count. The zero Cap keeps everything.
+//
+// A capped merge stops at the page's last event, so it is exact only if no
+// pulled chain steps back after the stop: the events the merge never drew
+// could belong before the ones it kept. A chain that steps back where the
+// merge sees it fails the merge with ErrSteppedBack; one that would step
+// back further on, the merge cannot see. Cap only chains that are in time
+// order by construction — a store's, whose index promises the order between
+// blocks and which sorts each block where it lies. Runs in memory are always
+// exact: a CPU out of order among them is sorted before the merge starts.
+type Cap struct {
+	// Head, if set, is asked about the merged events in order until it first
+	// answers false. The events it answers true for, a prefix of the order,
+	// are dropped and do not count towards Max.
+	Head func(e *event.Event) bool
+	// Max is how many events after the head the merge keeps; 0 keeps all.
+	Max int
+}
+
+// ErrSteppedBack fails a capped merge that saw a pulled chain's times go
+// back: the page it would return is not a page of the stable order.
+var ErrSteppedBack = errors.New("stream: a pulled chain stepped back under a capped merge")
 
 // MergeFrom is the one k-way merge: MergeByTime of runs, and under the same
 // order the chains of pulled, whose runs exist one at a time. The merge
@@ -101,10 +126,12 @@ func MergeByTime(runs ...[]event.Event) []event.Event {
 // before the merge, nothing.
 //
 // hint is how many events pulled will yield, as far as the caller knows:
-// the result is made to hold that and the runs, and grows if it was short.
-// Every source is closed when MergeFrom returns; the first error of a draw
-// is returned with no events.
-func MergeFrom(hint int, pulled []RunSource, runs ...[]event.Event) ([]event.Event, error) {
+// the result is made to hold that and the runs, or page.Max if that is
+// fewer, and grows if it was short. page picks what of the order the
+// result keeps (see Cap); a capped merge stops drawing when it has kept
+// page.Max events. Every source is closed when MergeFrom returns; the first
+// error of a draw is returned with no events.
+func MergeFrom(hint int, page Cap, pulled []RunSource, runs ...[]event.Event) ([]event.Event, error) {
 	defer func() {
 		for _, src := range pulled {
 			src.Close()
@@ -212,10 +239,20 @@ func MergeFrom(hint int, pulled []RunSource, runs ...[]event.Event) ([]event.Eve
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		down(i)
 	}
-	out := make([]event.Event, 0, total+hint)
+	size, stop := total+hint, -1 // stop: how many kept events are the page
+	if page.Max > 0 {
+		size, stop = min(size, page.Max), page.Max
+	}
+	head := page.Head
+	out := make([]event.Event, 0, size)
 	for len(h) > 0 {
 		c := &h[0]
-		out = append(out, c.cur[0])
+		if head == nil || !head(&c.cur[0]) {
+			head = nil
+			if out = append(out, c.cur[0]); len(out) == stop {
+				break
+			}
+		}
 		if c.cur = c.cur[1:]; len(c.cur) == 0 {
 			if err := draw(c); err == io.EOF {
 				h[0] = h[len(h)-1]
@@ -226,10 +263,14 @@ func MergeFrom(hint int, pulled []RunSource, runs ...[]event.Event) ([]event.Eve
 		}
 		down(0)
 	}
+	steppedBack := slices.ContainsFunc(watch, func(w watched) bool { return w.steppedBack })
+	if steppedBack && (page.Head != nil || page.Max > 0) {
+		return nil, ErrSteppedBack
+	}
 	if len(out) == 0 {
 		return nil, nil
 	}
-	if slices.ContainsFunc(watch, func(w watched) bool { return w.steppedBack }) {
+	if steppedBack {
 		slices.SortStableFunc(out, func(x, y event.Event) int {
 			if c := cmp.Compare(x.Time, y.Time); c != 0 {
 				return c

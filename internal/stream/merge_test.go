@@ -92,7 +92,9 @@ func (c *pulledChain) Close() {
 // them — a run at a time through one scratch, empty draws among them, with
 // a hint that is short, exact or long — and a chain that breaks half way
 // fails the merge with that error, every source closed once and no
-// goroutine left.
+// goroutine left. Capped, the same merge keeps a page of that order: the
+// part after a head, up to a count, with the chains it stopped drawing
+// closed.
 func TestMergeByTimeIsTheStableSort(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(17))
@@ -107,6 +109,7 @@ func TestMergeByTimeIsTheStableSort(t *testing.T) {
 		return r
 	}
 	pulledRounds, brokenRounds, steppedBackRounds := 0, 0, 0
+	cappedRounds, cappedStepBackRounds := 0, 0
 	for round := 0; round < 400; round++ {
 		cpus := 1 + rng.Intn(5)
 		last := make([]uint64, cpus) // where each CPU's chain has got to
@@ -212,7 +215,7 @@ func TestMergeByTimeIsTheStableSort(t *testing.T) {
 		}
 		// Compared after MergeFrom has closed the chains, so with every pulled
 		// run poisoned: got holds copies, or it holds poison.
-		got, err := MergeFrom(hint*rng.Intn(3)/2, sources, rest...)
+		got, err := MergeFrom(hint*rng.Intn(3)/2, Cap{}, sources, rest...)
 		if steppedBack && !broken {
 			steppedBackRounds++
 		}
@@ -230,10 +233,57 @@ func TestMergeByTimeIsTheStableSort(t *testing.T) {
 				t.Fatalf("round %d: a pulled chain was closed %d times", round, c.closed)
 			}
 		}
+
+		// The same merge capped: the first k events of the order are the
+		// head, dropped, and at most max after them are kept. With no pulled
+		// chain stepping back that is the stable sort's events k to k+max. A
+		// chain that steps back fails the
+		// merge wherever the merge sees it, and a page that reaches the end
+		// of the order has drawn every run.
+		k, max := rng.Intn(len(want)+1), 1+rng.Intn(len(want)+1)
+		page := Cap{Max: max}
+		if skip := k; skip > 0 {
+			page.Head = func(*event.Event) bool {
+				skip--
+				return skip >= 0
+			}
+		}
+		made, sources = made[:0], sources[:0]
+		for c := range chains {
+			if pull[c] {
+				made = append(made, newPulledChain(chains[c], -1))
+				sources = append(sources, made[len(made)-1])
+			}
+		}
+		got, err = MergeFrom(hint*rng.Intn(3)/2, page, sources, rest...)
+		wantPage := want[k:min(k+max, len(want))]
+		if len(wantPage) == 0 {
+			wantPage = nil
+		}
+		switch {
+		case !steppedBack:
+			cappedRounds++
+			if err != nil || !reflect.DeepEqual(got, wantPage) {
+				t.Fatalf("round %d: merge capped at %d after a head of %d, %d chains pulled (%v): %d events, want events %d to %d of the stable sort\nruns %v\ngot  %v\nwant %v",
+					round, max, k, len(sources), err, len(got), k, k+len(wantPage), runs, got, wantPage)
+			}
+		case k+max >= len(want):
+			cappedStepBackRounds++
+			if !errors.Is(err, ErrSteppedBack) || got != nil {
+				t.Fatalf("round %d: a capped merge that drew a chain stepping back gave %d events and error %v", round, len(got), err)
+			}
+		case err != nil && !errors.Is(err, ErrSteppedBack):
+			t.Fatalf("round %d: a capped merge failed with %v", round, err)
+		}
+		for _, c := range made {
+			if c.closed != 1 {
+				t.Fatalf("round %d: a pulled chain of a capped merge was closed %d times", round, c.closed)
+			}
+		}
 	}
-	if pulledRounds < 100 || brokenRounds < 10 || steppedBackRounds < 30 {
-		t.Fatalf("%d rounds pulled a chain, %d broke one and %d pulled one that steps back: the generator exercises nothing",
-			pulledRounds, brokenRounds, steppedBackRounds)
+	if pulledRounds < 100 || brokenRounds < 10 || steppedBackRounds < 30 || cappedRounds < 300 || cappedStepBackRounds < 10 {
+		t.Fatalf("%d rounds pulled a chain, %d broke one and %d pulled one that steps back; %d capped rounds were exact and %d saw a step back: the generator exercises nothing",
+			pulledRounds, brokenRounds, steppedBackRounds, cappedRounds, cappedStepBackRounds)
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
