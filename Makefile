@@ -31,14 +31,16 @@ CORES ?= 1 4
 # merge), the chains that decode one block ahead of the merge, the merge's
 # pulled sources — a whole-file read's chains over a disordered file among
 # them — the pages whose capped merge abandons those chains mid-walk, the
-# collector's buffer recycling, the daemons composed in one
+# collector's buffer recycling and its drain of a sender that has just
+# exited, the digest scans whose scratch is a chunk on any core count, the
+# daemons composed in one
 # process (collector, federation, store), and the per-P logging path's
 # parked batches against mask flips, quiescence and a blocked logger. Ten
 # repeats take about eight minutes on the 2-core host this was grown on, so
 # the default is three (3 min 20 s there); CI's stress job runs
 # STRESS_COUNT=10.
 STRESS_PKGS = ./internal/core/ ./internal/store/ ./internal/stream/ ./internal/live/ ./internal/daemon/
-STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$
+STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestDrainReadsAFinishedSender$$|TestDigestScratchIsAChunk$$|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$
 STRESS_CORES ?= 1 2 4
 STRESS_COUNT ?= 3
 

@@ -31,9 +31,10 @@ type collectorCore interface {
 // collect is the life tracecolld and traceaggd share, from parsed flags to
 // a drained collector: check -mask, create -spill into *spillTo, bind both
 // listeners, build the core around the bound addresses, announce with
-// ready, serve until cancel; then force-close the relay connections, drain
-// every queued block into the analysis and the spill, close the spill,
-// close the HTTP server. The status is 0 once it has served.
+// ready, serve until cancel; then read the relay connections to their end
+// (cutting any still open at the drain grace), drain every queued block
+// into the analysis and the spill, close the spill, close the HTTP server.
+// The status is 0 once it has served.
 func (p *proc) collect(ctx context.Context, listen, httpAddr, spillPath, maskSpec, ready string, spillTo *io.Writer,
 	build func(bound, web string) (collectorCore, *live.Collector, error)) int {
 	var mask uint64

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -343,6 +344,12 @@ func (c *Collector) serve(p *producer, bs *stream.BlockStream) error {
 			p.bytes.Add(uint64(g.BlockBytes))
 			continue
 		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			// The server's drain grace ran out (relay.Server.CloseNow) on a
+			// producer still sending: whatever it had not sent yet is cut.
+			c.countDisconnect("drain-cut")
+			return err
+		}
 		if err != nil {
 			c.countDisconnect("read-error")
 			return err
@@ -457,8 +464,8 @@ func (c *Collector) disconnectCounts() map[string]uint64 {
 // Drain finishes a session: refuse new producers, wait for every
 // producer worker to apply its remaining queued blocks, and report any
 // spill error. Call it after the relay server has been closed (CloseNow
-// force-closes lingering connections, which ends their read loops and
-// closes their queues).
+// reads each connection to its end, or cuts it at the drain grace, which
+// ends its read loop and closes its queue).
 func (c *Collector) Drain() error {
 	c.mu.Lock()
 	c.draining = true

@@ -2,8 +2,11 @@ package live
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"net"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -248,6 +251,136 @@ func TestSlowProducerDisconnected(t *testing.T) {
 	srv.Close()
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDrainReadsAFinishedSender: a sender that has written its blocks and
+// exited loses none of them to a shutdown that follows at once. The
+// collector's reader is wedged behind its worker (a one-deep queue and a
+// Forward that waits) while the sender finishes, so most of the stream is
+// still in the socket when CloseNow begins, and the wedge is let go only
+// once CloseNow has dealt with the connection — once the listener, which it
+// closes after, refuses a dial. A CloseNow that closed the connection lost
+// what the socket held.
+func TestDrainReadsAFinishedSender(t *testing.T) {
+	release := make(chan struct{})
+	var wedge sync.Once
+	var spill bytes.Buffer
+	c := NewCollector(Options{
+		QueueBlocks: 1,
+		CPUSlots:    8,
+		Spill:       &spill,
+		Forward: func(stream.BlockHeader, []uint64, []event.Event) {
+			wedge.Do(func() { <-release })
+		},
+	})
+	srv, err := relay.ListenConns("127.0.0.1:0", c.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+
+	// Sixteen 8 KiB blocks: more than the reader takes in before it wedges
+	// (three blocks and its 64 KiB buffer).
+	tr := core.MustNew(core.Config{
+		CPUs: 1, BufWords: 1024, NumBufs: 4,
+		Mode: core.Stream, Clock: clock.NewManual(1),
+	})
+	tr.EnableAll()
+	type result struct {
+		st  stream.CaptureStats
+		err error
+	}
+	sent := make(chan result, 1)
+	go func() {
+		st, err := relay.Send(tr, addr)
+		sent <- result{st, err}
+	}()
+	for i := 0; i < 16*511; i++ {
+		tr.CPU(0).Log1(event.MajorTest, 1, uint64(i))
+	}
+	tr.Stop()
+	var r result
+	select {
+	case r = <-sent:
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("the sender never finished: the socket does not hold the stream")
+	}
+	if r.err != nil || r.st.Blocks < 16 {
+		t.Fatalf("sender: %d blocks, %v", r.st.Blocks, r.err)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.CloseNow() }()
+	waitFor(t, "CloseNow to close the listener", func() bool {
+		conn, err := net.Dial("tcp", addr)
+		if err == nil {
+			conn.Close()
+		}
+		return err != nil
+	})
+	close(release)
+	if err := <-closed; err != nil {
+		t.Errorf("CloseNow: %v", err)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := stream.NewReader(bytes.NewReader(spill.Bytes()), int64(spill.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.NumBlocks() != r.st.Blocks {
+		t.Errorf("the sender wrote %d blocks and exited, the spill holds %d", r.st.Blocks, rd.NumBlocks())
+	}
+	if d := c.disconnectCounts(); len(d) != 0 {
+		t.Errorf("disconnects %v, want none", d)
+	}
+}
+
+// TestDrainCutsAnOpenSender: a producer that keeps its connection open past
+// the drain grace is cut there, and counted as such; what it sent before is
+// kept.
+func TestDrainCutsAnOpenSender(t *testing.T) {
+	var spill bytes.Buffer
+	c := NewCollector(Options{CPUSlots: 8, Spill: &spill})
+	srv, err := relay.ListenConns("127.0.0.1:0", c.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	wr, err := stream.NewWriter(conn, stream.Meta{BufWords: 64, CPUs: 1, ClockHz: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := []uint64{uint64(event.MakeHeader(1, 2, event.MajorControl, event.CtrlClockAnchor)), 1}
+	if err := wr.WriteBlock(stream.BlockHeader{NWords: len(words), Committed: uint64(len(words))}, words); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the block to be taken in", func() bool {
+		s := c.Snapshot()
+		return len(s.Producers) == 1 && s.Producers[0].Blocks == 1
+	})
+	start := time.Now()
+	if err := srv.CloseNow(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("CloseNow over a producer that stays connected: %v, want a deadline error", err)
+	}
+	if waited := time.Since(start); waited < relay.DrainGrace {
+		t.Errorf("CloseNow returned after %v, before the %v grace", waited, relay.DrainGrace)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.disconnectCounts(); d["drain-cut"] != 1 || len(d) != 1 {
+		t.Errorf("disconnects %v, want one drain-cut", d)
+	}
+	if rd, err := stream.NewReader(bytes.NewReader(spill.Bytes()), int64(spill.Len())); err != nil || rd.NumBlocks() != 1 {
+		t.Errorf("spill of a cut producer: %v", err)
 	}
 }
 

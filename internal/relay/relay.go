@@ -13,6 +13,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"k42trace/internal/stream"
 )
@@ -37,6 +38,11 @@ type Conn struct {
 // returning an error closes the connection.
 type ConnHandler func(c Conn) error
 
+// DrainGrace is how long CloseNow lets an open producer connection run on:
+// a sender that has finished is read to its end, and one still sending is
+// cut when the grace is up.
+const DrainGrace = time.Second
+
 // Server accepts trace streams from traced systems.
 type Server struct {
 	ln      net.Listener
@@ -45,7 +51,7 @@ type Server struct {
 	mu      sync.Mutex
 	errs    []error
 	closed  bool
-	forced  bool // CloseNow has swept conns; later accepts are closed at once
+	cut     time.Time // set by CloseNow: every connection's read deadline from then on
 	conns   map[net.Conn]struct{}
 }
 
@@ -87,13 +93,11 @@ func (s *Server) acceptLoop() {
 			return // listener closed
 		}
 		s.mu.Lock()
-		if s.forced {
-			// Accepted while CloseNow was closing the listener: its sweep
-			// of s.conns is over, and nothing else would end this
-			// connection while its producer keeps it open.
-			s.mu.Unlock()
-			conn.Close()
-			continue
+		if !s.cut.IsZero() {
+			// Accepted while CloseNow was closing the listener, after its
+			// sweep of s.conns: the same deadline ends this connection if
+			// its producer keeps it open.
+			_ = conn.SetReadDeadline(s.cut) // fails only on a closed connection, whose reads fail anyway
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
@@ -127,11 +131,14 @@ func (s *Server) handleConn(conn net.Conn, id uint64) error {
 // returning any handler errors.
 func (s *Server) Close() error { return s.close(false) }
 
-// CloseNow stops accepting and force-closes every open producer
-// connection, then waits for the handlers to return. This is the daemon's
-// SIGTERM path: producers riding a reliable sender reconnect on their own
-// once a collector is back; waiting for them to finish naturally could
-// take forever.
+// CloseNow stops accepting, gives every open producer connection DrainGrace
+// to end, then waits for the handlers to return. This is the daemon's
+// SIGTERM path. A sender that has finished is read to its end: what it left
+// in the socket is not lost to a signal that follows at once. A read still
+// waiting when the grace is up fails with a deadline error
+// (os.ErrDeadlineExceeded), which the handler returns: producers riding a
+// reliable sender reconnect on their own once a collector is back, and
+// waiting for them to finish naturally could take forever.
 func (s *Server) CloseNow() error { return s.close(true) }
 
 func (s *Server) close(force bool) error {
@@ -142,9 +149,9 @@ func (s *Server) close(force bool) error {
 	}
 	s.closed = true
 	if force {
-		s.forced = true
+		s.cut = time.Now().Add(DrainGrace)
 		for conn := range s.conns {
-			conn.Close()
+			_ = conn.SetReadDeadline(s.cut) // as for a late accept
 		}
 	}
 	s.mu.Unlock()

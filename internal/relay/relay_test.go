@@ -114,7 +114,12 @@ func TestLiveHandlerDeliversWhileRunning(t *testing.T) {
 func TestMultipleSendersAppendToOneFile(t *testing.T) {
 	var file bytes.Buffer
 	h, st := SaveHandler(&file)
-	srv, err := Listen("127.0.0.1:0", h)
+	served := make(chan error, 1)
+	srv, err := Listen("127.0.0.1:0", func(remote net.Addr, bs *stream.BlockStream) error {
+		err := h(remote, bs)
+		served <- err
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +136,13 @@ func TestMultipleSendersAppendToOneFile(t *testing.T) {
 		}
 		tr.Stop()
 		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		// A sender is done once its bytes are in the socket, which can be
+		// before the server has accepted it: wait for the round's handler to
+		// return, or Close below drops the connection with the listener's
+		// backlog.
+		if err := <-served; err != nil {
 			t.Fatal(err)
 		}
 	}

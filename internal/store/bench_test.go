@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -164,25 +165,36 @@ func BenchmarkStoreQuery(b *testing.B) {
 // through the tolerant scan into the segment files and sidecars of a fresh
 // tenant, for a spill in order and for one the salvager has to put back in
 // sequence. B/op is the row to watch: ingest holds one block of the spill at
-// a time, so it stays at a few strides however large the spill.
+// a time, so it stays at a few strides however large the spill. Those two
+// rows ingest into one store, whose scan scratch is warm after the first op;
+// the fresh row opens a store for each op, untimed, and so shows what a
+// first ingest allocates.
 func BenchmarkStoreIngest(b *testing.B) {
 	clean := sdetSpill(b, 42)
 	base, _ := readAllEvents(b, clean)
 	span := (base[len(base)-1].Time - base[0].Time) / 11
 	for _, row := range []struct {
-		name string
-		data []byte
+		name  string
+		data  []byte
+		fresh bool
 	}{
-		{"clean", clean},
-		{"out-of-sequence", reverseBlocks(b, clean)},
+		{"clean", clean, false},
+		{"out-of-sequence", reverseBlocks(b, clean), false},
+		{"fresh", clean, true},
 	} {
 		b.Run(row.name, func(b *testing.B) {
-			s := openStore(b, Options{SegmentSpan: span})
+			root := b.TempDir()
+			s := openStore(b, Options{Root: root, SegmentSpan: span})
 			b.SetBytes(int64(len(row.data)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			var events uint64
 			for i := 0; i < b.N; i++ {
+				if row.fresh {
+					b.StopTimer()
+					s = openStore(b, Options{Root: filepath.Join(root, fmt.Sprint(i)), SegmentSpan: span})
+					b.StartTimer()
+				}
 				res, err := s.Ingest(fmt.Sprintf("t%d", i), bytes.NewReader(row.data), int64(len(row.data)))
 				if err != nil {
 					b.Fatal(err)

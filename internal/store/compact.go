@@ -96,10 +96,11 @@ func (s *Store) compactOne(t *tenant) (merged bool, in int, events uint64, err e
 
 	// Rebuild the merged segment cpu-major so the per-CPU renumbered
 	// sequences stay contiguous; every block keeps its recorded entry pid,
-	// so attribution is byte-identical to the inputs. Each block is written
-	// from the scratch it was just decoded into: the decode is what notices
-	// a rotted input before the merge commits, and what the event count
-	// below is a count of. Whatever fails from here on, the output goes.
+	// so attribution is byte-identical to the inputs. Each block is read into
+	// the scratch, digested there a chunk of events at a time, and written
+	// from the same words: the digest's decode is what notices a rotted
+	// input before the merge commits, and its event count is what the count
+	// below adds up. Whatever fails from here on, the output goes.
 	var want uint64
 	for _, si := range run {
 		want += si.Events
@@ -129,14 +130,13 @@ func (s *Store) compactOne(t *tenant) (merged bool, in int, events uint64, err e
 				if bs.CPU != cpu {
 					continue
 				}
-				blk, err := rd.DecodeBlockInto(k, sc)
+				h, words, err := rd.ReadBlockInto(k, &sc.Buf)
 				if err != nil {
 					return false, 0, 0, err
 				}
-				d := stream.DigestEvents(blk.Events)
-				d.Start, d.Anchored = stream.AnchorTimeWords(blk.Words)
+				d, _ := stream.DigestBlock(h.CPU, words, sc)
 				d.Enter(bs.EntryPid)
-				if err := sb.wr.WriteBlock(sb.place(blk.Hdr, &d), blk.Words); err != nil {
+				if err := sb.wr.WriteBlock(sb.place(h, &d), words); err != nil {
 					return false, 0, 0, err
 				}
 				killpoint("compact-mid-write")

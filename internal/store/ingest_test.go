@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"k42trace/internal/event"
 	"k42trace/internal/stream"
 )
 
@@ -176,6 +177,103 @@ func TestIngestKeepsNoWords(t *testing.T) {
 					len(row.data), res.Blocks, len(res.Segments), got, limit)
 			}
 		})
+	}
+}
+
+// densitySpill writes `blocks` full 4096-word blocks over two CPUs, each an
+// anchor, then events of 1+payload words a tick apart for as long as they
+// fit, then filler: spills of one geometry that differ only in how many
+// events a block holds.
+func densitySpill(t testing.TB, payload, blocks int) []byte {
+	t.Helper()
+	const bufWords = 4096
+	var out bytes.Buffer
+	wr, err := stream.NewWriter(&out, stream.Meta{BufWords: bufWords, CPUs: 2, ClockHz: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := uint64(1)
+	words := make([]uint64, 0, bufWords)
+	for k := 0; k < blocks; k++ {
+		words = append(words[:0], uint64(event.MakeHeader(uint32(now), 2, event.MajorControl, event.CtrlClockAnchor)), now)
+		for len(words)+1+payload <= bufWords {
+			now++
+			words = append(words, uint64(event.MakeHeader(uint32(now), 1+payload, event.MajorTest, 1)))
+			for i := 0; i < payload; i++ {
+				words = append(words, uint64(i))
+			}
+		}
+		if rest := bufWords - len(words); rest > 0 {
+			words = append(words, uint64(event.MakeHeader(uint32(now), rest, event.MajorControl, event.CtrlFiller)))
+			words = words[:bufWords]
+		}
+		h := stream.BlockHeader{CPU: k % 2, Seq: uint64(k / 2), NWords: bufWords, Committed: bufWords}
+		if err := wr.WriteBlock(h, words); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out.Bytes()
+}
+
+// TestDigestScratchIsAChunk: the scans that reduce a block to its digest —
+// the salvage scan under ingest, the index build and compaction — decode it
+// a chunk of events at a time, so a scan whose scratch starts cold (a nil
+// free list, a fresh store) allocates the same bytes over blocks of
+// one-word events as over blocks of five-word events. A scan that decoded
+// each block whole grew its scratch to the block's events: 4 095 of them
+// against 819, 150 KiB apart.
+func TestDigestScratchIsAChunk(t *testing.T) {
+	const blocks, runs = 8, 3
+	measure := func(payload int) (salvage, index, compact uint64) {
+		data := densitySpill(t, payload, blocks)
+		salvage, index, compact = ^uint64(0), ^uint64(0), ^uint64(0)
+		root := t.TempDir()
+		s := openStore(t, Options{Root: root, SegmentSpan: 1, Workers: 1})
+		for i := 0; i < runs; i++ {
+			if res := ingestBytes(t, s, fmt.Sprint("t", i), data); len(res.Segments) != blocks {
+				t.Fatalf("want a segment a block, got %d segments of %d blocks", len(res.Segments), res.Blocks)
+			}
+		}
+		rd, err := stream.NewReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < runs; i++ {
+			salvage = min(salvage, allocated(func() {
+				if _, rep, err := stream.SalvageBlocks(bytes.NewReader(data), int64(len(data)), 1, nil); err != nil || rep.BlocksGood != blocks {
+					t.Fatalf("salvage scan: %v", err)
+				}
+			}))
+			index = min(index, allocated(func() {
+				if _, err := rd.BuildFullIndex(1, nil); err != nil {
+					t.Fatal(err)
+				}
+			}))
+			// A store opened afresh has an empty scratch list.
+			fresh := openStore(t, Options{Root: root, SegmentSpan: 1, Workers: 1})
+			compact = min(compact, allocated(func() {
+				if cr, err := fresh.Compact(fmt.Sprint("t", i)); err != nil || cr.In != blocks || cr.Out != 1 {
+					t.Fatalf("compaction: %+v, %v", cr, err)
+				}
+			}))
+		}
+		return salvage, index, compact
+	}
+	s1, i1, c1 := measure(0)
+	s5, i5, c5 := measure(4)
+	const slack = 4 << 10
+	for _, row := range []struct {
+		name          string
+		dense, sparse uint64
+	}{
+		{"SalvageBlocks", s1, s5},
+		{"BuildFullIndex", i1, i5},
+		{"Compact", c1, c5},
+	} {
+		if d := int64(row.dense) - int64(row.sparse); d > slack || d < -slack {
+			t.Errorf("%s over %d blocks of 1-word events allocates %d bytes, over 5-word events %d: %+d, want within %d",
+				row.name, blocks, row.dense, row.sparse, d, slack)
+		}
 	}
 }
 

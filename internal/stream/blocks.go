@@ -37,9 +37,11 @@ type SalvagedBlock struct {
 
 // BlockScratch is one scan worker's reusable storage: the block being read
 // and the events decoded from it, whose payloads alias the block. The next
-// block overwrites both, so what a scan keeps it copies out first. The
-// zero value is ready to use; a caller that knows its largest block may
-// size Events up front so that no decode grows it.
+// block overwrites both, so what a scan keeps it copies out first. A digest
+// (DigestBlock) uses the first chainChunk slots of Events and no more; a
+// whole-block decode (DecodeBlockInto) grows it to the block. The zero value
+// is ready to use; a caller that knows its largest block may size Events up
+// front so that no decode grows it.
 type BlockScratch struct {
 	Buf    BlockBuf
 	Events []event.Event
@@ -176,12 +178,13 @@ const (
 	// the merge, from these words into the answer (mergeChains), and their
 	// payloads alias them.
 	keepWords keep = iota
-	// keepDigest: no words and no events — both are the worker's scratch
-	// and gone with the next block — only the events' digest, the block's
-	// anchor and where in the source it lies. What a rewrite or a store
-	// ingest needs: it plans from the digests and copies each block from
-	// the source to where it goes (Writer.CopyBlock), so it never holds a
-	// block's words and never reads an event twice.
+	// keepDigest: no words and no events — the words are the worker's
+	// scratch and gone with the next block, and the events never exist
+	// beyond a chunk of them (DigestBlock) — only the block's digest and
+	// where in the source it lies. What a rewrite or a store ingest needs: it
+	// plans from the digests and copies each block from the source to where
+	// it goes (Writer.CopyBlock), so it never holds a block's words and never
+	// reads an event twice.
 	keepDigest
 )
 
@@ -194,12 +197,9 @@ func (rd *Reader) keepBlock(b *SalvagedBlock, what keep, off int64, data []byte,
 		b.Words = bytesToWords(data)
 		b.events = core.CountEvents(b.Words)
 	case keepDigest:
-		words := sc.Buf.load(data, rd.meta.BufWords)
-		sc.Events, b.st = core.DecodeInto(sc.Events[:0], b.Hdr.CPU, words)
-		d := DigestEvents(sc.Events)
-		d.Start, d.Anchored = AnchorTimeWords(words)
+		d, st := DigestBlock(b.Hdr.CPU, sc.Buf.load(data, rd.meta.BufWords), sc)
 		d.Off = off
-		b.Digest = &d
+		b.Digest, b.st = &d, st
 	}
 }
 

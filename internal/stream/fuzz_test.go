@@ -12,6 +12,7 @@ import (
 
 	"k42trace/internal/core"
 	"k42trace/internal/event"
+	"k42trace/internal/ksim"
 )
 
 var updateFuzzSeeds = flag.Bool("updatefuzzseeds", false,
@@ -156,9 +157,7 @@ func decodeDigested(t *testing.T, src io.ReaderAt, blocks []SalvagedBlock) []eve
 			t.Fatalf("block %d: the scan kept %d events, %d words", i, len(b.Events), len(b.Words))
 		}
 		words := wordsAt(t, src, b)
-		evs, st := core.DecodeInto(nil, b.Hdr.CPU, words)
-		want := DigestEvents(evs)
-		want.Start, want.Anchored = AnchorTimeWords(words)
+		want, evs, st := wholeDigest(b.Hdr.CPU, words)
 		want.Off = b.Digest.Off
 		if *b.Digest != want {
 			t.Fatalf("block %d: scan digest %+v, its words digest to %+v", i, *b.Digest, want)
@@ -169,6 +168,85 @@ func decodeDigested(t *testing.T, src io.ReaderAt, blocks []SalvagedBlock) []eve
 		all = append(all, evs...)
 	}
 	return all
+}
+
+// wholeDigest is the digest oracle: the block decoded whole, its events
+// summarised in one pass over the slice, and its anchor read from the words
+// — the digest as it was taken before a scan held only a chunk of a block's
+// events. It returns the events and the decode statistics besides.
+func wholeDigest(cpu int, words []uint64) (d BlockDigest, evs []event.Event, st core.DecodeStats) {
+	evs, st = core.DecodeInto(nil, cpu, words)
+	bs := &d.Sum
+	bs.Events = uint32(len(evs))
+	for i := range evs {
+		e := &evs[i]
+		if i == 0 {
+			d.FirstTime = e.Time
+		}
+		if i == 0 || e.Time < bs.MinTime {
+			bs.MinTime = e.Time
+		}
+		if e.Time > bs.MaxTime {
+			bs.MaxTime = e.Time
+		}
+		bs.MajorMask |= e.Major().Bit()
+		bs.MinorBloom.Add(MinorKey(e.Major(), e.Minor()))
+		if e.Major() == event.MajorSched && e.Minor() == ksim.EvSchedSwitch && len(e.Data) >= 2 {
+			d.exitPid, d.switched = e.Data[1], true
+			bs.PidBloom.Add(d.exitPid)
+		}
+	}
+	d.Start, d.Anchored = AnchorTimeWords(words)
+	return d, evs, st
+}
+
+// TestChunkedDigestIsTheWholeDigest: a block digested a chunk at a time is
+// the block digested whole, at any chunk size, over every block the corpus's
+// traces hold — clean, garbled (its interior garble resynchronised mid-chunk),
+// truncated (the clipped tail) and cross-CPU. The decode statistics agree
+// too, and so does the scratch form, DigestBlock.
+func TestChunkedDigestIsTheWholeDigest(t *testing.T) {
+	for _, name := range []string{"clean", "garbled", "truncated", "crosscpu-io"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "corpus", name+".ktr"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, _, err := salvageScan(bytes.NewReader(data), int64(len(data)), 1, keepWords, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sc BlockScratch
+		switches, skipped := 0, 0
+		for _, chunk := range []int{1, 7, chainChunk} {
+			t.Run(fmt.Sprintf("%s/chunk=%d", name, chunk), func(t *testing.T) {
+				for i := range blocks {
+					b := &blocks[i]
+					want, _, wst := wholeDigest(b.Hdr.CPU, b.Words)
+					got, st := digestChunks(b.Hdr.CPU, b.Words, make([]event.Event, 0, chunk))
+					if got != want || st != wst {
+						t.Fatalf("block %d (cpu %d seq %d): chunked digest %+v %+v, whole %+v %+v",
+							i, b.Hdr.CPU, b.Hdr.Seq, got, st, want, wst)
+					}
+					if got, st := DigestBlock(b.Hdr.CPU, b.Words, &sc); got != want || st != wst {
+						t.Fatalf("block %d: DigestBlock %+v %+v, whole %+v %+v", i, got, st, want, wst)
+					}
+					if cap(sc.Events) != chainChunk {
+						t.Fatalf("block %d: DigestBlock grew its scratch to %d events", i, cap(sc.Events))
+					}
+					if chunk == 1 && want.switched {
+						switches++
+					}
+					if chunk == 1 {
+						skipped += wst.SkippedWords
+					}
+				}
+			})
+		}
+		if len(blocks) == 0 || switches == 0 || (name == "garbled") != (skipped > 0) {
+			t.Fatalf("%s: %d blocks, %d of them switching, %d garbled words: not the fixture it names",
+				name, len(blocks), switches, skipped)
+		}
+	}
 }
 
 // TestFuzzSeedCorpus regenerates (with -updatefuzzseeds) or verifies the

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 
+	"k42trace/internal/core"
 	"k42trace/internal/event"
 	"k42trace/internal/ksim"
 )
@@ -112,10 +113,10 @@ type FullIndex struct {
 
 // BlockDigest is what is left of a block once its words and events are
 // gone: the part of its index summary that needs no carry from the blocks
-// before it (summarize), the time of its first event, its anchor, and where
-// it lies in the source. A scan worker computes it from the words and events
-// in its scratch, so that a writer who indexes what it writes — a store
-// ingesting a spill — keeps neither to do it.
+// before it, the time of its first event, its anchor, and where it lies in
+// the source. DigestBlock computes it from the block's words a chunk of
+// events at a time, so that a writer who indexes what it writes — a store
+// ingesting a spill or merging segments — holds neither to do it.
 type BlockDigest struct {
 	// Sum has Events, MinTime, MaxTime, MajorMask, MinorBloom and the
 	// switch targets in PidBloom. CPU, Seq, Start and Flagged are for
@@ -125,26 +126,66 @@ type BlockDigest struct {
 	// (zero for a block without events), which need not be MinTime.
 	FirstTime uint64
 	// Start and Anchored are AnchorTimeWords of the block's words: what an
-	// index's Start and Flagged are clamped from. DigestEvents, which sees
-	// no words, leaves them zero.
+	// index's Start and Flagged are clamped from.
 	Start    uint64
 	Anchored bool
 	// Off is the byte offset of the block's header in the scanned source
-	// (of the fragment, for a truncated tail), for Writer.CopyBlock.
-	// DigestEvents leaves it zero.
+	// (of the fragment, for a truncated tail), for Writer.CopyBlock. It is
+	// the scan's to set: DigestBlock leaves it zero.
 	Off int64
 
 	exitPid  uint64 // the last pid the block switched to,
 	switched bool   // if it switched at all
 }
 
-// DigestEvents digests one block's decoded events.
-func DigestEvents(evs []event.Event) (d BlockDigest) {
-	d.exitPid, d.switched = summarize(&d.Sum, evs)
-	if len(evs) > 0 {
-		d.FirstTime = evs[0].Time
+// DigestBlock is the one block digest, under every scan that reduces a block
+// to its summary — a salvage scan that keeps digests (SalvageBlocks, and so
+// a store's ingest and SalvageTo), a store's compaction and BuildFullIndex.
+// It decodes words, the payload of one of cpu's blocks, a chunk at a time into
+// the first chainChunk slots of sc.Events and folds each chunk into the
+// digest, so the scratch is a chunk whatever the block holds and no slice of
+// the block's events ever exists. It returns the block's decode statistics
+// besides.
+func DigestBlock(cpu int, words []uint64, sc *BlockScratch) (BlockDigest, core.DecodeStats) {
+	if cap(sc.Events) < chainChunk {
+		sc.Events = make([]event.Event, 0, chainChunk)
 	}
-	return d
+	return digestChunks(cpu, words, sc.Events[:0:chainChunk])
+}
+
+// digestChunks is DigestBlock with the chunk its caller's: a block decodes
+// into chunk, cap(chunk) events at a time.
+func digestChunks(cpu int, words []uint64, chunk []event.Event) (d BlockDigest, st core.DecodeStats) {
+	var dec core.Decoder
+	dec.Reset(cpu, words)
+	for !dec.Done() {
+		d.add(dec.Fill(chunk[:0]))
+	}
+	d.Start, d.Anchored = AnchorTimeWords(words)
+	return d, dec.Stats()
+}
+
+// add folds the block's next events in stream order into d: everything that
+// needs no carry from the blocks before. Counts add, times take min and max,
+// majors and both blooms OR, and the last switch names the exit pid, so a
+// block folded a chunk at a time digests as it would whole.
+func (d *BlockDigest) add(evs []event.Event) {
+	bs := &d.Sum
+	for i := range evs {
+		e := &evs[i]
+		if bs.Events == 0 {
+			d.FirstTime, bs.MinTime = e.Time, e.Time
+		}
+		bs.Events++
+		bs.MinTime = min(bs.MinTime, e.Time)
+		bs.MaxTime = max(bs.MaxTime, e.Time)
+		bs.MajorMask |= e.Major().Bit()
+		bs.MinorBloom.Add(MinorKey(e.Major(), e.Minor()))
+		if e.Major() == event.MajorSched && e.Minor() == ksim.EvSchedSwitch && len(e.Data) >= 2 {
+			d.exitPid, d.switched = e.Data[1], true
+			bs.PidBloom.Add(d.exitPid)
+		}
+	}
 }
 
 // Enter completes d.Sum with entryPid, the pid scheduled on the block's
@@ -152,30 +193,6 @@ func DigestEvents(evs []event.Event) (d BlockDigest) {
 // returns the pid scheduled after the block: the next block's entry pid.
 func (d *BlockDigest) Enter(entryPid uint64) (nextPid uint64) {
 	return enterBlock(&d.Sum, entryPid, d.exitPid, d.switched)
-}
-
-// summarize folds one block's decoded events into its summary: min/max
-// time, majors, minors, and the pids it switches to — everything that needs
-// no carry from the blocks before. It reports the last pid the block
-// switched to, if it switched at all.
-func summarize(bs *BlockSummary, evs []event.Event) (lastPid uint64, switched bool) {
-	bs.Events = uint32(len(evs))
-	for i := range evs {
-		e := &evs[i]
-		if i == 0 || e.Time < bs.MinTime {
-			bs.MinTime = e.Time
-		}
-		if e.Time > bs.MaxTime {
-			bs.MaxTime = e.Time
-		}
-		bs.MajorMask |= e.Major().Bit()
-		bs.MinorBloom.Add(MinorKey(e.Major(), e.Minor()))
-		if e.Major() == event.MajorSched && e.Minor() == ksim.EvSchedSwitch && len(e.Data) >= 2 {
-			lastPid, switched = e.Data[1], true
-			bs.PidBloom.Add(lastPid)
-		}
-	}
-	return lastPid, switched
 }
 
 // enterBlock is the carry step: it records the pid scheduled when the
@@ -189,7 +206,7 @@ func enterBlock(bs *BlockSummary, entryPid, lastPid uint64, switched bool) (next
 	return entryPid
 }
 
-// BuildFullIndex decodes every block (fanning over up to `workers`
+// BuildFullIndex digests every block (fanning over up to `workers`
 // goroutines; <= 0 means GOMAXPROCS) and returns the full per-block
 // summary index. entrySeed, when non-nil, gives the scheduled pid per CPU
 // at the start of the file — non-zero when this file continues an earlier
@@ -200,25 +217,26 @@ func enterBlock(bs *BlockSummary, entryPid, lastPid uint64, switched bool) (next
 func (rd *Reader) BuildFullIndex(workers int, entrySeed []uint64) (*FullIndex, error) {
 	fi := &FullIndex{Meta: rd.meta, Blocks: make([]BlockSummary, rd.nBlk)}
 
-	// Pass 1 (parallel): decode each block into the worker's scratch and
-	// summarise it there. What a block cannot know alone it leaves raw for
-	// pass 2: Start is its own anchor reading, and only the pid it last
-	// switched to outlives the decode.
+	// Pass 1 (parallel): digest each block in the worker's scratch. What a
+	// block cannot know alone it leaves raw for pass 2: Start is its own
+	// anchor reading, and only the pid it last switched to outlives the
+	// digest.
 	type exit struct {
 		pid      uint64
 		switched bool
 	}
 	exits := make([]exit, rd.nBlk)
 	errs := rd.eachBlock(workers, nil, func(k int, sc *BlockScratch) error {
-		b, err := rd.DecodeBlockInto(k, sc)
+		h, words, err := rd.ReadBlockInto(k, &sc.Buf)
 		if err != nil {
 			return err
 		}
+		d, _ := DigestBlock(h.CPU, words, sc)
 		bs := &fi.Blocks[k]
-		bs.CPU, bs.Seq = b.Hdr.CPU, b.Hdr.Seq
-		start, anchored := AnchorTimeWords(b.Words)
-		bs.Start, bs.Flagged = start, !anchored
-		exits[k].pid, exits[k].switched = summarize(bs, b.Events)
+		*bs = d.Sum
+		bs.CPU, bs.Seq = h.CPU, h.Seq
+		bs.Start, bs.Flagged = d.Start, !d.Anchored
+		exits[k] = exit{d.exitPid, d.switched}
 		return nil
 	})
 	if err := firstErr(errs); err != nil {
