@@ -374,27 +374,62 @@ func BenchmarkC4VirtualLockedVsLockless(b *testing.B) {
 // as a percent of logged words, and exact-boundary fits as a percent of
 // buffer transitions.
 
-func BenchmarkC6FillerWaste(b *testing.B) {
-	tr := ktrace.MustNew(ktrace.Config{CPUs: 1, BufWords: 16384, NumBufs: 4})
-	tr.EnableAll()
+// c6Mix logs n events of the paper's event mix into tr's CPU 0: mostly
+// small events, none above 4 payload words, pseudo-randomly sized from a
+// fixed seed (a deterministic cyclic mix would either always or never land
+// on boundaries).
+func c6Mix(tr *ktrace.Tracer, n int) {
 	c := tr.CPU(0)
 	payload := make([]uint64, 4)
 	rng := uint64(0x9e3779b97f4a7c15)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The paper's event mix: mostly small events, few above 4 words,
-		// pseudo-randomly sized (a deterministic cyclic mix would either
-		// always or never land on boundaries).
+	for i := 0; i < n; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		c.LogWords(ktrace.MajorTest, 1, payload[:(rng>>33)%5])
 	}
-	b.StopTimer()
-	st := tr.Stats()
+}
+
+// c6Tracer is the one-CPU tracer of the C6 measurements, enabled.
+func c6Tracer() *ktrace.Tracer {
+	tr := ktrace.MustNew(ktrace.Config{CPUs: 1, BufWords: 16384, NumBufs: 4})
+	tr.EnableAll()
+	return tr
+}
+
+// c6Percents are filler words as a percent of logged words and exact
+// boundary fits as a percent of buffer transitions.
+func c6Percents(st ktrace.Stats) (filler, exactFit float64) {
 	if st.Words+st.FillerWords > 0 {
-		b.ReportMetric(100*float64(st.FillerWords)/float64(st.Words+st.FillerWords), "filler-%")
+		filler = 100 * float64(st.FillerWords) / float64(st.Words+st.FillerWords)
 	}
 	if st.Anchors > 0 {
-		b.ReportMetric(100*float64(st.ExactFit)/float64(st.Anchors), "exact-fit-%")
+		exactFit = 100 * float64(st.ExactFit) / float64(st.Anchors)
+	}
+	return filler, exactFit
+}
+
+func BenchmarkC6FillerWaste(b *testing.B) {
+	tr := c6Tracer()
+	b.ResetTimer()
+	c6Mix(tr, b.N)
+	b.StopTimer()
+	filler, exact := c6Percents(tr.Stats())
+	b.ReportMetric(filler, "filler-%")
+	b.ReportMetric(exact, "exact-fit-%")
+}
+
+// TestC6FillerWaste holds the mix to the paper's band: 30-40 % of buffer
+// transitions are exact fits (25-45 % allowed), and filler is under 0.1 %
+// of logged words.
+func TestC6FillerWaste(t *testing.T) {
+	tr := c6Tracer()
+	c6Mix(tr, 2_000_000)
+	filler, exact := c6Percents(tr.Stats())
+	t.Logf("exact boundary fits %.1f%%, filler %.4f%% of logged words", exact, filler)
+	if exact < 25 || exact > 45 {
+		t.Errorf("exact fits %.1f%% of buffer transitions, outside the paper's 30-40%% band", exact)
+	}
+	if filler >= 0.1 {
+		t.Errorf("filler %.4f%% of logged words, want under 0.1%%", filler)
 	}
 }
 

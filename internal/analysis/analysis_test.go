@@ -477,6 +477,30 @@ func TestEndToEndTimeline(t *testing.T) {
 	}
 }
 
+// TestTimelineMarksInAskedOrder renders three marks, asked for out of name
+// order, several times: the marker rows of both renderers come in the
+// order they were asked for, every time.
+func TestTimelineMarksInAskedOrder(t *testing.T) {
+	tr := sdetTrace(t, 4, false)
+	marks := []string{"TRC_USER_RUN_UL_LOADER", "TRC_SCHED_SWITCH", "TRC_LOCK_STARTWAIT"}
+	inOrder := func(what, out string, rowOf func(name string) string) {
+		t.Helper()
+		at := -1
+		for _, name := range marks {
+			i := strings.Index(out, rowOf(name))
+			if i <= at {
+				t.Fatalf("%s: row of %s at %d, after the previous mark's at %d:\n%s", what, name, i, at, out)
+			}
+			at = i
+		}
+	}
+	for range 8 {
+		tl := tr.Timeline(60, marks...)
+		inOrder("ascii", tl.ASCII(), func(name string) string { return " " + name + " (" })
+		inOrder("svg", tl.SVG(), func(name string) string { return `">` + name + "</text>" })
+	}
+}
+
 // TestTimelineShowsStartupIdle reproduces the paper's graphical-tool
 // anecdote: "we noticed large idle periods on many processors when the
 // benchmark started ... caused by poor coordination between the timing

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"k42trace/internal/event"
@@ -21,7 +22,10 @@ type Timeline struct {
 	Cells [][]ModeKind
 	// Markers maps an event name to its bucket positions.
 	Markers map[string][]int
-	trace   *Trace
+	// marks are the names in Markers in the order they were asked for:
+	// the order of the marker rows.
+	marks []string
+	trace *Trace
 }
 
 // Timeline buckets the trace into width columns. markNames selects event
@@ -110,6 +114,11 @@ func (t *Trace) TimelineRange(from, to uint64, width int, markNames ...string) *
 			}
 		},
 	})
+	for _, n := range markNames {
+		if _, ok := tl.Markers[n]; ok && !slices.Contains(tl.marks, n) {
+			tl.marks = append(tl.marks, n)
+		}
+	}
 	tl.Cells = make([][]ModeKind, nCPU)
 	for cpu := range tl.Cells {
 		row := make([]ModeKind, width)
@@ -190,7 +199,8 @@ func (tl *Timeline) ASCII() string {
 		}
 		b.WriteString("|\n")
 	}
-	for name, buckets := range tl.Markers {
+	for _, name := range tl.marks {
+		buckets := tl.Markers[name]
 		marks := make([]byte, tl.Width)
 		for i := range marks {
 			marks[i] = ' '
@@ -238,8 +248,8 @@ func (tl *Timeline) SVG() string {
 			x, pad, x, rowsBottom)
 	}
 	my := rowsBottom + 12
-	for name, buckets := range tl.Markers {
-		for _, bk := range buckets {
+	for _, name := range tl.marks {
+		for _, bk := range tl.Markers[name] {
 			x := pad + bk*cellW + cellW/2
 			fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>`+"\n",
 				x, pad, x, my-10)

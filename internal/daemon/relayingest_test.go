@@ -29,11 +29,12 @@ func hangUp(t *testing.T, conn net.Conn) {
 	conn.Close()
 }
 
-// capture is a clean two-CPU trace of some sixty small blocks.
-func capture(t *testing.T) []byte {
+// capture is a clean two-CPU trace of 2000 events in blocks of bufWords
+// words: some sixty blocks at 64.
+func capture(t *testing.T, bufWords int) []byte {
 	t.Helper()
 	tr := core.MustNew(core.Config{
-		CPUs: 2, BufWords: 64, NumBufs: 4,
+		CPUs: 2, BufWords: bufWords, NumBufs: 4,
 		Mode: core.Stream, Clock: clock.NewManual(1),
 	})
 	tr.EnableAll()
@@ -54,7 +55,7 @@ func capture(t *testing.T) []byte {
 // block only — the same events the same bytes yield through Store.Ingest,
 // the path POST /ingest takes.
 func TestRelayIngestSalvagesDamagedUpload(t *testing.T) {
-	im, err := faultinject.OpenImage(capture(t), 5)
+	im, err := faultinject.OpenImage(capture(t, 64), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestRelayIngestSalvagesDamagedUpload(t *testing.T) {
 // resumes with block k, so the store must hold exactly their events — and
 // the tear must still be reported.
 func TestRelayIngestKeepsBlocksBeforeATear(t *testing.T) {
-	clean := capture(t)
+	clean := capture(t, 64)
 	rd, err := stream.NewReader(bytes.NewReader(clean), int64(len(clean)))
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -176,8 +178,8 @@ func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) in
 			}
 		}
 	}
-	for reason, n := range snap.Disconnects {
-		p.say("disconnects %s: %d", reason, n)
+	for _, reason := range slices.Sorted(maps.Keys(snap.Disconnects)) {
+		p.say("disconnects %s: %d", reason, snap.Disconnects[reason])
 	}
 	if shard != nil {
 		st := shard.Stats()

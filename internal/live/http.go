@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"k42trace/internal/event"
+	"k42trace/internal/promtext"
 )
 
 // Mux returns the collector's HTTP surface:
@@ -29,7 +30,7 @@ func (c *Collector) Mux() *http.ServeMux {
 		w.Write([]byte("ok\n"))
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		w.Header().Set("Content-Type", promtext.ContentType)
 		c.WriteMetrics(w)
 	})
 	mux.HandleFunc("/live/overview", func(w http.ResponseWriter, r *http.Request) {

@@ -18,24 +18,6 @@ import (
 	"k42trace/internal/stream"
 )
 
-func TestEscapeLabel(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"plain", "plain"},
-		{`back\slash`, `back\\slash`},
-		{`qu"ote`, `qu\"ote`},
-		{"new\nline", `new\nline`},
-		{"mix\\\"\n", `mix\\\"\n`},
-		// Non-ASCII must pass through untouched: the exposition format is
-		// UTF-8 and forbids the \x escapes Go's %q would emit.
-		{"héllo⚡", "héllo⚡"},
-	}
-	for _, c := range cases {
-		if got := escapeLabel(c.in); got != c.want {
-			t.Errorf("escapeLabel(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
 // TestMetricsHostileLabels is the regression test for label escaping: a
 // producer behind a hostile proxy (or a crafted disconnect reason) must
 // not be able to break out of a label value and forge samples or split
@@ -229,13 +211,14 @@ func TestMaskControlPlane(t *testing.T) {
 		t.Errorf("producer snapshot reports %d mask changes, want >= 3", snap.Producers[0].MaskChanges)
 	}
 
-	metrics := c.MetricsString()
+	var metrics strings.Builder
+	c.WriteMetrics(&metrics)
 	for _, want := range []string{
 		"tracecolld_mask_updates_sent_total 3",
 		`tracecolld_applied_mask_majors{producer="1"} 2`,
 		"tracecolld_desired_mask_majors 64",
 	} {
-		if !strings.Contains(metrics, want) {
+		if !strings.Contains(metrics.String(), want) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}

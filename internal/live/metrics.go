@@ -1,16 +1,18 @@
 package live
 
 import (
-	"fmt"
 	"io"
+	"maps"
 	"math/bits"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
+
+	"k42trace/internal/event"
+	"k42trace/internal/promtext"
 )
 
-// WriteMetrics renders the collector state in Prometheus text exposition
-// format (hand-rendered: the collector takes no dependencies beyond the
-// standard library). Counters are cumulative for the daemon lifetime;
+// WriteMetrics renders the collector state in the Prometheus text
+// exposition format. Counters are cumulative for the daemon lifetime;
 // producers that disconnected keep reporting their final totals so
 // rate() over a scrape gap stays correct.
 func (c *Collector) WriteMetrics(w io.Writer) {
@@ -21,157 +23,108 @@ func (c *Collector) WriteMetrics(w io.Writer) {
 // tests can feed hostile snapshots (label values with quotes, backslashes,
 // newlines) without a live session behind them.
 func writeMetricsSnapshot(w io.Writer, s Snapshot) {
-	counter := func(name, help string, emit func()) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		emit()
+	for _, f := range metricFamilies {
+		promtext.Family(w, f.name, f.typ, f.help)
+		f.samples(s, func(v int64, labels ...string) { promtext.Sample(w, f.name, v, labels...) })
 	}
-	gauge := func(name, help string, emit func()) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		emit()
-	}
-	perProducer := func(name string, v func(ProducerSnapshot) uint64) func() {
-		return func() {
+}
+
+// A metricFamily is one family of the page: its samples are emitted from a
+// snapshot.
+type metricFamily struct {
+	name, typ, help string
+	samples         func(s Snapshot, emit emitFunc)
+}
+
+// An emitFunc writes one sample of the family being rendered.
+type emitFunc func(v int64, labels ...string)
+
+// metricFamilies is the page, in order. Full 64-bit masks don't fit a
+// float64 sample value exactly, so the mask gauges expose enabled-major
+// counts; the exact hex masks live in the /live/mask JSON.
+var metricFamilies = []metricFamily{
+	{"tracecolld_blocks_received_total", "counter", "Blocks accepted per producer.",
+		perProducer(func(p ProducerSnapshot) int64 { return int64(p.Blocks) })},
+	{"tracecolld_bytes_received_total", "counter", "Wire bytes consumed per producer (block strides, including damaged ones).",
+		perProducer(func(p ProducerSnapshot) int64 { return int64(p.Bytes) })},
+	{"tracecolld_events_received_total", "counter", "Decoded events per producer.",
+		perProducer(func(p ProducerSnapshot) int64 { return int64(p.Events) })},
+	{"tracecolld_garbled_blocks_total", "counter", "Blocks with damaged headers or garbled payloads per producer.",
+		perProducer(func(p ProducerSnapshot) int64 { return int64(p.Garbled) })},
+	{"tracecolld_stuck_seal_blocks_total", "counter", "Blocks sealed anomalous (stuck-slot reclaim) per producer.",
+		perProducer(func(p ProducerSnapshot) int64 { return int64(p.StuckSeals) })},
+	{"tracecolld_reordered_blocks_total", "counter", "Blocks arriving with non-monotonic per-CPU sequence numbers.",
+		perProducer(func(p ProducerSnapshot) int64 { return int64(p.Reordered) })},
+	{"tracecolld_queue_depth", "gauge", "Blocks waiting in each producer's ingest queue.",
+		perProducer(func(p ProducerSnapshot) int64 { return int64(p.QueueDepth) })},
+	{"tracecolld_window_lag_windows", "gauge", "Analysis windows each producer trails the newest event.",
+		perProducer(func(p ProducerSnapshot) int64 { return int64(p.LagWindows) })},
+	{"tracecolld_producer_info", "gauge", "Producer identity: id label is stable, remote is the peer address.",
+		func(s Snapshot, emit emitFunc) {
 			for _, p := range s.Producers {
-				fmt.Fprintf(w, "%s{producer=\"%s\"} %d\n", name, escapeLabel(producerLabel(p)), v(p))
+				emit(1, "producer", producerID(p), "remote", p.Remote)
 			}
-		}
-	}
-
-	counter("tracecolld_blocks_received_total", "Blocks accepted per producer.",
-		perProducer("tracecolld_blocks_received_total", func(p ProducerSnapshot) uint64 { return p.Blocks }))
-	counter("tracecolld_bytes_received_total", "Wire bytes consumed per producer (block strides, including damaged ones).",
-		perProducer("tracecolld_bytes_received_total", func(p ProducerSnapshot) uint64 { return p.Bytes }))
-	counter("tracecolld_events_received_total", "Decoded events per producer.",
-		perProducer("tracecolld_events_received_total", func(p ProducerSnapshot) uint64 { return p.Events }))
-	counter("tracecolld_garbled_blocks_total", "Blocks with damaged headers or garbled payloads per producer.",
-		perProducer("tracecolld_garbled_blocks_total", func(p ProducerSnapshot) uint64 { return p.Garbled }))
-	counter("tracecolld_stuck_seal_blocks_total", "Blocks sealed anomalous (stuck-slot reclaim) per producer.",
-		perProducer("tracecolld_stuck_seal_blocks_total", func(p ProducerSnapshot) uint64 { return p.StuckSeals }))
-	counter("tracecolld_reordered_blocks_total", "Blocks arriving with non-monotonic per-CPU sequence numbers.",
-		perProducer("tracecolld_reordered_blocks_total", func(p ProducerSnapshot) uint64 { return p.Reordered }))
-	gauge("tracecolld_queue_depth", "Blocks waiting in each producer's ingest queue.",
-		perProducer("tracecolld_queue_depth", func(p ProducerSnapshot) uint64 { return uint64(p.QueueDepth) }))
-	gauge("tracecolld_window_lag_windows", "Analysis windows each producer trails the newest event.",
-		perProducer("tracecolld_window_lag_windows", func(p ProducerSnapshot) uint64 { return p.LagWindows }))
-
-	gauge("tracecolld_producer_info", "Producer identity: id label is stable, remote is the peer address.", func() {
-		for _, p := range s.Producers {
-			fmt.Fprintf(w, "tracecolld_producer_info{producer=\"%s\",remote=\"%s\"} 1\n",
-				escapeLabel(producerLabel(p)), escapeLabel(p.Remote))
-		}
-	})
-
-	gauge("tracecolld_producers_connected", "Currently connected producers.", func() {
-		n := 0
-		for _, p := range s.Producers {
-			if p.Connected {
-				n++
+		}},
+	{"tracecolld_producers_connected", "gauge", "Currently connected producers.",
+		whole(func(s Snapshot) int64 {
+			n := 0
+			for _, p := range s.Producers {
+				if p.Connected {
+					n++
+				}
 			}
-		}
-		fmt.Fprintf(w, "tracecolld_producers_connected %d\n", n)
-	})
-	counter("tracecolld_disconnects_total", "Abnormal producer disconnects by reason.", func() {
-		reasons := make([]string, 0, len(s.Disconnects))
-		for r := range s.Disconnects {
-			reasons = append(reasons, r)
-		}
-		sort.Strings(reasons)
-		for _, r := range reasons {
-			fmt.Fprintf(w, "tracecolld_disconnects_total{reason=\"%s\"} %d\n", escapeLabel(r), s.Disconnects[r])
-		}
-	})
-
-	// Mask control plane. Full 64-bit masks don't fit a float64 sample
-	// value exactly, so the gauges expose enabled-major counts; the exact
-	// hex masks live in the /live/mask JSON.
-	counter("tracecolld_mask_updates_sent_total", "Mask-update control frames written to producers.", func() {
-		fmt.Fprintf(w, "tracecolld_mask_updates_sent_total %d\n", s.MaskSends)
-	})
-	counter("tracecolld_mask_changes_total", "CtrlMaskChange markers observed per producer.",
-		perProducer("tracecolld_mask_changes_total", func(p ProducerSnapshot) uint64 { return p.MaskChanges }))
-	gauge("tracecolld_applied_mask_majors", "Enabled major classes in each producer's newest applied mask (-1 before any CtrlMaskChange).", func() {
-		for _, p := range s.Producers {
-			n := -1
-			if m, ok := parseMaskLabel(p.AppliedMask); ok {
-				n = bits.OnesCount64(m)
+			return int64(n)
+		})},
+	{"tracecolld_disconnects_total", "counter", "Abnormal producer disconnects by reason.",
+		func(s Snapshot, emit emitFunc) {
+			for _, r := range slices.Sorted(maps.Keys(s.Disconnects)) {
+				emit(int64(s.Disconnects[r]), "reason", r)
 			}
-			fmt.Fprintf(w, "tracecolld_applied_mask_majors{producer=\"%s\"} %d\n",
-				escapeLabel(producerLabel(p)), n)
-		}
-	})
-	gauge("tracecolld_desired_mask_majors", "Enabled major classes in the pending broadcast mask (-1 if never set).", func() {
-		n := -1
-		if m, ok := parseMaskLabel(s.DesiredMask); ok {
-			n = bits.OnesCount64(m)
-		}
-		fmt.Fprintf(w, "tracecolld_desired_mask_majors %d\n", n)
-	})
-
-	gauge("tracecolld_windows_live", "Analysis windows currently held.", func() {
-		fmt.Fprintf(w, "tracecolld_windows_live %d\n", s.Stats.LiveWindows)
-	})
-	counter("tracecolld_windows_evicted_total", "Analysis windows evicted to bound memory.", func() {
-		fmt.Fprintf(w, "tracecolld_windows_evicted_total %d\n", s.Stats.EvictedWindows)
-	})
-	counter("tracecolld_late_events_total", "Events that landed in already-evicted windows.", func() {
-		fmt.Fprintf(w, "tracecolld_late_events_total %d\n", s.Stats.LateEvents)
-	})
-	counter("tracecolld_events_total", "Events fed to the analysis engine.", func() {
-		fmt.Fprintf(w, "tracecolld_events_total %d\n", s.Stats.Events)
-	})
-	counter("tracecolld_blocks_total", "Blocks fed to the analysis engine.", func() {
-		fmt.Fprintf(w, "tracecolld_blocks_total %d\n", s.Stats.Blocks)
-	})
+		}},
+	{"tracecolld_mask_updates_sent_total", "counter", "Mask-update control frames written to producers.",
+		whole(func(s Snapshot) int64 { return int64(s.MaskSends) })},
+	{"tracecolld_mask_changes_total", "counter", "CtrlMaskChange markers observed per producer.",
+		perProducer(func(p ProducerSnapshot) int64 { return int64(p.MaskChanges) })},
+	{"tracecolld_applied_mask_majors", "gauge", "Enabled major classes in each producer's newest applied mask (-1 before any CtrlMaskChange).",
+		perProducer(func(p ProducerSnapshot) int64 { return maskMajors(p.AppliedMask) })},
+	{"tracecolld_desired_mask_majors", "gauge", "Enabled major classes in the pending broadcast mask (-1 if never set).",
+		whole(func(s Snapshot) int64 { return maskMajors(s.DesiredMask) })},
+	{"tracecolld_windows_live", "gauge", "Analysis windows currently held.",
+		whole(func(s Snapshot) int64 { return int64(s.Stats.LiveWindows) })},
+	{"tracecolld_windows_evicted_total", "counter", "Analysis windows evicted to bound memory.",
+		whole(func(s Snapshot) int64 { return int64(s.Stats.EvictedWindows) })},
+	{"tracecolld_late_events_total", "counter", "Events that landed in already-evicted windows.",
+		whole(func(s Snapshot) int64 { return int64(s.Stats.LateEvents) })},
+	{"tracecolld_events_total", "counter", "Events fed to the analysis engine.",
+		whole(func(s Snapshot) int64 { return int64(s.Stats.Events) })},
+	{"tracecolld_blocks_total", "counter", "Blocks fed to the analysis engine.",
+		whole(func(s Snapshot) int64 { return int64(s.Stats.Blocks) })},
 }
 
-// escapeLabel escapes a label value per the Prometheus text exposition
-// format: inside double quotes, backslash, double-quote, and line feed
-// must be escaped as \\, \", and \n — and nothing else (Go's %q also
-// escapes non-ASCII and control bytes, which the format forbids, so it
-// cannot be used here).
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	b.Grow(len(v) + 8)
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
+// perProducer is a family with one sample per producer.
+func perProducer(v func(ProducerSnapshot) int64) func(Snapshot, emitFunc) {
+	return func(s Snapshot, emit emitFunc) {
+		for _, p := range s.Producers {
+			emit(v(p), "producer", producerID(p))
 		}
 	}
-	return b.String()
 }
 
-// parseMaskLabel converts a snapshot's hex mask literal back to bits ("",
-// meaning never set, reports false).
-func parseMaskLabel(s string) (uint64, bool) {
-	if s == "" {
-		return 0, false
+// whole is a family with one unlabelled sample for the whole collector.
+func whole(v func(Snapshot) int64) func(Snapshot, emitFunc) {
+	return func(s Snapshot, emit emitFunc) { emit(v(s)) }
+}
+
+// producerID is the label that names a producer: its id, which is stable
+// for the daemon lifetime (remotes move around; ids don't).
+func producerID(p ProducerSnapshot) string { return strconv.FormatUint(p.ID, 10) }
+
+// maskMajors counts the majors a snapshot's hex mask enables: -1 for a mask
+// never set ("").
+func maskMajors(hex string) int64 {
+	m, err := event.ParseMask(hex)
+	if err != nil {
+		return -1
 	}
-	var m uint64
-	if _, err := fmt.Sscanf(s, "0x%x", &m); err != nil {
-		return 0, false
-	}
-	return m, true
-}
-
-// producerLabel is the metrics label for one producer: its id, which is
-// stable for the daemon lifetime (remotes move around; ids don't).
-func producerLabel(p ProducerSnapshot) string {
-	return fmt.Sprintf("%d", p.ID)
-}
-
-// MetricsString renders WriteMetrics to a string (test convenience).
-func (c *Collector) MetricsString() string {
-	var b strings.Builder
-	c.WriteMetrics(&b)
-	return b.String()
+	return int64(bits.OnesCount64(m))
 }

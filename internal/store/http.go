@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"os"
 	"time"
+
+	"k42trace/internal/promtext"
 )
 
 // maxUploadBytes bounds one spill upload (1 GiB): a runaway client fails
@@ -48,7 +50,7 @@ func (s *Store) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Store) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header().Set("Content-Type", promtext.ContentType)
 	s.metrics.Write(w, s)
 }
 

@@ -1,77 +1,84 @@
 package store
 
 import (
-	"fmt"
+	"bytes"
 	"io"
-	"sort"
-	"strings"
+	"maps"
+	"slices"
 	"sync"
 	"time"
+
+	"k42trace/internal/promtext"
 )
 
-// queryBuckets are the query-latency histogram upper bounds (seconds).
+// queryBuckets are the latency histograms' upper bounds (seconds).
 var queryBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
 
-// tenantCounters is one tenant's cumulative totals.
-type tenantCounters struct {
-	Ingests       uint64
-	IngestEvents  uint64
-	IngestBlocks  uint64
-	IngestSalvage uint64 // ingests that needed repair
-
-	Queries       uint64
-	QueryErrors   uint64
-	QueryGone     uint64 // queries that hit a deleted segment (410)
-	BlocksScanned uint64 // blocks actually decoded by queries
-	BlocksPruned  uint64 // blocks skipped by the index
-	SegsPruned    uint64 // whole segments skipped by the catalog
-
-	Compactions   uint64
-	CompactedSegs uint64
-	GCSegments    uint64
-	GCBytes       uint64
-
-	CompactErrors uint64 // failed compaction passes (CompactAll)
-	GCErrors      uint64 // failed retention passes (GCAll)
-
-	CacheHits   uint64 // segment scans answered from the result cache
-	CacheMisses uint64 // segment scans that had to read blocks
-
-	Admitted uint64 // queries granted a scan slot immediately
-	Queued   uint64 // queries that waited for a slot
-	Rejected uint64 // queries refused with 429 (queue full)
+// A tenantCounter is one per-tenant counter: the family it renders in, the
+// family's help and the labels it has beside the tenant.
+type tenantCounter struct {
+	family, help string
+	labels       []string
 }
 
-// Metrics is the store's cumulative counter set, rendered in Prometheus
-// text exposition format (hand-rendered: no dependencies beyond the
-// standard library).
+// tenantCounters is every per-tenant counter, in page order; a tenant's
+// totals are a slice indexed the same way. Counters of one family are
+// declared one after another and render together, tenant by tenant.
+var tenantCounters []tenantCounter
+
+// counter declares one per-tenant counter and returns its slot.
+func counter(family, help string, labels ...string) int {
+	tenantCounters = append(tenantCounters, tenantCounter{family, help, labels})
+	return len(tenantCounters) - 1
+}
+
+var (
+	nIngests        = counter("tracestored_ingests_total", "Spill uploads accepted per tenant.")
+	nIngestEvents   = counter("tracestored_ingest_events_total", "Events stored per tenant.")
+	nIngestBlocks   = counter("tracestored_ingest_blocks_total", "Blocks stored per tenant.")
+	nIngestSalvaged = counter("tracestored_ingest_salvaged_total", "Uploads that needed salvage repair per tenant.")
+	nQueries        = counter("tracestored_queries_total", "Queries served per tenant.")
+	nQueryErrors    = counter("tracestored_query_errors_total", "Queries that failed per tenant.")
+	nQueryGone      = counter("tracestored_query_gone_total", "Queries that hit a deleted segment (410) per tenant.")
+	nBlocksScanned  = counter("tracestored_query_blocks_scanned_total", "Blocks decoded by queries per tenant.")
+	nBlocksPruned   = counter("tracestored_query_blocks_pruned_total", "Blocks skipped by the index per tenant.")
+	nSegsPruned     = counter("tracestored_query_segments_pruned_total", "Whole segments skipped by the catalog per tenant.")
+	nCompactions    = counter("tracestored_compactions_total", "Compaction passes that merged segments per tenant.")
+	nCompactedSegs  = counter("tracestored_compacted_segments_total", "Segments consumed by compaction per tenant.")
+	nGCSegments     = counter("tracestored_gc_segments_total", "Segments expired by retention per tenant.")
+	nGCBytes        = counter("tracestored_gc_bytes_total", "Bytes reclaimed by retention per tenant.")
+	nCompactErrors  = counter("tracestored_maintenance_errors_total", "Failed maintenance passes per tenant and op.", "op", "compact")
+	nGCErrors       = counter("tracestored_maintenance_errors_total", "", "op", "gc") // the family's help is its first counter's
+	nCacheHits      = counter("tracestored_cache_hits_total", "Segment scans answered from the result cache per tenant.")
+	nCacheMisses    = counter("tracestored_cache_misses_total", "Segment scans that read blocks per tenant.")
+	nAdmitted       = counter("tracestored_admission_admitted_total", "Queries granted a scan slot per tenant.")
+	nQueued         = counter("tracestored_admission_queued_total", "Queries that waited for a scan slot per tenant.")
+	nRejected       = counter("tracestored_admission_rejected_total", "Queries refused with 429 per tenant.")
+)
+
+// Metrics is the store's cumulative counter set, rendered in the
+// Prometheus text exposition format.
 type Metrics struct {
 	mu      sync.Mutex
-	tenants map[string]*tenantCounters
+	tenants map[string][]uint64
 
-	// query latency histogram (global; per-tenant would multiply series)
-	latBuckets []uint64
-	latCount   uint64
-	latSum     float64
-
-	// admission queue-wait histogram (global, same bucket bounds)
-	waitBuckets []uint64
-	waitCount   uint64
-	waitSum     float64
+	// Query latency and the admission queue wait of queries that queued:
+	// global, since per-tenant histograms would multiply series.
+	latency, wait promtext.Histogram
 
 	cacheEvictions uint64
 }
 
 func (m *Metrics) init() {
-	m.tenants = map[string]*tenantCounters{}
-	m.latBuckets = make([]uint64, len(queryBuckets))
-	m.waitBuckets = make([]uint64, len(queryBuckets))
+	m.tenants = map[string][]uint64{}
+	m.latency = promtext.NewHistogram(queryBuckets)
+	m.wait = promtext.NewHistogram(queryBuckets)
 }
 
-func (m *Metrics) tc(tenant string) *tenantCounters {
+func (m *Metrics) tc(tenant string) []uint64 {
 	c := m.tenants[tenant]
 	if c == nil {
-		c = &tenantCounters{}
+		c = make([]uint64, len(tenantCounters))
 		m.tenants[tenant] = c
 	}
 	return c
@@ -81,11 +88,11 @@ func (m *Metrics) ingest(tenant string, res *IngestResult) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c := m.tc(tenant)
-	c.Ingests++
-	c.IngestEvents += res.Events
-	c.IngestBlocks += uint64(res.Blocks)
+	c[nIngests]++
+	c[nIngestEvents] += res.Events
+	c[nIngestBlocks] += uint64(res.Blocks)
 	if res.Salvaged {
-		c.IngestSalvage++
+		c[nIngestSalvaged]++
 	}
 }
 
@@ -94,32 +101,25 @@ func (m *Metrics) query(tenant string, dur time.Duration, scanned, pruned, segsP
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c := m.tc(tenant)
-	c.Queries++
+	c[nQueries]++
 	if err != nil {
-		c.QueryErrors++
+		c[nQueryErrors]++
 		if isGone(err) {
-			c.QueryGone++
+			c[nQueryGone]++
 		}
 	}
-	c.BlocksScanned += uint64(scanned)
-	c.BlocksPruned += uint64(pruned)
-	c.SegsPruned += uint64(segsPruned)
-	sec := dur.Seconds()
-	m.latCount++
-	m.latSum += sec
-	for i, ub := range queryBuckets {
-		if sec <= ub {
-			m.latBuckets[i]++
-		}
-	}
+	c[nBlocksScanned] += uint64(scanned)
+	c[nBlocksPruned] += uint64(pruned)
+	c[nSegsPruned] += uint64(segsPruned)
+	m.latency.Observe(dur.Seconds())
 }
 
 func (m *Metrics) compact(tenant string, merged int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c := m.tc(tenant)
-	c.Compactions++
-	c.CompactedSegs += uint64(merged)
+	c[nCompactions]++
+	c[nCompactedSegs] += uint64(merged)
 }
 
 // maintError records one failed maintenance pass (op is "compact" or
@@ -127,12 +127,11 @@ func (m *Metrics) compact(tenant string, merged int) {
 func (m *Metrics) maintError(tenant, op string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := m.tc(tenant)
+	slot := nCompactErrors
 	if op == "gc" {
-		c.GCErrors++
-	} else {
-		c.CompactErrors++
+		slot = nGCErrors
 	}
+	m.tc(tenant)[slot]++
 }
 
 // cacheScan records one query's per-segment cache outcomes.
@@ -143,8 +142,8 @@ func (m *Metrics) cacheScan(tenant string, hits, misses int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c := m.tc(tenant)
-	c.CacheHits += uint64(hits)
-	c.CacheMisses += uint64(misses)
+	c[nCacheHits] += uint64(hits)
+	c[nCacheMisses] += uint64(misses)
 }
 
 func (m *Metrics) cacheEvict(n int) {
@@ -161,20 +160,13 @@ func (m *Metrics) admission(tenant string, outcome admOutcome, waited time.Durat
 	c := m.tc(tenant)
 	switch outcome {
 	case admImmediate:
-		c.Admitted++
+		c[nAdmitted]++
 	case admQueued:
-		c.Admitted++
-		c.Queued++
-		sec := waited.Seconds()
-		m.waitCount++
-		m.waitSum += sec
-		for i, ub := range queryBuckets {
-			if sec <= ub {
-				m.waitBuckets[i]++
-			}
-		}
+		c[nAdmitted]++
+		c[nQueued]++
+		m.wait.Observe(waited.Seconds())
 	case admRejected:
-		c.Rejected++
+		c[nRejected]++
 	}
 }
 
@@ -182,8 +174,8 @@ func (m *Metrics) gc(tenant string, segs int, bytes int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c := m.tc(tenant)
-	c.GCSegments += uint64(segs)
-	c.GCBytes += uint64(bytes)
+	c[nGCSegments] += uint64(segs)
+	c[nGCBytes] += uint64(bytes)
 }
 
 // Write renders the metrics page. The store is passed in so catalog
@@ -191,144 +183,60 @@ func (m *Metrics) gc(tenant string, segs int, bytes int64) {
 // rather than counters.
 func (m *Metrics) Write(w io.Writer, s *Store) {
 	stats := s.Tenants()
-
-	m.mu.Lock()
-	names := make([]string, 0, len(m.tenants))
-	for n := range m.tenants {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	snap := make(map[string]tenantCounters, len(names))
-	for _, n := range names {
-		snap[n] = *m.tenants[n]
-	}
-	latBuckets := append([]uint64(nil), m.latBuckets...)
-	latCount, latSum := m.latCount, m.latSum
-	waitBuckets := append([]uint64(nil), m.waitBuckets...)
-	waitCount, waitSum := m.waitCount, m.waitSum
-	cacheEvictions := m.cacheEvictions
-	m.mu.Unlock()
-
-	counter := func(name, help string, v func(tenantCounters) uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, n := range names {
-			fmt.Fprintf(w, "%s{tenant=\"%s\"} %d\n", name, escapeLabel(n), v(snap[n]))
-		}
-	}
-
-	counter("tracestored_ingests_total", "Spill uploads accepted per tenant.",
-		func(c tenantCounters) uint64 { return c.Ingests })
-	counter("tracestored_ingest_events_total", "Events stored per tenant.",
-		func(c tenantCounters) uint64 { return c.IngestEvents })
-	counter("tracestored_ingest_blocks_total", "Blocks stored per tenant.",
-		func(c tenantCounters) uint64 { return c.IngestBlocks })
-	counter("tracestored_ingest_salvaged_total", "Uploads that needed salvage repair per tenant.",
-		func(c tenantCounters) uint64 { return c.IngestSalvage })
-	counter("tracestored_queries_total", "Queries served per tenant.",
-		func(c tenantCounters) uint64 { return c.Queries })
-	counter("tracestored_query_errors_total", "Queries that failed per tenant.",
-		func(c tenantCounters) uint64 { return c.QueryErrors })
-	counter("tracestored_query_gone_total", "Queries that hit a deleted segment (410) per tenant.",
-		func(c tenantCounters) uint64 { return c.QueryGone })
-	counter("tracestored_query_blocks_scanned_total", "Blocks decoded by queries per tenant.",
-		func(c tenantCounters) uint64 { return c.BlocksScanned })
-	counter("tracestored_query_blocks_pruned_total", "Blocks skipped by the index per tenant.",
-		func(c tenantCounters) uint64 { return c.BlocksPruned })
-	counter("tracestored_query_segments_pruned_total", "Whole segments skipped by the catalog per tenant.",
-		func(c tenantCounters) uint64 { return c.SegsPruned })
-	counter("tracestored_compactions_total", "Compaction passes that merged segments per tenant.",
-		func(c tenantCounters) uint64 { return c.Compactions })
-	counter("tracestored_compacted_segments_total", "Segments consumed by compaction per tenant.",
-		func(c tenantCounters) uint64 { return c.CompactedSegs })
-	counter("tracestored_gc_segments_total", "Segments expired by retention per tenant.",
-		func(c tenantCounters) uint64 { return c.GCSegments })
-	counter("tracestored_gc_bytes_total", "Bytes reclaimed by retention per tenant.",
-		func(c tenantCounters) uint64 { return c.GCBytes })
-	fmt.Fprintf(w, "# HELP tracestored_maintenance_errors_total Failed maintenance passes per tenant and op.\n"+
-		"# TYPE tracestored_maintenance_errors_total counter\n")
-	for _, n := range names {
-		fmt.Fprintf(w, "tracestored_maintenance_errors_total{tenant=\"%s\",op=\"compact\"} %d\n",
-			escapeLabel(n), snap[n].CompactErrors)
-		fmt.Fprintf(w, "tracestored_maintenance_errors_total{tenant=\"%s\",op=\"gc\"} %d\n",
-			escapeLabel(n), snap[n].GCErrors)
-	}
-	counter("tracestored_cache_hits_total", "Segment scans answered from the result cache per tenant.",
-		func(c tenantCounters) uint64 { return c.CacheHits })
-	counter("tracestored_cache_misses_total", "Segment scans that read blocks per tenant.",
-		func(c tenantCounters) uint64 { return c.CacheMisses })
-	counter("tracestored_admission_admitted_total", "Queries granted a scan slot per tenant.",
-		func(c tenantCounters) uint64 { return c.Admitted })
-	counter("tracestored_admission_queued_total", "Queries that waited for a scan slot per tenant.",
-		func(c tenantCounters) uint64 { return c.Queued })
-	counter("tracestored_admission_rejected_total", "Queries refused with 429 per tenant.",
-		func(c tenantCounters) uint64 { return c.Rejected })
-	fmt.Fprintf(w, "# HELP tracestored_cache_evictions_total Cache entries evicted by the byte budget.\n"+
-		"# TYPE tracestored_cache_evictions_total counter\n"+
-		"tracestored_cache_evictions_total %d\n", cacheEvictions)
-
-	gauge := func(name, help string, v func(TenantStats) uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		for _, st := range stats {
-			fmt.Fprintf(w, "%s{tenant=\"%s\"} %d\n", name, escapeLabel(st.Name), v(st))
-		}
-	}
-	gauge("tracestored_segments", "Live segments per tenant.",
-		func(st TenantStats) uint64 { return uint64(st.Segments) })
-	gauge("tracestored_bytes", "Stored segment bytes per tenant.",
-		func(st TenantStats) uint64 { return uint64(st.Bytes) })
-	gauge("tracestored_events", "Stored events per tenant.",
-		func(st TenantStats) uint64 { return st.Events })
-
-	// Live cache and admission state.
-	cb, ce := s.cache.stats()
-	fmt.Fprintf(w, "# HELP tracestored_cache_bytes Resident segment-cache bytes.\n"+
-		"# TYPE tracestored_cache_bytes gauge\ntracestored_cache_bytes %d\n", cb)
-	fmt.Fprintf(w, "# HELP tracestored_cache_entries Resident segment-cache entries.\n"+
-		"# TYPE tracestored_cache_entries gauge\ntracestored_cache_entries %d\n", ce)
+	cacheBytes, cacheEntries := s.cache.stats()
 	active, waiting := s.adm.stats()
-	fmt.Fprintf(w, "# HELP tracestored_admission_active Queries holding a scan slot.\n"+
-		"# TYPE tracestored_admission_active gauge\ntracestored_admission_active %d\n", active)
-	fmt.Fprintf(w, "# HELP tracestored_admission_waiting Queries waiting for a scan slot.\n"+
-		"# TYPE tracestored_admission_waiting gauge\ntracestored_admission_waiting %d\n", waiting)
 
-	fmt.Fprintf(w, "# HELP tracestored_query_seconds Query latency.\n# TYPE tracestored_query_seconds histogram\n")
-	for i, ub := range queryBuckets {
-		fmt.Fprintf(w, "tracestored_query_seconds_bucket{le=\"%g\"} %d\n", ub, latBuckets[i])
+	// The page is rendered into memory under the lock, so a slow scraper
+	// never holds up a recorder.
+	var b bytes.Buffer
+	m.mu.Lock()
+	names := slices.Sorted(maps.Keys(m.tenants))
+	for i := 0; i < len(tenantCounters); {
+		f := tenantCounters[i]
+		end := i + 1
+		for end < len(tenantCounters) && tenantCounters[end].family == f.family {
+			end++
+		}
+		promtext.Family(&b, f.family, "counter", f.help)
+		for _, n := range names {
+			for slot := i; slot < end; slot++ {
+				labels := append([]string{"tenant", n}, tenantCounters[slot].labels...)
+				promtext.Sample(&b, f.family, m.tenants[n][slot], labels...)
+			}
+		}
+		i = end
 	}
-	fmt.Fprintf(w, "tracestored_query_seconds_bucket{le=\"+Inf\"} %d\n", latCount)
-	fmt.Fprintf(w, "tracestored_query_seconds_sum %g\n", latSum)
-	fmt.Fprintf(w, "tracestored_query_seconds_count %d\n", latCount)
+	promtext.Family(&b, "tracestored_cache_evictions_total", "counter", "Cache entries evicted by the byte budget.")
+	promtext.Sample(&b, "tracestored_cache_evictions_total", m.cacheEvictions)
 
-	fmt.Fprintf(w, "# HELP tracestored_admission_wait_seconds Scan-slot queue wait of queries that queued.\n"+
-		"# TYPE tracestored_admission_wait_seconds histogram\n")
-	for i, ub := range queryBuckets {
-		fmt.Fprintf(w, "tracestored_admission_wait_seconds_bucket{le=\"%g\"} %d\n", ub, waitBuckets[i])
-	}
-	fmt.Fprintf(w, "tracestored_admission_wait_seconds_bucket{le=\"+Inf\"} %d\n", waitCount)
-	fmt.Fprintf(w, "tracestored_admission_wait_seconds_sum %g\n", waitSum)
-	fmt.Fprintf(w, "tracestored_admission_wait_seconds_count %d\n", waitCount)
-}
-
-// escapeLabel escapes a label value per the Prometheus text exposition
-// format: inside double quotes only backslash, double-quote, and line
-// feed are escaped.
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	b.Grow(len(v) + 8)
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
+	for _, g := range []struct {
+		name, help string
+		v          func(TenantStats) int64
+	}{
+		{"tracestored_segments", "Live segments per tenant.", func(st TenantStats) int64 { return int64(st.Segments) }},
+		{"tracestored_bytes", "Stored segment bytes per tenant.", func(st TenantStats) int64 { return st.Bytes }},
+		{"tracestored_events", "Stored events per tenant.", func(st TenantStats) int64 { return int64(st.Events) }},
+	} {
+		promtext.Family(&b, g.name, "gauge", g.help)
+		for _, st := range stats {
+			promtext.Sample(&b, g.name, g.v(st), "tenant", st.Name)
 		}
 	}
-	return b.String()
+	for _, g := range []struct {
+		name, help string
+		v          int64
+	}{
+		{"tracestored_cache_bytes", "Resident segment-cache bytes.", cacheBytes},
+		{"tracestored_cache_entries", "Resident segment-cache entries.", int64(cacheEntries)},
+		{"tracestored_admission_active", "Queries holding a scan slot.", int64(active)},
+		{"tracestored_admission_waiting", "Queries waiting for a scan slot.", int64(waiting)},
+	} {
+		promtext.Family(&b, g.name, "gauge", g.help)
+		promtext.Sample(&b, g.name, g.v)
+	}
+
+	m.latency.Write(&b, "tracestored_query_seconds", "Query latency.")
+	m.wait.Write(&b, "tracestored_admission_wait_seconds", "Scan-slot queue wait of queries that queued.")
+	m.mu.Unlock()
+	w.Write(b.Bytes())
 }
