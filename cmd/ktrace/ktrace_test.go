@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -10,6 +12,7 @@ import (
 
 	ktrace "k42trace"
 	"k42trace/internal/ksim"
+	"k42trace/internal/stream"
 )
 
 const corpusDir = "../../testdata/corpus"
@@ -38,7 +41,6 @@ var traceVerbs = [][]string{
 	{"kmon", "-at", "0.001", "F"},
 	{"check", "F"},
 	{"diff", "F", corpus("tuned.ktr")},
-	{"lttexport", "F"},
 }
 
 // withFlags returns cmd with flags inserted after the verb and every "F"
@@ -332,6 +334,45 @@ func TestWindowOnZeroHzHeader(t *testing.T) {
 	}
 	_, listing, _ := strings.Cut(out, "events around 0.000550s:\n")
 	checkWindow("kmon -at 0.00055 -around 0.1", listing)
+}
+
+// TestStatListsAnomalousBlocks: stat lists a block its writer flagged
+// anomalous (a stuck seal) through the strict reader, and under -salvage
+// from the salvage scan, even when the file's tail is cut so that the
+// strict reader refuses it.
+func TestStatListsAnomalousBlocks(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		src   string
+		flags []string
+	}{
+		{"clean.ktr", nil},
+		{"truncated.ktr", []string{"-salvage"}},
+	} {
+		img, err := os.ReadFile(corpus(c.src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, err := stream.ParseFileHeader(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Block 0's header: magic, CPU | flags<<16 | words<<32, seq, committed.
+		h := img[meta.Geometry().FileHeaderBytes:]
+		word := func(i int) uint64 { return binary.LittleEndian.Uint64(h[8*i:]) }
+		binary.LittleEndian.PutUint64(h[8:], word(1)|uint64(stream.FlagAnomalous)<<16)
+		path := filepath.Join(dir, c.src)
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args := withFlags([]string{"stat", "F"}, path, c.flags...)
+		stdout, stderr, code := ktraceRun(args...)
+		want := fmt.Sprintf("\nanomalous blocks (commit-count mismatches): 1\n  cpu %d seq %d: committed %d of %d words\n",
+			uint16(word(1)), word(2), word(3), uint32(word(1)>>32))
+		if code != 0 || !strings.Contains(stdout, want) {
+			t.Errorf("ktrace %v: exit %d (stderr %q), stdout misses %q:\n%s", args, code, stderr, want, stdout)
+		}
+	}
 }
 
 // TestListMajorNames: -major takes the names -mask takes, in any case.

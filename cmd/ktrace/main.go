@@ -40,7 +40,6 @@ var verbs = []struct {
 	{"check", check, "structural invariants; -salvage repairs, -shm inspects a live segment"},
 	{"diff", diff, "align two runs and report where time went differently"},
 	{"crashdump", crashdump, "decode the trace memory saved in a crash-dump image — §4.2"},
-	{"lttexport", lttexport, "convert to the Linux Trace Toolkit text layout — §5"},
 }
 
 func main() { os.Exit(run(os.Stdout, os.Stderr, os.Args[1:])) }

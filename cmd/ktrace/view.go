@@ -69,6 +69,10 @@ func stat(stdout, stderr io.Writer, args []string) int {
 		return code
 	}
 	path, meta := t.fs.Arg(0), trace.meta
+	anoms, err := trace.anomalies(path)
+	if err != nil {
+		return t.status(err)
+	}
 	fmt.Fprintf(stdout, "%s: %d CPUs, %d-word buffers (%d KiB alignment), clock %d Hz\n",
 		path, meta.CPUs, meta.BufWords, meta.BufWords*8/1024, meta.ClockHz)
 	first, last := trace.Span()
@@ -111,20 +115,12 @@ func stat(stdout, stderr io.Writer, args []string) int {
 		fmt.Fprintf(stdout, "  cpu%-3d %8d\n", cpu, byCPU[cpu])
 	}
 
-	// Anomalous blocks from the file headers.
-	if f, err := os.Open(path); err == nil {
-		if fi, err := f.Stat(); err == nil {
-			if rd, err := stream.NewReader(f, fi.Size()); err == nil {
-				if anoms, err := rd.Anomalies(); err == nil && len(anoms) > 0 {
-					fmt.Fprintf(stdout, "\nanomalous blocks (commit-count mismatches): %d\n", len(anoms))
-					for _, h := range anoms {
-						fmt.Fprintf(stdout, "  cpu %d seq %d: committed %d of %d words\n",
-							h.CPU, h.Seq, h.Committed, h.NWords)
-					}
-				}
-			}
+	if len(anoms) > 0 {
+		fmt.Fprintf(stdout, "\nanomalous blocks (commit-count mismatches): %d\n", len(anoms))
+		for _, h := range anoms {
+			fmt.Fprintf(stdout, "  cpu %d seq %d: committed %d of %d words\n",
+				h.CPU, h.Seq, h.Committed, h.NWords)
 		}
-		f.Close()
 	}
 
 	fmt.Fprintln(stdout, "\nper-process time overview:")
@@ -134,6 +130,29 @@ func stat(stdout, stderr io.Writer, args []string) int {
 	}
 	analysis.FormatOverview(stdout, rows)
 	return 0
+}
+
+// anomalies returns the headers of the blocks in the trace file at path
+// that their writer flagged anomalous: under -salvage from the tolerant
+// scan that opened it, otherwise from the strict reader's header scan.
+func (in *input) anomalies(path string) ([]stream.BlockHeader, error) {
+	if in.salvage != nil {
+		return in.salvage.Anomalous, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	rd, err := stream.NewReader(f, fi.Size())
+	if err != nil {
+		return nil, err
+	}
+	return rd.Anomalies()
 }
 
 type stringList []string

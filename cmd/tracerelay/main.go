@@ -7,7 +7,7 @@
 // The sender can also inject transport chaos — dropped, duplicated,
 // reordered, torn, bit-flipped, or zeroed blocks, driven by a fixed seed —
 // to exercise a collector's salvage path end to end (pair with
-// tracecheck -salvage on the collected file).
+// ktrace check -salvage on the collected file).
 //
 // With -remote-control the sender also listens for control frames coming
 // back down the collector connection and applies mask updates to its live

@@ -14,7 +14,7 @@ import (
 // interactive HTML timeline — pan/zoom per-CPU span rendering with
 // lock-wait bands, mask-epoch shading, and event markers, all data
 // embedded in the one file with no network references. It succeeds the
-// static SVG as the way to *look* at a run, and tracediff stacks two
+// static SVG as the way to *look* at a run, and ktrace diff stacks two
 // exports in one page for visual cross-run comparison.
 
 // TLSpan is one maximal run of constant CPU state in a TimelineExport.
@@ -141,14 +141,9 @@ func (x *TimelineExport) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteHTML writes a single-run interactive HTML timeline.
-func (x *TimelineExport) WriteHTML(w io.Writer, title string) error {
-	return WriteTimelineHTML(w, title, x)
-}
-
 // WriteTimelineHTML writes a self-contained interactive HTML timeline for
 // one or more runs stacked in a single page with a shared (normalized)
-// time axis — the tracediff -html view passes the two aligned runs. The
+// time axis — the ktrace diff -html view passes the two aligned runs. The
 // document embeds all data and script inline: no network references, and
 // byte-identical output for identical inputs.
 func WriteTimelineHTML(w io.Writer, title string, runs ...*TimelineExport) error {

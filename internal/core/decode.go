@@ -196,19 +196,6 @@ func (t *Tracer) Dump(cpu int) ([]event.Event, DumpInfo) {
 	return t.dumpLocked(cpu)
 }
 
-// DumpAll dumps every CPU under a single quiescent window, so the per-CPU
-// streams are mutually consistent.
-func (t *Tracer) DumpAll() ([][]event.Event, []DumpInfo) {
-	old := t.Quiesce()
-	defer t.mask.Store(old)
-	evs := make([][]event.Event, len(t.cpus))
-	infos := make([]DumpInfo, len(t.cpus))
-	for i := range t.cpus {
-		evs[i], infos[i] = t.dumpLocked(i)
-	}
-	return evs, infos
-}
-
 // DecodeRecorder decodes a flight-recorder memory image: the raw trace
 // array of one CPU (numBufs*bufWords words) plus its free-running index.
 // It walks the resident buffer generations oldest-first — the foundation

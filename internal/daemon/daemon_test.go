@@ -233,6 +233,7 @@ func TestExitStatus(t *testing.T) {
 		{"tracecolld", []string{"-watch", "1,x"}, 2, `tracecolld: bad -watch pid "x": `},
 		{"tracecolld", []string{"-mask", "nope"}, 2, "tracecolld: bad -mask: "},
 		{"tracecolld", []string{"-store", "http://127.0.0.1:1", "-store-tenant", "a/b"}, 2, `tracecolld: bad -store-tenant "a/b"` + "\n"},
+		{"tracecolld", []string{"-store", "http://127.0.0.1:1", "-listen", lo, "-http", lo}, 2, "tracecolld: -store uploads the spill: it needs -spill\n"},
 		{"tracecolld", []string{"-up", "127.0.0.1:1", "-up-forward", "some", "-listen", lo, "-http", lo}, 2, `tracecolld: fed: unknown forward mode "some"`},
 		{"tracecolld", []string{"-spill", missing}, 1, "tracecolld: open "},
 		{"tracecolld", inUse, 1, "address already in use"},

@@ -132,6 +132,9 @@ func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	if !store.ValidTenant(*storeTenant) {
 		return p.usage("bad -store-tenant %q", *storeTenant)
 	}
+	if *storeURL != "" && *spillPath == "" {
+		return p.usage("-store uploads the spill: it needs -spill")
+	}
 
 	// Federated mode wraps the collector in a shard: an uplink relays
 	// accepted blocks to the aggregator (whose mask frames fan down to
@@ -170,12 +173,12 @@ func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) in
 		len(snap.Producers), blocks, events, garbled, stuck)
 	if *spillPath != "" {
 		p.say("spilled to %s", *spillPath)
-		if *storeURL != "" {
-			if err := uploadSpill(*storeURL, *storeTenant, *spillPath); err != nil {
-				p.warn("store upload: %v", err)
-			} else {
-				p.say("spill uploaded to %s (tenant %s)", *storeURL, *storeTenant)
-			}
+	}
+	if *storeURL != "" {
+		if err := uploadSpill(*storeURL, *storeTenant, *spillPath); err != nil {
+			p.warn("store upload: %v", err)
+		} else {
+			p.say("spill uploaded to %s (tenant %s)", *storeURL, *storeTenant)
 		}
 	}
 	for _, reason := range slices.Sorted(maps.Keys(snap.Disconnects)) {

@@ -38,7 +38,7 @@ func Tracestored(ctx context.Context, args []string, stdout, stderr io.Writer) i
 	p.fs.Int64Var(&opt.RetainBytes, "retain-bytes", 0, "per-tenant byte budget (0 = unlimited)")
 	compactEvery := p.fs.Duration("compact-every", 0, "compaction period (0 = only on /admin/compact)")
 	gcEvery := p.fs.Duration("gc-every", 0, "retention period (0 = only on /admin/gc)")
-	p.fs.IntVar(&opt.Workers, "j", 0, "decode/scan workers (0 = all cores)")
+	p.fs.IntVar(&opt.Workers, "j", 0, "query scan workers (0 = 8); ingest, index and aggregation workers (0 = all cores)")
 	p.fs.Int64Var(&opt.CacheBytes, "cache-bytes", 256<<20, "segment query result cache budget (0 = disabled)")
 	adm := &opt.Admission
 	p.fs.IntVar(&adm.MaxConcurrent, "query-concurrency", 0, "global concurrent query limit (0 = admission control off)")

@@ -21,7 +21,7 @@ type Client struct {
 	seg    *segment
 	slot   int
 	arenas []*core.Arena
-	mask   *atomic.Uint64 // the word the arenas gate on (eff mask on v2)
+	mask   *atomic.Uint64 // the word the arenas gate on: the client's eff mask
 }
 
 // Attach maps the segment at path and claims a client-table slot. It
@@ -57,21 +57,15 @@ func Attach(path string) (*Client, error) {
 	for cpu := 0; cpu < lay.geo.CPUs; cpu++ {
 		atomic.StoreUint64(&s.words[lay.inflightCell(slot, cpu)], 0)
 	}
-	// On version-2 segments the client's arenas gate on its own effective
-	// mask (global AND per-client override), so the daemon can narrow one
-	// client without touching the rest; initialize both words for the new
-	// tenancy (the daemon's scan self-heals any interleaving with a
-	// concurrent SetMask). A version-1 daemon never maintains these words,
-	// so v1 attachments gate on the global mask directly. Sealing commits
-	// ring the drain doorbell on v2; a v1 daemon polls.
-	maskW := wordAtomic(s.words, hdrMask)
-	var onSeal func(core.Sealed)
-	if s.version >= 2 {
-		wordAtomic(s.words, lay.clientWord(slot, clientMaskOverride)).Store(^uint64(0))
-		wordAtomic(s.words, lay.clientWord(slot, clientMaskEff)).Store(maskW.Load())
-		maskW = wordAtomic(s.words, lay.clientWord(slot, clientMaskEff))
-		onSeal = func(core.Sealed) { s.ring() }
-	}
+	// The client's arenas gate on its own effective mask (global AND
+	// per-client override), so the daemon can narrow one client without
+	// touching the rest; initialize both words for the new tenancy (the
+	// daemon's scan self-heals any interleaving with a concurrent
+	// SetMask). Sealing commits ring the drain doorbell.
+	maskW := wordAtomic(s.words, lay.clientWord(slot, clientMaskEff))
+	wordAtomic(s.words, lay.clientWord(slot, clientMaskOverride)).Store(^uint64(0))
+	maskW.Store(wordAtomic(s.words, hdrMask).Load())
+	onSeal := func(core.Sealed) { s.ring() }
 	c := &Client{seg: s, slot: slot, arenas: make([]*core.Arena, lay.geo.CPUs), mask: maskW}
 	clk := segClock(s)
 	for cpu := range c.arenas {
@@ -90,9 +84,9 @@ func Attach(path string) (*Client, error) {
 // client's private matrix cell; nil for the daemon, which never logs);
 // InflightTotal always sums the whole matrix column, so every context
 // agrees on quiescence no matter which cell each producer uses. mask is
-// the gating word (the global header mask, or a client's effective mask
-// on version-2 segments); onSeal fires on sealing commits (the client's
-// doorbell ring) and may be nil.
+// the gating word (the global header mask, or a client's effective
+// mask); onSeal fires on sealing commits (the client's doorbell ring)
+// and may be nil.
 func buildArena(s *segment, cpu int, inflight *uint64, onFull func() bool,
 	mask *atomic.Uint64, onSeal func(core.Sealed), clk clock.Source) (*core.Arena, error) {
 	lay := s.lay
@@ -155,8 +149,7 @@ func (c *Client) NumCPUs() int { return len(c.arenas) }
 func (c *Client) Slot() int { return c.slot }
 
 // Mask returns the mask this client's logging gates on: its per-client
-// effective mask on version-2 segments, the segment's global mask on
-// version 1.
+// effective mask.
 func (c *Client) Mask() uint64 { return c.mask.Load() }
 
 // CPU returns the logging handle for one processor slot. Handles are

@@ -2,25 +2,9 @@ package shm
 
 import (
 	"sync/atomic"
-	"time"
 
 	"k42trace/internal/clock"
 )
-
-// wallClock timestamps with wall-clock nanoseconds since the segment's
-// base instant — the version-1 segment clock, kept for reading old
-// segments. Its flaw is exposure to wall-clock steps: an NTP step
-// backwards mid-trace violates the per-CPU monotonicity the reserve loop
-// assumes. Version-2 segments use monoClock instead.
-type wallClock struct {
-	baseUnixNano int64
-}
-
-func (c wallClock) Now(cpu int) uint64 {
-	return uint64(time.Now().UnixNano() - c.baseUnixNano)
-}
-
-func (c wallClock) Hz() uint64 { return 1e9 }
 
 // counterClock is the deterministic segment clock: per-CPU tick counters
 // living in the mapping, advanced by fetch-add from whichever process
@@ -41,11 +25,11 @@ func (c counterClock) Hz() uint64 { return 1e9 }
 
 // monoClock timestamps with the machine's monotonic clock relative to the
 // base reading stored in the segment header: the shared, step-free
-// timebase of version-2 segments. CLOCK_MONOTONIC is per-machine, not
-// per-process, so stamps from every attached process are directly
-// comparable, and NTP can only slew it — never step it — so the per-CPU
-// monotonicity the reserve loop depends on cannot be broken by time
-// administration. Reads go through the vDSO (no kernel entry).
+// timebase of every segment not made deterministic. CLOCK_MONOTONIC is
+// per-machine, not per-process, so stamps from every attached process are
+// directly comparable, and NTP can only slew it — never step it — so the
+// per-CPU monotonicity the reserve loop depends on cannot be broken by
+// time administration. Reads go through the vDSO (no kernel entry).
 type monoClock struct {
 	baseMonoNano int64
 }
@@ -57,15 +41,10 @@ func (c monoClock) Now(cpu int) uint64 {
 func (c monoClock) Hz() uint64 { return 1e9 }
 
 // segClock selects the timestamp source recorded in the segment header,
-// so attachers of either version log in the timebase the segment was
-// created with.
+// so every attacher logs in the timebase the segment was created with.
 func segClock(s *segment) clock.Source {
-	switch s.words[hdrClockMode] {
-	case clockDeterministic:
+	if s.words[hdrClockMode] == clockDeterministic {
 		return counterClock{words: s.words, lay: s.lay}
-	case clockMonotonic:
-		return monoClock{baseMonoNano: int64(s.words[hdrBaseMonoNano])}
-	default:
-		return wallClock{baseUnixNano: int64(s.words[hdrBaseUnixNano])}
 	}
+	return monoClock{baseMonoNano: int64(s.words[hdrBaseMonoNano])}
 }

@@ -24,7 +24,7 @@ type Info struct {
 	CreateNano   int64
 	// Doorbell is the seal count producers have rung; AgentWaiting is
 	// whether the daemon was parked on it (or about to be) at snapshot
-	// time. Version-2 segments only (zero on version 1).
+	// time.
 	Doorbell     uint64
 	AgentWaiting bool
 	Clients      []ClientInfo
@@ -33,9 +33,8 @@ type Info struct {
 
 // ClientInfo describes one occupied client-table slot. The raw RegNano
 // and LeaseNano stamps are in the segment's lease timebase (monotonic
-// ticks on version 2, wall nanoseconds on version 1); the Age fields are
-// computed against the same timebase at snapshot time, so they are
-// meaningful for either version.
+// ticks); the Age fields are computed against the same timebase at
+// snapshot time.
 type ClientInfo struct {
 	Slot      int
 	Pid       int
@@ -46,8 +45,8 @@ type ClientInfo struct {
 	// client attached and was last observed alive.
 	RegAgeNano   int64
 	LeaseAgeNano int64
-	// MaskOverride and MaskEff are the client's per-client mask words
-	// (version 2; both zero on version 1). MaskEff is what its arenas
+	// MaskOverride and MaskEff are the client's per-client mask words.
+	// MaskEff is what its arenas
 	// actually gate on: the global mask AND the override.
 	MaskOverride uint64
 	MaskEff      uint64
@@ -72,14 +71,10 @@ type SlotInfo struct {
 }
 
 func clockModeName(mode uint64) string {
-	switch mode {
-	case clockDeterministic:
+	if mode == clockDeterministic {
 		return "deterministic"
-	case clockMonotonic:
-		return "monotonic"
-	default:
-		return "wall"
 	}
+	return "monotonic"
 }
 
 // Inspect snapshots the segment at path without attaching as a client or
@@ -96,7 +91,7 @@ func Inspect(path string) (*Info, error) {
 	info := &Info{
 		Path:         path,
 		Geometry:     lay.geo,
-		Version:      s.version,
+		Version:      s.words[hdrVersion],
 		State:        stateName(s.state()),
 		ClockMode:    clockModeName(s.words[hdrClockMode]),
 		Mask:         wordAtomic(s.words, hdrMask).Load(),
@@ -106,9 +101,9 @@ func Inspect(path string) (*Info, error) {
 		AgentWaiting: wordAtomic(s.words, hdrAgentWait).Load() != 0,
 	}
 	// Client ages must be computed in the timebase the stamps were written
-	// in — the segment's lease timebase — not raw wall time: against a
-	// version-2 segment's monotonic-tick stamps, wall-clock arithmetic
-	// yields ages off by the whole unix epoch.
+	// in — the segment's lease timebase — not raw wall time: against
+	// monotonic-tick stamps, wall-clock arithmetic yields ages off by the
+	// whole unix epoch.
 	now := int64(s.leaseNow())
 	for slot := 0; slot < lay.geo.MaxClients; slot++ {
 		pid := wordAtomic(s.words, lay.clientWord(slot, clientPid)).Load()
@@ -159,7 +154,7 @@ func Inspect(path string) (*Info, error) {
 	return info, nil
 }
 
-// Format writes the snapshot as the text report tracecheck -shm prints.
+// Format writes the snapshot as the text report ktrace check -shm prints.
 func (i *Info) Format(w io.Writer) {
 	g := i.Geometry
 	fmt.Fprintf(w, "segment %s (version %d)\n", i.Path, i.Version)
@@ -167,13 +162,11 @@ func (i *Info) Format(w io.Writer) {
 		g.CPUs, g.NumBufs, g.BufWords, g.CPUs*g.NumBufs*g.BufWords*8/1024, g.MaxClients)
 	fmt.Fprintf(w, "  state: %s  mask: %#016x  clock: %s (created %s)\n",
 		i.State, i.Mask, i.ClockMode, time.Unix(0, i.CreateNano).Format(time.RFC3339))
-	if i.Version >= 2 {
-		agent := "awake"
-		if i.AgentWaiting {
-			agent = "waiting"
-		}
-		fmt.Fprintf(w, "  doorbell: %d rings, agent %s\n", i.Doorbell, agent)
+	agent := "awake"
+	if i.AgentWaiting {
+		agent = "waiting"
 	}
+	fmt.Fprintf(w, "  doorbell: %d rings, agent %s\n", i.Doorbell, agent)
 	fmt.Fprintf(w, "  clients: %d attached\n", len(i.Clients))
 	for _, c := range i.Clients {
 		pid := fmt.Sprintf("pid %d", c.Pid)
@@ -185,11 +178,9 @@ func (i *Info) Format(w io.Writer) {
 			time.Duration(c.RegAgeNano).Round(time.Millisecond),
 			time.Duration(c.LeaseAgeNano).Round(time.Millisecond),
 			c.Inflight)
-		if i.Version >= 2 {
-			fmt.Fprintf(w, ", eff mask %#016x", c.MaskEff)
-			if c.MaskOverride != ^uint64(0) {
-				fmt.Fprintf(w, " (narrowed, override %#016x)", c.MaskOverride)
-			}
+		fmt.Fprintf(w, ", eff mask %#016x", c.MaskEff)
+		if c.MaskOverride != ^uint64(0) {
+			fmt.Fprintf(w, " (narrowed, override %#016x)", c.MaskOverride)
 		}
 		fmt.Fprintln(w)
 	}

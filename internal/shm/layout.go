@@ -15,7 +15,7 @@
 //     clients by pid liveness, and seals buffers garbled by processes
 //     killed between reserve and commit as anomalous.
 //   - Client (ktrace.Attach) attaches to an existing segment and logs.
-//   - Inspect (tracecheck -shm) reads a live segment without stopping
+//   - Inspect (ktrace check -shm) reads a live segment without stopping
 //     anyone.
 package shm
 
@@ -29,15 +29,12 @@ import (
 // segMagic begins every segment file: "K42SHSEG" little-endian.
 const segMagic uint64 = 0x474553485332344B
 
-// segVersion is the current layout version. Version 2 added the
-// monotonic timebase (hdrBaseMonoNano), the drain doorbell
-// (hdrDoorbell/hdrAgentWait), and per-client masks in the client table —
-// all carved out of words that were reserved-zero in version 1, so the
-// section layout is identical and version-1 segments remain readable.
+// segVersion is the layout version, and the only one openSegment
+// accepts. Version 2 added the monotonic timebase (hdrBaseMonoNano), the
+// drain doorbell (hdrDoorbell/hdrAgentWait), and per-client masks in the
+// client table. A version-1 segment is refused: segments live on tmpfs
+// for one boot, and every writer in the tree creates version 2.
 const segVersion = 2
-
-// segMinVersion is the oldest layout openSegment still accepts.
-const segMinVersion = 1
 
 // Header word indexes. The header is the segment's first 16 words; fields
 // below hdrState are immutable after creation, so readers validate them
@@ -54,10 +51,8 @@ const (
 	hdrBaseUnixNano = 7  // wall-clock instant of segment tick 0
 	hdrMask         = 8  // live trace mask (atomic)
 	hdrState        = 9  // live segment state (atomic): see seg* below
-	hdrClockMode    = 10 // clockWall, clockDeterministic or clockMonotonic
+	hdrClockMode    = 10 // clockDeterministic or clockMonotonic
 	hdrCreateNano   = 11 // creation time, unix nanoseconds (informational)
-
-	// Version 2 fields (zero in version-1 segments).
 
 	// hdrBaseMonoNano is the CLOCK_MONOTONIC reading at segment tick 0:
 	// the shared timebase every attached process subtracts from its own
@@ -83,37 +78,32 @@ const (
 	segClosing                // daemon shutting down; clients must stop
 )
 
-// Clock modes, stored in hdrClockMode.
+// Clock modes, stored in hdrClockMode. The numbers are part of the
+// version-2 header; 0 was version 1's wall clock.
 const (
-	// clockWall timestamps with wall-clock nanoseconds since
-	// hdrBaseUnixNano — system-wide consistent, so streams from different
-	// processes merge by timestamp directly (the paper's synchronized
-	// timebase regime).
-	clockWall uint64 = iota
 	// clockDeterministic timestamps with a per-CPU shared counter word:
 	// every reservation on a CPU gets the next tick regardless of which
 	// process made it. Only for reproducible tests.
-	clockDeterministic
+	clockDeterministic uint64 = 1
 	// clockMonotonic timestamps with the machine's monotonic clock
 	// relative to hdrBaseMonoNano — step-free (NTP slews but never steps
 	// it) and identical in every process, so cross-process streams merge
 	// by timestamp without exposure to wall-clock adjustments. The
-	// version-2 default; hdrBaseUnixNano still records the wall instant
-	// of tick 0 so tools can print human time.
-	clockMonotonic
+	// default; hdrBaseUnixNano still records the wall instant of tick 0
+	// so tools can print human time.
+	clockMonotonic uint64 = 2
 )
 
 // Client-table entry word offsets. Each entry is clientWords words.
-// Registration and lease stamps are in the segment's lease timebase:
-// monotonic ticks for version-2 segments, wall-clock unix nanoseconds
-// for version 1 (see segment.leaseNow).
+// Registration and lease stamps are in the segment's lease timebase,
+// monotonic ticks (see segment.leaseNow).
 const (
 	clientPid     = 0 // 0 free, ^0 being reaped, else the attached pid
 	clientRegNano = 1 // attach time (lease timebase)
 	clientLease   = 2 // last time the daemon observed the pid alive (lease timebase)
 
-	// Version 2: per-client trace masks. clientMaskOverride is the
-	// operator's per-client narrowing (all-ones = no restriction);
+	// Per-client trace masks. clientMaskOverride is the operator's
+	// per-client narrowing (all-ones = no restriction);
 	// clientMaskEff is the word the client's arenas actually gate on,
 	// maintained by the daemon as hdrMask & override. Splitting the two
 	// keeps the client's hot path at a single mask load while letting
@@ -140,9 +130,9 @@ type Geometry struct {
 	NumBufs  int
 	// MaxClients bounds concurrently attached processes (default 64).
 	MaxClients int
-	// DeterministicClock replaces the wall clock with shared per-CPU tick
-	// counters so identical logging sequences produce identical traces
-	// regardless of scheduling. Only for reproducible tests.
+	// DeterministicClock replaces the monotonic clock with shared per-CPU
+	// tick counters so identical logging sequences produce identical
+	// traces regardless of scheduling. Only for reproducible tests.
 	DeterministicClock bool
 }
 

@@ -5,7 +5,6 @@ import (
 	"os"
 	"sync/atomic"
 	"syscall"
-	"time"
 	"unsafe"
 )
 
@@ -14,11 +13,10 @@ import (
 // on words of the mapping; the page-aligned mapping plus word-granular
 // offsets guarantee the 8-byte alignment the atomics need.
 type segment struct {
-	f       *os.File
-	mem     []byte
-	words   []uint64
-	lay     layout
-	version uint64
+	f     *os.File
+	mem   []byte
+	words []uint64
+	lay   layout
 }
 
 // wordAtomic views one mapped word as an atomic.Uint64, which is a plain
@@ -67,7 +65,6 @@ func createSegment(path string, g Geometry) (*segment, error) {
 		return nil, err
 	}
 	s.lay = lay
-	s.version = segVersion
 	w := s.words
 	w[hdrMagic] = segMagic
 	w[hdrVersion] = segVersion
@@ -115,12 +112,11 @@ func openSegment(path string, readOnly bool) (*segment, error) {
 		s.close()
 		return nil, fmt.Errorf("shm: %s is not a trace segment (bad magic)", path)
 	}
-	if v := w[hdrVersion]; v < segMinVersion || v > segVersion {
+	if v := w[hdrVersion]; v != segVersion {
 		s.close() // unmaps w: read v before, not after
-		return nil, fmt.Errorf("shm: %s: unsupported segment version %d (this build reads %d..%d)",
-			path, v, segMinVersion, segVersion)
+		return nil, fmt.Errorf("shm: %s: unsupported segment version %d (this build reads %d)",
+			path, v, segVersion)
 	}
-	s.version = w[hdrVersion]
 	g := Geometry{
 		CPUs:               int(w[hdrCPUs]),
 		BufWords:           int(w[hdrBufWords]),
@@ -145,15 +141,11 @@ func openSegment(path string, readOnly bool) (*segment, error) {
 func (s *segment) state() uint64 { return wordAtomic(s.words, hdrState).Load() }
 
 // leaseNow returns the current instant in the segment's lease timebase:
-// monotonic ticks since hdrBaseMonoNano for version-2 segments (correct
-// whatever the *event* clock mode, including deterministic, whose tick
-// counters must not be perturbed by lease bookkeeping), wall-clock unix
-// nanoseconds for version 1.
+// monotonic ticks since hdrBaseMonoNano, correct whatever the *event*
+// clock mode, including deterministic, whose tick counters must not be
+// perturbed by lease bookkeeping.
 func (s *segment) leaseNow() uint64 {
-	if s.version >= 2 {
-		return uint64(nanotime() - int64(s.words[hdrBaseMonoNano]))
-	}
-	return uint64(time.Now().UnixNano())
+	return uint64(nanotime() - int64(s.words[hdrBaseMonoNano]))
 }
 
 // ring bumps the drain doorbell after a seal and wakes the agent if (and

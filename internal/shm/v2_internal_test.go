@@ -1,6 +1,7 @@
 package shm
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -10,89 +11,26 @@ import (
 	"k42trace/internal/event"
 )
 
-// rewriteAsV1 turns a freshly created segment file into a faithful
-// version-1 segment: version word 1, wall clock, the words version 2
-// carved out of the reserved range zeroed, and wall-clock lease stamps
-// implied. This is exactly what a version-1 ktraced would have produced.
-func rewriteAsV1(t *testing.T, path string, g Geometry) {
-	t.Helper()
-	s, err := createSegment(path, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := uint64(time.Now().UnixNano())
-	s.words[hdrVersion] = 1
-	s.words[hdrClockMode] = clockWall
-	s.words[hdrClockHz] = 1e9
-	s.words[hdrBaseUnixNano] = now
-	s.words[hdrCreateNano] = now
-	s.words[hdrBaseMonoNano] = 0
-	s.words[hdrDoorbell] = 0
-	s.words[hdrAgentWait] = 0
-	wordAtomic(s.words, hdrMask).Store(^uint64(0))
-	wordAtomic(s.words, hdrState).Store(segReady)
-	if err := s.close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestVersion1SegmentStaysReadable: the v2 layout bump must not orphan
-// old segments — a v1 segment attaches, logs gated on the global header
-// mask (a v1 daemon never maintains per-client eff words), and inspects
-// with sane wall-clock lease ages.
-func TestVersion1SegmentStaysReadable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.shm")
-	g := Geometry{CPUs: 1, BufWords: 64, NumBufs: 2, MaxClients: 2}
-	rewriteAsV1(t, path, g)
-
-	c, err := Attach(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.seg.version != 1 {
-		t.Fatalf("attached version %d, want 1", c.seg.version)
-	}
-	// Gating is the global mask: the eff word a v2 daemon would maintain
-	// is dead storage here and must not be consulted.
-	if c.Mask() != ^uint64(0) {
-		t.Fatalf("v1 client mask %#x, want all-ones (global header mask)", c.Mask())
-	}
-	if !c.CPU(0).Log1(event.MajorTest, 1, 42) {
-		t.Error("logging to a v1 segment failed")
-	}
-	// leaseNow on v1 is wall nanoseconds.
-	if got := int64(c.seg.leaseNow()); got < time.Now().Add(-time.Minute).UnixNano() {
-		t.Errorf("v1 leaseNow %d is not wall-clock-recent", got)
-	}
-	if err := c.Detach(); err != nil {
-		t.Fatal(err)
-	}
-
-	info, err := Inspect(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != 1 || info.ClockMode != "wall" {
-		t.Errorf("Inspect version=%d clock=%s, want 1/wall", info.Version, info.ClockMode)
-	}
-	var sb strings.Builder
-	info.Format(&sb)
-	if !strings.Contains(sb.String(), "version 1") {
-		t.Errorf("Format missing version: %s", sb.String())
-	}
-}
-
+// TestFutureVersionRejected: a segment of any version but segVersion — the
+// retired version 1 as much as a newer one — is refused by Attach and by
+// Inspect (and so by ktrace check -shm) with the unsupported-version error.
 func TestFutureVersionRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v9.shm")
-	s, err := createSegment(path, Geometry{CPUs: 1, BufWords: 64, NumBufs: 2, MaxClients: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.words[hdrVersion] = segVersion + 1
-	wordAtomic(s.words, hdrState).Store(segReady)
-	s.close()
-	if _, err := Attach(path); err == nil {
-		t.Error("future segment version must be rejected")
+	for _, v := range []uint64{1, segVersion + 1} {
+		path := filepath.Join(t.TempDir(), "v.shm")
+		s, err := createSegment(path, Geometry{CPUs: 1, BufWords: 64, NumBufs: 2, MaxClients: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.words[hdrVersion] = v
+		wordAtomic(s.words, hdrState).Store(segReady)
+		s.close()
+		want := fmt.Sprintf("unsupported segment version %d", v)
+		if _, err := Attach(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Attach of a version-%d segment: %v, want %q", v, err, want)
+		}
+		if _, err := Inspect(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Inspect of a version-%d segment: %v, want %q", v, err, want)
+		}
 	}
 }
 

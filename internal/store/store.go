@@ -29,7 +29,9 @@ type Options struct {
 	// RetainBytes caps a tenant's total segment bytes; GC drops the oldest
 	// segments until under budget (0 = no byte limit).
 	RetainBytes int64
-	// Workers bounds per-query and per-ingest decode parallelism
+	// Workers bounds the goroutines a query scans its segments on and
+	// the scratch kept for them (0 = 8), and the decode and aggregation
+	// workers of ingest, index builds and formatted answers
 	// (0 = GOMAXPROCS).
 	Workers int
 	// CacheBytes budgets the segment-level query result cache (LRU by

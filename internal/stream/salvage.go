@@ -131,6 +131,9 @@ type SalvageReport struct {
 	Stats           core.DecodeStats // aggregated over decoded blocks
 
 	PerCPU []CPUSalvage // sorted by CPU; only CPUs with surviving blocks
+	// Anomalous holds the headers of the surviving blocks their writer
+	// flagged anomalous (a commit-count mismatch), in write-out order.
+	Anomalous []BlockHeader
 }
 
 // Clean reports whether the trace needed no salvage at all.
@@ -377,6 +380,9 @@ func assemble(kept []*SalvagedBlock, rep *SalvageReport) []SalvagedBlock {
 			}
 			out = append(out, *b)
 			cs.Blocks++
+			if b.Hdr.Anomalous() {
+				rep.Anomalous = append(rep.Anomalous, b.Hdr)
+			}
 		}
 		rep.DupBlocks += cs.DupBlocks
 		rep.Reordered += cs.Reordered

@@ -328,11 +328,11 @@ type TimeBreak = analysis.TimeBreak
 type Timeline = analysis.Timeline
 
 // TimelineExport is the exact-span timeline export: JSON data plus the
-// self-contained interactive HTML renderer (kmon -html, tracediff -html).
+// self-contained interactive HTML renderer (ktrace kmon -html, ktrace diff -html).
 type TimelineExport = analysis.TimelineExport
 
 // Occupancy is the windowed per-mode/per-CPU/per-major occupancy
-// aggregate underlying the differential (tracediff) analysis.
+// aggregate underlying the differential (ktrace diff) analysis.
 type Occupancy = analysis.Occupancy
 
 // WriteTimelineHTML renders one or more exported timelines stacked in a
@@ -383,7 +383,7 @@ type ShmAgent = shm.Agent
 // ShmGeometry describes a segment to create.
 type ShmGeometry = shm.Geometry
 
-// ShmInfo is a live segment snapshot (tracecheck -shm).
+// ShmInfo is a live segment snapshot (ktrace check -shm).
 type ShmInfo = shm.Info
 
 // Attach maps the shared trace segment at path and claims a client slot;
