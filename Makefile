@@ -83,15 +83,17 @@ stress:
 		GOMAXPROCS=$$n $(GO) test -race -count=$(STRESS_COUNT) -run '^($(STRESS_RUN))' $(STRESS_PKGS) \
 			|| { echo "stress: failed at GOMAXPROCS=$$n"; exit 1; }; done
 
-# Fuzz the decoders and the event renderer: the seed corpus lives
-# under each package's testdata/fuzz (regenerate with go test <pkg>
-# -updatefuzzseeds). Go only allows one fuzz target per invocation, hence
-# one line per target.
+# Fuzz the decoders — block, trace file and index sidecar — and the event
+# renderer: the seed corpus lives under each package's testdata/fuzz
+# (regenerate with go test <pkg> -updatefuzzseeds) or, for the sidecar, in
+# the target's f.Add calls. Go only allows one fuzz target per invocation,
+# hence one line per target.
 fuzz:
 	$(GO) test ./internal/core/ -fuzz='^FuzzDecodeBlock$$' -fuzztime=$(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/event/ -fuzz='^FuzzAppendText$$' -fuzztime=$(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/stream/ -fuzz='^FuzzReadStream$$' -fuzztime=$(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/stream/ -fuzz='^FuzzSalvage$$' -fuzztime=$(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/stream/ -fuzz='^FuzzDecodeIndex$$' -fuzztime=$(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/store/ -fuzz='^FuzzQueryParams$$' -fuzztime=$(FUZZTIME) -run '^$$'
 
 # The layer microbenchmarks — the offline suite at the repo root plus the

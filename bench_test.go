@@ -489,23 +489,38 @@ func BenchmarkC7RandomAccess(b *testing.B) {
 			}
 		}
 	})
-	b.Run("build-time-index", func(b *testing.B) {
+	// The one time index is the full index: built by decoding every block,
+	// on one worker and on all of them, or read back from its sidecar.
+	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("build-full-index/workers=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := rd.BuildFullIndex(w, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	fi, err := rd.BuildFullIndex(0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("load-sidecar", func(b *testing.B) {
+		side := filepath.Join(b.TempDir(), "c7.ktr.kix")
+		if err := stream.SaveIndex(side, fi); err != nil {
+			b.Fatal(err)
+		}
 		for i := 0; i < b.N; i++ {
-			if _, err := rd.BuildIndex(); err != nil {
+			if _, err := stream.LoadIndex(side, rd.Meta(), rd.NumBlocks()); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	// "Jump to the middle of the trace": every CPU's events inside the time
-	// span of CPU 0's middle block, found by binary search over the index.
+	// span of the middle block, the blocks found by their exact bounds.
 	b.Run("window-via-index", func(b *testing.B) {
-		ix, err := rd.BuildIndex()
-		if err != nil {
-			b.Fatal(err)
-		}
-		mid := ix.PerCPU[0][len(ix.PerCPU[0])/2:]
+		from, to := fi.Blocks[mid].MinTime, fi.Blocks[mid+1].MinTime
 		for i := 0; i < b.N; i++ {
-			if evs, err := rd.EventsBetween(ix, mid[0].Start, mid[1].Start); err != nil || len(evs) == 0 {
+			if evs, err := rd.EventsBetween(fi, from, to); err != nil || len(evs) == 0 {
 				b.Fatalf("window read: %d events, %v", len(evs), err)
 			}
 		}

@@ -1,16 +1,21 @@
 package ktrace_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 )
 
 // TestDocsReferToWhatExists: every cmd/, examples/ and internal/ path that
-// README.md or DESIGN.md names exists, and every `ktrace <verb>` README.md
-// shows is in cmd/ktrace's verb table — so a deletion cannot leave the docs
-// pointing at what is gone.
+// README.md or DESIGN.md names exists, every `<pkg>.<Name>` they name for a
+// package under internal/ is declared at the top level of that package, and
+// every `ktrace <verb>` README.md shows is in cmd/ktrace's verb table — so a
+// deletion or a rename cannot leave the docs pointing at what is gone.
 func TestDocsReferToWhatExists(t *testing.T) {
 	src, err := os.ReadFile("cmd/ktrace/main.go")
 	if err != nil {
@@ -23,8 +28,19 @@ func TestDocsReferToWhatExists(t *testing.T) {
 	if len(verbs) == 0 {
 		t.Fatal("no verb table in cmd/ktrace/main.go")
 	}
+	pkgs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := map[string]map[string]bool{}
+	for _, p := range pkgs {
+		if p.IsDir() {
+			decls[p.Name()] = topLevelNames(t, filepath.Join("internal", p.Name()))
+		}
+	}
 
 	path := regexp.MustCompile(`\b(?:cmd|examples|internal)(?:/[A-Za-z0-9_.-]+)+`)
+	name := regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)`)
 	verb := regexp.MustCompile(`\bktrace ([a-z]+)\b`)
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		text, err := os.ReadFile(doc)
@@ -32,14 +48,19 @@ func TestDocsReferToWhatExists(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range path.FindAllString(string(text), -1) {
-			// A trailing ".Name" is a Go identifier in that package, and a
-			// trailing "." ends the sentence.
-			if i := strings.LastIndexByte(p, '.'); i > strings.LastIndexByte(p, '/') &&
-				(i == len(p)-1 || p[i+1] >= 'A' && p[i+1] <= 'Z') {
+			// A trailing ".Name" — or ".Type.Method" — is a Go identifier
+			// in that package, and a trailing "." ends the sentence.
+			for i := strings.LastIndexByte(p, '.'); i > strings.LastIndexByte(p, '/') &&
+				(i == len(p)-1 || p[i+1] >= 'A' && p[i+1] <= 'Z'); i = strings.LastIndexByte(p, '.') {
 				p = p[:i]
 			}
 			if _, err := os.Stat(p); err != nil {
 				t.Errorf("%s names %s, which does not exist", doc, p)
+			}
+		}
+		for _, m := range name.FindAllStringSubmatch(string(text), -1) {
+			if names, ok := decls[m[1]]; ok && !names[m[2]] {
+				t.Errorf("%s names %s.%s, which internal/%s does not declare", doc, m[1], m[2], m[1])
 			}
 		}
 		if doc != "README.md" {
@@ -51,4 +72,45 @@ func TestDocsReferToWhatExists(t *testing.T) {
 			}
 		}
 	}
+}
+
+// topLevelNames returns what the non-test Go files in dir declare at the
+// top level — functions, types, variables and constants, not methods.
+func topLevelNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }

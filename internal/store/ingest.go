@@ -185,17 +185,16 @@ type segBuilder struct {
 
 // segState is the segment a segBuilder is writing; begin starts it afresh.
 type segState struct {
-	id        uint64
-	path      string
-	f         *os.File
-	sums      []stream.BlockSummary
-	nextSeq   []uint64 // per-CPU renumbering
-	entry     []uint64 // per-CPU entry pid (the carry when the CPU first appears)
-	seen      []bool
-	lastStart []uint64 // per-CPU Start of the CPU's latest block, for clamping
-	minT      uint64
-	maxT      uint64
-	events    uint64
+	id      uint64
+	path    string
+	f       *os.File
+	sums    []stream.BlockSummary
+	nextSeq []uint64 // per-CPU renumbering
+	entry   []uint64 // per-CPU entry pid (the carry when the CPU first appears)
+	seen    []bool
+	minT    uint64
+	maxT    uint64
+	events  uint64
 }
 
 func newSegBuilder(dir string, meta stream.Meta) (*segBuilder, error) {
@@ -219,12 +218,11 @@ func (sb *segBuilder) Write(p []byte) (int, error) {
 func (sb *segBuilder) begin(id uint64) error {
 	n := sb.meta.CPUs
 	sb.segState = segState{
-		id:        id,
-		path:      filepath.Join(sb.dir, fmt.Sprintf("seg-%08d.ktr", id)),
-		nextSeq:   make([]uint64, n),
-		entry:     make([]uint64, n),
-		seen:      make([]bool, n),
-		lastStart: make([]uint64, n),
+		id:      id,
+		path:    filepath.Join(sb.dir, fmt.Sprintf("seg-%08d.ktr", id)),
+		nextSeq: make([]uint64, n),
+		entry:   make([]uint64, n),
+		seen:    make([]bool, n),
 	}
 	f, err := os.Create(sb.path)
 	if err != nil {
@@ -241,9 +239,9 @@ func (sb *segBuilder) begin(id uint64) error {
 // place gives the next block its place in the segment: it returns h
 // renumbered to the segment's per-CPU sequence, for the caller to write the
 // block under, and keeps the block's summary row. d is the block's digest
-// with its anchor read and its entry pid entered; the row is identical to
-// what BuildFullIndex would compute when reopening the written segment with
-// this builder's entry pids as seed.
+// with its entry pid entered; the row is identical to what BuildFullIndex
+// would compute when reopening the written segment with this builder's
+// entry pids as seed.
 func (sb *segBuilder) place(h stream.BlockHeader, d *stream.BlockDigest) stream.BlockHeader {
 	cpu := h.CPU
 	if !sb.seen[cpu] {
@@ -254,14 +252,7 @@ func (sb *segBuilder) place(h stream.BlockHeader, d *stream.BlockDigest) stream.
 	sb.nextSeq[cpu]++
 
 	bs := d.Sum
-	bs.CPU = cpu
-	bs.Seq = h.Seq
-	bs.Start, bs.Flagged = d.Start, !d.Anchored
-	if bs.Start < sb.lastStart[cpu] {
-		bs.Start, bs.Flagged = sb.lastStart[cpu], true
-	}
-	sb.lastStart[cpu] = bs.Start
-
+	bs.CPU, bs.Seq = cpu, h.Seq
 	if sb.events == 0 || bs.MinTime < sb.minT {
 		sb.minT = bs.MinTime
 	}

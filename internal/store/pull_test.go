@@ -132,12 +132,13 @@ func rotBlock(t *testing.T, data []byte, block int) []byte {
 					break
 				}
 			}
-			if first, anchored := stream.AnchorTimeWords(words); at >= 0 && anchored {
-				words[at] = uint64(event.MakeHeader(uint32(first), 2, event.MajorControl, event.CtrlClockAnchor))
-				words[at+1] = first
-			} else {
+			anchor := event.Header(words[0])
+			if at < 0 || anchor.Major() != event.MajorControl || anchor.Minor() != event.CtrlClockAnchor || anchor.Len() < 2 {
 				t.Fatalf("block %d: no anchor, or no two-word event to rewrite", block)
 			}
+			first := words[1]
+			words[at] = uint64(event.MakeHeader(uint32(first), 2, event.MajorControl, event.CtrlClockAnchor))
+			words[at+1] = first
 		}
 		if err := wr.WriteBlock(h, words); err != nil {
 			t.Fatal(err)

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -398,8 +400,30 @@ func TestRecoverySweepsOrphans(t *testing.T) {
 	}
 }
 
+// asVersion1 rewrites a sidecar in the layout an older build wrote: each
+// 15-word record gains a start word after its seq (here the block's
+// MinTime) to make 16, the version word says 1, and the checksum — FNV-64a
+// of everything after it — is recomputed.
+func asVersion1(b []byte) []byte {
+	le := binary.LittleEndian
+	const hdr, rec = 8 * 8, 15 * 8
+	out := append([]byte(nil), b[:hdr]...)
+	le.PutUint64(out[8:], 1)
+	for r := b[hdr:]; len(r) >= rec; r = r[rec:] {
+		out = append(out, r[:16]...)
+		out = append(out, r[16:24]...)
+		out = append(out, r[16:rec]...)
+	}
+	h := fnv.New64a()
+	h.Write(out[24:])
+	le.PutUint64(out[16:], h.Sum64())
+	return out
+}
+
 // TestSidecarLossAndCorruptionAtOpen: segments answer queries identically
-// whether their index sidecar is present, deleted, or garbage.
+// whether their index sidecar is present, deleted, garbage, or one an older
+// build wrote at index version 1 — and that last one is rewritten at the
+// current version, byte for byte what ingest wrote.
 func TestSidecarLossAndCorruptionAtOpen(t *testing.T) {
 	root := t.TempDir()
 	data := sdetSpill(t, 5)
@@ -410,13 +434,24 @@ func TestSidecarLossAndCorruptionAtOpen(t *testing.T) {
 	s.Close()
 
 	sidecars, _ := filepath.Glob(filepath.Join(root, "acme", "*.kix"))
-	if len(sidecars) < 2 {
-		t.Fatalf("want >= 2 sidecars, got %d", len(sidecars))
+	if len(sidecars) < 3 {
+		t.Fatalf("want >= 3 sidecars, got %d", len(sidecars))
 	}
 	if err := os.Remove(sidecars[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(sidecars[1], []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	current, err := os.ReadFile(sidecars[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := asVersion1(current)
+	if _, err := stream.DecodeIndex(old); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("a version-1 sidecar decodes with %v, want the version refused", err)
+	}
+	if err := os.WriteFile(sidecars[2], old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -433,6 +468,14 @@ func TestSidecarLossAndCorruptionAtOpen(t *testing.T) {
 		if !sameEvents(got.Events, want) {
 			t.Errorf("%v: results differ after sidecar damage", p.Values().Encode())
 		}
+	}
+	upgraded, err := os.ReadFile(sidecars[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stream.DecodeIndex(upgraded); err != nil || !bytes.Equal(upgraded, current) {
+		t.Errorf("the version-1 sidecar was not rewritten as ingest wrote it (%d bytes, want %d): %v",
+			len(upgraded), len(current), err)
 	}
 }
 

@@ -25,7 +25,8 @@ const fuzzInputCap = 1 << 20
 
 // FuzzReadStream feeds arbitrary bytes to both trace consumers — the
 // random-access Reader and the sequential BlockStream. Neither may panic,
-// and the Reader must stay worker-count deterministic even on garbage.
+// the Reader must stay worker-count deterministic even on garbage, and a
+// window read through the index must be the whole read, filtered.
 func FuzzReadStream(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("K42TRACE"))
@@ -55,11 +56,18 @@ func FuzzReadStream(f *testing.F) {
 				if !reflect.DeepEqual(evs1, all) {
 					t.Fatal("merged read differs from the stable sort of its blocks")
 				}
+				// A window read through the index is the whole read
+				// filtered to the window.
+				fi, err := rd.BuildFullIndex(2, nil)
+				if err != nil {
+					t.Fatalf("the index refuses a file the whole read takes: %v", err)
+				}
+				checkWindow(t, rd, fi, 0, ^uint64(0))
+				if n := len(evs1); n > 0 {
+					checkWindow(t, rd, fi, evs1[n/4].Time, evs1[3*n/4].Time)
+				}
 			}
 			rd.Anomalies()
-			if ix, err := rd.BuildIndex(); err == nil {
-				rd.EventsBetween(ix, 0, ^uint64(0))
-			}
 		}
 		if bs, err := NewBlockStream(bytes.NewReader(b)); err == nil {
 			for {
@@ -67,6 +75,48 @@ func FuzzReadStream(f *testing.F) {
 					break
 				}
 			}
+		}
+	})
+}
+
+// FuzzDecodeIndex drives the sidecar decoder past its checksum: each input
+// gets a correct checksum word before it is decoded, so the fuzzer reaches
+// the field checks behind it. DecodeIndex must never panic, and an index it
+// accepts must round-trip through EncodeIndex and DecodeIndex unchanged.
+func FuzzDecodeIndex(f *testing.F) {
+	data := runSchedCapture(f, 2, 32, 200)
+	rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	fi, err := rd.BuildFullIndex(1, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := EncodeIndex(fi)
+	f.Add(valid)
+	overflow := append([]byte(nil), valid...)
+	putWord(overflow, 6, uint64(len(fi.Blocks))+1<<61) // wraps (header + records)·8
+	f.Add(overflow)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) > fuzzInputCap {
+			t.Skip()
+		}
+		if len(b) >= idxHdrWords*8 {
+			b = append([]byte(nil), b...)
+			putWord(b, 2, idxChecksum(b))
+		}
+		fi, err := DecodeIndex(b)
+		if err != nil {
+			return
+		}
+		again, err := DecodeIndex(EncodeIndex(fi))
+		if err != nil {
+			t.Fatalf("an accepted index does not decode once re-encoded: %v", err)
+		}
+		if !reflect.DeepEqual(again, fi) {
+			t.Fatal("an accepted index changes through EncodeIndex and DecodeIndex")
 		}
 	})
 }
@@ -171,9 +221,9 @@ func decodeDigested(t *testing.T, src io.ReaderAt, blocks []SalvagedBlock) []eve
 }
 
 // wholeDigest is the digest oracle: the block decoded whole, its events
-// summarised in one pass over the slice, and its anchor read from the words
-// — the digest as it was taken before a scan held only a chunk of a block's
-// events. It returns the events and the decode statistics besides.
+// summarised in one pass over the slice — the digest as it was taken before
+// a scan held only a chunk of a block's events. It returns the events and
+// the decode statistics besides.
 func wholeDigest(cpu int, words []uint64) (d BlockDigest, evs []event.Event, st core.DecodeStats) {
 	evs, st = core.DecodeInto(nil, cpu, words)
 	bs := &d.Sum
@@ -196,7 +246,6 @@ func wholeDigest(cpu int, words []uint64) (d BlockDigest, evs []event.Event, st 
 			bs.PidBloom.Add(d.exitPid)
 		}
 	}
-	d.Start, d.Anchored = AnchorTimeWords(words)
 	return d, evs, st
 }
 

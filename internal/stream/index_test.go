@@ -22,150 +22,92 @@ func zeroAnchor(t *testing.T, data []byte, bufWords, k int) {
 	}
 }
 
-// readAllFiltered is the ground truth for EventsBetween: the full decoded
-// merge, filtered by time.
-func readAllFiltered(t *testing.T, rd *Reader, from, to uint64) []event.Event {
+// checkWindow holds EventsBetween to its ground truth over one window: the
+// full decoded merge, filtered by time.
+func checkWindow(t *testing.T, rd *Reader, fi *FullIndex, from, to uint64) {
 	t.Helper()
+	got, err := rd.EventsBetween(fi, from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
 	all, _, err := rd.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []event.Event
+	var want []event.Event
 	for _, e := range all {
 		if e.Time >= from && e.Time < to {
-			out = append(out, e)
+			want = append(want, e)
 		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("EventsBetween(%d, %d) = %d events, full decode has %d", from, to, len(got), len(want))
+	}
+}
+
+// cpuBlocks lists each CPU's blocks, in file order.
+func cpuBlocks(fi *FullIndex) [][]int {
+	out := make([][]int, fi.Meta.CPUs)
+	for k := range fi.Blocks {
+		cpu := fi.Blocks[k].CPU
+		out[cpu] = append(out[cpu], k)
 	}
 	return out
 }
 
-func checkMonotone(t *testing.T, ix *Index) {
-	t.Helper()
-	for cpu, entries := range ix.PerCPU {
-		for i := 1; i < len(entries); i++ {
-			if entries[i].Start < entries[i-1].Start {
-				t.Fatalf("cpu %d: index entry %d Start %d < predecessor %d — unsorted index",
-					cpu, i, entries[i].Start, entries[i-1].Start)
-			}
-		}
-	}
-}
-
-// TestBuildIndexGarbledAnchor is the regression test for the anchorTime
-// fallback bug: a garbled anchor used to drop the block's Start to its
-// 32-bit header stamp (0 for a zeroed span), breaking the sorted-order
-// assumption sort.Search needs and silently wrecking SeekTime and
-// EventsBetween. Clamp-and-flag keeps the index sorted and the seeks
-// exact.
-func TestBuildIndexGarbledAnchor(t *testing.T) {
+// TestEventsBetweenGarbledAnchor: a block whose leading clock anchor was
+// destroyed is picked by the exact time bounds of what it still decodes
+// to, not by the anchor it lost, so windows that straddle the damaged
+// blocks return exactly the events the full decode sees.
+func TestEventsBetweenGarbledAnchor(t *testing.T) {
 	const bufWords = 64
 	data := runCapture(t, 2, bufWords, 600)
-	rd := newReader(t, data)
-	clean, err := rd.BuildIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clean.PerCPU[0]) < 3 || len(clean.PerCPU[1]) < 3 {
-		t.Fatalf("need >= 3 blocks per CPU, got %d/%d", len(clean.PerCPU[0]), len(clean.PerCPU[1]))
+	clean := buildFull(t, newReader(t, data), 2)
+	blocks := cpuBlocks(clean)
+	if len(blocks[0]) < 3 || len(blocks[1]) < 3 {
+		t.Fatalf("need >= 3 blocks per CPU, got %d/%d", len(blocks[0]), len(blocks[1]))
 	}
 
 	// Destroy an interior anchor on each CPU's stream.
-	for cpu := 0; cpu < 2; cpu++ {
-		zeroAnchor(t, data, bufWords, clean.PerCPU[cpu][1].Block)
+	for cpu := range blocks {
+		zeroAnchor(t, data, bufWords, blocks[cpu][1])
 	}
-	rd = newReader(t, data)
-	ix, err := rd.BuildIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMonotone(t, ix)
-	for cpu := 0; cpu < 2; cpu++ {
-		e := ix.PerCPU[cpu][1]
-		if !e.Flagged {
-			t.Errorf("cpu %d: garbled-anchor entry not flagged: %+v", cpu, e)
-		}
-		if want := ix.PerCPU[cpu][0].Start; e.Start != want {
-			t.Errorf("cpu %d: garbled entry Start = %d, want clamp to %d", cpu, e.Start, want)
-		}
-		if ix.PerCPU[cpu][2].Flagged {
-			t.Errorf("cpu %d: clean successor entry flagged", cpu)
+	rd := newReader(t, data)
+	fi := buildFull(t, rd, 2)
+	for cpu := range blocks {
+		if k := blocks[cpu][1]; fi.Blocks[k] == clean.Blocks[k] {
+			t.Fatalf("cpu %d: zeroing block %d's anchor left its summary as it was", cpu, k)
 		}
 	}
 
-	// Seeks over the damaged file must still return exactly the events the
-	// full decode sees, for windows that straddle the damaged blocks.
-	lo := clean.PerCPU[0][1].Start
-	hi := clean.PerCPU[0][2].Start + 5
-	for _, win := range [][2]uint64{{0, ^uint64(0)}, {lo, hi}, {lo + 3, lo + 4}, {hi, ^uint64(0)}} {
-		got, err := rd.EventsBetween(ix, win[0], win[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := readAllFiltered(t, rd, win[0], win[1])
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("EventsBetween(%d, %d) = %d events, full decode has %d",
-				win[0], win[1], len(got), len(want))
-		}
-	}
-
-	// SeekTime must point at (or before) the block that contains t.
-	blocks := ix.SeekTime(lo + 1)
-	for cpu, blk := range blocks {
-		entries := ix.PerCPU[cpu]
-		pos := -1
-		for i, e := range entries {
-			if e.Block == blk {
-				pos = i
-			}
-		}
-		if pos < 0 {
-			t.Fatalf("cpu %d: SeekTime returned unknown block %d", cpu, blk)
-		}
-		// Conservative: never a block that starts after t.
-		if entries[pos].Start > lo+1 {
-			t.Errorf("cpu %d: SeekTime block starts at %d > %d", cpu, entries[pos].Start, lo+1)
-		}
+	lo := clean.Blocks[blocks[0][1]].MinTime
+	hi := clean.Blocks[blocks[0][2]].MinTime + 5
+	for _, win := range [][2]uint64{{0, ^uint64(0)}, {lo, hi}, {lo + 1, hi}, {lo + 3, lo + 4}, {hi, ^uint64(0)}} {
+		checkWindow(t, rd, fi, win[0], win[1])
 	}
 }
 
-// TestBuildIndexAllZeroBlock pins the exact case from the issue: an
-// all-zero payload (header intact) yields a zero anchor and a zero header
-// stamp — Start would be 0 mid-stream.
-func TestBuildIndexAllZeroBlock(t *testing.T) {
+// TestEventsBetweenAllZeroBlock: an all-zero payload under an intact
+// header (a zero anchor and a zero header stamp mid-stream) decodes to no
+// events; its summary says so, and a whole-range read passes over it.
+func TestEventsBetweenAllZeroBlock(t *testing.T) {
 	const bufWords = 64
 	data := runCapture(t, 1, bufWords, 400)
-	rd := newReader(t, data)
-	clean, err := rd.BuildIndex()
-	if err != nil {
-		t.Fatal(err)
+	if n := len(buildFull(t, newReader(t, data), 1).Blocks); n < 4 {
+		t.Fatalf("need >= 4 blocks, got %d", n)
 	}
-	if len(clean.PerCPU[0]) < 4 {
-		t.Fatalf("need >= 4 blocks, got %d", len(clean.PerCPU[0]))
-	}
-	k := clean.PerCPU[0][2].Block
+	const k = 2
 	stride := int(blockStride(bufWords))
 	off := fileHdrWords*8 + k*stride + blockHdrWords*8
 	for i := 0; i < bufWords*8; i++ {
 		data[off+i] = 0
 	}
-	rd = newReader(t, data)
-	ix, err := rd.BuildIndex()
-	if err != nil {
-		t.Fatal(err)
+	rd := newReader(t, data)
+	fi := buildFull(t, rd, 1)
+	if bs := fi.Blocks[k]; bs.Events != 0 || bs.Overlaps(0, ^uint64(0)) {
+		t.Errorf("all-zero block summary = %+v, want no events", bs)
 	}
-	checkMonotone(t, ix)
-	e := ix.PerCPU[0][2]
-	if !e.Flagged || e.Start != ix.PerCPU[0][1].Start {
-		t.Errorf("all-zero block entry = %+v, want flagged clamp to %d", e, ix.PerCPU[0][1].Start)
-	}
-	got, err := rd.EventsBetween(ix, 0, ^uint64(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := readAllFiltered(t, rd, 0, ^uint64(0))
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("full-range EventsBetween = %d events, full decode has %d", len(got), len(want))
-	}
+	checkWindow(t, rd, fi, 0, ^uint64(0))
 }
 
 // plateauClock is a deterministic clock where several consecutive reads
@@ -191,10 +133,10 @@ func (c *plateauClock) Now(cpu int) uint64 {
 func (c *plateauClock) Hz() uint64 { return 1e9 }
 
 // TestEventsBetweenMatchesMergeTieOrder asserts tie-order parity between
-// the two read paths: Reader.EventsBetween (per-CPU concatenation + one
-// stable sort by time-then-CPU) and ReadAll (per-CPU streams + k-way
-// MergeByTime with the same tie-break). Same-timestamp events on multiple
-// CPUs must come back in the identical order from both.
+// the two read paths: Reader.EventsBetween (the window's blocks as runs
+// under MergeByTime) and ReadAll (per-CPU chains under MergeFrom with the
+// same tie-break). Same-timestamp events on multiple CPUs must come back in
+// the identical order from both.
 func TestEventsBetweenMatchesMergeTieOrder(t *testing.T) {
 	tr := core.MustNew(core.Config{
 		CPUs: 4, BufWords: 64, NumBufs: 4,
@@ -228,11 +170,8 @@ func TestEventsBetweenMatchesMergeTieOrder(t *testing.T) {
 		t.Fatal("corpus has no cross-CPU timestamp ties; tie-order not exercised")
 	}
 
-	ix, err := rd.BuildIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rd.EventsBetween(ix, 0, ^uint64(0))
+	fi := buildFull(t, rd, 2)
+	got, err := rd.EventsBetween(fi, 0, ^uint64(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +187,5 @@ func TestEventsBetweenMatchesMergeTieOrder(t *testing.T) {
 
 	// A sub-range must agree with the filtered merge, too.
 	mid := all[len(all)/2].Time
-	sub, err := rd.EventsBetween(ix, mid-2, mid+2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := readAllFiltered(t, rd, mid-2, mid+2); !reflect.DeepEqual(sub, want) {
-		t.Errorf("sub-range EventsBetween = %d events, filtered merge has %d", len(sub), len(want))
-	}
+	checkWindow(t, rd, fi, mid-2, mid+2)
 }

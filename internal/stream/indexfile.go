@@ -1,15 +1,13 @@
-// Persisted secondary indexes. BuildIndex gives time anchors, but it is
-// rebuilt from scratch on every open and knows nothing about what is
-// inside a block. This file adds both missing halves:
+// The trace file's one index, and its sidecar:
 //
 //   - FullIndex: per-block summaries (exact event-time bounds, a major
 //     bitmask, and bloom filters over (major,minor) pairs and attributed
-//     pids) that let a query scan only the blocks that could possibly
-//     match its predicates, and
+//     pids) that let a query — or a window read, EventsBetween — scan only
+//     the blocks that could possibly match its predicates, and
 //   - a versioned, checksummed on-disk sidecar (<trace>.kix) so reopening
-//     a large trace costs one small sequential read instead of a full
-//     header-and-anchor scan; a corrupt or stale sidecar falls back to a
-//     rebuild.
+//     a large trace costs one small sequential read instead of decoding
+//     every block; a corrupt, stale or other-version sidecar falls back to
+//     a rebuild.
 package stream
 
 import (
@@ -26,8 +24,9 @@ const IndexMagic uint64 = 0x315849525432344B
 
 // IndexVersion is the sidecar format version. Bump it whenever the record
 // layout or the summary semantics change; readers reject other versions
-// and rebuild.
-const IndexVersion = 1
+// and rebuild. Version 2 records are 15 words; version 1's were 16, with an
+// anchor start time and a flag that nothing read.
+const IndexVersion = 2
 
 // IndexSidecarSuffix is appended to a trace path to name its sidecar.
 const IndexSidecarSuffix = ".kix"
@@ -76,10 +75,6 @@ func MinorKey(major event.Major, minor uint16) uint64 {
 type BlockSummary struct {
 	CPU int
 	Seq uint64
-	// Start and Flagged mirror the BuildIndex entry for this block (Start
-	// is the clamped anchor time used for seeking).
-	Start   uint64
-	Flagged bool
 	// MinTime and MaxTime bound the decoded event times exactly (both zero
 	// when the block decodes to no events), so time pruning never relies on
 	// possibly-garbled anchors.
@@ -104,8 +99,8 @@ func (bs *BlockSummary) Overlaps(from, to uint64) bool {
 }
 
 // FullIndex is a per-block summary index over one trace file, in file
-// order: the time index BuildIndex computes plus the predicate summaries a
-// query planner prunes with.
+// order: exact time bounds plus the predicate summaries a query planner
+// prunes with.
 type FullIndex struct {
 	Meta   Meta
 	Blocks []BlockSummary
@@ -113,22 +108,18 @@ type FullIndex struct {
 
 // BlockDigest is what is left of a block once its words and events are
 // gone: the part of its index summary that needs no carry from the blocks
-// before it, the time of its first event, its anchor, and where it lies in
-// the source. DigestBlock computes it from the block's words a chunk of
-// events at a time, so that a writer who indexes what it writes — a store
-// ingesting a spill or merging segments — holds neither to do it.
+// before it, the time of its first event, and where it lies in the source.
+// DigestBlock computes it from the block's words a chunk of events at a
+// time, so that a writer who indexes what it writes — a store ingesting a
+// spill or merging segments — holds neither to do it.
 type BlockDigest struct {
 	// Sum has Events, MinTime, MaxTime, MajorMask, MinorBloom and the
-	// switch targets in PidBloom. CPU, Seq, Start and Flagged are for
-	// whoever places the block in a file; Enter adds the entry pid.
+	// switch targets in PidBloom. CPU and Seq are for whoever places the
+	// block in a file; Enter adds the entry pid.
 	Sum BlockSummary
 	// FirstTime is the time of the block's first event in stream order
 	// (zero for a block without events), which need not be MinTime.
 	FirstTime uint64
-	// Start and Anchored are AnchorTimeWords of the block's words: what an
-	// index's Start and Flagged are clamped from.
-	Start    uint64
-	Anchored bool
 	// Off is the byte offset of the block's header in the scanned source
 	// (of the fragment, for a truncated tail), for Writer.CopyBlock. It is
 	// the scan's to set: DigestBlock leaves it zero.
@@ -161,7 +152,6 @@ func digestChunks(cpu int, words []uint64, chunk []event.Event) (d BlockDigest, 
 	for !dec.Done() {
 		d.add(dec.Fill(chunk[:0]))
 	}
-	d.Start, d.Anchored = AnchorTimeWords(words)
 	return d, dec.Stats()
 }
 
@@ -217,10 +207,9 @@ func enterBlock(bs *BlockSummary, entryPid, lastPid uint64, switched bool) (next
 func (rd *Reader) BuildFullIndex(workers int, entrySeed []uint64) (*FullIndex, error) {
 	fi := &FullIndex{Meta: rd.meta, Blocks: make([]BlockSummary, rd.nBlk)}
 
-	// Pass 1 (parallel): digest each block in the worker's scratch. What a
-	// block cannot know alone it leaves raw for pass 2: Start is its own
-	// anchor reading, and only the pid it last switched to outlives the
-	// digest.
+	// Pass 1 (parallel): digest each block in the worker's scratch. Of
+	// what a block cannot know alone, only the pid it last switched to
+	// outlives the digest, for pass 2.
 	type exit struct {
 		pid      uint64
 		switched bool
@@ -235,7 +224,6 @@ func (rd *Reader) BuildFullIndex(workers int, entrySeed []uint64) (*FullIndex, e
 		bs := &fi.Blocks[k]
 		*bs = d.Sum
 		bs.CPU, bs.Seq = h.CPU, h.Seq
-		bs.Start, bs.Flagged = d.Start, !d.Anchored
 		exits[k] = exit{d.exitPid, d.switched}
 		return nil
 	})
@@ -243,15 +231,12 @@ func (rd *Reader) BuildFullIndex(workers int, entrySeed []uint64) (*FullIndex, e
 		return nil, err
 	}
 
-	// Pass 2 (sequential): what runs along a CPU's blocks in file order —
-	// the entry-pid carry, and the clamp that keeps Start non-decreasing.
+	// Pass 2 (sequential): the entry-pid carry, along each CPU's blocks in
+	// file order.
 	carry := make([]uint64, rd.meta.CPUs)
 	copy(carry, entrySeed)
-	prevStart := make([]uint64, rd.meta.CPUs)
 	for k := range fi.Blocks {
 		bs := &fi.Blocks[k]
-		bs.Start, bs.Flagged = clampStart(bs.Start, bs.Flagged, prevStart[bs.CPU])
-		prevStart[bs.CPU] = bs.Start
 		carry[bs.CPU] = enterBlock(bs, carry[bs.CPU], exits[k].pid, exits[k].switched)
 	}
 	return fi, nil
@@ -261,10 +246,12 @@ func (rd *Reader) BuildFullIndex(workers int, entrySeed []uint64) (*FullIndex, e
 //
 //	0 magic  1 version  2 checksum(FNV-64a of words[3:])
 //	3 bufWords  4 cpus  5 clockHz  6 nBlocks  7 reserved
-//	then nBlocks records of blockRecWords words each.
+//	then nBlocks records of blockRecWords words each:
+//	0 cpu  1 seq  2 minTime  3 maxTime  4 events  5 entryPid  6 majorMask
+//	7–10 pidBloom  11–14 minorBloom
 const (
 	idxHdrWords   = 8
-	blockRecWords = 16
+	blockRecWords = 15
 )
 
 // EncodeIndex serializes a FullIndex to sidecar bytes.
@@ -279,21 +266,16 @@ func EncodeIndex(fi *FullIndex) []byte {
 	for k := range fi.Blocks {
 		bs := &fi.Blocks[k]
 		w := idxHdrWords + k*blockRecWords
-		var flags uint64
-		if bs.Flagged {
-			flags = 1
-		}
-		putWord(b, w+0, uint64(uint32(bs.CPU))|flags<<32)
+		putWord(b, w+0, uint64(bs.CPU))
 		putWord(b, w+1, bs.Seq)
-		putWord(b, w+2, bs.Start)
-		putWord(b, w+3, bs.MinTime)
-		putWord(b, w+4, bs.MaxTime)
-		putWord(b, w+5, uint64(bs.Events))
-		putWord(b, w+6, bs.EntryPid)
-		putWord(b, w+7, bs.MajorMask)
+		putWord(b, w+2, bs.MinTime)
+		putWord(b, w+3, bs.MaxTime)
+		putWord(b, w+4, uint64(bs.Events))
+		putWord(b, w+5, bs.EntryPid)
+		putWord(b, w+6, bs.MajorMask)
 		for i := 0; i < 4; i++ {
-			putWord(b, w+8+i, bs.PidBloom[i])
-			putWord(b, w+12+i, bs.MinorBloom[i])
+			putWord(b, w+7+i, bs.PidBloom[i])
+			putWord(b, w+11+i, bs.MinorBloom[i])
 		}
 	}
 	putWord(b, 2, idxChecksum(b))
@@ -334,30 +316,30 @@ func DecodeIndex(b []byte) (*FullIndex, error) {
 	if err := meta.check(); err != nil {
 		return nil, err
 	}
-	n := int(getWord(b, 6))
-	if n < 0 || len(b) != (idxHdrWords+blockRecWords*n)*8 {
+	// The count is bounded by the bytes before it is multiplied, so a
+	// crafted count cannot wrap the length check.
+	n := getWord(b, 6)
+	if n > uint64(len(b)/(blockRecWords*8)) || len(b) != (idxHdrWords+blockRecWords*int(n))*8 {
 		return nil, fmt.Errorf("stream: index sidecar claims %d blocks, has %d bytes", n, len(b))
 	}
 	fi := &FullIndex{Meta: meta, Blocks: make([]BlockSummary, n)}
-	for k := 0; k < n; k++ {
+	for k := range fi.Blocks {
 		w := idxHdrWords + k*blockRecWords
 		bs := &fi.Blocks[k]
-		w0 := getWord(b, w+0)
-		bs.CPU = int(uint32(w0))
-		bs.Flagged = w0>>32&1 != 0
-		bs.Seq = getWord(b, w+1)
-		bs.Start = getWord(b, w+2)
-		bs.MinTime = getWord(b, w+3)
-		bs.MaxTime = getWord(b, w+4)
-		bs.Events = uint32(getWord(b, w+5))
-		bs.EntryPid = getWord(b, w+6)
-		bs.MajorMask = getWord(b, w+7)
-		for i := 0; i < 4; i++ {
-			bs.PidBloom[i] = getWord(b, w+8+i)
-			bs.MinorBloom[i] = getWord(b, w+12+i)
+		cpu := getWord(b, w+0)
+		if cpu >= uint64(meta.CPUs) {
+			return nil, fmt.Errorf("stream: index block %d claims CPU %d >= %d", k, cpu, meta.CPUs)
 		}
-		if bs.CPU >= meta.CPUs {
-			return nil, fmt.Errorf("stream: index block %d claims CPU %d >= %d", k, bs.CPU, meta.CPUs)
+		bs.CPU = int(cpu)
+		bs.Seq = getWord(b, w+1)
+		bs.MinTime = getWord(b, w+2)
+		bs.MaxTime = getWord(b, w+3)
+		bs.Events = uint32(getWord(b, w+4))
+		bs.EntryPid = getWord(b, w+5)
+		bs.MajorMask = getWord(b, w+6)
+		for i := 0; i < 4; i++ {
+			bs.PidBloom[i] = getWord(b, w+7+i)
+			bs.MinorBloom[i] = getWord(b, w+11+i)
 		}
 	}
 	return fi, nil

@@ -15,7 +15,7 @@ import (
 
 // runSchedCapture logs a deterministic mix of sched switches and payload
 // events so blocks carry non-trivial pid attribution.
-func runSchedCapture(t *testing.T, cpus, bufWords, n int) []byte {
+func runSchedCapture(t testing.TB, cpus, bufWords, n int) []byte {
 	t.Helper()
 	tr := core.MustNew(core.Config{
 		CPUs: cpus, BufWords: bufWords, NumBufs: 4,
@@ -54,89 +54,67 @@ func buildFull(t *testing.T, rd *Reader, workers int) *FullIndex {
 	return fi
 }
 
-// TestFullIndexMatchesBuildIndex: the time index inside the full index
-// must be exactly what BuildIndex computes, at every worker count.
-func TestFullIndexMatchesBuildIndex(t *testing.T) {
-	data := runSchedCapture(t, 4, 64, 800)
-	rd := newReader(t, data)
-	want, err := rd.BuildIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range salvageWorkerCounts {
-		fi := buildFull(t, rd, w)
-		n := 0
-		for cpu, entries := range want.PerCPU {
-			for _, e := range entries {
-				n++
-				bs := fi.Blocks[e.Block]
-				got := IndexEntry{Block: e.Block, Seq: bs.Seq, Start: bs.Start, Flagged: bs.Flagged}
-				if bs.CPU != cpu || got != e {
-					t.Errorf("workers=%d: block %d: full index has cpu %d %+v, BuildIndex cpu %d %+v",
-						w, e.Block, bs.CPU, got, cpu, e)
-				}
-			}
-		}
-		if n != len(fi.Blocks) {
-			t.Errorf("workers=%d: BuildIndex has %d entries, full index %d blocks", w, n, len(fi.Blocks))
-		}
-	}
-}
-
-// TestFullIndexSummariesExact: per-block min/max/count/majors must match
-// a direct decode, and the pid carry must replay scheduling exactly.
+// TestFullIndexSummariesExact: per-block cpu/seq/min/max/count/majors must
+// match a direct decode, and the pid carry must replay scheduling exactly,
+// at every worker count.
 func TestFullIndexSummariesExact(t *testing.T) {
 	data := runSchedCapture(t, 3, 64, 700)
 	rd := newReader(t, data)
-	fi := buildFull(t, rd, 4)
-	if len(fi.Blocks) != rd.NumBlocks() {
-		t.Fatalf("%d summaries for %d blocks", len(fi.Blocks), rd.NumBlocks())
-	}
-	carry := map[int]uint64{}
-	for k := 0; k < rd.NumBlocks(); k++ {
-		bs := &fi.Blocks[k]
-		h, words, err := rd.Block(k)
-		if err != nil {
-			t.Fatal(err)
+	for _, w := range salvageWorkerCounts {
+		fi := buildFull(t, rd, w)
+		if len(fi.Blocks) != rd.NumBlocks() {
+			t.Fatalf("workers=%d: %d summaries for %d blocks", w, len(fi.Blocks), rd.NumBlocks())
 		}
-		evs, _ := core.DecodeBuffer(h.CPU, words)
-		if int(bs.Events) != len(evs) {
-			t.Fatalf("block %d: %d events summarized, %d decoded", k, bs.Events, len(evs))
-		}
-		if bs.EntryPid != carry[h.CPU] {
-			t.Fatalf("block %d: entry pid %d, carry says %d", k, bs.EntryPid, carry[h.CPU])
-		}
-		var mask uint64
-		var lo, hi uint64
-		for i := range evs {
-			e := &evs[i]
-			if i == 0 || e.Time < lo {
-				lo = e.Time
+		carry := map[int]uint64{}
+		for k := 0; k < rd.NumBlocks(); k++ {
+			bs := &fi.Blocks[k]
+			h, words, err := rd.Block(k)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if e.Time > hi {
-				hi = e.Time
+			if bs.CPU != h.CPU || bs.Seq != h.Seq {
+				t.Fatalf("workers=%d: block %d: summary says cpu %d seq %d, header cpu %d seq %d",
+					w, k, bs.CPU, bs.Seq, h.CPU, h.Seq)
 			}
-			if e.Time < bs.MinTime || e.Time > bs.MaxTime {
-				t.Fatalf("block %d: event %d time %d outside [%d, %d]",
-					k, i, e.Time, bs.MinTime, bs.MaxTime)
+			evs, _ := core.DecodeBuffer(h.CPU, words)
+			if int(bs.Events) != len(evs) {
+				t.Fatalf("workers=%d: block %d: %d events summarized, %d decoded", w, k, bs.Events, len(evs))
 			}
-			mask |= e.Major().Bit()
-			if !bs.MinorBloom.MayContain(MinorKey(e.Major(), e.Minor())) {
-				t.Fatalf("block %d: minor bloom missing (%v,%d)", k, e.Major(), e.Minor())
+			if bs.EntryPid != carry[h.CPU] {
+				t.Fatalf("workers=%d: block %d: entry pid %d, carry says %d", w, k, bs.EntryPid, carry[h.CPU])
 			}
-			if !bs.PidBloom.MayContain(carry[h.CPU]) {
-				t.Fatalf("block %d: pid bloom missing attributed pid %d", k, carry[h.CPU])
+			var mask uint64
+			var lo, hi uint64
+			for i := range evs {
+				e := &evs[i]
+				if i == 0 || e.Time < lo {
+					lo = e.Time
+				}
+				if e.Time > hi {
+					hi = e.Time
+				}
+				if e.Time < bs.MinTime || e.Time > bs.MaxTime {
+					t.Fatalf("workers=%d: block %d: event %d time %d outside [%d, %d]",
+						w, k, i, e.Time, bs.MinTime, bs.MaxTime)
+				}
+				mask |= e.Major().Bit()
+				if !bs.MinorBloom.MayContain(MinorKey(e.Major(), e.Minor())) {
+					t.Fatalf("workers=%d: block %d: minor bloom missing (%v,%d)", w, k, e.Major(), e.Minor())
+				}
+				if !bs.PidBloom.MayContain(carry[h.CPU]) {
+					t.Fatalf("workers=%d: block %d: pid bloom missing attributed pid %d", w, k, carry[h.CPU])
+				}
+				if e.Major() == event.MajorSched && e.Minor() == ksim.EvSchedSwitch && len(e.Data) >= 2 {
+					carry[h.CPU] = e.Data[1]
+				}
 			}
-			if e.Major() == event.MajorSched && e.Minor() == ksim.EvSchedSwitch && len(e.Data) >= 2 {
-				carry[h.CPU] = e.Data[1]
+			if mask != bs.MajorMask {
+				t.Fatalf("workers=%d: block %d: major mask %#x, decoded %#x", w, k, bs.MajorMask, mask)
 			}
-		}
-		if mask != bs.MajorMask {
-			t.Fatalf("block %d: major mask %#x, decoded %#x", k, bs.MajorMask, mask)
-		}
-		if len(evs) > 0 && (lo != bs.MinTime || hi != bs.MaxTime) {
-			t.Fatalf("block %d: bounds [%d, %d] not tight, decoded [%d, %d]",
-				k, bs.MinTime, bs.MaxTime, lo, hi)
+			if len(evs) > 0 && (lo != bs.MinTime || hi != bs.MaxTime) {
+				t.Fatalf("workers=%d: block %d: bounds [%d, %d] not tight, decoded [%d, %d]",
+					w, k, bs.MinTime, bs.MaxTime, lo, hi)
+			}
 		}
 	}
 }
@@ -218,6 +196,21 @@ func TestIndexSidecarCorruption(t *testing.T) {
 			b[8] = 0x7f // version word
 			return b
 		},
+		// A sidecar an older build wrote: the version word is outside the
+		// checksum, so only the version check refuses it.
+		"version-1": func() []byte {
+			b := append([]byte(nil), enc...)
+			putWord(b, 1, 1)
+			return b
+		},
+		// A block count that wraps the length check: 120·2^61 ≡ 0 mod 2^64,
+		// so (header + records)·8 comes out at the true length.
+		"count-overflow": func() []byte {
+			b := append([]byte(nil), enc...)
+			putWord(b, 6, uint64(len(fi.Blocks))+1<<61)
+			putWord(b, 2, idxChecksum(b))
+			return b
+		},
 		"empty": func() []byte { return nil },
 	}
 	for name, make_ := range corruptions {
@@ -294,34 +287,5 @@ func TestEntrySeedCarry(t *testing.T) {
 	}
 	if len(seen) != len(seed) {
 		t.Fatalf("%d CPUs have blocks, want %d", len(seen), len(seed))
-	}
-}
-
-// TestAnchorTimeWords: the in-memory helper must agree with the on-disk
-// index's Start for unclamped blocks.
-func TestAnchorTimeWords(t *testing.T) {
-	data := runSchedCapture(t, 2, 32, 200)
-	rd := newReader(t, data)
-	ix, err := rd.BuildIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cpu, entries := range ix.PerCPU {
-		for _, e := range entries {
-			h, words, err := rd.Block(e.Block)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if h.CPU != cpu {
-				t.Fatalf("block %d: cpu %d, index says %d", e.Block, h.CPU, cpu)
-			}
-			start, ok := AnchorTimeWords(words)
-			if !ok {
-				t.Fatalf("block %d: no anchor in a clean capture", e.Block)
-			}
-			if !e.Flagged && start != e.Start {
-				t.Fatalf("block %d: AnchorTimeWords %d, index Start %d", e.Block, start, e.Start)
-			}
-		}
 	}
 }

@@ -319,12 +319,9 @@ func densityCapture(t *testing.T, payload, blocks int) []byte {
 func TestEventsBetweenAllocsIndependentOfBlockDensity(t *testing.T) {
 	allocs := func(payload int) (perCall float64, blocks, events int) {
 		rd := newReader(t, densityCapture(t, payload, 12))
-		ix, err := rd.BuildIndex()
-		if err != nil {
-			t.Fatal(err)
-		}
+		fi := buildFull(t, rd, 2)
 		perCall = testing.AllocsPerRun(20, func() {
-			evs, err := rd.EventsBetween(ix, 0, ^uint64(0))
+			evs, err := rd.EventsBetween(fi, 0, ^uint64(0))
 			if err != nil {
 				t.Fatal(err)
 			}

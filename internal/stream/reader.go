@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"k42trace/internal/core"
 	"k42trace/internal/event"
@@ -13,8 +12,8 @@ import (
 // fixed stride and every block starts at an event boundary, Block(k) is a
 // single seek — "trace analysis tools can skip to any of the alignment
 // points in a large trace and can begin interpreting events from that
-// point" — and time-based access is a binary search over a small index
-// built from block headers alone, without reading event data.
+// point". Time-based access goes through the file's FullIndex: its exact
+// per-block time bounds pick the blocks a window needs (EventsBetween).
 type Reader struct {
 	r       io.ReaderAt
 	meta    Meta
@@ -61,9 +60,8 @@ func (rd *Reader) blockOff(k int) int64 { return rd.dataOff + int64(k)*rd.stride
 func (rd *Reader) NumBlocks() int { return rd.nBlk }
 
 // readBlock fills b from the start of block k and admits the block through
-// Meta.blockHeader. b is a whole stride, or just the header and whatever
-// of the payload's head a header-only scan wants — index builds and
-// anomaly scans touch no event data and allocate nothing per block.
+// Meta.blockHeader. b is a whole stride, or just the header — an anomaly
+// scan touches no event data and allocates nothing per block.
 func (rd *Reader) readBlock(k int, b []byte) (BlockHeader, error) {
 	if k < 0 || k >= rd.nBlk {
 		return BlockHeader{}, fmt.Errorf("stream: block %d out of range [0,%d)", k, rd.nBlk)
@@ -149,122 +147,11 @@ func (rd *Reader) Events(k int) ([]event.Event, core.DecodeStats, error) {
 	return evs, st, nil
 }
 
-// IndexEntry locates one block of one CPU's stream in time.
-type IndexEntry struct {
-	Block int
-	Seq   uint64
-	Start uint64 // full timestamp of the block's first event
-	// Flagged marks an entry whose anchor was lost to garbling or whose
-	// raw start would have broken the per-CPU monotonic order BuildIndex
-	// guarantees. Its Start is a clamped lower bound, not an exact time;
-	// seeks treat flagged entries conservatively.
-	Flagged bool
-}
-
-// Index is a per-CPU time index over the file's blocks, built from block
-// headers and anchors only.
-type Index struct {
-	PerCPU [][]IndexEntry
-}
-
-// BuildIndex scans block headers (not data) and returns the per-CPU time
-// index used for seeking. The block header and the leading clock anchor
-// are contiguous on disk, so each block costs a single 48-byte read into a
-// reused scratch buffer.
-//
-// Per CPU the Start sequence is guaranteed non-decreasing: a block whose
-// anchor was garbled falls back to the 32-bit header stamp (an all-zero
-// block yields 0), which would leave sort.Search in SeekTime and
-// EventsBetween running over unsorted data and silently returning wrong
-// block ranges. Such entries — and any raw start that dips below its
-// predecessor — are clamped to the previous block's Start and Flagged, so
-// binary searches stay correct and seeks treat them conservatively.
-func (rd *Reader) BuildIndex() (*Index, error) {
-	ix := &Index{PerCPU: make([][]IndexEntry, rd.meta.CPUs)}
-	scratch := make([]byte, (blockHdrWords+2)*8) // header + anchor header + full timestamp
-	for k := 0; k < rd.nBlk; k++ {
-		h, err := rd.readBlock(k, scratch)
-		if err != nil {
-			return nil, err
-		}
-		head := [2]uint64{getWord(scratch, blockHdrWords), getWord(scratch, blockHdrWords+1)}
-		var prev uint64
-		if es := ix.PerCPU[h.CPU]; len(es) > 0 {
-			prev = es[len(es)-1].Start
-		}
-		start, anchored := AnchorTimeWords(head[:min(2, h.NWords)])
-		e := IndexEntry{Block: k, Seq: h.Seq}
-		e.Start, e.Flagged = clampStart(start, !anchored, prev)
-		ix.PerCPU[h.CPU] = append(ix.PerCPU[h.CPU], e)
-	}
-	return ix, nil
-}
-
-// AnchorTimeWords extracts a block's start time from its payload: the full
-// timestamp of the leading clock anchor, or — reported as not anchored —
-// the 32-bit header stamp when the anchor was lost to garbling. That
-// fallback is only an epoch-relative guess, which an index must know to
-// keep its per-CPU order guarantee. Only the first two words are read.
-func AnchorTimeWords(words []uint64) (uint64, bool) {
-	if len(words) == 0 {
-		return 0, false
-	}
-	h := event.Header(words[0])
-	if h.Major() == event.MajorControl && h.Minor() == event.CtrlClockAnchor && h.Len() >= 2 && len(words) >= 2 {
-		return words[1], true
-	}
-	return uint64(h.Timestamp()), false
-}
-
-// clampStart is the index's per-CPU order guarantee: a block's start time
-// is raised to prev — the Start of the CPU's previous block, zero for its
-// first — and flagged when that was needed.
-func clampStart(start uint64, flagged bool, prev uint64) (uint64, bool) {
-	if start < prev {
-		return prev, true
-	}
-	return start, flagged
-}
-
-// SeekTime returns, per CPU, the index of the first block that could
-// contain events at or after time t (i.e. the last block starting at or
-// before t). This is the "jump to the middle 5 seconds of a gigabyte
-// trace" operation: one binary search per CPU over the header index.
-func (ix *Index) SeekTime(t uint64) []int {
-	out := make([]int, len(ix.PerCPU))
-	for cpu, entries := range ix.PerCPU {
-		out[cpu] = -1
-		if len(entries) == 0 {
-			continue
-		}
-		// First entry with Start > t, then step back.
-		i := sort.Search(len(entries), func(i int) bool { return entries[i].Start > t })
-		out[cpu] = entries[seekBack(entries, i)].Block
-	}
-	return out
-}
-
-// seekBack turns i — the first entry with Start > t — into the index of
-// the earliest block that could still contain events at or after t.
-// Normally a single step back; it keeps stepping over entries whose Start
-// is only a clamped lower bound (Flagged) or duplicates the predecessor's
-// Start, because such a block's true extent is unknown and the block
-// before it may still reach past t.
-func seekBack(entries []IndexEntry, i int) int {
-	if i > 0 {
-		i--
-	}
-	for i > 0 && (entries[i].Flagged || entries[i].Start == entries[i-1].Start) {
-		i--
-	}
-	return i
-}
-
 // ReadAll decodes the whole file and returns events merged across CPUs in
 // timestamp order (stable within equal stamps: by CPU then stream order).
-// Tools use this for whole-trace analysis; interactive tools use the index
-// plus EventsBetween for large files. ReadAll is the one-goroutine form of
-// ReadAllParallel; both produce bit-identical output.
+// Every offline tool reads this way; EventsBetween reads only a window's
+// blocks. ReadAll is the one-goroutine form of ReadAllParallel; both
+// produce bit-identical output.
 func (rd *Reader) ReadAll() ([]event.Event, core.DecodeStats, error) {
 	return rd.ReadAllParallel(1)
 }
@@ -303,36 +190,30 @@ func (rd *Reader) ReadAllParallel(workers int) ([]event.Event, core.DecodeStats,
 }
 
 // EventsBetween returns events with from <= Time < to, merged across CPUs,
-// using the index to touch only the necessary blocks. Blocks are decoded
-// into one scratch, and what each holds of the window is cloned out as a
-// run — a block that holds nothing of it leaves none — so a narrow window's
-// answer pins no block's words.
-func (rd *Reader) EventsBetween(ix *Index, from, to uint64) ([]event.Event, error) {
+// decoding only the blocks whose exact time bounds in fi overlap the
+// window (BlockSummary.Overlaps). Blocks are decoded into one scratch, and
+// what each holds of the window is cloned out as a run — a block that holds
+// nothing of it leaves none — so a narrow window's answer pins no block's
+// words.
+func (rd *Reader) EventsBetween(fi *FullIndex, from, to uint64) ([]event.Event, error) {
 	var sc BlockScratch
 	var runs [][]event.Event
-	for _, entries := range ix.PerCPU {
-		if len(entries) == 0 {
+	for k := range fi.Blocks {
+		if !fi.Blocks[k].Overlaps(from, to) {
 			continue
 		}
-		i := sort.Search(len(entries), func(i int) bool { return entries[i].Start > from })
-		i = seekBack(entries, i)
-		for ; i < len(entries); i++ {
-			if entries[i].Start >= to {
-				break
+		b, err := rd.DecodeBlockInto(k, &sc)
+		if err != nil {
+			return nil, err
+		}
+		in := b.Events[:0]
+		for j := range b.Events {
+			if t := b.Events[j].Time; t >= from && t < to {
+				in = append(in, b.Events[j])
 			}
-			b, err := rd.DecodeBlockInto(entries[i].Block, &sc)
-			if err != nil {
-				return nil, err
-			}
-			in := b.Events[:0]
-			for j := range b.Events {
-				if t := b.Events[j].Time; t >= from && t < to {
-					in = append(in, b.Events[j])
-				}
-			}
-			if len(in) > 0 {
-				runs = append(runs, event.Clone(in))
-			}
+		}
+		if len(in) > 0 {
+			runs = append(runs, event.Clone(in))
 		}
 	}
 	return MergeByTime(runs...), nil

@@ -21,7 +21,7 @@ func TestNewReaderNeverPanicsOnRandomBytes(t *testing.T) {
 			rd.Block(k)
 			rd.Events(k)
 		}
-		rd.BuildIndex()
+		rd.BuildFullIndex(2, nil)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

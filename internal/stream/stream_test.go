@@ -338,78 +338,19 @@ func TestRandomAccessMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestIndexAndSeekTime(t *testing.T) {
-	data := runCapture(t, 2, 64, 600)
-	rd := newReader(t, data)
-	ix, err := rd.BuildIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Index entries must be time-ordered per CPU with increasing seqs.
-	for cpu, entries := range ix.PerCPU {
-		if len(entries) == 0 {
-			t.Fatalf("cpu %d has no blocks", cpu)
-		}
-		for i := 1; i < len(entries); i++ {
-			if entries[i].Start < entries[i-1].Start {
-				t.Fatalf("cpu %d index not time-ordered", cpu)
-			}
-			if entries[i].Seq != entries[i-1].Seq+1 {
-				t.Fatalf("cpu %d seq gap at %d", cpu, i)
-			}
-		}
-	}
-	// Seek to the time of a middle block: must return that block (or an
-	// earlier one containing the time).
-	mid := ix.PerCPU[0][len(ix.PerCPU[0])/2]
-	blocks := ix.SeekTime(mid.Start)
-	if blocks[0] != mid.Block {
-		t.Errorf("SeekTime(%d) cpu0 = block %d, want %d", mid.Start, blocks[0], mid.Block)
-	}
-	// Seeking before the first event returns the first block.
-	blocks = ix.SeekTime(0)
-	if blocks[0] != ix.PerCPU[0][0].Block {
-		t.Errorf("SeekTime(0) = %d", blocks[0])
-	}
-	// Seeking past the end returns the last block.
-	blocks = ix.SeekTime(1 << 62)
-	last := ix.PerCPU[0][len(ix.PerCPU[0])-1]
-	if blocks[0] != last.Block {
-		t.Errorf("SeekTime(max) = %d want %d", blocks[0], last.Block)
-	}
-}
-
 func TestEventsBetween(t *testing.T) {
 	data := runCapture(t, 2, 64, 600)
 	rd := newReader(t, data)
-	ix, err := rd.BuildIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fi := buildFull(t, rd, 2)
 	all, _, err := rd.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
 	lo := all[len(all)/4].Time
 	hi := all[3*len(all)/4].Time
-	got, err := rd.EventsBetween(ix, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []event.Event
-	for _, e := range all {
-		if e.Time >= lo && e.Time < hi {
-			want = append(want, e)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("EventsBetween returned %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Time != want[i].Time || got[i].Header != want[i].Header {
-			t.Fatalf("event %d differs", i)
-		}
-	}
+	checkWindow(t, rd, fi, lo, hi)
+	checkWindow(t, rd, fi, 0, ^uint64(0))
+	checkWindow(t, rd, fi, hi, lo)
 }
 
 func TestPartialAndAnomalyFlags(t *testing.T) {
