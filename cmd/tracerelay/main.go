@@ -1,13 +1,13 @@
-// Command tracerelay is the relayfs-style network transport: in collect
-// mode it listens for trace streams and saves them as a trace file; in
-// send mode it runs a traced SDET workload and streams the buffers to a
-// collector as they seal, demonstrating that "this event log may be ...
-// streamed over the network".
+// Command tracerelay is the sending end of the relayfs-style network
+// transport: it runs a traced SDET workload and streams the buffers to a
+// collector (tracecolld, traceaggd or tracestored -relay) as they seal,
+// demonstrating that "this event log may be ... streamed over the
+// network".
 //
 // The sender can also inject transport chaos — dropped, duplicated,
 // reordered, torn, bit-flipped, or zeroed blocks, driven by a fixed seed —
 // to exercise a collector's salvage path end to end (pair with
-// ktrace check -salvage on the collected file).
+// ktrace check -salvage on tracecolld's -spill file).
 //
 // With -remote-control the sender also listens for control frames coming
 // back down the collector connection and applies mask updates to its live
@@ -18,7 +18,6 @@
 //
 // Usage:
 //
-//	tracerelay -collect -listen 127.0.0.1:7042 -o collected.ktr
 //	tracerelay -send 127.0.0.1:7042 -cpus 4 -config coarse
 //	tracerelay -send 127.0.0.1:7042 -chaos-seed 7 -drop 0.05 -dup 0.05 -reorder 4
 //	tracerelay -send 127.0.0.1:7042 -remote-control -loadgen -duration 30s

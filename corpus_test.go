@@ -125,9 +125,13 @@ func truncateCorpus(t testing.TB, clean []byte) []byte {
 	return im.Bytes()
 }
 
-// analysisReports runs all five analyses at the given worker count and
-// returns their formatted output keyed by report name.
+// analysisReports runs all five analyses at the given worker count, plus the
+// kmon timeline (whole trace, ASCII and SVG, then a zoom into its second
+// quarter), and returns their formatted output keyed by report name.
 func analysisReports(tr *Trace, w int) map[string]string {
+	whole := tr.Timeline(100, "TRC_USER_RUN_UL_LOADER")
+	first, last := tr.Span()
+	zoom := tr.TimelineRange(first+(last-first)/4, first+(last-first)/2, 60, "TRC_USER_RUN_UL_LOADER")
 	over := tr.OverviewParallel(w)
 	var pids []uint64
 	for _, row := range over {
@@ -144,6 +148,7 @@ func analysisReports(tr *Trace, w int) map[string]string {
 		"overview":  analysis.OverviewString(over),
 		"timebreak": tb.String(),
 		"mem":       tr.MemProfileParallel(w).String(),
+		"kmon":      whole.ASCII() + whole.SVG() + zoom.ASCII(),
 	}
 }
 

@@ -7,15 +7,18 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestDocsReferToWhatExists: every cmd/, examples/ and internal/ path that
 // README.md or DESIGN.md names exists, every `<pkg>.<Name>` they name for a
-// package under internal/ is declared at the top level of that package, and
-// every `ktrace <verb>` README.md shows is in cmd/ktrace's verb table — so a
-// deletion or a rename cannot leave the docs pointing at what is gone.
+// package under internal/ is declared at the top level of that package,
+// every `ktrace <verb>` README.md shows is in cmd/ktrace's verb table, and
+// every -flag on a README.md `go run ./cmd/<bin>` line is declared by that
+// binary (for ktrace, by any verb) — so a deletion or a rename cannot leave
+// the docs pointing at what is gone.
 func TestDocsReferToWhatExists(t *testing.T) {
 	src, err := os.ReadFile("cmd/ktrace/main.go")
 	if err != nil {
@@ -71,7 +74,70 @@ func TestDocsReferToWhatExists(t *testing.T) {
 				t.Errorf("%s shows `ktrace %s`, which is not a verb of cmd/ktrace", doc, m[1])
 			}
 		}
+		run := regexp.MustCompile(`(?m)^\s*go run \./cmd/([a-z]+)\b(.*)$`)
+		flagArg := regexp.MustCompile(`^--?([A-Za-z][A-Za-z0-9-]*)(=.*)?$`)
+		flags := map[string]map[string]bool{}
+		for _, m := range run.FindAllStringSubmatch(strings.ReplaceAll(string(text), "\\\n", " "), -1) {
+			args, _, _ := strings.Cut(m[2], "#")
+			if flags[m[1]] == nil {
+				flags[m[1]] = declaredFlags(t, m[1])
+			}
+			for _, arg := range strings.Fields(args) {
+				if f := flagArg.FindStringSubmatch(arg); f != nil && !flags[m[1]][f[1]] {
+					t.Errorf("%s runs cmd/%s with -%s, which it does not declare", doc, m[1], f[1])
+				}
+			}
+		}
 	}
+}
+
+// declaredFlags returns the flag names that binary's sources declare: the
+// name literal of every Bool, Int, String, Duration, Float64, Int64 and
+// Uint64 call, of their ...Var forms and of Var, in cmd/<bin>/*.go and
+// internal/daemon/<bin>.go.
+func declaredFlags(t *testing.T, bin string) map[string]bool {
+	t.Helper()
+	// Glob fails only on a malformed pattern; these are fixed.
+	files, _ := filepath.Glob(filepath.Join("cmd", bin, "*.go"))
+	daemon, _ := filepath.Glob(filepath.Join("internal", "daemon", bin+".go"))
+	files = append(files, daemon...)
+	nameArg := map[string]int{"Var": 1}
+	for _, k := range []string{"Bool", "Int", "String", "Duration", "Float64", "Int64", "Uint64"} {
+		nameArg[k], nameArg[k+"Var"] = 0, 1
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if i, ok := nameArg[sel.Sel.Name]; ok && i < len(call.Args) {
+				if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if name, err := strconv.Unquote(lit.Value); err == nil {
+						names[name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(names) == 0 {
+		t.Fatalf("found no flag declarations for cmd/%s", bin)
+	}
+	return names
 }
 
 // topLevelNames returns what the non-test Go files in dir declare at the

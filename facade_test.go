@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	ktrace "k42trace"
+	"k42trace/internal/relay"
+	"k42trace/internal/stream"
 )
 
 func TestCompiledInDefault(t *testing.T) {
@@ -14,10 +16,19 @@ func TestCompiledInDefault(t *testing.T) {
 	}
 }
 
+// TestFacadeRelayRoundTrip: what RelaySend ships is a trace file, block for
+// block, to a receiver that copies the wire into a stream.Writer.
 func TestFacadeRelayRoundTrip(t *testing.T) {
 	var file bytes.Buffer
-	h, st := ktrace.RelaySaveHandler(&file)
-	srv, err := ktrace.RelayListen("127.0.0.1:0", h)
+	var st stream.CopyStats
+	srv, err := relay.ListenConns("127.0.0.1:0", func(c relay.Conn) error {
+		wr, err := stream.NewWriter(&file, c.Stream.Meta())
+		if err != nil {
+			return err
+		}
+		st, err = c.Stream.CopyTo(wr)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,42 +51,15 @@ func TestFacadeRelayRoundTrip(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	blocks, anoms := st.Snapshot()
-	if blocks == 0 || anoms != 0 {
-		t.Fatalf("blocks=%d anoms=%d", blocks, anoms)
+	if st.Blocks == 0 || st.Anomalies != 0 {
+		t.Fatalf("blocks=%d anoms=%d", st.Blocks, st.Anomalies)
 	}
 	rd, err := ktrace.NewReader(bytes.NewReader(file.Bytes()), int64(file.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd.NumBlocks() != blocks {
-		t.Errorf("file blocks %d != %d", rd.NumBlocks(), blocks)
-	}
-}
-
-func TestFacadeLiveHandler(t *testing.T) {
-	h, ch := ktrace.RelayLiveHandler(8)
-	srv, err := ktrace.RelayListen("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tr := ktrace.MustNew(ktrace.Config{CPUs: 1, BufWords: 64, NumBufs: 4,
-		Mode: ktrace.Stream})
-	tr.EnableAll()
-	go ktrace.RelaySend(tr, srv.Addr())
-	c := tr.CPU(0)
-	for i := 0; i < 500; i++ {
-		c.Log1(ktrace.MajorUser, 31, uint64(i))
-	}
-	tr.Stop()
-	got := 0
-	for b := range ch {
-		evs, _ := ktrace.DecodeBuffer(b.Header.CPU, b.Words)
-		got += len(evs)
-	}
-	if got == 0 {
-		t.Fatal("no live events")
+	if rd.NumBlocks() != st.Blocks {
+		t.Errorf("file blocks %d != %d", rd.NumBlocks(), st.Blocks)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-
-	"k42trace/internal/event"
 )
 
 // Timeline is the kmon-style per-CPU view of Figure 4: a bird's-eye row
@@ -38,101 +36,52 @@ func (t *Trace) Timeline(width int, markNames ...string) *Timeline {
 
 // TimelineRange renders only the [from, to] window — the zoom operation:
 // "the user can zoom in or out to get a sense of the system behavior at
-// different granularities."
+// different granularities." It buckets ExportTimelineRange's clipped spans
+// and marker times, so the two views of a window cannot disagree.
 func (t *Trace) TimelineRange(from, to uint64, width int, markNames ...string) *Timeline {
 	if width <= 0 {
 		width = 80
 	}
-	first, last := from, to
-	if last <= first {
-		last = first + 1
-	}
-	nCPU := MaxCPU(t.Events) + 1
+	x := t.ExportTimelineRange(from, to, markNames...)
 	tl := &Timeline{
-		Start:    first,
-		End:      last,
+		Start:    x.Start,
+		End:      x.End,
 		Width:    width,
-		BucketNs: (last - first + uint64(width) - 1) / uint64(width),
+		BucketNs: max((x.End-x.Start+uint64(width)-1)/uint64(width), 1),
 		Markers:  map[string][]int{},
 		trace:    t,
 	}
-	if tl.BucketNs == 0 {
-		tl.BucketNs = 1
-	}
-	acc := make([]map[int]map[ModeKind]uint64, nCPU)
-	for i := range acc {
-		acc[i] = map[int]map[ModeKind]uint64{}
-	}
-	bucketOf := func(ts uint64) int {
-		b := int((ts - first) / tl.BucketNs)
-		if b >= width {
-			b = width - 1
-		}
-		return b
-	}
-	wantMark := map[string]bool{}
+	bucketOf := func(ts uint64) int { return min(int((ts-tl.Start)/tl.BucketNs), width-1) }
 	for _, n := range markNames {
-		wantMark[n] = true
+		times, ok := x.Markers[n]
+		if !ok || slices.Contains(tl.marks, n) {
+			continue
+		}
+		tl.marks = append(tl.marks, n)
+		for _, ts := range times {
+			tl.Markers[n] = append(tl.Markers[n], bucketOf(ts))
+		}
 	}
-	Walk(t.Events, nCPU-1, Hooks{
-		Span: func(cpu int, st *CPUState, from, to uint64) {
-			// Clip to the rendered window.
-			if to <= tl.Start || from >= tl.End {
-				return
-			}
-			if from < tl.Start {
-				from = tl.Start
-			}
-			if to > tl.End {
-				to = tl.End
-			}
-			mode := st.Mode()
-			for ts := from; ts < to; {
+	tl.Cells = make([][]ModeKind, len(x.CPUs))
+	ns := make([][NumModes]uint64, width)
+	for cpu, spans := range x.CPUs {
+		clear(ns)
+		for _, s := range spans {
+			for ts := s.From; ts < s.To; {
 				b := bucketOf(ts)
-				bEnd := first + uint64(b+1)*tl.BucketNs
-				if bEnd > to {
-					bEnd = to
-				}
-				m := acc[cpu][b]
-				if m == nil {
-					m = map[ModeKind]uint64{}
-					acc[cpu][b] = m
-				}
-				m[mode] += bEnd - ts
-				if bEnd == ts {
-					break
-				}
-				ts = bEnd
+				end := min(tl.Start+uint64(b+1)*tl.BucketNs, s.To)
+				ns[b][s.Mode] += end - ts
+				ts = end
 			}
-		},
-		Event: func(e *event.Event, st *CPUState) {
-			if len(wantMark) == 0 || e.Time < tl.Start || e.Time > tl.End {
-				return
-			}
-			if d := t.Reg.Lookup(e.Major(), e.Minor()); d != nil && wantMark[d.Name] {
-				tl.Markers[d.Name] = append(tl.Markers[d.Name], bucketOf(e.Time))
-			}
-		},
-	})
-	for _, n := range markNames {
-		if _, ok := tl.Markers[n]; ok && !slices.Contains(tl.marks, n) {
-			tl.marks = append(tl.marks, n)
 		}
-	}
-	tl.Cells = make([][]ModeKind, nCPU)
-	for cpu := range tl.Cells {
 		row := make([]ModeKind, width)
 		for i := range row {
 			row[i] = ModeKind(-1)
-			var best ModeKind
 			var bestNs uint64
-			for m, ns := range acc[cpu][i] {
-				if ns > bestNs || (ns == bestNs && bestNs > 0 && m < best) {
-					best, bestNs = m, ns
+			for m, n := range ns[i] {
+				if n > bestNs { // ties go to the lower mode
+					row[i], bestNs = ModeKind(m), n
 				}
-			}
-			if bestNs > 0 {
-				row[i] = best
 			}
 		}
 		tl.Cells[cpu] = row

@@ -228,8 +228,8 @@ func TestExitStatus(t *testing.T) {
 		{"ktraced", []string{"-seg", missing, "-spill", filepath.Join(dir, "spill")}, 1, "ktraced: "},
 		{"shmlog", nil, 2, "shmlog: -seg is required\n"},
 		{"shmlog", []string{"-seg", missing}, 1, "shmlog: "},
-		{"tracerelay", nil, 2, "usage: tracerelay -collect [-listen addr -o file] | -send addr\n  -attempts int"},
-		{"tracerelay", []string{"-collect", "-o", missing}, 1, "tracerelay: open "},
+		{"tracerelay", nil, 2, "usage: tracerelay -send addr | -fed url\n  -attempts int"},
+		{"tracerelay", []string{"-send", "127.0.0.1:1", "-cpus", "1"}, 1, "tracerelay: relay: 127.0.0.1:1: attempt 1 of 1 failed: "},
 		{"tracecolld", []string{"-watch", "1,x"}, 2, `tracecolld: bad -watch pid "x": `},
 		{"tracecolld", []string{"-mask", "nope"}, 2, "tracecolld: bad -mask: "},
 		{"tracecolld", []string{"-store", "http://127.0.0.1:1", "-store-tenant", "a/b"}, 2, `tracecolld: bad -store-tenant "a/b"` + "\n"},
@@ -284,8 +284,8 @@ func TestStoreTenantIsEscaped(t *testing.T) {
 // TestMainCancelsOnSIGTERM: in a real process the first signal is the
 // cancellation, named in the drain line, and the exit status is the drain's.
 func TestMainCancelsOnSIGTERM(t *testing.T) {
-	r := spawn(t, "tracerelay", "-collect", "-listen", lo, "-o", filepath.Join(t.TempDir(), "got.ktr"))
-	r.expect(`collecting on `)
+	r := spawn(t, "tracecolld", "-listen", lo, "-http", lo)
+	r.expect(`producers on `)
 	r.stopped(0)
-	r.expect(`collected 0 blocks \(0 anomalous\), skipped 0 damaged\n`)
+	r.expect(`tracecolld: terminated, draining\n(.*\n)*tracecolld: 0 producers, 0 blocks, 0 events`)
 }

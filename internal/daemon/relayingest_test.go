@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"syscall"
 	"testing"
 
 	"k42trace/internal/clock"
@@ -19,10 +20,12 @@ import (
 // hangUp ends the upload on conn and waits for the server to have handled
 // it: the server hangs up once its handler returns. Closing the listener
 // right behind a plain conn.Close can beat the accept loop to the
-// connection on a loaded host, and the upload is then never seen.
+// connection on a loaded host, and the upload is then never seen. A server
+// that refuses the stream may hang up before CloseWrite, which then fails
+// with ENOTCONN: that is the end this waits for, already reached.
 func hangUp(t *testing.T, conn net.Conn) {
 	t.Helper()
-	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil && !errors.Is(err, syscall.ENOTCONN) {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, conn)
@@ -72,7 +75,7 @@ func TestRelayIngestSalvagesDamagedUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := relay.Listen("127.0.0.1:0", newProc("tracestored", io.Discard, io.Discard).relayIngest(s, "relayed"))
+	srv, err := relay.ListenConns("127.0.0.1:0", newProc("tracestored", io.Discard, io.Discard).relayIngest(s, "relayed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +131,7 @@ func TestRelayIngestKeepsBlocksBeforeATear(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	srv, err := relay.Listen("127.0.0.1:0", newProc("tracestored", io.Discard, io.Discard).relayIngest(s, "relayed"))
+	srv, err := relay.ListenConns("127.0.0.1:0", newProc("tracestored", io.Discard, io.Discard).relayIngest(s, "relayed"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,18 +158,18 @@ func TestShm(t *testing.T) {
 }
 
 // TestShmRelay is ktraced's other sink: the segment drains over the relay
-// wire into `tracerelay -collect`, with the client in this process.
+// wire into `tracecolld`'s spill, with the client in this process.
 func TestShmRelay(t *testing.T) {
 	defer settles(t)()
 	dir := t.TempDir()
 	seg, got := filepath.Join(dir, "k42.seg"), filepath.Join(dir, "collected.ktr")
-	collector := start(t, Tracerelay, "-collect", "-listen", lo, "-o", got)
-	ktraced := start(t, Ktraced, "-seg", seg, "-rm", "-relay", collector.expect(`collecting on (\S+) into`)[1])
+	collector := start(t, Tracecolld, "-listen", lo, "-http", lo, "-cpu-slots", "4", "-spill", got)
+	ktraced := start(t, Ktraced, "-seg", seg, "-rm", "-relay", collector.expect(`producers on (\S+), http on`)[1])
 	ktraced.expect(`segment \S+ ready`)
 	start(t, Shmlog, "-seg", seg, "-n", "5000").exits(0)
 	ktraced.stopped(0)
 	collector.stopped(0)
-	collector.expect(`collected [1-9]\d* blocks \(0 anomalous\), skipped 0 damaged\n`)
+	collector.expect(`1 producers, [1-9]\d* blocks, \d+ events \(0 garbled, 0 stuck-seal blocks\)\n`)
 	if _, err := os.Stat(seg); !os.IsNotExist(err) {
 		t.Errorf("-rm left the segment file: %v", err)
 	}

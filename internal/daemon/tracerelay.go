@@ -16,62 +16,38 @@ import (
 	"k42trace/internal/sdet"
 )
 
-// Tracerelay is the network transport's two ends. -collect saves incoming
-// streams to -o until cancelled, then closes the listener, waits for the
-// open connections and closes the file. -send (or -fed) runs a traced
-// workload — a finite SDET run, or -loadgen until -duration or cancel —
-// streams its buffers as they seal, and is done when the last one is out.
+// Tracerelay is the producer end of the network transport: -send (or
+// -fed) runs a traced workload — a finite SDET run, or -loadgen until
+// -duration or cancel — streams its buffers as they seal to a collector
+// (tracecolld, traceaggd, or tracestored -relay), and is done when the last
+// one is out.
 func Tracerelay(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	p := newProc("tracerelay", stdout, stderr)
 	var faults faultinject.StreamFaults
-	collect := p.fs.Bool("collect", false, "run as collector")
-	listen := p.fs.String("listen", "127.0.0.1:7042", "collector listen address")
-	out := p.fs.String("o", "collected.ktr", "collector output file")
 	send := p.fs.String("send", "", "stream a traced SDET run to this collector address")
-	cpus := p.fs.Int("cpus", 4, "sender: simulated processors")
-	config := p.fs.String("config", "coarse", "sender: tuned or coarse")
-	p.fs.Int64Var(&faults.Seed, "chaos-seed", 1, "sender: fault-injection seed")
-	p.fs.Float64Var(&faults.DropProb, "drop", 0, "sender: probability of dropping each block in transit")
-	p.fs.Float64Var(&faults.DupProb, "dup", 0, "sender: probability of duplicating each block")
-	p.fs.IntVar(&faults.ReorderWindow, "reorder", 0, "sender: reorder window in blocks (0 or 1 = off)")
-	p.fs.Float64Var(&faults.TearProb, "tear", 0, "sender: probability of tearing a block write")
-	p.fs.Float64Var(&faults.FlipProb, "flip", 0, "sender: probability of flipping one bit in a block")
-	p.fs.Float64Var(&faults.ZeroProb, "zero", 0, "sender: probability of zeroing a span of a block")
-	reconnect := p.fs.Bool("reconnect", false, "sender: give each block -attempts dial/write attempts instead of one: redial with backoff if the collector drops, re-sending the failed block")
-	backoff := p.fs.Duration("backoff", 50*time.Millisecond, "sender: initial reconnect backoff (doubles up to 2s)")
-	attempts := p.fs.Int("attempts", 8, "sender: dial/write attempts per block before giving up")
-	fedURL := p.fs.String("fed", "", "sender: resolve the collector through this traceaggd HTTP base URL's consistent-hash ring (implies -reconnect)")
-	key := p.fs.String("key", "", "sender: stable ring key for -fed (default hostname-pid)")
-	remoteControl := p.fs.Bool("remote-control", false, "sender: apply mask updates pushed back by the collector (implies -reconnect)")
-	loadgen := p.fs.Bool("loadgen", false, "sender: stream a steady synthetic workload instead of a finite SDET run")
-	duration := p.fs.Duration("duration", 10*time.Second, "sender: how long -loadgen runs")
-	rate := p.fs.Int("rate", 30000, "sender: -loadgen target logging attempts per second")
+	cpus := p.fs.Int("cpus", 4, "simulated processors")
+	config := p.fs.String("config", "coarse", "tuned or coarse")
+	p.fs.Int64Var(&faults.Seed, "chaos-seed", 1, "fault-injection seed")
+	p.fs.Float64Var(&faults.DropProb, "drop", 0, "probability of dropping each block in transit")
+	p.fs.Float64Var(&faults.DupProb, "dup", 0, "probability of duplicating each block")
+	p.fs.IntVar(&faults.ReorderWindow, "reorder", 0, "reorder window in blocks (0 or 1 = off)")
+	p.fs.Float64Var(&faults.TearProb, "tear", 0, "probability of tearing a block write")
+	p.fs.Float64Var(&faults.FlipProb, "flip", 0, "probability of flipping one bit in a block")
+	p.fs.Float64Var(&faults.ZeroProb, "zero", 0, "probability of zeroing a span of a block")
+	reconnect := p.fs.Bool("reconnect", false, "give each block -attempts dial/write attempts instead of one: redial with backoff if the collector drops, re-sending the failed block")
+	backoff := p.fs.Duration("backoff", 50*time.Millisecond, "initial reconnect backoff (doubles up to 2s)")
+	attempts := p.fs.Int("attempts", 8, "dial/write attempts per block before giving up")
+	fedURL := p.fs.String("fed", "", "resolve the collector through this traceaggd HTTP base URL's consistent-hash ring (implies -reconnect)")
+	key := p.fs.String("key", "", "stable ring key for -fed (default hostname-pid)")
+	remoteControl := p.fs.Bool("remote-control", false, "apply mask updates pushed back by the collector (implies -reconnect)")
+	loadgen := p.fs.Bool("loadgen", false, "stream a steady synthetic workload instead of a finite SDET run")
+	duration := p.fs.Duration("duration", 10*time.Second, "how long -loadgen runs")
+	rate := p.fs.Int("rate", 30000, "-loadgen target logging attempts per second")
 	if code, ok := p.parse(args); !ok {
 		return code
 	}
-
-	switch {
-	case *collect:
-		f, err := os.Create(*out)
-		if err != nil {
-			return p.fail(err)
-		}
-		defer f.Close()
-		h, st := relay.SaveHandler(f)
-		srv, err := relay.Listen(*listen, h)
-		if err != nil {
-			return p.fail(err)
-		}
-		fmt.Fprintf(p.stdout, "collecting on %s into %s (ctrl-C to stop)\n", srv.Addr(), *out)
-		<-ctx.Done()
-		if err := srv.Close(); err != nil {
-			p.warn("%v", err)
-		}
-		blocks, anoms := st.Snapshot()
-		fmt.Fprintf(p.stdout, "collected %d blocks (%d anomalous), skipped %d damaged\n", blocks, anoms, st.Damaged)
-		return 0
-	case *send == "" && *fedURL == "":
-		fmt.Fprintln(p.stderr, "usage: tracerelay -collect [-listen addr -o file] | -send addr")
+	if *send == "" && *fedURL == "" {
+		fmt.Fprintln(p.stderr, "usage: tracerelay -send addr | -fed url")
 		p.fs.PrintDefaults()
 		return 2
 	}

@@ -70,7 +70,7 @@ func Tracestored(ctx context.Context, args []string, stdout, stderr io.Writer) i
 	defer webLn.Close()
 	var relaySrv *relay.Server
 	if *relayAddr != "" {
-		if relaySrv, err = relay.Listen(*relayAddr, p.relayIngest(s, *relayTenant)); err != nil {
+		if relaySrv, err = relay.ListenConns(*relayAddr, p.relayIngest(s, *relayTenant)); err != nil {
 			return p.fail(err)
 		}
 		p.say("relay ingest on %s (tenant %s)", relaySrv.Addr(), *relayTenant)
@@ -138,31 +138,31 @@ func Tracestored(ctx context.Context, args []string, stdout, stderr io.Writer) i
 // counts them whatever the error), and a relay.Link re-sends only the
 // block that failed, on a new connection — so they are ingested, and the
 // tear is still the handler's error.
-func (p *proc) relayIngest(s *store.Store, tenant string) relay.Handler {
-	return func(remote net.Addr, bs *stream.BlockStream) error {
+func (p *proc) relayIngest(s *store.Store, tenant string) relay.ConnHandler {
+	return func(c relay.Conn) error {
 		tmp, err := os.CreateTemp("", "tracestored-relay-*.ktr")
 		if err != nil {
 			return err
 		}
 		defer os.Remove(tmp.Name())
 		defer tmp.Close()
-		wr, err := stream.NewWriter(tmp, bs.Meta())
+		wr, err := stream.NewWriter(tmp, c.Stream.Meta())
 		if err != nil {
 			return err
 		}
-		cs, torn := bs.CopyTo(wr)
+		cs, torn := c.Stream.CopyTo(wr)
 		if torn != nil {
 			if cs.Blocks == 0 {
 				return torn
 			}
-			p.warn("relay upload from %v torn after %d blocks, ingesting those: %v", remote, cs.Blocks, torn)
+			p.warn("relay upload from %v torn after %d blocks, ingesting those: %v", c.Remote, cs.Blocks, torn)
 		}
 		res, err := s.IngestFile(tenant, tmp.Name())
 		if err != nil {
 			return err
 		}
 		p.say("relay upload %d from %v: %d events in %d segments, %d damaged blocks skipped",
-			res.Upload, remote, res.Events, len(res.Segments), cs.Damaged)
+			res.Upload, c.Remote, res.Events, len(res.Segments), cs.Damaged)
 		return torn
 	}
 }

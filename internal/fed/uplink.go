@@ -56,13 +56,19 @@ type UplinkStats struct {
 	DroppedGaveUp   uint64 `json:"dropped_gaveup"` // blocks dropped after MaxAttempts
 }
 
+// queued is one block waiting in an Uplink's queue.
+type queued struct {
+	h     stream.BlockHeader
+	words []uint64
+}
+
 // Uplink relays blocks from one shard to the aggregator.
 type Uplink struct {
 	addr string
 	opt  UplinkOptions
 
 	mu      sync.Mutex
-	queue   chan relay.LiveBlock
+	queue   chan queued
 	feeding sync.WaitGroup // Feeds past the closed check; Close waits them out before closing queue
 	link    *relay.Link    // set by Start
 	closed  bool
@@ -81,7 +87,7 @@ func NewUplink(addr string, opt UplinkOptions) *Uplink {
 	return &Uplink{
 		addr:  addr,
 		opt:   opt,
-		queue: make(chan relay.LiveBlock, opt.QueueBlocks),
+		queue: make(chan queued, opt.QueueBlocks),
 		done:  make(chan struct{}),
 	}
 }
@@ -111,7 +117,7 @@ func (u *Uplink) Feed(h stream.BlockHeader, words []uint64) {
 	u.feeding.Add(1)
 	u.mu.Unlock()
 	defer u.feeding.Done()
-	b := relay.LiveBlock{Header: h, Words: append([]uint64(nil), words...)}
+	b := queued{h, append([]uint64(nil), words...)}
 	select {
 	case u.queue <- b:
 		return
@@ -174,7 +180,7 @@ func (u *Uplink) run(l *relay.Link) {
 	defer l.Close()
 	l.Connect()
 	for b := range u.queue {
-		if err := l.WriteBlock(b.Header, b.Words); err != nil {
+		if err := l.WriteBlock(b.h, b.words); err != nil {
 			u.droppedGave.Add(1)
 			continue
 		}

@@ -3,7 +3,6 @@ package fed
 import (
 	"errors"
 	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,8 +37,8 @@ func (g gate) Write(p []byte) (int, error) {
 // DroppedGaveUp — that block only — and the next block is delivered.
 func TestUplinkDropsOneBlockAfterMaxAttempts(t *testing.T) {
 	seqs := make(chan uint64, 4) // every block the test feeds
-	srv, err := relay.Listen("127.0.0.1:0", func(_ net.Addr, bs *stream.BlockStream) error {
-		_, err := bs.CopyTo(stream.SinkFunc(func(h stream.BlockHeader, _ []uint64) error {
+	srv, err := relay.ListenConns("127.0.0.1:0", func(c relay.Conn) error {
+		_, err := c.Stream.CopyTo(stream.SinkFunc(func(h stream.BlockHeader, _ []uint64) error {
 			seqs <- h.Seq
 			return nil
 		}))
@@ -99,8 +98,8 @@ func (s *slow) Write(p []byte) (int, error) {
 // them waiting on a full queue, while Close runs: no send may land on the
 // closed queue, and every block fed is delivered or counted dropped.
 func TestUplinkFeedAgainstClose(t *testing.T) {
-	srv, err := relay.Listen("127.0.0.1:0", func(_ net.Addr, bs *stream.BlockStream) error {
-		_, err := bs.CopyTo(stream.SinkFunc(func(stream.BlockHeader, []uint64) error { return nil }))
+	srv, err := relay.ListenConns("127.0.0.1:0", func(c relay.Conn) error {
+		_, err := c.Stream.CopyTo(stream.SinkFunc(func(stream.BlockHeader, []uint64) error { return nil }))
 		return err
 	})
 	if err != nil {

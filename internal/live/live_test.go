@@ -125,6 +125,18 @@ func TestLiveMatchesOfflineSpill(t *testing.T) {
 	if dst.Garbled() {
 		t.Fatal("spill is garbled")
 	}
+	// The producers' CPU slices keep their blocks apart, so the salvager —
+	// the path ktrace check -salvage and every store ingest take — reads
+	// the spill as the strict reader does: no block is taken for another
+	// producer's duplicate.
+	salvaged, rep, err := stream.Salvage(bytes.NewReader(spill.Bytes()), int64(spill.Len()), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(salvaged, evs) || rep.DupBlocks != 0 || !rep.Clean() {
+		t.Errorf("salvage of the spill: %d events against ReadAll's %d, %d duplicate blocks\n%s",
+			len(salvaged), len(evs), rep.DupBlocks, rep)
+	}
 	offline := analysis.Build(evs, rd.Meta().ClockHz, event.Default).Overview()
 	if !reflect.DeepEqual(live, offline) {
 		t.Fatalf("live overview != offline overview of spill\nlive:\n%s\noffline:\n%s",
@@ -156,6 +168,67 @@ func TestLiveMatchesOfflineSpill(t *testing.T) {
 	}
 	if uint64(len(evs)) != s.Stats.Events {
 		t.Errorf("spill decodes to %d events, engine fed %d", len(evs), s.Stats.Events)
+	}
+}
+
+// TestOneProducerSpillIsTheStreamSent: with CPUSlots equal to its one
+// producer's CPU count, the collector's spill is byte for byte the stream
+// that producer sent — the collected bytes are that trace file.
+func TestOneProducerSpillIsTheStreamSent(t *testing.T) {
+	var spill bytes.Buffer
+	c := NewCollector(Options{CPUSlots: 2, Spill: &spill})
+	srv, err := relay.ListenConns("127.0.0.1:0", c.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := core.MustNew(core.Config{
+		CPUs: 2, BufWords: 64, NumBufs: 4,
+		Mode: core.Stream, Clock: clock.NewManual(1),
+	})
+	tr.EnableAll()
+	var sent bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		_, err := relay.SendThrough(tr, srv.Addr(), func(w io.Writer) io.Writer { return io.MultiWriter(&sent, w) })
+		done <- err
+	}()
+	const n = 2000
+	for i := 0; i < n; i++ {
+		tr.CPU(i%2).Log1(event.MajorTest, 1, uint64(i))
+	}
+	tr.Stop()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the producer to finish", func() bool {
+		s := c.Snapshot()
+		return len(s.Producers) == 1 && !s.Producers[0].Connected
+	})
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(spill.Bytes(), sent.Bytes()) {
+		t.Fatalf("spill (%d bytes) is not the %d bytes the producer sent", spill.Len(), sent.Len())
+	}
+	rd, err := stream.NewReader(bytes.NewReader(spill.Bytes()), int64(spill.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, dst, err := rd.ReadAll()
+	if err != nil || dst.Garbled() {
+		t.Fatalf("spill reads with %v, garbled %v", err, dst.Garbled())
+	}
+	logged := 0
+	for _, e := range evs {
+		if e.Major() == event.MajorTest {
+			logged++
+		}
+	}
+	if logged != n {
+		t.Fatalf("spill holds %d of the %d events logged", logged, n)
 	}
 }
 

@@ -28,21 +28,16 @@ func (ft *faultTee) Write(p []byte) (int, error) {
 func (ft *faultTee) Flush() error { return ft.inj.Flush() }
 
 // sendFaulty runs a full loopback session — tracer → injector → server →
-// SaveHandler — and returns the clean bytes, the collected (corrupted)
+// fileCollector — and returns the clean bytes, the collected (corrupted)
 // file, and the injector's fault stats.
 func sendFaulty(t *testing.T, f faultinject.StreamFaults, n int) (clean, collected []byte, st faultinject.Stats) {
 	t.Helper()
-	var file bytes.Buffer
-	h, _ := SaveHandler(&file)
-	srv, err := Listen("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fc := collectFile(t)
 	tr := newStreamTracer()
 	ft := &faultTee{}
 	sendDone := make(chan error, 1)
 	go func() {
-		_, err := SendThrough(tr, srv.Addr(), func(w io.Writer) io.Writer {
+		_, err := SendThrough(tr, fc.srv.Addr(), func(w io.Writer) io.Writer {
 			ft.inj = faultinject.NewInjector(w, f)
 			return ft
 		})
@@ -55,10 +50,11 @@ func sendFaulty(t *testing.T, f faultinject.StreamFaults, n int) (clean, collect
 	if err := <-sendDone; err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Close(); err != nil {
+	collected, err := fc.close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return ft.clean.Bytes(), file.Bytes(), ft.inj.Stats()
+	return ft.clean.Bytes(), collected, ft.inj.Stats()
 }
 
 // expectedSurvivors rebuilds the event stream a perfect consumer should
@@ -198,7 +194,7 @@ func TestRelayReorderOnlyIsLossless(t *testing.T) {
 }
 
 // TestRelayDupDeliveryStillSavable: duplicated blocks must not trip the
-// strict reader either — SaveHandler accepts them and ReadAll sees the
+// strict reader either — the collected file keeps them and ReadAll sees the
 // extra copies, while salvage dedupes them away.
 func TestRelayDupDeliveryStillSavable(t *testing.T) {
 	_, collected, st := sendFaulty(t,

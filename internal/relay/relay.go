@@ -3,8 +3,8 @@
 // to user space ... has also incorporated aspects of K42's tracing
 // technology"): sealed per-CPU buffers are shipped, whole, over a network
 // connection using the same wire format as the on-disk trace, so the
-// collector can save them directly or analyze them live while the system
-// runs.
+// collector can spill them as a trace file and analyze them live while the
+// system runs.
 package relay
 
 import (
@@ -18,15 +18,10 @@ import (
 	"k42trace/internal/stream"
 )
 
-// Handler processes one incoming trace stream. It is called once per
-// accepted connection with the already-validated block stream; returning
-// an error closes the connection.
-type Handler func(remote net.Addr, bs *stream.BlockStream) error
-
-// Conn identifies one producer connection for handlers that track
-// per-producer state: a unique id in accept order, the remote address,
-// the validated block stream, and the control back-channel for writing
-// frames (mask updates) back down the same TCP connection.
+// Conn identifies one producer connection: a unique id in accept order,
+// the remote address, the validated block stream, and the control
+// back-channel for writing frames (mask updates) back down the same TCP
+// connection.
 type Conn struct {
 	ID      uint64
 	Remote  net.Addr
@@ -55,15 +50,10 @@ type Server struct {
 	conns   map[net.Conn]struct{}
 }
 
-// Listen starts a collector on addr (use "127.0.0.1:0" for an ephemeral
-// port) and serves connections with h until Close.
-func Listen(addr string, h Handler) (*Server, error) {
-	return ListenConns(addr, func(c Conn) error { return h(c.Remote, c.Stream) })
-}
-
-// ListenConns is Listen for handlers that need per-producer identity.
-// Connection ids start at 1, follow accept order and never repeat for the
-// server's lifetime.
+// ListenConns starts a collector on addr (use "127.0.0.1:0" for an
+// ephemeral port) and serves connections with h until Close. Connection ids
+// start at 1, follow accept order and never repeat for the server's
+// lifetime.
 func ListenConns(addr string, h ConnHandler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -160,84 +150,4 @@ func (s *Server) close(force bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return errors.Join(s.errs...)
-}
-
-// SaveHandler returns a Handler that re-serializes every incoming stream
-// into w in trace-file format, so the collected bytes are directly
-// openable with stream.NewReader. Multiple connections (sequential or
-// concurrent) append into the same file: the first writes the header and
-// later ones must carry identical metadata; block writes are serialized.
-// A block whose header fails validation is counted and skipped; the
-// connection and the blocks behind it are kept. The returned stats are
-// updated as each connection ends (read them after Server.Close).
-func SaveHandler(w io.Writer) (Handler, *SaveStats) {
-	st := &SaveStats{}
-	var wr *stream.Writer // guarded, like the stats, by st.mu
-	h := func(remote net.Addr, bs *stream.BlockStream) error {
-		st.mu.Lock()
-		if wr == nil {
-			var err error
-			wr, err = stream.NewWriter(w, bs.Meta())
-			if err != nil {
-				st.mu.Unlock()
-				return err
-			}
-		} else if wr.Meta() != bs.Meta() {
-			st.mu.Unlock()
-			return fmt.Errorf("relay: stream from %v has metadata %+v, file has %+v",
-				remote, bs.Meta(), wr.Meta())
-		}
-		st.mu.Unlock()
-		cs, err := bs.CopyTo(stream.SinkFunc(func(bh stream.BlockHeader, words []uint64) error {
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			return wr.WriteBlock(bh, words)
-		}))
-		st.mu.Lock()
-		st.Blocks += cs.Blocks
-		st.Anomalies += cs.Anomalies
-		st.Damaged += cs.Damaged
-		st.mu.Unlock()
-		return err
-	}
-	return h, st
-}
-
-// SaveStats reports what a SaveHandler collected, from every connection
-// however it ended: a sender that dies mid-stream still left its blocks
-// in the file.
-type SaveStats struct {
-	mu sync.Mutex
-	stream.CopyStats
-}
-
-// Snapshot returns the current counts.
-func (s *SaveStats) Snapshot() (blocks, anomalies int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Blocks, s.Anomalies
-}
-
-// LiveBlock is one buffer delivered to a live consumer.
-type LiveBlock struct {
-	Header stream.BlockHeader
-	Words  []uint64
-}
-
-// LiveHandler returns a Handler that decodes incoming buffers and sends
-// them on the returned channel, enabling live analysis while the traced
-// system runs ("this event log may be examined while the system is
-// running ... or streamed over the network"). A damaged block is skipped.
-// The channel closes when the sender finishes.
-func LiveHandler(buffered int) (Handler, <-chan LiveBlock) {
-	ch := make(chan LiveBlock, buffered)
-	h := func(remote net.Addr, bs *stream.BlockStream) error {
-		defer close(ch)
-		_, err := bs.CopyTo(stream.SinkFunc(func(bh stream.BlockHeader, words []uint64) error {
-			ch <- LiveBlock{Header: bh, Words: words}
-			return nil
-		}))
-		return err
-	}
-	return h, ch
 }

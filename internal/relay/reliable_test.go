@@ -41,12 +41,7 @@ func (f *failAfter) Write(p []byte) (int, error) {
 // deliver every event exactly once: the torn copy never parsed, so the
 // retry is invisible in the collected file.
 func TestSendReliableRidesOutTornConnection(t *testing.T) {
-	var file bytes.Buffer
-	h, _ := SaveHandler(&file)
-	srv, err := Listen("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fc := collectFile(t)
 	tr := newStreamTracer()
 	g := stream.Meta{BufWords: 64, CPUs: 2, ClockHz: 1}.Geometry()
 	// First connection dies halfway through its second block.
@@ -64,7 +59,7 @@ func TestSendReliableRidesOutTornConnection(t *testing.T) {
 	var sendErr error
 	go func() {
 		defer close(done)
-		stats, sendErr = SendReliable(tr, srv.Addr(), ReliableOptions{
+		stats, sendErr = SendReliable(tr, fc.srv.Addr(), ReliableOptions{
 			Wrap:           wrap,
 			InitialBackoff: time.Millisecond,
 		})
@@ -83,8 +78,8 @@ func TestSendReliableRidesOutTornConnection(t *testing.T) {
 	}
 	// The server saw a torn stream on the first connection; that error is
 	// expected and must not have corrupted the file.
-	srv.Close()
-	rd, err := stream.NewReader(bytes.NewReader(file.Bytes()), int64(file.Len()))
+	file, _ := fc.close()
+	rd, err := stream.NewReader(bytes.NewReader(file), int64(len(file)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -291,24 +291,6 @@ func SalvageTo(r io.ReaderAt, size int64, w io.Writer, workers int) (*SalvageRep
 // the same redialing link as every other sender, with one attempt a block.
 func RelaySend(tr *Tracer, addr string) (CaptureStats, error) { return relay.Send(tr, addr) }
 
-// RelayHandler processes one incoming trace stream.
-type RelayHandler = relay.Handler
-
-// RelayServer accepts trace streams over TCP.
-type RelayServer = relay.Server
-
-// RelayListen starts a collector on addr.
-func RelayListen(addr string, h RelayHandler) (*RelayServer, error) { return relay.Listen(addr, h) }
-
-// RelaySaveHandler persists incoming streams as a trace file.
-func RelaySaveHandler(w io.Writer) (RelayHandler, *relay.SaveStats) { return relay.SaveHandler(w) }
-
-// RelayLiveHandler delivers incoming buffers on a channel for live
-// analysis.
-func RelayLiveHandler(buffered int) (RelayHandler, <-chan relay.LiveBlock) {
-	return relay.LiveHandler(buffered)
-}
-
 // --- Analysis ------------------------------------------------------------------
 
 // Trace is a decoded stream plus its naming context; the input to all
