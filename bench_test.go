@@ -679,8 +679,9 @@ func BenchmarkRedactBuffer(b *testing.B) {
 	}
 }
 
-// BenchmarkCrashDump measures writing and re-reading a full post-mortem
-// image (2 CPUs x 4 x 16384-word buffers = 1 MiB of trace memory).
+// BenchmarkCrashDump measures writing a full flight recorder as a trace
+// file and reading it back (2 CPUs x 4 x 16384-word buffers = 1 MiB of
+// trace memory).
 func BenchmarkCrashDump(b *testing.B) {
 	tr := ktrace.MustNew(ktrace.Config{CPUs: 2, BufWords: 16384, NumBufs: 4})
 	tr.EnableAll()
@@ -690,22 +691,22 @@ func BenchmarkCrashDump(b *testing.B) {
 	b.Run("write", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
-			if err := tr.WriteCrashDump(&buf); err != nil {
+			if err := ktrace.WriteCrashDump(tr, &buf); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	var img bytes.Buffer
-	if err := tr.WriteCrashDump(&img); err != nil {
+	if err := ktrace.WriteCrashDump(tr, &img); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("read-and-decode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			d, err := ktrace.ReadCrashDump(bytes.NewReader(img.Bytes()))
+			rd, err := ktrace.NewReader(bytes.NewReader(img.Bytes()), int64(img.Len()))
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := d.Events(0); err != nil {
+			if _, _, err := rd.ReadAll(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,28 +1,35 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
 
 	ktrace "k42trace"
-	"k42trace/internal/core"
 	"k42trace/internal/ksim"
 	"k42trace/internal/sdet"
 )
 
 // crashdump implements the post-mortem tool the paper called for (§4.2):
-// when a crashed system cannot run the debugger's dump hook, the raw trace
-// memory (per-CPU arrays, indexes, commit counts) saved in a crash-dump
-// image is decoded offline into the most recent activity per CPU, with
-// commit-count anomaly checks for events lost in the crash.
+// when a crashed system cannot run the debugger's dump hook, the flight
+// recorder's resident buffers, saved as an ordinary trace file, are read
+// offline into the most recent activity per CPU, with the commit-count
+// anomalies that mark events lost in the crash. Every other verb reads the
+// same dump.
 //
-//	ktrace crashdump -demo crash.kcd      # produce a demo dump from a traced run
-//	ktrace crashdump crash.kcd            # decode and list a dump
+//	ktrace crashdump -demo crash.ktr      # produce a demo dump from a traced run
+//	ktrace crashdump crash.ktr            # list a dump's last events per CPU
 func crashdump(stdout, stderr io.Writer, args []string) int {
-	t := newTool(stderr, "crashdump", "[-demo] file.kcd")
+	t := newTraceTool(stderr, "crashdump", "[-demo] [flags] crash.ktr")
 	demo := t.fs.Bool("demo", false, "generate a demonstration dump from a traced SDET run instead of reading one")
 	tail := t.fs.Int("tail", 12, "events to list per CPU")
+	t.vet = func() error {
+		if *tail < 0 {
+			return errors.New("-tail must not be negative")
+		}
+		return nil
+	}
 	if code, ok := t.parse(args, 1); !ok {
 		return code
 	}
@@ -34,35 +41,34 @@ func crashdump(stdout, stderr io.Writer, args []string) int {
 		fmt.Fprintf(stdout, "wrote demo crash dump to %s\n", path)
 		return 0
 	}
-	f, err := os.Open(path)
+	trace, err := t.open(path)
 	if err != nil {
 		return t.status(err)
 	}
-	defer f.Close()
-	d, err := core.ReadCrashDump(f)
+	anoms, err := trace.anomalies(path)
 	if err != nil {
 		return t.status(err)
 	}
-	fmt.Fprintf(stdout, "crash dump: %d CPUs, %d x %d-word buffers, clock %dHz\n",
-		d.CPUs, d.NumBufs, d.BufWords, d.ClockHz)
-	for cpu := 0; cpu < d.CPUs; cpu++ {
-		evs, info, err := d.Events(cpu)
-		if err != nil {
-			return t.status(err)
-		}
-		fmt.Fprintf(stdout, "\n--- cpu %d: %d events in %d resident buffers; garbled words %d; anomalies %d ---\n",
-			cpu, len(evs), info.Buffers, info.Stats.SkippedWords, info.Anomalies)
-		if len(evs) > *tail {
-			evs = evs[len(evs)-*tail:]
-		}
-		trace := ktrace.BuildTrace(evs, d.ClockHz, ktrace.DefaultRegistry())
-		trace.List(stdout, ktrace.ListOptions{})
+	meta := trace.meta
+	fmt.Fprintf(stdout, "crash dump: %d CPUs, %d-word buffers, clock %dHz\n", meta.CPUs, meta.BufWords, meta.ClockHz)
+	byCPU := make([][]ktrace.Event, meta.CPUs)
+	for _, e := range trace.Events {
+		byCPU[e.CPU] = append(byCPU[e.CPU], e)
+	}
+	anomalous := make([]int, meta.CPUs)
+	for _, h := range anoms {
+		anomalous[h.CPU]++
+	}
+	for cpu, evs := range byCPU {
+		fmt.Fprintf(stdout, "\n--- cpu %d: %d events; anomalous blocks %d ---\n", cpu, len(evs), anomalous[cpu])
+		evs = evs[len(evs)-min(len(evs), *tail):]
+		ktrace.BuildTrace(evs, trace.ClockHz, ktrace.DefaultRegistry()).List(stdout, ktrace.ListOptions{})
 	}
 	return 0
 }
 
-// writeDemoDump runs a small traced SDET workload and saves its trace
-// memory as a crash-dump image at path.
+// writeDemoDump runs a small traced SDET workload and saves its flight
+// recorder as a crash dump at path.
 func writeDemoDump(path string) error {
 	k, tr, err := ksim.NewTracedKernel(
 		ksim.Config{CPUs: 2, Tuned: false, SamplePeriod: 200_000},
@@ -78,6 +84,9 @@ func writeDemoDump(path string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return tr.WriteCrashDump(f)
+	err = ktrace.WriteCrashDump(tr, f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -27,8 +27,7 @@ func ktraceRun(args ...string) (stdout, stderr string, code int) {
 }
 
 // traceVerbs is one representative command line per verb that reads a
-// trace file; "F" stands for the file under test. crashdump reads a dump
-// image, not a trace, and has its own test.
+// trace file; "F" stands for the file under test.
 var traceVerbs = [][]string{
 	{"lockstat", "F"},
 	{"timebreak", "-all", "F"},
@@ -41,6 +40,7 @@ var traceVerbs = [][]string{
 	{"kmon", "-at", "0.001", "F"},
 	{"check", "F"},
 	{"diff", "F", corpus("tuned.ktr")},
+	{"crashdump", "-tail", "3", "F"},
 }
 
 // withFlags returns cmd with flags inserted after the verb and every "F"
@@ -147,16 +147,28 @@ func TestUsageErrors(t *testing.T) {
 	if code != 2 || !strings.Contains(stderr, `ktrace list: unknown major "nope"`) {
 		t.Errorf("list -major sched,nope: exit %d stderr %q", code, stderr)
 	}
+	// Negative counts, times and windows are usage errors, refused before
+	// the file is read.
+	for _, args := range [][]string{
+		{"crashdump", "-tail", "-1", "F"},
+		{"list", "-from", "-1", "F"},
+		{"list", "-to", "-1", "F"},
+		{"kmon", "-at", "0.0001", "-around", "-2", "F"},
+		{"kmon", "-at", "0.0001", "-around", "0", "F"},
+	} {
+		args = withFlags(args, corpus("clean.ktr"))
+		stdout, stderr, code := ktraceRun(args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "usage: ktrace "+args[0]+" ") {
+			t.Errorf("ktrace %v: exit %d stdout %q stderr %q, want 2 and the usage", args, code, stdout, stderr)
+		}
+	}
 }
 
 func TestUnreadableFile(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.ktr")
-	cmds := append([][]string{{"crashdump", "F"}, {"check", "-shm", "F"}}, traceVerbs...)
+	cmds := append([][]string{{"check", "-shm", "F"}}, traceVerbs...)
 	for _, cmd := range cmds {
 		for _, flags := range [][]string{nil, {"-salvage"}} {
-			if cmd[0] == "crashdump" && flags != nil {
-				continue
-			}
 			args := withFlags(cmd, missing, flags...)
 			stdout, stderr, code := ktraceRun(args...)
 			if code != 1 || stdout != "" || !strings.HasPrefix(stderr, "ktrace "+cmd[0]+": ") {
@@ -389,13 +401,26 @@ func TestListMajorNames(t *testing.T) {
 	}
 }
 
+// TestCrashdumpDemoRoundTrip: the demo dump is a trace file. crashdump
+// lists it, and the verbs that read any trace read it too; the salvager
+// finds nothing to quarantine in it.
 func TestCrashdumpDemoRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "crash.kcd")
+	path := filepath.Join(t.TempDir(), "crash.ktr")
 	if out, stderr, code := ktraceRun("crashdump", "-demo", path); code != 0 || !strings.Contains(out, "wrote demo crash dump") {
 		t.Fatalf("crashdump -demo: exit %d: %s", code, stderr)
 	}
 	out, stderr, code := ktraceRun("crashdump", "-tail", "3", path)
-	if code != 0 || !strings.HasPrefix(out, "crash dump: 2 CPUs") || strings.Count(out, "\n--- cpu ") != 2 {
+	if code != 0 || !strings.HasPrefix(out, "crash dump: 2 CPUs, 1024-word buffers") || strings.Count(out, "\n--- cpu ") != 2 {
 		t.Errorf("crashdump: exit %d stderr %q:\n%s", code, stderr, out)
+	}
+	for _, args := range [][]string{{"stat"}, {"list", "-n", "5"}, {"kmon"}, {"lockstat"}, {"check"}, {"check", "-salvage"}} {
+		args = append(args, path)
+		out, stderr, code := ktraceRun(args...)
+		if code != 0 || out == "" || stderr != "" {
+			t.Errorf("ktrace %v on the demo dump: exit %d stderr %q", args, code, stderr)
+		}
+		if args[1] == "-salvage" && !strings.Contains(out, " 0 quarantined,") {
+			t.Errorf("ktrace %v quarantined blocks of the demo dump:\n%s", args, out)
+		}
 	}
 }

@@ -39,7 +39,7 @@ var verbs = []struct {
 	{"kmon", kmon, "per-CPU timeline as text, SVG or interactive HTML — Figure 4"},
 	{"check", check, "structural invariants; -salvage repairs, -shm inspects a live segment"},
 	{"diff", diff, "align two runs and report where time went differently"},
-	{"crashdump", crashdump, "decode the trace memory saved in a crash-dump image — §4.2"},
+	{"crashdump", crashdump, "the last events per CPU of a flight-recorder dump — §4.2"},
 }
 
 func main() { os.Exit(run(os.Stdout, os.Stderr, os.Args[1:])) }
@@ -73,6 +73,8 @@ type tool struct {
 	// quiet stops open from warning on stderr about decode damage; check
 	// sets it because both of its paths account for the damage on stdout.
 	quiet bool
+	// vet, when set, checks the parsed flags; an error is a usage error.
+	vet func() error
 }
 
 func newTool(stderr io.Writer, verb, synopsis string) *tool {
@@ -109,6 +111,12 @@ func (t *tool) parse(args []string, nargs int) (code int, ok bool) {
 		return 2, false
 	case t.fs.NArg() != nargs:
 		return t.usage(), false
+	}
+	if t.vet != nil {
+		if err := t.vet(); err != nil {
+			fmt.Fprintf(t.stderr, "%s: %v\n", t.name, err)
+			return t.usage(), false
+		}
 	}
 	return 0, true
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -26,6 +27,12 @@ func list(stdout, stderr io.Writer, args []string) int {
 	control := t.fs.Bool("control", false, "include infrastructure events (anchors, fillers metadata)")
 	pid := t.fs.Int64("pid", -1, "only events while this process was scheduled (-1 = all)")
 	cpu := t.fs.Int("cpu", -1, "only events from this processor (-1 = all)")
+	t.vet = func() error {
+		if *from < 0 || *to < 0 {
+			return errors.New("-from and -to must not be negative")
+		}
+		return nil
+	}
 	trace, code := t.load(args)
 	if trace == nil {
 		return code
@@ -177,6 +184,12 @@ func kmon(stdout, stderr io.Writer, args []string) int {
 	around := t.fs.Float64("around", 2.0, "window size for -at, milliseconds")
 	var marks stringList
 	t.fs.Var(&marks, "mark", "event name to mark on the timeline (repeatable)")
+	t.vet = func() error {
+		if *around <= 0 {
+			return errors.New("-around must be positive")
+		}
+		return nil
+	}
 	trace, code := t.load(args)
 	if trace == nil {
 		return code

@@ -70,18 +70,21 @@ func TestFacadeRedactAndCrashDump(t *testing.T) {
 	c.Log1(ktrace.MajorMem, 1, 0x11)
 	c.Log1(ktrace.MajorUser, 2, 0x22)
 	var dump bytes.Buffer
-	if err := tr.WriteCrashDump(&dump); err != nil {
+	if err := ktrace.WriteCrashDump(tr, &dump); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ktrace.ReadCrashDump(bytes.NewReader(dump.Bytes()))
+	rd, err := ktrace.NewReader(bytes.NewReader(dump.Bytes()), int64(dump.Len()))
+	if err != nil || rd.NumBlocks() != 1 {
+		t.Fatalf("dump of %d blocks: %v", rd.NumBlocks(), err)
+	}
+	_, words, err := rd.Block(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs, _, err := d.Events(0)
-	if err != nil || len(evs) == 0 {
-		t.Fatalf("events=%d err=%v", len(evs), err)
+	if evs, _ := ktrace.DecodeBuffer(0, words); len(evs) < 2 {
+		t.Fatalf("the dump holds %d events", len(evs))
 	}
-	red := ktrace.Redact(d.Memory[0][:d.Index[0]], ktrace.VisibleMask(ktrace.MajorMem))
+	red := ktrace.Redact(words, ktrace.VisibleMask(ktrace.MajorMem))
 	revs, _ := ktrace.DecodeBuffer(0, red)
 	for _, e := range revs {
 		if e.Major() == ktrace.MajorUser {

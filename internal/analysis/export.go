@@ -131,16 +131,6 @@ func (t *Trace) ExportTimelineRange(from, to uint64, markNames ...string) *Timel
 // declaration order and map keys are sorted by encoding/json.
 func (x *TimelineExport) JSON() ([]byte, error) { return json.Marshal(x) }
 
-// WriteJSON writes the JSON export to w.
-func (x *TimelineExport) WriteJSON(w io.Writer) error {
-	b, err := x.JSON()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
 // WriteTimelineHTML writes a self-contained interactive HTML timeline for
 // one or more runs stacked in a single page with a shared (normalized)
 // time axis — the ktrace diff -html view passes the two aligned runs. The

@@ -20,9 +20,8 @@ type WindowConfig struct {
 	// for. The breakdown walk is the most stateful analysis, so it is
 	// opt-in per pid rather than run for every pid seen.
 	WatchPids []uint64
-	// Hz is the trace clock rate; Reg the event registry (nil = default).
-	Hz  uint64
-	Reg *event.Registry
+	// Hz is the trace clock rate.
+	Hz uint64
 }
 
 // Windowed is the live incremental analysis engine: a persistent
@@ -85,7 +84,7 @@ func NewWindowed(cfg WindowConfig) *Windowed {
 	}
 	w := &Windowed{
 		cfg:   cfg,
-		trace: NewTrace(cfg.Hz, cfg.Reg),
+		trace: NewTrace(cfg.Hz, nil),
 		cum:   newOverviewAcc(),
 	}
 	w.walker = NewStreamWalker(0, Hooks{

@@ -100,7 +100,7 @@ func TestBatchStraddlesSeal(t *testing.T) {
 	}
 	b.Close() // commits 30 words -> count reaches 32 -> seals buffer 0
 
-	if st := tr.Arena(0).SlotState(0); st != slotPending && st != slotDraining && st != slotFree {
+	if st := tr.cpus[0].a.SlotState(0); st != slotPending && st != slotDraining && st != slotFree {
 		t.Fatalf("buffer 0 not sealed by batch close (state %s)", SlotStateName(st))
 	}
 	stop()

@@ -23,6 +23,14 @@ type DecodeStats struct {
 // Garbled reports whether the decode had to skip any words.
 func (d DecodeStats) Garbled() bool { return d.SkippedWords > 0 }
 
+// Add accumulates s into d.
+func (d *DecodeStats) Add(s DecodeStats) {
+	d.Events += s.Events
+	d.FillerEvents += s.FillerEvents
+	d.FillerWords += s.FillerWords
+	d.SkippedWords += s.SkippedWords
+}
+
 // Decoder is the one event-decode loop, with what it carries from one event
 // to the next — the position, the clock unwrapper and whether an anchor has
 // seeded it, the statistics — in a struct, so that a block can be decoded a
@@ -193,61 +201,35 @@ type DumpInfo struct {
 func (t *Tracer) Dump(cpu int) ([]event.Event, DumpInfo) {
 	old := t.Quiesce()
 	defer t.mask.Store(old)
-	return t.dumpLocked(cpu)
-}
-
-// DecodeRecorder decodes a flight-recorder memory image: the raw trace
-// array of one CPU (numBufs*bufWords words) plus its free-running index.
-// It walks the resident buffer generations oldest-first — the foundation
-// of both live dumps and post-mortem crash-dump decoding.
-func DecodeRecorder(cpu int, buf []uint64, index, bufWords, numBufs uint64) ([]event.Event, DumpInfo) {
 	info := DumpInfo{CPU: cpu}
-	if index == 0 || bufWords == 0 || numBufs == 0 ||
-		uint64(len(buf)) != bufWords*numBufs {
-		return nil, info
-	}
-	indexMask := bufWords*numBufs - 1
-	curGen := index / bufWords
-	off := index & (bufWords - 1)
-	firstGen := uint64(0)
-	if curGen+1 > numBufs {
-		// Older generations have been overwritten; the oldest resident one
-		// is numBufs-1 generations back (the slot about to be reused next
-		// still holds its previous contents).
-		firstGen = curGen + 1 - numBufs
-	}
 	var out []event.Event
-	for g := firstGen; g <= curGen; g++ {
-		n := bufWords
-		if g == curGen {
-			n = off
-			if n == 0 {
-				continue
-			}
-		}
-		lo := (g * bufWords) & indexMask
-		evs, st := DecodeBuffer(cpu, buf[lo:lo+n])
-		out = append(out, evs...)
+	t.Resident(cpu, func(s Sealed) {
+		var st DecodeStats
+		out, st = DecodeInto(out, cpu, s.Words)
 		info.Buffers++
-		info.Stats.Events += st.Events
-		info.Stats.FillerEvents += st.FillerEvents
-		info.Stats.FillerWords += st.FillerWords
-		info.Stats.SkippedWords += st.SkippedWords
-	}
+		info.Stats.Add(st)
+		if s.Anomalous() {
+			info.Anomalies++
+		}
+	})
+	event.OwnPayloads(out)
 	return out, info
 }
 
-func (t *Tracer) dumpLocked(cpu int) ([]event.Event, DumpInfo) {
+// Resident hands emit each of cpu's resident buffer generations, oldest
+// first: the flight recorder's contents as sealed buffers. The oldest
+// resident generation is NumBufs-1 back from the current one (the slot
+// about to be reused next still holds its previous contents); the current
+// one is Partial and is handed over only once something is logged in it.
+// A generation's Committed is its slot's commit count while the slot still
+// belongs to it, and its size otherwise, so a buffer is Anomalous only when
+// the commit counts show a shortfall. Words alias the live trace memory:
+// call Resident with tracing quiescent, and finish with the words before
+// tracing resumes.
+func (t *Tracer) Resident(cpu int, emit func(Sealed)) {
 	a := t.cpus[cpu].a
-	idx := a.Index()
-	out, info := DecodeRecorder(cpu, a.Buf(), idx, t.bufWords, t.numBufs)
-	if idx == 0 {
-		return out, info
-	}
-	// Anomaly accounting from the live commit counts.
-	bw := t.bufWords
+	idx, bw := a.Index(), t.bufWords
 	curGen := idx / bw
-	off := idx & (bw - 1)
 	firstGen := uint64(0)
 	if curGen+1 > t.numBufs {
 		firstGen = curGen + 1 - t.numBufs
@@ -255,17 +237,17 @@ func (t *Tracer) dumpLocked(cpu int) ([]event.Event, DumpInfo) {
 	for g := firstGen; g <= curGen; g++ {
 		n := bw
 		if g == curGen {
-			n = off
-			if n == 0 {
-				continue
+			if n = idx & (bw - 1); n == 0 {
+				return
 			}
 		}
-		sl := int(g & (t.numBufs - 1))
-		if a.SlotStart(sl) == g*bw && a.SlotCommitted(sl) != n {
-			info.Anomalies++
+		lo := (g * bw) & t.indexMask
+		s := Sealed{CPU: cpu, Seq: g, Start: g * bw, Words: a.Buf()[lo : lo+n : lo+n], Committed: n, Partial: g == curGen}
+		if sl := int(g & (t.numBufs - 1)); a.SlotStart(sl) == s.Start {
+			s.Committed = a.SlotCommitted(sl)
 		}
+		emit(s)
 	}
-	return out, info
 }
 
 // TailEvents returns the last n events from a CPU's flight recorder — the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"k42trace/internal/clock"
@@ -49,100 +48,6 @@ func TestZeroFillScrubsRecycledBuffers(t *testing.T) {
 	}
 	if s := run(true); s != 0 {
 		t.Errorf("with ZeroFill, %d stale words survived recycling", s)
-	}
-}
-
-// --- Crash dump ----------------------------------------------------------------
-
-func TestCrashDumpRoundTrip(t *testing.T) {
-	tr, _ := newFR(t, 2, 64, 4)
-	tr.EnableAll()
-	for i := 0; i < 300; i++ {
-		tr.CPU(i%2).Log1(event.MajorTest, 1, uint64(i))
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteCrashDump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d, err := ReadCrashDump(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.CPUs != 2 || d.BufWords != 64 || d.NumBufs != 4 || d.ClockHz != 1e9 {
-		t.Fatalf("geometry %+v", d)
-	}
-	// The dump must decode to exactly what a live Dump sees.
-	for cpu := 0; cpu < 2; cpu++ {
-		live, liveInfo := tr.Dump(cpu)
-		dead, deadInfo, err := d.Events(cpu)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(live) != len(dead) {
-			t.Fatalf("cpu %d: crash dump has %d events, live dump %d", cpu, len(dead), len(live))
-		}
-		for i := range live {
-			if live[i].Header != dead[i].Header || live[i].Time != dead[i].Time {
-				t.Fatalf("cpu %d event %d differs", cpu, i)
-			}
-		}
-		if deadInfo.Anomalies != liveInfo.Anomalies {
-			t.Errorf("cpu %d anomalies: %d vs %d", cpu, deadInfo.Anomalies, liveInfo.Anomalies)
-		}
-	}
-	// AllEvents covers every CPU.
-	evs, infos, err := d.AllEvents()
-	if err != nil || len(evs) != 2 || len(infos) != 2 {
-		t.Fatalf("AllEvents: %v", err)
-	}
-}
-
-func TestCrashDumpDetectsKilledWriter(t *testing.T) {
-	tr, _ := newFR(t, 1, 32, 2)
-	tr.EnableAll()
-	c := tr.CPU(0)
-	c.Log1(event.MajorTest, 1, 1)
-	c.ReserveOnly(event.MajorTest, 2, 3) // reserved, never written
-	c.Log1(event.MajorTest, 3, 3)
-	var buf bytes.Buffer
-	if err := tr.WriteCrashDump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d, err := ReadCrashDump(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, info, err := d.Events(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Anomalies == 0 {
-		t.Error("crash dump should flag the commit-count shortfall")
-	}
-	if info.Stats.SkippedWords == 0 {
-		t.Error("decoder should skip the unwritten hole")
-	}
-}
-
-func TestCrashDumpRejectsCorrupt(t *testing.T) {
-	if _, err := ReadCrashDump(bytes.NewReader([]byte("not a dump at all........."))); err == nil {
-		t.Error("garbage accepted as crash dump")
-	}
-	tr, _ := newFR(t, 1, 64, 2)
-	var buf bytes.Buffer
-	if err := tr.WriteCrashDump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Truncate mid-memory.
-	cut := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadCrashDump(bytes.NewReader(cut)); err == nil {
-		t.Error("truncated dump accepted")
-	}
-	// Corrupt version.
-	b := append([]byte(nil), buf.Bytes()...)
-	b[8] = 9
-	if _, err := ReadCrashDump(bytes.NewReader(b)); err == nil {
-		t.Error("bad version accepted")
 	}
 }
 
@@ -233,16 +138,5 @@ func TestVisibleMask(t *testing.T) {
 	m := VisibleMask(event.MajorMem, event.MajorIO)
 	if m != event.MajorMem.Bit()|event.MajorIO.Bit() {
 		t.Errorf("mask %x", m)
-	}
-}
-
-// --- DecodeRecorder edge cases ---------------------------------------------------
-
-func TestDecodeRecorderEdges(t *testing.T) {
-	if evs, info := DecodeRecorder(0, nil, 0, 64, 2); evs != nil || info.Buffers != 0 {
-		t.Error("empty recorder should decode to nothing")
-	}
-	if evs, _ := DecodeRecorder(0, make([]uint64, 128), 10, 64, 4); evs != nil {
-		t.Error("mismatched geometry should decode to nothing")
 	}
 }

@@ -63,22 +63,6 @@ func TestRedactNeverPanicsAndPreservesLength(t *testing.T) {
 	}
 }
 
-func TestDecodeRecorderRandomIndex(t *testing.T) {
-	// Any index value against a fixed-geometry memory image must decode
-	// without panicking.
-	buf := make([]uint64, 64*4)
-	for i := range buf {
-		buf[i] = uint64(i) * 0x9e3779b97f4a7c15
-	}
-	f := func(index uint64) bool {
-		DecodeRecorder(0, buf, index, 64, 4)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: for any sequence of event sizes, the sum of logged words,
 // filler words, and anchor words exactly accounts for the index advance —
 // no space is lost or double-counted by the reservation algorithm.

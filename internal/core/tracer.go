@@ -123,10 +123,6 @@ func (t *Tracer) NumCPUs() int { return len(t.cpus) }
 // BufWords returns the buffer (alignment boundary) size in words.
 func (t *Tracer) BufWords() int { return int(t.bufWords) }
 
-// Arena returns the per-CPU arena underlying processor slot i, for
-// consumers that need direct word-level access (crash dumps, inspection).
-func (t *Tracer) Arena(i int) *Arena { return t.cpus[i].a }
-
 // --- Trace mask -----------------------------------------------------------
 //
 // "By limiting the number of major classes to 64, a single comparison of a

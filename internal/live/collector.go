@@ -56,8 +56,6 @@ type Options struct {
 	// Spill, if set, receives every accepted block in trace-file format,
 	// in arrival order with remapped CPU ids. The caller owns closing it.
 	Spill io.Writer
-	// Reg is the event registry (nil = default).
-	Reg *event.Registry
 	// Forward, if set, observes every accepted block after it has been
 	// applied to spill and analysis: the header (CPU already remapped into
 	// collector space), the raw words, and the decoded events. It is
@@ -249,7 +247,6 @@ func (c *Collector) register(conn relay.Conn) (p *producer, pending uint64, pend
 			MaxWindows: c.opt.MaxWindows,
 			WatchPids:  c.opt.WatchPids,
 			Hz:         meta.ClockHz,
-			Reg:        c.opt.Reg,
 		})
 		if c.opt.Spill != nil {
 			wr, err := stream.NewWriter(c.opt.Spill, c.meta)

@@ -294,10 +294,3 @@ func firstErr(errs []error) error {
 	}
 	return nil
 }
-
-func addStats(dst *core.DecodeStats, s core.DecodeStats) {
-	dst.Events += s.Events
-	dst.FillerEvents += s.FillerEvents
-	dst.FillerWords += s.FillerWords
-	dst.SkippedWords += s.SkippedWords
-}

@@ -31,6 +31,8 @@ func FuzzReadStream(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("K42TRACE"))
 	f.Add(bytes.Repeat([]byte{0x4b}, 128))
+	_, dump := crashDump(f, true) // wrapped, partial and anomalous blocks
+	f.Add(dump)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) > fuzzInputCap {
 			t.Skip()
@@ -127,6 +129,8 @@ func FuzzDecodeIndex(f *testing.F) {
 func FuzzSalvage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("K42TRACE and then some trailing junk"))
+	_, dump := crashDump(f, true)
+	f.Add(dump)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) > fuzzInputCap {
 			t.Skip()

@@ -184,7 +184,7 @@ func (rd *Reader) ReadAllParallel(workers int) ([]event.Event, core.DecodeStats,
 	}
 	evs := mergeChains(blocks)
 	for k := range blocks {
-		addStats(&st, blocks[k].st)
+		st.Add(blocks[k].st)
 	}
 	return evs, st, nil
 }

@@ -406,7 +406,7 @@ func (rep *SalvageReport) addDecodeStats(blocks []SalvagedBlock) {
 			st := blocks[k].st
 			cs.Events += st.Events
 			cs.SkippedWords += st.SkippedWords
-			addStats(&rep.Stats, st)
+			rep.Stats.Add(st)
 		}
 		blocks = blocks[cs.Blocks:]
 		if cs.LostBlocks > 0 && cs.Blocks > 0 {

@@ -192,6 +192,26 @@ func Capture(tr Source, w io.Writer) (CaptureStats, error) {
 	return Drain(tr, wr)
 }
 
+// WriteCrashDump writes a tracer's flight recorder to w as a trace file:
+// each CPU's resident buffers, oldest first, one block each under the
+// header HeaderOf gives it — the generation is the block's Seq, the current
+// buffer is partial, and a commit-count shortfall is flagged anomalous. It
+// quiesces tracing while it writes and then restores the mask, so it can be
+// called on a live system.
+func WriteCrashDump(tr *core.Tracer, w io.Writer) error {
+	old := tr.Quiesce()
+	defer tr.SetMask(old)
+	wr, err := NewWriter(w, MetaOf(tr))
+	for cpu := 0; err == nil && cpu < tr.NumCPUs(); cpu++ {
+		tr.Resident(cpu, func(s core.Sealed) {
+			if err == nil {
+				err = wr.WriteBlock(HeaderOf(s), s.Words)
+			}
+		})
+	}
+	return err
+}
+
 // CaptureAsync runs Capture in a goroutine and returns a wait function
 // that reports the result after the source has been stopped.
 func CaptureAsync(tr Source, w io.Writer) (wait func() (CaptureStats, error)) {

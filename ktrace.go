@@ -118,12 +118,6 @@ func DecodeBuffer(cpu int, words []uint64) ([]Event, DecodeStats) {
 	return core.DecodeBuffer(cpu, words)
 }
 
-// CrashDump is a decoded post-mortem image of a tracer's memory.
-type CrashDump = core.CrashDump
-
-// ReadCrashDump parses a crash-dump image written by Tracer.WriteCrashDump.
-func ReadCrashDump(r io.Reader) (*CrashDump, error) { return core.ReadCrashDump(r) }
-
 // Redact copies a buffer with events outside the visibility mask replaced
 // by same-length fillers (per-user trace views; see core.Redact).
 func Redact(words []uint64, visible uint64) []uint64 { return core.Redact(words, visible) }
@@ -263,6 +257,11 @@ func Capture(tr *Tracer, w io.Writer) (CaptureStats, error) { return stream.Capt
 func CaptureAsync(tr *Tracer, w io.Writer) func() (CaptureStats, error) {
 	return stream.CaptureAsync(tr, w)
 }
+
+// WriteCrashDump writes the tracer's flight recorder — each CPU's resident
+// buffers — to w as a trace file, which NewReader, OpenTraceFile and every
+// ktrace verb read like any other.
+func WriteCrashDump(tr *Tracer, w io.Writer) error { return stream.WriteCrashDump(tr, w) }
 
 // SalvageReport describes what a forgiving read recovered from a damaged
 // trace: blocks scanned and quarantined, duplicate and lost deliveries,
