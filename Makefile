@@ -1,6 +1,6 @@
 GO ?= go
 
-RACE_PKGS = ./internal/core/ ./internal/stream/ ./internal/relay/ ./internal/analysis/ ./internal/faultinject/ ./internal/live/ ./internal/shm/ ./internal/fed/ ./internal/store/ ./internal/diff/ ./internal/daemon/ ./cmd/ktrace/
+RACE_PKGS = . ./internal/core/ ./internal/stream/ ./internal/relay/ ./internal/analysis/ ./internal/faultinject/ ./internal/live/ ./internal/shm/ ./internal/fed/ ./internal/store/ ./internal/diff/ ./internal/daemon/ ./cmd/ktrace/
 
 # Per-target budget for `make fuzz` (matches the CI job).
 FUZZTIME ?= 30s
@@ -72,7 +72,9 @@ test-cores:
 # decode pipeline, the TCP relay, the per-CPU analysis fan-out, and the
 # fault-injection harness that stresses all of them — the ktrace verbs,
 # which decode on eight workers in-process, and the daemons, which the
-# internal/daemon tests start together in one process.
+# internal/daemon tests start together in one process — and the root
+# package, whose facade tests and TestBatchStreamParity drive the logging
+# handle through its plain, Batch and per-P receivers.
 race:
 	$(GO) test -race $(RACE_PKGS)
 

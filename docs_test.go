@@ -15,7 +15,9 @@ import (
 // TestDocsReferToWhatExists: every cmd/, examples/ and internal/ path that
 // README.md or DESIGN.md names exists, every `<pkg>.<Name>` they name for a
 // package under internal/ is declared at the top level of that package,
-// every `ktrace <verb>` README.md shows is in cmd/ktrace's verb table, and
+// every backticked exported name in a module-table row of a package under
+// internal/ is one of that package's top-level names, methods or struct
+// fields, every `ktrace <verb>` README.md shows is in cmd/ktrace's verb table, and
 // every -flag on a README.md `go run ./cmd/<bin>` line is declared by that
 // binary (for ktrace, by any verb) — so a deletion or a rename cannot leave
 // the docs pointing at what is gone.
@@ -35,16 +37,19 @@ func TestDocsReferToWhatExists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decls := map[string]map[string]bool{}
+	decls, members := map[string]map[string]bool{}, map[string]map[string]bool{}
 	for _, p := range pkgs {
 		if p.IsDir() {
-			decls[p.Name()] = topLevelNames(t, filepath.Join("internal", p.Name()))
+			decls[p.Name()], members[p.Name()] = declaredNames(t, filepath.Join("internal", p.Name()))
 		}
 	}
 
 	path := regexp.MustCompile(`\b(?:cmd|examples|internal)(?:/[A-Za-z0-9_.-]+)+`)
 	name := regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)`)
 	verb := regexp.MustCompile(`\bktrace ([a-z]+)\b`)
+	row := regexp.MustCompile("(?m)^\\| `internal/([a-z0-9]+)` \\|.*$")
+	// A backticked exported name: Name, Type.Method or either called.
+	span := regexp.MustCompile("`([A-Z][A-Za-z0-9_]*(?:\\.[A-Z][A-Za-z0-9_]*)*)(?:\\([^`]*\\))?`")
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -64,6 +69,16 @@ func TestDocsReferToWhatExists(t *testing.T) {
 		for _, m := range name.FindAllStringSubmatch(string(text), -1) {
 			if names, ok := decls[m[1]]; ok && !names[m[2]] {
 				t.Errorf("%s names %s.%s, which internal/%s does not declare", doc, m[1], m[2], m[1])
+			}
+		}
+		for _, r := range row.FindAllStringSubmatch(string(text), -1) {
+			names, ok := members[r[1]]
+			for _, m := range span.FindAllStringSubmatch(r[0], -1) {
+				for _, n := range strings.Split(m[1], ".") {
+					if ok && !names[n] {
+						t.Errorf("%s's internal/%s row names `%s`, which internal/%s does not declare", doc, r[1], m[1], r[1])
+					}
+				}
 			}
 		}
 		if doc != "README.md" {
@@ -140,15 +155,16 @@ func declaredFlags(t *testing.T, bin string) map[string]bool {
 	return names
 }
 
-// topLevelNames returns what the non-test Go files in dir declare at the
-// top level — functions, types, variables and constants, not methods.
-func topLevelNames(t *testing.T, dir string) map[string]bool {
+// declaredNames returns what the non-test Go files in dir declare at the
+// top level — functions, types, variables and constants — and, in members,
+// those names with every method and struct field added.
+func declaredNames(t *testing.T, dir string) (top, members map[string]bool) {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]bool{}
+	top, members = map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
 	for _, file := range files {
 		if strings.HasSuffix(file, "_test.go") {
@@ -162,21 +178,32 @@ func topLevelNames(t *testing.T, dir string) map[string]bool {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				if d.Recv == nil {
-					names[d.Name.Name] = true
+					top[d.Name.Name] = true
 				}
+				members[d.Name.Name] = true
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
-						names[s.Name.Name] = true
+						top[s.Name.Name] = true
+						if st, ok := s.Type.(*ast.StructType); ok {
+							for _, f := range st.Fields.List {
+								for _, n := range f.Names {
+									members[n.Name] = true
+								}
+							}
+						}
 					case *ast.ValueSpec:
 						for _, n := range s.Names {
-							names[n.Name] = true
+							top[n.Name] = true
 						}
 					}
 				}
 			}
 		}
 	}
-	return names
+	for n := range top {
+		members[n] = true
+	}
+	return top, members
 }

@@ -155,7 +155,8 @@ type ArenaConfig struct {
 // Arena runs the lockless reserve/commit/seal protocol over one CPU slot's
 // control words and buffer ring. Methods on Arena are safe for concurrent
 // use by any number of goroutines — or processes, when the underlying
-// words are a shared mapping.
+// words are a shared mapping. Producers log through its Handle; the
+// exported methods on Arena itself are the consumer's side.
 type Arena struct {
 	ctl  []uint64
 	buf  []uint64

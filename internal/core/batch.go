@@ -59,7 +59,8 @@ type Batch struct {
 // can carry mixed majors. Returns false with nothing reserved if tracing
 // is off for the major, the reservation was dropped (full ring under the
 // Drop policy, shutdown), or words cannot fit a buffer.
-func (a *Arena) OpenBatch(b *Batch, major event.Major, words int) bool {
+func (c CPU) OpenBatch(b *Batch, major event.Major, words int) bool {
+	a := c.a
 	if b.open {
 		b.Close()
 	}
@@ -140,7 +141,7 @@ func (b *Batch) slot(length uint64) (pos uint64, ok bool) {
 
 // Log0 appends an event with no payload. False means the batch is closed,
 // full, or the major is masked off: fall back to Close + OpenBatch or to
-// the arena's own Log0.
+// the handle's own Log0.
 func (b *Batch) Log0(major event.Major, minor uint16) bool {
 	return b.logN(major, minor, 1, 0, 0, 0, 0)
 }
@@ -196,9 +197,4 @@ func (b *Batch) LogWords(major event.Major, minor uint16, data []uint64) bool {
 	b.a.buf[p] = uint64(event.MakeHeader(uint32(b.ts), int(length), major, minor))
 	copy(b.a.buf[p+1:p+length], data)
 	return true
-}
-
-// OpenBatch opens a batch on the handle's CPU slot; see Arena.OpenBatch.
-func (c CPU) OpenBatch(b *Batch, major event.Major, words int) bool {
-	return c.ctl.a.OpenBatch(b, major, words)
 }

@@ -100,7 +100,7 @@ func TestBatchStraddlesSeal(t *testing.T) {
 	}
 	b.Close() // commits 30 words -> count reaches 32 -> seals buffer 0
 
-	if st := tr.cpus[0].a.SlotState(0); st != slotPending && st != slotDraining && st != slotFree {
+	if st := tr.cpus[0].SlotState(0); st != slotPending && st != slotDraining && st != slotFree {
 		t.Fatalf("buffer 0 not sealed by batch close (state %s)", SlotStateName(st))
 	}
 	stop()
@@ -149,7 +149,7 @@ func TestBatchAbandonedExactAccounting(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var sealedBufs []Sealed
-	mk := func(cell *uint64) *Arena {
+	mk := func(cell *uint64) CPU {
 		a, err := NewArena(ArenaConfig{
 			Ctl: ctl, Buf: buf, Mask: &mask, Clock: clock.NewManual(1),
 			BufWords: bufWords, NumBufs: numBufs, Stream: true,
@@ -170,7 +170,7 @@ func TestBatchAbandonedExactAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a
+		return a.Handle()
 	}
 	victim, survivor := mk(&cells[0]), mk(&cells[1])
 
@@ -410,7 +410,7 @@ func TestParkedBatchYieldsToBlockedLogger(t *testing.T) {
 	done, stop := collect(tr)
 	// Park a batch in the first buffer, as a PLog on a P that then goes
 	// idle would leave it.
-	if !tr.pArena(0).OpenBatch(&tr.pslots[0].b, event.MajorTest, 8) {
+	if !tr.pArena(0).Handle().OpenBatch(&tr.pslots[0].b, event.MajorTest, 8) {
 		t.Fatal("batch did not open")
 	}
 	const n = 200 // several times round the two-buffer ring

@@ -325,11 +325,11 @@ func TestCrossCPUIndependence(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if r := tr.CPUStats(1).Retries; r != 0 {
+	if r := tr.CPU(1).Stats().Retries; r != 0 {
 		t.Errorf("uncontended CPU had %d CAS retries; slots are not independent", r)
 	}
-	if tr.CPUStats(0).Events != 40000 || tr.CPUStats(1).Events != 5000 {
+	if tr.CPU(0).Stats().Events != 40000 || tr.CPU(1).Stats().Events != 5000 {
 		t.Errorf("event counts wrong: %d/%d",
-			tr.CPUStats(0).Events, tr.CPUStats(1).Events)
+			tr.CPU(0).Stats().Events, tr.CPU(1).Stats().Events)
 	}
 }

@@ -115,7 +115,7 @@ func TestLogArityRoundTrip(t *testing.T) {
 	c.Log2(event.MajorTest, 12, 200, 201)
 	c.Log3(event.MajorTest, 13, 300, 301, 302)
 	c.Log4(event.MajorTest, 14, 400, 401, 402, 403)
-	c.Log(event.MajorTest, 15, 500, 501, 502, 503, 504)
+	c.LogWords(event.MajorTest, 15, []uint64{500, 501, 502, 503, 504})
 	evs, info := tr.Dump(0)
 	if info.Stats.Garbled() {
 		t.Fatalf("garbled: %+v", info)
@@ -158,34 +158,6 @@ func TestLogArityRoundTrip(t *testing.T) {
 	}
 	if st.Words != 1+2+3+4+5+6 {
 		t.Errorf("Words = %d want 21", st.Words)
-	}
-}
-
-func TestLogDesc(t *testing.T) {
-	tr, _ := newFR(t, 1, 256, 2)
-	tr.EnableAll()
-	r := event.NewRegistry()
-	d := r.MustRegister(event.MajorUser, 3, "TRACE_USER_RUN_UL_LOADER", "64 64 str",
-		"process %0[%lld] created new process with id %1[%lld] name %2[%s]")
-	c := tr.CPU(0)
-	ok := c.LogDesc(d, event.Value{Int: 6}, event.Value{Int: 7},
-		event.Value{Str: "/shellServer", IsStr: true})
-	if !ok {
-		t.Fatal("LogDesc failed")
-	}
-	evs, _ := tr.Dump(0)
-	e := evs[len(evs)-1]
-	name, text := event.Describe(r, &e)
-	if name != "TRACE_USER_RUN_UL_LOADER" {
-		t.Errorf("name %q", name)
-	}
-	if text != "process 6 created new process with id 7 name /shellServer" {
-		t.Errorf("text %q", text)
-	}
-	// Disabled major: LogDesc refuses.
-	tr.DisableAll()
-	if c.LogDesc(d, event.Value{Int: 1}, event.Value{Int: 2}, event.Value{Str: "", IsStr: true}) {
-		t.Error("LogDesc should refuse when disabled")
 	}
 }
 

@@ -227,7 +227,7 @@ func (t *Tracer) Dump(cpu int) ([]event.Event, DumpInfo) {
 // call Resident with tracing quiescent, and finish with the words before
 // tracing resumes.
 func (t *Tracer) Resident(cpu int, emit func(Sealed)) {
-	a := t.cpus[cpu].a
+	a := t.cpus[cpu]
 	idx, bw := a.Index(), t.bufWords
 	curGen := idx / bw
 	firstGen := uint64(0)

@@ -32,7 +32,7 @@ func TestZeroFillScrubsRecycledBuffers(t *testing.T) {
 		<-done
 		// Inspect the slot holding the final partial buffer: the words
 		// past the flush offset are the recycled remains.
-		a := tr.cpus[0].a
+		a := tr.cpus[0]
 		idx := a.Index()
 		off := idx & 31
 		lo := (idx - off) & tr.indexMask
@@ -63,8 +63,8 @@ func TestRedactHidesOnlyInvisibleMajors(t *testing.T) {
 	c.Log0(event.MajorIO, 4)
 	old := tr.Quiesce()
 	defer tr.SetMask(old)
-	idx := tr.cpus[0].a.Index()
-	words := tr.cpus[0].a.Buf()[:idx]
+	idx := tr.cpus[0].Index()
+	words := tr.cpus[0].Buf()[:idx]
 
 	red := Redact(words, VisibleMask(event.MajorMem))
 	evs, st := DecodeBuffer(0, red)

@@ -59,7 +59,7 @@ func (t *Tracer) initFastPath(batchWords int) {
 }
 
 // pArena returns the arena the per-P shard p logs into.
-func (t *Tracer) pArena(p int) *Arena { return t.cpus[p%len(t.cpus)].a }
+func (t *Tracer) pArena(p int) *Arena { return t.cpus[p%len(t.cpus)] }
 
 // PLog0 logs an event with no payload through the per-P fast path. Like
 // Log0 it reports whether the event was logged; unlike Log0 the caller
@@ -125,7 +125,7 @@ func (t *Tracer) plogN(major event.Major, minor uint16, n int, d0, d1, d2, d3 ui
 func (t *Tracer) pSlow(s *pSlot, p int, major event.Major, minor uint16, n int, d0, d1, d2, d3 uint64) bool {
 	a := t.pArena(p)
 	s.b.Close()
-	ok := a.OpenBatch(&s.b, major, t.batchWords) && s.b.logN(major, minor, n, d0, d1, d2, d3)
+	ok := a.Handle().OpenBatch(&s.b, major, t.batchWords) && s.b.logN(major, minor, n, d0, d1, d2, d3)
 	s.state.Store(pFree)
 	return ok || a.logN(major, minor, n, d0, d1, d2, d3)
 }

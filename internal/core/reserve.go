@@ -274,11 +274,30 @@ func (a *Arena) fits(length int) bool {
 // end is the epilogue: the logger is no longer in flight.
 func (a *Arena) end() { atomic.AddUint64(a.inflight, ^uint64(0)) }
 
-// Enabled reports whether events of the major class are currently logged.
-func (a *Arena) Enabled(m event.Major) bool { return a.mask.Load()&m.Bit() != 0 }
+// --- The logging handle -------------------------------------------------------
 
-// --- Logging entry points ---------------------------------------------------
-//
+// CPU is the logging handle bound to one processor slot's arena: the
+// user-mapped per-processor control structure of the paper, through which
+// applications and kernel code log directly, with no system call. The same
+// handle serves a Tracer's private buffers and a shared segment's mapped
+// ones. It carries only the producer side of the protocol: a logger cannot
+// release, seal or flush a buffer — that stays on the Arena, for its
+// consumer. Handles are cheap values, obtained once and reused; goroutines
+// sharing one are safe but contend on its CAS.
+type CPU struct {
+	a *Arena
+}
+
+// Handle returns the logging handle over a.
+func (a *Arena) Handle() CPU { return CPU{a: a} }
+
+// Enabled reports whether events of the major class are currently logged.
+func (c CPU) Enabled(m event.Major) bool { return c.a.mask.Load()&m.Bit() != 0 }
+
+// Stats returns a snapshot of the slot's counters (on a shared segment,
+// those of every process logging to the slot).
+func (c CPU) Stats() Stats { return c.a.Stats() }
+
 // Log0..Log4 are the analogue of K42's per-major-ID macros: "events with a
 // constant number of data words [are] logged efficiently, without the use
 // of variable argument functions." Each is one call to logN with its event
@@ -288,28 +307,28 @@ func (a *Arena) Enabled(m event.Major) bool { return a.mask.Load()&m.Bit() != 0 
 // Log0 logs an event with no payload. It reports whether the event was
 // logged (false: tracing disabled for the major, event dropped, or too
 // large).
-func (a *Arena) Log0(major event.Major, minor uint16) bool {
-	return a.logN(major, minor, 1, 0, 0, 0, 0)
+func (c CPU) Log0(major event.Major, minor uint16) bool {
+	return c.a.logN(major, minor, 1, 0, 0, 0, 0)
 }
 
 // Log1 logs an event with one 64-bit payload word.
-func (a *Arena) Log1(major event.Major, minor uint16, d0 uint64) bool {
-	return a.logN(major, minor, 2, d0, 0, 0, 0)
+func (c CPU) Log1(major event.Major, minor uint16, d0 uint64) bool {
+	return c.a.logN(major, minor, 2, d0, 0, 0, 0)
 }
 
 // Log2 logs an event with two 64-bit payload words.
-func (a *Arena) Log2(major event.Major, minor uint16, d0, d1 uint64) bool {
-	return a.logN(major, minor, 3, d0, d1, 0, 0)
+func (c CPU) Log2(major event.Major, minor uint16, d0, d1 uint64) bool {
+	return c.a.logN(major, minor, 3, d0, d1, 0, 0)
 }
 
 // Log3 logs an event with three 64-bit payload words.
-func (a *Arena) Log3(major event.Major, minor uint16, d0, d1, d2 uint64) bool {
-	return a.logN(major, minor, 4, d0, d1, d2, 0)
+func (c CPU) Log3(major event.Major, minor uint16, d0, d1, d2 uint64) bool {
+	return c.a.logN(major, minor, 4, d0, d1, d2, 0)
 }
 
 // Log4 logs an event with four 64-bit payload words.
-func (a *Arena) Log4(major event.Major, minor uint16, d0, d1, d2, d3 uint64) bool {
-	return a.logN(major, minor, 5, d0, d1, d2, d3)
+func (c CPU) Log4(major event.Major, minor uint16, d0, d1, d2, d3 uint64) bool {
+	return c.a.logN(major, minor, 5, d0, d1, d2, d3)
 }
 
 // logN is the body of Log0..Log4: an n-word event (1 <= n <= 5, header
@@ -353,19 +372,11 @@ func putN(buf []uint64, p uint64, n int, h, d0, d1, d2, d3 uint64) {
 // LogWords logs an event whose payload is the given word slice. Use
 // event.Pack to build payloads containing packed sub-word fields or
 // strings.
-func (a *Arena) LogWords(major event.Major, minor uint16, data []uint64) bool {
+func (c CPU) LogWords(major event.Major, minor uint16, data []uint64) bool {
+	a := c.a
 	if a.mask.Load()&major.Bit() == 0 {
 		return false
 	}
-	return a.logWords(major, minor, data)
-}
-
-// logWords is LogWords without the cheap entry mask check, for callers
-// that have already tested the mask this call (LogDesc via Enabled).
-// begin's post-inflight re-load still runs, so the Quiesce race stays
-// closed; skipping the entry check only avoids a third, genuinely
-// redundant load of the same word.
-func (a *Arena) logWords(major event.Major, minor uint16, data []uint64) bool {
 	length := 1 + len(data)
 	if !a.fits(length) {
 		return false
@@ -389,10 +400,10 @@ func (a *Arena) logWords(major event.Major, minor uint16, data []uint64) bool {
 // execution may be interrupted after it has reserved space to log an
 // event, but before it actually performs the log" (killed mid-log) — so
 // tests can verify that commit-count anomaly detection catches it.
-func (a *Arena) ReserveOnly(major event.Major, minor uint16, payloadWords int) bool {
-	_, ok := a.ReserveHang(major, minor, payloadWords)
+func (c CPU) ReserveOnly(major event.Major, minor uint16, payloadWords int) bool {
+	_, ok := c.ReserveHang(major, minor, payloadWords)
 	if ok {
-		a.end()
+		c.a.end()
 	}
 	return ok
 }
@@ -405,9 +416,11 @@ func (a *Arena) ReserveOnly(major event.Major, minor uint16, payloadWords int) b
 // the daemon's pid-liveness reap writes the dead contribution off. It
 // returns the total words reserved (header + payload, plus nothing for
 // any filler/anchor the reservation's transition committed on its own).
-func (a *Arena) ReserveHang(major event.Major, minor uint16, payloadWords int) (int, bool) {
+// A negative payload reserves nothing.
+func (c CPU) ReserveHang(major event.Major, minor uint16, payloadWords int) (int, bool) {
+	a := c.a
 	bit := major.Bit()
-	if a.mask.Load()&bit == 0 {
+	if payloadWords < 0 || a.mask.Load()&bit == 0 {
 		return 0, false
 	}
 	length := 1 + payloadWords
@@ -419,62 +432,4 @@ func (a *Arena) ReserveHang(major event.Major, minor uint16, payloadWords int) (
 		return 0, false
 	}
 	return length, true
-}
-
-// --- CPU-handle entry points -------------------------------------------------
-
-// Log0 logs an event with no payload. It reports whether the event was
-// logged (false: tracing disabled for the major, event dropped, or too
-// large).
-func (c CPU) Log0(major event.Major, minor uint16) bool { return c.ctl.a.Log0(major, minor) }
-
-// Log1 logs an event with one 64-bit payload word.
-func (c CPU) Log1(major event.Major, minor uint16, d0 uint64) bool {
-	return c.ctl.a.Log1(major, minor, d0)
-}
-
-// Log2 logs an event with two 64-bit payload words.
-func (c CPU) Log2(major event.Major, minor uint16, d0, d1 uint64) bool {
-	return c.ctl.a.Log2(major, minor, d0, d1)
-}
-
-// Log3 logs an event with three 64-bit payload words.
-func (c CPU) Log3(major event.Major, minor uint16, d0, d1, d2 uint64) bool {
-	return c.ctl.a.Log3(major, minor, d0, d1, d2)
-}
-
-// Log4 logs an event with four 64-bit payload words.
-func (c CPU) Log4(major event.Major, minor uint16, d0, d1, d2, d3 uint64) bool {
-	return c.ctl.a.Log4(major, minor, d0, d1, d2, d3)
-}
-
-// Log logs an event with an arbitrary payload — the generic function per
-// major ID of the paper. The payload is copied into the trace buffer.
-func (c CPU) Log(major event.Major, minor uint16, data ...uint64) bool {
-	return c.ctl.a.LogWords(major, minor, data)
-}
-
-// LogWords logs an event whose payload is the given word slice.
-func (c CPU) LogWords(major event.Major, minor uint16, data []uint64) bool {
-	return c.ctl.a.LogWords(major, minor, data)
-}
-
-// LogDesc packs values per the event description's token list and logs
-// them. It is the convenient (not the fast) path: use it for rare events
-// with strings or mixed-width fields.
-func (c CPU) LogDesc(d *event.Desc, vals ...event.Value) bool {
-	if !c.Enabled(d.Major) {
-		return false
-	}
-	words, err := event.Pack(d.Tokens, vals)
-	if err != nil {
-		return false
-	}
-	return c.ctl.a.logWords(d.Major, d.Minor, words)
-}
-
-// ReserveOnly reserves space for an event but never writes or commits it;
-// see Arena.ReserveOnly.
-func (c CPU) ReserveOnly(major event.Major, minor uint16, payloadWords int) bool {
-	return c.ctl.a.ReserveOnly(major, minor, payloadWords)
 }

@@ -76,7 +76,7 @@ func TestReservationAccountingProperty(t *testing.T) {
 			c.LogWords(event.MajorTest, 1, payload[:int(s)%8])
 		}
 		st := tr.Stats()
-		idx := tr.cpus[0].a.Index()
+		idx := tr.cpus[0].Index()
 		return st.Words+st.FillerWords+st.Anchors*anchorWords == idx
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -38,15 +38,15 @@ func (t *Tracer) Sealed() <-chan Sealed { return t.sealed }
 // done with Words. Releasing a Partial buffer is a no-op (partials are
 // only produced at flush time, when the slot is not recycled).
 func (t *Tracer) Release(s Sealed) {
-	t.cpus[s.CPU].a.ReleaseSlot(s, t.cfg.ZeroFill)
+	t.cpus[s.CPU].ReleaseSlot(s, t.cfg.ZeroFill)
 }
 
 // drain spins until no logger is in flight on any CPU. Callers must have
 // disabled the mask bits in question first; the begin() re-check then
 // guarantees no new writer can start, so drain terminates.
 func (t *Tracer) drain() {
-	for _, ctl := range t.cpus {
-		ctl.a.WaitQuiescent()
+	for _, a := range t.cpus {
+		a.WaitQuiescent()
 	}
 }
 
@@ -70,8 +70,8 @@ func (t *Tracer) Flush() {
 	if t.cfg.Mode != Stream {
 		return
 	}
-	for _, ctl := range t.cpus {
-		ctl.a.FlushSlots(func(s Sealed) { t.sealed <- s })
+	for _, a := range t.cpus {
+		a.FlushSlots(func(s Sealed) { t.sealed <- s })
 	}
 }
 

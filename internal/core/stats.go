@@ -70,14 +70,11 @@ func (a Stats) add(b Stats) Stats {
 // Add returns the elementwise sum of two snapshots.
 func (a Stats) Add(b Stats) Stats { return a.add(b) }
 
-// CPUStats returns a snapshot of one CPU's counters.
-func (t *Tracer) CPUStats(cpu int) Stats { return t.cpus[cpu].a.Stats() }
-
 // Stats returns counters summed across all CPUs.
 func (t *Tracer) Stats() Stats {
 	var sum Stats
-	for _, c := range t.cpus {
-		sum = sum.add(c.a.Stats())
+	for _, a := range t.cpus {
+		sum = sum.add(a.Stats())
 	}
 	return sum
 }

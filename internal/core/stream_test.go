@@ -184,6 +184,25 @@ func TestStopUnblocksWritersWaitingOnFullBuffers(t *testing.T) {
 	}
 }
 
+// TestNegativePayloadReservesNothing: a fault injector asked for a
+// negative payload must not leave a zero-length "killed writer" behind —
+// no anchor, no index move, nothing in flight.
+func TestNegativePayloadReservesNothing(t *testing.T) {
+	tr := MustNew(Config{CPUs: 1, BufWords: 32, NumBufs: 2, Mode: Stream,
+		Clock: clock.NewManual(1)})
+	tr.EnableAll()
+	c, a := tr.CPU(0), tr.cpus[0]
+	if c.ReserveOnly(event.MajorTest, 2, -1) {
+		t.Error("ReserveOnly(-1) reserved")
+	}
+	if _, ok := c.ReserveHang(event.MajorTest, 2, -1); ok {
+		t.Error("ReserveHang(-1) reserved")
+	}
+	if st := c.Stats(); st != (Stats{}) || a.Index() != 0 || a.InflightTotal() != 0 {
+		t.Errorf("after refused reservations: stats %+v, index %d, in flight %d", st, a.Index(), a.InflightTotal())
+	}
+}
+
 func TestC8GarbleDetection(t *testing.T) {
 	// Inject the paper's failure: a writer reserves space but is "killed"
 	// before logging. The buffer's commit count comes up short and the

@@ -13,17 +13,6 @@ import (
 // buffer: header + one payload word carrying the full 64-bit timestamp.
 const anchorWords = 2
 
-// TrcCtl is the per-processor trace control structure: an Arena over this
-// CPU's control words and buffer ring, plus the back-pointer to the owning
-// tracer. The control words and buffers are separate allocations per CPU,
-// so different CPUs' hot state never shares a cache line (the paper's
-// "memory bound to a specific processor").
-type TrcCtl struct {
-	a   *Arena
-	t   *Tracer
-	cpu int
-}
-
 // Tracer is a unified tracing facility: a 64-bit mask gating 64 major
 // event classes, per-CPU lockless buffers, and either flight-recorder or
 // streaming buffer management. A single Tracer serves "applications,
@@ -35,7 +24,7 @@ type Tracer struct {
 
 	cfg       Config
 	clock     clock.Source
-	cpus      []*TrcCtl
+	cpus      []*Arena // one per processor slot; see New
 	bufWords  uint64
 	numBufs   uint64
 	indexMask uint64 // NumBufs*BufWords - 1
@@ -78,7 +67,10 @@ func New(cfg Config) (*Tracer, error) {
 		// nothing more, the waiter is the only one left to close it.
 		onFull = func() bool { t.closeParkedBatches(); runtime.Gosched(); return true }
 	}
-	t.cpus = make([]*TrcCtl, cfg.CPUs)
+	// Each CPU's control words and buffer ring are separate allocations,
+	// so different CPUs' hot state never shares a cache line (the paper's
+	// "memory bound to a specific processor").
+	t.cpus = make([]*Arena, cfg.CPUs)
 	for i := range t.cpus {
 		a, err := NewArena(ArenaConfig{
 			Ctl:                  make([]uint64, CtlWords(cfg.NumBufs)),
@@ -96,7 +88,7 @@ func New(cfg Config) (*Tracer, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.cpus[i] = &TrcCtl{a: a, t: t, cpu: i}
+		t.cpus[i] = a
 	}
 	t.initFastPath(cfg.BatchWords)
 	return t, nil
@@ -219,7 +211,7 @@ func (t *Tracer) ApplyMask(newMask uint64) (old uint64) {
 		// between logging calls (the new mask still enables them); the
 		// arena's quiescence wait backs off to real sleeps so it cannot
 		// starve on GOMAXPROCS=1.
-		t.cpus[i].a.WaitQuiescent()
+		t.cpus[i].WaitQuiescent()
 		t.CPU(i).Log2(event.MajorControl, event.CtrlMaskChange, newMask, old)
 	}
 	t.resumeBatches()
@@ -229,26 +221,5 @@ func (t *Tracer) ApplyMask(newMask uint64) (old uint64) {
 // MaskApplies returns the number of ApplyMask calls that changed the mask.
 func (t *Tracer) MaskApplies() uint64 { return t.maskApplies.Load() }
 
-// --- CPU handles -----------------------------------------------------------
-
-// CPU is a logging handle bound to one processor slot. Handles are
-// obtained once and reused; logging through a handle touches only that
-// CPU's control structures. The handle corresponds to the user-mapped
-// per-processor control structure of the paper: applications and kernel
-// code log through it directly, with no system call.
-type CPU struct {
-	ctl *TrcCtl
-}
-
 // CPU returns the logging handle for processor slot i.
-func (t *Tracer) CPU(i int) CPU { return CPU{ctl: t.cpus[i]} }
-
-// Tracer returns the owning tracer.
-func (c CPU) Tracer() *Tracer { return c.ctl.t }
-
-// ID returns the processor slot number.
-func (c CPU) ID() int { return c.ctl.cpu }
-
-// Enabled mirrors Tracer.Enabled for use on hot paths that already hold a
-// handle.
-func (c CPU) Enabled(m event.Major) bool { return c.ctl.t.Enabled(m) }
+func (t *Tracer) CPU(i int) CPU { return t.cpus[i].Handle() }

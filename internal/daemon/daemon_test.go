@@ -228,8 +228,10 @@ func TestExitStatus(t *testing.T) {
 		{"ktraced", []string{"-seg", missing, "-spill", filepath.Join(dir, "spill")}, 1, "ktraced: "},
 		{"shmlog", nil, 2, "shmlog: -seg is required\n"},
 		{"shmlog", []string{"-seg", missing}, 1, "shmlog: "},
+		{"shmlog", []string{"-seg", missing, "-cpu", "-2"}, 2, "shmlog: -cpu -2: want a CPU slot, or -1 for round-robin\n"},
 		{"tracerelay", nil, 2, "usage: tracerelay -send addr | -fed url\n  -attempts int"},
 		{"tracerelay", []string{"-send", "127.0.0.1:1", "-cpus", "1"}, 1, "tracerelay: relay: 127.0.0.1:1: attempt 1 of 1 failed: "},
+		{"tracerelay", []string{"-send", "127.0.0.1:1", "-loadgen", "-cpus", "0"}, 1, "tracerelay: core: CPUs must be >= 1, got 0\n"},
 		{"tracecolld", []string{"-watch", "1,x"}, 2, `tracecolld: bad -watch pid "x": `},
 		{"tracecolld", []string{"-mask", "nope"}, 2, "tracecolld: bad -mask: "},
 		{"tracecolld", []string{"-store", "http://127.0.0.1:1", "-store-tenant", "a/b"}, 2, `tracecolld: bad -store-tenant "a/b"` + "\n"},

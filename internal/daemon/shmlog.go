@@ -31,9 +31,19 @@ func Shmlog(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *seg == "" {
 		return p.usage("-seg is required")
 	}
+	if *cpu < -1 {
+		return p.usage("-cpu %d: want a CPU slot, or -1 for round-robin", *cpu)
+	}
+	if *payload < 0 {
+		return p.usage("-payload %d: want 0 or more words", *payload)
+	}
 	cl, err := shm.Attach(*seg)
 	if err != nil {
 		return p.fail(err)
+	}
+	if *cpu >= cl.NumCPUs() {
+		cl.Detach()
+		return p.usage("-cpu %d: the segment has %d CPU slots", *cpu, cl.NumCPUs())
 	}
 	p.say("attached to %s as client slot %d (pid %d)", *seg, cl.Slot(), os.Getpid())
 	one := max(*cpu, 0) // the slot of the modes that log on one
@@ -41,7 +51,8 @@ func Shmlog(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *hang {
 		words, ok := cl.CPU(one).ReserveHang(event.MajorTest, 9, *payload)
 		if !ok {
-			p.warn("hang reservation failed (masked or dropped)")
+			cl.Detach()
+			p.warn("hang reservation failed (masked, dropped or too large)")
 			return 1
 		}
 		p.say("hung with %d uncommitted words, waiting for SIGKILL", words)

@@ -144,6 +144,26 @@ func TestShm(t *testing.T) {
 	late := spawn(t, "shmlog", "-seg", seg, "-workload", "-cpu", "1", "-pid", "202", "-n", "500")
 	late.exits(0)
 	late.expect(`logged 1700 events`)
+	// Arguments the segment cannot take are refused, and no refusal leaves
+	// this process's client slot held.
+	for _, bad := range []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{[]string{"-cpu", "2"}, 2, "shmlog: -cpu 2: the segment has 2 CPU slots\n"},
+		{[]string{"-hang", "-payload", "-1"}, 2, "shmlog: -payload -1: want 0 or more words\n"},
+		{[]string{"-hang", "-payload", "20000"}, 1, "shmlog: hang reservation failed (masked, dropped or too large)\n"},
+	} {
+		r := start(t, Shmlog, append([]string{"-seg", seg}, bad.args...)...)
+		r.exits(bad.code)
+		if got := r.stderr.String(); got != bad.stderr {
+			t.Errorf("shmlog %v: stderr %q, want %q", bad.args, got, bad.stderr)
+		}
+	}
+	if attached(os.Getpid()) {
+		t.Error("a refused shmlog left this process attached")
+	}
 
 	// The kill left one anomalous block, and ktraced says so with status 1.
 	ktraced.stopped(1)

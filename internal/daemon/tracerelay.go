@@ -55,13 +55,14 @@ func Tracerelay(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	tcfg := core.Config{CPUs: *cpus, BufWords: 16384, NumBufs: 8, Mode: core.Stream}
 	var k *ksim.Kernel
 	var tr *core.Tracer
+	var err error
 	if *loadgen {
-		tr = core.MustNew(tcfg)
+		tr, err = core.New(tcfg)
 	} else {
-		var err error
-		if k, tr, err = ksim.NewTracedKernel(ksim.Config{CPUs: *cpus, Tuned: *config == "tuned", SamplePeriod: 100_000}, tcfg); err != nil {
-			return p.fail(err)
-		}
+		k, tr, err = ksim.NewTracedKernel(ksim.Config{CPUs: *cpus, Tuned: *config == "tuned", SamplePeriod: 100_000}, tcfg)
+	}
+	if err != nil {
+		return p.fail(err)
 	}
 	tr.EnableAll()
 
@@ -99,7 +100,6 @@ func Tracerelay(ctx context.Context, args []string, stdout, stderr io.Writer) in
 		sent <- err
 	}()
 	var summary string
-	var err error
 	if *loadgen {
 		attempted, logged := runLoadgen(ctx, tr, *duration, *rate)
 		summary = fmt.Sprintf("loadgen: %d logging attempts, %d events logged over %s", attempted, logged, *duration)

@@ -226,21 +226,14 @@ func runChild(mode string) int {
 	return 0
 }
 
-// EventSink is the logging surface SyntheticWorkload drives — satisfied
-// by both the in-process core.CPU and the cross-process shm.CPU, which is
-// the point: the same workload runs against both and must analyze
-// identically.
-type EventSink interface {
-	Log2(major event.Major, minor uint16, d0, d1 uint64) bool
-	Log3(major event.Major, minor uint16, d0, d1, d2 uint64) bool
-	Log4(major event.Major, minor uint16, d0, d1, d2, d3 uint64) bool
-}
-
 // SyntheticWorkload logs rounds of a fixed sched/syscall/lock pattern
-// attributed to logical process pid, returning the events logged. The
-// sequence is deterministic: with a deterministic clock, two runs of the
-// same rounds on the same CPU slot produce identical buffer words.
-func SyntheticWorkload(s EventSink, pid uint64, rounds int) int {
+// attributed to logical process pid on s, returning the events logged.
+// The handle may be a Tracer's (in-process) or a shared segment's
+// (cross-process) — the same workload runs against both and must analyze
+// identically. The sequence is deterministic: with a deterministic clock,
+// two runs of the same rounds on the same CPU slot produce identical
+// buffer words.
+func SyntheticWorkload(s core.CPU, pid uint64, rounds int) int {
 	logged := 0
 	count := func(ok bool) {
 		if ok {

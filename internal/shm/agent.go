@@ -290,10 +290,6 @@ func pidAlive(pid int) bool {
 // Reaped returns how many dead clients have been written off.
 func (ag *Agent) Reaped() uint64 { return ag.reaped.Load() }
 
-// CPUStats returns one CPU slot's counters (aggregated across every
-// process that logged to it).
-func (ag *Agent) CPUStats(cpu int) core.Stats { return ag.arenas[cpu].Stats() }
-
 // Stats returns the counters summed over all CPU slots.
 func (ag *Agent) Stats() core.Stats {
 	var sum core.Stats

@@ -9,7 +9,6 @@ import (
 
 	"k42trace/internal/clock"
 	"k42trace/internal/core"
-	"k42trace/internal/event"
 )
 
 // A Client is one process's attachment to a trace segment: the mapping,
@@ -152,9 +151,9 @@ func (c *Client) Slot() int { return c.slot }
 // effective mask.
 func (c *Client) Mask() uint64 { return c.mask.Load() }
 
-// CPU returns the logging handle for one processor slot. Handles are
-// cheap values; goroutines sharing one are safe but contend on its CAS.
-func (c *Client) CPU(i int) CPU { return CPU{a: c.arenas[i]} }
+// CPU returns the logging handle for one processor slot: the handle a
+// Tracer hands out, over the shared words instead of private memory.
+func (c *Client) CPU(i int) core.CPU { return c.arenas[i].Handle() }
 
 // Detach waits for this process's in-flight logging calls to finish,
 // releases the client-table slot, and unmaps the segment. The segment
@@ -179,67 +178,3 @@ func (c *Client) free() error {
 	wordAtomic(c.seg.words, c.seg.lay.clientWord(c.slot, clientPid)).Store(0)
 	return c.seg.close()
 }
-
-// CPU is a per-processor-slot logging handle over a shared segment, the
-// cross-process analogue of core.CPU: same Log0..Log4 fast paths, same
-// protocol, different memory.
-type CPU struct {
-	a *core.Arena
-}
-
-// Enabled reports whether events of the major class are currently logged.
-func (c CPU) Enabled(m event.Major) bool { return c.a.Enabled(m) }
-
-// Log0 logs an event with no payload.
-func (c CPU) Log0(major event.Major, minor uint16) bool { return c.a.Log0(major, minor) }
-
-// Log1 logs an event with one 64-bit payload word.
-func (c CPU) Log1(major event.Major, minor uint16, d0 uint64) bool {
-	return c.a.Log1(major, minor, d0)
-}
-
-// Log2 logs an event with two 64-bit payload words.
-func (c CPU) Log2(major event.Major, minor uint16, d0, d1 uint64) bool {
-	return c.a.Log2(major, minor, d0, d1)
-}
-
-// Log3 logs an event with three 64-bit payload words.
-func (c CPU) Log3(major event.Major, minor uint16, d0, d1, d2 uint64) bool {
-	return c.a.Log3(major, minor, d0, d1, d2)
-}
-
-// Log4 logs an event with four 64-bit payload words.
-func (c CPU) Log4(major event.Major, minor uint16, d0, d1, d2, d3 uint64) bool {
-	return c.a.Log4(major, minor, d0, d1, d2, d3)
-}
-
-// Log logs an event with an arbitrary payload, copied into the shared
-// buffer.
-func (c CPU) Log(major event.Major, minor uint16, data ...uint64) bool {
-	return c.a.LogWords(major, minor, data)
-}
-
-// LogWords logs an event whose payload is the given word slice.
-func (c CPU) LogWords(major event.Major, minor uint16, data []uint64) bool {
-	return c.a.LogWords(major, minor, data)
-}
-
-// OpenBatch reserves a batch of event space on this CPU slot with one
-// CAS; see core.Arena.OpenBatch. Cross-process invariants hold because a
-// batch is one long in-flight logging call: the opener's in-flight cell
-// stays raised until Close, and a client killed mid-batch leaves the
-// familiar short commit count for the daemon's stuck-buffer seal.
-func (c CPU) OpenBatch(b *core.Batch, major event.Major, words int) bool {
-	return c.a.OpenBatch(b, major, words)
-}
-
-// ReserveHang reserves event space and returns with the reservation
-// uncommitted and the in-flight count raised — fault injection for the
-// killed-mid-log scenario; see core.Arena.ReserveHang.
-func (c CPU) ReserveHang(major event.Major, minor uint16, payloadWords int) (int, bool) {
-	return c.a.ReserveHang(major, minor, payloadWords)
-}
-
-// Stats returns the CPU slot's counters (shared across every process
-// logging to the slot).
-func (c CPU) Stats() core.Stats { return c.a.Stats() }

@@ -67,7 +67,8 @@ type Tracer = core.Tracer
 // Config configures a Tracer.
 type Config = core.Config
 
-// CPU is a per-processor logging handle.
+// CPU is a per-processor logging handle, over a Tracer's buffers
+// (Tracer.CPU) or a shared segment's (ShmClient.CPU) alike.
 type CPU = core.CPU
 
 // Mode selects buffer management.
@@ -93,8 +94,8 @@ type Sealed = core.Sealed
 
 // Batch is a per-logger sub-allocator: one reservation CAS claims many
 // events' worth of trace memory, and events are then appended with plain
-// stores — see core.Batch. Open one with CPU.OpenBatch (in-process) or
-// ShmCPU.OpenBatch (shared segment); Config.BatchWords enables the
+// stores — see core.Batch. Open one with CPU.OpenBatch, on a Tracer's
+// handle or a shared segment's; Config.BatchWords enables the
 // transparent per-P batched fast path behind Tracer.PLog0..PLog4.
 type Batch = core.Batch
 
@@ -353,9 +354,6 @@ func BuildTrace(evs []Event, hz uint64, reg *Registry) *Trace {
 // ShmClient is a process's attachment to a shared trace segment.
 type ShmClient = shm.Client
 
-// ShmCPU is a per-processor logging handle over a shared segment.
-type ShmCPU = shm.CPU
-
 // ShmAgent is the daemon side of a shared segment (ktraced embeds one).
 // It is a stream.Source like a Tracer, so the one drain serves both: into
 // a file with Capture, or over the network with the relay senders.
@@ -368,7 +366,7 @@ type ShmGeometry = shm.Geometry
 type ShmInfo = shm.Info
 
 // Attach maps the shared trace segment at path and claims a client slot;
-// the process then logs through ShmCPU handles with no system calls.
+// the process then logs through its CPU handles with no system calls.
 func Attach(path string) (*ShmClient, error) { return shm.Attach(path) }
 
 // CreateShmSegment creates and publishes a shared trace segment, owned by
