@@ -145,7 +145,7 @@ func analysisReports(tr *Trace, w int) map[string]string {
 	return map[string]string{
 		"lock":      tr.LockStatParallel(w).String(),
 		"profile":   tr.ProfileParallel(^uint64(0), w).String(),
-		"overview":  analysis.OverviewString(over),
+		"overview":  overviewText(over),
 		"timebreak": tb.String(),
 		"mem":       tr.MemProfileParallel(w).String(),
 		"kmon":      whole.ASCII() + whole.SVG() + zoom.ASCII(),
@@ -326,4 +326,11 @@ func TestCorpusSalvageExactCounts(t *testing.T) {
 			t.Fatalf("event %d differs from survivor baseline", i)
 		}
 	}
+}
+
+// overviewText is the overview table FormatOverview writes.
+func overviewText(rows []analysis.ProcSummary) string {
+	var b strings.Builder
+	analysis.FormatOverview(&b, rows)
+	return b.String()
 }

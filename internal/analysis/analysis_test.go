@@ -118,14 +118,14 @@ func TestBuildContextMaps(t *testing.T) {
 	if f := tr.ChainFrames(3); len(f) != 3 || f[0] != "a" || f[2] != "c" {
 		t.Errorf("chain: %v", f)
 	}
-	if tr.FileName(12) != "/tmp/x" {
-		t.Errorf("file: %q", tr.FileName(12))
+	if tr.fileName(12) != "/tmp/x" {
+		t.Errorf("file: %q", tr.fileName(12))
 	}
 	if tr.ProcName(9) != "grep" {
 		t.Errorf("proc: %q", tr.ProcName(9))
 	}
 	// Unknown ids render placeholders; well-known pids are named.
-	if tr.SymName(99) != "sym#99" || tr.FileName(99) != "file#99" || tr.ProcName(99) != "pid99" {
+	if tr.SymName(99) != "sym#99" || tr.fileName(99) != "file#99" || tr.ProcName(99) != "pid99" {
 		t.Error("placeholder naming wrong")
 	}
 	if tr.ProcName(0) != "kernel" || tr.ProcName(1) != "baseServers" {
@@ -276,8 +276,8 @@ func TestProfileCrafted(t *testing.T) {
 	if p.Total != 3 {
 		t.Fatalf("Total = %d", p.Total)
 	}
-	if p.Top() != "FairBLock::_acquire()" {
-		t.Errorf("Top = %q", p.Top())
+	if p.topName() != "FairBLock::_acquire()" {
+		t.Errorf("topName = %q", p.topName())
 	}
 	if p.Rows[0].Count != 2 || p.Rows[1].Count != 1 {
 		t.Errorf("rows = %+v", p.Rows)
@@ -399,13 +399,13 @@ func TestEndToEndProfileReproducesFigure6(t *testing.T) {
 	if p.Total == 0 {
 		t.Fatal("no samples")
 	}
-	if p.Top() != "FairBLock::_acquire()" {
-		t.Errorf("top symbol = %q, want FairBLock::_acquire()\n%s", p.Top(), p)
+	if p.topName() != "FairBLock::_acquire()" {
+		t.Errorf("top symbol = %q, want FairBLock::_acquire()\n%s", p.topName(), p)
 	}
 	// The tuned system must NOT be dominated by lock spinning.
 	tuned := sdetTrace(t, 16, true)
 	tp := tuned.Profile(^uint64(0))
-	if tp.Top() == "FairBLock::_acquire()" {
+	if tp.topName() == "FairBLock::_acquire()" {
 		t.Errorf("tuned profile still dominated by spinning:\n%s", tp)
 	}
 }

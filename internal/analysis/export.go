@@ -54,14 +54,9 @@ type TimelineExport struct {
 	Procs map[string]string `json:"procs"`
 }
 
-// ExportTimeline exports the whole trace; markNames selects event names
-// whose occurrences are marked, as in Timeline.
-func (t *Trace) ExportTimeline(markNames ...string) *TimelineExport {
-	first, last := t.Span()
-	return t.ExportTimelineRange(first, last, markNames...)
-}
-
-// ExportTimelineRange exports the [from, to] window of the trace.
+// ExportTimelineRange exports the [from, to] window of the trace;
+// markNames selects event names whose occurrences are marked, as in
+// Timeline.
 func (t *Trace) ExportTimelineRange(from, to uint64, markNames ...string) *TimelineExport {
 	if to <= from {
 		to = from + 1

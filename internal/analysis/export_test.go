@@ -79,8 +79,8 @@ func TestOccupancyParallelMatchesSequential(t *testing.T) {
 	tr := sdetTraceEpochs(t)
 	first, last := tr.Span()
 	seq := tr.OccupancyRange(first, last+1, 32)
-	if seq.TotalNs() == 0 || seq.Events == 0 {
-		t.Fatalf("degenerate baseline: total=%d events=%d", seq.TotalNs(), seq.Events)
+	if seq.totalNs() == 0 || seq.Events == 0 {
+		t.Fatalf("degenerate baseline: total=%d events=%d", seq.totalNs(), seq.Events)
 	}
 	for _, w := range workerCounts {
 		if got := tr.OccupancyRangeParallel(first, last+1, 32, w); !reflect.DeepEqual(got, seq) {
@@ -95,7 +95,8 @@ func TestOccupancyParallelMatchesSequential(t *testing.T) {
 // rendering behave as documented.
 func TestExportTimeline(t *testing.T) {
 	tr := sdetTraceEpochs(t)
-	x := tr.ExportTimeline("TRC_USER_RUN_UL_LOADER")
+	first, last := tr.Span()
+	x := tr.ExportTimelineRange(first, last, "TRC_USER_RUN_UL_LOADER")
 	if len(x.CPUs) == 0 {
 		t.Fatal("no CPUs exported")
 	}

@@ -149,9 +149,9 @@ func (rep *MemReport) Merge(o *MemReport) {
 	sortMemRows(rep.Rows)
 }
 
-// TopRemote returns the symbol with the most coherence misses (empty if
+// topRemote returns the symbol with the most coherence misses (empty if
 // no samples) — on a contended system, the lock spin loop.
-func (rep *MemReport) TopRemote() string {
+func (rep *MemReport) topRemote() string {
 	best := -1
 	var bestV uint64
 	for i, r := range rep.Rows {

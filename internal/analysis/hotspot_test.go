@@ -42,8 +42,8 @@ func TestMemProfileCrafted(t *testing.T) {
 	if got := copyRow.MPKC(); got != 40 {
 		t.Errorf("MPKC = %f", got)
 	}
-	if rep.TopRemote() != "FairBLock::_acquire()" {
-		t.Errorf("TopRemote = %q", rep.TopRemote())
+	if rep.topRemote() != "FairBLock::_acquire()" {
+		t.Errorf("topRemote = %q", rep.topRemote())
 	}
 	if rep.Totals.Misses != 85 || rep.Totals.Remote != 400 {
 		t.Errorf("totals %+v", rep.Totals)
@@ -57,7 +57,7 @@ func TestMemProfileCrafted(t *testing.T) {
 func TestMemProfileEmpty(t *testing.T) {
 	tr := Build(nil, 1e9, event.Default)
 	rep := tr.MemProfile()
-	if rep.Samples != 0 || len(rep.Rows) != 0 || rep.TopRemote() != "" {
+	if rep.Samples != 0 || len(rep.Rows) != 0 || rep.topRemote() != "" {
 		t.Error("empty trace should yield empty report")
 	}
 	if rep.Totals.MPKC() != 0 {
@@ -90,7 +90,7 @@ func TestEndToEndMemHotSpots(t *testing.T) {
 	if coarse.Samples == 0 {
 		t.Fatal("no hwc samples")
 	}
-	if got := coarse.TopRemote(); got != "FairBLock::_acquire()" {
+	if got := coarse.topRemote(); got != "FairBLock::_acquire()" {
 		t.Errorf("coarse coherence hot spot = %q, want the spin loop\n%s", got, coarse)
 	}
 	tuned := run(true)

@@ -34,8 +34,8 @@ type Occupancy struct {
 	Events uint64
 }
 
-// TotalNs returns the accounted CPU time (all modes, all CPUs).
-func (o *Occupancy) TotalNs() uint64 {
+// totalNs returns the accounted CPU time (all modes, all CPUs).
+func (o *Occupancy) totalNs() uint64 {
 	var sum uint64
 	for _, ns := range o.ModeNs {
 		sum += ns

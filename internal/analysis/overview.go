@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"k42trace/internal/event"
 )
@@ -170,11 +169,4 @@ func FormatOverview(w io.Writer, rows []ProcSummary) error {
 		}
 	}
 	return nil
-}
-
-// OverviewString renders the table.
-func OverviewString(rows []ProcSummary) string {
-	var b strings.Builder
-	FormatOverview(&b, rows)
-	return b.String()
 }

@@ -47,7 +47,7 @@ func TestOverviewCrafted(t *testing.T) {
 	if nonKernel[0].Pid != 5 {
 		t.Errorf("sort order: %+v", nonKernel)
 	}
-	out := OverviewString(rows)
+	out := overviewText(rows)
 	for _, want := range []string{"pid", "user(us)", "lock(us)", "events"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
@@ -76,7 +76,7 @@ func TestOverviewOnSDETTrace(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("top rows lack sdet scripts:\n%s", OverviewString(rows[:3]))
+		t.Errorf("top rows lack sdet scripts:\n%s", overviewText(rows[:3]))
 	}
 }
 
@@ -121,7 +121,7 @@ func TestReportRowsAreTheFmtRows(t *testing.T) {
 			fmt.Fprintf(&want, "%6d %-14s %10.1f %10.1f %10.1f %10.1f %10.1f %8d\n",
 				r.Pid, r.Name, us(r.UserNs), us(r.KernelNs), us(r.IPCNs), us(r.LockNs), us(r.TotalNs()), r.Events)
 		}
-		if got := OverviewString(rows); got != want.String() {
+		if got := overviewText(rows); got != want.String() {
 			t.Fatalf("round %d: overview differs from the fmt rendering\n got:\n%s\nwant:\n%s", round, got, want.String())
 		}
 
@@ -142,4 +142,11 @@ func TestReportRowsAreTheFmtRows(t *testing.T) {
 			t.Fatalf("round %d: memory report (top %d) differs from the fmt rendering (%v)\n got:\n%s\nwant:\n%s", round, top, err, got.String(), want.String())
 		}
 	}
+}
+
+// overviewText is the overview table FormatOverview writes.
+func overviewText(rows []ProcSummary) string {
+	var b strings.Builder
+	FormatOverview(&b, rows)
+	return b.String()
 }

@@ -126,8 +126,8 @@ func (p *Profile) Format(w io.Writer, top int) error {
 	return nil
 }
 
-// Top returns the most-sampled symbol name (empty if no samples).
-func (p *Profile) Top() string {
+// topName returns the most-sampled symbol name (empty if no samples).
+func (p *Profile) topName() string {
 	if len(p.Rows) == 0 {
 		return ""
 	}

@@ -169,8 +169,8 @@ func (t *Trace) ChainFrames(id uint64) []string {
 	return []string{fmt.Sprintf("chain#%d", id)}
 }
 
-// FileName resolves a file id.
-func (t *Trace) FileName(id uint64) string {
+// fileName resolves a file id.
+func (t *Trace) fileName(id uint64) string {
 	if s, ok := t.Files[id]; ok {
 		return s
 	}

@@ -120,10 +120,6 @@ func NewWindowed(cfg WindowConfig) *Windowed {
 	return w
 }
 
-// Trace exposes the growing naming context (for render-time resolution by
-// a caller that already serializes access).
-func (w *Windowed) Trace() *Trace { return w.trace }
-
 // ClockHz returns the trace clock rate.
 func (w *Windowed) ClockHz() uint64 { return w.trace.ClockHz }
 
@@ -283,18 +279,6 @@ func (w *Windowed) snapshotWindow(ws *liveWindow) WindowSnapshot {
 		s.Breaks = append(s.Breaks, ws.breaks[pid].snapshot())
 	}
 	return s
-}
-
-// LockReport assembles a window's lock report in the offline report type
-// (with trace-backed chain naming), for rendering. Index must name a live
-// window; ok is false if it was evicted or never opened.
-func (w *Windowed) LockReport(index uint64) (rep *LockReport, ok bool) {
-	for _, ws := range w.windows {
-		if ws.index == index {
-			return ws.locks.report(w.trace), true
-		}
-	}
-	return nil, false
 }
 
 // LiveStats are the engine's own counters.

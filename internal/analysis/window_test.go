@@ -64,7 +64,7 @@ func TestWindowedMatchesOffline(t *testing.T) {
 		w.Feed(evs)
 	}
 
-	if got, want := OverviewString(w.Overview()), OverviewString(over); got != want {
+	if got, want := overviewText(w.Overview()), overviewText(over); got != want {
 		t.Errorf("cumulative overview differs from offline:\n got:\n%s\nwant:\n%s", got, want)
 	}
 	wins := w.Windows()
@@ -72,7 +72,7 @@ func TestWindowedMatchesOffline(t *testing.T) {
 		t.Fatalf("want 1 window covering the whole trace, got %d", len(wins))
 	}
 	ws := wins[0]
-	if got, want := OverviewString(ws.Overview), OverviewString(over); got != want {
+	if got, want := overviewText(ws.Overview), overviewText(over); got != want {
 		t.Errorf("single-window overview differs from offline")
 	}
 	if want := offline.LockStat().Rows; !reflect.DeepEqual(ws.Locks, want) {
@@ -133,7 +133,7 @@ func TestWindowedEvictionBoundsMemory(t *testing.T) {
 	if st.Events != fed {
 		t.Errorf("fed %d events, engine counted %d", fed, st.Events)
 	}
-	if got, want := OverviewString(w.Overview()), OverviewString(offline.Overview()); got != want {
+	if got, want := overviewText(w.Overview()), overviewText(offline.Overview()); got != want {
 		t.Errorf("cumulative overview diverged under eviction:\n got:\n%s\nwant:\n%s", got, want)
 	}
 	// Detail inside live windows is still exact: total events bucketed
@@ -169,7 +169,7 @@ func TestWindowedFeedOrderIndependence(t *testing.T) {
 			}
 		}
 	}
-	if got, want := OverviewString(perCPU.Overview()), OverviewString(fileOrder.Overview()); got != want {
+	if got, want := overviewText(perCPU.Overview()), overviewText(fileOrder.Overview()); got != want {
 		t.Errorf("overview depends on cross-CPU feed interleaving:\n got:\n%s\nwant:\n%s", got, want)
 	}
 	if fileOrder.Stats().Events != perCPU.Stats().Events {
