@@ -263,8 +263,8 @@ func NewFixedLogger(cpus, slots int, clk clock.Source) *FixedLogger {
 // Name implements Logger.
 func (l *FixedLogger) Name() string { return "fixed-slots" }
 
-// Truncated returns how many events did not fit a slot intact.
-func (l *FixedLogger) Truncated() uint64 { return l.trunc.Load() }
+// truncated returns how many events did not fit a slot intact.
+func (l *FixedLogger) truncated() uint64 { return l.trunc.Load() }
 
 // Log1 implements Logger.
 func (l *FixedLogger) Log1(cpu int, major event.Major, minor uint16, d0 uint64) bool {
@@ -405,9 +405,6 @@ func NewLockless(cpus, bufWords, numBufs int, clk clock.Source) *Lockless {
 	tr.EnableAll()
 	return &Lockless{tr: tr}
 }
-
-// Tracer exposes the wrapped tracer.
-func (l *Lockless) Tracer() *core.Tracer { return l.tr }
 
 // Name implements Logger.
 func (l *Lockless) Name() string { return "lockless-percpu" }

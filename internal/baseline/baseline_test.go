@@ -87,8 +87,8 @@ func TestFixedLoggerTruncatesLargeEvents(t *testing.T) {
 	if fixed.LogWords(0, event.MajorTest, 1, big) {
 		t.Error("oversized event should report truncation")
 	}
-	if fixed.Truncated() != 1 {
-		t.Errorf("Truncated = %d", fixed.Truncated())
+	if fixed.truncated() != 1 {
+		t.Errorf("truncated = %d", fixed.truncated())
 	}
 	small := make([]uint64, 2)
 	if !fixed.LogWords(0, event.MajorTest, 1, small) {
