@@ -65,9 +65,9 @@ func NewManual(step uint64) *Manual {
 // Now advances the clock and returns the new value; cpu is ignored.
 func (m *Manual) Now(cpu int) uint64 { return m.ticks.Add(m.step) }
 
-// Advance adds d ticks without returning a reading, for tests that need to
+// advance adds d ticks without returning a reading, for tests that need to
 // move time between events.
-func (m *Manual) Advance(d uint64) { m.ticks.Add(d) }
+func (m *Manual) advance(d uint64) { m.ticks.Add(d) }
 
 // Hz returns 1e9 so Manual ticks read as nanoseconds in tools.
 func (m *Manual) Hz() uint64 { return 1e9 }

@@ -30,7 +30,7 @@ func TestManualDeterministic(t *testing.T) {
 	if got := m.Now(3); got != 10 {
 		t.Errorf("second read %d", got)
 	}
-	m.Advance(100)
+	m.advance(100)
 	if got := m.Now(0); got != 115 {
 		t.Errorf("after advance %d", got)
 	}
@@ -179,7 +179,7 @@ func TestC9TSCInterpolation(t *testing.T) {
 	for cpu := range params {
 		start := tsc.TakeAnchor(cpu)
 		// Simulate a long run: advance true time far between anchors.
-		m.Advance(10_000_000_000) // 10s in ns
+		m.advance(10_000_000_000) // 10s in ns
 		end := tsc.TakeAnchor(cpu)
 		ip, err := NewInterpolator(start, end)
 		if err != nil {
