@@ -49,10 +49,11 @@ type fixedArity interface {
 	Log4(major Major, minor uint16, d0, d1, d2, d3 uint64) bool
 }
 
-// perP logs through the tracer's per-P fast path.
+// perP logs through the tracer's per-P fast path, which has no
+// zero-payload entry point: its Log0 logs nothing.
 type perP struct{ tr *Tracer }
 
-func (p perP) Log0(major Major, minor uint16) bool { return p.tr.PLog0(major, minor) }
+func (p perP) Log0(major Major, minor uint16) bool { return false }
 func (p perP) Log1(major Major, minor uint16, d0 uint64) bool {
 	return p.tr.PLog1(major, minor, d0)
 }
@@ -76,13 +77,15 @@ func (p perP) Log4(major Major, minor uint16, d0, d1, d2, d3 uint64) bool {
 // two-word events, and 70 events fill 10 buffers with no tail. All five
 // arities: a round is Log0..Log4 with log_hot's minors and payloads, 15
 // words; BufWords 32 leaves 30, two rounds, and a batch holds one round.
-// The decoded payloads are checked against what was logged, so a word
+// The per-P path has no Log0, so it runs the Log1..Log4 round instead: 14
+// words, one round a 16-word buffer and a batch. The decoded payloads are checked against what was logged, so a word
 // order wrong on all three receivers at once fails too.
 func TestBatchStreamParity(t *testing.T) {
 	cases := []struct {
 		name                 string
 		bufWords, batchWords int
 		rounds, roundWords   int
+		noPerP               bool // the round logs a Log0
 		round                func(l fixedArity, v uint64) bool
 		payloads             func(v uint64) [][]uint64 // of one round's events
 	}{
@@ -92,7 +95,7 @@ func TestBatchStreamParity(t *testing.T) {
 			payloads: func(v uint64) [][]uint64 { return [][]uint64{{v}} },
 		},
 		{
-			name: "Log0-4", bufWords: 32, batchWords: 15, rounds: 20, roundWords: 15,
+			name: "Log0-4", bufWords: 32, batchWords: 15, rounds: 20, roundWords: 15, noPerP: true,
 			round: func(l fixedArity, v uint64) bool {
 				return l.Log0(MajorTest, 1) && l.Log1(MajorTest, 2, v) &&
 					l.Log2(MajorTest, 3, v, v>>7) && l.Log3(MajorTest, 4, v, v>>7, v>>13) &&
@@ -100,6 +103,16 @@ func TestBatchStreamParity(t *testing.T) {
 			},
 			payloads: func(v uint64) [][]uint64 {
 				return [][]uint64{{}, {v}, {v, v >> 7}, {v, v >> 7, v >> 13}, {v, v >> 7, v >> 13, v >> 19}}
+			},
+		},
+		{
+			name: "Log1-4", bufWords: 16, batchWords: 14, rounds: 10, roundWords: 14,
+			round: func(l fixedArity, v uint64) bool {
+				return l.Log1(MajorTest, 2, v) && l.Log2(MajorTest, 3, v, v>>7) &&
+					l.Log3(MajorTest, 4, v, v>>7, v>>13) && l.Log4(MajorTest, 5, v, v>>7, v>>13, v>>19)
+			},
+			payloads: func(v uint64) [][]uint64 {
+				return [][]uint64{{v}, {v, v >> 7}, {v, v >> 7, v >> 13}, {v, v >> 7, v >> 13, v >> 19}}
 			},
 		},
 	}
@@ -129,22 +142,23 @@ func TestBatchStreamParity(t *testing.T) {
 				return &b
 			})
 
-			// The per-P path parks batches per P; pin to one P so a
-			// mid-batch migration cannot split the sequence across two
-			// parked batches.
-			prev := runtime.GOMAXPROCS(1)
-			perPCfg := cfg
-			perPCfg.BatchWords = tc.batchWords
-			perPStream := run(perPCfg, func(tr *Tracer, _ int) fixedArity { return perP{tr} })
-			runtime.GOMAXPROCS(prev)
-
 			if !bytes.Equal(plain, batched) {
 				t.Errorf("explicit-batch stream differs from plain stream (%d vs %d bytes)",
 					len(batched), len(plain))
 			}
-			if !bytes.Equal(plain, perPStream) {
-				t.Errorf("per-P fast-path stream differs from plain stream (%d vs %d bytes)",
-					len(perPStream), len(plain))
+			if !tc.noPerP {
+				// The per-P path parks batches per P; pin to one P so a
+				// mid-batch migration cannot split the sequence across two
+				// parked batches.
+				prev := runtime.GOMAXPROCS(1)
+				perPCfg := cfg
+				perPCfg.BatchWords = tc.batchWords
+				perPStream := run(perPCfg, func(tr *Tracer, _ int) fixedArity { return perP{tr} })
+				runtime.GOMAXPROCS(prev)
+				if !bytes.Equal(plain, perPStream) {
+					t.Errorf("per-P fast-path stream differs from plain stream (%d vs %d bytes)",
+						len(perPStream), len(plain))
+				}
 			}
 
 			// And the decoded view agrees: 10 blocks, every payload as

@@ -244,9 +244,6 @@ func (a *Arena) SlotCommitted(i int) uint64 {
 // Buf returns the arena's trace memory (NumBufs*BufWords words).
 func (a *Arena) Buf() []uint64 { return a.buf }
 
-// BufWords returns the buffer (alignment boundary) size in words.
-func (a *Arena) BufWords() int { return int(a.bufWords) }
-
 // NumBufs returns the number of buffers in the ring.
 func (a *Arena) NumBufs() int { return int(a.numBufs) }
 

@@ -112,19 +112,13 @@ func (b *Batch) Close() {
 	a.end()
 }
 
-// Open reports whether the batch currently holds a reservation.
-func (b *Batch) Open() bool { return b.open }
-
-// Remaining returns the unwritten words left in the reservation.
-func (b *Batch) Remaining() int {
+// remaining returns the unwritten words left in the reservation.
+func (b *Batch) remaining() int {
 	if !b.open {
 		return 0
 	}
 	return int(b.end - b.next)
 }
-
-// Events returns the number of events appended since the batch opened.
-func (b *Batch) Events() int { return int(b.events) }
 
 // slot claims length words of the reservation, returning the buffer
 // position of the first. The capacity check is the entire allocation —
@@ -180,8 +174,8 @@ func (b *Batch) logN(major event.Major, minor uint16, n int, d0, d1, d2, d3 uint
 	return true
 }
 
-// LogWords appends an event whose payload is the given word slice.
-func (b *Batch) LogWords(major event.Major, minor uint16, data []uint64) bool {
+// logWords appends an event whose payload is the given word slice.
+func (b *Batch) logWords(major event.Major, minor uint16, data []uint64) bool {
 	if !b.open || b.a.mask.Load()&major.Bit() == 0 {
 		return false
 	}

@@ -22,18 +22,18 @@ func TestBatchBasicRoundTrip(t *testing.T) {
 	if !c.OpenBatch(&b, event.MajorTest, 20) {
 		t.Fatal("OpenBatch failed")
 	}
-	if b.Remaining() != 20 {
-		t.Fatalf("Remaining = %d, want 20", b.Remaining())
+	if b.remaining() != 20 {
+		t.Fatalf("remaining = %d, want 20", b.remaining())
 	}
 	if !b.Log1(event.MajorTest, 1, 100) || !b.Log2(event.MajorTest, 2, 200, 201) ||
-		!b.Log0(event.MajorTest, 3) || !b.LogWords(event.MajorTest, 4, []uint64{1, 2, 3}) {
+		!b.Log0(event.MajorTest, 3) || !b.logWords(event.MajorTest, 4, []uint64{1, 2, 3}) {
 		t.Fatal("batch appends failed")
 	}
-	if b.Events() != 4 || b.Remaining() != 20-(2+3+1+4) {
-		t.Fatalf("events %d remaining %d", b.Events(), b.Remaining())
+	if b.events != 4 || b.remaining() != 20-(2+3+1+4) {
+		t.Fatalf("events %d remaining %d", b.events, b.remaining())
 	}
 	b.Close()
-	if b.Open() {
+	if b.open {
 		t.Error("batch still open after Close")
 	}
 	b.Close() // idempotent
@@ -241,7 +241,7 @@ func TestBatchAbandonedExactAccounting(t *testing.T) {
 		t.Errorf("decoded %d victim + %d survivor events, want 3 + 5",
 			victimEvents, survivorEvents)
 	}
-	if st := victim.Stats(); st.StuckSeals != 1 {
+	if st := victim.a.Stats(); st.StuckSeals != 1 {
 		t.Errorf("stuck seals %d, want 1", st.StuckSeals)
 	}
 }
@@ -276,7 +276,7 @@ func TestBatchOpenRejections(t *testing.T) {
 		t.Error("append of enabled major must succeed")
 	}
 	// Over-capacity append fails and leaves the batch usable.
-	if b.LogWords(event.MajorTest, 2, make([]uint64, 16)) {
+	if b.logWords(event.MajorTest, 2, make([]uint64, 16)) {
 		t.Error("append larger than remaining capacity must fail")
 	}
 	if !b.Log0(event.MajorTest, 3) {
@@ -333,7 +333,7 @@ func TestPLogConcurrent(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				switch i % 4 {
 				case 0:
-					if tr.PLog0(event.MajorTest, 1) {
+					if tr.PLog3(event.MajorTest, 1, uint64(g), uint64(i), 0) {
 						logged.Add(1)
 					}
 				case 1:
@@ -445,8 +445,8 @@ func TestParkedBatchYieldsToBlockedLogger(t *testing.T) {
 }
 
 // TestLoggingAllocatesNothing holds the fixed-arity entry points of all
-// three receivers — CPU.Log0–4, Batch.Log0–4 and Tracer.PLog0–4 — to zero
-// allocations, logging and masked off, so a shared body whose payload
+// three receivers — CPU.Log0–4, Batch.Log0–4 and Tracer.PLog1–4, whose
+// first slot is a second PLog1 — to zero allocations, logging and masked off, so a shared body whose payload
 // escapes to the heap cannot land silently. The flight recorder wraps, so
 // every run logs.
 func TestLoggingAllocatesNothing(t *testing.T) {
@@ -471,7 +471,7 @@ func TestLoggingAllocatesNothing(t *testing.T) {
 			return ok
 		}},
 		{"PLog", func(m event.Major) [5]bool {
-			return [5]bool{tr.PLog0(m, 1), tr.PLog1(m, 2, 1), tr.PLog2(m, 3, 1, 2),
+			return [5]bool{tr.PLog1(m, 1, 0), tr.PLog1(m, 2, 1), tr.PLog2(m, 3, 1, 2),
 				tr.PLog3(m, 4, 1, 2, 3), tr.PLog4(m, 5, 1, 2, 3, 4)}
 		}},
 	}
@@ -494,7 +494,7 @@ func TestLoggingAllocatesNothing(t *testing.T) {
 func TestPLogFallbackWithoutBatching(t *testing.T) {
 	tr := MustNew(Config{CPUs: 2, BufWords: 64, NumBufs: 2, Clock: clock.NewManual(1)})
 	tr.EnableAll()
-	if !tr.PLog1(event.MajorTest, 1, 7) || !tr.PLog0(event.MajorTest, 2) ||
+	if !tr.PLog1(event.MajorTest, 1, 7) || !tr.PLog1(event.MajorTest, 2, 0) ||
 		!tr.PLog2(event.MajorTest, 3, 1, 2) || !tr.PLog3(event.MajorTest, 4, 1, 2, 3) ||
 		!tr.PLog4(event.MajorTest, 5, 1, 2, 3, 4) {
 		t.Fatal("PLog without batching failed")
@@ -504,11 +504,8 @@ func TestPLogFallbackWithoutBatching(t *testing.T) {
 		t.Errorf("stats events=%d fastHits=%d batchOpens=%d, want 5/0/0",
 			st.Events, st.FastHits, st.BatchOpens)
 	}
-	if tr.PLog0(event.MajorMem, 1) && false {
-		t.Error("unreachable")
-	}
 	tr.SetMask(0)
-	if tr.PLog0(event.MajorTest, 9) {
+	if tr.PLog1(event.MajorTest, 9, 0) {
 		t.Error("PLog with tracing disabled must return false")
 	}
 }

@@ -325,11 +325,11 @@ func TestCrossCPUIndependence(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if r := tr.CPU(1).Stats().Retries; r != 0 {
+	if r := tr.cpus[1].Stats().Retries; r != 0 {
 		t.Errorf("uncontended CPU had %d CAS retries; slots are not independent", r)
 	}
-	if tr.CPU(0).Stats().Events != 40000 || tr.CPU(1).Stats().Events != 5000 {
+	if tr.cpus[0].Stats().Events != 40000 || tr.cpus[1].Stats().Events != 5000 {
 		t.Errorf("event counts wrong: %d/%d",
-			tr.CPU(0).Stats().Events, tr.CPU(1).Stats().Events)
+			tr.cpus[0].Stats().Events, tr.cpus[1].Stats().Events)
 	}
 }

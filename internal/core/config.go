@@ -94,7 +94,7 @@ type Config struct {
 	// the buffer's previous generation. Release time is the only moment a
 	// slot is quiescent, so ZeroFill requires Stream mode.
 	ZeroFill bool
-	// BatchWords enables the per-P batched fast path (the PLog0..PLog4
+	// BatchWords enables the per-P batched fast path (the PLog1..PLog4
 	// entry points): each runtime processor keeps a private Batch of this
 	// many words, refilled with one reservation CAS and consumed with
 	// plain arithmetic. Larger batches amortize the CAS over more events

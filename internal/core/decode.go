@@ -249,14 +249,3 @@ func (t *Tracer) Resident(cpu int, emit func(Sealed)) {
 		emit(s)
 	}
 }
-
-// TailEvents returns the last n events from a CPU's flight recorder — the
-// debugger's "print the last set of trace events" entry point, with the
-// same kind of count control K42's had.
-func (t *Tracer) TailEvents(cpu, n int) []event.Event {
-	evs, _ := t.Dump(cpu)
-	if len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	return evs
-}

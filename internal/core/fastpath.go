@@ -61,15 +61,9 @@ func (t *Tracer) initFastPath(batchWords int) {
 // pArena returns the arena the per-P shard p logs into.
 func (t *Tracer) pArena(p int) *Arena { return t.cpus[p%len(t.cpus)] }
 
-// PLog0 logs an event with no payload through the per-P fast path. Like
-// Log0 it reports whether the event was logged; unlike Log0 the caller
-// does not pick a CPU slot — the current P does.
-func (t *Tracer) PLog0(major event.Major, minor uint16) bool {
-	return t.plogN(major, minor, 1, 0, 0, 0, 0)
-}
-
 // PLog1 logs an event with one 64-bit payload word through the per-P
-// fast path.
+// fast path. Like Log1 it reports whether the event was logged; unlike
+// Log1 the caller does not pick a CPU slot — the current P does.
 func (t *Tracer) PLog1(major event.Major, minor uint16, d0 uint64) bool {
 	return t.plogN(major, minor, 2, d0, 0, 0, 0)
 }
@@ -92,7 +86,7 @@ func (t *Tracer) PLog4(major event.Major, minor uint16, d0, d1, d2, d3 uint64) b
 	return t.plogN(major, minor, 5, d0, d1, d2, d3)
 }
 
-// plogN is the body of PLog0..PLog4: an n-word event, appended to the
+// plogN is the body of PLog1..PLog4: an n-word event, appended to the
 // current P's parked batch when its shard is free, else logged on the
 // shard's arena.
 func (t *Tracer) plogN(major event.Major, minor uint16, n int, d0, d1, d2, d3 uint64) bool {

@@ -45,13 +45,6 @@ func Redact(words []uint64, visible uint64) []uint64 {
 	return out
 }
 
-// RedactSealed returns a redacted copy of a sealed buffer for delivery to
-// a consumer with limited visibility. The original is not modified.
-func RedactSealed(s Sealed, visible uint64) Sealed {
-	s.Words = Redact(s.Words, visible)
-	return s
-}
-
 // VisibleMask builds a visibility mask from major classes, for use with
 // Redact (it is the same bit layout as the trace mask).
 func VisibleMask(majors ...event.Major) uint64 {

@@ -294,10 +294,6 @@ func (a *Arena) Handle() CPU { return CPU{a: a} }
 // Enabled reports whether events of the major class are currently logged.
 func (c CPU) Enabled(m event.Major) bool { return c.a.mask.Load()&m.Bit() != 0 }
 
-// Stats returns a snapshot of the slot's counters (on a shared segment,
-// those of every process logging to the slot).
-func (c CPU) Stats() Stats { return c.a.Stats() }
-
 // Log0..Log4 are the analogue of K42's per-major-ID macros: "events with a
 // constant number of data words [are] logged efficiently, without the use
 // of variable argument functions." Each is one call to logN with its event

@@ -218,16 +218,16 @@ func TestScheduledReclaim(t *testing.T) {
 				{CPU: 1, Seq: 0, Committed: 8, N: 8, Partial: true},
 			},
 			check: func(t *testing.T, tr *Tracer) {
-				if n := tr.CPU(0).Stats().StuckSeals; n != 1 {
+				if n := tr.cpus[0].Stats().StuckSeals; n != 1 {
 					t.Errorf("cpu 0 StuckSeals = %d, want 1", n)
 				}
-				if n := tr.CPU(1).Stats().StuckSeals; n != 0 {
+				if n := tr.cpus[1].Stats().StuckSeals; n != 0 {
 					t.Errorf("cpu 1 StuckSeals = %d, want 0", n)
 				}
-				if n := tr.CPU(1).Stats().BlockWaits; n != 0 {
+				if n := tr.cpus[1].Stats().BlockWaits; n != 0 {
 					t.Errorf("cpu 1 BlockWaits = %d; reclaim leaked across CPUs", n)
 				}
-				if n := tr.CPU(1).Stats().Retries; n != 0 {
+				if n := tr.cpus[1].Stats().Retries; n != 0 {
 					t.Errorf("cpu 1 Retries = %d; slots are not independent", n)
 				}
 			},

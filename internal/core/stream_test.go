@@ -198,7 +198,7 @@ func TestNegativePayloadReservesNothing(t *testing.T) {
 	if _, ok := c.ReserveHang(event.MajorTest, 2, -1); ok {
 		t.Error("ReserveHang(-1) reserved")
 	}
-	if st := c.Stats(); st != (Stats{}) || a.Index() != 0 || a.InflightTotal() != 0 {
+	if st := a.Stats(); st != (Stats{}) || a.Index() != 0 || a.InflightTotal() != 0 {
 		t.Errorf("after refused reservations: stats %+v, index %d, in flight %d", st, a.Index(), a.InflightTotal())
 	}
 }

@@ -103,9 +103,6 @@ func MustNew(cfg Config) *Tracer {
 	return t
 }
 
-// Config returns the (validated, defaulted) configuration.
-func (t *Tracer) Config() Config { return t.cfg }
-
 // Clock returns the tracer's timestamp source.
 func (t *Tracer) Clock() clock.Source { return t.clock }
 

@@ -96,7 +96,7 @@ type Sealed = core.Sealed
 // events' worth of trace memory, and events are then appended with plain
 // stores — see core.Batch. Open one with CPU.OpenBatch, on a Tracer's
 // handle or a shared segment's; Config.BatchWords enables the
-// transparent per-P batched fast path behind Tracer.PLog0..PLog4.
+// transparent per-P batched fast path behind Tracer.PLog1..PLog4.
 type Batch = core.Batch
 
 // Stats is a snapshot of tracing counters.
