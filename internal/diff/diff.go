@@ -516,48 +516,3 @@ func abs64(v int64) int64 {
 	}
 	return v
 }
-
-// Zero reports whether the diff found no difference at all: every delta
-// exactly zero and divergence exactly 0 — the self-diff invariant.
-func (r *Report) Zero() bool {
-	if r.Divergence != 0 {
-		return false
-	}
-	for _, m := range r.Modes {
-		if m.DeltaNs != 0 || m.DeltaShare != 0 {
-			return false
-		}
-	}
-	for _, c := range r.CPUs {
-		if c.DeltaBusyShare != 0 || c.DeltaLockShare != 0 {
-			return false
-		}
-	}
-	for _, m := range r.Majors {
-		if m.Delta != 0 {
-			return false
-		}
-	}
-	for _, l := range r.Locks {
-		if l.DeltaWaitNs != 0 || l.ACount != l.BCount || l.ASpins != l.BSpins || l.AHoldNs != l.BHoldNs {
-			return false
-		}
-	}
-	for _, p := range r.Profile {
-		if p.ACount != p.BCount || p.DeltaShare != 0 {
-			return false
-		}
-	}
-	for _, p := range r.Procs {
-		if p.DeltaTotalNs != 0 || p.AUserNs != p.BUserNs || p.AKernelNs != p.BKernelNs ||
-			p.AIPCNs != p.BIPCNs || p.ALockNs != p.BLockNs {
-			return false
-		}
-	}
-	for _, w := range r.Windows {
-		if w.Score != 0 {
-			return false
-		}
-	}
-	return true
-}

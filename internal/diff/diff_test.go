@@ -2,6 +2,8 @@ package diff
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -48,13 +50,43 @@ func TestSelfDiffZero(t *testing.T) {
 		{Windows: 101, Workers: 3},
 	} {
 		rep := Diff(tr, tr, opts)
-		if !rep.Zero() {
+		if !zero(rep) {
 			var b strings.Builder
 			rep.Format(&b, 5)
 			t.Errorf("opts %+v: self-diff not zero:\n%s", opts, b.String())
 		}
 		if rep.Align.Scale != 1 {
 			t.Errorf("opts %+v: self-diff scale = %v, want 1", opts, rep.Align.Scale)
+		}
+	}
+}
+
+// TestCorpusSelfDiffZero holds every checked-in corpus trace, the damaged
+// ones salvage-read, to the same invariant.
+func TestCorpusSelfDiffZero(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/corpus/*.ktr")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no corpus traces: %v", err)
+	}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs, sr, err := stream.Salvage(f, fi.Size(), 4)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := analysis.Build(evs, sr.Meta.ClockHz, event.Default)
+		if rep := Diff(tr, tr, Options{Workers: 4}); !zero(rep) {
+			var b strings.Builder
+			rep.Format(&b, 5)
+			t.Errorf("%s: self-diff not zero:\n%s", filepath.Base(path), b.String())
 		}
 	}
 }
@@ -140,4 +172,49 @@ func TestDiffWorkerParity(t *testing.T) {
 			t.Errorf("workers=%d: JSON report differs from workers=1", w)
 		}
 	}
+}
+
+// zero reports whether the diff found no difference at all: every delta
+// exactly zero and divergence exactly 0 — the self-diff invariant.
+func zero(r *Report) bool {
+	if r.Divergence != 0 {
+		return false
+	}
+	for _, m := range r.Modes {
+		if m.DeltaNs != 0 || m.DeltaShare != 0 {
+			return false
+		}
+	}
+	for _, c := range r.CPUs {
+		if c.DeltaBusyShare != 0 || c.DeltaLockShare != 0 {
+			return false
+		}
+	}
+	for _, m := range r.Majors {
+		if m.Delta != 0 {
+			return false
+		}
+	}
+	for _, l := range r.Locks {
+		if l.DeltaWaitNs != 0 || l.ACount != l.BCount || l.ASpins != l.BSpins || l.AHoldNs != l.BHoldNs {
+			return false
+		}
+	}
+	for _, p := range r.Profile {
+		if p.ACount != p.BCount || p.DeltaShare != 0 {
+			return false
+		}
+	}
+	for _, p := range r.Procs {
+		if p.DeltaTotalNs != 0 || p.AUserNs != p.BUserNs || p.AKernelNs != p.BKernelNs ||
+			p.AIPCNs != p.BIPCNs || p.ALockNs != p.BLockNs {
+			return false
+		}
+	}
+	for _, w := range r.Windows {
+		if w.Score != 0 {
+			return false
+		}
+	}
+	return true
 }
