@@ -34,7 +34,7 @@ func FuzzDecodeBlock(f *testing.F) {
 		evs, st := DecodeBuffer(0, words)
 		sum := st.FillerWords + st.SkippedWords
 		for i := range evs {
-			sum += evs[i].Words()
+			sum += 1 + len(evs[i].Data)
 		}
 		if sum != len(words) {
 			t.Fatalf("word conservation broken: %d events + %d filler + %d skipped = %d words, buffer has %d",

@@ -191,9 +191,6 @@ type Event struct {
 func (e *Event) Major() Major  { return e.Header.Major() }
 func (e *Event) Minor() uint16 { return e.Header.Minor() }
 
-// Words returns the total size of the event in 64-bit words.
-func (e *Event) Words() int { return 1 + len(e.Data) }
-
 // OwnPayloads moves the payloads of evs out of whatever they alias into one
 // slab allocated here, sized to the payload words exactly, and re-points
 // every Data at its part of the slab, capped at its own length so that an

@@ -139,8 +139,8 @@ func TestParseTokens(t *testing.T) {
 	if toks, err := ParseTokens(""); err != nil || len(toks) != 0 {
 		t.Errorf("empty format: got %v, %v", toks, err)
 	}
-	if got := TokenString(want); got != "64 64 str 32 16 8" {
-		t.Errorf("TokenString: got %q", got)
+	if got := tokenString(want); got != "64 64 str 32 16 8" {
+		t.Errorf("tokenString: got %q", got)
 	}
 }
 
@@ -183,8 +183,8 @@ func TestPackStringAlignment(t *testing.T) {
 	if got[0].Int != 7 || got[1].Str != "/shellServer" || got[2].Int != 3 {
 		t.Errorf("round trip failed: %+v", got)
 	}
-	if n := WordsFor(toks, len("/shellServer")); n != len(words) {
-		t.Errorf("WordsFor = %d, Pack produced %d", n, len(words))
+	if n := wordsFor(toks, len("/shellServer")); n != len(words) {
+		t.Errorf("wordsFor = %d, Pack produced %d", n, len(words))
 	}
 }
 
@@ -264,13 +264,13 @@ func TestPackUnpackQuick(t *testing.T) {
 }
 
 func TestWordsForEmpty(t *testing.T) {
-	if n := WordsFor(nil); n != 0 {
+	if n := wordsFor(nil); n != 0 {
 		t.Errorf("empty token list: got %d words", n)
 	}
-	if n := WordsFor([]Token{T8}); n != 1 {
+	if n := wordsFor([]Token{T8}); n != 1 {
 		t.Errorf("single byte: got %d words, want 1", n)
 	}
-	if n := WordsFor([]Token{T64, T64}); n != 2 {
+	if n := wordsFor([]Token{T64, T64}); n != 2 {
 		t.Errorf("two words: got %d", n)
 	}
 }

@@ -95,15 +95,15 @@ func (r *Registry) Lookup(major Major, minor uint16) *Desc {
 	return r.byID[key(major, minor)]
 }
 
-// LookupName returns the description with the given symbolic name, or nil.
-func (r *Registry) LookupName(name string) *Desc {
+// lookupName returns the description with the given symbolic name, or nil.
+func (r *Registry) lookupName(name string) *Desc {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.byNam[name]
 }
 
-// Descs returns all registered descriptions ordered by (major, minor).
-func (r *Registry) Descs() []*Desc {
+// descs returns all registered descriptions ordered by (major, minor).
+func (r *Registry) descs() []*Desc {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]*Desc, 0, len(r.byID))

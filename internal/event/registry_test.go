@@ -15,8 +15,8 @@ func TestRegistryRegisterLookup(t *testing.T) {
 	if got := r.Lookup(MajorMem, 4); got != d {
 		t.Error("Lookup did not return registered desc")
 	}
-	if got := r.LookupName("TRACE_MEM_FCMCOM_ATCH_REG"); got != d {
-		t.Error("LookupName did not return registered desc")
+	if got := r.lookupName("TRACE_MEM_FCMCOM_ATCH_REG"); got != d {
+		t.Error("lookupName did not return registered desc")
 	}
 	if got := r.Lookup(MajorMem, 5); got != nil {
 		t.Error("Lookup of unregistered minor should be nil")
@@ -50,7 +50,7 @@ func TestRegistryDescsSorted(t *testing.T) {
 	r.MustRegister(MajorIO, 2, "E1", "", "")
 	r.MustRegister(MajorMem, 9, "E2", "", "")
 	r.MustRegister(MajorMem, 1, "E3", "", "")
-	ds := r.Descs()
+	ds := r.descs()
 	if len(ds) != 3 {
 		t.Fatalf("got %d descs", len(ds))
 	}

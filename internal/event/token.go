@@ -71,8 +71,8 @@ func ParseTokens(s string) ([]Token, error) {
 	return toks, nil
 }
 
-// TokenString renders a token list back into the "64 64 str" form.
-func TokenString(toks []Token) string {
+// tokenString renders a token list back into the "64 64 str" form.
+func tokenString(toks []Token) string {
 	parts := make([]string, len(toks))
 	for i, t := range toks {
 		parts[i] = t.String()
@@ -258,11 +258,11 @@ func UnpackString(words []uint64) (s string, ok bool) {
 	return b.String(), true
 }
 
-// WordsFor returns the number of payload words Pack would produce for the
+// wordsFor returns the number of payload words Pack would produce for the
 // token list, assuming strings of the given byte lengths (one entry per
 // TStr token, in order). It lets log sites size fixed-shape events without
 // packing twice.
-func WordsFor(toks []Token, strLens ...int) int {
+func wordsFor(toks []Token, strLens ...int) int {
 	n := 0
 	bit := 0
 	si := 0
