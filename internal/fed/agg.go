@@ -65,18 +65,8 @@ func NewAggregator(opt AggOptions) *Aggregator {
 // Collector exposes the embedded collector (metrics, snapshots, drain).
 func (a *Aggregator) Collector() *live.Collector { return a.coll }
 
-// Membership exposes the shard pool.
-func (a *Aggregator) Membership() *Membership { return a.ms }
-
 // Handler returns the relay handler for shard uplink connections.
 func (a *Aggregator) Handler() relay.ConnHandler { return a.coll.Handler() }
-
-// SetMask fans a mask down the whole tree: the embedded collector sends
-// a control frame down every shard uplink (and replays to shards that
-// connect later); each shard turns the frame into its own SetMask
-// broadcast to real producers. The MajorControl bit is forced on at
-// every tier.
-func (a *Aggregator) SetMask(mask uint64) error { return a.coll.SetMask(mask, 0) }
 
 // Drain stops the membership sweeper and drains the embedded collector.
 // Call after the uplink relay server has been closed.

@@ -109,7 +109,7 @@ func benchFed(b *testing.B, shards, producers int, mode ForwardMode) {
 			for _, p := range sh.Collector().Snapshot().Producers {
 				ingested += p.Blocks
 			}
-			forwarded += sh.Uplink().Stats().Blocks
+			forwarded += sh.up.Stats().Blocks
 		}
 		if ingested > 0 {
 			b.ReportMetric(float64(forwarded)/float64(ingested), "uplink_frac")

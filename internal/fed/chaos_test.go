@@ -215,12 +215,12 @@ func TestChaosSoakFederation(t *testing.T) {
 		nameOf[ts.srv.Addr()] = n
 	}
 	waitFor(t, "all shards on the ring", func() bool {
-		return len(agg.a.Membership().Doc().Members) == 3
+		return len(agg.a.ms.Doc().Members) == 3
 	})
 
 	// Wave 1: 8 producers, at least 2 pinned to every shard, paused at the
 	// gate between their two event phases.
-	doc := agg.a.Membership().Doc()
+	doc := agg.a.ms.Doc()
 	keys := pickKeys(t, doc, "w1-", 2)
 	keys = append(keys, "w1x-0", "w1x-1")
 	killedAddr, _ := doc.Owner(keys[0])
@@ -251,11 +251,11 @@ func TestChaosSoakFederation(t *testing.T) {
 		return len(snap.Producers) >= 2 && blocks >= 10
 	})
 	killed.srv.CloseNow()
-	if err := killed.s.Kill(); err != nil {
+	if err := killed.s.kill(); err != nil {
 		t.Errorf("kill: %v", err)
 	}
 	waitFor(t, "killed shard to expire off the ring", func() bool {
-		d := agg.a.Membership().Doc()
+		d := agg.a.ms.Doc()
 		if len(d.Members) != 2 {
 			return false
 		}
@@ -272,7 +272,7 @@ func TestChaosSoakFederation(t *testing.T) {
 	reborn := mkShard(nameOf[killedAddr], 200)
 	byAddr[reborn.srv.Addr()] = reborn
 	waitFor(t, "rejoined shard on the ring", func() bool {
-		d := agg.a.Membership().Doc()
+		d := agg.a.ms.Doc()
 		if len(d.Members) != 3 {
 			return false
 		}
@@ -287,7 +287,7 @@ func TestChaosSoakFederation(t *testing.T) {
 	// pinned to the rejoined member. Keys are chosen from the quiescent
 	// ring BEFORE the gate opens: under load a live shard's heartbeat can
 	// transiently lag, and key selection must not race that.
-	doc2 := agg.a.Membership().Doc()
+	doc2 := agg.a.ms.Doc()
 	w2keys := pickKeys(t, doc2, "w2-", 1)
 	for i := 0; ; i++ {
 		key := fmt.Sprintf("w2x-%d", i)

@@ -182,9 +182,9 @@ func TestRebalanceMaskHandoff(t *testing.T) {
 	})
 	byAddr := map[string]*testShard{s0.srv.Addr(): s0, s1.srv.Addr(): s1}
 	waitFor(t, "both shards on the ring", func() bool {
-		return len(agg.a.Membership().Doc().Members) == 2
+		return len(agg.a.ms.Doc().Members) == 2
 	})
-	doc := agg.a.Membership().Doc()
+	doc := agg.a.ms.Doc()
 	keys := pickKeys(t, doc, "rb-", 1)
 	prods := make([]*rebalProd, len(keys))
 	shardOf := make([]*testShard, len(keys))
@@ -239,18 +239,18 @@ func TestRebalanceMaskHandoff(t *testing.T) {
 	// Kill the shard, then move the desired mask while its producer is
 	// disconnected: the producer must pick B up from the SURVIVOR's
 	// pending replay after the ring rehashes it over.
-	epochBefore := agg.a.Membership().Doc().Epoch
+	epochBefore := agg.a.ms.Doc().Epoch
 	s1.srv.CloseNow()
-	if err := s1.s.Kill(); err != nil {
+	if err := s1.s.kill(); err != nil {
 		t.Errorf("kill: %v", err)
 	}
 	maskB := ^uint64(0)
 	postMask(t, agg.web.URL, maskB)
 	waitFor(t, "killed shard off the ring", func() bool {
-		d := agg.a.Membership().Doc()
+		d := agg.a.ms.Doc()
 		return len(d.Members) == 1 && d.Members[0] == s0.srv.Addr()
 	})
-	if e := agg.a.Membership().Doc().Epoch; e <= epochBefore {
+	if e := agg.a.ms.Doc().Epoch; e <= epochBefore {
 		t.Errorf("ring epoch %d did not advance past %d on member loss", e, epochBefore)
 	}
 

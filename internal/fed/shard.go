@@ -153,9 +153,6 @@ func (s *Shard) Collector() *live.Collector { return s.coll }
 // Handler returns the producer-facing relay handler.
 func (s *Shard) Handler() relay.ConnHandler { return s.coll.Handler() }
 
-// Uplink exposes the aggregator uplink (nil when standalone).
-func (s *Shard) Uplink() *Uplink { return s.up }
-
 // forward is the collector's Forward seam: relay accepted blocks upward,
 // filtered by the shard's forward mode.
 func (s *Shard) forward(h stream.BlockHeader, words []uint64, evs []event.Event) {
@@ -252,13 +249,13 @@ func (s *Shard) Drain() error {
 	return err
 }
 
-// Kill is the SIGKILL analogue for tests and emergency teardown: stop
-// heartbeating WITHOUT the final Leaving beat, drain the collector, and
-// close the uplink. The aggregator only learns of the death when the
-// heartbeat TTL expires, exactly as with a real killed process — the
-// shard leaves the ring as StateExpired and its last-reported overview
-// keeps counting as a lower bound.
-func (s *Shard) Kill() error {
+// kill is the SIGKILL analogue for tests: stop heartbeating WITHOUT the
+// final Leaving beat, drain the collector, and close the uplink. The
+// aggregator only learns of the death when the heartbeat TTL expires,
+// exactly as with a real killed process — the shard leaves the ring as
+// StateExpired and its last-reported overview keeps counting as a lower
+// bound.
+func (s *Shard) kill() error {
 	s.hbOnce.Do(func() { close(s.hbStop) })
 	s.hbWG.Wait()
 	err := s.coll.Drain()
