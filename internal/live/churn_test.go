@@ -71,7 +71,6 @@ func TestSnapshotUnderChurn(t *testing.T) {
 	readers := []func(){
 		func() { c.WriteMetrics(io.Discard) },
 		func() { _ = c.Snapshot() },
-		func() { _ = c.Overview() },
 		func() { _ = c.Windows() },
 		func() { _ = c.MaskStatus() },
 		func() { _ = c.SetMask(event.MajorTest.Bit(), 0) },

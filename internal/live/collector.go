@@ -473,18 +473,6 @@ func (c *Collector) Drain() error {
 	return c.spillErr
 }
 
-// Overview returns the cumulative per-process summary over everything
-// ingested so far (nil before the first producer). After Drain this
-// equals the offline Overview of the spilled trace file.
-func (c *Collector) Overview() []analysis.ProcSummary {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.win == nil {
-		return nil
-	}
-	return c.win.Overview()
-}
-
 // ProducerSnapshot is one producer's state for /metrics and JSON.
 type ProducerSnapshot struct {
 	ID         uint64 `json:"id"`
