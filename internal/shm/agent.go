@@ -160,15 +160,6 @@ func (ag *Agent) refreshEffMasks() {
 	}
 }
 
-// ApplyMask stores a new mask and waits until no producer that saw the
-// old mask is still mid-event: after it returns, events of newly disabled
-// majors can no longer appear. Dead clients are written off during the
-// wait so a SIGKILLed producer cannot wedge it.
-func (ag *Agent) ApplyMask(mask uint64) {
-	ag.SetMask(mask)
-	ag.awaitQuiescence()
-}
-
 func (ag *Agent) awaitQuiescence() {
 	for spins := 0; ; spins++ {
 		ag.reapDead()

@@ -147,10 +147,6 @@ func (c *Client) NumCPUs() int { return len(c.arenas) }
 // Slot returns the client-table slot this attachment claimed.
 func (c *Client) Slot() int { return c.slot }
 
-// Mask returns the mask this client's logging gates on: its per-client
-// effective mask.
-func (c *Client) Mask() uint64 { return c.mask.Load() }
-
 // CPU returns the logging handle for one processor slot: the handle a
 // Tracer hands out, over the shared words instead of private memory.
 func (c *Client) CPU(i int) core.CPU { return c.arenas[i].Handle() }

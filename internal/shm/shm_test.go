@@ -151,7 +151,7 @@ func TestMaskGatesClients(t *testing.T) {
 	if !c.Log0(event.MajorTest, 1) {
 		t.Fatal("log with open mask failed")
 	}
-	ag.ApplyMask(0)
+	ag.SetMask(0)
 	if c.Log0(event.MajorTest, 1) {
 		t.Error("log succeeded with zero mask")
 	}
