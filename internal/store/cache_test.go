@@ -53,7 +53,7 @@ func TestCacheTransparency(t *testing.T) {
 				for _, got := range []*Result{baseline, cold, warm} {
 					if !sameEvents(got.Events, want) {
 						t.Fatalf("%v: cached path diverged from oracle (%d vs %d events)",
-							p.Values().Encode(), len(got.Events), len(want))
+							p.values().Encode(), len(got.Events), len(want))
 					}
 				}
 				var coldTxt, warmTxt, baseTxt strings.Builder
@@ -67,7 +67,7 @@ func TestCacheTransparency(t *testing.T) {
 					t.Fatal(err)
 				}
 				if coldTxt.String() != baseTxt.String() || warmTxt.String() != baseTxt.String() {
-					t.Fatalf("%v: formatted output differs between cached and uncached", p.Values().Encode())
+					t.Fatalf("%v: formatted output differs between cached and uncached", p.values().Encode())
 				}
 			}
 			if tc.bytes > 1<<20 && warmHits == 0 {

@@ -116,7 +116,7 @@ func TestCursorPagination(t *testing.T) {
 			t.Fatal(err)
 		}
 		if full.NextCursor != "" {
-			t.Fatalf("%v: unpaginated query produced a cursor", p.Values().Encode())
+			t.Fatalf("%v: unpaginated query produced a cursor", p.values().Encode())
 		}
 		var fullTxt bytes.Buffer
 		if err := full.Format(&fullTxt, 2); err != nil {
@@ -126,14 +126,14 @@ func TestCursorPagination(t *testing.T) {
 			evs, txt, pages := walkPages(t, s, p, limit, nil)
 			if !sameEvents(evs, full.Events) {
 				t.Fatalf("%v limit=%d: paginated walk diverged (%d vs %d events)",
-					p.Values().Encode(), limit, len(evs), len(full.Events))
+					p.values().Encode(), limit, len(evs), len(full.Events))
 			}
 			if !bytes.Equal(txt, fullTxt.Bytes()) {
 				t.Fatalf("%v limit=%d: concatenated pages are not byte-identical to the full listing",
-					p.Values().Encode(), limit)
+					p.values().Encode(), limit)
 			}
 			if wantPages := (len(full.Events) + limit - 1) / limit; limit <= len(full.Events) && pages < wantPages {
-				t.Fatalf("%v limit=%d: %d pages for %d events", p.Values().Encode(), limit, pages, len(full.Events))
+				t.Fatalf("%v limit=%d: %d pages for %d events", p.values().Encode(), limit, pages, len(full.Events))
 			}
 		}
 	}
@@ -267,7 +267,7 @@ func TestCursorWalksThroughTies(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := MatchStream(base, p); len(want) < 190 || !sameEvents(full.Events, want) {
-				t.Fatalf("cache %v, %v: %d events, the spill's merge holds %d", cached, p.Values(), len(full.Events), len(want))
+				t.Fatalf("cache %v, %v: %d events, the spill's merge holds %d", cached, p.values(), len(full.Events), len(want))
 			}
 			var fullTxt bytes.Buffer
 			if err := full.Format(&fullTxt, 2); err != nil {
@@ -277,10 +277,10 @@ func TestCursorWalksThroughTies(t *testing.T) {
 				evs, txt, pages := walkPages(t, s, p, limit, nil)
 				if !sameEvents(evs, full.Events) || !bytes.Equal(txt, fullTxt.Bytes()) {
 					t.Fatalf("cache %v, %v, limit %d: %d pages concatenate to %d events, the listing holds %d (or they differ)",
-						cached, p.Values(), limit, pages, len(evs), len(full.Events))
+						cached, p.values(), limit, pages, len(evs), len(full.Events))
 				}
 				if want := (len(full.Events) + limit - 1) / limit; pages != want {
-					t.Fatalf("cache %v, %v, limit %d: %d pages for %d events, want %d", cached, p.Values(), limit, pages, len(full.Events), want)
+					t.Fatalf("cache %v, %v, limit %d: %d pages for %d events, want %d", cached, p.values(), limit, pages, len(full.Events), want)
 				}
 			}
 		}

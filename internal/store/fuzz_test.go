@@ -136,7 +136,7 @@ func FuzzQueryParams(f *testing.F) {
 		}
 		// Round-trip: an accepted param set must re-encode and re-parse to
 		// itself.
-		p2, err := ParseParams(p.Values())
+		p2, err := ParseParams(p.values())
 		if err != nil {
 			t.Fatalf("accepted params did not re-parse: %v (from %q)", err, query)
 		}

@@ -79,7 +79,7 @@ func TestOverlappingUploadsAnswerInMergeOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := MatchStream(base, p); len(want) == 0 || !sameEvents(got.Events, want) {
-				t.Errorf("%v: %d events, the merged uploads hold %d (or order differs)", p.Values(), len(got.Events), len(want))
+				t.Errorf("%v: %d events, the merged uploads hold %d (or order differs)", p.values(), len(got.Events), len(want))
 			}
 		}
 	})
@@ -196,7 +196,7 @@ func TestRottedBlockIsSortedWhereItLies(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := MatchStream(base, p); len(want) == 0 || !sameEvents(got.Events, want) {
-				t.Errorf("%v: %d events, the spill's merge holds %d (or order differs)", p.Values(), len(got.Events), len(want))
+				t.Errorf("%v: %d events, the spill's merge holds %d (or order differs)", p.values(), len(got.Events), len(want))
 			}
 		}
 		// Once more a page at a time, over the rotted block's span: every page
@@ -206,7 +206,7 @@ func TestRottedBlockIsSortedWhereItLies(t *testing.T) {
 		p := Params{Tenant: "acme", From: rotten.MinTime, To: rotten.MaxTime + 1}
 		want := MatchStream(base, p)
 		if evs, _, pages := walkPages(t, s, p, len(want)/4+1, nil); pages < 4 || !sameEvents(evs, want) {
-			t.Errorf("%v: %d pages of %d events, the spill's merge holds %d (or order differs)", p.Values(), pages, len(evs), len(want))
+			t.Errorf("%v: %d pages of %d events, the spill's merge holds %d (or order differs)", p.values(), pages, len(evs), len(want))
 		}
 	})
 }

@@ -144,9 +144,9 @@ func ParseParams(v url.Values) (Params, error) {
 	return p, nil
 }
 
-// Values renders the params back to url.Values (round-trip for tests and
-// the smoke script).
-func (p Params) Values() url.Values {
+// values renders the params back to url.Values (the round-trip the tests
+// query through).
+func (p Params) values() url.Values {
 	v := url.Values{}
 	v.Set("tenant", p.Tenant)
 	if p.From != 0 {

@@ -170,7 +170,7 @@ func TestSecondQueryAllocatesOnlyItsAnswer(t *testing.T) {
 		res, err := s.Query(p)
 		runtime.ReadMemStats(&after)
 		if err != nil || len(res.Events) == 0 || !sameEvents(res.Events, first.Events) {
-			t.Fatalf("%v: repeat gave %d events, first %d: %v", p.Values(), len(res.Events), len(first.Events), err)
+			t.Fatalf("%v: repeat gave %d events, first %d: %v", p.values(), len(res.Events), len(first.Events), err)
 		}
 		// The clones and the merged slice hold every match, a page holds
 		// the first Limit of them; 9/8 is the allocator's size-class
@@ -182,10 +182,10 @@ func TestSecondQueryAllocatesOnlyItsAnswer(t *testing.T) {
 		answer := 2*uint64(len(matches))*uint64(unsafe.Sizeof(event.Event{})) + payloadBytes(matches)
 		if got > answer*9/8+4<<10 {
 			t.Errorf("%v: repeat query allocates %d bytes for an answer of %d (%d events, %d blocks scanned); want at most 1/8 and 4 KiB over",
-				p.Values(), got, answer, len(matches), res.BlocksScanned)
+				p.values(), got, answer, len(matches), res.BlocksScanned)
 		}
 		if stride := uint64(8 * meta.BufWords); answer > stride {
-			t.Errorf("%v: an answer of %d bytes is not narrow next to a block's %d, which a scratch holds twice", p.Values(), answer, stride)
+			t.Errorf("%v: an answer of %d bytes is not narrow next to a block's %d, which a scratch holds twice", p.values(), answer, stride)
 		}
 	}
 }
@@ -243,16 +243,16 @@ func TestWholeRangeQueryAllocatesItsAnswerOnce(t *testing.T) {
 		res, err := s.Query(p)
 		runtime.ReadMemStats(&after)
 		if err != nil || len(want) == 0 || !sameEvents(res.Events, want) {
-			t.Fatalf("%v: %d events, oracle %d: %v", p.Values(), len(res.Events), len(want), err)
+			t.Fatalf("%v: %d events, oracle %d: %v", p.values(), len(res.Events), len(want), err)
 		}
 		if wantBlocks > 0 && res.BlocksScanned != wantBlocks {
-			t.Fatalf("%v: scanned %d blocks, the range was cut to cover %d", p.Values(), res.BlocksScanned, wantBlocks)
+			t.Fatalf("%v: scanned %d blocks, the range was cut to cover %d", p.values(), res.BlocksScanned, wantBlocks)
 		}
 		got := after.TotalAlloc - before.TotalAlloc
 		answer := uint64(len(want))*uint64(unsafe.Sizeof(event.Event{})) + payloadBytes(want)
 		if got > answer*9/8+4<<10 {
 			t.Errorf("%v: query allocates %d bytes for an answer of %d (%d events, %d blocks): %.2f times; want at most 1/8 and 4 KiB over",
-				p.Values(), got, answer, len(want), res.BlocksScanned, float64(got)/float64(answer))
+				p.values(), got, answer, len(want), res.BlocksScanned, float64(got)/float64(answer))
 		}
 	}
 

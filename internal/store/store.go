@@ -229,9 +229,6 @@ func (s *Store) Tenants() []TenantStats {
 	return out
 }
 
-// Metrics returns the store's metrics collector (for the HTTP surface).
-func (s *Store) Metrics() *Metrics { return &s.metrics }
-
 // Close releases every open segment handle. Queries in flight keep their
 // references and finish normally.
 func (s *Store) Close() {

@@ -192,11 +192,11 @@ func TestIngestQueryParity(t *testing.T) {
 				want := MatchStream(base, p)
 				got, err := s.Query(p)
 				if err != nil {
-					t.Fatalf("%v: %v", p.Values().Encode(), err)
+					t.Fatalf("%v: %v", p.values().Encode(), err)
 				}
 				if !sameEvents(got.Events, want) {
 					t.Errorf("%v: %d events, baseline %d (or order/content differs)",
-						p.Values().Encode(), len(got.Events), len(want))
+						p.values().Encode(), len(got.Events), len(want))
 					continue
 				}
 				// Formatted output must match the offline render of the
@@ -210,7 +210,7 @@ func TestIngestQueryParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				if gotTxt.String() != wantTxt.String() {
-					t.Errorf("%v: formatted output diverged", p.Values().Encode())
+					t.Errorf("%v: formatted output diverged", p.values().Encode())
 				}
 			}
 		})
@@ -240,14 +240,14 @@ func TestPruningInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !sameEvents(pruned.Events, unpruned.Events) {
-			t.Errorf("%v: pruned scan differs from full scan", p.Values().Encode())
+			t.Errorf("%v: pruned scan differs from full scan", p.values().Encode())
 		}
 		if pruned.BlocksPruned > 0 || pruned.SegsPruned > 0 {
 			anyPruned = true
 		}
 		if pruned.BlocksScanned > unpruned.BlocksScanned {
 			t.Errorf("%v: pruned scan read more blocks (%d) than full scan (%d)",
-				p.Values().Encode(), pruned.BlocksScanned, unpruned.BlocksScanned)
+				p.values().Encode(), pruned.BlocksScanned, unpruned.BlocksScanned)
 		}
 	}
 	if !anyPruned {
@@ -298,7 +298,7 @@ func TestCompactionParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !sameEvents(r.Events, before[i].Events) {
-			t.Errorf("%v: results changed across compaction", p.Values().Encode())
+			t.Errorf("%v: results changed across compaction", p.values().Encode())
 		}
 	}
 
@@ -466,7 +466,7 @@ func TestSidecarLossAndCorruptionAtOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !sameEvents(got.Events, want) {
-			t.Errorf("%v: results differ after sidecar damage", p.Values().Encode())
+			t.Errorf("%v: results differ after sidecar damage", p.values().Encode())
 		}
 	}
 	upgraded, err := os.ReadFile(sidecars[2])
