@@ -58,13 +58,13 @@ func TestCrashDumpRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if prev, ok := last[h.CPU]; !ok && h.Seq == 0 || ok && (prev.Partial() || h.Seq != prev.Seq+1) {
+			if prev, ok := last[h.CPU]; !ok && h.Seq == 0 || ok && (prev.partial() || h.Seq != prev.Seq+1) {
 				t.Fatalf("killed=%v: block %d is cpu %d seq %d after %+v: not a wrapped ring oldest first", killed, k, h.CPU, h.Seq, prev)
 			}
 			last[h.CPU] = h
 		}
 		for cpu := 0; cpu < 2; cpu++ {
-			if !last[cpu].Partial() {
+			if !last[cpu].partial() {
 				t.Fatalf("killed=%v: cpu %d's current buffer %+v is not partial", killed, cpu, last[cpu])
 			}
 			live, info := tr.Dump(cpu)

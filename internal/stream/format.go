@@ -84,8 +84,8 @@ type BlockHeader struct {
 	Committed uint64
 }
 
-// Partial reports whether the block was flushed before it filled.
-func (h BlockHeader) Partial() bool { return h.Flags&FlagPartial != 0 }
+// partial reports whether the block was flushed before it filled.
+func (h BlockHeader) partial() bool { return h.Flags&FlagPartial != 0 }
 
 // Anomalous reports whether the writer flagged a commit-count mismatch.
 func (h BlockHeader) Anomalous() bool { return h.Flags&FlagAnomalous != 0 }

@@ -91,7 +91,7 @@ func TestBlockHeaderRoundTrip(t *testing.T) {
 	if got != h {
 		t.Errorf("got %+v want %+v", got, h)
 	}
-	if !got.Partial() || !got.Anomalous() {
+	if !got.partial() || !got.Anomalous() {
 		t.Error("flag accessors wrong")
 	}
 	b := encodeBlockHeader(h)
@@ -124,7 +124,7 @@ func TestWriterValidation(t *testing.T) {
 	}
 	// ...and a block may not name a CPU its file does not declare: CPU
 	// 65537 would read back as CPU 1.
-	before := wr.Blocks()
+	before := wr.blocks
 	for _, cpu := range []int{-1, 1, 65537} {
 		if err := wr.WriteBlock(BlockHeader{CPU: cpu}, nil); err == nil {
 			t.Errorf("WriteBlock accepted CPU %d in a 1-CPU file", cpu)
@@ -133,8 +133,8 @@ func TestWriterValidation(t *testing.T) {
 			t.Errorf("WriteBlock accepted CPU %d in a 1-CPU file", cpu)
 		}
 	}
-	if wr.Blocks() != before {
-		t.Errorf("%d refused blocks were written", wr.Blocks()-before)
+	if wr.blocks != before {
+		t.Errorf("%d refused blocks were written", wr.blocks-before)
 	}
 }
 
@@ -191,11 +191,11 @@ func TestCopyBlock(t *testing.T) {
 		"cut short":    func(b []byte) []byte { return b[:off+(blockHdrWords+h.NWords)*8-1] },
 	} {
 		changed := damage(append([]byte(nil), src...))
-		size, blocks := out.Len(), wr.Blocks()
+		size, blocks := out.Len(), wr.blocks
 		if err := wr.CopyBlock(bytes.NewReader(changed), off, placed); err == nil {
 			t.Errorf("%s: CopyBlock copied a block that changed since its header was read", name)
 		}
-		if out.Len() != size || wr.Blocks() != blocks {
+		if out.Len() != size || wr.blocks != blocks {
 			t.Errorf("%s: the refused block was written", name)
 		}
 	}
@@ -219,7 +219,7 @@ func TestCopyBlockClippedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	const survive = 20
-	if srcHdr.Partial() || srcHdr.NWords <= survive {
+	if srcHdr.partial() || srcHdr.NWords <= survive {
 		t.Fatalf("want a full last block, got %+v", srcHdr)
 	}
 	cut := data[:int(rd.blockOff(last))+(blockHdrWords+survive)*8]
@@ -242,7 +242,7 @@ func TestCopyBlockClippedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h.Partial() || h.NWords != survive || !equalWords(words, srcWords[:survive]) {
+	if !h.partial() || h.NWords != survive || !equalWords(words, srcWords[:survive]) {
 		t.Errorf("clipped tail reads back as %+v with %d words, want partial with the %d that survived", h, len(words), survive)
 	}
 }
@@ -379,7 +379,7 @@ func TestPartialAndAnomalyFlags(t *testing.T) {
 	if len(anoms) != 1 {
 		t.Fatalf("got %d anomalous blocks, want 1", len(anoms))
 	}
-	if !anoms[0].Partial() {
+	if !anoms[0].partial() {
 		t.Error("the flushed current buffer should be partial")
 	}
 	// The block after the garble hole still yields the trailing event.

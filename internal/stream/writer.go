@@ -54,12 +54,6 @@ func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
 	}, nil
 }
 
-// Meta returns the file metadata.
-func (wr *Writer) Meta() Meta { return wr.meta }
-
-// Blocks returns the number of blocks written so far.
-func (wr *Writer) Blocks() int { return wr.blocks }
-
 // MetaOf is the stream header a source's blocks are written under.
 func MetaOf(src Source) Meta {
 	return Meta{BufWords: src.BufWords(), CPUs: src.NumCPUs(), ClockHz: src.Clock().Hz()}
