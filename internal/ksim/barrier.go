@@ -13,8 +13,6 @@ type Barrier struct {
 	waiting []*Thread
 	// Generations allow reuse across iterations.
 	generation uint64
-	arrivals   uint64
-	releases   uint64
 }
 
 // Barrier event minors under MajorSched.
@@ -38,18 +36,10 @@ func (k *Kernel) NewBarrier(n int) *Barrier {
 	return b
 }
 
-// Arrivals and Releases expose the barrier's counters for tests.
-func (b *Barrier) Arrivals() uint64 { return b.arrivals }
-func (b *Barrier) Releases() uint64 { return b.releases }
-
-// Barriers returns the kernel's barriers in creation order.
-func (k *Kernel) Barriers() []*Barrier { return k.barriers }
-
 // arrive handles thread p reaching barrier b on CPU c. It returns true if
 // p blocks (the caller must deschedule it); the last arrival releases the
 // group and continues.
 func (k *Kernel) arrive(c *SimCPU, b *Barrier, p *Thread) (blocked bool) {
-	b.arrivals++
 	k.log(c, event.MajorSched, EvBarrierWait, p.pid(), b.id)
 	if len(b.waiting)+1 < b.n {
 		b.waiting = append(b.waiting, p)
@@ -57,7 +47,6 @@ func (k *Kernel) arrive(c *SimCPU, b *Barrier, p *Thread) (blocked bool) {
 	}
 	// Last arrival: release the group at this CPU's time.
 	b.generation++
-	b.releases++
 	k.log(c, event.MajorSched, EvBarrierRelease, b.id, uint64(b.n))
 	for _, q := range b.waiting {
 		k.enqueue(c, q, false)

@@ -174,13 +174,6 @@ func NewTracedKernel(cfg Config, tcfg core.Config) (*Kernel, *core.Tracer, error
 // Clock returns the kernel's virtual clock, for wiring a tracer manually.
 func (k *Kernel) Clock() clock.Source { return simClock{k} }
 
-// SymTable returns the kernel's symbol/chain table, shared with analysis
-// tools that run in-process.
-func (k *Kernel) SymTable() *SymTable { return k.symtab }
-
-// Locks returns all registered locks with their accumulated statistics.
-func (k *Kernel) Locks() []*SimLock { return k.locks }
-
 // runqLock returns the run-queue lock covering cpu.
 func (k *Kernel) runqLock(cpu int) *SimLock {
 	if k.runqGlobal != nil {

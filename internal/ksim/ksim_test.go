@@ -182,7 +182,7 @@ func TestLockContentionCoarseVsTuned(t *testing.T) {
 		t.Fatal(err)
 	}
 	sumWait := func(k *Kernel) (total uint64, top *SimLock) {
-		for _, l := range k.Locks() {
+		for _, l := range k.locks {
 			total += l.TotalWaitNs
 			if top == nil || l.TotalWaitNs > top.TotalWaitNs {
 				top = l
@@ -192,7 +192,7 @@ func TestLockContentionCoarseVsTuned(t *testing.T) {
 	}
 	cw, ctop := sumWait(kc)
 	tw, _ := sumWait(kt)
-	t.Logf("coarse wait %dns (top: %s %dns), tuned wait %dns", cw, ctop.Name(), ctop.TotalWaitNs, tw)
+	t.Logf("coarse wait %dns (top: %s %dns), tuned wait %dns", cw, ctop.name, ctop.TotalWaitNs, tw)
 	if cw == 0 {
 		t.Fatal("coarse run produced no lock contention")
 	}
@@ -201,10 +201,10 @@ func TestLockContentionCoarseVsTuned(t *testing.T) {
 	}
 	// The most contended coarse locks are the global allocator / dentry /
 	// runqueue family, mirroring Figure 7.
-	switch ctop.Name() {
+	switch ctop.name {
 	case "baseServers.GMalloc", "fs.dentryList", "sched.runqueue", "kernel.GMalloc":
 	default:
-		t.Errorf("unexpected top lock %q", ctop.Name())
+		t.Errorf("unexpected top lock %q", ctop.name)
 	}
 	// Contended locks must also have recorded spins and max-wait.
 	if ctop.Spins == 0 || ctop.MaxWaitNs == 0 || ctop.Contended == 0 {
@@ -370,8 +370,8 @@ func TestSymTable(t *testing.T) {
 	if st.Sym("foo") != a {
 		t.Error("interning not idempotent")
 	}
-	if st.SymName(a) != "foo" || st.SymName(9999) != "<unknown>" {
-		t.Error("SymName wrong")
+	if st.symName(a) != "foo" || st.symName(9999) != "<unknown>" {
+		t.Error("symName wrong")
 	}
 	c1 := st.Chain("f", "g")
 	c2 := st.Chain("f", "h")
@@ -381,11 +381,11 @@ func TestSymTable(t *testing.T) {
 	if st.Chain("f", "g") != c1 {
 		t.Error("chain interning not idempotent")
 	}
-	fr := st.ChainFrames(c1)
+	fr := st.chainFrames(c1)
 	if len(fr) != 2 || fr[0] != "f" || fr[1] != "g" {
 		t.Errorf("frames %v", fr)
 	}
-	if st.NumSyms() < 3 || st.NumChains() < 3 {
+	if st.numSyms() < 3 || st.numChains() < 3 {
 		t.Error("counts wrong")
 	}
 }

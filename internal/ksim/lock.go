@@ -27,12 +27,6 @@ type SimLock struct {
 	MaxWaitNs    uint64
 }
 
-// Name returns the lock's registered name.
-func (l *SimLock) Name() string { return l.name }
-
-// ID returns the lock's trace identifier.
-func (l *SimLock) ID() uint64 { return l.id }
-
 // newLock registers a lock with the kernel. IDs are offset to look like
 // kernel addresses in listings.
 func (k *Kernel) newLock(name string) *SimLock {

@@ -66,9 +66,6 @@ type Script struct {
 	Ops  []Op
 }
 
-// Len returns the number of operations.
-func (s *Script) Len() int { return len(s.Ops) }
-
 // Process is a simulated process: an address space and identity shared by
 // one or more threads.
 type Process struct {
@@ -79,15 +76,6 @@ type Process struct {
 	allocs   int    // outstanding allocations (for OpFree bookkeeping)
 	faultVA  uint64 // next fresh page address for OpTouch faults
 }
-
-// PID returns the process id.
-func (p *Process) PID() uint64 { return p.pid }
-
-// Name returns the script name the process is running.
-func (p *Process) Name() string { return p.name }
-
-// Threads returns the number of live threads.
-func (p *Process) Threads() int { return p.live }
 
 // Thread is the schedulable entity: one thread of a process, with its own
 // program and position. Thread IDs are formatted like K42's kernel thread

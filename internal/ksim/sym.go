@@ -48,8 +48,8 @@ func (st *SymTable) Sym(name string) SymID {
 	return id
 }
 
-// SymName resolves an ID; unknown IDs return "<unknown>".
-func (st *SymTable) SymName(id SymID) string {
+// symName resolves an ID; unknown IDs return "<unknown>".
+func (st *SymTable) symName(id SymID) string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if int(id) < len(st.syms) {
@@ -58,8 +58,8 @@ func (st *SymTable) SymName(id SymID) string {
 	return st.syms[0]
 }
 
-// NumSyms returns the number of interned symbols.
-func (st *SymTable) NumSyms() int {
+// numSyms returns the number of interned symbols.
+func (st *SymTable) numSyms() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return len(st.syms)
@@ -81,8 +81,8 @@ func (st *SymTable) Chain(frames ...string) ChainID {
 	return id
 }
 
-// ChainFrames resolves a chain ID to its frames, innermost first.
-func (st *SymTable) ChainFrames(id ChainID) []string {
+// chainFrames resolves a chain ID to its frames, innermost first.
+func (st *SymTable) chainFrames(id ChainID) []string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if int(id) < len(st.chains) {
@@ -91,8 +91,8 @@ func (st *SymTable) ChainFrames(id ChainID) []string {
 	return st.chains[0]
 }
 
-// NumChains returns the number of interned chains.
-func (st *SymTable) NumChains() int {
+// numChains returns the number of interned chains.
+func (st *SymTable) numChains() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return len(st.chains)

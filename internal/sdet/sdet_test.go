@@ -17,7 +17,7 @@ func TestWorkloadDeterministic(t *testing.T) {
 		t.Fatalf("workload sizes: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].Name != b[i].Name || a[i].Len() != b[i].Len() {
+		if a[i].Name != b[i].Name || len(a[i].Ops) != len(b[i].Ops) {
 			t.Fatalf("script %d differs between identical seeds", i)
 		}
 		for j := range a[i].Ops {
@@ -29,7 +29,7 @@ func TestWorkloadDeterministic(t *testing.T) {
 	c := Workload(4, Params{ScriptsPerCPU: 4, CommandsPerScript: 6, Seed: 43})
 	diff := false
 	for i := range a {
-		if a[i].Len() != c[i].Len() {
+		if len(a[i].Ops) != len(c[i].Ops) {
 			diff = true
 		}
 	}
@@ -44,7 +44,7 @@ func TestWorkloadDefaultsApplied(t *testing.T) {
 		t.Errorf("zero params should default to 4 scripts/cpu, got %d scripts", len(w))
 	}
 	for _, s := range w {
-		if s.Len() == 0 {
+		if len(s.Ops) == 0 {
 			t.Error("empty script")
 		}
 	}
@@ -59,7 +59,7 @@ func TestWorkloadWithForks(t *testing.T) {
 		for _, op := range s.Ops {
 			if op.Kind == ksim.OpFork {
 				forks++
-				if op.Child == nil || op.Child.Len() == 0 {
+				if op.Child == nil || len(op.Child.Ops) == 0 {
 					t.Fatal("fork without child script")
 				}
 			}
