@@ -20,6 +20,10 @@
 // Every injector is seeded and replayable: the same seed over the same
 // input produces byte-identical corruption, so fault-injection tests are
 // ordinary deterministic tests.
+//
+// It is test support: its exported names exist for the tests of every
+// layer, and only tracerelay's chaos flags, shmlog's workload and the
+// benchmark call a few of them from outside a test.
 package faultinject
 
 import (
