@@ -24,6 +24,12 @@ func diff(stdout, stderr io.Writer, args []string) int {
 	maxDiv := t.fs.Float64("max-divergence", -1, "exit 3 if divergence exceeds this (CI gate; <0 = off)")
 	var anchors stringList
 	t.fs.Var(&anchors, "anchor", "event name to align the runs on (repeatable; default: mask epochs, else spans)")
+	t.vet = func() error {
+		if *windows > maxColumns {
+			return fmt.Errorf("-windows must be at most %d", maxColumns)
+		}
+		return nil
+	}
 	if code, ok := t.parse(args, 2); !ok {
 		return code
 	}

@@ -147,14 +147,20 @@ func TestUsageErrors(t *testing.T) {
 	if code != 2 || !strings.Contains(stderr, `ktrace list: unknown major "nope"`) {
 		t.Errorf("list -major sched,nope: exit %d stderr %q", code, stderr)
 	}
-	// Negative counts, times and windows are usage errors, refused before
+	// Negative counts, times and windows, selectors below their -1 "all",
+	// and column counts past the ceiling are usage errors, refused before
 	// the file is read.
 	for _, args := range [][]string{
 		{"crashdump", "-tail", "-1", "F"},
 		{"list", "-from", "-1", "F"},
 		{"list", "-to", "-1", "F"},
+		{"list", "-n", "-3", "F"},
+		{"list", "-pid", "-5", "F"},
+		{"list", "-cpu", "-7", "F"},
 		{"kmon", "-at", "0.0001", "-around", "-2", "F"},
 		{"kmon", "-at", "0.0001", "-around", "0", "F"},
+		{"kmon", "-width", "200000000", "F"},
+		{"diff", "-windows", "200000000", "F", "F"},
 	} {
 		args = withFlags(args, corpus("clean.ktr"))
 		stdout, stderr, code := ktraceRun(args...)

@@ -61,6 +61,11 @@ func run(stdout, stderr io.Writer, args []string) int {
 	return 2
 }
 
+// maxColumns bounds kmon's -width and diff's -windows: each column holds a
+// per-mode accumulator for every CPU, and a count far past any screen's or
+// chart's width would otherwise be allocated before it could be refused.
+const maxColumns = 1 << 16
+
 // tool is the preamble the verbs share: a flag set, usage and error
 // reporting under the "ktrace <verb>:" prefix, and the one trace opener.
 type tool struct {

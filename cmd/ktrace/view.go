@@ -28,8 +28,13 @@ func list(stdout, stderr io.Writer, args []string) int {
 	pid := t.fs.Int64("pid", -1, "only events while this process was scheduled (-1 = all)")
 	cpu := t.fs.Int("cpu", -1, "only events from this processor (-1 = all)")
 	t.vet = func() error {
-		if *from < 0 || *to < 0 {
+		switch {
+		case *from < 0 || *to < 0:
 			return errors.New("-from and -to must not be negative")
+		case *limit < 0:
+			return errors.New("-n must not be negative")
+		case *pid < -1 || *cpu < -1:
+			return errors.New("-pid and -cpu must be -1 (all) or more")
 		}
 		return nil
 	}
@@ -185,8 +190,11 @@ func kmon(stdout, stderr io.Writer, args []string) int {
 	var marks stringList
 	t.fs.Var(&marks, "mark", "event name to mark on the timeline (repeatable)")
 	t.vet = func() error {
-		if *around <= 0 {
+		switch {
+		case *around <= 0:
 			return errors.New("-around must be positive")
+		case *width > maxColumns:
+			return fmt.Errorf("-width must be at most %d", maxColumns)
 		}
 		return nil
 	}
