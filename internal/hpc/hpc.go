@@ -92,20 +92,11 @@ type Result struct {
 	ParallelEfficiency float64
 }
 
-// Run builds and executes the workload on a fresh kernel configuration.
-// The caller supplies cfg (Tracer optional); CPUs defaults to Ranks.
-func Run(cfg ksim.Config, p Params) (Result, *ksim.Kernel, error) {
-	if cfg.CPUs == 0 {
-		cfg.CPUs = p.Ranks
-	}
-	k, err := ksim.NewKernel(cfg)
+// Run builds the workload on k, which may be traced, and runs it.
+func Run(k *ksim.Kernel, p Params) (Result, error) {
+	res, err := k.Run(Build(k, p))
 	if err != nil {
-		return Result{}, nil, err
-	}
-	scripts := Build(k, p)
-	res, err := k.Run(scripts)
-	if err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 	var busy uint64
 	for _, b := range res.BusyNs {
@@ -115,5 +106,5 @@ func Run(cfg ksim.Config, p Params) (Result, *ksim.Kernel, error) {
 	if res.MakespanNs > 0 {
 		eff = float64(busy) / float64(res.MakespanNs) / float64(len(res.BusyNs))
 	}
-	return Result{RunResult: res, ParallelEfficiency: eff}, k, nil
+	return Result{RunResult: res, ParallelEfficiency: eff}, nil
 }
