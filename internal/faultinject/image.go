@@ -52,14 +52,6 @@ func (im *Image) Log() []string { return im.log }
 
 func (im *Image) blockOff(k int) int { return im.geo.FileHeaderBytes + k*im.geo.BlockBytes }
 
-// CorruptFileHeader flips one random bit in the file header's meaningful
-// leading words (magic, version, geometry), destroying the reader's
-// bootstrap information and forcing salvage onto geometry recovery.
-func (im *Image) CorruptFileHeader() {
-	bit := flipBit(im.rng, im.data, 0, 24)
-	note(&im.log, "file header: flipped bit %d", bit)
-}
-
 // CorruptBlockMagic flips one random bit in block k's magic word. Any
 // single-bit change breaks the magic, so this guarantees quarantine of
 // exactly block k.
