@@ -18,18 +18,14 @@ func Traceaggd(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	var opt fed.AggOptions
 	listen := p.fs.String("listen", "127.0.0.1:7052", "shard uplink listen address")
 	httpAddr := p.fs.String("http", "127.0.0.1:7053", "federation HTTP address")
-	p.fs.DurationVar(&opt.Live.Window, "window", 250*time.Millisecond, "analysis window width (trace time)")
-	p.fs.IntVar(&opt.Live.MaxWindows, "max-windows", 32, "live windows kept before eviction")
-	p.fs.IntVar(&opt.Live.QueueBlocks, "queue", 64, "per-uplink ingest queue depth, blocks")
-	p.fs.IntVar(&opt.Live.CPUSlots, "cpu-slots", 4096, "total remapped CPU slots across all shard uplinks")
-	spillPath := p.fs.String("spill", "", "spill every mirrored block to this trace file")
+	p.fs.IntVar(&opt.CPUSlots, "cpu-slots", 4096, "total remapped CPU slots across all shard uplinks")
 	p.fs.DurationVar(&opt.MemberTTL, "member-ttl", 3*time.Second, "expire shards whose heartbeats stop for this long")
 	maskSpec := p.fs.String("mask", "", `initial trace mask fanned down to every shard ("all", a hex literal, or major names)`)
 	if code, ok := p.parse(args); !ok {
 		return code
 	}
 	var a *fed.Aggregator
-	code := p.collect(ctx, *listen, *httpAddr, *spillPath, *maskSpec, "uplinks on %s, http on %s", &opt.Live.Spill,
+	code := p.collect(ctx, *listen, *httpAddr, "", *maskSpec, "uplinks on %s, http on %s", nil,
 		func(string, string) (collectorCore, *live.Collector, error) {
 			a = fed.NewAggregator(opt)
 			return a, a.Collector(), nil
@@ -48,9 +44,6 @@ func Traceaggd(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	for _, m := range doc.Members {
 		p.say("shard %s (%s) %s: %d producers, %d blocks, %d events",
 			m.Name, m.Addr, m.State, m.Producers, m.Blocks, m.Events)
-	}
-	if *spillPath != "" {
-		p.say("mirrored spill in %s", *spillPath)
 	}
 	return 0
 }

@@ -31,9 +31,10 @@ type collectorCore interface {
 }
 
 // collect is the life tracecolld and traceaggd share, from parsed flags to
-// a drained collector: check -mask, create -spill into *spillTo, bind both
-// listeners, build the core around the bound addresses, announce with
-// ready, serve until cancel; then read the relay connections to their end
+// a drained collector: check -mask, create -spill into *spillTo (only
+// tracecolld has one: traceaggd passes "" and nil), bind both listeners,
+// build the core around the bound addresses, announce with ready, serve
+// until cancel; then read the relay connections to their end
 // (cutting any still open at the drain grace), drain every queued block
 // into the analysis and the spill, close the spill, close the HTTP server.
 // The status is 0 once it has served.
@@ -111,11 +112,10 @@ func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	storeTenant := p.fs.String("store-tenant", "default", "tenant namespace for the -store upload")
 	watch := p.fs.String("watch", "", "comma-separated pids to keep per-window time breakdowns for")
 	maskSpec := p.fs.String("mask", "", `initial trace mask pushed to every producer that connects ("all", a hex literal, or major names like "ctrl,sched,lock")`)
-	p.fs.StringVar(&so.AggAddr, "up", "", "federate: relay accepted blocks up to this traceaggd uplink address")
+	p.fs.StringVar(&so.AggAddr, "up", "", "federate: relay mask-marker blocks up to this traceaggd uplink address")
 	p.fs.StringVar(&so.AggHTTP, "agg-http", "", "federate: heartbeat to this traceaggd HTTP base URL (e.g. http://127.0.0.1:7053)")
 	p.fs.StringVar(&so.Name, "name", "", "federate: stable shard name (default: the -listen address)")
 	p.fs.StringVar(&so.Advertise, "advertise", "", "federate: producer-facing address announced on the ring (default: the -listen address)")
-	upForward := p.fs.String("up-forward", "all", "federate: uplink relay policy, all or ctrl")
 	p.fs.DurationVar(&so.HeartbeatEvery, "heartbeat", time.Second, "federate: heartbeat period")
 	if code, ok := p.parse(args); !ok {
 		return code
@@ -137,7 +137,7 @@ func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	}
 
 	// Federated mode wraps the collector in a shard: an uplink relays
-	// accepted blocks to the aggregator (whose mask frames fan down to
+	// mask-marker blocks to the aggregator (whose mask frames fan down to
 	// this shard's producers), and heartbeats keep it on the ring under
 	// the address the listener is bound to.
 	var shard *fed.Shard
@@ -149,7 +149,7 @@ func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) in
 				return c, c, nil
 			}
 			so.Name, so.Advertise = cmp.Or(so.Name, bound), cmp.Or(so.Advertise, bound)
-			so.HTTP, so.Forward, so.Live = web, fed.ForwardMode(*upForward), opt
+			so.HTTP, so.Live = web, opt
 			var err error
 			if shard, err = fed.NewShard(so); err != nil {
 				return nil, nil, err

@@ -40,20 +40,14 @@ func benchTrace(b *testing.B, nEvents int) []byte {
 // over 1 or N shards, each shard a full Shard (windowed analysis + spill +
 // aggregator uplink), with producers feeding through in-process handler
 // conns so the numbers isolate collector work from socket throughput. The
-// aggregator is real and its uplinks are dialed over loopback; forward
-// mode picks the data-plane policy being measured.
-func benchFed(b *testing.B, shards, producers int, mode ForwardMode) {
+// aggregator is real and its uplinks are dialed over loopback.
+func benchFed(b *testing.B, shards, producers int) {
 	data := benchTrace(b, 20_000)
 	b.SetBytes(int64(len(data) * producers))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agg := NewAggregator(AggOptions{
-			Live: live.Options{
-				Window: 100 * time.Millisecond, MaxWindows: 8,
-				CPUSlots: shards * 64,
-			},
-		})
+		agg := NewAggregator(AggOptions{CPUSlots: shards * 64})
 		asrv, err := relay.ListenConns("127.0.0.1:0", agg.Handler())
 		if err != nil {
 			b.Fatal(err)
@@ -64,7 +58,6 @@ func benchFed(b *testing.B, shards, producers int, mode ForwardMode) {
 			spills[s].Grow(len(data) * producers / shards)
 			ss[s], err = NewShard(ShardOptions{
 				AggAddr: asrv.Addr(),
-				Forward: mode,
 				Live: live.Options{
 					Window: 100 * time.Millisecond, MaxWindows: 8,
 					CPUSlots: 64, Spill: &spills[s],
@@ -75,10 +68,9 @@ func benchFed(b *testing.B, shards, producers int, mode ForwardMode) {
 			}
 		}
 		// Cross-shard coupling: the fraction of ingested blocks that travel
-		// to the aggregator. This is what bounds federated scaling — with
-		// ForwardCtrl it is ~0, so aggregate capacity is shards × the
-		// per-shard ceiling; with ForwardAll it is 1, and the aggregator's
-		// own ceiling caps the federation.
+		// to the aggregator. This is what bounds federated scaling — only
+		// mask-marker blocks travel, so it is ~0 and aggregate capacity is
+		// shards × the per-shard ceiling.
 		var wg sync.WaitGroup
 		for p := 0; p < producers; p++ {
 			wg.Add(1)
@@ -126,11 +118,6 @@ func benchFed(b *testing.B, shards, producers int, mode ForwardMode) {
 // equal-core-budget overhead of federating (near zero), and the per-shard
 // ceiling at the per-shard load (4 producers) together with uplink_frac
 // gives the aggregate capacity of N independent shards.
-func BenchmarkFedIngest1Shard12Producers(b *testing.B)  { benchFed(b, 1, 12, ForwardCtrl) }
-func BenchmarkFedIngest1Shard4Producers(b *testing.B)   { benchFed(b, 1, 4, ForwardCtrl) }
-func BenchmarkFedIngest3Shards12Producers(b *testing.B) { benchFed(b, 3, 12, ForwardCtrl) }
-
-// Full-mirror mode: every block is relayed to the aggregator, so the
-// federation's ingest is capped by the single aggregator's own ceiling —
-// the number EXPERIMENTS.md contrasts against ForwardCtrl scaling.
-func BenchmarkFedIngest3Shards12ProducersMirror(b *testing.B) { benchFed(b, 3, 12, ForwardAll) }
+func BenchmarkFedIngest1Shard12Producers(b *testing.B)  { benchFed(b, 1, 12) }
+func BenchmarkFedIngest1Shard4Producers(b *testing.B)   { benchFed(b, 1, 4) }
+func BenchmarkFedIngest3Shards12Producers(b *testing.B) { benchFed(b, 3, 12) }

@@ -69,8 +69,10 @@ type chaosResult struct {
 
 // chaosProducer streams tagged test events into the federation through a
 // fault injector, resolving its shard through the aggregator's ring on
-// every dial. When gate is non-nil it pauses between two event phases so
-// the test can kill and replace a shard mid-run. Resolve, Wrap, and the
+// every dial. Between its two event phases it narrows its mask to
+// MajorTest, so mask-marker blocks cross the shard's uplink too. When
+// gate is non-nil it pauses there so the test can kill and replace a
+// shard mid-run. Resolve, Wrap, and the
 // dial loop all run in the single SendReliable goroutine, so pairing the
 // last resolved target with the next Wrap call needs no locking; the
 // result channel hand-off publishes the dial records to the caller.
@@ -124,6 +126,7 @@ func chaosProducer(t *testing.T, aggURL, key string, idx int, gate <-chan struct
 		}
 	}
 	logPhase(0, 600)
+	tr.ApplyMask(event.MajorTest.Bit())
 	if gate != nil {
 		<-gate
 	}
@@ -181,7 +184,7 @@ func spillGroups(t *testing.T, ts *testShard) map[int][]wireBlock {
 // between wire and spill totals.
 func TestChaosSoakFederation(t *testing.T) {
 	agg := startAgg(t, AggOptions{
-		Live: live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 256},
+		CPUSlots: 256,
 		// Long enough that a loaded-but-alive shard's heartbeat goroutine
 		// never starves past it under the race detector, short enough that
 		// the killed shard expires well inside the waitFor deadline.
@@ -189,7 +192,6 @@ func TestChaosSoakFederation(t *testing.T) {
 	})
 	mkShard := func(name string, seed int64) *testShard {
 		return startShard(t, agg, name, ShardOptions{
-			Forward: ForwardAll,
 			Uplink: UplinkOptions{ReliableOptions: relay.ReliableOptions{
 				Wrap: func(w io.Writer) io.Writer {
 					return faultinject.NewInjector(w, faultinject.StreamFaults{
@@ -453,7 +455,7 @@ func TestChaosSoakFederation(t *testing.T) {
 		aggBlocks += p.Blocks
 	}
 	if aggBlocks == 0 {
-		t.Error("aggregator mirrored no blocks through the faulty uplinks")
+		t.Error("aggregator received no marker blocks through the faulty uplinks")
 	}
 	agg.stop(t)
 }

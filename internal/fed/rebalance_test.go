@@ -168,17 +168,12 @@ func spillMarkers(t *testing.T, ts *testShard) map[[2]int][]marker {
 // from the two shards' spills stay strictly monotone per producer CPU
 // across the handoff.
 func TestRebalanceMaskHandoff(t *testing.T) {
-	agg := startAgg(t, AggOptions{
-		Live:      live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 128},
-		MemberTTL: 1500 * time.Millisecond,
-	})
+	agg := startAgg(t, AggOptions{CPUSlots: 128, MemberTTL: 1500 * time.Millisecond})
 	s0 := startShard(t, agg, "r0", ShardOptions{
-		Forward: ForwardAll,
-		Live:    live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 32},
+		Live: live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 32},
 	})
 	s1 := startShard(t, agg, "r1", ShardOptions{
-		Forward: ForwardAll,
-		Live:    live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 32},
+		Live: live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 32},
 	})
 	byAddr := map[string]*testShard{s0.srv.Addr(): s0, s1.srv.Addr(): s1}
 	waitFor(t, "both shards on the ring", func() bool {

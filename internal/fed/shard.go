@@ -1,6 +1,6 @@
 // Shard: one collector inside a federation. A shard is a plain
 // live.Collector plus three attachments — an uplink relaying its
-// accepted blocks to the aggregator, a control hook turning aggregator
+// mask-marker blocks to the aggregator, a control hook turning aggregator
 // mask frames into the shard's own SetMask broadcast (the second hop of
 // the fan-down), and a heartbeat loop announcing the shard's address and
 // cumulative overview so the aggregator can keep it on the assignment
@@ -22,22 +22,6 @@ import (
 	"k42trace/internal/stream"
 )
 
-// ForwardMode selects which accepted blocks a shard relays upward.
-type ForwardMode string
-
-const (
-	// ForwardAll mirrors every accepted block to the aggregator. The
-	// aggregator's spill then holds the whole federation's trace, but the
-	// aggregate ingest rate is capped by the aggregator's own ceiling.
-	ForwardAll ForwardMode = "all"
-	// ForwardCtrl relays only blocks carrying CtrlMaskChange markers, so
-	// the aggregator still observes every mask epoch from every producer
-	// (the fan-down acknowledgment path) while the data plane scales with
-	// the number of shards. The federated overview is unaffected — it
-	// merges heartbeat overviews, not mirrored blocks.
-	ForwardCtrl ForwardMode = "ctrl"
-)
-
 // ShardOptions configures a Shard.
 type ShardOptions struct {
 	// Name identifies the shard across restarts (required for heartbeats).
@@ -55,10 +39,8 @@ type ShardOptions struct {
 	AggHTTP string
 	// HeartbeatEvery is the announce period (default 1s).
 	HeartbeatEvery time.Duration
-	// Forward selects the uplink relay policy (default ForwardAll).
-	Forward ForwardMode
-	// Uplink tunes the aggregator uplink. Its OnControl is chained after
-	// the shard's own mask fan-down handler.
+	// Uplink tunes the aggregator uplink. Its OnControl is owned by the
+	// shard: it is the fan-down hop.
 	Uplink UplinkOptions
 	// Live configures the embedded collector. Forward, OnSession and
 	// ReclaimSlots are owned by the shard: the first two are the uplink
@@ -95,47 +77,18 @@ func NewShard(opt ShardOptions) (*Shard, error) {
 	if opt.HeartbeatEvery <= 0 {
 		opt.HeartbeatEvery = time.Second
 	}
-	if opt.Forward == "" {
-		opt.Forward = ForwardAll
-	}
-	if opt.Forward != ForwardAll && opt.Forward != ForwardCtrl {
-		return nil, fmt.Errorf("fed: unknown forward mode %q", opt.Forward)
-	}
-	// Mirror the collector's CPUSlots defaulting here: the uplink claims
-	// the shard's whole slot space at the aggregator, so the claim must
-	// name the same number the collector will actually use.
-	if opt.Live.CPUSlots <= 0 {
-		opt.Live.CPUSlots = 256
-	}
-	if opt.Live.CPUSlots > 1<<16 {
-		opt.Live.CPUSlots = 1 << 16
-	}
 	s := &Shard{
-		opt:    opt,
 		client: &http.Client{Timeout: 2 * time.Second},
 		hbStop: make(chan struct{}),
 	}
 	if opt.AggAddr != "" {
 		uo := opt.Uplink
-		chained := uo.OnControl
-		uo.OnControl = func(f relay.ControlFrame) {
-			s.onControl(f)
-			if chained != nil {
-				chained(f)
-			}
-		}
+		uo.OnControl = s.onControl
 		s.up = NewUplink(opt.AggAddr, uo)
 		opt.Live.Forward = s.forward
-		userSession := opt.Live.OnSession
-		opt.Live.OnSession = func(meta stream.Meta) {
-			// The uplink claims the shard's whole slot space at the
-			// aggregator, so late producers never outgrow the claim.
-			meta.CPUs = opt.Live.CPUSlots
-			s.up.Start(meta)
-			if userSession != nil {
-				userSession(meta)
-			}
-		}
+		// The session meta names the collector's whole slot space, so the
+		// uplink's claim at the aggregator covers every late producer.
+		opt.Live.OnSession = s.up.Start
 	}
 	opt.Live.ReclaimSlots = true
 	s.coll = live.NewCollector(opt.Live)
@@ -153,22 +106,16 @@ func (s *Shard) Collector() *live.Collector { return s.coll }
 // Handler returns the producer-facing relay handler.
 func (s *Shard) Handler() relay.ConnHandler { return s.coll.Handler() }
 
-// forward is the collector's Forward seam: relay accepted blocks upward,
-// filtered by the shard's forward mode.
+// forward is the collector's Forward seam: relay upward the accepted
+// blocks that carry a CtrlMaskChange marker, so the aggregator sees every
+// mask epoch from every producer while the data plane stays on the shard.
 func (s *Shard) forward(h stream.BlockHeader, words []uint64, evs []event.Event) {
-	if s.opt.Forward == ForwardCtrl {
-		keep := false
-		for i := range evs {
-			if evs[i].Major() == event.MajorControl && evs[i].Minor() == event.CtrlMaskChange {
-				keep = true
-				break
-			}
-		}
-		if !keep {
+	for i := range evs {
+		if evs[i].Major() == event.MajorControl && evs[i].Minor() == event.CtrlMaskChange {
+			s.up.Feed(h, words)
 			return
 		}
 	}
-	s.up.Feed(h, words)
 }
 
 // onControl is the fan-down hop: a CtrlSetMask frame arriving on the
@@ -269,7 +216,6 @@ func (s *Shard) kill() error {
 type ShardStats struct {
 	Name           string       `json:"name"`
 	Advertise      string       `json:"advertise"`
-	Forward        ForwardMode  `json:"forward"`
 	HeartbeatsOK   uint64       `json:"heartbeats_ok"`
 	HeartbeatsErr  uint64       `json:"heartbeats_err"`
 	CtrlMaskFrames uint64       `json:"ctrl_mask_frames"`
@@ -281,7 +227,6 @@ func (s *Shard) Stats() ShardStats {
 	st := ShardStats{
 		Name:           s.opt.Name,
 		Advertise:      s.opt.Advertise,
-		Forward:        s.opt.Forward,
 		HeartbeatsOK:   s.beatsOK.Load(),
 		HeartbeatsErr:  s.beatsErr.Load(),
 		CtrlMaskFrames: s.ctrlMask.Load(),

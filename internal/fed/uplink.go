@@ -1,8 +1,8 @@
-// Uplink: the shard-to-aggregator leg of the federation. A collector
-// feeds every accepted block (already remapped into its own CPU space)
-// into the uplink, which relays them to the aggregator over the standard
-// relay wire — the aggregator just sees one big producer whose "CPUs" are
-// the shard's slot space. The connection doubles as the control path:
+// Uplink: the shard-to-aggregator leg of the federation. A shard feeds
+// the accepted blocks that carry mask markers (already remapped into its
+// own CPU space) into the uplink, which relays them to the aggregator
+// over the standard relay wire — the aggregator just sees one big
+// producer whose "CPUs" are the shard's slot space. The connection doubles as the control path:
 // mask frames the aggregator writes back down are surfaced via OnControl,
 // which the shard turns into its own fan-out to real producers.
 //
@@ -13,7 +13,7 @@
 // block the link could not deliver within MaxAttempts is to count it
 // dropped and go on with the next, so one long outage cannot absorb the
 // whole queue behind an undeliverable head. Shard spills stay exact
-// regardless; uplink loss only thins the aggregator's mirrored stream, and
+// regardless; uplink loss only thins the aggregator's mask epochs, and
 // the drop counters say by how much.
 package fed
 
