@@ -52,6 +52,9 @@ func Tracestored(ctx context.Context, args []string, stdout, stderr io.Writer) i
 		p.fs.PrintDefaults()
 		return 2
 	}
+	if *watchEvery <= 0 {
+		return p.usage("-watch-every %v: want a positive period", *watchEvery)
+	}
 	if adm.MaxConcurrent == 0 && adm.TenantMax > 0 {
 		// A per-tenant cap alone still needs a pool to draw from: size the
 		// global pool to the scan parallelism the box can actually deliver.
