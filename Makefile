@@ -19,10 +19,12 @@ BENCH_E2E ?= BENCH_E2E.txt
 # — and the collector, where the core count decides how far a connection's
 # reader runs ahead of its worker, and so which word buffers are recycled
 # under which blocks, the daemons composed in one process, where it
-# decides who runs while a test polls, and the logger, whose per-P batch
-# shards are sized from GOMAXPROCS — and the core counts `make test-cores`
-# runs them at.
-CORES_PKGS = ./internal/core/ ./internal/stream/ ./internal/analysis/ ./internal/store/ ./internal/live/ ./internal/daemon/ ./cmd/ktrace/
+# decides who runs while a test polls, the federation, where it decides
+# how a shard kill races the heartbeats, the TTL sweep and the producers'
+# redials in the chaos soak and the rebalance tests, and the logger, whose
+# per-P batch shards are sized from GOMAXPROCS — and the core counts
+# `make test-cores` runs them at.
+CORES_PKGS = ./internal/core/ ./internal/stream/ ./internal/analysis/ ./internal/store/ ./internal/live/ ./internal/fed/ ./internal/daemon/ ./cmd/ktrace/
 CORES ?= 1 4
 
 # `make stress` repeats, under the race detector and at each of these core
