@@ -37,27 +37,22 @@ func benchTrace(b *testing.B, nEvents int) []byte {
 }
 
 // benchFed measures federated ingest: the same total producer load spread
-// over 1 or N shards, each shard a full Shard (windowed analysis + spill +
-// aggregator uplink), with producers feeding through in-process handler
-// conns so the numbers isolate collector work from socket throughput. The
-// aggregator is real and its uplinks are dialed over loopback.
+// over 1 or N shards, each shard a full Shard (windowed analysis + spill),
+// with producers feeding through in-process handler conns so the numbers
+// isolate collector work from socket throughput. Nothing of the data plane
+// crosses shards, so aggregate capacity is shards × the per-shard ceiling.
 func benchFed(b *testing.B, shards, producers int) {
 	data := benchTrace(b, 20_000)
 	b.SetBytes(int64(len(data) * producers))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agg := NewAggregator(AggOptions{CPUSlots: shards * 64})
-		asrv, err := relay.ListenConns("127.0.0.1:0", agg.Handler())
-		if err != nil {
-			b.Fatal(err)
-		}
 		spills := make([]bytes.Buffer, shards)
 		ss := make([]*Shard, shards)
 		for s := 0; s < shards; s++ {
 			spills[s].Grow(len(data) * producers / shards)
+			var err error
 			ss[s], err = NewShard(ShardOptions{
-				AggAddr: asrv.Addr(),
 				Live: live.Options{
 					Window: 100 * time.Millisecond, MaxWindows: 8,
 					CPUSlots: 64, Spill: &spills[s],
@@ -67,10 +62,6 @@ func benchFed(b *testing.B, shards, producers int) {
 				b.Fatal(err)
 			}
 		}
-		// Cross-shard coupling: the fraction of ingested blocks that travel
-		// to the aggregator. This is what bounds federated scaling — only
-		// mask-marker blocks travel, so it is ~0 and aggregate capacity is
-		// shards × the per-shard ceiling.
 		var wg sync.WaitGroup
 		for p := 0; p < producers; p++ {
 			wg.Add(1)
@@ -91,24 +82,10 @@ func benchFed(b *testing.B, shards, producers int) {
 			}(p)
 		}
 		wg.Wait()
-		var ingested, forwarded uint64
 		for _, sh := range ss {
-			// Drain first: it flushes the ingest workers and the uplink
-			// queue, so the counters below are final.
 			if err := sh.Drain(); err != nil {
 				b.Fatal(err)
 			}
-			for _, p := range sh.Collector().Snapshot().Producers {
-				ingested += p.Blocks
-			}
-			forwarded += sh.up.Stats().Blocks
-		}
-		if ingested > 0 {
-			b.ReportMetric(float64(forwarded)/float64(ingested), "uplink_frac")
-		}
-		asrv.CloseNow()
-		if err := agg.Drain(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -116,8 +93,8 @@ func benchFed(b *testing.B, shards, producers int) {
 // The scaling set. On a multi-core host the 1-vs-3-shard pair shows the
 // wall-clock speedup directly; on a single-core runner it shows the
 // equal-core-budget overhead of federating (near zero), and the per-shard
-// ceiling at the per-shard load (4 producers) together with uplink_frac
-// gives the aggregate capacity of N independent shards.
+// ceiling at the per-shard load (4 producers) gives the aggregate capacity
+// of N independent shards.
 func BenchmarkFedIngest1Shard12Producers(b *testing.B)  { benchFed(b, 1, 12) }
 func BenchmarkFedIngest1Shard4Producers(b *testing.B)   { benchFed(b, 1, 4) }
 func BenchmarkFedIngest3Shards12Producers(b *testing.B) { benchFed(b, 3, 12) }

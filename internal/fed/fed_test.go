@@ -35,33 +35,40 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// testAgg is an in-process aggregator: relay listener for shard uplinks
-// plus an httptest server for the federation HTTP surface.
+// testAgg is an in-process aggregator behind an httptest server for the
+// federation HTTP surface.
 type testAgg struct {
 	a   *Aggregator
-	srv *relay.Server
 	web *httptest.Server
 }
 
 func startAgg(t *testing.T, opt AggOptions) *testAgg {
 	t.Helper()
 	a := NewAggregator(opt)
-	srv, err := relay.ListenConns("127.0.0.1:0", a.Handler())
+	return &testAgg{a: a, web: httptest.NewServer(a.Mux())}
+}
+
+// stop shuts the aggregator down in daemon order: stop HTTP, then the
+// sweeper.
+func (ta *testAgg) stop(t *testing.T) {
+	t.Helper()
+	ta.web.Close()
+	ta.a.Close()
+}
+
+// overview GETs the federated overview while the aggregator still serves.
+func (ta *testAgg) overview(t *testing.T) FedOverview {
+	t.Helper()
+	resp, err := ta.web.Client().Get(ta.web.URL + "/fed/overview")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testAgg{a: a, srv: srv, web: httptest.NewServer(a.Mux())}
-}
-
-// stop shuts the aggregator down in daemon order: close uplink conns,
-// drain, stop HTTP.
-func (ta *testAgg) stop(t *testing.T) {
-	t.Helper()
-	ta.srv.CloseNow()
-	if err := ta.a.Drain(); err != nil {
-		t.Errorf("aggregator drain: %v", err)
+	defer resp.Body.Close()
+	var doc FedOverview
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
 	}
-	ta.web.Close()
+	return doc
 }
 
 // testShard is one in-process federated collector with a spill buffer.
@@ -75,7 +82,6 @@ func startShard(t *testing.T, agg *testAgg, name string, opt ShardOptions) *test
 	t.Helper()
 	ts := &testShard{spill: &bytes.Buffer{}}
 	opt.Name = name
-	opt.AggAddr = agg.srv.Addr()
 	opt.AggHTTP = agg.web.URL
 	if opt.HeartbeatEvery <= 0 {
 		opt.HeartbeatEvery = 50 * time.Millisecond
@@ -205,9 +211,10 @@ func blankNames(rows []analysis.ProcSummary) []analysis.ProcSummary {
 // spill (the PR 3 invariant, per shard), and MergeOverview is the
 // commutative pid-keyed fold, the federation-level merge closes the
 // chain: merged live == merged offline == Overview of the concatenated
-// spills. The mask epochs the uplinks carried are the spills' epochs.
+// spills. The mask epochs the leaving heartbeats carried are the spills'
+// epochs.
 func TestFederatedOverviewParity(t *testing.T) {
-	agg := startAgg(t, AggOptions{CPUSlots: 64, MemberTTL: 3 * time.Second})
+	agg := startAgg(t, AggOptions{MemberTTL: 3 * time.Second})
 	const shards = 3
 	var tss []*testShard
 	for i := 0; i < shards; i++ {
@@ -247,31 +254,11 @@ func TestFederatedOverviewParity(t *testing.T) {
 		})
 	}
 	// Drain bottom-up: shards first (leaving heartbeats carry their exact
-	// final overviews), then the aggregator.
-	var uplinked uint64
+	// final overviews and mask epochs), then the aggregator.
 	for _, ts := range tss {
-		if ts.s.up.Stats().DroppedFull != 0 {
-			t.Error("uplink dropped blocks on a clean run; the mask-epoch check below would be vacuous")
-		}
 		ts.drain(t)
-		uplinked += ts.s.up.Stats().Blocks
 	}
-	// A drained uplink has written its blocks to a socket; the mask
-	// epochs are comparable once the aggregator has fed them all.
-	waitFor(t, "aggregator to feed every uplinked block", func() bool {
-		return agg.a.Collector().Snapshot().Stats.Blocks == uplinked
-	})
-
-	// The federated overview over HTTP, while the aggregator still serves.
-	resp, err := agg.web.Client().Get(agg.web.URL + "/fed/overview")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc FedOverview
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	doc := agg.overview(t)
 	agg.stop(t)
 
 	if len(doc.Members) != shards {
@@ -307,11 +294,10 @@ func TestFederatedOverviewParity(t *testing.T) {
 		}
 	}
 
-	// The concatenation form: remap each shard's events onto the disjoint
-	// CPU ranges the aggregator gave them and analyze the union as ONE
-	// trace. All sums must match the merge exactly; only the Name column
-	// may differ, since the union trace resolves every pid against a
-	// single global naming map.
+	// The concatenation form: remap each shard's events onto disjoint CPU
+	// ranges and analyze the union as ONE trace. All sums must match the
+	// merge exactly; only the Name column may differ, since the union
+	// trace resolves every pid against a single global naming map.
 	var all []event.Event
 	for i, tr := range perShard {
 		for _, e := range tr.Events {
@@ -329,9 +315,9 @@ func TestFederatedOverviewParity(t *testing.T) {
 		}
 	}
 
-	// Marker-only forwarding loses no epoch: the aggregator's epochs are
-	// the spills' epochs, as a multiset of (Time, Mask, Prev) — the CPU is
-	// remapped once more on the way up.
+	// The heartbeats lose no epoch: the aggregator's epochs are the
+	// spills' epochs, as a multiset of (Time, Mask, Prev) — a CPU number
+	// is the reporting shard's own, so two shards can repeat one.
 	epochs := func(eps []analysis.MaskEpoch) map[analysis.MaskEpoch]int {
 		n := map[analysis.MaskEpoch]int{}
 		for _, ep := range eps {

@@ -1,6 +1,6 @@
 // Membership: the aggregator's view of its collector pool. Shards
 // announce themselves with periodic HTTP heartbeats carrying their
-// cumulative overview; the aggregator keeps active members on the
+// cumulative overview and their newest mask epochs; the aggregator keeps active members on the
 // consistent-hash ring, expires members whose heartbeats stop (a
 // SIGKILLed collector), and removes — but remembers — members that leave
 // gracefully, so the federated merged overview still covers everything
@@ -49,6 +49,17 @@ type Heartbeat struct {
 	// Overview is the shard's cumulative per-process summary, merged at
 	// the aggregator with analysis.MergeOverview.
 	Overview []analysis.ProcSummary `json:"overview,omitempty"`
+	// MaskEpochs are the newest mask-change markers the shard has seen
+	// (its live snapshot's, oldest first), on the shard's own CPU slots.
+	MaskEpochs []analysis.MaskEpoch `json:"mask_epochs,omitempty"`
+}
+
+// HeartbeatReply is the aggregator's answer to a heartbeat: the ring
+// epoch, and the desired trace mask as a hex literal ("" if none was ever
+// set), which the shard broadcasts to its producers when it changes.
+type HeartbeatReply struct {
+	Epoch uint64 `json:"epoch"`
+	Mask  string `json:"mask,omitempty"`
 }
 
 // Member is one shard's aggregator-side record.
@@ -151,6 +162,7 @@ func (ms *Membership) Members() []Member {
 	for _, name := range slices.Sorted(maps.Keys(ms.members)) {
 		cp := *ms.members[name]
 		cp.Overview = append([]analysis.ProcSummary(nil), cp.Overview...)
+		cp.MaskEpochs = append([]analysis.MaskEpoch(nil), cp.MaskEpochs...)
 		out = append(out, cp)
 	}
 	return out

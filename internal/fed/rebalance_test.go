@@ -161,14 +161,18 @@ func spillMarkers(t *testing.T, ts *testShard) map[[2]int][]marker {
 }
 
 // TestRebalanceMaskHandoff pins the control-plane half of a rebalance:
-// a mask posted at the aggregator fans down to every producer; when a
-// shard dies, its producers rehash to the survivor via SendReliable's
+// a mask posted at the aggregator fans down to every producer on the next
+// heartbeat reply; when a shard dies, its producers rehash to the survivor via SendReliable's
 // ring re-resolution and pick up the newer desired mask through the
 // survivor's pending replay — and the CtrlMaskChange markers recovered
 // from the two shards' spills stay strictly monotone per producer CPU
 // across the handoff.
 func TestRebalanceMaskHandoff(t *testing.T) {
-	agg := startAgg(t, AggOptions{CPUSlots: 128, MemberTTL: 1500 * time.Millisecond})
+	// The TTL must stay much longer than startShard's 50 ms heartbeat: mask
+	// B reaches the survivor on its next beat, and the orphaned producer
+	// must not rehash onto it before then, or the survivor's replay on
+	// admission would hand it mask A a second time.
+	agg := startAgg(t, AggOptions{MemberTTL: 1500 * time.Millisecond})
 	s0 := startShard(t, agg, "r0", ShardOptions{
 		Live: live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 32},
 	})
@@ -207,7 +211,8 @@ func TestRebalanceMaskHandoff(t *testing.T) {
 		})
 	}
 
-	// Mask A posted at the ROOT fans down aggregator → shards → producers.
+	// Mask A posted at the ROOT fans down aggregator → shards (on their
+	// heartbeat replies) → producers.
 	maskA := event.MajorTest.Bit() | event.MajorSched.Bit()
 	maskAApplied := maskA | event.MajorControl.Bit()
 	postMask(t, agg.web.URL, maskA)

@@ -167,12 +167,16 @@ func TestMembershipLifecycle(t *testing.T) {
 // TestFederatedOverviewIsInNameOrder: the aggregator folds its members'
 // overviews, and lists them, in name order, so one membership gives one
 // answer — a pid two shards name differently keeps the name-first
-// shard's name on every call.
+// shard's name on every call, and mask epochs at one time come out in
+// name order.
 func TestFederatedOverviewIsInNameOrder(t *testing.T) {
 	a := NewAggregator(AggOptions{})
-	defer a.Drain()
-	a.ms.Beat(Heartbeat{Name: "b", Addr: "h2:1", Overview: []analysis.ProcSummary{{Pid: 7, Name: "pid7", UserNs: 10}}})
-	a.ms.Beat(Heartbeat{Name: "a", Addr: "h1:1", Overview: []analysis.ProcSummary{{Pid: 7, Name: "init", UserNs: 20}}})
+	defer a.Close()
+	a.ms.Beat(Heartbeat{Name: "b", Addr: "h2:1", Overview: []analysis.ProcSummary{{Pid: 7, Name: "pid7", UserNs: 10}},
+		MaskEpochs: []analysis.MaskEpoch{{Time: 5, CPU: 0}, {Time: 9, CPU: 1}}})
+	a.ms.Beat(Heartbeat{Name: "a", Addr: "h1:1", Overview: []analysis.ProcSummary{{Pid: 7, Name: "init", UserNs: 20}},
+		MaskEpochs: []analysis.MaskEpoch{{Time: 5, CPU: 2}, {Time: 7, CPU: 3}}})
+	wantEpochs := []analysis.MaskEpoch{{Time: 5, CPU: 2}, {Time: 5, CPU: 0}, {Time: 7, CPU: 3}, {Time: 9, CPU: 1}}
 	for i := 0; i < 100; i++ {
 		doc := a.Overview()
 		var names []string
@@ -182,6 +186,9 @@ func TestFederatedOverviewIsInNameOrder(t *testing.T) {
 		if len(doc.Overview) != 1 || doc.Overview[0].Name != "init" || !slices.Equal(names, []string{"a", "b"}) {
 			t.Fatalf("call %d: overview %+v, members %q; want pid 7 named init, members [a b]", i, doc.Overview, names)
 		}
+		if !slices.Equal(doc.MaskEpochs, wantEpochs) {
+			t.Fatalf("call %d: mask epochs %+v, want %+v", i, doc.MaskEpochs, wantEpochs)
+		}
 	}
 }
 
@@ -189,7 +196,5 @@ func TestFederatedOverviewIsInNameOrder(t *testing.T) {
 // gives the membership sweeper a period.
 func TestAggregatorSweepsAtAnyTTL(t *testing.T) {
 	a := NewAggregator(AggOptions{MemberTTL: 1})
-	if err := a.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	a.Close()
 }

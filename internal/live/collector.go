@@ -62,16 +62,10 @@ type Options struct {
 	// called outside the collector lock, in per-producer arrival order
 	// (blocks from one producer never reorder; blocks from different
 	// producers interleave, which is harmless — they live on disjoint CPU
-	// slots). This is the federation seam: a shard's uplink relays the
-	// forwarded blocks to the aggregator. words and evs are valid during
-	// the call only: when it returns the worker decodes the producer's next
-	// block into evs and the reader reads a later one into words.
+	// slots). words and evs are valid during the call only: when it
+	// returns the worker decodes the producer's next block into evs and
+	// the reader reads a later one into words.
 	Forward func(h stream.BlockHeader, words []uint64, evs []event.Event)
-	// OnSession, if set, is called exactly once, when the first producer
-	// fixes the session geometry. It runs with the collector lock held and
-	// must not call back into the collector; shards use it to start their
-	// uplink with the session's stream metadata.
-	OnSession func(meta stream.Meta)
 	// ReclaimSlots returns a producer's CPU slice to a free list once its
 	// worker has drained, so a later producer can reuse it when — and only
 	// when — fresh slots have run out. Required for rebalancing churn
@@ -255,9 +249,6 @@ func (c *Collector) register(conn relay.Conn) (p *producer, pending uint64, pend
 				return nil, 0, false, fmt.Errorf("live: opening spill: %w", err)
 			}
 			c.spill = wr
-		}
-		if c.opt.OnSession != nil {
-			c.opt.OnSession(c.meta)
 		}
 	} else if meta.BufWords != c.meta.BufWords || meta.ClockHz != c.meta.ClockHz {
 		c.countDisconnect("meta-mismatch")
