@@ -51,6 +51,9 @@ func Tracerelay(ctx context.Context, args []string, stdout, stderr io.Writer) in
 		p.fs.PrintDefaults()
 		return 2
 	}
+	if *config != "tuned" && *config != "coarse" {
+		return p.usage("bad -config %q: want tuned or coarse", *config)
+	}
 
 	tcfg := core.Config{CPUs: *cpus, BufWords: 16384, NumBufs: 8, Mode: core.Stream}
 	var k *ksim.Kernel
