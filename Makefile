@@ -35,14 +35,15 @@ CORES ?= 1 4
 # them — the pages whose capped merge abandons those chains mid-walk, the
 # collector's buffer recycling and its drain of a sender that has just
 # exited, the digest scans whose scratch is a chunk on any core count, the
-# daemons composed in one
-# process (collector, federation, store), and the per-P logging path's
-# parked batches against mask flips, quiescence and a blocked logger. Ten
-# repeats take about eight minutes on the 2-core host this was grown on, so
-# the default is three (3 min 20 s there); CI's stress job runs
-# STRESS_COUNT=10.
-STRESS_PKGS = ./internal/core/ ./internal/store/ ./internal/stream/ ./internal/live/ ./internal/daemon/
-STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestDrainReadsAFinishedSender$$|TestDigestScratchIsAChunk$$|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$
+# daemons composed in one process (collector, federation, store), the
+# federation's mask fan-down, which races the heartbeat period against the
+# TTL sweep and the producers' redials (TestRebalanceMaskHandoff,
+# TestFederatedOverviewParity), and the per-P logging path's parked batches
+# against mask flips, quiescence and a blocked logger. Three repeats take
+# about 4 min 30 s on a 2-core host (internal/fed about 12 s of each core
+# count), so that is the default; CI's stress job runs STRESS_COUNT=10.
+STRESS_PKGS = ./internal/core/ ./internal/store/ ./internal/stream/ ./internal/live/ ./internal/fed/ ./internal/daemon/
+STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestDrainReadsAFinishedSender$$|TestDigestScratchIsAChunk$$|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$|TestRebalanceMaskHandoff$$|TestFederatedOverviewParity$$
 STRESS_CORES ?= 1 2 4
 STRESS_COUNT ?= 3
 
@@ -102,9 +103,8 @@ fuzz:
 
 # The layer microbenchmarks — the offline suite at the repo root plus the
 # live-ingest, federation-ingest, and store-query benchmarks — as plain
-# `go test -bench` text (the fed rows carry an uplink_frac extra metric; the
-# store rows carry events/query, and StoreQuery/wholerange's B/op is the
-# uncached answer built once). Printed and uploaded by CI, gated by
+# `go test -bench` text (the store rows carry events/query, and
+# StoreQuery/wholerange's B/op is the uncached answer built once). Printed and uploaded by CI, gated by
 # nothing: bench-e2e is the gate, and it repeats.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/live/ ./internal/fed/ ./internal/store/ | tee $(BENCH_TXT)
