@@ -1,19 +1,19 @@
 // Command traceaggd is the federation root: the tier above a pool of
-// tracecolld shards. Shards dial its relay listener with their uplinks
-// (relaying accepted blocks upward over the standard wire) and POST
-// heartbeats to its HTTP surface; producers GET the consistent-hash ring
-// document and dial whichever shard owns their key. A mask POSTed here
-// fans down through every shard to every producer — two hops of the same
-// control-frame machinery — and the federated overview merges the
-// shards' cumulative summaries into one per-process view of the whole
-// fleet.
+// tracecolld shards. Shards POST heartbeats to its HTTP surface, each
+// carrying the shard's cumulative overview and newest mask epochs, and
+// take the desired mask from each reply; producers GET the
+// consistent-hash ring document and dial whichever shard owns their key.
+// A mask POSTed here reaches every shard on its next heartbeat and every
+// producer through that shard's own control frames, and the federated
+// overview merges the shards' cumulative summaries into one per-process
+// view of the whole fleet.
 //
-// HTTP surface (on -http):
+// HTTP surface (on -http), the daemon's only listener:
 //
 //	/healthz        liveness
-//	/metrics        Prometheus text exposition (the shard-uplink mirror)
-//	/live/overview  the aggregator's own collector snapshot
-//	/live/mask      GET control state; POST mask=<spec> fans down the tree
+//	/metrics        Prometheus text exposition: members by state, ring
+//	                epoch, heartbeats, desired-mask majors
+//	/live/mask      GET the desired mask; POST mask=<spec> sets it
 //	/fed/ring       the ring document producers resolve owners from
 //	/fed/heartbeat  POST one shard heartbeat
 //	/fed/overview   the federated merged overview
@@ -21,7 +21,7 @@
 //
 // Usage:
 //
-//	traceaggd -listen 127.0.0.1:7052 -http 127.0.0.1:7053 -spill fleet.ktr
+//	traceaggd -http 127.0.0.1:7053 -member-ttl 3s
 package main
 
 import (

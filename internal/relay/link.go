@@ -7,7 +7,7 @@
 // sequence numbers letting a collector or the salvager drop the rare
 // duplicate. What becomes of a block it could not deliver within
 // MaxAttempts is the caller's decision, not the link's: see SendReliable
-// and fed.Uplink for the two give-up policies.
+// and Send for the two give-up policies.
 package relay
 
 import (
@@ -33,7 +33,7 @@ type ReliableOptions struct {
 	MaxBackoff     time.Duration
 	// MaxAttempts bounds dial-plus-write attempts per block (default 8).
 	// A block that exhausts them is the caller's to give up on: see
-	// SendReliable and fed.Uplink for the two policies.
+	// SendReliable and Send for the two policies.
 	MaxAttempts int
 	// DialTimeout bounds each dial (default 2s).
 	DialTimeout time.Duration
