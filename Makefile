@@ -20,10 +20,10 @@ BENCH_E2E ?= BENCH_E2E.txt
 # reader runs ahead of its worker, and so which word buffers are recycled
 # under which blocks, the daemons composed in one process, where it
 # decides who runs while a test polls, the federation, where it decides
-# how a shard kill races the heartbeats, the TTL sweep and the producers'
-# redials in the chaos soak and the rebalance tests, and the logger, whose
-# per-P batch shards are sized from GOMAXPROCS — and the core counts
-# `make test-cores` runs them at.
+# how a shard kill races the heartbeats, the expiry on read and the
+# producers' redials in the chaos soak and the rebalance tests, and the
+# logger, whose per-P batch shards are sized from GOMAXPROCS — and the core
+# counts `make test-cores` runs them at.
 CORES_PKGS = ./internal/core/ ./internal/stream/ ./internal/analysis/ ./internal/store/ ./internal/live/ ./internal/fed/ ./internal/daemon/ ./cmd/ktrace/
 CORES ?= 1 4
 
@@ -33,17 +33,20 @@ CORES ?= 1 4
 # merge), the chains that decode one block ahead of the merge, the merge's
 # pulled sources — a whole-file read's chains over a disordered file among
 # them — the pages whose capped merge abandons those chains mid-walk, the
-# collector's buffer recycling and its drain of a sender that has just
-# exited, the digest scans whose scratch is a chunk on any core count, the
-# daemons composed in one process (collector, federation, store), the
-# federation's mask fan-down, which races the heartbeat period against the
-# TTL sweep and the producers' redials (TestRebalanceMaskHandoff,
-# TestFederatedOverviewParity), and the per-P logging path's parked batches
-# against mask flips, quiescence and a blocked logger. Three repeats take
+# collector's buffer recycling, its drain of a sender that has just exited
+# and its CPU slot reuse, where a drained producer's worker gives its slice
+# back while new producers register (TestAdmissionControl,
+# TestSnapshotUnderChurn), the digest scans whose scratch is a chunk on any
+# core count, the daemons composed in one process (collector, federation,
+# store), the federation's mask fan-down, which races the heartbeat period
+# against the expiry on read and the producers' redials
+# (TestRebalanceMaskHandoff, TestFederatedOverviewParity), and the per-P
+# logging path's parked batches against mask flips, quiescence and a
+# blocked logger. Three repeats take
 # about 4 min 30 s on a 2-core host (internal/fed about 12 s of each core
 # count), so that is the default; CI's stress job runs STRESS_COUNT=10.
 STRESS_PKGS = ./internal/core/ ./internal/store/ ./internal/stream/ ./internal/live/ ./internal/fed/ ./internal/daemon/
-STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestDrainReadsAFinishedSender$$|TestDigestScratchIsAChunk$$|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$|TestRebalanceMaskHandoff$$|TestFederatedOverviewParity$$
+STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestDrainReadsAFinishedSender$$|TestAdmissionControl$$|TestSnapshotUnderChurn$$|TestDigestScratchIsAChunk$$|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$|TestRebalanceMaskHandoff$$|TestFederatedOverviewParity$$
 STRESS_CORES ?= 1 2 4
 STRESS_COUNT ?= 3
 

@@ -15,6 +15,8 @@
 //	/live/windows   per-window analysis snapshots
 //	/live/mask      GET mask control-plane state; POST mask=<spec>
 //	                [producer=<id>] to retune producers at runtime
+//	/fed/shard      with -agg-http: the shard's heartbeat and fan-down
+//	                counters
 //
 // On SIGINT/SIGTERM the daemon force-closes producer connections
 // (reliable senders redial on their own once a collector is back),

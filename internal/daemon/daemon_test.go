@@ -237,6 +237,8 @@ func TestExitStatus(t *testing.T) {
 		{"tracecolld", []string{"-mask", "nope"}, 2, "tracecolld: bad -mask: "},
 		{"tracecolld", []string{"-store", "http://127.0.0.1:1", "-store-tenant", "a/b"}, 2, `tracecolld: bad -store-tenant "a/b"` + "\n"},
 		{"tracecolld", []string{"-store", "http://127.0.0.1:1", "-listen", lo, "-http", lo}, 2, "tracecolld: -store uploads the spill: it needs -spill\n"},
+		{"tracecolld", []string{"-name", "s1", "-heartbeat", "100ms", "-listen", lo, "-http", lo}, 2, "tracecolld: federating needs -agg-http (set: -heartbeat, -name)\n"},
+		{"tracecolld", []string{"-advertise", lo, "-listen", lo, "-http", lo}, 2, "tracecolld: federating needs -agg-http (set: -advertise)\n"},
 		{"tracecolld", []string{"-spill", missing}, 1, "tracecolld: open "},
 		{"tracecolld", inUse, 1, "address already in use"},
 		{"traceaggd", inUse[2:], 1, "address already in use"},
@@ -245,6 +247,7 @@ func TestExitStatus(t *testing.T) {
 		{"tracestored", nil, 2, "usage: tracestored -root DIR [-http ADDR] [-watch DIR] [-relay ADDR]\n  -cache-bytes int"},
 		{"tracestored", []string{"-root", filepath.Join(os.Args[0], "under-a-file")}, 1, "tracestored: "},
 		{"tracestored", []string{"-root", dir, "-watch", dir, "-watch-every", "0"}, 2, "tracestored: -watch-every 0s: want a positive period\n"},
+		{"tracestored", []string{"-root", dir, "-relay", lo, "-relay-tenant", "../escape", "-http", lo}, 2, `tracestored: bad -relay-tenant "../escape"` + "\n"},
 	}
 	for name := range runs {
 		rows = append(rows,

@@ -232,6 +232,16 @@ func TestFed(t *testing.T) {
 	}
 	// The ring lists the addresses the shards are bound to, not ":0".
 	eventually(t, "all three shards on the ring", func() bool { return onRing(addrs[0]) && onRing(addrs[1]) && onRing(addrs[2]) })
+	// A shard serves its federation counters beside the collector's
+	// endpoints, under its name and the address it is bound to.
+	var st fed.ShardStats
+	eventually(t, "c0's /fed/shard to count a heartbeat", func() bool {
+		getJSON(t, bases[0]+"/fed/shard", &st)
+		return st.HeartbeatsOK >= 1
+	})
+	if st.Name != "c0" || st.Advertise != addrs[0] {
+		t.Errorf("c0's /fed/shard names %q advertising %q, want c0 advertising %s", st.Name, st.Advertise, addrs[0])
+	}
 
 	var producers []*running
 	for i := 0; i < 6; i++ {

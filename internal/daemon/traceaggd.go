@@ -45,7 +45,6 @@ func Traceaggd(ctx context.Context, args []string, stdout, stderr io.Writer) int
 
 	p.wait(ctx, ", draining")
 	p.closeWeb()
-	a.Close()
 	doc := a.Overview()
 	states := map[fed.MemberState]int{}
 	for _, m := range doc.Members {

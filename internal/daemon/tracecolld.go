@@ -3,6 +3,7 @@ package daemon
 import (
 	"cmp"
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"maps"
@@ -22,74 +23,6 @@ import (
 	"k42trace/internal/store"
 )
 
-// collectorCore is what tracecolld serves and drains: a live.Collector,
-// or a fed.Shard around one.
-type collectorCore interface {
-	Handler() relay.ConnHandler
-	Mux() *http.ServeMux
-	Drain() error
-}
-
-// collect is tracecolld's life from parsed flags to a drained collector:
-// check -mask, create -spill into *spillTo, bind both listeners, build the
-// core around the bound addresses, announce them, serve until cancel; then
-// read the relay connections to their end (cutting any still open at the
-// drain grace), drain every queued block into the analysis and the spill,
-// close the spill, close the HTTP server. The status is 0 once it has
-// served.
-func (p *proc) collect(ctx context.Context, listen, httpAddr, spillPath, maskSpec string, spillTo *io.Writer,
-	build func(bound, web string) (collectorCore, *live.Collector, error)) int {
-	var mask uint64
-	var err error
-	if maskSpec != "" {
-		if mask, err = event.ParseMask(maskSpec); err != nil {
-			return p.usage("bad -mask: %v", err)
-		}
-	}
-	var spill *os.File
-	if spillPath != "" {
-		if spill, err = os.Create(spillPath); err != nil {
-			return p.fail(err)
-		}
-		defer spill.Close()
-		*spillTo = spill
-	}
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		return p.fail(err)
-	}
-	defer ln.Close()
-	webLn, err := net.Listen("tcp", httpAddr)
-	if err != nil {
-		return p.fail(err)
-	}
-	defer webLn.Close()
-	core, c, err := build(ln.Addr().String(), webLn.Addr().String())
-	if err != nil {
-		return p.usage("%v", err)
-	}
-	if maskSpec != "" {
-		c.SetMask(mask, 0)
-		p.sayMask(mask)
-	}
-	srv := relay.Serve(ln, core.Handler())
-	p.serve(webLn, core.Mux())
-	p.say("producers on %s, http on %s", srv.Addr(), webLn.Addr())
-
-	p.wait(ctx, ", draining")
-	srv.CloseNow()
-	if err := core.Drain(); err != nil {
-		p.warn("spill: %v", err)
-	}
-	if spill != nil {
-		if err := spill.Close(); err != nil {
-			p.warn("spill: %v", err)
-		}
-	}
-	p.closeWeb()
-	return 0
-}
-
 // sayMask announces a startup -mask as a collector or an aggregator keeps
 // it: with MajorControl forced on.
 func (p *proc) sayMask(mask uint64) {
@@ -97,9 +30,14 @@ func (p *proc) sayMask(mask uint64) {
 	p.say("desired mask %s (%s)", event.MaskString(mask), strings.Join(event.MaskMajors(mask), ","))
 }
 
-// Tracecolld is the live collector, standalone or (with -agg-http) one
-// shard of a federation, whose drain also sends the leaving heartbeat.
-// After the drain it prints the totals and hands the spill to -store.
+// Tracecolld is the live collector, standalone or (with -agg-http) with a
+// shard heartbeating beside it into a federation. Its life: check -mask,
+// create -spill, bind both listeners, announce them, serve until cancel;
+// then read the relay connections to their end (cutting any still open at
+// the drain grace), drain every queued block into the analysis and the
+// spill — a shard's drain then sends the leaving heartbeat — close the
+// spill and the HTTP server. After that it prints the totals and hands
+// the spill to -store.
 func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	p := newProc("tracecolld", stdout, stderr)
 	var opt live.Options
@@ -138,30 +76,75 @@ func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	if *storeURL != "" && *spillPath == "" {
 		return p.usage("-store uploads the spill: it needs -spill")
 	}
-
-	// Federated mode wraps the collector in a shard: heartbeats keep it on
-	// the ring under the address the listener is bound to, and their
-	// replies fan the aggregator's mask down to this shard's producers.
-	var shard *fed.Shard
-	var c *live.Collector
-	code := p.collect(ctx, *listen, *httpAddr, *spillPath, *maskSpec, &opt.Spill,
-		func(bound, web string) (collectorCore, *live.Collector, error) {
-			if so.AggHTTP == "" {
-				c = live.NewCollector(opt)
-				return c, c, nil
-			}
-			so.Name, so.Advertise = cmp.Or(so.Name, bound), cmp.Or(so.Advertise, bound)
-			so.HTTP, so.Live = web, opt
-			var err error
-			if shard, err = fed.NewShard(so); err != nil {
-				return nil, nil, err
-			}
-			c = shard.Collector()
-			return shard, c, nil
-		})
-	if c == nil {
-		return code
+	var fedFlags []string
+	p.fs.Visit(func(f *flag.Flag) {
+		if so.AggHTTP == "" && slices.Contains([]string{"name", "advertise", "heartbeat"}, f.Name) {
+			fedFlags = append(fedFlags, "-"+f.Name)
+		}
+	})
+	if len(fedFlags) > 0 {
+		return p.usage("federating needs -agg-http (set: %s)", strings.Join(fedFlags, ", "))
 	}
+	var mask uint64
+	var err error
+	if *maskSpec != "" {
+		if mask, err = event.ParseMask(*maskSpec); err != nil {
+			return p.usage("bad -mask: %v", err)
+		}
+	}
+	var spill *os.File
+	if *spillPath != "" {
+		if spill, err = os.Create(*spillPath); err != nil {
+			return p.fail(err)
+		}
+		defer spill.Close()
+		opt.Spill = spill
+	}
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return p.fail(err)
+	}
+	defer ln.Close()
+	webLn, err := net.Listen("tcp", *httpAddr)
+	if err != nil {
+		return p.fail(err)
+	}
+	defer webLn.Close()
+
+	c := live.NewCollector(opt)
+	mux, drain := c.Mux(), c.Drain
+	// Federated, a shard heartbeats beside the collector: the beats keep it
+	// on the ring under the address the listener is bound to, and their
+	// replies fan the aggregator's mask down to this collector's producers.
+	var shard *fed.Shard
+	if so.AggHTTP != "" {
+		bound := ln.Addr().String()
+		so.Name, so.Advertise, so.HTTP = cmp.Or(so.Name, bound), cmp.Or(so.Advertise, bound), webLn.Addr().String()
+		if shard, err = fed.NewShard(c, so); err != nil {
+			return p.usage("%v", err)
+		}
+		mux.Handle("/fed/shard", shard)
+		drain = shard.Drain
+	}
+	if *maskSpec != "" {
+		c.SetMask(mask, 0)
+		p.sayMask(mask)
+	}
+	srv := relay.Serve(ln, c.Handler())
+	p.serve(webLn, mux)
+	p.say("producers on %s, http on %s", srv.Addr(), webLn.Addr())
+
+	p.wait(ctx, ", draining")
+	srv.CloseNow()
+	if err := drain(); err != nil {
+		p.warn("spill: %v", err)
+	}
+	if spill != nil {
+		if err := spill.Close(); err != nil {
+			p.warn("spill: %v", err)
+		}
+	}
+	p.closeWeb()
 
 	snap := c.Snapshot()
 	var blocks, events, garbled, stuck uint64

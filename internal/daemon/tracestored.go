@@ -55,6 +55,9 @@ func Tracestored(ctx context.Context, args []string, stdout, stderr io.Writer) i
 	if *watchEvery <= 0 {
 		return p.usage("-watch-every %v: want a positive period", *watchEvery)
 	}
+	if !store.ValidTenant(*relayTenant) {
+		return p.usage("bad -relay-tenant %q", *relayTenant)
+	}
 	if adm.MaxConcurrent == 0 && adm.TenantMax > 0 {
 		// A per-tenant cap alone still needs a pool to draw from: size the
 		// global pool to the scan parallelism the box can actually deliver.

@@ -15,7 +15,6 @@ import (
 	"math/bits"
 	"net/http"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,50 +29,17 @@ type AggOptions struct {
 	MemberTTL time.Duration
 }
 
-// Aggregator federates a pool of collector shards.
+// Aggregator federates a pool of collector shards. It starts no
+// goroutine: its membership expires silent shards whenever it is read.
 type Aggregator struct {
 	ms   *Membership
 	mask atomic.Value // the desired mask's hex literal, once set
-
-	sweepStop chan struct{}
-	sweepOnce sync.Once
-	sweepWG   sync.WaitGroup
 }
 
 // NewAggregator builds an aggregator. Shards heartbeat to, and producers
 // resolve owners from, the HTTP surface served with Mux().
 func NewAggregator(opt AggOptions) *Aggregator {
-	if opt.MemberTTL <= 0 {
-		opt.MemberTTL = 3 * time.Second
-	}
-	a := &Aggregator{
-		ms:        NewMembership(opt.MemberTTL),
-		sweepStop: make(chan struct{}),
-	}
-	a.sweepWG.Add(1)
-	go a.sweeper(opt.MemberTTL)
-	return a
-}
-
-// Close stops the membership sweeper.
-func (a *Aggregator) Close() {
-	a.sweepOnce.Do(func() { close(a.sweepStop) })
-	a.sweepWG.Wait()
-}
-
-func (a *Aggregator) sweeper(ttl time.Duration) {
-	defer a.sweepWG.Done()
-	// A TTL under 2 ms still sweeps at a period the ticker accepts.
-	t := time.NewTicker(max(ttl/2, time.Millisecond))
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			a.ms.Sweep()
-		case <-a.sweepStop:
-			return
-		}
-	}
+	return &Aggregator{ms: NewMembership(opt.MemberTTL)}
 }
 
 // SetMask sets the desired trace mask every shard takes from its next
@@ -118,11 +84,12 @@ type FedOverview struct {
 
 // Overview builds the federated overview document.
 func (a *Aggregator) Overview() FedOverview {
+	members := a.ms.Members()
 	doc := FedOverview{
 		Epoch:    a.ms.Ring().Epoch(),
 		Overview: a.ms.MergedOverview(),
 	}
-	for _, m := range a.ms.Members() {
+	for _, m := range members {
 		doc.Members = append(doc.Members, FedMember{
 			Name: m.Name, Addr: m.Addr, HTTP: m.HTTP, State: m.State,
 			Producers: m.Producers, Blocks: m.Blocks, Events: m.Events, Beats: m.Beats,

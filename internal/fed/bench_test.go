@@ -37,9 +37,9 @@ func benchTrace(b *testing.B, nEvents int) []byte {
 }
 
 // benchFed measures federated ingest: the same total producer load spread
-// over 1 or N shards, each shard a full Shard (windowed analysis + spill),
-// with producers feeding through in-process handler conns so the numbers
-// isolate collector work from socket throughput. Nothing of the data plane
+// over 1 or N shards, each a collector (windowed analysis + spill) with a
+// Shard beside it, with producers feeding through in-process handler conns
+// so the numbers isolate collector work from socket throughput. Nothing of the data plane
 // crosses shards, so aggregate capacity is shards × the per-shard ceiling.
 func benchFed(b *testing.B, shards, producers int) {
 	data := benchTrace(b, 20_000)
@@ -48,17 +48,16 @@ func benchFed(b *testing.B, shards, producers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		spills := make([]bytes.Buffer, shards)
+		cs := make([]*live.Collector, shards)
 		ss := make([]*Shard, shards)
 		for s := 0; s < shards; s++ {
 			spills[s].Grow(len(data) * producers / shards)
-			var err error
-			ss[s], err = NewShard(ShardOptions{
-				Live: live.Options{
-					Window: 100 * time.Millisecond, MaxWindows: 8,
-					CPUSlots: 64, Spill: &spills[s],
-				},
+			cs[s] = live.NewCollector(live.Options{
+				Window: 100 * time.Millisecond, MaxWindows: 8,
+				CPUSlots: 64, Spill: &spills[s],
 			})
-			if err != nil {
+			var err error
+			if ss[s], err = NewShard(cs[s], ShardOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -72,7 +71,7 @@ func benchFed(b *testing.B, shards, producers int) {
 					b.Error(err)
 					return
 				}
-				if err := ss[p%shards].Handler()(relay.Conn{
+				if err := cs[p%shards].Handler()(relay.Conn{
 					ID:     uint64(p + 1),
 					Remote: &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)},
 					Stream: bs,

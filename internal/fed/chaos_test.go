@@ -107,8 +107,8 @@ func chaosProducer(t *testing.T, aggURL, key string, idx int, gate <-chan struct
 					FlipProb:      0.10,
 				})
 			},
-			// The dead-shard window lasts until the aggregator's TTL sweep
-			// rehashes the ring; back off fast and keep trying well past it.
+			// The dead-shard window lasts until a ring read past the TTL
+			// expires the shard; back off fast and keep trying well past it.
 			InitialBackoff: 10 * time.Millisecond,
 			MaxBackoff:     100 * time.Millisecond,
 			MaxAttempts:    1000,
@@ -141,7 +141,7 @@ func chaosProducer(t *testing.T, aggURL, key string, idx int, gate <-chan struct
 // directly against the wire bytes of the connection that produced it.
 func spillGroups(t *testing.T, ts *testShard) map[int][]wireBlock {
 	t.Helper()
-	snap := ts.s.Collector().Snapshot()
+	snap := ts.c.Snapshot()
 	out := map[int][]wireBlock{}
 	if ts.spill.Len() == 0 {
 		return out
@@ -190,9 +190,7 @@ func TestChaosSoakFederation(t *testing.T) {
 		MemberTTL: 1500 * time.Millisecond,
 	})
 	mkShard := func(name string) *testShard {
-		return startShard(t, agg, name, ShardOptions{
-			Live: live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 64},
-		})
+		return startShard(t, agg, name, live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 64})
 	}
 	names := []string{"c0", "c1", "c2"}
 	byAddr := map[string]*testShard{}
@@ -233,7 +231,7 @@ func TestChaosSoakFederation(t *testing.T) {
 	// Kill one shard while it is ingesting: no leaving heartbeat, listener
 	// severed with conns open — the aggregator only learns via TTL expiry.
 	waitFor(t, "killed shard ingesting", func() bool {
-		snap := killed.s.Collector().Snapshot()
+		snap := killed.c.Snapshot()
 		var blocks uint64
 		for _, p := range snap.Producers {
 			blocks += p.Blocks
@@ -316,7 +314,7 @@ func TestChaosSoakFederation(t *testing.T) {
 	}
 	for _, ts := range liveShards {
 		waitFor(t, "shard producers to finish", func() bool {
-			snap := ts.s.Collector().Snapshot()
+			snap := ts.c.Snapshot()
 			if len(snap.Producers) < dialed[ts] {
 				return false
 			}
@@ -428,7 +426,7 @@ func TestChaosSoakFederation(t *testing.T) {
 	// the producers' mask epochs up.
 	var reordered, garbled uint64
 	for _, ts := range append(liveShards, killed) {
-		for _, p := range ts.s.Collector().Snapshot().Producers {
+		for _, p := range ts.c.Snapshot().Producers {
 			reordered += p.Reordered
 			garbled += p.Garbled
 		}

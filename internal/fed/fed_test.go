@@ -48,12 +48,10 @@ func startAgg(t *testing.T, opt AggOptions) *testAgg {
 	return &testAgg{a: a, web: httptest.NewServer(a.Mux())}
 }
 
-// stop shuts the aggregator down in daemon order: stop HTTP, then the
-// sweeper.
+// stop shuts the aggregator's HTTP surface down.
 func (ta *testAgg) stop(t *testing.T) {
 	t.Helper()
 	ta.web.Close()
-	ta.a.Close()
 }
 
 // overview GETs the federated overview while the aggregator still serves.
@@ -73,31 +71,30 @@ func (ta *testAgg) overview(t *testing.T) FedOverview {
 
 // testShard is one in-process federated collector with a spill buffer.
 type testShard struct {
+	c     *live.Collector
 	s     *Shard
 	srv   *relay.Server
 	spill *bytes.Buffer
 }
 
-func startShard(t *testing.T, agg *testAgg, name string, opt ShardOptions) *testShard {
+func startShard(t *testing.T, agg *testAgg, name string, lo live.Options) *testShard {
 	t.Helper()
 	ts := &testShard{spill: &bytes.Buffer{}}
-	opt.Name = name
-	opt.AggHTTP = agg.web.URL
-	if opt.HeartbeatEvery <= 0 {
-		opt.HeartbeatEvery = 50 * time.Millisecond
-	}
-	opt.Live.Spill = ts.spill
-	// Advertise the real listener address: bind first, then build the
-	// shard so its very first heartbeat names a dialable address.
+	lo.Spill = ts.spill
+	ts.c = live.NewCollector(lo)
+	// Advertise the real listener address: bind first, then start the
+	// heartbeats so the very first one names a dialable address.
 	var err error
-	ts.srv, err = relay.ListenConns("127.0.0.1:0", func(c relay.Conn) error {
-		return ts.s.Handler()(c)
-	})
+	ts.srv, err = relay.ListenConns("127.0.0.1:0", ts.c.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Advertise = ts.srv.Addr()
-	ts.s, err = NewShard(opt)
+	ts.s, err = NewShard(ts.c, ShardOptions{
+		Name:           name,
+		Advertise:      ts.srv.Addr(),
+		AggHTTP:        agg.web.URL,
+		HeartbeatEvery: 50 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +215,8 @@ func TestFederatedOverviewParity(t *testing.T) {
 	const shards = 3
 	var tss []*testShard
 	for i := 0; i < shards; i++ {
-		tss = append(tss, startShard(t, agg, fmt.Sprintf("s%d", i), ShardOptions{
-			Live: live.Options{Window: 250 * time.Millisecond, MaxWindows: 8, CPUSlots: 8},
-		}))
+		tss = append(tss, startShard(t, agg, fmt.Sprintf("s%d", i),
+			live.Options{Window: 250 * time.Millisecond, MaxWindows: 8, CPUSlots: 8}))
 	}
 	waitFor(t, "all shards on the ring", func() bool {
 		return len(agg.a.ms.Doc().Members) == shards
@@ -241,7 +237,7 @@ func TestFederatedOverviewParity(t *testing.T) {
 	wg.Wait()
 	for _, ts := range tss {
 		waitFor(t, "shard producers to finish", func() bool {
-			s := ts.s.Collector().Snapshot()
+			s := ts.c.Snapshot()
 			if len(s.Producers) == 0 {
 				return false
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"k42trace/internal/event"
+	"k42trace/internal/live"
 )
 
 // TestHeartbeatFansDownTheMask drives Shard.heartbeat by hand against an
@@ -18,7 +19,8 @@ func TestHeartbeatFansDownTheMask(t *testing.T) {
 	defer agg.stop(t)
 	// Built without AggHTTP, the shard runs no heartbeat loop: every beat
 	// below is the test's own.
-	s, err := NewShard(ShardOptions{Name: "h0", Advertise: "127.0.0.1:1"})
+	c := live.NewCollector(live.Options{})
+	s, err := NewShard(c, ShardOptions{Name: "h0", Advertise: "127.0.0.1:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func TestHeartbeatFansDownTheMask(t *testing.T) {
 		if got := s.Stats().CtrlMaskFrames; got != wantFrames {
 			t.Errorf("%d mask frames fanned down, want %d", got, wantFrames)
 		}
-		if got := s.Collector().MaskStatus().DesiredMask; got != wantDesired {
+		if got := c.MaskStatus().DesiredMask; got != wantDesired {
 			t.Errorf("shard's desired mask %q, want %q", got, wantDesired)
 		}
 	}
@@ -67,7 +69,7 @@ func TestHeartbeatFansDownTheMask(t *testing.T) {
 	if got := agg.a.desiredMask(); got != applied(^uint64(0)) {
 		t.Errorf("desired mask %q after the refused POST, want %q", got, applied(^uint64(0)))
 	}
-	if err := s.coll.Drain(); err != nil {
+	if err := c.Drain(); err != nil {
 		t.Error(err)
 	}
 }

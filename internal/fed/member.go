@@ -130,34 +130,25 @@ func (ms *Membership) Beat(hb Heartbeat) (epoch uint64) {
 	return ms.ring.Epoch()
 }
 
-// Sweep expires members whose heartbeats stopped, removing them from the
-// ring, and returns the names it expired. The aggregator calls it
-// periodically and before serving ring documents, so producers resolving
-// an owner never see a member that is provably dead.
-func (ms *Membership) Sweep() []string {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.expireLocked()
-}
-
-func (ms *Membership) expireLocked() []string {
-	var expired []string
+// expireLocked expires members whose heartbeats stopped, removing them
+// from the ring. Every read of the membership calls it first, so a reader
+// never sees a member that is provably dead as active.
+func (ms *Membership) expireLocked() {
 	cutoff := ms.now().Add(-ms.ttl)
-	for name, m := range ms.members {
+	for _, m := range ms.members {
 		if m.State == StateActive && m.LastSeen.Before(cutoff) {
 			m.State = StateExpired
 			ms.ring.Remove(m.Addr)
-			expired = append(expired, name)
 		}
 	}
-	return expired
 }
 
 // Members returns a copy of every member record, active or not, in name
-// order.
+// order, after expiring the members whose heartbeats stopped.
 func (ms *Membership) Members() []Member {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
+	ms.expireLocked()
 	out := make([]Member, 0, len(ms.members))
 	for _, name := range slices.Sorted(maps.Keys(ms.members)) {
 		cp := *ms.members[name]

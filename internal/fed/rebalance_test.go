@@ -111,7 +111,7 @@ type marker struct {
 // marker logged after them.
 func spillMarkers(t *testing.T, ts *testShard) map[[2]int][]marker {
 	t.Helper()
-	snap := ts.s.Collector().Snapshot()
+	snap := ts.c.Snapshot()
 	out := map[[2]int][]marker{}
 	if ts.spill.Len() == 0 {
 		return out
@@ -173,12 +173,8 @@ func TestRebalanceMaskHandoff(t *testing.T) {
 	// must not rehash onto it before then, or the survivor's replay on
 	// admission would hand it mask A a second time.
 	agg := startAgg(t, AggOptions{MemberTTL: 1500 * time.Millisecond})
-	s0 := startShard(t, agg, "r0", ShardOptions{
-		Live: live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 32},
-	})
-	s1 := startShard(t, agg, "r1", ShardOptions{
-		Live: live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 32},
-	})
+	s0 := startShard(t, agg, "r0", live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 32})
+	s1 := startShard(t, agg, "r1", live.Options{Window: 500 * time.Millisecond, MaxWindows: 4, CPUSlots: 32})
 	byAddr := map[string]*testShard{s0.srv.Addr(): s0, s1.srv.Addr(): s1}
 	waitFor(t, "both shards on the ring", func() bool {
 		return len(agg.a.ms.Doc().Members) == 2
@@ -206,7 +202,7 @@ func TestRebalanceMaskHandoff(t *testing.T) {
 	}
 	for _, ts := range []*testShard{s0, s1} {
 		waitFor(t, "producer connected to its shard", func() bool {
-			snap := ts.s.Collector().Snapshot()
+			snap := ts.c.Snapshot()
 			return len(snap.Producers) >= 1 && snap.Producers[0].Blocks > 0
 		})
 	}
@@ -231,7 +227,7 @@ func TestRebalanceMaskHandoff(t *testing.T) {
 	wantA := event.MaskString(maskAApplied)
 	for _, ts := range []*testShard{s0, s1} {
 		waitFor(t, "shard observed the applied-mask marker", func() bool {
-			st := ts.s.Collector().MaskStatus()
+			st := ts.c.MaskStatus()
 			return len(st.Producers) >= 1 && st.Producers[0].AppliedMask == wantA
 		})
 	}
@@ -287,7 +283,7 @@ func TestRebalanceMaskHandoff(t *testing.T) {
 		}
 	}
 	waitFor(t, "survivor producers to finish", func() bool {
-		snap := s0.s.Collector().Snapshot()
+		snap := s0.c.Snapshot()
 		if len(snap.Producers) < 2 {
 			return false
 		}

@@ -99,8 +99,9 @@ func TestRingMinimalDisruption(t *testing.T) {
 
 // TestMembershipLifecycle walks one member through every state with a
 // fake clock: active on first beat, expired when beats stop, active again
-// on rejoin, left on a Leaving beat — with the ring tracking only the
-// active phase and the merged overview counting all of them.
+// on rejoin, left on a Leaving beat, and expired by a read of the members
+// alone — with the ring tracking only the active phase and the merged
+// overview counting all of them.
 func TestMembershipLifecycle(t *testing.T) {
 	ms := NewMembership(time.Second)
 	now := time.Unix(1000, 0)
@@ -162,6 +163,24 @@ func TestMembershipLifecycle(t *testing.T) {
 	if got := ms.Doc().Members; !reflect.DeepEqual(got, []string{"h1:5"}) {
 		t.Fatalf("after readdress, ring members %v, want [h1:5]", got)
 	}
+
+	// s1 falls silent past the TTL and nothing beats or reads the ring
+	// document: reading the members alone expires it.
+	epoch := ms.Ring().Epoch()
+	now = now.Add(1500 * time.Millisecond)
+	states = map[string]MemberState{}
+	for _, m := range ms.Members() {
+		states[m.Name] = m.State
+	}
+	if states["s1"] != StateExpired || states["s2"] != StateLeft {
+		t.Fatalf("after s1's silence, Members() reports states %v, want s1 expired, s2 left", states)
+	}
+	if got := ms.Ring().Epoch(); got <= epoch {
+		t.Errorf("ring epoch %d after Members() expired s1, want past %d", got, epoch)
+	}
+	if got := ms.Ring().Members(); len(got) != 0 {
+		t.Errorf("ring members %v after Members() expired s1, want none", got)
+	}
 }
 
 // TestFederatedOverviewIsInNameOrder: the aggregator folds its members'
@@ -171,7 +190,6 @@ func TestMembershipLifecycle(t *testing.T) {
 // name order.
 func TestFederatedOverviewIsInNameOrder(t *testing.T) {
 	a := NewAggregator(AggOptions{})
-	defer a.Close()
 	a.ms.Beat(Heartbeat{Name: "b", Addr: "h2:1", Overview: []analysis.ProcSummary{{Pid: 7, Name: "pid7", UserNs: 10}},
 		MaskEpochs: []analysis.MaskEpoch{{Time: 5, CPU: 0}, {Time: 9, CPU: 1}}})
 	a.ms.Beat(Heartbeat{Name: "a", Addr: "h1:1", Overview: []analysis.ProcSummary{{Pid: 7, Name: "init", UserNs: 20}},
@@ -190,11 +208,4 @@ func TestFederatedOverviewIsInNameOrder(t *testing.T) {
 			t.Fatalf("call %d: mask epochs %+v, want %+v", i, doc.MaskEpochs, wantEpochs)
 		}
 	}
-}
-
-// TestAggregatorSweepsAtAnyTTL: a TTL whose half rounds to zero still
-// gives the membership sweeper a period.
-func TestAggregatorSweepsAtAnyTTL(t *testing.T) {
-	a := NewAggregator(AggOptions{MemberTTL: 1})
-	a.Close()
 }

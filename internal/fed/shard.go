@@ -3,7 +3,7 @@
 // address, cumulative overview and newest mask epochs, so the aggregator
 // can keep it on the assignment ring and in the federated merge, and each
 // reply names the aggregator's desired mask, which the shard turns into
-// its own SetMask broadcast (the fan-down).
+// the collector's own SetMask broadcast (the fan-down).
 package fed
 
 import (
@@ -17,7 +17,6 @@ import (
 
 	"k42trace/internal/event"
 	"k42trace/internal/live"
-	"k42trace/internal/relay"
 )
 
 // ShardOptions configures a Shard.
@@ -37,13 +36,9 @@ type ShardOptions struct {
 	// the aggregator reaches this shard within one period plus a round
 	// trip.
 	HeartbeatEvery time.Duration
-	// Live configures the embedded collector. ReclaimSlots is forced on:
-	// rebalancing producers reconnect as fresh registrations and would
-	// otherwise exhaust CPUSlots.
-	Live live.Options
 }
 
-// Shard wraps a live.Collector with federation wiring.
+// Shard heartbeats for a live.Collector.
 type Shard struct {
 	opt  ShardOptions
 	coll *live.Collector
@@ -63,20 +58,20 @@ type Shard struct {
 	ctrlMask atomic.Uint64 // masks taken from heartbeat replies
 }
 
-// NewShard builds the shard and starts its heartbeat loop (when AggHTTP
-// is set). Serve producers with relay.ListenConns(addr, s.Handler());
-// shut down with the listener's CloseNow followed by s.Drain().
-func NewShard(opt ShardOptions) (*Shard, error) {
+// NewShard starts heartbeating for c (when AggHTTP is set). The caller
+// serves c's producers and HTTP surface, mounts the shard at /fed/shard,
+// and shuts down with the relay server's CloseNow followed by s.Drain(),
+// which drains c.
+func NewShard(c *live.Collector, opt ShardOptions) (*Shard, error) {
 	if opt.AggHTTP != "" && (opt.Name == "" || opt.Advertise == "") {
 		return nil, fmt.Errorf("fed: shard heartbeats need Name and Advertise")
 	}
 	if opt.HeartbeatEvery <= 0 {
 		opt.HeartbeatEvery = time.Second
 	}
-	opt.Live.ReclaimSlots = true
 	s := &Shard{
 		opt:    opt,
-		coll:   live.NewCollector(opt.Live),
+		coll:   c,
 		client: &http.Client{Timeout: 2 * time.Second},
 		hbStop: make(chan struct{}),
 	}
@@ -86,12 +81,6 @@ func NewShard(opt ShardOptions) (*Shard, error) {
 	}
 	return s, nil
 }
-
-// Collector exposes the embedded collector.
-func (s *Shard) Collector() *live.Collector { return s.coll }
-
-// Handler returns the producer-facing relay handler.
-func (s *Shard) Handler() relay.ConnHandler { return s.coll.Handler() }
 
 func (s *Shard) heartbeatLoop() {
 	defer s.hbWG.Done()
@@ -167,9 +156,7 @@ func (s *Shard) heartbeat(leaving bool) error {
 // federated merge keeps counting after this shard is gone.
 // Call after the producer-facing relay server has been closed.
 func (s *Shard) Drain() error {
-	s.hbOnce.Do(func() { close(s.hbStop) })
-	s.hbWG.Wait()
-	err := s.coll.Drain()
+	err := s.kill()
 	if s.opt.AggHTTP != "" {
 		s.heartbeat(true)
 	}
@@ -178,7 +165,7 @@ func (s *Shard) Drain() error {
 
 // kill is the SIGKILL analogue for tests: stop heartbeating WITHOUT the
 // final Leaving beat, and drain the collector. The aggregator only learns
-// of the death when the heartbeat TTL expires, exactly as with a real
+// of the death on a read past the heartbeat TTL, exactly as with a real
 // killed process — the shard leaves the ring as StateExpired and its
 // last-reported overview keeps counting as a lower bound.
 func (s *Shard) kill() error {
@@ -209,12 +196,7 @@ func (s *Shard) Stats() ShardStats {
 	}
 }
 
-// Mux returns the shard's HTTP surface: the embedded collector's
-// endpoints plus GET /fed/shard with the federation counters.
-func (s *Shard) Mux() *http.ServeMux {
-	mux := s.coll.Mux()
-	mux.HandleFunc("/fed/shard", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Stats())
-	})
-	return mux
+// ServeHTTP serves GET /fed/shard: the federation counters.
+func (s *Shard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, s.Stats())
 }

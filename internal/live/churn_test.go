@@ -16,17 +16,17 @@ import (
 // TestSnapshotUnderChurn hammers every read surface of the collector —
 // Prometheus metrics, JSON snapshot, overview, windows, mask status, and
 // mask broadcasts — while producers connect, stream, and disconnect as
-// fast as they can with slot reclaim on. This is the disconnect-rebalance
-// churn a federation shard lives under; the race detector pins the
-// locking: no handler may observe a producer mid-remap.
+// fast as they can, so their CPU slices are given back and taken again.
+// This is the churn of redialling senders and of producers rehashing
+// between federation shards; the race detector pins the locking: no
+// handler may observe a producer mid-remap.
 func TestSnapshotUnderChurn(t *testing.T) {
 	var spill bytes.Buffer
 	c := NewCollector(Options{
-		Window:       100 * time.Millisecond,
-		MaxWindows:   4,
-		CPUSlots:     8, // tight: churn must wrap into reclaimed slices
-		Spill:        &spill,
-		ReclaimSlots: true,
+		Window:     100 * time.Millisecond,
+		MaxWindows: 4,
+		CPUSlots:   8, // tight: churn must wrap into reclaimed slices
+		Spill:      &spill,
 	})
 	srv, err := relay.ListenConns("127.0.0.1:0", c.Handler())
 	if err != nil {

@@ -48,8 +48,12 @@ type Options struct {
 	EnqueueTimeout time.Duration
 	// CPUSlots is the size of the collector's remapped CPU space (default
 	// 256, max 65536 — the wire format's CPU field is 16 bits). Each
-	// connection permanently claims meta.CPUs slots; when the space is
-	// exhausted new producers are rejected ("cpu-slots").
+	// connection claims meta.CPUs slots: fresh ones while any are left,
+	// then an exact-size slice a drained producer gave back, oldest first;
+	// with neither, the producer is rejected ("cpu-slots"). A reused slice
+	// puts two independent tracer clocks on one spill CPU id, which the
+	// offline reader time-merges into an interleaving the collector never
+	// saw: exact live-vs-offline parity holds until the fresh slots run out.
 	CPUSlots int
 	// WatchPids enables per-window time breakdowns for these processes.
 	WatchPids []uint64
@@ -66,16 +70,6 @@ type Options struct {
 	// returns the worker decodes the producer's next block into evs and
 	// the reader reads a later one into words.
 	Forward func(h stream.BlockHeader, words []uint64, evs []event.Event)
-	// ReclaimSlots returns a producer's CPU slice to a free list once its
-	// worker has drained, so a later producer can reuse it when — and only
-	// when — fresh slots have run out. Required for rebalancing churn
-	// (producers rehashing between shards reconnect as fresh registrations,
-	// which would otherwise exhaust CPUSlots). Fresh allocation is always
-	// preferred because a reused slice puts two independent tracer clocks
-	// on one spill CPU id: the offline reader time-merges them into an
-	// interleaving the live collector never saw, so exact live-vs-offline
-	// parity is only guaranteed while the slot space has not wrapped.
-	ReclaimSlots bool
 }
 
 func (o *Options) defaults() {
@@ -111,7 +105,7 @@ type Collector struct {
 	spill     *stream.Writer
 	spillErr  error
 	nextCPU   int
-	free      [][2]int // reclaimed {base, n} CPU slices (ReclaimSlots)
+	free      [][2]int // {base, n} CPU slices drained producers gave back
 	producers map[uint64]*producer
 	order     []uint64
 	draining  bool
@@ -262,12 +256,11 @@ func (c *Collector) register(conn relay.Conn) (p *producer, pending uint64, pend
 		// live overview equals the offline analysis of the spill exactly.
 		base = c.nextCPU
 		c.nextCPU += meta.CPUs
-	} else if c.opt.ReclaimSlots {
+	} else {
 		// Exhausted: fall back to an exact-size reclaimed slice, oldest
-		// first, so churning producers cycle through a bounded slot space
-		// instead of being refused. A reused slice puts two independent
-		// tracer clocks on one spill CPU id, so exact offline parity is
-		// only guaranteed while the slot space has not wrapped.
+		// first, so churning producers — reconnecting senders, producers
+		// rehashing between shards — cycle through a bounded slot space
+		// instead of being refused.
 		for i, f := range c.free {
 			if f[1] == meta.CPUs {
 				base = f[0]
@@ -422,14 +415,12 @@ func (c *Collector) worker(p *producer) {
 	// The handler closed the queue after its reader returned: nobody takes
 	// from the free list again.
 	p.free = nil
-	if c.opt.ReclaimSlots {
-		// The queue is closed and fully applied: nothing can land on this
-		// producer's CPU slice anymore, so it is safe to hand to the next
-		// registrant.
-		c.mu.Lock()
-		c.free = append(c.free, [2]int{p.cpuBase, p.cpus})
-		c.mu.Unlock()
-	}
+	// The queue is closed and fully applied: nothing can land on this
+	// producer's CPU slice anymore, so it is safe to hand to the next
+	// registrant.
+	c.mu.Lock()
+	c.free = append(c.free, [2]int{p.cpuBase, p.cpus})
+	c.mu.Unlock()
 }
 
 func (c *Collector) countDisconnect(reason string) {

@@ -457,8 +457,9 @@ func TestDrainCutsAnOpenSender(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl covers the deterministic rejection paths:
-// mismatched metadata, CPU-slot exhaustion, and draining.
+// TestAdmissionControl covers the deterministic admission paths:
+// mismatched metadata, CPU-slot exhaustion, the reuse of a drained
+// producer's slots, and draining.
 func TestAdmissionControl(t *testing.T) {
 	c := NewCollector(Options{CPUSlots: 3})
 	srv, err := relay.ListenConns("127.0.0.1:0", c.Handler())
@@ -469,9 +470,9 @@ func TestAdmissionControl(t *testing.T) {
 	// The producer side can't see a rejection (its bytes land in the
 	// socket buffer before the server hangs up), so each step is verified
 	// against the collector's own counters.
-	send := func(addr string, bufWords int) {
+	send := func(addr string, cpus, bufWords int) {
 		tr := core.MustNew(core.Config{
-			CPUs: 2, BufWords: bufWords, NumBufs: 4,
+			CPUs: cpus, BufWords: bufWords, NumBufs: 4,
 			Mode: core.Stream, Clock: clock.NewManual(1),
 		})
 		tr.EnableAll()
@@ -480,23 +481,40 @@ func TestAdmissionControl(t *testing.T) {
 		relay.Send(tr, addr)
 	}
 
-	send(srv.Addr(), 64)
+	send(srv.Addr(), 2, 64)
 	waitFor(t, "first producer admitted", func() bool {
 		s := c.Snapshot()
 		return len(s.Producers) == 1 && !s.Producers[0].Connected
 	})
 	// Different BufWords: the session is already fixed at 64.
-	send(srv.Addr(), 128)
+	send(srv.Addr(), 2, 128)
 	waitFor(t, "meta-mismatch rejection", func() bool {
 		return c.disconnectCounts()["meta-mismatch"] == 1
 	})
-	// Matching metadata but only 1 of 3 CPU slots left.
-	send(srv.Addr(), 64)
+	// Matching metadata, but 3 CPUs fit neither the 1 fresh slot left nor
+	// the 2-slot slice the first producer gives back.
+	send(srv.Addr(), 3, 64)
 	waitFor(t, "cpu-slots rejection", func() bool {
 		return c.disconnectCounts()["cpu-slots"] == 1
 	})
 	if n := len(c.Snapshot().Producers); n != 1 {
 		t.Fatalf("%d producers admitted, want 1", n)
+	}
+	// Once the first producer's worker has given its slice back, a 2-CPU
+	// producer takes it: fresh slots first, then a drained producer's.
+	waitFor(t, "the first producer's slice on the free list", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.free) == 1
+	})
+	send(srv.Addr(), 2, 64)
+	waitFor(t, "second producer admitted onto the given-back slice", func() bool {
+		s := c.Snapshot()
+		return len(s.Producers) == 2 && !s.Producers[1].Connected
+	})
+	if s := c.Snapshot(); s.Producers[1].CPUBase != s.Producers[0].CPUBase || c.disconnectCounts()["cpu-slots"] != 1 {
+		t.Fatalf("second producer on CPU base %d, first on %d, %d cpu-slots rejections; want the same base and 1",
+			s.Producers[1].CPUBase, s.Producers[0].CPUBase, c.disconnectCounts()["cpu-slots"])
 	}
 	srv.Close()
 	if err := c.Drain(); err != nil {
@@ -509,7 +527,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	send(srv2.Addr(), 64)
+	send(srv2.Addr(), 2, 64)
 	waitFor(t, "draining rejection", func() bool {
 		return c.disconnectCounts()["draining"] == 1
 	})
