@@ -241,9 +241,6 @@ func (a *Arena) SlotCommitted(i int) uint64 {
 	return atomic.LoadUint64(a.slotWord(i, slotWCommitted))
 }
 
-// Buf returns the arena's trace memory (NumBufs*BufWords words).
-func (a *Arena) Buf() []uint64 { return a.buf }
-
 // NumBufs returns the number of buffers in the ring.
 func (a *Arena) NumBufs() int { return int(a.numBufs) }
 
@@ -309,8 +306,41 @@ func (a *Arena) ReleaseSlot(s Sealed, zero bool) {
 			s.Words[i] = 0
 		}
 	}
+	a.freeSlot(slot)
+}
+
+// freeSlot hands a slot back to writers with its commit count zeroed.
+func (a *Arena) freeSlot(slot int) {
 	atomic.StoreUint64(a.slotWord(slot, slotWCommitted), 0)
 	atomic.StoreUint64(a.slotWord(slot, slotWState), slotFree)
+}
+
+// view is the one place a generation's start index becomes a Sealed
+// value: n words of the ring from start.
+func (a *Arena) view(start, n, committed uint64, partial bool) Sealed {
+	lo := start & a.indexMask
+	return Sealed{
+		CPU:       a.cpu,
+		Seq:       start / a.bufWords,
+		Start:     start,
+		Words:     a.buf[lo : lo+n : lo+n],
+		Committed: committed,
+		Partial:   partial,
+	}
+}
+
+// claimedView is view for a slot the caller has claimed, from the start
+// word it read there. That word is client-writable in a shared segment, so
+// a start that does not name one of this slot's generations is refused —
+// unaligned, its words could run off the end of the ring; aligned on
+// another slot, its release would free that one — and the generation is
+// dropped: the slot goes back to Free and nothing is emitted.
+func (a *Arena) claimedView(slot int, start, n, committed uint64, partial bool) (Sealed, bool) {
+	if start&a.indexMask != uint64(slot)*a.bufWords {
+		a.freeSlot(slot)
+		return Sealed{}, false
+	}
+	return a.view(start, n, committed, partial), true
 }
 
 // TakePending claims a sealed buffer for a polling consumer: it moves the
@@ -318,20 +348,13 @@ func (a *Arena) ReleaseSlot(s Sealed, zero bool) {
 // the shm daemon discovers seals — producers in other processes cannot
 // call OnSeal in the daemon's address space, so the Pending state itself
 // is the handoff. The CAS guarantees exactly-once pickup. Returns false
-// if the slot is not pending.
+// if the slot is not pending, or if its start word names none of its
+// generations (the slot is then freed).
 func (a *Arena) TakePending(slot int) (Sealed, bool) {
 	if !atomic.CompareAndSwapUint64(a.slotWord(slot, slotWState), slotPending, slotDraining) {
 		return Sealed{}, false
 	}
-	start := atomic.LoadUint64(a.slotWord(slot, slotWStart))
-	lo := start & a.indexMask
-	return Sealed{
-		CPU:       a.cpu,
-		Seq:       start / a.bufWords,
-		Start:     start,
-		Words:     a.buf[lo : lo+a.bufWords],
-		Committed: atomic.LoadUint64(a.slotWord(slot, slotWCommitted)),
-	}, true
+	return a.claimedView(slot, a.SlotStart(slot), a.bufWords, a.SlotCommitted(slot), false)
 }
 
 // TakeStuck seals a stuck buffer from the consumer side: one whose
@@ -345,34 +368,40 @@ func (a *Arena) TakePending(slot int) (Sealed, bool) {
 // arena's only polling consumer (the state CAS then cannot ABA through a
 // concurrent Release).
 func (a *Arena) TakeStuck(slot int) (Sealed, bool) {
-	st := a.slotWord(slot, slotWState)
-	if atomic.LoadUint64(st) != slotInUse {
+	if a.SlotState(slot) != slotInUse {
 		return Sealed{}, false
 	}
-	start := atomic.LoadUint64(a.slotWord(slot, slotWStart))
-	if start+a.bufWords > a.Index() {
-		return Sealed{}, false // current generation; still filling
-	}
-	if a.InflightTotal() != 0 {
+	return a.sealStuck(slot, a.Index()&^(a.bufWords-1), 0, slotDraining)
+}
+
+// sealStuck is the one stuck seal, the writer-side reclaim's and
+// TakeStuck's. The slot's generation is stuck when it began before limit
+// (an aligned index), its count is short and no logger but the caller's
+// self (1 for a writer inside a logging call, 0 for the consumer) is in
+// flight. Reading that count before the start word is safe: a writer
+// cannot claim an InUse slot until it is Free. The state CAS to `to` makes
+// the seal unique against a late last commit and against the other side.
+func (a *Arena) sealStuck(slot int, limit, self, to uint64) (Sealed, bool) {
+	if a.InflightTotal() != self {
 		return Sealed{}, false // a live logger may yet commit here
 	}
-	committed := atomic.LoadUint64(a.slotWord(slot, slotWCommitted))
-	if committed >= a.bufWords {
-		return Sealed{}, false // complete: its final commit sealed it
+	start := a.SlotStart(slot)
+	if start >= limit {
+		return Sealed{}, false // current generation; still filling
 	}
-	if !atomic.CompareAndSwapUint64(st, slotInUse, slotDraining) {
+	committed := a.SlotCommitted(slot)
+	if committed >= a.bufWords {
+		return Sealed{}, false // complete: its last commit seals it
+	}
+	if !atomic.CompareAndSwapUint64(a.slotWord(slot, slotWState), slotInUse, to) {
 		return Sealed{}, false
 	}
-	a.statAdd(ctlStatSeals, 1)
-	a.statAdd(ctlStatStuckSeals, 1)
-	lo := start & a.indexMask
-	return Sealed{
-		CPU:       a.cpu,
-		Seq:       start / a.bufWords,
-		Start:     start,
-		Words:     a.buf[lo : lo+a.bufWords],
-		Committed: committed,
-	}, true
+	s, ok := a.claimedView(slot, start, a.bufWords, committed, false)
+	if ok {
+		a.statAdd(ctlStatSeals, 1)
+		a.statAdd(ctlStatStuckSeals, 1)
+	}
+	return s, ok
 }
 
 // FlushSlots seals every buffer still holding unconsumed data: the
@@ -382,7 +411,8 @@ func (a *Arena) TakeStuck(slot int) (Sealed, bool) {
 // InflightTotal zero — or the emitted views would race live writers.
 // Already-pending slots are not emitted; they were handed off at seal
 // time (channel consumers) or will be picked up by TakePending (polling
-// consumers) before the flush.
+// consumers) before the flush. A slot whose start word names none of its
+// generations is freed instead.
 func (a *Arena) FlushSlots(emit func(Sealed)) {
 	if !a.stream {
 		return
@@ -393,31 +423,22 @@ func (a *Arena) FlushSlots(emit func(Sealed)) {
 	}
 	off := idx & (a.bufWords - 1)
 	curStart := idx - off
-	for s := 0; s < int(a.numBufs); s++ {
-		st := a.slotWord(s, slotWState)
-		if atomic.LoadUint64(st) != slotInUse {
+	for slot := 0; slot < int(a.numBufs); slot++ {
+		if a.SlotState(slot) != slotInUse {
 			continue
 		}
-		start := atomic.LoadUint64(a.slotWord(s, slotWStart))
+		start := a.SlotStart(slot)
 		n := a.bufWords
-		partial := false
 		if start == curStart {
 			if off == 0 {
 				continue // boundary-exact: sealed by its last commit
 			}
 			n = off
-			partial = true
 		}
-		lo := start & a.indexMask
-		atomic.StoreUint64(st, slotPending)
-		a.statAdd(ctlStatSeals, 1)
-		emit(Sealed{
-			CPU:       a.cpu,
-			Seq:       start / a.bufWords,
-			Start:     start,
-			Words:     a.buf[lo : lo+n],
-			Committed: atomic.LoadUint64(a.slotWord(s, slotWCommitted)),
-			Partial:   partial,
-		})
+		if s, ok := a.claimedView(slot, start, n, a.SlotCommitted(slot), n < a.bufWords); ok {
+			atomic.StoreUint64(a.slotWord(slot, slotWState), slotPending)
+			a.statAdd(ctlStatSeals, 1)
+			emit(s)
+		}
 	}
 }

@@ -241,11 +241,10 @@ func (t *Tracer) Resident(cpu int, emit func(Sealed)) {
 				return
 			}
 		}
-		lo := (g * bw) & t.indexMask
-		s := Sealed{CPU: cpu, Seq: g, Start: g * bw, Words: a.Buf()[lo : lo+n : lo+n], Committed: n, Partial: g == curGen}
-		if sl := int(g & (t.numBufs - 1)); a.SlotStart(sl) == s.Start {
-			s.Committed = a.SlotCommitted(sl)
+		committed := n
+		if sl := int(g & (t.numBufs - 1)); a.SlotStart(sl) == g*bw {
+			committed = a.SlotCommitted(sl)
 		}
-		emit(s)
+		emit(a.view(g*bw, n, committed, g == curGen))
 	}
 }

@@ -35,9 +35,9 @@ func TestZeroFillScrubsRecycledBuffers(t *testing.T) {
 		a := tr.cpus[0]
 		idx := a.Index()
 		off := idx & 31
-		lo := (idx - off) & tr.indexMask
+		lo := (idx - off) & a.indexMask
 		for i := lo + off; i < lo+32; i++ {
-			if a.Buf()[i] != 0 {
+			if a.buf[i] != 0 {
 				staleWords++
 			}
 		}
@@ -64,7 +64,7 @@ func TestRedactHidesOnlyInvisibleMajors(t *testing.T) {
 	old := tr.Quiesce()
 	defer tr.SetMask(old)
 	idx := tr.cpus[0].Index()
-	words := tr.cpus[0].Buf()[:idx]
+	words := tr.cpus[0].buf[:idx]
 
 	red := Redact(words, VisibleMask(event.MajorMem))
 	evs, st := DecodeBuffer(0, red)

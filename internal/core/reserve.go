@@ -144,39 +144,15 @@ func (a *Arena) reserveSlow(bit uint64, old uint64, length int) (uint64, uint64,
 // deferred to the moment a writer actually needs the slot back.
 //
 // Reclaiming is only race-free when no other logger on this arena is in
-// flight: commits happen only inside in-flight logging calls, so with the
-// caller alone (InflightTotal == 1, counting itself) the stuck buffer's
-// commit count is final and the consumer may read its words. The state
-// CAS makes the seal unique against the buffer completing concurrently
-// after all, and against a polling consumer's TakeStuck.
+// flight: with the caller alone (InflightTotal == 1, counting itself) the
+// stuck buffer's commit count is final; sealStuck holds that guard and the
+// state CAS it shares with a polling consumer's TakeStuck.
 func (a *Arena) reclaimStuck(slot int, boundary uint64) bool {
-	if a.InflightTotal() != 1 {
-		return false
+	s, ok := a.sealStuck(slot, boundary, 1, slotPending)
+	if ok && a.onSeal != nil {
+		a.onSeal(s)
 	}
-	start := a.SlotStart(slot)
-	if start >= boundary {
-		return false // current generation; not ours to seal
-	}
-	committed := a.SlotCommitted(slot)
-	if committed >= a.bufWords {
-		return false // fully committed: its last commit seals it
-	}
-	if !atomic.CompareAndSwapUint64(a.slotWord(slot, slotWState), slotInUse, slotPending) {
-		return false
-	}
-	a.statAdd(ctlStatSeals, 1)
-	a.statAdd(ctlStatStuckSeals, 1)
-	if a.onSeal != nil {
-		lo := start & a.indexMask
-		a.onSeal(Sealed{
-			CPU:       a.cpu,
-			Seq:       start / a.bufWords,
-			Start:     start,
-			Words:     a.buf[lo : lo+a.bufWords],
-			Committed: committed,
-		})
-	}
-	return true
+	return ok
 }
 
 // writeFiller pads [from, from+n) with filler events: bare headers whose
@@ -214,15 +190,7 @@ func (a *Arena) commit(idx uint64, words uint64) {
 		atomic.StoreUint64(a.slotWord(slot, slotWState), slotPending)
 		a.statAdd(ctlStatSeals, 1)
 		if a.onSeal != nil {
-			start := a.SlotStart(slot)
-			lo := start & a.indexMask
-			a.onSeal(Sealed{
-				CPU:       a.cpu,
-				Seq:       start / a.bufWords,
-				Start:     start,
-				Words:     a.buf[lo : lo+a.bufWords],
-				Committed: a.bufWords,
-			})
+			a.onSeal(a.view(a.SlotStart(slot), a.bufWords, a.bufWords, false))
 		}
 	}
 }

@@ -22,14 +22,13 @@ type Tracer struct {
 	mask atomic.Uint64
 	_    [56]byte // keep the hot mask word on its own line
 
-	cfg       Config
-	clock     clock.Source
-	cpus      []*Arena // one per processor slot; see New
-	bufWords  uint64
-	numBufs   uint64
-	indexMask uint64 // NumBufs*BufWords - 1
-	sealed    chan Sealed
-	stopped   atomic.Bool
+	cfg      Config
+	clock    clock.Source
+	cpus     []*Arena // one per processor slot; see New
+	bufWords uint64
+	numBufs  uint64
+	sealed   chan Sealed
+	stopped  atomic.Bool
 
 	// maskMu serializes ApplyMask calls so the in-band CtrlMaskChange
 	// markers on each CPU appear in the same order the masks were applied.
@@ -51,11 +50,10 @@ func New(cfg Config) (*Tracer, error) {
 		return nil, err
 	}
 	t := &Tracer{
-		cfg:       cfg,
-		clock:     cfg.Clock,
-		bufWords:  uint64(cfg.BufWords),
-		numBufs:   uint64(cfg.NumBufs),
-		indexMask: uint64(cfg.BufWords*cfg.NumBufs) - 1,
+		cfg:      cfg,
+		clock:    cfg.Clock,
+		bufWords: uint64(cfg.BufWords),
+		numBufs:  uint64(cfg.NumBufs),
 	}
 	// Seal channel sized so a sealing writer never blocks: at most NumBufs
 	// outstanding seals per CPU plus one flush partial per CPU.

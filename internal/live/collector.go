@@ -60,16 +60,6 @@ type Options struct {
 	// Spill, if set, receives every accepted block in trace-file format,
 	// in arrival order with remapped CPU ids. The caller owns closing it.
 	Spill io.Writer
-	// Forward, if set, observes every accepted block after it has been
-	// applied to spill and analysis: the header (CPU already remapped into
-	// collector space), the raw words, and the decoded events. It is
-	// called outside the collector lock, in per-producer arrival order
-	// (blocks from one producer never reorder; blocks from different
-	// producers interleave, which is harmless — they live on disjoint CPU
-	// slots). words and evs are valid during the call only: when it
-	// returns the worker decodes the producer's next block into evs and
-	// the reader reads a later one into words.
-	Forward func(h stream.BlockHeader, words []uint64, evs []event.Event)
 }
 
 func (o *Options) defaults() {
@@ -167,7 +157,7 @@ type producer struct {
 
 // feedItem is one block in flight between a producer's reader and its
 // worker. The reader owns words until the item is enqueued, the worker
-// from then until Forward has returned; then they go back to the
+// from then until the block is applied; then they go back to the
 // producer's free list, and the reader reads a later block into them.
 type feedItem struct {
 	h     stream.BlockHeader // CPU already remapped into collector space
@@ -371,12 +361,11 @@ func (c *Collector) serve(p *producer, bs *stream.BlockStream) error {
 // worker drains one producer's queue: it decodes each block into its one
 // event scratch — outside the collector lock, so producers decode in
 // parallel and only the apply is serialized — and applies spill and
-// analysis under the lock. The events never leave it: Feed and Forward
-// read them and keep nothing, and the next block overwrites them. It exits
-// when the handler closes the queue, after draining whatever is left — so
-// Drain never loses accepted blocks. Forwarding happens outside the lock:
-// per-producer order is preserved (one worker per producer), which is all
-// the downstream per-CPU analysis needs.
+// analysis under the lock. The events never leave it: Feed reads them and
+// keeps nothing, and the next block overwrites them. It exits when the
+// handler closes the queue, after draining whatever is left — so Drain
+// never loses accepted blocks. Per-producer order is preserved (one worker
+// per producer), which is all the per-CPU analysis needs.
 func (c *Collector) worker(p *producer) {
 	defer c.wg.Done()
 	var evs []event.Event
@@ -407,9 +396,6 @@ func (c *Collector) worker(p *producer) {
 		}
 		c.win.Feed(evs)
 		c.mu.Unlock()
-		if c.opt.Forward != nil {
-			c.opt.Forward(it.h, it.words, evs)
-		}
 		p.free <- it.words
 	}
 	// The handler closed the queue after its reader returned: nobody takes

@@ -253,27 +253,19 @@ func newLoggedTracer(t *testing.T, n int) *core.Tracer {
 // disconnected with reason "slow" instead of stalling the collector
 // forever.
 func TestSlowProducerDisconnected(t *testing.T) {
-	// Wedge the analysis side on the producer's first block: the worker,
-	// which calls Forward after every block it applies, takes the collector
-	// lock there and holds it until released. The second block then fills
-	// the one-deep queue and the third cannot be enqueued, however the
-	// goroutines are scheduled. The lock is held as well because that is
-	// the failure being modelled: a disconnect must still be recorded while
-	// the analysis path sits on c.mu.
-	var c *Collector
+	// Wedge the analysis side on the producer's first block: the worker
+	// writes the spill under the collector lock, and the spill holds that
+	// write until released. The second block then fills the one-deep queue
+	// and the third cannot be enqueued, however the goroutines are
+	// scheduled. The lock is held because that is the failure being
+	// modelled: a disconnect must still be recorded while the analysis path
+	// sits on c.mu.
 	release := make(chan struct{})
-	var wedge sync.Once
-	c = NewCollector(Options{
+	c := NewCollector(Options{
 		QueueBlocks:    1,
 		EnqueueTimeout: 50 * time.Millisecond,
 		CPUSlots:       8,
-		Forward: func(stream.BlockHeader, []uint64, []event.Event) {
-			wedge.Do(func() {
-				c.mu.Lock()
-				<-release
-				c.mu.Unlock()
-			})
-		},
+		Spill:          &wedgedSpill{w: io.Discard, release: release},
 	})
 	handler := c.Handler()
 	served := make(chan error, 1) // relay.Send makes one connection
@@ -330,22 +322,18 @@ func TestSlowProducerDisconnected(t *testing.T) {
 // TestDrainReadsAFinishedSender: a sender that has written its blocks and
 // exited loses none of them to a shutdown that follows at once. The
 // collector's reader is wedged behind its worker (a one-deep queue and a
-// Forward that waits) while the sender finishes, so most of the stream is
-// still in the socket when CloseNow begins, and the wedge is let go only
-// once CloseNow has dealt with the connection — once the listener, which it
-// closes after, refuses a dial. A CloseNow that closed the connection lost
-// what the socket held.
+// spill whose first block write waits) while the sender finishes, so most
+// of the stream is still in the socket when CloseNow begins, and the wedge
+// is let go only once CloseNow has dealt with the connection — once the
+// listener, which it closes after, refuses a dial. A CloseNow that closed
+// the connection lost what the socket held.
 func TestDrainReadsAFinishedSender(t *testing.T) {
 	release := make(chan struct{})
-	var wedge sync.Once
 	var spill bytes.Buffer
 	c := NewCollector(Options{
 		QueueBlocks: 1,
 		CPUSlots:    8,
-		Spill:       &spill,
-		Forward: func(stream.BlockHeader, []uint64, []event.Event) {
-			wedge.Do(func() { <-release })
-		},
+		Spill:       &wedgedSpill{w: &spill, release: release},
 	})
 	srv, err := relay.ListenConns("127.0.0.1:0", c.Handler())
 	if err != nil {
@@ -410,6 +398,23 @@ func TestDrainReadsAFinishedSender(t *testing.T) {
 	if d := c.disconnectCounts(); len(d) != 0 {
 		t.Errorf("disconnects %v, want none", d)
 	}
+}
+
+// wedgedSpill is a spill that holds its first block write until release is
+// closed. Its first Write is the file header, written when the first
+// producer registers; the collector then writes every block under its lock,
+// so the wedge holds that too.
+type wedgedSpill struct {
+	w       io.Writer
+	release chan struct{}
+	writes  int
+}
+
+func (s *wedgedSpill) Write(p []byte) (int, error) {
+	if s.writes++; s.writes == 2 {
+		<-s.release
+	}
+	return s.w.Write(p)
 }
 
 // TestDrainCutsAnOpenSender: a producer that keeps its connection open past

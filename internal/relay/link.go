@@ -37,8 +37,6 @@ type ReliableOptions struct {
 	MaxAttempts int
 	// DialTimeout bounds each dial (default 2s).
 	DialTimeout time.Duration
-	// OnRetry, if set, observes each failed attempt.
-	OnRetry func(err error, attempt int)
 	// Resolve, if set, is consulted before every dial and overrides the
 	// addr argument. This is the federation rebalance hook: a producer
 	// resolves its collector through the aggregator's consistent-hash
@@ -122,9 +120,6 @@ func (l *Link) attempt(h *stream.BlockHeader, words []uint64) error {
 		}
 		if err == nil {
 			return nil
-		}
-		if l.opt.OnRetry != nil {
-			l.opt.OnRetry(err, attempt)
 		}
 		if attempt >= l.opt.MaxAttempts {
 			return fmt.Errorf("relay: %s: attempt %d of %d failed: %w", l.addr, attempt, l.opt.MaxAttempts, err)
