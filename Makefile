@@ -40,16 +40,18 @@ CORES ?= 1 4
 # core count, the daemons composed in one process (collector, federation,
 # store), the federation's mask fan-down, which races the heartbeat period
 # against the expiry on read and the producers' redials
-# (TestRebalanceMaskHandoff, TestFederatedOverviewParity), the per-P
+# (TestRebalanceMaskHandoff, TestFederatedOverviewParity), the federation
+# chaos soak, where heartbeats, ring reads and expiry race on the one
+# membership lock (TestChaosSoakFederation), the per-P
 # logging path's parked batches against mask flips, quiescence and a
 # blocked logger, and the one stuck seal: a writer wrapping onto a stuck
 # buffer, alone or behind another logger in flight (TestScheduledReclaim,
 # TestReclaimRequiresSoleInflight), and racing a polling consumer for it
 # (TestStuckSealRace). Three repeats take
-# about 4 min on a 2-core host (internal/fed about 12 s of each core
+# about 4.5 min on a 2-core host (internal/fed about 18 s of each core
 # count), so that is the default; CI's stress job runs STRESS_COUNT=10.
 STRESS_PKGS = ./internal/core/ ./internal/store/ ./internal/stream/ ./internal/live/ ./internal/fed/ ./internal/daemon/
-STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestDrainReadsAFinishedSender$$|TestAdmissionControl$$|TestSnapshotUnderChurn$$|TestDigestScratchIsAChunk$$|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$|TestRebalanceMaskHandoff$$|TestFederatedOverviewParity$$|TestScheduledReclaim$$|TestReclaimRequiresSoleInflight$$|TestStuckSealRace$$
+STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestDrainReadsAFinishedSender$$|TestAdmissionControl$$|TestSnapshotUnderChurn$$|TestDigestScratchIsAChunk$$|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$|TestRebalanceMaskHandoff$$|TestFederatedOverviewParity$$|TestChaosSoakFederation$$|TestScheduledReclaim$$|TestReclaimRequiresSoleInflight$$|TestStuckSealRace$$
 STRESS_CORES ?= 1 2 4
 STRESS_COUNT ?= 3
 

@@ -19,9 +19,9 @@ import (
 )
 
 // TestEveryExportedNameIsUsed: every exported top-level function or method
-// declared in a non-test file under internal/ is called from non-test code
-// of the module (its own package included), implements a method of an
-// interface, is named in a DESIGN.md §3 row (the experiment is its caller),
+// declared in a non-test file of the root package (the facade) or under
+// internal/ is called from non-test code of the module (its own package
+// included), implements a method of an interface, is named in a DESIGN.md §3 row (the experiment is its caller),
 // is called by an Example in the root package (the facade's documented
 // API), or lives in a package whose doc comment says it is test support.
 // There is no allow-list: a name that meets none of these is deleted or
@@ -37,13 +37,14 @@ func TestEveryExportedNameIsUsed(t *testing.T) {
 }
 
 // TestUnusedExportedReportsOnlyTheUncalled runs the check over a fixture
-// module holding one name of each kind it keeps and one it must report.
+// module holding one name of each kind it keeps, and one it must report
+// in its root package and one under internal/.
 func TestUnusedExportedReportsOnlyTheUncalled(t *testing.T) {
 	unused, err := unusedExported("testdata/unused")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"p.Uncalled"}; !slices.Equal(unused, want) {
+	if want := []string{"fixture.Unshown", "p.Uncalled"}; !slices.Equal(unused, want) {
 		t.Errorf("unused = %q, want %q", unused, want)
 	}
 }
@@ -53,8 +54,9 @@ func TestUnusedExportedReportsOnlyTheUncalled(t *testing.T) {
 const testSupport = "It is test support"
 
 // unusedExported type-checks every non-test package of the module rooted
-// at root, from source, and returns the exported functions and methods
-// under internal/ that none of TestEveryExportedNameIsUsed's rules keep,
+// at root, from source, and returns the exported functions and methods of
+// its root package and under internal/ that none of
+// TestEveryExportedNameIsUsed's rules keep,
 // as sorted "pkg.Name" and "pkg.Type.Method" strings.
 func unusedExported(root string) ([]string, error) {
 	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
@@ -105,7 +107,7 @@ func unusedExported(root string) ([]string, error) {
 	}
 	cands := map[*types.Func]candidate{}
 	for path, files := range mod.byPkg {
-		if !strings.HasPrefix(path, mod.path+"/internal/") || strings.Contains(mod.docs[path], testSupport) {
+		if path != mod.path && !strings.HasPrefix(path, mod.path+"/internal/") || strings.Contains(mod.docs[path], testSupport) {
 			continue
 		}
 		for _, f := range files {

@@ -6,60 +6,11 @@ import (
 	"testing"
 
 	ktrace "k42trace"
-	"k42trace/internal/relay"
-	"k42trace/internal/stream"
 )
 
 func TestCompiledInDefault(t *testing.T) {
 	if !ktrace.CompiledIn {
 		t.Fatal("default builds must have tracing compiled in")
-	}
-}
-
-// TestFacadeRelayRoundTrip: what RelaySend ships is a trace file, block for
-// block, to a receiver that copies the wire into a stream.Writer.
-func TestFacadeRelayRoundTrip(t *testing.T) {
-	var file bytes.Buffer
-	var st stream.CopyStats
-	srv, err := relay.ListenConns("127.0.0.1:0", func(c relay.Conn) error {
-		wr, err := stream.NewWriter(&file, c.Stream.Meta())
-		if err != nil {
-			return err
-		}
-		st, err = c.Stream.CopyTo(wr)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := ktrace.MustNew(ktrace.Config{CPUs: 1, BufWords: 64, NumBufs: 4,
-		Mode: ktrace.Stream, Clock: ktrace.NewManualClock(1)})
-	tr.EnableAll()
-	done := make(chan error, 1)
-	go func() {
-		_, err := ktrace.RelaySend(tr, srv.Addr())
-		done <- err
-	}()
-	c := tr.CPU(0)
-	for i := 0; i < 200; i++ {
-		c.Log1(ktrace.MajorUser, 30, uint64(i))
-	}
-	tr.Stop()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st.Blocks == 0 || st.Anomalies != 0 {
-		t.Fatalf("blocks=%d anoms=%d", st.Blocks, st.Anomalies)
-	}
-	rd, err := ktrace.NewReader(bytes.NewReader(file.Bytes()), int64(file.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.NumBlocks() != st.Blocks {
-		t.Errorf("file blocks %d != %d", rd.NumBlocks(), st.Blocks)
 	}
 }
 

@@ -239,11 +239,13 @@ func TestExitStatus(t *testing.T) {
 		{"tracecolld", []string{"-store", "http://127.0.0.1:1", "-listen", lo, "-http", lo}, 2, "tracecolld: -store uploads the spill: it needs -spill\n"},
 		{"tracecolld", []string{"-name", "s1", "-heartbeat", "100ms", "-listen", lo, "-http", lo}, 2, "tracecolld: federating needs -agg-http (set: -heartbeat, -name)\n"},
 		{"tracecolld", []string{"-advertise", lo, "-listen", lo, "-http", lo}, 2, "tracecolld: federating needs -agg-http (set: -advertise)\n"},
+		{"tracecolld", []string{"-agg-http", "http://127.0.0.1:1", "-heartbeat", "0", "-listen", lo, "-http", lo}, 2, "tracecolld: -heartbeat 0s: want a positive period\n"},
 		{"tracecolld", []string{"-spill", missing}, 1, "tracecolld: open "},
 		{"tracecolld", inUse, 1, "address already in use"},
 		{"traceaggd", inUse[2:], 1, "address already in use"},
 		{"tracestored", append([]string{"-root", dir, "-relay"}, inUse[1:]...), 1, "address already in use"},
 		{"traceaggd", []string{"-mask", "nope"}, 2, "traceaggd: bad -mask: "},
+		{"traceaggd", []string{"-member-ttl", "-1s", "-http", lo}, 2, "traceaggd: -member-ttl -1s: want a positive period\n"},
 		{"tracestored", nil, 2, "usage: tracestored -root DIR [-http ADDR] [-watch DIR] [-relay ADDR]\n  -cache-bytes int"},
 		{"tracestored", []string{"-root", filepath.Join(os.Args[0], "under-a-file")}, 1, "tracestored: "},
 		{"tracestored", []string{"-root", dir, "-watch", dir, "-watch-every", "0"}, 2, "tracestored: -watch-every 0s: want a positive period\n"},

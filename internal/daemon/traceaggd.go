@@ -23,6 +23,9 @@ func Traceaggd(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	if code, ok := p.parse(args); !ok {
 		return code
 	}
+	if opt.MemberTTL <= 0 {
+		return p.usage("-member-ttl %v: want a positive period", opt.MemberTTL)
+	}
 	var mask uint64
 	if *maskSpec != "" {
 		var err error

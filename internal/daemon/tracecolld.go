@@ -85,6 +85,9 @@ func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	if len(fedFlags) > 0 {
 		return p.usage("federating needs -agg-http (set: %s)", strings.Join(fedFlags, ", "))
 	}
+	if so.HeartbeatEvery <= 0 {
+		return p.usage("-heartbeat %v: want a positive period", so.HeartbeatEvery)
+	}
 	var mask uint64
 	var err error
 	if *maskSpec != "" {

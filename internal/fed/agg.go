@@ -82,20 +82,23 @@ type FedOverview struct {
 	MaskEpochs []analysis.MaskEpoch   `json:"mask_epochs,omitempty"`
 }
 
-// Overview builds the federated overview document.
+// Overview builds the federated overview document from one snapshot of
+// the membership. Every member's overview folds in — active, left and
+// expired alike, since all of it was really ingested — in name order, so
+// a pid two shards name differently keeps the name-first shard's name.
 func (a *Aggregator) Overview() FedOverview {
-	members := a.ms.Members()
-	doc := FedOverview{
-		Epoch:    a.ms.Ring().Epoch(),
-		Overview: a.ms.MergedOverview(),
-	}
+	members, epoch := a.ms.snapshot()
+	doc := FedOverview{Epoch: epoch}
+	parts := make([][]analysis.ProcSummary, 0, len(members))
 	for _, m := range members {
 		doc.Members = append(doc.Members, FedMember{
 			Name: m.Name, Addr: m.Addr, HTTP: m.HTTP, State: m.State,
 			Producers: m.Producers, Blocks: m.Blocks, Events: m.Events, Beats: m.Beats,
 		})
+		parts = append(parts, m.Overview)
 		doc.MaskEpochs = append(doc.MaskEpochs, m.MaskEpochs...)
 	}
+	doc.Overview = analysis.MergeOverview(parts...)
 	slices.SortStableFunc(doc.MaskEpochs, func(x, y analysis.MaskEpoch) int { return cmp.Compare(x.Time, y.Time) })
 	return doc
 }
@@ -152,9 +155,10 @@ func (a *Aggregator) Mux() *http.ServeMux {
 // collector's page, the mask gauge counts enabled majors, since a 64-bit
 // mask does not fit a float64 sample exactly.
 func (a *Aggregator) writeMetrics(w io.Writer) {
+	members, epoch := a.ms.snapshot()
 	states := map[MemberState]int64{}
 	var beats uint64
-	for _, m := range a.ms.Members() {
+	for _, m := range members {
 		states[m.State]++
 		beats += m.Beats
 	}
@@ -163,7 +167,7 @@ func (a *Aggregator) writeMetrics(w io.Writer) {
 		promtext.Sample(w, "traceaggd_members", states[st], "state", string(st))
 	}
 	promtext.Family(w, "traceaggd_ring_epoch", "gauge", "Ring epoch, advanced by every membership change.")
-	promtext.Sample(w, "traceaggd_ring_epoch", a.ms.Ring().Epoch())
+	promtext.Sample(w, "traceaggd_ring_epoch", epoch)
 	promtext.Family(w, "traceaggd_heartbeats_total", "counter", "Shard heartbeats received.")
 	promtext.Sample(w, "traceaggd_heartbeats_total", beats)
 	majors := int64(-1)

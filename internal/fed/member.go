@@ -1,10 +1,11 @@
 // Membership: the aggregator's view of its collector pool. Shards
 // announce themselves with periodic HTTP heartbeats carrying their
-// cumulative overview and their newest mask epochs; the aggregator keeps active members on the
-// consistent-hash ring, expires members whose heartbeats stop (a
-// SIGKILLed collector), and removes — but remembers — members that leave
-// gracefully, so the federated merged overview still covers everything
-// they ingested before draining.
+// cumulative overview and their newest mask epochs; the aggregator
+// derives the consistent-hash ring from its active members, expires
+// members whose heartbeats stop (a SIGKILLed collector), and takes off
+// the ring — but remembers — members that leave gracefully, so the
+// federated merged overview still covers everything they ingested before
+// draining.
 package fed
 
 import (
@@ -72,83 +73,93 @@ type Member struct {
 	Beats uint64 `json:"beats"`
 }
 
-// Membership tracks the shard pool behind an aggregator.
+// Membership tracks the shard pool behind an aggregator. The ring is
+// derived from the member records under the same lock: its members are
+// the distinct addresses of the active members, and its epoch advances
+// whenever that set changes.
 type Membership struct {
-	ring *Ring
-	ttl  time.Duration
+	ttl time.Duration
 
 	mu      sync.Mutex
 	members map[string]*Member // keyed by Name
-	now     func() time.Time   // test seam
+	ring    []string           // the active members' addresses, sorted and distinct
+	epoch   uint64
+	now     func() time.Time // test seam
 }
 
 // NewMembership builds a membership with the given heartbeat TTL
-// (<= 0 means 3 s) and DefaultVnodes per member on its ring.
+// (<= 0 means 3 s).
 func NewMembership(ttl time.Duration) *Membership {
 	if ttl <= 0 {
 		ttl = 3 * time.Second
 	}
 	return &Membership{
-		ring:    NewRing(DefaultVnodes),
 		ttl:     ttl,
 		members: map[string]*Member{},
 		now:     time.Now,
 	}
 }
 
-// Ring exposes the membership's consistent-hash ring.
-func (ms *Membership) Ring() *Ring { return ms.ring }
-
 // Beat absorbs one heartbeat, joining (or rejoining) the member, and
 // reports the resulting ring epoch. A rejoin after expiry or a graceful
-// leave re-adds the member to the ring; Overview and counters always
-// reflect the newest heartbeat, since shards report cumulative state.
+// leave puts the member's address back on the ring; Overview and counters
+// always reflect the newest heartbeat, since shards report cumulative
+// state.
 func (ms *Membership) Beat(hb Heartbeat) (epoch uint64) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	ms.expireLocked()
 	m := ms.members[hb.Name]
 	if m == nil {
 		m = &Member{Joined: ms.now()}
 		ms.members[hb.Name] = m
 	}
-	if m.State == StateActive && m.Addr != hb.Addr && m.Addr != "" {
-		// Readdressed shard (restart on a new port): the old address must
-		// leave the ring or producers would keep hashing onto a corpse.
-		ms.ring.Remove(m.Addr)
-	}
 	m.Heartbeat = hb
 	m.LastSeen = ms.now()
 	m.Beats++
+	m.State = StateActive
 	if hb.Leaving {
 		m.State = StateLeft
-		ms.ring.Remove(hb.Addr)
-	} else {
-		m.State = StateActive
-		ms.ring.Add(hb.Addr)
 	}
-	return ms.ring.Epoch()
+	ms.refreshLocked()
+	return ms.epoch
 }
 
-// expireLocked expires members whose heartbeats stopped, removing them
-// from the ring. Every read of the membership calls it first, so a reader
-// never sees a member that is provably dead as active.
-func (ms *Membership) expireLocked() {
+// refreshLocked expires members whose heartbeats stopped and derives the
+// ring from the members left active. Every beat and every read of the
+// membership calls it, so a reader never sees a member that is provably
+// dead as active, and an address stays on the ring while any active
+// member still announces it.
+func (ms *Membership) refreshLocked() {
 	cutoff := ms.now().Add(-ms.ttl)
+	var ring []string
 	for _, m := range ms.members {
 		if m.State == StateActive && m.LastSeen.Before(cutoff) {
 			m.State = StateExpired
-			ms.ring.Remove(m.Addr)
 		}
+		if m.State == StateActive {
+			ring = append(ring, m.Addr)
+		}
+	}
+	slices.Sort(ring)
+	if ring = slices.Compact(ring); !slices.Equal(ring, ms.ring) {
+		ms.ring = ring
+		ms.epoch++
 	}
 }
 
 // Members returns a copy of every member record, active or not, in name
 // order, after expiring the members whose heartbeats stopped.
 func (ms *Membership) Members() []Member {
+	members, _ := ms.snapshot()
+	return members
+}
+
+// snapshot is Members together with the ring epoch they give, both read
+// under one lock.
+func (ms *Membership) snapshot() ([]Member, uint64) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	ms.expireLocked()
+	ms.refreshLocked()
 	out := make([]Member, 0, len(ms.members))
 	for _, name := range slices.Sorted(maps.Keys(ms.members)) {
 		cp := *ms.members[name]
@@ -156,24 +167,7 @@ func (ms *Membership) Members() []Member {
 		cp.MaskEpochs = append([]analysis.MaskEpoch(nil), cp.MaskEpochs...)
 		out = append(out, cp)
 	}
-	return out
-}
-
-// MergedOverview folds every member's cumulative overview (active, left,
-// and expired alike — all of it was really ingested) into the federated
-// per-process summary, using the same Merge form the parallel offline
-// analyses use. Because each shard's overview equals the offline Overview
-// of its own spill, this merge equals the offline Overview of the
-// concatenated shard spills. Members fold in name order, so a pid two
-// shards name differently keeps the name-first shard's name.
-func (ms *Membership) MergedOverview() []analysis.ProcSummary {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	parts := make([][]analysis.ProcSummary, 0, len(ms.members))
-	for _, name := range slices.Sorted(maps.Keys(ms.members)) {
-		parts = append(parts, ms.members[name].Overview)
-	}
-	return analysis.MergeOverview(parts...)
+	return out, ms.epoch
 }
 
 // RingDoc is the GET /fed/ring document: everything a producer needs to
@@ -188,22 +182,14 @@ type RingDoc struct {
 // Doc snapshots the ring document.
 func (ms *Membership) Doc() RingDoc {
 	ms.mu.Lock()
-	ms.expireLocked()
-	ms.mu.Unlock()
-	return RingDoc{
-		Epoch:   ms.ring.Epoch(),
-		Vnodes:  ms.ring.Vnodes(),
-		Members: ms.ring.Members(),
-	}
+	defer ms.mu.Unlock()
+	ms.refreshLocked()
+	return RingDoc{Epoch: ms.epoch, Vnodes: DefaultVnodes, Members: append([]string{}, ms.ring...)}
 }
 
 // Owner resolves a producer key against the ring document, exactly as a
-// client would: build the ring from the member set and hash. Exported so
-// producers, tests, and the aggregator share one assignment function.
+// client would: hash it onto the ring of the document's members.
+// Exported so producers and tests share one assignment function.
 func (d RingDoc) Owner(key string) (string, bool) {
-	r := NewRing(d.Vnodes)
-	for _, m := range d.Members {
-		r.Add(m)
-	}
-	return r.Owner(key)
+	return owner(d.Members, d.Vnodes, key)
 }

@@ -11,32 +11,27 @@ import (
 )
 
 // TestRingDeterministicOwnership: ownership is a pure function of the
-// member set — independent of insertion order, stable across rebuilds,
-// and identical between the server-side Ring and the client-side
-// RingDoc.Owner that producers compute from the HTTP document.
+// member set — independent of member order, and identical between the
+// aggregator's owner and the client-side RingDoc.Owner that producers
+// compute from the HTTP document. The pinned rows are assignments the
+// ring has always made: producers already running keep their shards.
 func TestRingDeterministicOwnership(t *testing.T) {
 	members := []string{"10.0.0.1:7042", "10.0.0.2:7042", "10.0.0.3:7042"}
-	a := NewRing(0)
-	for _, m := range members {
-		a.Add(m)
-	}
-	b := NewRing(0)
-	for i := len(members) - 1; i >= 0; i-- {
-		b.Add(members[i])
-	}
+	reversed := slices.Clone(members)
+	slices.Reverse(reversed)
 	doc := RingDoc{Vnodes: DefaultVnodes, Members: members}
 	seen := map[string]int{}
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("producer-%d", i)
-		oa, ok := a.Owner(key)
+		oa, ok := owner(members, DefaultVnodes, key)
 		if !ok {
 			t.Fatal("ring claims to be empty")
 		}
-		if ob, _ := b.Owner(key); ob != oa {
-			t.Fatalf("key %q: owner depends on insertion order (%s vs %s)", key, oa, ob)
+		if ob, _ := owner(reversed, DefaultVnodes, key); ob != oa {
+			t.Fatalf("key %q: owner depends on member order (%s vs %s)", key, oa, ob)
 		}
 		if od, _ := doc.Owner(key); od != oa {
-			t.Fatalf("key %q: client-side doc owner %s != server owner %s", key, od, oa)
+			t.Fatalf("key %q: client-side doc owner %s != owner %s", key, od, oa)
 		}
 		seen[oa]++
 	}
@@ -48,30 +43,44 @@ func TestRingDeterministicOwnership(t *testing.T) {
 			t.Errorf("member %s owns only %d/1000 keys", m, seen[m])
 		}
 	}
+
+	for _, row := range []struct {
+		members    []string
+		key, owner string
+	}{
+		{members, "producer-0", "10.0.0.3:7042"},
+		{members, "producer-42", "10.0.0.2:7042"},
+		{members, "web-1", "10.0.0.1:7042"},
+		{members, "k0", "10.0.0.2:7042"},
+		{[]string{"127.0.0.1:7154", "127.0.0.1:7156"}, "producer-0", "127.0.0.1:7156"},
+		{[]string{"127.0.0.1:7154", "127.0.0.1:7156"}, "web-1", "127.0.0.1:7154"},
+		{[]string{"a:1", "b:1", "c:1", "d:1"}, "producer-0", "d:1"},
+		{[]string{"a:1", "b:1", "c:1", "d:1"}, "producer-42", "a:1"},
+		{[]string{"a:1", "b:1", "c:1", "d:1"}, "web-1", "b:1"},
+		{[]string{"a:1", "b:1", "c:1", "d:1"}, "", "c:1"},
+		{[]string{"h1:1"}, "sdet-3", "h1:1"},
+	} {
+		if got, _ := (RingDoc{Members: row.members}).Owner(row.key); got != row.owner {
+			t.Errorf("members %q, key %q: owner %s, want %s", row.members, row.key, got, row.owner)
+		}
+	}
+	if got, ok := owner(nil, DefaultVnodes, "producer-0"); ok {
+		t.Errorf("empty ring owns a key: %s", got)
+	}
 }
 
 // TestRingMinimalDisruption: removing one member moves ONLY the keys it
 // owned; every other key keeps its owner. That is the property that makes
 // a shard death rehash only the dead shard's producers.
 func TestRingMinimalDisruption(t *testing.T) {
-	r := NewRing(0)
-	members := []string{"a:1", "b:1", "c:1", "d:1"}
-	for _, m := range members {
-		r.Add(m)
-	}
 	before := map[string]string{}
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("k%d", i)
-		before[key], _ = r.Owner(key)
-	}
-	epoch := r.Epoch()
-	r.Remove("c:1")
-	if r.Epoch() <= epoch {
-		t.Fatal("Remove did not bump the epoch")
+		before[key], _ = owner([]string{"a:1", "b:1", "c:1", "d:1"}, DefaultVnodes, key)
 	}
 	moved := 0
 	for key, was := range before {
-		now, ok := r.Owner(key)
+		now, ok := owner([]string{"a:1", "b:1", "d:1"}, DefaultVnodes, key)
 		if !ok {
 			t.Fatal("ring empty after one removal")
 		}
@@ -87,14 +96,6 @@ func TestRingMinimalDisruption(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("removed member owned no keys; test proves nothing")
 	}
-	// Re-adding restores exactly the original assignment (pure function of
-	// the member set).
-	r.Add("c:1")
-	for key, was := range before {
-		if now, _ := r.Owner(key); now != was {
-			t.Fatalf("key %q: %s after rejoin, was %s", key, now, was)
-		}
-	}
 }
 
 // TestMembershipLifecycle walks one member through every state with a
@@ -103,7 +104,8 @@ func TestRingMinimalDisruption(t *testing.T) {
 // alone — with the ring tracking only the active phase and the merged
 // overview counting all of them.
 func TestMembershipLifecycle(t *testing.T) {
-	ms := NewMembership(time.Second)
+	a := NewAggregator(AggOptions{MemberTTL: time.Second})
+	ms := a.ms
 	now := time.Unix(1000, 0)
 	ms.now = func() time.Time { return now }
 
@@ -132,7 +134,7 @@ func TestMembershipLifecycle(t *testing.T) {
 		t.Fatalf("states %v", states)
 	}
 	// Expired members keep counting: merged = s1's newest (8) + s2's last (3).
-	merged := ms.MergedOverview()
+	merged := a.Overview().Overview
 	if len(merged) != 1 || merged[0].Events != 11 {
 		t.Fatalf("merged overview %+v, want pid 7 events 11", merged)
 	}
@@ -153,7 +155,7 @@ func TestMembershipLifecycle(t *testing.T) {
 	if got := ms.Doc().Members; len(got) != 1 || got[0] != "h1:1" {
 		t.Fatalf("after leave, ring members %v", got)
 	}
-	merged = ms.MergedOverview()
+	merged = a.Overview().Overview
 	if len(merged) != 1 || merged[0].Events != 17 {
 		t.Fatalf("merged after leave %+v, want events 17", merged)
 	}
@@ -166,7 +168,7 @@ func TestMembershipLifecycle(t *testing.T) {
 
 	// s1 falls silent past the TTL and nothing beats or reads the ring
 	// document: reading the members alone expires it.
-	epoch := ms.Ring().Epoch()
+	epoch := ms.Doc().Epoch
 	now = now.Add(1500 * time.Millisecond)
 	states = map[string]MemberState{}
 	for _, m := range ms.Members() {
@@ -175,11 +177,38 @@ func TestMembershipLifecycle(t *testing.T) {
 	if states["s1"] != StateExpired || states["s2"] != StateLeft {
 		t.Fatalf("after s1's silence, Members() reports states %v, want s1 expired, s2 left", states)
 	}
-	if got := ms.Ring().Epoch(); got <= epoch {
+	if got := ms.epoch; got <= epoch {
 		t.Errorf("ring epoch %d after Members() expired s1, want past %d", got, epoch)
 	}
-	if got := ms.Ring().Members(); len(got) != 0 {
+	if got := ms.ring; len(got) != 0 {
 		t.Errorf("ring members %v after Members() expired s1, want none", got)
+	}
+}
+
+// TestSharedAddressStaysOnRing: an address stays on the ring while any
+// active member announces it, whether another member at the same address
+// expires or leaves gracefully.
+func TestSharedAddressStaysOnRing(t *testing.T) {
+	now := time.Unix(1000, 0)
+	clock := func() time.Time { return now }
+	ms := NewMembership(time.Second)
+	ms.now = clock
+
+	ms.Beat(Heartbeat{Name: "a", Addr: "x:1"})
+	now = now.Add(600 * time.Millisecond)
+	ms.Beat(Heartbeat{Name: "b", Addr: "x:1"})
+	now = now.Add(600 * time.Millisecond) // a expires, b is active
+	if got := ms.Doc().Members; !slices.Equal(got, []string{"x:1"}) {
+		t.Errorf("after a expired, ring members %q, want [x:1] (b is active there)", got)
+	}
+
+	ms = NewMembership(time.Second)
+	ms.now = clock
+	ms.Beat(Heartbeat{Name: "c", Addr: "y:1"})
+	ms.Beat(Heartbeat{Name: "d", Addr: "y:1"})
+	ms.Beat(Heartbeat{Name: "c", Addr: "y:1", Leaving: true})
+	if got := ms.Doc().Members; !slices.Equal(got, []string{"y:1"}) {
+		t.Errorf("after c left, ring members %q, want [y:1] (d is active there)", got)
 	}
 }
 

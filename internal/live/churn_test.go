@@ -56,7 +56,7 @@ func TestSnapshotUnderChurn(t *testing.T) {
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
-					relay.Send(tr, srv.Addr())
+					relay.SendThrough(tr, srv.Addr(), nil)
 				}()
 				for k := 0; k < 200; k++ {
 					tr.CPU(k%2).Log1(event.MajorTest, 1, uint64(i)<<32|uint64(k))

@@ -24,7 +24,7 @@ import (
 )
 
 // waitFor polls cond until it holds or the deadline passes. A producer's
-// Send returning only means its bytes reached the socket; the server may
+// send returning only means its bytes reached the socket; the server may
 // accept and process them later, so server-side state must be awaited.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -52,7 +52,7 @@ func runSDETProducer(t *testing.T, addr string, seed int64) {
 	tr.EnableAll()
 	done := make(chan error, 1)
 	go func() {
-		_, err := relay.Send(tr, addr)
+		_, err := relay.SendThrough(tr, addr, nil)
 		done <- err
 	}()
 	_, err = k.Run(sdet.Workload(2, sdet.Params{ScriptsPerCPU: 2, CommandsPerScript: 3, Seed: seed}))
@@ -268,7 +268,7 @@ func TestSlowProducerDisconnected(t *testing.T) {
 		Spill:          &wedgedSpill{w: io.Discard, release: release},
 	})
 	handler := c.Handler()
-	served := make(chan error, 1) // relay.Send makes one connection
+	served := make(chan error, 1) // relay.SendThrough makes one connection
 	srv, err := relay.ListenConns("127.0.0.1:0", func(conn relay.Conn) error {
 		err := handler(conn)
 		served <- err
@@ -288,7 +288,7 @@ func TestSlowProducerDisconnected(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		relay.Send(tr, srv.Addr()) // fails when the collector hangs up; that's the point
+		relay.SendThrough(tr, srv.Addr(), nil) // fails when the collector hangs up; that's the point
 	}()
 	go func() {
 		for i := 0; i < 2000; i++ {
@@ -354,7 +354,7 @@ func TestDrainReadsAFinishedSender(t *testing.T) {
 	}
 	sent := make(chan result, 1)
 	go func() {
-		st, err := relay.Send(tr, addr)
+		st, err := relay.SendThrough(tr, addr, nil)
 		sent <- result{st, err}
 	}()
 	for i := 0; i < 16*511; i++ {
@@ -483,7 +483,7 @@ func TestAdmissionControl(t *testing.T) {
 		tr.EnableAll()
 		tr.CPU(0).Log1(event.MajorTest, 1, 1)
 		tr.Stop()
-		relay.Send(tr, addr)
+		relay.SendThrough(tr, addr, nil)
 	}
 
 	send(srv.Addr(), 2, 64)
@@ -547,7 +547,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := newLoggedTracer(t, 100)
-	if _, err := relay.Send(tr, srv.Addr()); err != nil {
+	if _, err := relay.SendThrough(tr, srv.Addr(), nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "producer to finish", func() bool {

@@ -7,7 +7,7 @@
 // sequence numbers letting a collector or the salvager drop the rare
 // duplicate. What becomes of a block it could not deliver within
 // MaxAttempts is the caller's decision, not the link's: see SendReliable
-// and Send for the two give-up policies.
+// and SendThrough for the two give-up policies.
 package relay
 
 import (
@@ -33,7 +33,7 @@ type ReliableOptions struct {
 	MaxBackoff     time.Duration
 	// MaxAttempts bounds dial-plus-write attempts per block (default 8).
 	// A block that exhausts them is the caller's to give up on: see
-	// SendReliable and Send for the two policies.
+	// SendReliable and SendThrough for the two policies.
 	MaxAttempts int
 	// DialTimeout bounds each dial (default 2s).
 	DialTimeout time.Duration
@@ -188,19 +188,14 @@ func (l *Link) Stats() LinkStats {
 	}
 }
 
-// Send streams a tracer's sealed buffers to addr until the tracer is
-// stopped. It is the producer side: dial, then drain onto the connection.
-func Send(tr stream.Source, addr string) (stream.CaptureStats, error) {
-	return SendThrough(tr, addr, nil)
-}
-
-// SendThrough is Send with a transport-transform hook: wrap receives the
-// dialed connection and returns the writer the blocks go into. It is the
-// seam where fault injection (or compression, throttling, ...) plugs into
-// the relay path without the tracer or the collector knowing. A nil wrap
-// sends directly. It is a Link with one attempt: a collector that cannot
-// be dialed fails before the source is touched, and the first failed
-// write ends the send.
+// SendThrough streams a tracer's sealed buffers to addr until the tracer
+// is stopped: the producer side, dial and then drain onto the connection.
+// wrap, if not nil, receives the dialed connection and returns the writer
+// the blocks go into. It is the seam where fault injection (or
+// compression, throttling, ...) plugs into the relay path without the
+// tracer or the collector knowing. It is a Link with one attempt: a
+// collector that cannot be dialed fails before the source is touched, and
+// the first failed write ends the send.
 func SendThrough(tr stream.Source, addr string, wrap func(io.Writer) io.Writer) (stream.CaptureStats, error) {
 	l := NewLink(addr, stream.MetaOf(tr), ReliableOptions{Wrap: wrap, MaxAttempts: 1})
 	if err := l.Connect(); err != nil {
@@ -224,7 +219,7 @@ type ReliableStats struct {
 
 // SendReliable streams a source's sealed buffers to addr until the source
 // is stopped, riding out collector restarts on a Link. Run it from its
-// own goroutine, like Send; it returns after the source's Sealed channel
+// own goroutine, like SendThrough; it returns after the source's Sealed channel
 // closes. The source is usually the in-process core.Tracer, but the shm
 // daemon's Agent relays cross-process segments through the same path.
 //

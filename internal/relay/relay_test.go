@@ -72,7 +72,7 @@ func TestSendAndSaveOverLoopback(t *testing.T) {
 	tr := newStreamTracer()
 	sendDone := make(chan error, 1)
 	go func() {
-		_, err := Send(tr, fc.srv.Addr())
+		_, err := SendThrough(tr, fc.srv.Addr(), nil)
 		sendDone <- err
 	}()
 	const n = 500
@@ -129,7 +129,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 func TestSendToUnreachableAddr(t *testing.T) {
 	tr := newStreamTracer()
 	defer tr.Stop()
-	if _, err := Send(tr, "127.0.0.1:1"); err == nil {
+	if _, err := SendThrough(tr, "127.0.0.1:1", nil); err == nil {
 		t.Error("expected dial error")
 	}
 }

@@ -152,7 +152,7 @@ func TestListenConnsAssignsIdentity(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		tr := newStreamTracer()
 		done := make(chan error, 1)
-		go func() { _, err := Send(tr, srv.Addr()); done <- err }()
+		go func() { _, err := SendThrough(tr, srv.Addr(), nil); done <- err }()
 		tr.CPU(0).Log1(event.MajorTest, 1, 1)
 		tr.Stop()
 		if err := <-done; err != nil {

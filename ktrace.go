@@ -22,8 +22,9 @@
 //   - Self-describing events: each (major, minor) pair registers a token
 //     format and a printf-like display string, so generic tools can list
 //     and render any event.
-//   - Flight-recorder (circular) and streaming modes, with file, and
-//     network (relayfs-style) transports, plus the paper's analysis
+//   - Flight-recorder (circular) and streaming modes, with a file
+//     transport (and a network, relayfs-style one in cmd/tracerelay,
+//     cmd/ktraced and cmd/tracecolld), plus the paper's analysis
 //     tools: event listing, lock-contention analysis, statistical
 //     execution profiles, fine-grained time breakdowns, and per-CPU
 //     timeline rendering.
@@ -54,7 +55,6 @@ import (
 	"k42trace/internal/clock"
 	"k42trace/internal/core"
 	"k42trace/internal/event"
-	"k42trace/internal/relay"
 	"k42trace/internal/shm"
 	"k42trace/internal/stream"
 )
@@ -193,11 +193,6 @@ func NewRegistry() *Registry { return event.NewRegistry() }
 // Describe renders an event's name and display text via a registry.
 func Describe(r *Registry, e *Event) (name, text string) { return event.Describe(r, e) }
 
-// MakeHeader packs an event header word.
-func MakeHeader(timestamp uint32, length int, major Major, minor uint16) Header {
-	return event.MakeHeader(timestamp, length, major, minor)
-}
-
 // Pack encodes values per a token list into payload words.
 func Pack(toks []Token, vals []Value) ([]uint64, error) { return event.Pack(toks, vals) }
 
@@ -227,10 +222,7 @@ func NewSyncClock() *SyncClock { return clock.NewSync() }
 // NewManualClock returns a deterministic clock advancing step per read.
 func NewManualClock(step uint64) *ManualClock { return clock.NewManual(step) }
 
-// --- Trace files and network relay --------------------------------------------
-
-// TraceWriter serializes sealed buffers into the trace file format.
-type TraceWriter = stream.Writer
+// --- Trace files ---------------------------------------------------------------
 
 // TraceReader provides random access to a trace file.
 type TraceReader = stream.Reader
@@ -243,9 +235,6 @@ type BlockStream = stream.BlockStream
 
 // CaptureStats summarizes a capture run.
 type CaptureStats = stream.CaptureStats
-
-// NewWriter writes a trace-file header and returns a writer.
-func NewWriter(w io.Writer, meta TraceMeta) (*TraceWriter, error) { return stream.NewWriter(w, meta) }
 
 // NewReader opens a trace file of the given size for random access.
 func NewReader(r io.ReaderAt, size int64) (*TraceReader, error) { return stream.NewReader(r, size) }
@@ -286,10 +275,6 @@ func Salvage(r io.ReaderAt, size int64, workers int) ([]Event, *SalvageReport, e
 func SalvageTo(r io.ReaderAt, size int64, w io.Writer, workers int) (*SalvageReport, error) {
 	return stream.SalvageTo(r, size, w, workers)
 }
-
-// RelaySend streams a tracer's buffers to a collector over TCP, through
-// the same redialing link as every other sender, with one attempt a block.
-func RelaySend(tr *Tracer, addr string) (CaptureStats, error) { return relay.Send(tr, addr) }
 
 // --- Analysis ------------------------------------------------------------------
 

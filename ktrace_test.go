@@ -95,8 +95,4 @@ func TestPublicPackHelpers(t *testing.T) {
 	if vals[0].Int != 1 || vals[1].Int != 2 || vals[2].Str != "hi" {
 		t.Fatalf("vals %+v", vals)
 	}
-	h := ktrace.MakeHeader(5, 2, ktrace.MajorUser, 9)
-	if h.Timestamp() != 5 || h.Len() != 2 || h.Major() != ktrace.MajorUser || h.Minor() != 9 {
-		t.Fatal("header round trip failed")
-	}
 }

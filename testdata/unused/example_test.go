@@ -1,7 +1,11 @@
 package fixture_test
 
-import "fixture/internal/p"
+import (
+	"fixture"
+	"fixture/internal/p"
+)
 
 func Example() {
 	p.Documented()
+	fixture.Shown()
 }
