@@ -33,7 +33,9 @@ CORES ?= 1 4
 # merge), the chains that decode one block ahead of the merge, the merge's
 # pulled sources — a whole-file read's chains over a disordered file among
 # them — the pages whose capped merge abandons those chains mid-walk, the
-# collector's buffer recycling, its drain of a sender that has just exited
+# collector's buffer recycling and the bound on its buffers, where the
+# schedule decides how far a connection's reader runs ahead of its worker
+# (TestCollectorBuffersBounded), its drain of a sender that has just exited
 # and its CPU slot reuse, where a drained producer's worker gives its slice
 # back while new producers register (TestAdmissionControl,
 # TestSnapshotUnderChurn), the digest scans whose scratch is a chunk on any
@@ -51,13 +53,13 @@ CORES ?= 1 4
 # about 4.5 min on a 2-core host (internal/fed about 18 s of each core
 # count), so that is the default; CI's stress job runs STRESS_COUNT=10.
 STRESS_PKGS = ./internal/core/ ./internal/store/ ./internal/stream/ ./internal/live/ ./internal/fed/ ./internal/daemon/
-STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestDrainReadsAFinishedSender$$|TestAdmissionControl$$|TestSnapshotUnderChurn$$|TestDigestScratchIsAChunk$$|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$|TestRebalanceMaskHandoff$$|TestFederatedOverviewParity$$|TestChaosSoakFederation$$|TestScheduledReclaim$$|TestReclaimRequiresSoleInflight$$|TestStuckSealRace$$
+STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestCollectorBuffersBounded$$|TestDrainReadsAFinishedSender$$|TestAdmissionControl$$|TestSnapshotUnderChurn$$|TestDigestScratchIsAChunk$$|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$|TestRebalanceMaskHandoff$$|TestFederatedOverviewParity$$|TestChaosSoakFederation$$|TestScheduledReclaim$$|TestReclaimRequiresSoleInflight$$|TestStuckSealRace$$
 STRESS_CORES ?= 1 2 4
 STRESS_COUNT ?= 3
 
-.PHONY: check fmt build vet test test-cores race stress bench bench-e2e fuzz
+.PHONY: check fmt build vet test compiled-out test-cores race stress bench bench-e2e fuzz
 
-check: fmt vet build test race
+check: fmt vet build test compiled-out race
 
 # Fails, listing them, when any file is not gofmt-clean.
 fmt:
@@ -71,6 +73,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The compile-out switch: with -tags ktrace_off everything still vets, and
+# the root package's tests pass with CompiledIn false.
+compiled-out:
+	$(GO) vet -tags ktrace_off ./...
+	$(GO) test -tags ktrace_off .
 
 # The read-side fan-outs (block decode, store scan, per-CPU analysis) and
 # the collector's live ≡ offline parity at more than one core count: a test

@@ -249,7 +249,7 @@ func BenchmarkShmLog(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		wait := stream.CaptureAsync(ag, io.Discard)
+		wait := ktrace.CaptureAsync(ag, io.Discard)
 		cl, err := ktrace.Attach(ag.Path())
 		if err != nil {
 			b.Fatal(err)
@@ -280,7 +280,7 @@ func BenchmarkShmLog(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			wait := stream.CaptureAsync(ag, io.Discard)
+			wait := ktrace.CaptureAsync(ag, io.Discard)
 			cl, err := ktrace.Attach(ag.Path())
 			if err != nil {
 				b.Fatal(err)

@@ -240,7 +240,8 @@ func Example_salvage() {
 
 // Cross-process tracing: the daemon side creates a shared segment (most
 // deployments run cmd/ktraced for that), and any process attaches to it
-// and logs through its CPU handles with no system calls.
+// and logs through its CPU handles with no system calls. The agent is a
+// Source like a stream-mode tracer, so Capture drains it into a trace file.
 func Example_sharedMemory() {
 	dir, err := os.MkdirTemp("", "ktrace-example")
 	if err != nil {
@@ -256,6 +257,8 @@ func Example_sharedMemory() {
 	}
 	defer agent.Close()
 	agent.SetMask(ktrace.VisibleMask(ktrace.MajorUser))
+	var file bytes.Buffer
+	wait := ktrace.CaptureAsync(agent, &file)
 
 	client, err := ktrace.Attach(path)
 	if err != nil {
@@ -271,7 +274,28 @@ func Example_sharedMemory() {
 	fmt.Println("clients attached:", len(info.Clients))
 	client.Detach()
 	agent.Stop()
+	if _, err := wait(); err != nil {
+		fmt.Println(err)
+		return
+	}
+
+	rd, err := ktrace.NewReader(bytes.NewReader(file.Bytes()), int64(file.Len()))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	evs, _, err := rd.ReadAll()
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	for _, e := range evs {
+		if e.Major() == ktrace.MajorUser {
+			fmt.Println("read back: minor", e.Minor(), "payload", e.Data)
+		}
+	}
 	// Output:
 	// logged: true
 	// clients attached: 1
+	// read back: minor 1 payload [42]
 }

@@ -8,12 +8,6 @@ import (
 	ktrace "k42trace"
 )
 
-func TestCompiledInDefault(t *testing.T) {
-	if !ktrace.CompiledIn {
-		t.Fatal("default builds must have tracing compiled in")
-	}
-}
-
 func TestFacadeRedactAndCrashDump(t *testing.T) {
 	tr := ktrace.MustNew(ktrace.Config{CPUs: 1, BufWords: 128, NumBufs: 2})
 	tr.EnableAll()

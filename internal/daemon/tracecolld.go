@@ -46,7 +46,7 @@ func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	httpAddr := p.fs.String("http", "127.0.0.1:7043", "metrics/snapshot HTTP address")
 	p.fs.DurationVar(&opt.Window, "window", 250*time.Millisecond, "analysis window width (trace time)")
 	p.fs.IntVar(&opt.MaxWindows, "max-windows", 32, "live windows kept before eviction")
-	p.fs.IntVar(&opt.QueueBlocks, "queue", 64, "per-producer ingest queue depth, blocks")
+	p.fs.IntVar(&opt.QueueBlocks, "queue", live.DefaultQueueBlocks, "per-producer ingest queue depth, blocks")
 	p.fs.DurationVar(&opt.EnqueueTimeout, "slow", 5*time.Second, "how long a producer may wait on a full queue before disconnection")
 	p.fs.IntVar(&opt.CPUSlots, "cpu-slots", 256, "total remapped CPU slots across all producers")
 	spillPath := p.fs.String("spill", "", "spill every accepted block to this trace file")

@@ -39,11 +39,17 @@ type Options struct {
 	// are evicted, never accumulated — that is the memory bound.
 	Window     time.Duration
 	MaxWindows int
-	// QueueBlocks is the per-producer ingest queue depth (default 64
-	// blocks). EnqueueTimeout (default 5s) is how long a producer's reader
-	// may wait on a full queue before the producer is disconnected as too
-	// fast for the analysis to keep up ("slow" in the disconnect counts,
-	// since it is the collector that is slow).
+	// QueueBlocks is the per-producer ingest queue depth (default
+	// DefaultQueueBlocks). A connection holds at most QueueBlocks+2 word
+	// buffers, so the depth is what a producer costs the collector in
+	// memory. A deeper queue absorbs no burst the socket does not: past
+	// it, the reader stops reading, the kernel's socket buffers fill, and
+	// the sender's own buffer ring holds the rest — the per-processor
+	// buffers the paper puts burst absorption in. EnqueueTimeout (default
+	// 5s) is how long a producer's reader may wait on a full queue before
+	// the producer is disconnected as too fast for the analysis to keep up
+	// ("slow" in the disconnect counts, since it is the collector that is
+	// slow).
 	QueueBlocks    int
 	EnqueueTimeout time.Duration
 	// CPUSlots is the size of the collector's remapped CPU space (default
@@ -62,6 +68,12 @@ type Options struct {
 	Spill io.Writer
 }
 
+// DefaultQueueBlocks is the per-producer queue depth a zero
+// Options.QueueBlocks gets, and tracecolld's -queue default. With one
+// block at the worker and one at the reader, a connection makes at most
+// six word buffers.
+const DefaultQueueBlocks = 4
+
 func (o *Options) defaults() {
 	if o.Window <= 0 {
 		o.Window = 250 * time.Millisecond
@@ -70,7 +82,7 @@ func (o *Options) defaults() {
 		o.MaxWindows = 32
 	}
 	if o.QueueBlocks <= 0 {
-		o.QueueBlocks = 64
+		o.QueueBlocks = DefaultQueueBlocks
 	}
 	if o.EnqueueTimeout <= 0 {
 		o.EnqueueTimeout = 5 * time.Second
@@ -131,8 +143,10 @@ type producer struct {
 	// takes its next buffer from here. QueueBlocks+2 slots, because that
 	// is every buffer that can exist (a full queue, one block with the
 	// worker, one with the reader). The worker drops the list when it
-	// exits, so that a drained session holds no block.
+	// exits, so that a drained session holds no block. made counts the
+	// buffers the reader has made; only the reader touches it.
 	free chan []uint64
+	made int
 	ctrl *relay.ControlSender
 
 	connected atomic.Bool
@@ -292,12 +306,14 @@ func (c *Collector) register(conn relay.Conn) (p *producer, pending uint64, pend
 // goes back to the list. No event is decoded here.
 func (c *Collector) serve(p *producer, bs *stream.BlockStream) error {
 	g := bs.Meta().Geometry()
+	var timer *time.Timer
 	for {
 		var buf []uint64
 		select {
 		case buf = <-p.free:
 		default:
 			buf = make([]uint64, bs.Meta().BufWords)
+			p.made++
 		}
 		h, words, err := bs.Next(buf)
 		if err != nil {
@@ -344,7 +360,12 @@ func (c *Collector) serve(p *producer, bs *stream.BlockStream) error {
 		select {
 		case p.queue <- item:
 		default:
-			timer := time.NewTimer(c.opt.EnqueueTimeout)
+			// A short queue is full often: one timer serves every wait.
+			if timer == nil {
+				timer = time.NewTimer(c.opt.EnqueueTimeout)
+			} else {
+				timer.Reset(c.opt.EnqueueTimeout)
+			}
 			select {
 			case p.queue <- item:
 				timer.Stop()
@@ -369,6 +390,7 @@ func (c *Collector) serve(p *producer, bs *stream.BlockStream) error {
 func (c *Collector) worker(p *producer) {
 	defer c.wg.Done()
 	var evs []event.Event
+	var last uint64 // the newest event time; lastTick is its copy for snapshots
 	for it := range p.queue {
 		var st core.DecodeStats
 		evs, st = core.DecodeInto(evs[:0], it.h.CPU, it.words)
@@ -377,9 +399,7 @@ func (c *Collector) worker(p *producer) {
 		}
 		p.events.Add(uint64(len(evs)))
 		for i := range evs {
-			if t := evs[i].Time; t > p.lastTick.Load() {
-				p.lastTick.Store(t)
-			}
+			last = max(last, evs[i].Time)
 			if evs[i].Major() == event.MajorControl && evs[i].Minor() == event.CtrlMaskChange &&
 				len(evs[i].Data) >= 1 {
 				p.appliedMask.Store(evs[i].Data[0])
@@ -387,6 +407,7 @@ func (c *Collector) worker(p *producer) {
 				p.maskChanges.Add(1)
 			}
 		}
+		p.lastTick.Store(last)
 		c.mu.Lock()
 		if c.spill != nil {
 			if err := c.spill.WriteBlock(it.h, it.words); err != nil {

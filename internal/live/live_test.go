@@ -403,15 +403,20 @@ func TestDrainReadsAFinishedSender(t *testing.T) {
 // wedgedSpill is a spill that holds its first block write until release is
 // closed. Its first Write is the file header, written when the first
 // producer registers; the collector then writes every block under its lock,
-// so the wedge holds that too.
+// so the wedge holds that too. A non-nil wedged is closed as the wedge
+// begins.
 type wedgedSpill struct {
 	w       io.Writer
 	release chan struct{}
+	wedged  chan struct{}
 	writes  int
 }
 
 func (s *wedgedSpill) Write(p []byte) (int, error) {
 	if s.writes++; s.writes == 2 {
+		if s.wedged != nil {
+			close(s.wedged)
+		}
 		<-s.release
 	}
 	return s.w.Write(p)

@@ -196,3 +196,61 @@ func TestCollectorKeepsNoEvents(t *testing.T) {
 			nLarge, large, nSmall, small)
 	}
 }
+
+// TestCollectorBuffersBounded: however far a default collector's worker
+// lags, a connection makes at most six word buffers — the default queue of
+// four, one block with the worker and one with the reader. The worker is
+// wedged on its first block until the reader has run as far ahead as it
+// can: to a full queue, or to the end of the stream. With a 64-deep queue
+// the reader made a buffer for every block it read ahead, one per block of
+// this stream.
+func TestCollectorBuffersBounded(t *testing.T) {
+	wire := benchTrace(t, 40_000)
+	rd, err := stream.NewReader(bytes.NewReader(wire), int64(len(wire)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.NumBlocks() < 20 {
+		t.Fatalf("the stream has %d blocks, want at least 20", rd.NumBlocks())
+	}
+	bs, err := stream.NewBlockStream(bytes.NewReader(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spill := &wedgedSpill{w: io.Discard, release: make(chan struct{}), wedged: make(chan struct{})}
+	c := NewCollector(Options{Spill: spill})
+	served := make(chan error, 1)
+	go func() {
+		served <- c.Handler()(relay.Conn{ID: 1, Remote: &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)}, Stream: bs})
+	}()
+	<-spill.wedged
+	// The worker holds c.mu inside the wedge: nobody writes the map.
+	p := c.producers[1]
+	ended := false
+	var serveErr error
+	waitFor(t, "the reader to fill the queue or reach the end of the stream", func() bool {
+		select {
+		case serveErr = <-served:
+			ended = true
+		default:
+		}
+		return ended || len(p.queue) == cap(p.queue)
+	})
+	close(spill.release)
+	if !ended {
+		serveErr = <-served
+	}
+	if serveErr != nil {
+		t.Fatal(serveErr)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	s := c.Snapshot()
+	if got := s.Producers[0].Blocks; got != uint64(rd.NumBlocks()) || len(s.Disconnects) != 0 {
+		t.Fatalf("collected %d of %d blocks, disconnects %v", got, rd.NumBlocks(), s.Disconnects)
+	}
+	if p.made > 6 {
+		t.Errorf("a connection of %d blocks made %d word buffers, want at most 6", rd.NumBlocks(), p.made)
+	}
+}

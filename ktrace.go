@@ -239,13 +239,17 @@ type CaptureStats = stream.CaptureStats
 // NewReader opens a trace file of the given size for random access.
 func NewReader(r io.ReaderAt, size int64) (*TraceReader, error) { return stream.NewReader(r, size) }
 
-// Capture drains a stream-mode tracer into w until the tracer stops.
-func Capture(tr *Tracer, w io.Writer) (CaptureStats, error) { return stream.Capture(tr, w) }
+// Source is what Capture drains: a stream-mode Tracer, or the ShmAgent of
+// a shared segment.
+type Source = stream.Source
+
+// Capture drains a source into w until it stops.
+func Capture(src Source, w io.Writer) (CaptureStats, error) { return stream.Capture(src, w) }
 
 // CaptureAsync runs Capture in a goroutine; call the returned function
-// after Tracer.Stop to collect the result.
-func CaptureAsync(tr *Tracer, w io.Writer) func() (CaptureStats, error) {
-	return stream.CaptureAsync(tr, w)
+// after the source's Stop to collect the result.
+func CaptureAsync(src Source, w io.Writer) func() (CaptureStats, error) {
+	return stream.CaptureAsync(src, w)
 }
 
 // WriteCrashDump writes the tracer's flight recorder — each CPU's resident
@@ -340,7 +344,7 @@ func BuildTrace(evs []Event, hz uint64, reg *Registry) *Trace {
 type ShmClient = shm.Client
 
 // ShmAgent is the daemon side of a shared segment (ktraced embeds one).
-// It is a stream.Source like a Tracer, so the one drain serves both: into
+// It is a Source like a Tracer, so the one drain serves both: into
 // a file with Capture, or over the network with the relay senders.
 type ShmAgent = shm.Agent
 
