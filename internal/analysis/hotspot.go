@@ -98,8 +98,18 @@ func (rep *MemReport) snapshotRows() []MemRow {
 // cross-event state, so any partition of the trace merges exactly.
 func (t *Trace) memProfileOf(v view) *MemReport {
 	rep := newMemReport(t)
-	for i, n := 0, v.len(); i < n; i++ {
-		rep.observe(v.at(i))
+	for _, r := range v.runs {
+		for i := range r {
+			rep.observe(&r[i])
+		}
+	}
+	if v.all {
+		for i := range v.evs {
+			rep.observe(&v.evs[i])
+		}
+	}
+	for _, i := range v.pos {
+		rep.observe(&v.evs[i])
 	}
 	rep.Rows = rep.snapshotRows()
 	return rep

@@ -40,6 +40,21 @@ func sdetTraceFull(t *testing.T) *Trace {
 	return Build(evs, rd.Meta().ClockHz, event.Default)
 }
 
+// at is the i-th event v's drivers walk: the runs' events, then those of
+// the slice.
+func (v view) at(i int) *event.Event {
+	for _, r := range v.runs {
+		if i < len(r) {
+			return &r[i]
+		}
+		i -= len(r)
+	}
+	if v.all {
+		return &v.evs[i]
+	}
+	return &v.evs[v.pos[i]]
+}
+
 // TestParallelAnalysesMatchSequential is the tentpole's acceptance test:
 // every report computed through per-CPU fan-out + merge must be identical
 // — struct-for-struct and byte-for-byte — to the sequential walk, for
@@ -77,11 +92,58 @@ func TestParallelAnalysesMatchSequential(t *testing.T) {
 		checkParallelMatchesSequential(t, neg)
 	})
 
+	t.Run("chains", func(t *testing.T) {
+		// CPU 1 drops out and leaves an empty view between two full ones;
+		// CPU 5 joins with a chain of one event. Every other CPU's events are
+		// copied out of the slice into runs of uneven length, one empty.
+		var evs []event.Event
+		for i, e := range tr.Events {
+			if i == len(tr.Events)/2 {
+				evs = append(evs, mk(5, e.Time, event.MajorSched, ksim.EvSchedSwitch, 0, 77))
+			}
+			if e.CPU != 1 {
+				evs = append(evs, e)
+			}
+		}
+		byCPU := cutChains(evs, []int{1, 40, 7, 0, 300, 2, 1000})
+		ch := BuildRuns(evs, byCPU, tr.ClockHz, event.Default)
+		views := ch.perCPU()
+		if len(views) != 6 || views[1].len() != 0 || views[5].len() != 1 {
+			t.Fatalf("%d views; CPU 1's holds %d events, CPU 5's %d: want 6 views, 0 and 1", len(views), views[1].len(), views[5].len())
+		}
+		for c, v := range views {
+			if v.all || v.pos != nil {
+				t.Fatalf("CPU %d of a trace built from its runs is viewed by positions", c)
+			}
+		}
+		checkParallelMatchesSequential(t, ch)
+	})
+
 	t.Run("reassigned", func(t *testing.T) {
 		// The reports above left tr with views of the whole stream.
 		tr.Events = append([]event.Event(nil), tr.Events[len(tr.Events)/3:]...)
 		checkParallelMatchesSequential(t, tr)
 	})
+}
+
+// cutChains copies each CPU's events of a merged slice out, CPUs
+// ascending, into runs whose lengths go round lens (0 is an empty run): the
+// runs a merge of them would group as BuildRuns takes them.
+func cutChains(evs []event.Event, lens []int) [][]event.Event {
+	var byCPU [][]event.Event
+	for c := 0; c <= MaxCPU(evs); c++ {
+		var mine []event.Event
+		for i := range evs {
+			if evs[i].CPU == c {
+				mine = append(mine, evs[i])
+			}
+		}
+		for k := 0; len(mine) > 0; k++ {
+			n := min(lens[k%len(lens)], len(mine))
+			byCPU, mine = append(byCPU, mine[:n:n]), mine[n:]
+		}
+	}
+	return byCPU
 }
 
 func checkParallelMatchesSequential(t *testing.T, tr *Trace) {
@@ -404,6 +466,25 @@ func TestViewOncePerTrace(t *testing.T) {
 	oneTrace := Build(one, tr.ClockHz, tr.Reg)
 	if got, want := oneTrace.OverviewParallel(2), oneTrace.Overview(); len(oneViews) != len(views) || !reflect.DeepEqual(got, want) {
 		t.Error("OverviewParallel of a one-CPU trace differs from the sequential report")
+	}
+
+	// Built from the runs its slice was merged from, a trace has its views
+	// before any report asks for them: the first perCPU allocates nothing,
+	// and the reports walk the runs and never view positions.
+	rt := BuildRuns(tr.Events, cutChains(tr.Events, []int{3, 500, 0, 64}), tr.ClockHz, tr.Reg)
+	runtime.ReadMemStats(&before)
+	runViews := rt.perCPU()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 || len(runViews) != len(views) {
+		t.Errorf("perCPU of a trace built from its runs allocates %d objects and makes %d views, want 0 and %d", n, len(runViews), len(views))
+	}
+	if got := rt.OverviewParallel(2); !reflect.DeepEqual(got, want) {
+		t.Error("OverviewParallel walking the runs differs from the sequential report")
+	}
+	for c, v := range rt.perCPU() {
+		if len(v.runs) == 0 || &v.runs[0] != &runViews[c].runs[0] || v.all || v.pos != nil {
+			t.Fatalf("CPU %d of a trace built from its runs was viewed again, by positions", c)
+		}
 	}
 
 	// Half the stream, as a caller trimming to a window would assign it.

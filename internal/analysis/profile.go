@@ -45,8 +45,18 @@ func (t *Trace) Profile(pid uint64) *Profile {
 // the trace profiles independently and merges.
 func (t *Trace) profileOf(pid uint64, v view) *Profile {
 	p := newProfile(pid)
-	for i, n := 0, v.len(); i < n; i++ {
-		p.observe(v.at(i))
+	for _, r := range v.runs {
+		for i := range r {
+			p.observe(&r[i])
+		}
+	}
+	if v.all {
+		for i := range v.evs {
+			p.observe(&v.evs[i])
+		}
+	}
+	for _, i := range v.pos {
+		p.observe(&v.evs[i])
 	}
 	return p
 }

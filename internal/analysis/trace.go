@@ -31,7 +31,7 @@ type Trace struct {
 	// necessarily idle, it may just have been masked out.
 	MaskEpochs []MaskEpoch
 
-	// split caches the per-CPU views of Events, which every *Parallel
+	// split holds the per-CPU views of Events, which every *Parallel
 	// report starts from; see perCPU.
 	split struct {
 		sync.Mutex
@@ -55,6 +55,17 @@ func Build(evs []event.Event, hz uint64, reg *event.Registry) *Trace {
 	t := NewTrace(hz, reg)
 	t.Events = evs
 	t.Absorb(evs)
+	return t
+}
+
+// BuildRuns is Build for a stream merged from runs the caller kept: byCPU
+// are the runs, grouped by CPU in ascending order — a CPU's runs, read in
+// order, being its events of evs in evs' order — as stream.MergeRuns returns
+// them. The *Parallel reports then walk each CPU's runs where they lie and
+// make no per-CPU positions of evs.
+func BuildRuns(evs []event.Event, byCPU [][]event.Event, hz uint64, reg *event.Registry) *Trace {
+	t := Build(evs, hz, reg)
+	t.split.of, t.split.views = evs, runViews(byCPU)
 	return t
 }
 

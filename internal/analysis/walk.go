@@ -164,23 +164,36 @@ func (w *StreamWalker) Feed(evs []event.Event) {
 }
 
 func (w *StreamWalker) feed(v view) {
-	h := w.hooks
-	for i, n := 0, v.len(); i < n; i++ {
-		e := v.at(i)
-		if e.CPU < 0 || e.CPU >= len(w.states) {
-			continue
+	for _, r := range v.runs {
+		for i := range r {
+			w.step(&r[i])
 		}
-		st := &w.states[e.CPU]
-		if st.started && h.Span != nil && e.Time > st.lastT {
-			h.Span(e.CPU, st, st.lastT, e.Time)
-		}
-		st.lastT = e.Time
-		st.started = true
-		if h.Event != nil {
-			h.Event(e, st)
-		}
-		apply(e, st)
 	}
+	if v.all {
+		for i := range v.evs {
+			w.step(&v.evs[i])
+		}
+	}
+	for _, i := range v.pos {
+		w.step(&v.evs[i])
+	}
+}
+
+// step replays one event.
+func (w *StreamWalker) step(e *event.Event) {
+	if e.CPU < 0 || e.CPU >= len(w.states) {
+		return
+	}
+	st := &w.states[e.CPU]
+	if st.started && w.hooks.Span != nil && e.Time > st.lastT {
+		w.hooks.Span(e.CPU, st, st.lastT, e.Time)
+	}
+	st.lastT = e.Time
+	st.started = true
+	if w.hooks.Event != nil {
+		w.hooks.Event(e, st)
+	}
+	apply(e, st)
 }
 
 // apply advances one CPU's state by one event.

@@ -23,6 +23,7 @@ type fuzzFixture struct {
 	// pages: a page's first query of a window fills it cold.
 	paged *Store
 	base  []event.Event
+	hz    uint64
 }
 
 var (
@@ -80,7 +81,7 @@ func getFuzzFixture(t testing.TB) *fuzzFixture {
 			fuzzErr = err
 			return
 		}
-		fuzzFix = &fuzzFixture{s: s, plain: plain, paged: paged, base: evs}
+		fuzzFix = &fuzzFixture{s: s, plain: plain, paged: paged, base: evs, hz: rd.Meta().ClockHz}
 	})
 	if fuzzErr != nil {
 		t.Fatal(fuzzErr)
@@ -94,9 +95,12 @@ func getFuzzFixture(t testing.TB) *fuzzFixture {
 // cached, cold and warm — must return exactly the events of a
 // cache-bypassing full scan, which must in turn match the offline filter
 // of the original merged stream — with the cursor's skip applied to the
-// oracle when the query carries one. A query with a limit is then asked
-// again as the page it is, of every handle: the merge that stops after the
-// page must stop exactly there.
+// oracle when the query carries one. An aggregation must format the same
+// bytes on every handle as the offline filter's events do, whether its
+// merge pulled (the uncached handle's) or walks the runs it merged (the
+// cached and full-scan handles'). A query with a limit is then asked again
+// as the page it is, of every handle: the merge that stops after the page
+// must stop exactly there.
 func FuzzQueryParams(f *testing.F) {
 	seeds := []string{
 		"tenant=acme",
@@ -144,13 +148,13 @@ func FuzzQueryParams(f *testing.F) {
 			t.Fatalf("params round-trip changed: %+v -> %+v", p, p2)
 		}
 
-		// Transparency invariant against the fixture store. Aggregations
-		// render from the same filtered events, so compare events directly;
-		// Limit is cleared so pagination does not truncate the comparison,
-		// but an accepted cursor stays and must skip identically everywhere.
+		// Transparency invariant against the fixture store. An aggregation
+		// takes every match, as a listing does with Limit cleared, so compare
+		// events directly; Limit is cleared so pagination does not truncate
+		// the comparison, but an accepted cursor stays and must skip
+		// identically everywhere.
 		fix := getFuzzFixture(t)
 		p.Tenant = "acme"
-		p.Agg = "events"
 		limit := p.Limit
 		p.Limit = 0
 		p.NoPrune = false
@@ -196,13 +200,35 @@ func FuzzQueryParams(f *testing.F) {
 				query, len(full.Events), len(want))
 		}
 
+		// The report: what analysis.Build of the offline filter's events
+		// formats, byte for byte.
+		if p.Agg != "events" {
+			var wantRep bytes.Buffer
+			if err := (&Result{Params: p, Hz: fix.hz, Events: want}).Format(&wantRep, 2); err != nil {
+				t.Fatalf("formatting the offline %s: %v", p.Agg, err)
+			}
+			for _, h := range []struct {
+				name string
+				r    *Result
+			}{{"pulled", pulled}, {"cold", cold}, {"warm", warm}, {"full-scan", full}} {
+				if h.name != "pulled" && len(want) > 0 && h.r.byCPU == nil {
+					t.Fatalf("%s %s of %q merged runs in memory and kept none of them", h.name, p.Agg, query)
+				}
+				var got bytes.Buffer
+				if err := h.r.Format(&got, 2); err != nil || !bytes.Equal(got.Bytes(), wantRep.Bytes()) {
+					t.Fatalf("%s %s of %q (runs kept %v) formats %d bytes, the offline filter's %d: %v",
+						h.name, p.Agg, query, h.r.byCPU != nil, got.Len(), wantRep.Len(), err)
+				}
+			}
+		}
+
 		// The page: with the Limit kept, every handle returns the first
 		// Limit events of the answer after the cursor, and a token exactly
 		// when more remain.
 		if limit == 0 {
 			return
 		}
-		p.Limit = limit
+		p.Agg, p.Limit = "events", limit
 		wantPage := want[:min(limit, len(want))]
 		for _, h := range []struct {
 			name    string

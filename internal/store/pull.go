@@ -151,13 +151,23 @@ func (ps *pullSet) add(i int, runs [][]event.Event) {
 // index shows in time order, and a chain sorts each run where it lies, so
 // no chain steps back after the merge stops. A capped merge closes the
 // chains it stopped drawing, goroutines and all.
-func (ps *pullSet) merge(page stream.Cap) ([]event.Event, error) {
+//
+// An aggregation's merge that pulls nothing also returns the runs it
+// merged, grouped by CPU (stream.MergeRuns): every one lies in memory, and
+// the aggregation walks them in place of per-CPU positions of the answer.
+// A listing never walks them, so it keeps none.
+func (ps *pullSet) merge(page stream.Cap) (evs []event.Event, byCPU [][]event.Event, err error) {
+	if len(ps.sources) == 0 && !ps.p.listing() && page.Head == nil && page.Max == 0 {
+		evs, byCPU = stream.MergeRuns(ps.runs...)
+		return evs, byCPU, nil
+	}
 	if hold := len(ps.sources); ps.ahead {
 		ps.s.scratch.Hold(2 * hold)
 	} else {
 		ps.s.scratch.Hold(hold)
 	}
-	return stream.MergeFrom(ps.hint, page, ps.sources, ps.runs...)
+	evs, err = stream.MergeFrom(ps.hint, page, ps.sources, ps.runs...)
+	return evs, nil, err
 }
 
 // drawn is what a chain's goroutine hands the merge: a link's run, the

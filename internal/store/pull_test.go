@@ -82,7 +82,45 @@ func TestOverlappingUploadsAnswerInMergeOrder(t *testing.T) {
 				t.Errorf("%v: %d events, the merged uploads hold %d (or order differs)", p.values(), len(got.Events), len(want))
 			}
 		}
+		// A full scan pulls nothing, and its aggregation walks the runs the
+		// merge grouped: CPUs 0 and 1, out of order across the uploads, are
+		// each the one run the merge sorted them into.
+		p := Params{Tenant: "acme", Agg: "lockstat", NoPrune: true}
+		if runs := runsFormatAsPositions(t, s, p, base, workers); runs[0] != 1 || runs[1] != 1 || runs[2] < 2 {
+			t.Errorf("%v: runs by CPU %v; want CPUs 0 and 1 sorted into one each", p.values(), runs)
+		}
 	})
+}
+
+// runsFormatAsPositions asks s a query whose merge pulls nothing, holds its
+// events to the filtered merge of base and its report to the one a Result
+// of the same events formats with no runs kept — each CPU's share viewed by
+// its positions — and returns how many runs the merge kept of each CPU.
+func runsFormatAsPositions(t *testing.T, s *Store, p Params, base []event.Event, workers int) map[int]int {
+	t.Helper()
+	res, err := s.Query(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := MatchStream(base, p); res.byCPU == nil || !sameEvents(res.Events, want) {
+		t.Fatalf("%v: runs kept %v, %d events, the filtered merge holds %d",
+			p.values(), res.byCPU != nil, len(res.Events), len(want))
+	}
+	var got, want bytes.Buffer
+	if err := res.Format(&got, workers); err != nil {
+		t.Fatal(err)
+	}
+	if err := (&Result{Params: p, Hz: res.Hz, Events: res.Events}).Format(&want, workers); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("%v: walking the runs formats %d bytes, viewing positions %d, and they differ", p.values(), got.Len(), want.Len())
+	}
+	runs := map[int]int{}
+	for _, r := range res.byCPU {
+		runs[r[0].CPU]++
+	}
+	return runs
 }
 
 // pinAll returns the tenant's segments in catalog order, as a query that
@@ -207,6 +245,13 @@ func TestRottedBlockIsSortedWhereItLies(t *testing.T) {
 		want := MatchStream(base, p)
 		if evs, _, pages := walkPages(t, s, p, len(want)/4+1, nil); pages < 4 || !sameEvents(evs, want) {
 			t.Errorf("%v: %d pages of %d events, the spill's merge holds %d (or order differs)", p.values(), pages, len(evs), len(want))
+		}
+		// A full scan pulls nothing and clones the rotted block too: its CPU
+		// is out of order among the runs, and the aggregation walks the one
+		// run the merge sorted it into.
+		p = Params{Tenant: "acme", Agg: "overview", NoPrune: true}
+		if runs := runsFormatAsPositions(t, s, p, base, workers); runs[rottedCPUs[0]] != 1 || len(runs) < 2 {
+			t.Errorf("%v: runs by CPU %v; want the rotted block's CPU %d sorted into one", p.values(), runs, rottedCPUs[0])
 		}
 	})
 }

@@ -53,6 +53,10 @@ type Params struct {
 	NoPrune bool
 }
 
+// listing reports whether p asks for the events themselves rather than an
+// aggregation over them.
+func (p *Params) listing() bool { return p.Agg == "" || p.Agg == "events" }
+
 // effTo returns the exclusive upper bound with 0 mapped to +inf.
 func (p *Params) effTo() uint64 {
 	if p.To == 0 {
@@ -179,7 +183,8 @@ func (p Params) values() url.Values {
 	return v
 }
 
-// Result is the matching event set plus scan accounting.
+// Result is the matching event set plus scan accounting, and — when the
+// merge pulled nothing — the runs the set was merged from, by CPU.
 type Result struct {
 	Params Params
 	// Hz is the clock rate used for rendering (the tenant's segments all
@@ -192,8 +197,15 @@ type Result struct {
 	// under the merge and copied from its scratch straight into here.
 	// Payloads are capped at their length and may be shared with the
 	// segment cache: overwrite or append to the events freely, never write
-	// through Data.
+	// through Data — after Format: an aggregation's per-CPU walks read
+	// byCPU, which holds the same events.
 	Events []event.Event
+	// byCPU, for an aggregation whose merge read only runs in memory (it
+	// pulled no chain), are those runs grouped by CPU as stream.MergeRuns
+	// returns them, a CPU out of time order as the one run the merge
+	// sorted it into. Format walks them in place of per-CPU positions of
+	// Events.
+	byCPU [][]event.Event
 
 	// NextCursor is the token for the page after this one ("" = listing
 	// complete). Set only for agg=events with Limit > 0.
@@ -268,7 +280,7 @@ func (s *Store) query(p Params) (*Result, error) {
 			scan.From = c.time
 		}
 	}
-	if (p.Agg == "" || p.Agg == "events") && p.Limit > 0 {
+	if p.listing() && p.Limit > 0 {
 		page.Max = p.Limit + 1
 	}
 	to := scan.effTo()
@@ -398,11 +410,11 @@ func (s *Store) query(p Params) (*Result, error) {
 	// Cached runs are shared and read-only: the merge copies their events
 	// into this query's own slice, and the payloads stay shared. The pinned
 	// segments stay pinned until the merge has pulled its last block.
-	evs, err := ps.merge(page)
+	evs, byCPU, err := ps.merge(page)
 	if err != nil {
 		return res, err
 	}
-	res.Events = evs
+	res.Events, res.byCPU = evs, byCPU
 	// A page of exactly Limit events with more behind it carries the token
 	// for the next page.
 	if page.Max > 0 && len(evs) > p.Limit {
@@ -547,13 +559,20 @@ func MatchStream(evs []event.Event, p Params) []event.Event {
 // Format renders the result: the events listing, or one of the five
 // aggregated reports, built from the matching events with the same
 // analysis code every offline tool uses. A listing names each event from
-// the registry alone, so it builds no naming context.
+// the registry alone, so it builds no naming context. An aggregation whose
+// merge pulled nothing walks each CPU's runs where they lie; one that
+// pulled views each CPU's share of Events by its positions.
 func (r *Result) Format(w io.Writer, workers int) error {
-	if r.Params.Agg == "" || r.Params.Agg == "events" {
+	if r.Params.listing() {
 		_, err := analysis.List(w, r.Events, r.Hz, event.Default, analysis.ListOptions{ShowControl: true, Limit: r.Params.Limit})
 		return err
 	}
-	tr := analysis.Build(r.Events, r.Hz, event.Default)
+	var tr *analysis.Trace
+	if r.byCPU != nil {
+		tr = analysis.BuildRuns(r.Events, r.byCPU, r.Hz, event.Default)
+	} else {
+		tr = analysis.Build(r.Events, r.Hz, event.Default)
+	}
 	switch r.Params.Agg {
 	case "overview":
 		return analysis.FormatOverview(w, tr.OverviewParallel(workers))

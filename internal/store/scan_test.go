@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -9,6 +11,7 @@ import (
 	"k42trace/internal/clock"
 	"k42trace/internal/core"
 	"k42trace/internal/event"
+	"k42trace/internal/ksim"
 	"k42trace/internal/stream"
 )
 
@@ -282,4 +285,97 @@ func TestWholeRangeQueryAllocatesItsAnswerOnce(t *testing.T) {
 		}
 		once(t, s, Params{Tenant: "t", From: first.MinTime, To: last.MaxTime + 1}, base, 8)
 	})
+}
+
+// namedSpill logs the same round of activity `rounds` times on each of two
+// CPUs — switches among three processes, a system call, a contended lock, a
+// PC and a hardware-counter sample — after the one set of definitions that
+// names them all, so that two spills of different round counts differ in
+// events and not in names.
+func namedSpill(t *testing.T, rounds int) []byte {
+	t.Helper()
+	tr := core.MustNew(core.Config{CPUs: 2, BufWords: 1024, NumBufs: 4,
+		Mode: core.Stream, Clock: clock.NewManual(1)})
+	tr.EnableAll()
+	var buf bytes.Buffer
+	wait := stream.CaptureAsync(tr, &buf)
+	// str packs a string of at most seven bytes as its one payload word.
+	str := func(s string) (w uint64) {
+		for i := range len(s) {
+			w |= uint64(s[i]) << (8 * i)
+		}
+		return w
+	}
+	c0 := tr.CPU(0)
+	c0.Log2(event.MajorSample, ksim.EvSymDef, 10, str("open"))
+	c0.Log2(event.MajorSample, ksim.EvSymDef, 11, str("read"))
+	c0.Log2(event.MajorSample, ksim.EvChainDef, 5, str("a < b"))
+	for pid := uint64(2); pid <= 4; pid++ {
+		c0.Log3(event.MajorUser, ksim.EvUserRunULoader, 1, pid, str(fmt.Sprint("sh", pid)))
+	}
+	for r := 0; r < rounds; r++ {
+		for c := 0; c < 2; c++ {
+			cpu, pid := tr.CPU(c), uint64(2+(r+c)%3)
+			cpu.Log3(event.MajorSched, ksim.EvSchedSwitch, 2+uint64(r+c+2)%3, pid, 100+pid)
+			cpu.Log2(event.MajorSyscall, ksim.EvSyscallEnter, pid, ksim.SysRead)
+			cpu.Log2(event.MajorSample, ksim.EvSamplePC, 10+uint64(r%2), pid)
+			cpu.Log2(event.MajorSyscall, ksim.EvSyscallExit, pid, ksim.SysRead)
+			cpu.Log2(event.MajorLock, ksim.EvLockStartWait, 0xa, 5)
+			cpu.Log4(event.MajorLock, ksim.EvLockAcquired, 0xa, 30, 2, 5)
+			cpu.Log2(event.MajorLock, ksim.EvLockRelease, 0xa, 40)
+			cpu.LogWords(event.MajorMem, ksim.EvMemHWC, []uint64{11, 1000, 800, 3, 1})
+		}
+	}
+	tr.Stop()
+	if _, err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestWarmAggregationMakesNoPerEventView: a warm aggregation's merge pulls
+// nothing, so Format walks each CPU's runs where the merge left them and
+// views no positions of the answer. What it allocates is the naming context
+// and the reports, counted in names and rows, not in events.
+func TestWarmAggregationMakesNoPerEventView(t *testing.T) {
+	allocs := func(rounds int) (perAgg map[string]uint64, events int) {
+		s := openStore(t, Options{CacheBytes: 64 << 20})
+		ingestBytes(t, s, "t", namedSpill(t, rounds))
+		perAgg = map[string]uint64{}
+		for _, agg := range Aggs[1:] {
+			p := Params{Tenant: "t", Agg: agg, HasPid: agg == "timebreak", Pid: 2}
+			if _, err := s.Query(p); err != nil { // fills the cache
+				t.Fatal(err)
+			}
+			res, err := s.Query(p)
+			if err != nil || res.SegsCached != res.SegsScanned || res.byCPU == nil {
+				t.Fatalf("%s: %d of %d segments cached, runs kept %v: %v", agg, res.SegsCached, res.SegsScanned, res.byCPU != nil, err)
+			}
+			// The least of three: a goroutine of the store's may allocate
+			// during one.
+			perAgg[agg], events = ^uint64(0), len(res.Events)
+			for range 3 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err := res.Format(io.Discard, 1)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				perAgg[agg] = min(perAgg[agg], after.TotalAlloc-before.TotalAlloc)
+			}
+		}
+		return perAgg, events
+	}
+	small, few := allocs(600)
+	large, many := allocs(2400)
+	if many < 4*few-100 {
+		t.Fatalf("fixtures hold %d and %d events: not four times as many", few, many)
+	}
+	for _, agg := range Aggs[1:] {
+		if a, b := small[agg], large[agg]; max(a, b)-min(a, b) > 1<<10 {
+			t.Errorf("a warm %s formats in %d bytes at %d events, %d at %d; want the same within 1 KiB",
+				agg, a, few, b, many)
+		}
+	}
 }

@@ -80,8 +80,22 @@ func (w *watched) Next() ([]event.Event, error) {
 // are skipped; merging nothing returns nil. It is MergeFrom with no chain
 // to pull.
 func MergeByTime(runs ...[]event.Event) []event.Event {
-	out, _ := MergeFrom(0, Cap{}, nil, runs...) // chains over memory do not fail
+	out, _, _ := merge(0, Cap{}, nil, runs) // chains over memory do not fail
 	return out
+}
+
+// MergeRuns is MergeByTime, and the runs it merged as the merge grouped
+// them: cut where the CPU changes, CPUs ascending, each CPU's in the order
+// given — but a CPU whose chain is not in time order is the one run the
+// merge sorted it into. Read in order, a CPU's runs are its events of out
+// in out's order, so a walk of one CPU at a time can read them where they
+// lie. No run of byCPU is empty; byCPU is nil when out is.
+func MergeRuns(runs ...[]event.Event) (out []event.Event, byCPU [][]event.Event) {
+	out, byCPU, _ = merge(0, Cap{}, nil, runs) // chains over memory do not fail
+	if out == nil {
+		return nil, nil
+	}
+	return out, slices.DeleteFunc(byCPU, func(r []event.Event) bool { return len(r) == 0 })
 }
 
 // A Cap keeps a page of a merge's order instead of all of it: the events
@@ -132,6 +146,14 @@ var ErrSteppedBack = errors.New("stream: a pulled chain stepped back under a cap
 // page.Max events. Every source is closed when MergeFrom returns; the first
 // error of a draw is returned with no events.
 func MergeFrom(hint int, page Cap, pulled []RunSource, runs ...[]event.Event) ([]event.Event, error) {
+	out, _, err := merge(hint, page, pulled, runs)
+	return out, err
+}
+
+// merge is MergeFrom, which also returns the runs grouped by CPU as the
+// merge walked them: a disordered CPU's first run is the one it was sorted
+// into, and the rest of its runs are emptied.
+func merge(hint int, page Cap, pulled []RunSource, runs [][]event.Event) ([]event.Event, [][]event.Event, error) {
 	defer func() {
 		for _, src := range pulled {
 			src.Close()
@@ -150,7 +172,7 @@ func MergeFrom(hint int, page Cap, pulled []RunSource, runs ...[]event.Event) ([
 		}
 	}
 	if total == 0 && len(pulled) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	// Group the runs by CPU, each CPU's in arrival order.
 	slices.SortStableFunc(parts, func(a, b []event.Event) int { return cmp.Compare(a[0].CPU, b[0].CPU) })
@@ -198,6 +220,8 @@ func MergeFrom(hint int, page Cap, pulled []RunSource, runs ...[]event.Event) ([
 			c.cur = slices.Concat(parts[a:b]...)
 			slices.SortStableFunc(c.cur, func(x, y event.Event) int { return cmp.Compare(x.Time, y.Time) })
 			inMemory = append(inMemory, runChain{})
+			parts[a] = c.cur
+			clear(parts[a+1 : b])
 		}
 		c.src = &inMemory[len(inMemory)-1]
 		h = append(h, c)
@@ -209,7 +233,7 @@ func MergeFrom(hint int, page Cap, pulled []RunSource, runs ...[]event.Event) ([
 		if err := draw(&c); err == nil {
 			h = append(h, c)
 		} else if err != io.EOF {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -258,17 +282,17 @@ func MergeFrom(hint int, page Cap, pulled []RunSource, runs ...[]event.Event) ([
 				h[0] = h[len(h)-1]
 				h = h[:len(h)-1]
 			} else if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		down(0)
 	}
 	steppedBack := slices.ContainsFunc(watch, func(w watched) bool { return w.steppedBack })
 	if steppedBack && (page.Head != nil || page.Max > 0) {
-		return nil, ErrSteppedBack
+		return nil, nil, ErrSteppedBack
 	}
 	if len(out) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if steppedBack {
 		slices.SortStableFunc(out, func(x, y event.Event) int {
@@ -278,5 +302,5 @@ func MergeFrom(hint int, page Cap, pulled []RunSource, runs ...[]event.Event) ([
 			return cmp.Compare(x.CPU, y.CPU)
 		})
 	}
-	return out, nil
+	return out, parts, nil
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"io"
 	"math/rand"
@@ -150,6 +151,28 @@ func TestMergeByTimeIsTheStableSort(t *testing.T) {
 		}
 		if !reflect.DeepEqual(runs, before) {
 			t.Fatalf("round %d: the merged slice aliases a run", round)
+		}
+
+		// MergeRuns merges the same, and hands back its groups: read in
+		// order, they are the merge's events stably sorted by CPU, one CPU
+		// a stretch of non-empty runs.
+		merged, byCPU := MergeRuns(runs...)
+		if !reflect.DeepEqual(merged, want) || (merged == nil) != (byCPU == nil) {
+			t.Fatalf("round %d: MergeRuns differs from MergeByTime, or groups %d runs of nothing", round, len(byCPU))
+		}
+		byCPUWant := slices.Clone(merged)
+		slices.SortStableFunc(byCPUWant, func(x, y event.Event) int { return cmp.Compare(x.CPU, y.CPU) })
+		for i, r := range byCPU {
+			if len(r) == 0 || slices.ContainsFunc(r, func(e event.Event) bool { return e.CPU != r[0].CPU }) ||
+				i > 0 && byCPU[i-1][0].CPU > r[0].CPU {
+				t.Fatalf("round %d: group run %d is empty, of two CPUs or before a lower CPU: %v", round, i, byCPU)
+			}
+		}
+		if got := slices.Concat(byCPU...); !reflect.DeepEqual(got, byCPUWant) {
+			t.Fatalf("round %d: the groups are not each CPU's events of the merge in order\ngroups %v\nwant   %v", round, byCPU, byCPUWant)
+		}
+		if !reflect.DeepEqual(runs, before) {
+			t.Fatalf("round %d: MergeRuns changed its inputs", round)
 		}
 
 		// The same events with some CPUs pulled, in time order or not. A
