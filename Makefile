@@ -49,11 +49,13 @@ CORES ?= 1 4
 # blocked logger, and the one stuck seal: a writer wrapping onto a stuck
 # buffer, alone or behind another logger in flight (TestScheduledReclaim,
 # TestReclaimRequiresSoleInflight), and racing a polling consumer for it
-# (TestStuckSealRace). Three repeats take
-# about 4.5 min on a 2-core host (internal/fed about 18 s of each core
+# (TestStuckSealRace), and the clients killed by SIGKILL, where the kill
+# lands wherever the child's schedule has it while the agent's reap races
+# its drain (TestCrossProcessGarbleDetection, TestCrossProcessBatchKill).
+# Three repeats take about 4.5 min on a 2-core host (internal/fed about 18 s of each core
 # count), so that is the default; CI's stress job runs STRESS_COUNT=10.
 STRESS_PKGS = ./internal/core/ ./internal/store/ ./internal/stream/ ./internal/live/ ./internal/fed/ ./internal/daemon/
-STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestCollectorBuffersBounded$$|TestDrainReadsAFinishedSender$$|TestAdmissionControl$$|TestSnapshotUnderChurn$$|TestDigestScratchIsAChunk$$|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$|TestRebalanceMaskHandoff$$|TestFederatedOverviewParity$$|TestChaosSoakFederation$$|TestScheduledReclaim$$|TestReclaimRequiresSoleInflight$$|TestStuckSealRace$$
+STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestCollectorBuffersBounded$$|TestDrainReadsAFinishedSender$$|TestAdmissionControl$$|TestSnapshotUnderChurn$$|TestDigestScratchIsAChunk$$|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$|TestRebalanceMaskHandoff$$|TestFederatedOverviewParity$$|TestChaosSoakFederation$$|TestScheduledReclaim$$|TestReclaimRequiresSoleInflight$$|TestStuckSealRace$$|TestCrossProcessGarbleDetection$$|TestCrossProcessBatchKill$$
 STRESS_CORES ?= 1 2 4
 STRESS_COUNT ?= 3
 
@@ -89,11 +91,11 @@ test-cores:
 
 # Race-check the concurrent layers: the lockless logger, the block-parallel
 # decode pipeline, the TCP relay, the per-CPU analysis fan-out, and the
-# fault-injection harness that stresses all of them — the ktrace verbs,
-# which decode on eight workers in-process, and the daemons, which the
-# internal/daemon tests start together in one process — and the root
-# package, whose facade tests and TestBatchStreamParity drive the logging
-# handle through its plain, Batch and per-P receivers.
+# injectors that stress all of them — the ktrace verbs, which decode on
+# eight workers in-process, and the daemons, which the internal/daemon
+# tests start together in one process beside the shm clients they kill —
+# and the root package, whose facade tests and TestBatchStreamParity drive
+# the logging handle through its plain, Batch and per-P receivers.
 race:
 	$(GO) test -race $(RACE_PKGS)
 

@@ -170,6 +170,25 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestBadValueBeforeMissingFile: a flag value no run can take is a usage
+// error even when the file is missing too, because it is refused before the
+// file is opened.
+func TestBadValueBeforeMissingFile(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.ktr")
+	for _, bad := range []struct {
+		args   []string
+		stderr string
+	}{
+		{[]string{"lockstat", "-sort", "nope", missing}, `ktrace lockstat: unknown sort key "nope"` + "\nusage: ktrace lockstat "},
+		{[]string{"list", "-major", "sched,nope", missing}, `ktrace list: unknown major "nope"` + "\nusage: ktrace list "},
+	} {
+		stdout, stderr, code := ktraceRun(bad.args...)
+		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, bad.stderr) {
+			t.Errorf("ktrace %v: exit %d stdout %q stderr %q, want 2 and %q", bad.args, code, stdout, stderr, bad.stderr)
+		}
+	}
+}
+
 func TestUnreadableFile(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.ktr")
 	cmds := append([][]string{{"check", "-shm", "F"}}, traceVerbs...)

@@ -17,15 +17,19 @@ func lockstat(stdout, stderr io.Writer, args []string) int {
 	t := newTraceTool(stderr, "lockstat", "[flags] trace.ktr")
 	sortKey := t.fs.String("sort", "time", "column to sort by: time, count, spin, max")
 	top := t.fs.Int("top", 10, "number of entries to print")
+	var key analysis.LockSortKey
+	t.vet = func() error {
+		var ok bool
+		key, ok = map[string]analysis.LockSortKey{"time": analysis.ByTime,
+			"count": analysis.ByCount, "spin": analysis.BySpin, "max": analysis.ByMaxTime}[*sortKey]
+		if !ok {
+			return fmt.Errorf("unknown sort key %q", *sortKey)
+		}
+		return nil
+	}
 	trace, code := t.load(args)
 	if trace == nil {
 		return code
-	}
-	key, ok := map[string]analysis.LockSortKey{"time": analysis.ByTime,
-		"count": analysis.ByCount, "spin": analysis.BySpin, "max": analysis.ByMaxTime}[*sortKey]
-	if !ok {
-		fmt.Fprintf(stderr, "%s: unknown sort key %q\n", t.name, *sortKey)
-		return 2
 	}
 	rep := trace.LockStatParallel(t.jobs)
 	rep.Sort(key)

@@ -27,6 +27,7 @@ func list(stdout, stderr io.Writer, args []string) int {
 	control := t.fs.Bool("control", false, "include infrastructure events (anchors, fillers metadata)")
 	pid := t.fs.Int64("pid", -1, "only events while this process was scheduled (-1 = all)")
 	cpu := t.fs.Int("cpu", -1, "only events from this processor (-1 = all)")
+	var only []event.Major
 	t.vet = func() error {
 		switch {
 		case *from < 0 || *to < 0:
@@ -36,6 +37,16 @@ func list(stdout, stderr io.Writer, args []string) int {
 		case *pid < -1 || *cpu < -1:
 			return errors.New("-pid and -cpu must be -1 (all) or more")
 		}
+		if *majors == "" {
+			return nil
+		}
+		for _, name := range strings.Split(*majors, ",") {
+			m, ok := event.ParseMajor(name)
+			if !ok {
+				return fmt.Errorf("unknown major %q", name)
+			}
+			only = append(only, m)
+		}
 		return nil
 	}
 	trace, code := t.load(args)
@@ -43,6 +54,7 @@ func list(stdout, stderr io.Writer, args []string) int {
 		return code
 	}
 	opt := ktrace.ListOptions{
+		Majors:      only,
 		Limit:       *limit,
 		ShowControl: *control,
 		From:        trace.ticks(*from),
@@ -55,16 +67,6 @@ func list(stdout, stderr io.Writer, args []string) int {
 	if *cpu >= 0 {
 		opt.HasCPU = true
 		opt.CPU = *cpu
-	}
-	if *majors != "" {
-		for _, name := range strings.Split(*majors, ",") {
-			m, ok := event.ParseMajor(name)
-			if !ok {
-				fmt.Fprintf(stderr, "%s: unknown major %q\n", t.name, name)
-				return 2
-			}
-			opt.Majors = append(opt.Majors, m)
-		}
 	}
 	_, err := trace.List(stdout, opt)
 	return t.status(err)

@@ -375,10 +375,10 @@ func (c CPU) ReserveOnly(major event.Major, minor uint16, payloadWords int) bool
 // ReserveHang reserves space for an event and returns while still "in
 // flight": the space is never written or committed and the in-flight
 // count stays raised — exactly the state a process SIGKILLed between
-// reserve and commit leaves behind in a shared mapping. It exists for the
-// cross-process fault injector, whose child calls it and is then killed;
-// the daemon's pid-liveness reap writes the dead contribution off. It
-// returns the total words reserved (header + payload, plus nothing for
+// reserve and commit leaves behind in a shared mapping. Its one caller
+// outside tests is shmlog -hang, a client that calls it and is then
+// killed; the daemon's pid-liveness reap writes the dead contribution off.
+// It returns the total words reserved (header + payload, plus nothing for
 // any filler/anchor the reservation's transition committed on its own).
 // A negative payload reserves nothing.
 func (c CPU) ReserveHang(major event.Major, minor uint16, payloadWords int) (int, bool) {

@@ -27,11 +27,17 @@ var runs = map[string]Run{
 
 // childEnv names the command this test binary runs in place of its tests:
 // the clients and the shard that must die by SIGKILL are real processes.
+// Besides the commands it can be batchHang, the one client shmlog has no
+// mode for.
 const childEnv = "DAEMON_TEST_RUN"
 
 func TestMain(m *testing.M) {
-	if run := runs[os.Getenv(childEnv)]; run != nil {
+	name := os.Getenv(childEnv)
+	if run := runs[name]; run != nil {
 		os.Exit(Main(run))
+	}
+	if name == "batchhang" {
+		os.Exit(Main(batchHang))
 	}
 	os.Exit(m.Run())
 }
@@ -226,6 +232,7 @@ func TestExitStatus(t *testing.T) {
 		{"ktraced", []string{"-seg", missing, "-spill", "a", "-relay", "b"}, 2, "exactly one of -spill or -relay"},
 		{"ktraced", []string{"-seg", filepath.Join(dir, "seg"), "-spill", missing}, 1, "ktraced: open "},
 		{"ktraced", []string{"-seg", missing, "-spill", filepath.Join(dir, "spill")}, 1, "ktraced: "},
+		{"ktraced", []string{"-seg", missing, "-spill", "a", "-mask", "nope"}, 2, "ktraced: bad -mask: "},
 		{"shmlog", nil, 2, "shmlog: -seg is required\n"},
 		{"shmlog", []string{"-seg", missing}, 1, "shmlog: "},
 		{"shmlog", []string{"-seg", missing, "-cpu", "-2"}, 2, "shmlog: -cpu -2: want a CPU slot, or -1 for round-robin\n"},

@@ -85,7 +85,7 @@ func Ktraced(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	mask, err := event.ParseMask(*maskSpec)
 	if err != nil {
-		return p.fail(err)
+		return p.usage("bad -mask: %v", err)
 	}
 	var adminLn net.Listener
 	if *admin != "" {
