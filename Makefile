@@ -30,9 +30,11 @@ CORES ?= 1 4
 # `make stress` repeats, under the race detector and at each of these core
 # counts, the tests whose outcome a schedule can change: the store's queries
 # against ingest, compaction and GC (a segment stays pinned through the whole
-# merge), the chains that decode one block ahead of the merge, the merge's
-# pulled sources — a whole-file read's chains over a disordered file among
-# them — the pages whose capped merge abandons those chains mid-walk, the
+# merge), the store's pulled chains — which draw in step with the merge, but
+# whose tests at four workers race the parallel scan against it, and whose
+# one-scratch pin holds a first query to the same bytes at one worker and
+# four whatever the scheduler does — the merge's pulled sources — a
+# whole-file read's chains over a disordered file among them — the pages whose capped merge abandons those chains mid-walk, the
 # collector's buffer recycling and the bound on its buffers, where the
 # schedule decides how far a connection's reader runs ahead of its worker
 # (TestCollectorBuffersBounded), its drain of a sender that has just exited
@@ -55,7 +57,7 @@ CORES ?= 1 4
 # Three repeats take about 4.5 min on a 2-core host (internal/fed about 18 s of each core
 # count), so that is the default; CI's stress job runs STRESS_COUNT=10.
 STRESS_PKGS = ./internal/core/ ./internal/store/ ./internal/stream/ ./internal/live/ ./internal/fed/ ./internal/daemon/
-STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestCollectorBuffersBounded$$|TestDrainReadsAFinishedSender$$|TestAdmissionControl$$|TestSnapshotUnderChurn$$|TestDigestScratchIsAChunk$$|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$|TestRebalanceMaskHandoff$$|TestFederatedOverviewParity$$|TestChaosSoakFederation$$|TestScheduledReclaim$$|TestReclaimRequiresSoleInflight$$|TestStuckSealRace$$|TestCrossProcessGarbleDetection$$|TestCrossProcessBatchKill$$
+STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestPulledChainHoldsOneScratch$$|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestCollectorBuffersBounded$$|TestDrainReadsAFinishedSender$$|TestAdmissionControl$$|TestSnapshotUnderChurn$$|TestDigestScratchIsAChunk$$|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$|TestRebalanceMaskHandoff$$|TestFederatedOverviewParity$$|TestChaosSoakFederation$$|TestScheduledReclaim$$|TestReclaimRequiresSoleInflight$$|TestStuckSealRace$$|TestCrossProcessGarbleDetection$$|TestCrossProcessBatchKill$$
 STRESS_CORES ?= 1 2 4
 STRESS_COUNT ?= 3
 

@@ -49,7 +49,8 @@ type Stats struct {
 	BatchOpens uint64
 }
 
-func (a Stats) add(b Stats) Stats {
+// Add returns the elementwise sum of two snapshots.
+func (a Stats) Add(b Stats) Stats {
 	a.Events += b.Events
 	a.Words += b.Words
 	a.Retries += b.Retries
@@ -67,14 +68,11 @@ func (a Stats) add(b Stats) Stats {
 	return a
 }
 
-// Add returns the elementwise sum of two snapshots.
-func (a Stats) Add(b Stats) Stats { return a.add(b) }
-
 // Stats returns counters summed across all CPUs.
 func (t *Tracer) Stats() Stats {
 	var sum Stats
 	for _, a := range t.cpus {
-		sum = sum.add(a.Stats())
+		sum = sum.Add(a.Stats())
 	}
 	return sum
 }

@@ -20,6 +20,9 @@ import (
 	"k42trace/internal/stream"
 )
 
+// dialTimeout bounds each dial.
+const dialTimeout = 2 * time.Second
+
 // ReliableOptions tunes a Link and the senders built on it. Zero values
 // get defaults.
 type ReliableOptions struct {
@@ -35,8 +38,6 @@ type ReliableOptions struct {
 	// A block that exhausts them is the caller's to give up on: see
 	// SendReliable and SendThrough for the two policies.
 	MaxAttempts int
-	// DialTimeout bounds each dial (default 2s).
-	DialTimeout time.Duration
 	// Resolve, if set, is consulted before every dial and overrides the
 	// addr argument. This is the federation rebalance hook: a producer
 	// resolves its collector through the aggregator's consistent-hash
@@ -62,9 +63,6 @@ func (o *ReliableOptions) defaults() {
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 8
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
 	}
 }
 
@@ -142,7 +140,7 @@ func (l *Link) dial() error {
 			return err
 		}
 	}
-	c, err := net.DialTimeout("tcp", target, l.opt.DialTimeout)
+	c, err := net.DialTimeout("tcp", target, dialTimeout)
 	if err != nil {
 		return err
 	}

@@ -295,8 +295,8 @@ func TestCursorWalksThroughTies(t *testing.T) {
 // cursor, cloned; a chain's first pulled block, its payload slab; and about
 // a hundred bytes of plan for each of the 120 blocks still ahead (44 KB at
 // most, on the first pages). Pulled with the cache off, and every page a hit
-// with it on (the walk is made once to fill it); chains in step with the
-// merge and drawing ahead of it, whose goroutines a page's stop abandons.
+// with it on (the walk is made once to fill it); with one scan worker and
+// four, and chains that a page's stop closes before they are drained.
 func TestPageAllocatesAPage(t *testing.T) {
 	data := scriptSpill(t, 2, 256, func(log func(cpu int, at uint64, n int)) {
 		for at := uint64(1); at <= 15000; at++ {

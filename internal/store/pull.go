@@ -38,10 +38,9 @@ func wholeMatch(bs *stream.BlockSummary, p *Params, to uint64) bool {
 // — when nobody keeps them — which CPUs pull, the blocks the scan left
 // them, and their chains. The zero pullSet pulls nothing.
 type pullSet struct {
-	s     *Store
-	p     Params // the scan's
-	to    uint64
-	ahead bool // chains draw one link ahead of the merge
+	s  *Store
+	p  Params // the scan's
+	to uint64
 
 	cpus []bool          // by CPU: its whole-matching blocks are pulled
 	left [][]pulledBlock // by pinned segment: the blocks the scan left, in file order
@@ -115,7 +114,7 @@ func (ps *pullSet) add(i int, runs [][]event.Event) {
 			return nil
 		}
 		if ps.chains[cpu] == nil {
-			ps.chains[cpu] = &chain{s: ps.s, p: ps.p, to: ps.to, need: ps.need, ahead: ps.ahead}
+			ps.chains[cpu] = &chain{s: ps.s, p: ps.p, to: ps.to, need: ps.need}
 			ps.sources = append(ps.sources, ps.chains[cpu])
 		}
 		return ps.chains[cpu]
@@ -144,13 +143,13 @@ func (ps *pullSet) add(i int, runs [][]event.Event) {
 }
 
 // merge is the one merge every query ends in. A chain takes its scratch off
-// the store's free list for as long as the merge runs — one, and a second
-// when it draws ahead — so the list is told to hold that many.
+// the store's free list for as long as the merge runs, so the list is told
+// to hold one a chain.
 //
 // A page caps the merge exactly: the plan pulls only CPUs whose chains the
 // index shows in time order, and a chain sorts each run where it lies, so
 // no chain steps back after the merge stops. A capped merge closes the
-// chains it stopped drawing, goroutines and all.
+// chains it stopped drawing.
 //
 // An aggregation's merge that pulls nothing also returns the runs it
 // merged, grouped by CPU (stream.MergeRuns): every one lies in memory, and
@@ -161,67 +160,49 @@ func (ps *pullSet) merge(page stream.Cap) (evs []event.Event, byCPU [][]event.Ev
 		evs, byCPU = stream.MergeRuns(ps.runs...)
 		return evs, byCPU, nil
 	}
-	if hold := len(ps.sources); ps.ahead {
-		ps.s.scratch.Hold(2 * hold)
-	} else {
-		ps.s.scratch.Hold(hold)
-	}
+	ps.s.scratch.Hold(len(ps.sources))
 	evs, err = stream.MergeFrom(ps.hint, page, ps.sources, ps.runs...)
 	return evs, nil, err
 }
 
-// drawn is what a chain's goroutine hands the merge: a link's run, the
-// scratch it lies in, or the error that ended the chain.
-type drawn struct {
-	run []event.Event
-	sc  *stream.BlockScratch
-	err error
-}
-
-// chain is one CPU's blocks under the merge, a stream.RunSource: cloned
-// runs go out as they are, and a pulled block is decoded into a scratch off
-// the store's free list, put through the exact filter — the summary that
-// called it whole is then only a promise about allocation, not about the
-// answer — and its payloads moved into a slab of their own, so that what
-// the merge copies out of the scratch points at nothing the next draw
-// overwrites. A run out of time order inside (a rotted block) is sorted
-// where it lies: the index put nothing between its bounds.
-//
-// With ahead set (the store's Workers is not 1) the links are drawn by a
-// goroutine of the chain's own, one link ahead of the merge on a second
-// scratch: decode overlaps across CPUs and with the merge.
+// chain is one CPU's blocks under the merge, a stream.RunSource that draws
+// each link when the merge asks for it: cloned runs go out as they are, and
+// a pulled block is decoded into a scratch off the store's free list, put
+// through the exact filter — the summary that called it whole is then only
+// a promise about allocation, not about the answer — and its payloads moved
+// into a slab of their own, so that what the merge copies out of the
+// scratch points at nothing the next draw overwrites. A run out of time
+// order inside (a rotted block) is sorted where it lies: the index put
+// nothing between its bounds.
 type chain struct {
 	s     *Store
 	p     Params
 	to    uint64
 	links []link
+	next  int
 	// need is the event count of the largest block the query may decode:
-	// every scratch is sized for it once, whichever chain picks it up next
+	// the scratch is sized for it once, whichever chain picks it up next
 	// time.
 	need int
 
-	sc [2]*stream.BlockScratch // taken at the first draw, put back by Close
-
-	// The draw in step with the merge (ahead unset).
-	next int
-
-	// The draw one link ahead.
-	ahead bool
-	out   chan drawn                // from the goroutine, closed after the last link
-	free  chan *stream.BlockScratch // back to it: the scratches no drawn run lies in
-	stop  chan struct{}             // closed by Close
-	cur   *stream.BlockScratch      // where the run the merge is reading lies
+	sc *stream.BlockScratch // taken at the first pulled block, put back by Close
 }
 
-// draw returns link i's run; a pulled block's lies in sc.
-func (c *chain) draw(i int, sc *stream.BlockScratch) ([]event.Event, error) {
-	l := &c.links[i]
+func (c *chain) Next() ([]event.Event, error) {
+	if c.next == len(c.links) {
+		return nil, io.EOF
+	}
+	l := &c.links[c.next]
+	c.next++
 	run := l.run
 	if l.rd != nil {
-		if cap(sc.Events) < c.need {
-			sc.Events = make([]event.Event, 0, c.need)
+		if c.sc == nil {
+			c.sc = c.s.scratch.Get()
 		}
-		b, err := l.rd.DecodeBlockInto(l.k, sc)
+		if cap(c.sc.Events) < c.need {
+			c.sc.Events = make([]event.Event, 0, c.need)
+		}
+		b, err := l.rd.DecodeBlockInto(l.k, c.sc)
 		if err != nil {
 			return nil, err
 		}
@@ -240,77 +221,9 @@ func (c *chain) draw(i int, sc *stream.BlockScratch) ([]event.Event, error) {
 
 func byTime(a, b event.Event) int { return cmp.Compare(a.Time, b.Time) }
 
-// start takes the chain's scratch and, to draw ahead, starts its goroutine.
-func (c *chain) start() {
-	c.sc[0] = c.s.scratch.Get()
-	if !c.ahead {
-		return
-	}
-	c.sc[1] = c.s.scratch.Get()
-	c.out = make(chan drawn)
-	c.stop = make(chan struct{})
-	c.free = make(chan *stream.BlockScratch, len(c.sc))
-	c.free <- c.sc[0]
-	c.free <- c.sc[1]
-	go c.drawAhead()
-}
-
-func (c *chain) Next() ([]event.Event, error) {
-	if c.sc[0] == nil {
-		c.start()
-	}
-	if !c.ahead {
-		if c.next == len(c.links) {
-			return nil, io.EOF
-		}
-		c.next++
-		return c.draw(c.next-1, c.sc[0])
-	}
-	if c.cur != nil {
-		c.free <- c.cur // never blocks: free has room for every scratch
-		c.cur = nil
-	}
-	d, ok := <-c.out
-	if !ok {
-		return nil, io.EOF
-	}
-	c.cur = d.sc
-	return d.run, d.err
-}
-
-// drawAhead draws the links in order, each into a scratch the merge has
-// handed back, until the last link, an error or Close.
-func (c *chain) drawAhead() {
-	defer close(c.out)
-	for i := range c.links {
-		var d drawn
-		select {
-		case d.sc = <-c.free:
-		case <-c.stop:
-			return
-		}
-		d.run, d.err = c.draw(i, d.sc)
-		select {
-		case c.out <- d:
-		case <-c.stop:
-			return
-		}
-		if d.err != nil {
-			return
-		}
-	}
-}
-
-// Close stops the goroutine, waits for it, and puts the scratches back.
+// Close puts the scratch back.
 func (c *chain) Close() {
-	if c.stop != nil {
-		close(c.stop)
-		for range c.out {
-		}
-	}
-	for _, sc := range c.sc {
-		if sc != nil {
-			c.s.scratch.Put(sc)
-		}
+	if c.sc != nil {
+		c.s.scratch.Put(c.sc)
 	}
 }

@@ -31,8 +31,8 @@ func pulledQueries(tenant string, base []event.Event) []Params {
 	}
 }
 
-// bothWays runs fn against a store whose chains draw in step with the merge
-// and one whose chains draw ahead of it.
+// bothWays runs fn against a store that scans on one worker and one that
+// scans on four; either way the chains draw in step with the merge.
 func bothWays(t *testing.T, fn func(t *testing.T, workers int)) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("j%d", workers), func(t *testing.T) { fn(t, workers) })
@@ -258,7 +258,7 @@ func TestRottedBlockIsSortedWhereItLies(t *testing.T) {
 
 // TestBrokenChainFailsTheQuery: a block that stops reading under the merge
 // — after the scan, which never touched it — fails the query with the
-// block's error, leaves no chain's goroutine behind and every scratch back
+// block's error, leaves no scan goroutine behind and every scratch back
 // on the free list: the same query answers again once the block reads.
 func TestBrokenChainFailsTheQuery(t *testing.T) {
 	data := sdetSpill(t, 42)

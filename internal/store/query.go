@@ -355,7 +355,7 @@ func (s *Store) query(p Params) (*Result, error) {
 	// baseline are nobody's to keep: the scan leaves its whole-matching
 	// blocks, on the CPUs whose chains the index shows in time order, for
 	// the merge to pull (pull.go).
-	ps := pullSet{s: s, p: scan, to: to, ahead: workers != 1}
+	ps := pullSet{s: s, p: scan, to: to}
 	if !useCache && !scan.NoPrune {
 		if err := ps.plan(pinned, workers); err != nil {
 			return res, err

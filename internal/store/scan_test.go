@@ -232,8 +232,8 @@ func TestCachedRunsAreNotTheCallers(t *testing.T) {
 // its answer once — each block decoded under the merge into scratch off the
 // free list, the structs copied from there into Result.Events, the payloads
 // into one slab a block — where cloning every block as a run first made it
-// twice. One worker, so that the chains draw in step with the merge and
-// which scratch they pick up is not the scheduler's choice.
+// twice. One worker, so that which scratch a chain picks up off the free
+// list is not the scheduler's choice.
 func TestWholeRangeQueryAllocatesItsAnswerOnce(t *testing.T) {
 	once := func(t *testing.T, s *Store, p Params, base []event.Event, wantBlocks int) {
 		t.Helper()
@@ -285,6 +285,49 @@ func TestWholeRangeQueryAllocatesItsAnswerOnce(t *testing.T) {
 		}
 		once(t, s, Params{Tenant: "t", From: first.MinTime, To: last.MaxTime + 1}, base, 8)
 	})
+}
+
+// TestPulledChainHoldsOneScratch: a chain decodes each pulled block inside
+// the merge's Next, into the one scratch it takes off the free list,
+// whatever the store's Workers. So a store's first query after an ingest
+// allocates the same at Workers 1 and 4: a second scratch a chain, grown to
+// the largest block, would show as that block's events × 48 B, far above
+// the 4 KiB allowed.
+func TestPulledChainHoldsOneScratch(t *testing.T) {
+	data := denseSpill(t, 0, 12)
+	first := func(workers int) (alloc uint64, need int) {
+		s := openStore(t, Options{Workers: workers})
+		res := ingestBytes(t, s, "t", data)
+		if len(res.Segments) != 1 {
+			t.Fatalf("spill became %d segments", len(res.Segments))
+		}
+		_, fi, err := s.getTenant("t").segs[res.Segments[0].ID].open(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bs := range fi.Blocks {
+			need = max(need, int(bs.Events))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		q, err := s.Query(Params{Tenant: "t", Agg: "overview"})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(len(q.Events)) != res.Events {
+			t.Fatalf("j%d: %d of %d events", workers, len(q.Events), res.Events)
+		}
+		return after.TotalAlloc - before.TotalAlloc, need
+	}
+	one, need := first(1)
+	four, _ := first(4)
+	if slab := need * int(unsafe.Sizeof(event.Event{})); slab <= 16<<10 {
+		t.Fatalf("the largest block's scratch is %d bytes, too small to tell", slab)
+	}
+	if d := int64(four) - int64(one); d > 4<<10 || d < -4<<10 {
+		t.Errorf("the first query allocates %d bytes at Workers 4 and %d at Workers 1; want the same ± 4 KiB", four, one)
+	}
 }
 
 // namedSpill logs the same round of activity `rounds` times on each of two
