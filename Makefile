@@ -108,11 +108,11 @@ stress:
 		GOMAXPROCS=$$n $(GO) test -race -count=$(STRESS_COUNT) -run '^($(STRESS_RUN))' $(STRESS_PKGS) \
 			|| { echo "stress: failed at GOMAXPROCS=$$n"; exit 1; }; done
 
-# Fuzz the decoders — block, trace file and index sidecar — and the event
-# renderer: the seed corpus lives under each package's testdata/fuzz
-# (regenerate with go test <pkg> -updatefuzzseeds) or, for the sidecar, in
-# the target's f.Add calls. Go only allows one fuzz target per invocation,
-# hence one line per target.
+# Fuzz the decoders — block, trace file and index sidecar — the event
+# renderer and the daemons' flag parsing: the seed corpus lives under each
+# package's testdata/fuzz (regenerate with go test <pkg> -updatefuzzseeds)
+# or, for the sidecar and the daemon flags, in the target's f.Add calls. Go
+# only allows one fuzz target per invocation, hence one line per target.
 fuzz:
 	$(GO) test ./internal/core/ -fuzz='^FuzzDecodeBlock$$' -fuzztime=$(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/event/ -fuzz='^FuzzAppendText$$' -fuzztime=$(FUZZTIME) -run '^$$'
@@ -120,6 +120,7 @@ fuzz:
 	$(GO) test ./internal/stream/ -fuzz='^FuzzSalvage$$' -fuzztime=$(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/stream/ -fuzz='^FuzzDecodeIndex$$' -fuzztime=$(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/store/ -fuzz='^FuzzQueryParams$$' -fuzztime=$(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/daemon/ -fuzz='^FuzzDaemonFlags$$' -fuzztime=$(FUZZTIME) -run '^$$'
 
 # The layer microbenchmarks — the offline suite at the repo root plus the
 # live-ingest, federation-ingest, and store-query benchmarks — as plain

@@ -16,20 +16,22 @@ import (
 	"os"
 
 	ktrace "k42trace"
+	"k42trace/internal/flagset"
 	"k42trace/internal/hpc"
 	"k42trace/internal/ksim"
 	"k42trace/internal/stream"
 )
 
 func main() {
+	fs := flag.NewFlagSet("hpcrun", flag.ExitOnError)
 	p := hpc.DefaultParams(8)
-	flag.IntVar(&p.Ranks, "ranks", p.Ranks, "ranks (one per simulated CPU)")
-	flag.IntVar(&p.Iterations, "iters", p.Iterations, "iterations")
-	flag.Uint64Var(&p.ComputeNs, "compute", p.ComputeNs, "per-iteration compute per rank, virtual ns")
-	flag.IntVar(&p.ImbalancePct, "imbalance", p.ImbalancePct, "compute skew of the slowest rank, percent")
-	flag.Uint64Var(&p.ExchangeBytes, "exchange", p.ExchangeBytes, "halo exchange bytes per iteration (0 = none)")
-	out := flag.String("o", "", "capture the trace to this file")
-	flag.Parse()
+	flagset.Var(fs, &p.Ranks, "ranks", p.Ranks, "ranks (one per simulated CPU)", flagset.Min(1))
+	flagset.Var(fs, &p.Iterations, "iters", p.Iterations, "iterations", flagset.Min(1))
+	flagset.Var(fs, &p.ComputeNs, "compute", p.ComputeNs, "per-iteration compute per rank, virtual ns", flagset.Any[uint64]())
+	flagset.Var(fs, &p.ImbalancePct, "imbalance", p.ImbalancePct, "compute skew of the slowest rank, percent", flagset.Min(0))
+	flagset.Var(fs, &p.ExchangeBytes, "exchange", p.ExchangeBytes, "halo exchange bytes per iteration (0 = none)", flagset.Any[uint64]())
+	out := fs.String("o", "", "capture the trace to this file")
+	flagset.Parse(fs, os.Args[1:])
 
 	cfg := ksim.Config{CPUs: p.Ranks, Tuned: true}
 	var (

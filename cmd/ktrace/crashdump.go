@@ -1,12 +1,12 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
 
 	ktrace "k42trace"
+	"k42trace/internal/flagset"
 	"k42trace/internal/ksim"
 	"k42trace/internal/sdet"
 )
@@ -23,13 +23,7 @@ import (
 func crashdump(stdout, stderr io.Writer, args []string) int {
 	t := newTraceTool(stderr, "crashdump", "[-demo] [flags] crash.ktr")
 	demo := t.fs.Bool("demo", false, "generate a demonstration dump from a traced SDET run instead of reading one")
-	tail := t.fs.Int("tail", 12, "events to list per CPU")
-	t.vet = func() error {
-		if *tail < 0 {
-			return errors.New("-tail must not be negative")
-		}
-		return nil
-	}
+	tail := flagset.New(t.fs, "tail", 12, "events to list per CPU", flagset.Min(0))
 	if code, ok := t.parse(args, 1); !ok {
 		return code
 	}

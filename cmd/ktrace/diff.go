@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	tracediff "k42trace/internal/diff"
+	"k42trace/internal/flagset"
 )
 
 // diff is the differential analyzer: it aligns two traces of "the same"
@@ -17,19 +18,13 @@ import (
 // is set and the measured divergence exceeds it (the CI regression gate).
 func diff(stdout, stderr io.Writer, args []string) int {
 	t := newTraceTool(stderr, "diff", "[flags] a.ktr b.ktr")
-	top := t.fs.Int("top", 10, "rows per section in the text report")
-	windows := t.fs.Int("windows", 32, "aligned-range subdivisions for divergence scoring")
+	top := flagset.New(t.fs, "top", 10, "rows per section in the text report", flagset.Min(1))
+	windows := flagset.New(t.fs, "windows", 32, "aligned-range subdivisions for divergence scoring", columns)
 	jsonOut := t.fs.Bool("json", false, "emit the full report as JSON instead of text")
 	htmlPath := t.fs.String("html", "", "write the two aligned runs as a stacked interactive HTML timeline")
-	maxDiv := t.fs.Float64("max-divergence", -1, "exit 3 if divergence exceeds this (CI gate; <0 = off)")
+	maxDiv := flagset.New(t.fs, "max-divergence", -1, "exit 3 if divergence exceeds this (CI gate; -1 = off)", flagset.Min(0.0).Or(-1))
 	var anchors stringList
 	t.fs.Var(&anchors, "anchor", "event name to align the runs on (repeatable; default: mask epochs, else spans)")
-	t.vet = func() error {
-		if *windows > maxColumns {
-			return fmt.Errorf("-windows must be at most %d", maxColumns)
-		}
-		return nil
-	}
 	if code, ok := t.parse(args, 2); !ok {
 		return code
 	}

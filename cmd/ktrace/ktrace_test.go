@@ -144,12 +144,12 @@ func TestUsageErrors(t *testing.T) {
 		t.Errorf("timebreak without -pid or -all: exit %d stderr %q", code, stderr)
 	}
 	_, stderr, code = ktraceRun("list", "-major", "sched,nope", corpus("clean.ktr"))
-	if code != 2 || !strings.Contains(stderr, `ktrace list: unknown major "nope"`) {
+	if code != 2 || !strings.Contains(stderr, `invalid value "sched,nope" for flag -major: unknown major "nope"`) {
 		t.Errorf("list -major sched,nope: exit %d stderr %q", code, stderr)
 	}
 	// Negative counts, times and windows, selectors below their -1 "all",
-	// and column counts past the ceiling are usage errors, refused before
-	// the file is read.
+	// and column counts outside [1, ceiling] are usage errors that name the
+	// flag, refused before the file is read.
 	for _, args := range [][]string{
 		{"crashdump", "-tail", "-1", "F"},
 		{"list", "-from", "-1", "F"},
@@ -157,16 +157,41 @@ func TestUsageErrors(t *testing.T) {
 		{"list", "-n", "-3", "F"},
 		{"list", "-pid", "-5", "F"},
 		{"list", "-cpu", "-7", "F"},
-		{"kmon", "-at", "0.0001", "-around", "-2", "F"},
-		{"kmon", "-at", "0.0001", "-around", "0", "F"},
+		{"kmon", "-around", "-2", "-at", "0.0001", "F"},
+		{"kmon", "-around", "0", "-at", "0.0001", "F"},
 		{"kmon", "-width", "200000000", "F"},
+		{"kmon", "-width", "0", "F"},
+		{"kmon", "-width", "-3", "F"},
 		{"diff", "-windows", "200000000", "F", "F"},
+		{"diff", "-windows", "0", "F", "F"},
+		{"diff", "-windows", "-1", "F", "F"},
+		{"list", "-j", "-4", "F"},
 	} {
 		args = withFlags(args, corpus("clean.ktr"))
 		stdout, stderr, code := ktraceRun(args...)
-		if code != 2 || stdout != "" || !strings.Contains(stderr, "usage: ktrace "+args[0]+" ") {
-			t.Errorf("ktrace %v: exit %d stdout %q stderr %q, want 2 and the usage", args, code, stdout, stderr)
+		named := fmt.Sprintf("invalid value %q for flag %s: ", args[2], args[1])
+		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, named) || !strings.Contains(stderr, "usage: ktrace "+args[0]+" ") {
+			t.Errorf("ktrace %v: exit %d stdout %q stderr %q, want 2, %q and the usage", args, code, stdout, stderr, named)
 		}
+	}
+}
+
+// TestEveryFlagDeclaresItsDomain: each verb's flag set declares a domain
+// for every numeric flag, with its default inside it — flagset.Parse walks
+// the set with VisitAll and panics on a flag without one, and a declaration
+// whose default falls outside its domain panics.
+func TestEveryFlagDeclaresItsDomain(t *testing.T) {
+	for _, v := range verbs {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: %v", v.name, p)
+				}
+			}()
+			if _, _, code := ktraceRun(v.name, "-h"); code != 0 {
+				t.Errorf("ktrace %s -h: exit %d", v.name, code)
+			}
+		}()
 	}
 }
 
@@ -179,8 +204,8 @@ func TestBadValueBeforeMissingFile(t *testing.T) {
 		args   []string
 		stderr string
 	}{
-		{[]string{"lockstat", "-sort", "nope", missing}, `ktrace lockstat: unknown sort key "nope"` + "\nusage: ktrace lockstat "},
-		{[]string{"list", "-major", "sched,nope", missing}, `ktrace list: unknown major "nope"` + "\nusage: ktrace list "},
+		{[]string{"lockstat", "-sort", "nope", missing}, `invalid value "nope" for flag -sort: want one of time, count, spin, max` + "\nusage: ktrace lockstat "},
+		{[]string{"list", "-major", "sched,nope", missing}, `invalid value "sched,nope" for flag -major: unknown major "nope"` + "\nusage: ktrace list "},
 	} {
 		stdout, stderr, code := ktraceRun(bad.args...)
 		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, bad.stderr) {

@@ -9,18 +9,19 @@
 //	ktrace <verb> [flags] file...
 //
 // Exit status: 0 on success, 1 on an error or a finding (a lock-order
-// cycle, a validation failure, an unclean salvage), 2 on usage, and 3 from
-// diff when -max-divergence is exceeded.
+// cycle, a validation failure, an unclean salvage), 2 on usage — a value
+// outside its flag's domain (internal/flagset) among them, refused before
+// the file is read — and 3 from diff when -max-divergence is exceeded.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	ktrace "k42trace"
+	"k42trace/internal/flagset"
 )
 
 // verbs is the dispatch table, in the order the usage message lists them.
@@ -61,10 +62,11 @@ func run(stdout, stderr io.Writer, args []string) int {
 	return 2
 }
 
-// maxColumns bounds kmon's -width and diff's -windows: each column holds a
-// per-mode accumulator for every CPU, and a count far past any screen's or
-// chart's width would otherwise be allocated before it could be refused.
-const maxColumns = 1 << 16
+// columns is the domain of kmon's -width and diff's -windows: each column
+// holds a per-mode accumulator for every CPU, and a count far past any
+// screen's or chart's width would otherwise be allocated before it could be
+// refused.
+var columns = flagset.In(1, 1<<16)
 
 // tool is the preamble the verbs share: a flag set, usage and error
 // reporting under the "ktrace <verb>:" prefix, and the one trace opener.
@@ -78,8 +80,6 @@ type tool struct {
 	// quiet stops open from warning on stderr about decode damage; check
 	// sets it because both of its paths account for the damage on stdout.
 	quiet bool
-	// vet, when set, checks the parsed flags; an error is a usage error.
-	vet func() error
 }
 
 func newTool(stderr io.Writer, verb, synopsis string) *tool {
@@ -94,7 +94,7 @@ func newTool(stderr io.Writer, verb, synopsis string) *tool {
 // the two flags open honours.
 func newTraceTool(stderr io.Writer, verb, synopsis string) *tool {
 	t := newTool(stderr, verb, synopsis)
-	t.fs.IntVar(&t.jobs, "j", 0, "decode/analysis workers (0 = all cores)")
+	flagset.Var(t.fs, &t.jobs, "j", 0, "decode/analysis workers (0 = all cores)", flagset.Min(0))
 	t.fs.BoolVar(&t.salvage, "salvage", false, "read forgivingly: quarantine bad blocks instead of failing")
 	return t
 }
@@ -109,19 +109,11 @@ func (t *tool) usage() int {
 // parse parses args and requires exactly nargs operands. When ok is false
 // the verb returns code without running.
 func (t *tool) parse(args []string, nargs int) (code int, ok bool) {
-	switch err := t.fs.Parse(args); {
-	case errors.Is(err, flag.ErrHelp):
-		return 0, false
-	case err != nil:
-		return 2, false
-	case t.fs.NArg() != nargs:
-		return t.usage(), false
+	if code, ok := flagset.Parse(t.fs, args); !ok {
+		return code, false
 	}
-	if t.vet != nil {
-		if err := t.vet(); err != nil {
-			fmt.Fprintf(t.stderr, "%s: %v\n", t.name, err)
-			return t.usage(), false
-		}
+	if t.fs.NArg() != nargs {
+		return t.usage(), false
 	}
 	return 0, true
 }

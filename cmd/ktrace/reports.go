@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"k42trace/internal/analysis"
+	"k42trace/internal/flagset"
 )
 
 // lockstat reproduces the paper's Figure 7: the lock-contention analysis
@@ -15,24 +16,15 @@ import (
 // on any column.
 func lockstat(stdout, stderr io.Writer, args []string) int {
 	t := newTraceTool(stderr, "lockstat", "[flags] trace.ktr")
-	sortKey := t.fs.String("sort", "time", "column to sort by: time, count, spin, max")
-	top := t.fs.Int("top", 10, "number of entries to print")
-	var key analysis.LockSortKey
-	t.vet = func() error {
-		var ok bool
-		key, ok = map[string]analysis.LockSortKey{"time": analysis.ByTime,
-			"count": analysis.ByCount, "spin": analysis.BySpin, "max": analysis.ByMaxTime}[*sortKey]
-		if !ok {
-			return fmt.Errorf("unknown sort key %q", *sortKey)
-		}
-		return nil
-	}
+	sortKey := flagset.New(t.fs, "sort", "time", "column to sort by", flagset.OneOf("time", "count", "spin", "max"))
+	top := flagset.New(t.fs, "top", 10, "number of entries to print (0 = all)", flagset.Min(0))
 	trace, code := t.load(args)
 	if trace == nil {
 		return code
 	}
 	rep := trace.LockStatParallel(t.jobs)
-	rep.Sort(key)
+	rep.Sort(map[string]analysis.LockSortKey{"time": analysis.ByTime,
+		"count": analysis.ByCount, "spin": analysis.BySpin, "max": analysis.ByMaxTime}[*sortKey])
 	if len(rep.Rows) == 0 {
 		fmt.Fprintln(stdout, "no contended locks in trace")
 		return 0
@@ -52,7 +44,7 @@ func lockstat(stdout, stderr io.Writer, args []string) int {
 // other applications, categorized by function.
 func timebreak(stdout, stderr io.Writer, args []string) int {
 	t := newTraceTool(stderr, "timebreak", "(-pid N | -all) trace.ktr")
-	pid := t.fs.Uint64("pid", ^uint64(0), "process to break down")
+	pid := flagset.New(t.fs, "pid", ^uint64(0), "process to break down", flagset.Any[uint64]())
 	all := t.fs.Bool("all", false, "print the per-process overview instead")
 	if code, ok := t.parse(args, 1); !ok {
 		return code
@@ -80,9 +72,9 @@ func timebreak(stdout, stderr io.Writer, args []string) int {
 // them).
 func profbreak(stdout, stderr io.Writer, args []string) int {
 	t := newTraceTool(stderr, "profbreak", "[flags] trace.ktr")
-	pid := t.fs.Uint64("pid", 0, "process to profile")
+	pid := flagset.New(t.fs, "pid", 0, "process to profile", flagset.Any[uint64]())
 	all := t.fs.Bool("all", false, "profile all processes combined")
-	top := t.fs.Int("top", 12, "histogram entries to print")
+	top := flagset.New(t.fs, "top", 12, "histogram entries to print (0 = all)", flagset.Min(0))
 	trace, code := t.load(args)
 	if trace == nil {
 		return code
@@ -112,7 +104,7 @@ func profbreak(stdout, stderr io.Writer, args []string) int {
 //	sdet -cpus 8 -config coarse -hwc 50000 -o trace.ktr
 func memhot(stdout, stderr io.Writer, args []string) int {
 	t := newTraceTool(stderr, "memhot", "[flags] trace.ktr")
-	top := t.fs.Int("top", 12, "rows to print")
+	top := flagset.New(t.fs, "top", 12, "rows to print (0 = all)", flagset.Min(0))
 	trace, code := t.load(args)
 	if trace == nil {
 		return code

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,6 +11,7 @@ import (
 	ktrace "k42trace"
 	"k42trace/internal/analysis"
 	"k42trace/internal/event"
+	"k42trace/internal/flagset"
 	"k42trace/internal/stream"
 )
 
@@ -20,39 +20,18 @@ import (
 // self-described rendering.
 func list(stdout, stderr io.Writer, args []string) int {
 	t := newTraceTool(stderr, "list", "[flags] trace.ktr")
-	majors := t.fs.String("major", "", "comma-separated major classes to include (e.g. SCHED,LOCK); empty = all")
-	from := t.fs.Float64("from", 0, "start of time window, seconds")
-	to := t.fs.Float64("to", 0, "end of time window, seconds (0 = end of trace)")
-	limit := t.fs.Int("n", 0, "maximum lines (0 = unlimited)")
+	majors := flagset.New(t.fs, "major", "", "comma-separated major classes to include (e.g. SCHED,LOCK); empty = all", flagset.Parses("major names", parseMajors))
+	from := flagset.New(t.fs, "from", 0.0, "start of time window, seconds", flagset.Min(0.0))
+	to := flagset.New(t.fs, "to", 0.0, "end of time window, seconds (0 = end of trace)", flagset.Min(0.0))
+	limit := flagset.New(t.fs, "n", 0, "maximum lines (0 = unlimited)", flagset.Min(0))
 	control := t.fs.Bool("control", false, "include infrastructure events (anchors, fillers metadata)")
-	pid := t.fs.Int64("pid", -1, "only events while this process was scheduled (-1 = all)")
-	cpu := t.fs.Int("cpu", -1, "only events from this processor (-1 = all)")
-	var only []event.Major
-	t.vet = func() error {
-		switch {
-		case *from < 0 || *to < 0:
-			return errors.New("-from and -to must not be negative")
-		case *limit < 0:
-			return errors.New("-n must not be negative")
-		case *pid < -1 || *cpu < -1:
-			return errors.New("-pid and -cpu must be -1 (all) or more")
-		}
-		if *majors == "" {
-			return nil
-		}
-		for _, name := range strings.Split(*majors, ",") {
-			m, ok := event.ParseMajor(name)
-			if !ok {
-				return fmt.Errorf("unknown major %q", name)
-			}
-			only = append(only, m)
-		}
-		return nil
-	}
+	pid := flagset.New(t.fs, "pid", -1, "only events while this process was scheduled (-1 = all)", flagset.Min[int64](0).Or(-1))
+	cpu := flagset.New(t.fs, "cpu", -1, "only events from this processor (-1 = all)", flagset.Min(0).Or(-1))
 	trace, code := t.load(args)
 	if trace == nil {
 		return code
 	}
+	only, _ := parseMajors(*majors)
 	opt := ktrace.ListOptions{
 		Majors:      only,
 		Limit:       *limit,
@@ -70,6 +49,21 @@ func list(stdout, stderr io.Writer, args []string) int {
 	}
 	_, err := trace.List(stdout, opt)
 	return t.status(err)
+}
+
+// parseMajors reads a -major list: comma-separated class names, or none.
+func parseMajors(s string) (only []event.Major, err error) {
+	if s == "" {
+		return nil, nil
+	}
+	for _, name := range strings.Split(s, ",") {
+		m, ok := event.ParseMajor(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown major %q", name)
+		}
+		only = append(only, m)
+	}
+	return only, nil
 }
 
 // stat summarizes a trace file: geometry, time span, event counts per
@@ -182,24 +176,16 @@ func (l *stringList) Set(s string) error { *l = append(*l, s); return nil }
 // window).
 func kmon(stdout, stderr io.Writer, args []string) int {
 	t := newTraceTool(stderr, "kmon", "[flags] trace.ktr")
-	width := t.fs.Int("width", 100, "timeline width in columns")
+	width := flagset.New(t.fs, "width", 100, "timeline width in columns", columns)
 	svgPath := t.fs.String("svg", "", "also write an SVG rendering to this path")
 	htmlPath := t.fs.String("html", "", "also write a self-contained interactive HTML timeline to this path")
-	zoomFrom := t.fs.Float64("from", -1, "zoom: window start, seconds")
-	zoomTo := t.fs.Float64("to", -1, "zoom: window end, seconds")
-	at := t.fs.Float64("at", -1, "list events around this time (seconds), like clicking the timeline")
-	around := t.fs.Float64("around", 2.0, "window size for -at, milliseconds")
+	seconds := flagset.Min(0.0).Or(-1) // a time, or -1 for none
+	zoomFrom := flagset.New(t.fs, "from", -1, "zoom: window start, seconds", seconds)
+	zoomTo := flagset.New(t.fs, "to", -1, "zoom: window end, seconds", seconds)
+	at := flagset.New(t.fs, "at", -1, "list events around this time (seconds), like clicking the timeline", seconds)
+	around := flagset.New(t.fs, "around", 2.0, "window size for -at, milliseconds", flagset.Over(0.0))
 	var marks stringList
 	t.fs.Var(&marks, "mark", "event name to mark on the timeline (repeatable)")
-	t.vet = func() error {
-		switch {
-		case *around <= 0:
-			return errors.New("-around must be positive")
-		case *width > maxColumns:
-			return fmt.Errorf("-width must be at most %d", maxColumns)
-		}
-		return nil
-	}
 	trace, code := t.load(args)
 	if trace == nil {
 		return code

@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"k42trace/internal/event"
+	"k42trace/internal/flagset"
 	"k42trace/internal/sdet"
 )
 
@@ -56,31 +57,27 @@ func parseCPUs(s string) ([]int, error) {
 }
 
 func main() {
-	sweep := flag.Bool("sweep", false, "run the full Figure 3 sweep and print the table")
-	cpus := flag.String("cpus", "1,2,4,8,16,24", "processor counts (comma-separated; first entry used for single runs)")
-	config := flag.String("config", "tuned", "kernel configuration: tuned or coarse")
-	traceMode := flag.String("trace", "masked", "tracing: out, masked, on")
-	out := flag.String("o", "", "capture the trace to this file (implies -trace on)")
-	scriptsPerCPU := flag.Int("scripts", 4, "SDET scripts per CPU")
-	cmds := flag.Int("cmds", 6, "commands per script")
-	seed := flag.Int64("seed", 42, "workload seed")
-	sample := flag.Uint64("sample", 0, "PC sampler period in virtual ns (0 = off)")
-	hwc := flag.Uint64("hwc", 0, "hardware-counter sample period in virtual ns (0 = off)")
-	stagger := flag.Uint64("stagger", 0, "delay script i by i*stagger virtual ns (startup-idle demo)")
-	forks := flag.Bool("forks", false, "scripts fork a child per command")
-	threads := flag.Bool("threads", false, "scripts spawn a thread per command (multithreaded processes)")
-	irq := flag.Uint64("irq", 0, "timer IRQ period in virtual ns (0 = off)")
+	fs := flag.NewFlagSet("sdet", flag.ExitOnError)
+	params := sdet.DefaultParams()
+	sweep := fs.Bool("sweep", false, "run the full Figure 3 sweep and print the table")
+	cpus := flagset.New(fs, "cpus", "1,2,4,8,16,24", "processor counts (comma-separated; first entry used for single runs)", flagset.Parses("counts >= 1", parseCPUs))
+	config := flagset.New(fs, "config", "tuned", "kernel configuration", flagset.OneOf("tuned", "coarse"))
+	traceMode := flagset.New(fs, "trace", "masked", "tracing", flagset.OneOf("out", "masked", "on"))
+	out := fs.String("o", "", "capture the trace to this file (implies -trace on)")
+	flagset.Var(fs, &params.ScriptsPerCPU, "scripts", params.ScriptsPerCPU, "SDET scripts per CPU", flagset.Min(1))
+	flagset.Var(fs, &params.CommandsPerScript, "cmds", params.CommandsPerScript, "commands per script", flagset.Min(1))
+	flagset.Var(fs, &params.Seed, "seed", params.Seed, "workload seed", flagset.Any[int64]())
+	sample := flagset.New(fs, "sample", 0, "PC sampler period in virtual ns (0 = off)", flagset.Any[uint64]())
+	hwc := flagset.New(fs, "hwc", 0, "hardware-counter sample period in virtual ns (0 = off)", flagset.Any[uint64]())
+	stagger := flagset.New(fs, "stagger", 0, "delay script i by i*stagger virtual ns (startup-idle demo)", flagset.Any[uint64]())
+	fs.BoolVar(&params.Forks, "forks", false, "scripts fork a child per command")
+	fs.BoolVar(&params.Threads, "threads", false, "scripts spawn a thread per command (multithreaded processes)")
+	irq := flagset.New(fs, "irq", 0, "timer IRQ period in virtual ns (0 = off)", flagset.Any[uint64]())
 	var maskAt maskAtFlag
-	flag.Var(&maskAt, "mask-at", `apply a trace-mask change mid-run: "ns=maskspec" (repeatable; maskspec as in ParseMask: all, none, 0x..., or major names)`)
-	flag.Parse()
+	fs.Var(&maskAt, "mask-at", `apply a trace-mask change mid-run: "ns=maskspec" (repeatable; maskspec as in ParseMask: all, none, 0x..., or major names)`)
+	flagset.Parse(fs, os.Args[1:])
 
-	list, err := parseCPUs(*cpus)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sdet:", err)
-		os.Exit(2)
-	}
-	params := sdet.Params{ScriptsPerCPU: *scriptsPerCPU, CommandsPerScript: *cmds,
-		Seed: *seed, Forks: *forks, Threads: *threads}
+	list, _ := parseCPUs(*cpus)
 	mode := map[string]sdet.TraceMode{
 		"out": sdet.TraceCompiledOut, "masked": sdet.TraceMasked, "on": sdet.TraceOn,
 	}[*traceMode]
@@ -110,11 +107,8 @@ func main() {
 		Stagger:     *stagger,
 		MaskChanges: maskAt,
 	}
-	if *config != "tuned" && *config != "coarse" {
-		fmt.Fprintf(os.Stderr, "sdet: unknown config %q\n", *config)
-		os.Exit(2)
-	}
 	var w *os.File
+	var err error
 	if *out != "" {
 		w, err = os.Create(*out)
 		if err != nil {

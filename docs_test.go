@@ -108,8 +108,8 @@ func TestDocsReferToWhatExists(t *testing.T) {
 
 // declaredFlags returns the flag names that binary's sources declare: the
 // name literal of every Bool, Int, String, Duration, Float64, Int64 and
-// Uint64 call, of their ...Var forms and of Var, in cmd/<bin>/*.go and
-// internal/daemon/<bin>.go.
+// Uint64 call, of their ...Var forms and of Var, and of flagset.Var and
+// flagset.New, in cmd/<bin>/*.go and internal/daemon/<bin>.go.
 func declaredFlags(t *testing.T, bin string) map[string]bool {
 	t.Helper()
 	// Glob fails only on a malformed pattern; these are fixed.
@@ -139,7 +139,11 @@ func declaredFlags(t *testing.T, bin string) map[string]bool {
 			if !ok {
 				return true
 			}
-			if i, ok := nameArg[sel.Sel.Name]; ok && i < len(call.Args) {
+			i, ok := nameArg[sel.Sel.Name]
+			if x, _ := sel.X.(*ast.Ident); x != nil && x.Name == "flagset" {
+				i, ok = map[string]int{"Var": 2, "New": 1}[sel.Sel.Name]
+			}
+			if ok && i < len(call.Args) {
 				if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
 					if name, err := strconv.Unquote(lit.Value); err == nil {
 						names[name] = true

@@ -16,6 +16,7 @@ import (
 	"k42trace/internal/core"
 	"k42trace/internal/event"
 	"k42trace/internal/faultinject"
+	"k42trace/internal/flagset"
 	"k42trace/internal/shm"
 	"k42trace/internal/stream"
 )
@@ -34,9 +35,9 @@ import (
 func batchHang(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	p := newProc("batchhang", stdout, stderr)
 	seg := p.fs.String("seg", "", "segment file to attach to")
-	words := p.fs.Int("words", 0, "words of the batch extent")
-	n := p.fs.Int("n", 0, "two-word test events to write into it")
-	if code, ok := p.parse(args); !ok {
+	words := flagset.New(p.fs, "words", 0, "words of the batch extent", flagset.Min(0))
+	n := flagset.New(p.fs, "n", 0, "two-word test events to write into it", flagset.Min(0))
+	if code, ok := flagset.Parse(p.fs, args); !ok {
 		return code
 	}
 	cl, err := shm.Attach(*seg)

@@ -9,8 +9,9 @@
 // nothing announced; it gives up what it opened through defers, so every
 // return path leaves no listener and no goroutine behind.
 //
-// Exit status: 0 after a clean drain, 1 on an error, 2 on usage. -h prints
-// the usage and is 0.
+// Exit status: 0 after a clean drain, 1 on an error, 2 on usage — a value
+// outside its flag's domain (internal/flagset) among them, refused before
+// anything is opened. -h prints the usage and is 0.
 package daemon
 
 import (
@@ -25,6 +26,10 @@ import (
 	"os/signal"
 	"sync"
 	"syscall"
+
+	"k42trace/internal/event"
+	"k42trace/internal/flagset"
+	"k42trace/internal/store"
 )
 
 // Run is one command's body: it parses args, serves until ctx is cancelled,
@@ -77,16 +82,11 @@ func newProc(name string, stdout, stderr io.Writer) *proc {
 	return p
 }
 
-// parse parses args; when ok is false the body returns code.
-func (p *proc) parse(args []string) (code int, ok bool) {
-	switch err := p.fs.Parse(args); {
-	case errors.Is(err, flag.ErrHelp):
-		return 0, false
-	case err != nil:
-		return 2, false
-	}
-	return 0, true
-}
+// The domains of the string flags more than one daemon declares.
+var (
+	traceMask  = flagset.Parses("a trace mask", event.ParseMask)
+	tenantName = flagset.Where("a tenant name", store.ValidTenant)
+)
 
 // say prints one line on stdout under the command's name.
 func (p *proc) say(format string, args ...any) {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -232,31 +235,70 @@ func TestExitStatus(t *testing.T) {
 		{"ktraced", []string{"-seg", missing, "-spill", "a", "-relay", "b"}, 2, "exactly one of -spill or -relay"},
 		{"ktraced", []string{"-seg", filepath.Join(dir, "seg"), "-spill", missing}, 1, "ktraced: open "},
 		{"ktraced", []string{"-seg", missing, "-spill", filepath.Join(dir, "spill")}, 1, "ktraced: "},
-		{"ktraced", []string{"-seg", missing, "-spill", "a", "-mask", "nope"}, 2, "ktraced: bad -mask: "},
+		{"ktraced", []string{"-seg", missing, "-spill", "a", "-mask", "nope"}, 2, `invalid value "nope" for flag -mask: event: unknown major "nope"`},
 		{"shmlog", nil, 2, "shmlog: -seg is required\n"},
 		{"shmlog", []string{"-seg", missing}, 1, "shmlog: "},
-		{"shmlog", []string{"-seg", missing, "-cpu", "-2"}, 2, "shmlog: -cpu -2: want a CPU slot, or -1 for round-robin\n"},
+		{"shmlog", []string{"-seg", missing, "-cpu", "-2"}, 2, `invalid value "-2" for flag -cpu: want -1 or >= 0` + "\n"},
 		{"tracerelay", nil, 2, "usage: tracerelay -send addr | -fed url\n  -attempts int"},
 		{"tracerelay", []string{"-send", "127.0.0.1:1", "-cpus", "1"}, 1, "tracerelay: relay: 127.0.0.1:1: attempt 1 of 1 failed: "},
-		{"tracerelay", []string{"-send", "127.0.0.1:1", "-loadgen", "-cpus", "0"}, 1, "tracerelay: core: CPUs must be >= 1, got 0\n"},
-		{"tracerelay", []string{"-send", "127.0.0.1:1", "-config", "tunned"}, 2, "tracerelay: bad -config"},
-		{"tracecolld", []string{"-watch", "1,x"}, 2, `tracecolld: bad -watch pid "x": `},
-		{"tracecolld", []string{"-mask", "nope"}, 2, "tracecolld: bad -mask: "},
-		{"tracecolld", []string{"-store", "http://127.0.0.1:1", "-store-tenant", "a/b"}, 2, `tracecolld: bad -store-tenant "a/b"` + "\n"},
+		{"tracerelay", []string{"-send", "127.0.0.1:1", "-loadgen", "-cpus", "0"}, 2, `invalid value "0" for flag -cpus: want in [1, 65536]` + "\n"},
+		{"tracerelay", []string{"-send", "127.0.0.1:1", "-config", "tunned"}, 2, `invalid value "tunned" for flag -config: want one of tuned, coarse` + "\n"},
+		{"tracecolld", []string{"-watch", "1,x"}, 2, `invalid value "1,x" for flag -watch: bad pid "x": `},
+		{"tracecolld", []string{"-mask", "nope"}, 2, `invalid value "nope" for flag -mask: event: unknown major "nope"`},
+		{"tracecolld", []string{"-store", "http://127.0.0.1:1", "-store-tenant", "a/b"}, 2, `invalid value "a/b" for flag -store-tenant: want a tenant name` + "\n"},
 		{"tracecolld", []string{"-store", "http://127.0.0.1:1", "-listen", lo, "-http", lo}, 2, "tracecolld: -store uploads the spill: it needs -spill\n"},
 		{"tracecolld", []string{"-name", "s1", "-heartbeat", "100ms", "-listen", lo, "-http", lo}, 2, "tracecolld: federating needs -agg-http (set: -heartbeat, -name)\n"},
 		{"tracecolld", []string{"-advertise", lo, "-listen", lo, "-http", lo}, 2, "tracecolld: federating needs -agg-http (set: -advertise)\n"},
-		{"tracecolld", []string{"-agg-http", "http://127.0.0.1:1", "-heartbeat", "0", "-listen", lo, "-http", lo}, 2, "tracecolld: -heartbeat 0s: want a positive period\n"},
+		{"tracecolld", []string{"-agg-http", "http://127.0.0.1:1", "-heartbeat", "0", "-listen", lo, "-http", lo}, 2, `invalid value "0" for flag -heartbeat: want > 0s` + "\n"},
 		{"tracecolld", []string{"-spill", missing}, 1, "tracecolld: open "},
 		{"tracecolld", inUse, 1, "address already in use"},
 		{"traceaggd", inUse[2:], 1, "address already in use"},
 		{"tracestored", append([]string{"-root", dir, "-relay"}, inUse[1:]...), 1, "address already in use"},
-		{"traceaggd", []string{"-mask", "nope"}, 2, "traceaggd: bad -mask: "},
-		{"traceaggd", []string{"-member-ttl", "-1s", "-http", lo}, 2, "traceaggd: -member-ttl -1s: want a positive period\n"},
+		{"traceaggd", []string{"-mask", "nope"}, 2, `invalid value "nope" for flag -mask: event: unknown major "nope"`},
+		{"traceaggd", []string{"-member-ttl", "-1s", "-http", lo}, 2, `invalid value "-1s" for flag -member-ttl: want > 0s` + "\n"},
 		{"tracestored", nil, 2, "usage: tracestored -root DIR [-http ADDR] [-watch DIR] [-relay ADDR]\n  -cache-bytes int"},
 		{"tracestored", []string{"-root", filepath.Join(os.Args[0], "under-a-file")}, 1, "tracestored: "},
-		{"tracestored", []string{"-root", dir, "-watch", dir, "-watch-every", "0"}, 2, "tracestored: -watch-every 0s: want a positive period\n"},
-		{"tracestored", []string{"-root", dir, "-relay", lo, "-relay-tenant", "../escape", "-http", lo}, 2, `tracestored: bad -relay-tenant "../escape"` + "\n"},
+		{"tracestored", []string{"-root", dir, "-watch", dir, "-watch-every", "0"}, 2, `invalid value "0" for flag -watch-every: want > 0s` + "\n"},
+		{"tracestored", []string{"-root", dir, "-relay", lo, "-relay-tenant", "../escape", "-http", lo}, 2, `invalid value "../escape" for flag -relay-tenant: want a tenant name` + "\n"},
+	}
+	// Values outside their flag's domain that a command once ran with,
+	// swapping in a library default or a different count: refused while
+	// parsing, with the flag named.
+	served := []string{"-listen", lo, "-http", lo}
+	stored := []string{"-root", dir, "-http", lo}
+	segment := []string{"-seg", filepath.Join(dir, "seg"), "-spill", filepath.Join(dir, "spill.ktr"), "-rm"}
+	sent := []string{"-send", "127.0.0.1:1", "-cpus", "1", "-backoff", "1ms"}
+	for _, d := range []struct {
+		name        string
+		args        []string
+		flag, value string
+		want        string
+	}{
+		{"tracecolld", served, "queue", "-1", ">= 1"},
+		{"tracecolld", served, "cpu-slots", "-1", "in [1, 65536]"},
+		{"tracecolld", served, "cpu-slots", "100000", "in [1, 65536]"},
+		{"tracecolld", served, "window", "-1s", "> 0s"},
+		{"tracecolld", served, "max-windows", "0", ">= 1"},
+		{"tracecolld", served, "slow", "0", "> 0s"},
+		{"tracestored", stored, "j", "-3", ">= 0"},
+		{"tracestored", stored, "max-seg-bytes", "-5", ">= 1"},
+		{"tracestored", stored, "cache-bytes", "-1", ">= 0"},
+		{"tracestored", stored, "retain-age", "-1s", ">= 0s"},
+		{"tracestored", stored, "retain-bytes", "-1", ">= 0"},
+		{"tracestored", stored, "tenant-queue", "-1", ">= 0"},
+		{"tracestored", stored, "tenant-queries", "-1", ">= 0"},
+		{"tracestored", stored, "compact-every", "-1s", ">= 0s"},
+		{"tracestored", stored, "gc-every", "-1s", ">= 0s"},
+		{"ktraced", segment, "cpus", "0", "in [1, 4096]"},
+		{"ktraced", segment, "max-clients", "0", "in [1, 65536]"},
+		{"tracerelay", append(sent, "-reconnect"), "attempts", "0", ">= 1"},
+		{"tracerelay", append(sent, "-reconnect"), "attempts", "-1", ">= 1"},
+		{"tracerelay", sent, "drop", "2", "in [0, 1]"},
+		{"tracerelay", sent, "drop", "-1", "in [0, 1]"},
+		{"shmlog", []string{"-seg", missing, "-hang"}, "payload", "-1", ">= 0"},
+	} {
+		rows = append(rows, exitRow{d.name, slices.Concat(d.args, []string{"-" + d.flag, d.value}), 2,
+			fmt.Sprintf("invalid value %q for flag -%s: want %s\n", d.value, d.flag, d.want)})
 	}
 	for name := range runs {
 		rows = append(rows,
@@ -277,6 +319,69 @@ func TestExitStatus(t *testing.T) {
 		c.Close()
 		t.Errorf("a command refused its HTTP port and left its relay listener on %s open", free.Addr())
 	}
+}
+
+// TestEveryFlagDeclaresItsDomain: each daemon's flag set declares a domain
+// for every numeric and duration flag, with its default inside it —
+// flagset.Parse walks the set with VisitAll and panics on a flag without
+// one, and a declaration whose default falls outside its domain panics.
+func TestEveryFlagDeclaresItsDomain(t *testing.T) {
+	for name, run := range runs {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: %v", name, p)
+				}
+			}()
+			if code := run(context.Background(), []string{"-h"}, io.Discard, io.Discard); code != 0 {
+				t.Errorf("%s -h: exit %d", name, code)
+			}
+		}()
+	}
+}
+
+// flagName is a flag's line in a usage message.
+var flagName = regexp.MustCompile(`(?m)^  -(\S+)`)
+
+// FuzzDaemonFlags: any value for any flag of a daemon, followed by -h, is
+// exit 0 or exit 2 with a line naming the flag, and nothing on stdout: a
+// value outside its domain is refused while it is parsed, before -h, and -h
+// ends the parse before anything is opened, bound or allocated.
+func FuzzDaemonFlags(f *testing.F) {
+	names := slices.Sorted(maps.Keys(runs))
+	flags := map[string][]string{}
+	for _, name := range names {
+		var usage bytes.Buffer
+		runs[name](context.Background(), []string{"-h"}, io.Discard, &usage)
+		for _, m := range flagName.FindAllStringSubmatch(usage.String(), -1) {
+			flags[name] = append(flags[name], m[1])
+		}
+	}
+	seed := func(name, flag, value string) {
+		f.Add(uint8(slices.Index(names, name)), uint8(slices.Index(flags[name], flag)), value)
+	}
+	seed("tracecolld", "queue", "-1")
+	seed("tracecolld", "watch", "1,x")
+	seed("tracestored", "cache-bytes", "256")
+	seed("ktraced", "cpus", "100000000")
+	seed("ktraced", "bufwords", "24")
+	seed("tracerelay", "drop", "NaN")
+	seed("tracerelay", "cpus", "1e9")
+	seed("traceaggd", "member-ttl", "1h")
+	seed("shmlog", "workload", "x")
+	seed("shmlog", "pid", "-1")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel() // a command that got past its flags would drain at once
+	f.Fuzz(func(t *testing.T, cmd, flag uint8, value string) {
+		name := names[int(cmd)%len(names)]
+		fl := flags[name][int(flag)%len(flags[name])]
+		args := []string{"-" + fl + "=" + value, "-h"}
+		var stdout, stderr bytes.Buffer
+		code := runs[name](cancelled, args, &stdout, &stderr)
+		if stdout.Len() != 0 || code != 0 && (code != 2 || !strings.Contains(stderr.String(), " -"+fl+": ")) {
+			t.Errorf("%s %q: exit %d, stdout %q, stderr %q", name, args, code, &stdout, &stderr)
+		}
+	})
 }
 
 // TestStoreTenantIsEscaped: the -store upload sends the tenant as one query

@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"k42trace/internal/event"
+	"k42trace/internal/flagset"
 	"k42trace/internal/relay"
 	"k42trace/internal/shm"
 	"k42trace/internal/stream"
@@ -56,6 +57,14 @@ func adminMux(ag *shm.Agent) *http.ServeMux {
 	return mux
 }
 
+// pow2 is the domain of a segment's buffer geometry: 0 for the default, or
+// a power of two of at least lo.
+func pow2(lo int) flagset.Domain[int] {
+	return flagset.Where(fmt.Sprintf("0 or a power of two >= %d", lo), func(n int) bool {
+		return n == 0 || n >= lo && n&(n-1) == 0
+	})
+}
+
 // Ktraced owns a shared-memory segment: it drains sealed buffers into
 // -spill or up -relay, writes off dead clients, and on cancel seals what
 // remains. Drain order: stop the agent, wait for the drain to write the last
@@ -65,16 +74,16 @@ func Ktraced(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	p := newProc("ktraced", stdout, stderr)
 	var g shm.Geometry
 	seg := p.fs.String("seg", "", "segment file to create and own (tmpfs recommended)")
-	p.fs.IntVar(&g.CPUs, "cpus", 2, "processor slots")
-	p.fs.IntVar(&g.BufWords, "bufwords", 0, "buffer size in words (power of two; 0 = default)")
-	p.fs.IntVar(&g.NumBufs, "numbufs", 0, "buffers per CPU (power of two; 0 = default)")
-	p.fs.IntVar(&g.MaxClients, "max-clients", 64, "client table capacity")
+	flagset.Var(p.fs, &g.CPUs, "cpus", 2, "processor slots", flagset.In(1, 1<<12))
+	flagset.Var(p.fs, &g.BufWords, "bufwords", 0, "buffer size in words (0 = default)", pow2(16))
+	flagset.Var(p.fs, &g.NumBufs, "numbufs", 0, "buffers per CPU (0 = default)", pow2(2))
+	flagset.Var(p.fs, &g.MaxClients, "max-clients", 64, "client table capacity", flagset.In(1, 1<<16))
 	spill := p.fs.String("spill", "", "write drained buffers to this trace file")
 	relayAddr := p.fs.String("relay", "", "stream drained buffers to this collector address instead")
-	maskSpec := p.fs.String("mask", "all", `trace mask ("all", hex literal, or major names like "sched,lock")`)
+	maskSpec := flagset.New(p.fs, "mask", "all", `trace mask ("all", hex literal, or major names like "sched,lock")`, traceMask)
 	admin := p.fs.String("admin", "", "serve the mask control plane on this HTTP address (e.g. 127.0.0.1:7043)")
 	rm := p.fs.Bool("rm", false, "remove the segment file on exit")
-	if code, ok := p.parse(args); !ok {
+	if code, ok := flagset.Parse(p.fs, args); !ok {
 		return code
 	}
 	if *seg == "" {
@@ -83,10 +92,8 @@ func Ktraced(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if (*spill == "") == (*relayAddr == "") {
 		return p.usage("exactly one of -spill or -relay is required")
 	}
-	mask, err := event.ParseMask(*maskSpec)
-	if err != nil {
-		return p.usage("bad -mask: %v", err)
-	}
+	mask, _ := event.ParseMask(*maskSpec)
+	var err error
 	var adminLn net.Listener
 	if *admin != "" {
 		if adminLn, err = net.Listen("tcp", *admin); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"k42trace/internal/event"
 	"k42trace/internal/faultinject"
+	"k42trace/internal/flagset"
 	"k42trace/internal/shm"
 )
 
@@ -18,24 +19,18 @@ import (
 func Shmlog(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	p := newProc("shmlog", stdout, stderr)
 	seg := p.fs.String("seg", "", "segment file to attach to")
-	cpu := p.fs.Int("cpu", -1, "CPU slot to log on (-1: round-robin over all)")
-	n := p.fs.Int("n", 10000, "events (default mode) or workload rounds (-workload)")
-	pid := p.fs.Uint64("pid", uint64(os.Getpid()), "logical pid stamped into events")
+	cpu := flagset.New(p.fs, "cpu", -1, "CPU slot to log on (-1: round-robin over all)", flagset.Min(0).Or(-1))
+	n := flagset.New(p.fs, "n", 10000, "events (default mode) or workload rounds (-workload)", flagset.Min(1))
+	pid := flagset.New(p.fs, "pid", uint64(os.Getpid()), "logical pid stamped into events", flagset.Any[uint64]())
 	workload := p.fs.Bool("workload", false, "run the synthetic sched/syscall/lock workload")
-	sleep := p.fs.Duration("sleep", 0, "pause between events (rate limiting)")
+	sleep := flagset.New(p.fs, "sleep", 0, "pause between events (rate limiting)", flagset.Min[time.Duration](0))
 	hang := p.fs.Bool("hang", false, "reserve one event, never commit it, and block until killed (fault injection)")
-	payload := p.fs.Int("payload", 3, "with -hang: payload words of the dead reservation")
-	if code, ok := p.parse(args); !ok {
+	payload := flagset.New(p.fs, "payload", 3, "with -hang: payload words of the dead reservation", flagset.Min(0))
+	if code, ok := flagset.Parse(p.fs, args); !ok {
 		return code
 	}
 	if *seg == "" {
 		return p.usage("-seg is required")
-	}
-	if *cpu < -1 {
-		return p.usage("-cpu %d: want a CPU slot, or -1 for round-robin", *cpu)
-	}
-	if *payload < 0 {
-		return p.usage("-payload %d: want 0 or more words", *payload)
 	}
 	cl, err := shm.Attach(*seg)
 	if err != nil {

@@ -153,7 +153,6 @@ func TestShm(t *testing.T) {
 		stderr string
 	}{
 		{[]string{"-cpu", "2"}, 2, "shmlog: -cpu 2: the segment has 2 CPU slots\n"},
-		{[]string{"-hang", "-payload", "-1"}, 2, "shmlog: -payload -1: want 0 or more words\n"},
 		{[]string{"-hang", "-payload", "20000"}, 1, "shmlog: hang reservation failed (masked, dropped or too large)\n"},
 	} {
 		r := start(t, Shmlog, append([]string{"-seg", seg}, bad.args...)...)

@@ -8,6 +8,7 @@ import (
 
 	"k42trace/internal/event"
 	"k42trace/internal/fed"
+	"k42trace/internal/flagset"
 )
 
 // Traceaggd is the federation root: shards heartbeat to its HTTP surface
@@ -18,20 +19,10 @@ func Traceaggd(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	p := newProc("traceaggd", stdout, stderr)
 	var opt fed.AggOptions
 	httpAddr := p.fs.String("http", "127.0.0.1:7053", "federation HTTP address")
-	p.fs.DurationVar(&opt.MemberTTL, "member-ttl", 3*time.Second, "expire shards whose heartbeats stop for this long")
-	maskSpec := p.fs.String("mask", "", `initial trace mask fanned down to every shard ("all", a hex literal, or major names)`)
-	if code, ok := p.parse(args); !ok {
+	flagset.Var(p.fs, &opt.MemberTTL, "member-ttl", 3*time.Second, "expire shards whose heartbeats stop for this long", flagset.Over[time.Duration](0))
+	maskSpec := flagset.New(p.fs, "mask", "", `initial trace mask fanned down to every shard ("all", a hex literal, or major names)`, traceMask.Or(""))
+	if code, ok := flagset.Parse(p.fs, args); !ok {
 		return code
-	}
-	if opt.MemberTTL <= 0 {
-		return p.usage("-member-ttl %v: want a positive period", opt.MemberTTL)
-	}
-	var mask uint64
-	if *maskSpec != "" {
-		var err error
-		if mask, err = event.ParseMask(*maskSpec); err != nil {
-			return p.usage("bad -mask: %v", err)
-		}
 	}
 	webLn, err := net.Listen("tcp", *httpAddr)
 	if err != nil {
@@ -40,6 +31,7 @@ func Traceaggd(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	defer webLn.Close()
 	a := fed.NewAggregator(opt)
 	if *maskSpec != "" {
+		mask, _ := event.ParseMask(*maskSpec)
 		a.SetMask(mask)
 		p.sayMask(mask)
 	}

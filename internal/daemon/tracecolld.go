@@ -18,9 +18,9 @@ import (
 
 	"k42trace/internal/event"
 	"k42trace/internal/fed"
+	"k42trace/internal/flagset"
 	"k42trace/internal/live"
 	"k42trace/internal/relay"
-	"k42trace/internal/store"
 )
 
 // sayMask announces a startup -mask as a collector or an aggregator keeps
@@ -31,7 +31,7 @@ func (p *proc) sayMask(mask uint64) {
 }
 
 // Tracecolld is the live collector, standalone or (with -agg-http) with a
-// shard heartbeating beside it into a federation. Its life: check -mask,
+// shard heartbeating beside it into a federation. Its life: check its flags,
 // create -spill, bind both listeners, announce them, serve until cancel;
 // then read the relay connections to their end (cutting any still open at
 // the drain grace), drain every queued block into the analysis and the
@@ -44,34 +44,22 @@ func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	var so fed.ShardOptions
 	listen := p.fs.String("listen", "127.0.0.1:7042", "producer listen address")
 	httpAddr := p.fs.String("http", "127.0.0.1:7043", "metrics/snapshot HTTP address")
-	p.fs.DurationVar(&opt.Window, "window", 250*time.Millisecond, "analysis window width (trace time)")
-	p.fs.IntVar(&opt.MaxWindows, "max-windows", 32, "live windows kept before eviction")
-	p.fs.IntVar(&opt.QueueBlocks, "queue", live.DefaultQueueBlocks, "per-producer ingest queue depth, blocks")
-	p.fs.DurationVar(&opt.EnqueueTimeout, "slow", 5*time.Second, "how long a producer may wait on a full queue before disconnection")
-	p.fs.IntVar(&opt.CPUSlots, "cpu-slots", 256, "total remapped CPU slots across all producers")
+	flagset.Var(p.fs, &opt.Window, "window", 250*time.Millisecond, "analysis window width (trace time)", flagset.Over[time.Duration](0))
+	flagset.Var(p.fs, &opt.MaxWindows, "max-windows", 32, "live windows kept before eviction", flagset.Min(1))
+	flagset.Var(p.fs, &opt.QueueBlocks, "queue", live.DefaultQueueBlocks, "per-producer ingest queue depth, blocks", flagset.Min(1))
+	flagset.Var(p.fs, &opt.EnqueueTimeout, "slow", 5*time.Second, "how long a producer may wait on a full queue before disconnection", flagset.Over[time.Duration](0))
+	flagset.Var(p.fs, &opt.CPUSlots, "cpu-slots", 256, "total remapped CPU slots across all producers", flagset.In(1, 1<<16))
 	spillPath := p.fs.String("spill", "", "spill every accepted block to this trace file")
 	storeURL := p.fs.String("store", "", "tracestored base URL to upload the final spill to (e.g. http://127.0.0.1:7045)")
-	storeTenant := p.fs.String("store-tenant", "default", "tenant namespace for the -store upload")
-	watch := p.fs.String("watch", "", "comma-separated pids to keep per-window time breakdowns for")
-	maskSpec := p.fs.String("mask", "", `initial trace mask pushed to every producer that connects ("all", a hex literal, or major names like "ctrl,sched,lock")`)
+	storeTenant := flagset.New(p.fs, "store-tenant", "default", "tenant namespace for the -store upload", tenantName)
+	watch := flagset.New(p.fs, "watch", "", "comma-separated pids to keep per-window time breakdowns for", flagset.Parses("a pid list", parsePids))
+	maskSpec := flagset.New(p.fs, "mask", "", `initial trace mask pushed to every producer that connects ("all", a hex literal, or major names like "ctrl,sched,lock")`, traceMask.Or(""))
 	p.fs.StringVar(&so.AggHTTP, "agg-http", "", "federate: heartbeat to this traceaggd HTTP base URL (e.g. http://127.0.0.1:7053)")
 	p.fs.StringVar(&so.Name, "name", "", "federate: stable shard name (default: the -listen address)")
 	p.fs.StringVar(&so.Advertise, "advertise", "", "federate: producer-facing address announced on the ring (default: the -listen address)")
-	p.fs.DurationVar(&so.HeartbeatEvery, "heartbeat", time.Second, "federate: heartbeat period")
-	if code, ok := p.parse(args); !ok {
+	flagset.Var(p.fs, &so.HeartbeatEvery, "heartbeat", time.Second, "federate: heartbeat period", flagset.Over[time.Duration](0))
+	if code, ok := flagset.Parse(p.fs, args); !ok {
 		return code
-	}
-	if *watch != "" {
-		for _, s := range strings.Split(*watch, ",") {
-			pid, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				return p.usage("bad -watch pid %q: %v", s, err)
-			}
-			opt.WatchPids = append(opt.WatchPids, pid)
-		}
-	}
-	if !store.ValidTenant(*storeTenant) {
-		return p.usage("bad -store-tenant %q", *storeTenant)
 	}
 	if *storeURL != "" && *spillPath == "" {
 		return p.usage("-store uploads the spill: it needs -spill")
@@ -85,16 +73,8 @@ func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	if len(fedFlags) > 0 {
 		return p.usage("federating needs -agg-http (set: %s)", strings.Join(fedFlags, ", "))
 	}
-	if so.HeartbeatEvery <= 0 {
-		return p.usage("-heartbeat %v: want a positive period", so.HeartbeatEvery)
-	}
-	var mask uint64
+	opt.WatchPids, _ = parsePids(*watch)
 	var err error
-	if *maskSpec != "" {
-		if mask, err = event.ParseMask(*maskSpec); err != nil {
-			return p.usage("bad -mask: %v", err)
-		}
-	}
 	var spill *os.File
 	if *spillPath != "" {
 		if spill, err = os.Create(*spillPath); err != nil {
@@ -130,6 +110,7 @@ func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) in
 		drain = shard.Drain
 	}
 	if *maskSpec != "" {
+		mask, _ := event.ParseMask(*maskSpec)
 		c.SetMask(mask, 0)
 		p.sayMask(mask)
 	}
@@ -178,6 +159,21 @@ func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) in
 			st.HeartbeatsOK, st.HeartbeatsErr, st.CtrlMaskFrames)
 	}
 	return 0
+}
+
+// parsePids reads a -watch list: comma-separated pids, or none.
+func parsePids(s string) (pids []uint64, err error) {
+	if s == "" {
+		return nil, nil
+	}
+	for _, f := range strings.Split(s, ",") {
+		pid, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad pid %q: %v", f, err)
+		}
+		pids = append(pids, pid)
+	}
+	return pids, nil
 }
 
 // uploadSpill hands the drained spill to a tracestored daemon: the

@@ -11,6 +11,7 @@ import (
 	"k42trace/internal/event"
 	"k42trace/internal/faultinject"
 	"k42trace/internal/fed"
+	"k42trace/internal/flagset"
 	"k42trace/internal/ksim"
 	"k42trace/internal/relay"
 	"k42trace/internal/sdet"
@@ -25,34 +26,31 @@ func Tracerelay(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	p := newProc("tracerelay", stdout, stderr)
 	var faults faultinject.StreamFaults
 	send := p.fs.String("send", "", "stream a traced SDET run to this collector address")
-	cpus := p.fs.Int("cpus", 4, "simulated processors")
-	config := p.fs.String("config", "coarse", "tuned or coarse")
-	p.fs.Int64Var(&faults.Seed, "chaos-seed", 1, "fault-injection seed")
-	p.fs.Float64Var(&faults.DropProb, "drop", 0, "probability of dropping each block in transit")
-	p.fs.Float64Var(&faults.DupProb, "dup", 0, "probability of duplicating each block")
-	p.fs.IntVar(&faults.ReorderWindow, "reorder", 0, "reorder window in blocks (0 or 1 = off)")
-	p.fs.Float64Var(&faults.TearProb, "tear", 0, "probability of tearing a block write")
-	p.fs.Float64Var(&faults.FlipProb, "flip", 0, "probability of flipping one bit in a block")
-	p.fs.Float64Var(&faults.ZeroProb, "zero", 0, "probability of zeroing a span of a block")
+	cpus := flagset.New(p.fs, "cpus", 4, "simulated processors", flagset.In(1, 1<<16))
+	config := flagset.New(p.fs, "config", "coarse", "kernel configuration", flagset.OneOf("tuned", "coarse"))
+	flagset.Var(p.fs, &faults.Seed, "chaos-seed", 1, "fault-injection seed", flagset.Any[int64]())
+	flagset.Var(p.fs, &faults.DropProb, "drop", 0, "probability of dropping each block in transit", probability)
+	flagset.Var(p.fs, &faults.DupProb, "dup", 0, "probability of duplicating each block", probability)
+	flagset.Var(p.fs, &faults.ReorderWindow, "reorder", 0, "reorder window in blocks (0 or 1 = off)", flagset.Min(0))
+	flagset.Var(p.fs, &faults.TearProb, "tear", 0, "probability of tearing a block write", probability)
+	flagset.Var(p.fs, &faults.FlipProb, "flip", 0, "probability of flipping one bit in a block", probability)
+	flagset.Var(p.fs, &faults.ZeroProb, "zero", 0, "probability of zeroing a span of a block", probability)
 	reconnect := p.fs.Bool("reconnect", false, "give each block -attempts dial/write attempts instead of one: redial with backoff if the collector drops, re-sending the failed block")
-	backoff := p.fs.Duration("backoff", 50*time.Millisecond, "initial reconnect backoff (doubles up to 2s)")
-	attempts := p.fs.Int("attempts", 8, "dial/write attempts per block before giving up")
+	backoff := flagset.New(p.fs, "backoff", 50*time.Millisecond, "initial reconnect backoff (doubles up to 2s)", flagset.Over[time.Duration](0))
+	attempts := flagset.New(p.fs, "attempts", 8, "dial/write attempts per block before giving up", flagset.Min(1))
 	fedURL := p.fs.String("fed", "", "resolve the collector through this traceaggd HTTP base URL's consistent-hash ring (implies -reconnect)")
 	key := p.fs.String("key", "", "stable ring key for -fed (default hostname-pid)")
 	remoteControl := p.fs.Bool("remote-control", false, "apply mask updates pushed back by the collector (implies -reconnect)")
 	loadgen := p.fs.Bool("loadgen", false, "stream a steady synthetic workload instead of a finite SDET run")
-	duration := p.fs.Duration("duration", 10*time.Second, "how long -loadgen runs")
-	rate := p.fs.Int("rate", 30000, "-loadgen target logging attempts per second")
-	if code, ok := p.parse(args); !ok {
+	duration := flagset.New(p.fs, "duration", 10*time.Second, "how long -loadgen runs", flagset.Over[time.Duration](0))
+	rate := flagset.New(p.fs, "rate", 30000, "-loadgen target logging attempts per second", flagset.Min(1))
+	if code, ok := flagset.Parse(p.fs, args); !ok {
 		return code
 	}
 	if *send == "" && *fedURL == "" {
 		fmt.Fprintln(p.stderr, "usage: tracerelay -send addr | -fed url")
 		p.fs.PrintDefaults()
 		return 2
-	}
-	if *config != "tuned" && *config != "coarse" {
-		return p.usage("bad -config %q: want tuned or coarse", *config)
 	}
 
 	tcfg := core.Config{CPUs: *cpus, BufWords: 16384, NumBufs: 8, Mode: core.Stream}
@@ -133,6 +131,9 @@ func Tracerelay(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	}
 	return 0
 }
+
+// probability is the domain of a fault-injection rate.
+var probability = flagset.In(0.0, 1.0)
 
 // runLoadgen logs a steady mix of MajorTest, MajorMem, and MajorSched
 // events round-robin across CPUs until d has passed or ctx is cancelled,

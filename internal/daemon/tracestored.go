@@ -7,11 +7,11 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
 
+	"k42trace/internal/flagset"
 	"k42trace/internal/relay"
 	"k42trace/internal/store"
 	"k42trace/internal/stream"
@@ -29,39 +29,28 @@ func Tracestored(ctx context.Context, args []string, stdout, stderr io.Writer) i
 	p.fs.StringVar(&opt.Root, "root", "", "store root directory (required)")
 	httpAddr := p.fs.String("http", "127.0.0.1:7045", "HTTP listen address")
 	watch := p.fs.String("watch", "", "spool directory to poll for <tenant>/*.ktr uploads")
-	watchEvery := p.fs.Duration("watch-every", time.Second, "spool poll period")
+	watchEvery := flagset.New(p.fs, "watch-every", time.Second, "spool poll period", flagset.Over[time.Duration](0))
 	relayAddr := p.fs.String("relay", "", "relay-wire listen address (tracerelay/shmlog senders)")
-	relayTenant := p.fs.String("relay-tenant", "default", "tenant namespace for relay uploads")
-	p.fs.Uint64Var(&opt.SegmentSpan, "seg-span", 0, "segment time width in trace ticks (0 = one segment per upload)")
-	p.fs.Int64Var(&opt.MaxSegmentBytes, "max-seg-bytes", 64<<20, "compaction output size cap")
-	p.fs.DurationVar(&opt.RetainAge, "retain-age", 0, "expire segments older than this (0 = keep)")
-	p.fs.Int64Var(&opt.RetainBytes, "retain-bytes", 0, "per-tenant byte budget (0 = unlimited)")
-	compactEvery := p.fs.Duration("compact-every", 0, "compaction period (0 = only on /admin/compact)")
-	gcEvery := p.fs.Duration("gc-every", 0, "retention period (0 = only on /admin/gc)")
-	p.fs.IntVar(&opt.Workers, "j", 0, "query scan workers (0 = 8); ingest, index and aggregation workers (0 = all cores)")
-	p.fs.Int64Var(&opt.CacheBytes, "cache-bytes", 256<<20, "segment query result cache budget (0 = disabled)")
+	relayTenant := flagset.New(p.fs, "relay-tenant", "default", "tenant namespace for relay uploads", tenantName)
+	flagset.Var(p.fs, &opt.SegmentSpan, "seg-span", 0, "segment time width in trace ticks (0 = one segment per upload)", flagset.Any[uint64]())
+	flagset.Var(p.fs, &opt.MaxSegmentBytes, "max-seg-bytes", 64<<20, "compaction output size cap", flagset.Min[int64](1))
+	flagset.Var(p.fs, &opt.RetainAge, "retain-age", 0, "expire segments older than this (0 = keep)", flagset.Min[time.Duration](0))
+	flagset.Var(p.fs, &opt.RetainBytes, "retain-bytes", 0, "per-tenant byte budget (0 = unlimited)", flagset.Min[int64](0))
+	compactEvery := flagset.New(p.fs, "compact-every", 0, "compaction period (0 = only on /admin/compact)", flagset.Min[time.Duration](0))
+	gcEvery := flagset.New(p.fs, "gc-every", 0, "retention period (0 = only on /admin/gc)", flagset.Min[time.Duration](0))
+	flagset.Var(p.fs, &opt.Workers, "j", 0, "query scan workers (0 = 8); ingest, index and aggregation workers (0 = all cores)", flagset.Min(0))
+	flagset.Var(p.fs, &opt.CacheBytes, "cache-bytes", 256<<20, "segment query result cache budget (0 = disabled)", flagset.Min[int64](0))
 	adm := &opt.Admission
-	p.fs.IntVar(&adm.MaxConcurrent, "query-concurrency", 0, "global concurrent query limit (0 = admission control off)")
-	p.fs.IntVar(&adm.TenantMax, "tenant-queries", 0, "per-tenant concurrent query limit (0 = query-concurrency)")
-	p.fs.IntVar(&adm.TenantQueue, "tenant-queue", 8, "per-tenant query wait-queue depth; overflow is refused with 429")
-	if code, ok := p.parse(args); !ok {
+	flagset.Var(p.fs, &adm.MaxConcurrent, "query-concurrency", 0, "global concurrent query limit (0 = admission control off)", flagset.Min(0))
+	flagset.Var(p.fs, &adm.TenantMax, "tenant-queries", 0, "per-tenant concurrent query limit (0 = query-concurrency)", flagset.Min(0))
+	flagset.Var(p.fs, &adm.TenantQueue, "tenant-queue", 8, "per-tenant query wait-queue depth; overflow is refused with 429", flagset.Min(0))
+	if code, ok := flagset.Parse(p.fs, args); !ok {
 		return code
 	}
 	if opt.Root == "" {
 		fmt.Fprintln(p.stderr, "usage: tracestored -root DIR [-http ADDR] [-watch DIR] [-relay ADDR]")
 		p.fs.PrintDefaults()
 		return 2
-	}
-	if *watchEvery <= 0 {
-		return p.usage("-watch-every %v: want a positive period", *watchEvery)
-	}
-	if !store.ValidTenant(*relayTenant) {
-		return p.usage("bad -relay-tenant %q", *relayTenant)
-	}
-	if adm.MaxConcurrent == 0 && adm.TenantMax > 0 {
-		// A per-tenant cap alone still needs a pool to draw from: size the
-		// global pool to the scan parallelism the box can actually deliver.
-		adm.MaxConcurrent = max(2*runtime.GOMAXPROCS(0), adm.TenantMax)
 	}
 
 	s, err := store.Open(opt)

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -12,7 +13,9 @@ import (
 // concurrent scans to starve every other tenant's queries.
 type AdmissionOptions struct {
 	// MaxConcurrent is the global scan-pool size: queries holding a slot
-	// at once, across all tenants. 0 disables admission control entirely.
+	// at once, across all tenants. 0 with no TenantMax disables admission
+	// control entirely; 0 with one sizes the pool to the scan parallelism
+	// the box can deliver, 2×GOMAXPROCS, and at least TenantMax.
 	MaxConcurrent int
 	// TenantMax caps one tenant's concurrent slots (0 = MaxConcurrent).
 	TenantMax int
@@ -81,6 +84,9 @@ type admWaiter struct {
 // newAdmission returns nil when admission is disabled; every method is
 // nil-safe.
 func newAdmission(opt AdmissionOptions, metrics *Metrics) *admission {
+	if opt.MaxConcurrent <= 0 && opt.TenantMax > 0 {
+		opt.MaxConcurrent = max(2*runtime.GOMAXPROCS(0), opt.TenantMax)
+	}
 	if opt.MaxConcurrent <= 0 {
 		return nil
 	}

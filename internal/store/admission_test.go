@@ -57,6 +57,28 @@ func TestAdmissionOverload(t *testing.T) {
 	}
 }
 
+// TestTenantCapAloneAdmits: a per-tenant cap with no global pool still
+// turns admission on — the pool is sized for it — so a tenant at its cap
+// with no queue is refused its next query.
+func TestTenantCapAloneAdmits(t *testing.T) {
+	data := sdetSmall(t, 3)
+	s := openStore(t, Options{Workers: 2, Admission: AdmissionOptions{TenantMax: 1, TenantQueue: 0}})
+	ingestBytes(t, s, "acme", data)
+
+	release, err := s.adm.acquire(context.Background(), "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Query(Params{Tenant: "acme"})
+	if ov := new(ErrOverload); !errors.As(err, &ov) {
+		t.Fatalf("second query with the tenant at its cap returned %v, want ErrOverload", err)
+	}
+	release()
+	if _, err := s.Query(Params{Tenant: "acme"}); err != nil {
+		t.Fatalf("query after release: %v", err)
+	}
+}
+
 // TestAdmissionRoundRobinFairness: tenant b with one waiter must not be
 // starved behind tenant a's deeper queue — freed slots alternate across
 // waiting tenants, not FIFO across all waiters.
