@@ -35,11 +35,12 @@ CORES ?= 1 4
 # one-scratch pin holds a first query to the same bytes at one worker and
 # four whatever the scheduler does — the merge's pulled sources — a
 # whole-file read's chains over a disordered file among them — the pages whose capped merge abandons those chains mid-walk, the
-# collector's buffer recycling and the bound on its buffers, where the
-# schedule decides how far a connection's reader runs ahead of its worker
-# (TestCollectorBuffersBounded), its drain of a sender that has just exited
-# and its CPU slot reuse, where a drained producer's worker gives its slice
-# back while new producers register (TestAdmissionControl,
+# collector's one word buffer a connection, which a wedged apply must not
+# let it read past (TestCollectorBuffersBounded), the reliable sender held
+# at the socket by that wedge, whose every delivered block must reach the
+# spill (TestWedgedApplyLosesNoBlock), its drain of a sender that has just
+# exited and its CPU slot reuse, where a drained producer's handler gives
+# its slice back while new producers register (TestAdmissionControl,
 # TestSnapshotUnderChurn), the digest scans whose scratch is a chunk on any
 # core count, the daemons composed in one process (collector, federation,
 # store), the federation's mask fan-down, which races the heartbeat period
@@ -57,7 +58,7 @@ CORES ?= 1 4
 # Three repeats take about 4.5 min on a 2-core host (internal/fed about 18 s of each core
 # count), so that is the default; CI's stress job runs STRESS_COUNT=10.
 STRESS_PKGS = ./internal/core/ ./internal/store/ ./internal/stream/ ./internal/live/ ./internal/fed/ ./internal/daemon/
-STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestPulledChainHoldsOneScratch$$|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestCollectorBuffersBounded$$|TestDrainReadsAFinishedSender$$|TestAdmissionControl$$|TestSnapshotUnderChurn$$|TestDigestScratchIsAChunk$$|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$|TestRebalanceMaskHandoff$$|TestFederatedOverviewParity$$|TestChaosSoakFederation$$|TestScheduledReclaim$$|TestReclaimRequiresSoleInflight$$|TestStuckSealRace$$|TestCrossProcessGarbleDetection$$|TestCrossProcessBatchKill$$
+STRESS_RUN = TestHammerQueriesVsMutation|TestGCRacingCompaction|TestConcurrentCompactionConserves|TestOverlappingUploadsAnswerInMergeOrder|TestRottedBlockIsSortedWhereItLies|TestBrokenChainFailsTheQuery|TestPulledChainHoldsOneScratch$$|TestMergeByTimeIsTheStableSort|TestPageAllocatesAPage|TestCursorWalksThroughTies|TestRecyclingIsInvisible|TestCollectorKeepsNoEvents|TestCollectorBuffersBounded$$|TestWedgedApplyLosesNoBlock$$|TestDrainReadsAFinishedSender$$|TestAdmissionControl$$|TestSnapshotUnderChurn$$|TestDigestScratchIsAChunk$$|TestDisorderedFileReadsAsTheStableSort|TestLive$$|TestFed$$|TestStore$$|TestPLogConcurrent$$|TestParkedBatchYieldsToBlockedLogger$$|TestQuiesceClosesParkedBatches$$|TestRebalanceMaskHandoff$$|TestFederatedOverviewParity$$|TestChaosSoakFederation$$|TestScheduledReclaim$$|TestReclaimRequiresSoleInflight$$|TestStuckSealRace$$|TestCrossProcessGarbleDetection$$|TestCrossProcessBatchKill$$
 STRESS_CORES ?= 1 2 4
 STRESS_COUNT ?= 3
 

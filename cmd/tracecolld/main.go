@@ -18,10 +18,11 @@
 //	/fed/shard      with -agg-http: the shard's heartbeat and fan-down
 //	                counters
 //
-// On SIGINT/SIGTERM the daemon force-closes producer connections
-// (reliable senders redial on their own once a collector is back),
-// drains every queued block into the analysis and the spill, and exits;
-// the spill is a well-formed .ktr openable by every offline tool.
+// On SIGINT/SIGTERM the daemon reads every producer connection to its end,
+// cutting one still open after the drain grace (reliable senders redial
+// on their own once a collector is back), applies every block read into
+// the analysis and the spill, and exits; the spill is a well-formed .ktr
+// openable by every offline tool.
 //
 // Usage:
 //

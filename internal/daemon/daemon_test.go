@@ -274,12 +274,10 @@ func TestExitStatus(t *testing.T) {
 		flag, value string
 		want        string
 	}{
-		{"tracecolld", served, "queue", "-1", ">= 1"},
 		{"tracecolld", served, "cpu-slots", "-1", "in [1, 65536]"},
 		{"tracecolld", served, "cpu-slots", "100000", "in [1, 65536]"},
 		{"tracecolld", served, "window", "-1s", "> 0s"},
 		{"tracecolld", served, "max-windows", "0", ">= 1"},
-		{"tracecolld", served, "slow", "0", "> 0s"},
 		{"tracestored", stored, "j", "-3", ">= 0"},
 		{"tracestored", stored, "max-seg-bytes", "-5", ">= 1"},
 		{"tracestored", stored, "cache-bytes", "-1", ">= 0"},
@@ -358,9 +356,13 @@ func FuzzDaemonFlags(f *testing.F) {
 		}
 	}
 	seed := func(name, flag, value string) {
-		f.Add(uint8(slices.Index(names, name)), uint8(slices.Index(flags[name], flag)), value)
+		i := slices.Index(flags[name], flag)
+		if i < 0 {
+			f.Fatalf("seed: %s has no -%s", name, flag)
+		}
+		f.Add(uint8(slices.Index(names, name)), uint8(i), value)
 	}
-	seed("tracecolld", "queue", "-1")
+	seed("tracecolld", "cpu-slots", "-1")
 	seed("tracecolld", "watch", "1,x")
 	seed("tracestored", "cache-bytes", "256")
 	seed("ktraced", "cpus", "100000000")

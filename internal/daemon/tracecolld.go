@@ -34,7 +34,7 @@ func (p *proc) sayMask(mask uint64) {
 // shard heartbeating beside it into a federation. Its life: check its flags,
 // create -spill, bind both listeners, announce them, serve until cancel;
 // then read the relay connections to their end (cutting any still open at
-// the drain grace), drain every queued block into the analysis and the
+// the drain grace), apply every block read into the analysis and the
 // spill — a shard's drain then sends the leaving heartbeat — close the
 // spill and the HTTP server. After that it prints the totals and hands
 // the spill to -store.
@@ -46,8 +46,6 @@ func Tracecolld(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	httpAddr := p.fs.String("http", "127.0.0.1:7043", "metrics/snapshot HTTP address")
 	flagset.Var(p.fs, &opt.Window, "window", 250*time.Millisecond, "analysis window width (trace time)", flagset.Over[time.Duration](0))
 	flagset.Var(p.fs, &opt.MaxWindows, "max-windows", 32, "live windows kept before eviction", flagset.Min(1))
-	flagset.Var(p.fs, &opt.QueueBlocks, "queue", live.DefaultQueueBlocks, "per-producer ingest queue depth, blocks", flagset.Min(1))
-	flagset.Var(p.fs, &opt.EnqueueTimeout, "slow", 5*time.Second, "how long a producer may wait on a full queue before disconnection", flagset.Over[time.Duration](0))
 	flagset.Var(p.fs, &opt.CPUSlots, "cpu-slots", 256, "total remapped CPU slots across all producers", flagset.In(1, 1<<16))
 	spillPath := p.fs.String("spill", "", "spill every accepted block to this trace file")
 	storeURL := p.fs.String("store", "", "tracestored base URL to upload the final spill to (e.g. http://127.0.0.1:7045)")

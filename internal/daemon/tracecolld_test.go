@@ -2,32 +2,12 @@ package daemon
 
 import (
 	"bytes"
-	"context"
-	"io"
 	"net"
-	"regexp"
-	"strconv"
 	"testing"
 
 	"k42trace/internal/live"
 	"k42trace/internal/stream"
 )
-
-// TestQueueDefaultIsTheLibrarys: -queue defaults to the depth a collector
-// given none gets, as its usage line says.
-func TestQueueDefaultIsTheLibrarys(t *testing.T) {
-	var stderr bytes.Buffer
-	if code := Tracecolld(context.Background(), []string{"-h"}, io.Discard, &stderr); code != 0 {
-		t.Fatalf("tracecolld -h: exit %d", code)
-	}
-	m := regexp.MustCompile(`\n  -queue int\n.*\(default (\d+)\)\n`).FindStringSubmatch(stderr.String())
-	if m == nil {
-		t.Fatalf("no -queue default in the usage:\n%s", &stderr)
-	}
-	if want := strconv.Itoa(live.DefaultQueueBlocks); m[1] != want {
-		t.Errorf("-queue defaults to %s, a collector given no depth to %s", m[1], want)
-	}
-}
 
 // TestDrainSummaryListsDisconnectsByReason: the drain summary prints one
 // line per disconnect reason, sorted by reason as the metrics page is. A

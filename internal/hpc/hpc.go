@@ -49,14 +49,8 @@ func DefaultParams(ranks int) Params {
 
 // Build creates the kernel-attached workload: the barrier must belong to
 // the kernel, so Build takes the kernel and returns the scripts to pass to
-// Run.
+// Run. It wants at least one rank and one iteration; Run refuses fewer.
 func Build(k *ksim.Kernel, p Params) []*ksim.Script {
-	if p.Ranks < 1 {
-		p.Ranks = 1
-	}
-	if p.Iterations < 1 {
-		p.Iterations = 1
-	}
 	bar := k.NewBarrier(p.Ranks)
 	scripts := make([]*ksim.Script, p.Ranks)
 	for r := 0; r < p.Ranks; r++ {
@@ -92,8 +86,12 @@ type Result struct {
 	ParallelEfficiency float64
 }
 
-// Run builds the workload on k, which may be traced, and runs it.
+// Run builds the workload on k, which may be traced, and runs it. Fewer
+// than one rank or one iteration is an error, not a run of one.
 func Run(k *ksim.Kernel, p Params) (Result, error) {
+	if p.Ranks < 1 || p.Iterations < 1 {
+		return Result{}, fmt.Errorf("hpc: %d ranks, %d iterations: want at least 1 of each", p.Ranks, p.Iterations)
+	}
 	res, err := k.Run(Build(k, p))
 	if err != nil {
 		return Result{}, err

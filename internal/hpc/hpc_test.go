@@ -33,6 +33,16 @@ func TestAllRanksComplete(t *testing.T) {
 	}
 }
 
+// TestRunRefusesAnEmptyRun: no ranks or no iterations is an error, not a
+// run quietly raised to one of each.
+func TestRunRefusesAnEmptyRun(t *testing.T) {
+	for _, p := range []Params{{Ranks: 0, Iterations: 1}, {Ranks: 1, Iterations: 0}, {Ranks: -1, Iterations: -1}} {
+		if _, err := Run(kernel(t, 1), p); err == nil {
+			t.Errorf("Run(%d ranks, %d iterations) = nil error", p.Ranks, p.Iterations)
+		}
+	}
+}
+
 func TestImbalanceCostsEfficiency(t *testing.T) {
 	balanced := DefaultParams(8)
 	balanced.ImbalancePct = 0

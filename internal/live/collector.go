@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -39,19 +40,6 @@ type Options struct {
 	// are evicted, never accumulated — that is the memory bound.
 	Window     time.Duration
 	MaxWindows int
-	// QueueBlocks is the per-producer ingest queue depth (default
-	// DefaultQueueBlocks). A connection holds at most QueueBlocks+2 word
-	// buffers, so the depth is what a producer costs the collector in
-	// memory. A deeper queue absorbs no burst the socket does not: past
-	// it, the reader stops reading, the kernel's socket buffers fill, and
-	// the sender's own buffer ring holds the rest — the per-processor
-	// buffers the paper puts burst absorption in. EnqueueTimeout (default
-	// 5s) is how long a producer's reader may wait on a full queue before
-	// the producer is disconnected as too fast for the analysis to keep up
-	// ("slow" in the disconnect counts, since it is the collector that is
-	// slow).
-	QueueBlocks    int
-	EnqueueTimeout time.Duration
 	// CPUSlots is the size of the collector's remapped CPU space (default
 	// 256, max 65536 — the wire format's CPU field is 16 bits). Each
 	// connection claims meta.CPUs slots: fresh ones while any are left,
@@ -68,24 +56,12 @@ type Options struct {
 	Spill io.Writer
 }
 
-// DefaultQueueBlocks is the per-producer queue depth a zero
-// Options.QueueBlocks gets, and tracecolld's -queue default. With one
-// block at the worker and one at the reader, a connection makes at most
-// six word buffers.
-const DefaultQueueBlocks = 4
-
 func (o *Options) defaults() {
 	if o.Window <= 0 {
 		o.Window = 250 * time.Millisecond
 	}
 	if o.MaxWindows <= 0 {
 		o.MaxWindows = 32
-	}
-	if o.QueueBlocks <= 0 {
-		o.QueueBlocks = DefaultQueueBlocks
-	}
-	if o.EnqueueTimeout <= 0 {
-		o.EnqueueTimeout = 5 * time.Second
 	}
 	if o.CPUSlots <= 0 {
 		o.CPUSlots = 256
@@ -98,6 +74,13 @@ func (o *Options) defaults() {
 // Collector ingests relay streams from many producers concurrently.
 // Create with NewCollector, serve with relay.ListenConns(addr,
 // c.Handler()), shut down with server CloseNow followed by c.Drain().
+//
+// A connection is one goroutine that reads a block, applies it, and only
+// then reads the next, so it holds one word buffer and one event scratch.
+// The socket is its queue: while an apply is slow the kernel's socket
+// buffers fill, then the sender's own buffer ring, whose OnFull policy
+// (block or drop) decides — the per-processor buffers the paper puts burst
+// absorption in. A producer is never disconnected for being ahead.
 type Collector struct {
 	opt Options
 
@@ -111,6 +94,8 @@ type Collector struct {
 	producers map[uint64]*producer
 	order     []uint64
 	draining  bool
+	// disconnects counts refused and ended connections by reason.
+	disconnects map[string]uint64
 
 	// Desired broadcast mask (SetMask with producerID 0); replayed to
 	// producers that connect after it was set. maskSends counts control
@@ -122,12 +107,7 @@ type Collector struct {
 	maskSet     bool
 	maskSends   atomic.Uint64
 
-	// disconnects has its own lock so a wedged analysis path (mu held)
-	// can never block recording the disconnect that resolves the wedge.
-	dmu         sync.Mutex
-	disconnects map[string]uint64
-
-	wg sync.WaitGroup
+	wg sync.WaitGroup // one count a connection, from register to exit
 }
 
 // producer is the per-connection ingest state. Counters are atomics so
@@ -137,17 +117,7 @@ type producer struct {
 	remote  string
 	cpuBase int
 	cpus    int
-	queue   chan feedItem
-	// free is the connection's word buffers between blocks: the worker
-	// puts a block's words here when it is done with them, the reader
-	// takes its next buffer from here. QueueBlocks+2 slots, because that
-	// is every buffer that can exist (a full queue, one block with the
-	// worker, one with the reader). The worker drops the list when it
-	// exits, so that a drained session holds no block. made counts the
-	// buffers the reader has made; only the reader touches it.
-	free chan []uint64
-	made int
-	ctrl *relay.ControlSender
+	ctrl    *relay.ControlSender
 
 	connected atomic.Bool
 	blocks    atomic.Uint64
@@ -167,15 +137,6 @@ type producer struct {
 	maskChanges atomic.Uint64
 
 	lastSeq []int64 // per local CPU, -1 before the first block
-}
-
-// feedItem is one block in flight between a producer's reader and its
-// worker. The reader owns words until the item is enqueued, the worker
-// from then until the block is applied; then they go back to the
-// producer's free list, and the reader reads a later block into them.
-type feedItem struct {
-	h     stream.BlockHeader // CPU already remapped into collector space
-	words []uint64
 }
 
 // NewCollector builds a collector. The analysis engine and spill writer
@@ -205,25 +166,36 @@ func (c *Collector) Handler() relay.ConnHandler {
 			// block lands (serve has not started reading yet).
 			c.sendMask(p, pending)
 		}
-		defer func() {
-			p.connected.Store(false)
-			close(p.queue)
-		}()
-		return c.serve(p, conn.Stream)
+		err = c.serve(p, conn.Stream)
+		p.connected.Store(false)
+		c.mu.Lock()
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			// The server's drain grace ran out (relay.Server.CloseNow) on a
+			// producer still sending: whatever it had not sent yet is cut.
+			c.disconnects["drain-cut"]++
+		} else if err != nil {
+			c.disconnects["read-error"]++
+		}
+		// Every block this connection read is applied: nothing can land on
+		// its CPU slice anymore, so it is safe to hand to the next
+		// registrant.
+		c.free = append(c.free, [2]int{p.cpuBase, p.cpus})
+		c.mu.Unlock()
+		c.wg.Done()
+		return err
 	}
 }
 
 // register admits one connection: validates its metadata against the
-// session, claims a CPU slice, and starts its worker. It returns the
-// pending broadcast mask (if one is set) for the handler to replay after
-// the lock is released — control frames are network writes and must not
-// run under c.mu.
+// session and claims a CPU slice. It returns the pending broadcast mask
+// (if one is set) for the handler to replay after the lock is released —
+// control frames are network writes and must not run under c.mu.
 func (c *Collector) register(conn relay.Conn) (p *producer, pending uint64, pendingSet bool, err error) {
 	meta := conn.Stream.Meta()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.draining {
-		c.countDisconnect("draining")
+		c.disconnects["draining"]++
 		return nil, 0, false, fmt.Errorf("live: collector draining, rejecting %v", conn.Remote)
 	}
 	if c.win == nil {
@@ -249,7 +221,7 @@ func (c *Collector) register(conn relay.Conn) (p *producer, pending uint64, pend
 			c.spill = wr
 		}
 	} else if meta.BufWords != c.meta.BufWords || meta.ClockHz != c.meta.ClockHz {
-		c.countDisconnect("meta-mismatch")
+		c.disconnects["meta-mismatch"]++
 		return nil, 0, false, fmt.Errorf("live: producer %v has bufWords=%d hz=%d, session has bufWords=%d hz=%d",
 			conn.Remote, meta.BufWords, meta.ClockHz, c.meta.BufWords, c.meta.ClockHz)
 	}
@@ -274,7 +246,7 @@ func (c *Collector) register(conn relay.Conn) (p *producer, pending uint64, pend
 		}
 	}
 	if base < 0 {
-		c.countDisconnect("cpu-slots")
+		c.disconnects["cpu-slots"]++
 		return nil, 0, false, fmt.Errorf("live: out of CPU slots (%d used of %d, producer needs %d)",
 			c.nextCPU, c.opt.CPUSlots, meta.CPUs)
 	}
@@ -283,8 +255,6 @@ func (c *Collector) register(conn relay.Conn) (p *producer, pending uint64, pend
 		remote:  conn.Remote.String(),
 		cpuBase: base,
 		cpus:    meta.CPUs,
-		queue:   make(chan feedItem, c.opt.QueueBlocks),
-		free:    make(chan []uint64, c.opt.QueueBlocks+2),
 		ctrl:    conn.Control,
 		lastSeq: make([]int64, meta.CPUs),
 	}
@@ -295,30 +265,22 @@ func (c *Collector) register(conn relay.Conn) (p *producer, pending uint64, pend
 	c.producers[p.id] = p
 	c.order = append(c.order, p.id)
 	c.wg.Add(1)
-	go c.worker(p)
 	return p, c.maskDesired, c.maskSet, nil
 }
 
-// serve is a producer's read loop: take a word buffer off the free list
-// (a new one of the stream's block size when every buffer is in flight),
-// read the next block into it, account for the block, enqueue it for the
-// worker. A buffer whose block was refused, or that ended the connection,
-// goes back to the list. No event is decoded here.
+// serve is a producer's read loop: read the next block into the
+// connection's one word buffer, account for it, and apply it before
+// reading another, so a producer's blocks are applied in the order it sent
+// them, which is all the per-CPU analysis needs. A refused block header is
+// counted and skipped. It returns nil at the end of the stream and the
+// read error otherwise.
 func (c *Collector) serve(p *producer, bs *stream.BlockStream) error {
 	g := bs.Meta().Geometry()
-	var timer *time.Timer
+	buf := make([]uint64, bs.Meta().BufWords)
+	var evs []event.Event
+	var last uint64 // the newest event time; lastTick is its copy for snapshots
 	for {
-		var buf []uint64
-		select {
-		case buf = <-p.free:
-		default:
-			buf = make([]uint64, bs.Meta().BufWords)
-			p.made++
-		}
 		h, words, err := bs.Next(buf)
-		if err != nil {
-			p.free <- buf
-		}
 		if err == io.EOF {
 			return nil
 		}
@@ -331,14 +293,7 @@ func (c *Collector) serve(p *producer, bs *stream.BlockStream) error {
 			p.bytes.Add(uint64(g.BlockBytes))
 			continue
 		}
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			// The server's drain grace ran out (relay.Server.CloseNow) on a
-			// producer still sending: whatever it had not sent yet is cut.
-			c.countDisconnect("drain-cut")
-			return err
-		}
 		if err != nil {
-			c.countDisconnect("read-error")
 			return err
 		}
 		p.bytes.Add(uint64(g.BlockBytes))
@@ -356,44 +311,12 @@ func (c *Collector) serve(p *producer, bs *stream.BlockStream) error {
 		}
 		p.blocks.Add(1)
 		h.CPU += p.cpuBase
-		item := feedItem{h: h, words: words}
-		select {
-		case p.queue <- item:
-		default:
-			// A short queue is full often: one timer serves every wait.
-			if timer == nil {
-				timer = time.NewTimer(c.opt.EnqueueTimeout)
-			} else {
-				timer.Reset(c.opt.EnqueueTimeout)
-			}
-			select {
-			case p.queue <- item:
-				timer.Stop()
-			case <-timer.C:
-				p.free <- buf
-				c.countDisconnect("slow")
-				return fmt.Errorf("live: producer %d (%s) backlogged %v, disconnecting",
-					p.id, p.remote, c.opt.EnqueueTimeout)
-			}
-		}
-	}
-}
-
-// worker drains one producer's queue: it decodes each block into its one
-// event scratch — outside the collector lock, so producers decode in
-// parallel and only the apply is serialized — and applies spill and
-// analysis under the lock. The events never leave it: Feed reads them and
-// keeps nothing, and the next block overwrites them. It exits when the
-// handler closes the queue, after draining whatever is left — so Drain
-// never loses accepted blocks. Per-producer order is preserved (one worker
-// per producer), which is all the per-CPU analysis needs.
-func (c *Collector) worker(p *producer) {
-	defer c.wg.Done()
-	var evs []event.Event
-	var last uint64 // the newest event time; lastTick is its copy for snapshots
-	for it := range p.queue {
+		// Decode outside the collector lock, so producers decode in
+		// parallel and only the apply is serialized. The events never leave
+		// the scratch: Feed reads them and keeps nothing, and the next
+		// block overwrites them.
 		var st core.DecodeStats
-		evs, st = core.DecodeInto(evs[:0], it.h.CPU, it.words)
+		evs, st = core.DecodeInto(evs[:0], h.CPU, words)
 		if st.Garbled() {
 			p.garbled.Add(1)
 		}
@@ -410,48 +333,21 @@ func (c *Collector) worker(p *producer) {
 		p.lastTick.Store(last)
 		c.mu.Lock()
 		if c.spill != nil {
-			if err := c.spill.WriteBlock(it.h, it.words); err != nil {
+			if err := c.spill.WriteBlock(h, words); err != nil {
 				c.spillErr = err
 				c.spill = nil
 			}
 		}
 		c.win.Feed(evs)
 		c.mu.Unlock()
-		p.free <- it.words
 	}
-	// The handler closed the queue after its reader returned: nobody takes
-	// from the free list again.
-	p.free = nil
-	// The queue is closed and fully applied: nothing can land on this
-	// producer's CPU slice anymore, so it is safe to hand to the next
-	// registrant.
-	c.mu.Lock()
-	c.free = append(c.free, [2]int{p.cpuBase, p.cpus})
-	c.mu.Unlock()
-}
-
-func (c *Collector) countDisconnect(reason string) {
-	c.dmu.Lock()
-	c.disconnects[reason]++
-	c.dmu.Unlock()
-}
-
-// disconnectCounts copies the disconnect-reason counters.
-func (c *Collector) disconnectCounts() map[string]uint64 {
-	c.dmu.Lock()
-	defer c.dmu.Unlock()
-	out := make(map[string]uint64, len(c.disconnects))
-	for k, v := range c.disconnects {
-		out[k] = v
-	}
-	return out
 }
 
 // Drain finishes a session: refuse new producers, wait for every
-// producer worker to apply its remaining queued blocks, and report any
-// spill error. Call it after the relay server has been closed (CloseNow
-// reads each connection to its end, or cuts it at the drain grace, which
-// ends its read loop and closes its queue).
+// connection's handler to apply the blocks it read and return, and report
+// any spill error. Call it after the relay server has been closed
+// (CloseNow reads each connection to its end, or cuts it at the drain
+// grace, which ends its read loop).
 func (c *Collector) Drain() error {
 	c.mu.Lock()
 	c.draining = true
@@ -475,7 +371,6 @@ type ProducerSnapshot struct {
 	Garbled    uint64 `json:"garbled_blocks"`
 	StuckSeals uint64 `json:"stuck_seal_blocks"`
 	Reordered  uint64 `json:"reordered_blocks"`
-	QueueDepth int    `json:"queue_depth"`
 	LastTick   uint64 `json:"last_tick"`
 	// LagWindows is how many analysis windows this producer's newest event
 	// trails the newest event seen from anyone.
@@ -508,7 +403,7 @@ func (c *Collector) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := Snapshot{
-		Disconnects: c.disconnectCounts(),
+		Disconnects: maps.Clone(c.disconnects),
 		Draining:    c.draining,
 	}
 	if c.maskSet {
@@ -543,7 +438,6 @@ func (p *producer) snapshot(maxTick, width uint64) ProducerSnapshot {
 		Garbled:     p.garbled.Load(),
 		StuckSeals:  p.stuck.Load(),
 		Reordered:   p.reordered.Load(),
-		QueueDepth:  len(p.queue),
 		LastTick:    p.lastTick.Load(),
 		MaskChanges: p.maskChanges.Load(),
 	}

@@ -248,82 +248,93 @@ func newLoggedTracer(t *testing.T, n int) *core.Tracer {
 	return tr
 }
 
-// TestSlowProducerDisconnected wedges the analysis side (by holding the
-// collector lock) so the ingest queue fills; the producer must be
-// disconnected with reason "slow" instead of stalling the collector
-// forever.
-func TestSlowProducerDisconnected(t *testing.T) {
-	// Wedge the analysis side on the producer's first block: the worker
-	// writes the spill under the collector lock, and the spill holds that
-	// write until released. The second block then fills the one-deep queue
-	// and the third cannot be enqueued, however the goroutines are
-	// scheduled. The lock is held because that is the failure being
-	// modelled: a disconnect must still be recorded while the analysis path
-	// sits on c.mu.
-	release := make(chan struct{})
-	c := NewCollector(Options{
-		QueueBlocks:    1,
-		EnqueueTimeout: 50 * time.Millisecond,
-		CPUSlots:       8,
-		Spill:          &wedgedSpill{w: io.Discard, release: release},
-	})
-	handler := c.Handler()
-	served := make(chan error, 1) // relay.SendThrough makes one connection
-	srv, err := relay.ListenConns("127.0.0.1:0", func(conn relay.Conn) error {
-		err := handler(conn)
-		served <- err
-		return err
-	})
+// TestWedgedApplyLosesNoBlock: an apply that stalls holds its producer at
+// the socket; it does not hang up on it. The spill's first block write is
+// wedged for 600 ms while a reliable sender logs 20 000 events in 64-word
+// blocks, so the backlog fills the socket and then the sender's ring. Once
+// the wedge lets go, every block the sender's link
+// counted delivered is in the spill, and nobody was disconnected. A
+// collector that hung up on a producer waiting this long lost the blocks
+// its socket held when it did: the link had counted them delivered, and
+// the spill never saw them.
+func TestWedgedApplyLosesNoBlock(t *testing.T) {
+	var spill bytes.Buffer
+	wedge := &wedgedSpill{w: &spill, release: make(chan struct{}), wedged: make(chan struct{})}
+	c := NewCollector(Options{CPUSlots: 8, Spill: wedge})
+	srv, err := relay.ListenConns("127.0.0.1:0", c.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	go func() {
+		<-wedge.wedged
+		time.Sleep(600 * time.Millisecond)
+		close(wedge.release)
+	}()
 
 	tr := core.MustNew(core.Config{
-		CPUs: 2, BufWords: 64, NumBufs: 8,
+		CPUs: 1, BufWords: 64, NumBufs: 8,
 		Mode: core.Stream, Clock: clock.NewManual(1),
 	})
 	tr.EnableAll()
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		relay.SendThrough(tr, srv.Addr(), nil) // fails when the collector hangs up; that's the point
-	}()
-	go func() {
-		for i := 0; i < 2000; i++ {
-			tr.CPU(0).Log1(event.MajorTest, 1, uint64(i))
-		}
-		tr.Stop()
-	}()
-	select {
-	case err := <-served:
-		if n := c.disconnectCounts()["slow"]; err == nil || n != 1 {
-			t.Errorf("handler returned %v with %d slow disconnects, want an error and 1", err, n)
-		}
-	case <-time.After(10 * time.Second):
-		t.Error("slow producer was never disconnected")
+	type result struct {
+		st  relay.ReliableStats
+		err error
 	}
-	close(release)
-	<-done
-	// The aborted sender stopped draining; release remaining buffers so the
-	// logger goroutine can finish and Stop the tracer.
+	sent := make(chan result, 1)
 	go func() {
-		for s := range tr.Sealed() {
-			tr.Release(s)
-		}
+		st, err := relay.SendReliable(tr, srv.Addr(), relay.ReliableOptions{})
+		sent <- result{st, err}
 	}()
-	srv.Close()
+	const n = 20_000
+	for i := 0; i < n; i++ {
+		tr.CPU(0).Log1(event.MajorTest, 1, uint64(i))
+	}
+	tr.Stop()
+	var r result
+	select {
+	case r = <-sent:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the sender never finished")
+	}
+	if r.err != nil || r.st.Dropped != 0 || r.st.Retries != 0 || r.st.Dials != 1 {
+		t.Fatalf("sender: %d blocks, %d dials, %d retries, %d dropped, %v",
+			r.st.Blocks, r.st.Dials, r.st.Retries, r.st.Dropped, r.err)
+	}
+	if err := srv.CloseNow(); err != nil {
+		t.Errorf("CloseNow: %v", err)
+	}
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
+	}
+	rd, err := stream.NewReader(bytes.NewReader(spill.Bytes()), int64(spill.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, _, err := rd.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := 0
+	for _, e := range evs {
+		if e.Major() == event.MajorTest {
+			logged++
+		}
+	}
+	if rd.NumBlocks() != r.st.Blocks || logged != n {
+		t.Errorf("the link delivered %d blocks of %d events, the spill holds %d blocks of %d",
+			r.st.Blocks, n, rd.NumBlocks(), logged)
+	}
+	if d := c.Snapshot().Disconnects; len(d) != 0 {
+		t.Errorf("disconnects %v, want none", d)
 	}
 }
 
 // TestDrainReadsAFinishedSender: a sender that has written its blocks and
 // exited loses none of them to a shutdown that follows at once. The
-// collector's reader is wedged behind its worker (a one-deep queue and a
-// spill whose first block write waits) while the sender finishes, so most
-// of the stream is still in the socket when CloseNow begins, and the wedge
+// collector's connection is wedged on its first block (a spill whose first
+// block write waits) while the sender finishes, so most of the stream is
+// still in the socket when CloseNow begins, and the wedge
 // is let go only once CloseNow has dealt with the connection — once the
 // listener, which it closes after, refuses a dial. A CloseNow that closed
 // the connection lost what the socket held.
@@ -331,9 +342,8 @@ func TestDrainReadsAFinishedSender(t *testing.T) {
 	release := make(chan struct{})
 	var spill bytes.Buffer
 	c := NewCollector(Options{
-		QueueBlocks: 1,
-		CPUSlots:    8,
-		Spill:       &wedgedSpill{w: &spill, release: release},
+		CPUSlots: 8,
+		Spill:    &wedgedSpill{w: &spill, release: release},
 	})
 	srv, err := relay.ListenConns("127.0.0.1:0", c.Handler())
 	if err != nil {
@@ -341,8 +351,8 @@ func TestDrainReadsAFinishedSender(t *testing.T) {
 	}
 	addr := srv.Addr()
 
-	// Sixteen 8 KiB blocks: more than the reader takes in before it wedges
-	// (three blocks and its 64 KiB buffer).
+	// Sixteen 8 KiB blocks: more than the connection takes in before it
+	// wedges (one block and its 64 KiB read buffer).
 	tr := core.MustNew(core.Config{
 		CPUs: 1, BufWords: 1024, NumBufs: 4,
 		Mode: core.Stream, Clock: clock.NewManual(1),
@@ -395,7 +405,7 @@ func TestDrainReadsAFinishedSender(t *testing.T) {
 	if rd.NumBlocks() != r.st.Blocks {
 		t.Errorf("the sender wrote %d blocks and exited, the spill holds %d", r.st.Blocks, rd.NumBlocks())
 	}
-	if d := c.disconnectCounts(); len(d) != 0 {
+	if d := c.Snapshot().Disconnects; len(d) != 0 {
 		t.Errorf("disconnects %v, want none", d)
 	}
 }
@@ -459,7 +469,7 @@ func TestDrainCutsAnOpenSender(t *testing.T) {
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if d := c.disconnectCounts(); d["drain-cut"] != 1 || len(d) != 1 {
+	if d := c.Snapshot().Disconnects; d["drain-cut"] != 1 || len(d) != 1 {
 		t.Errorf("disconnects %v, want one drain-cut", d)
 	}
 	if rd, err := stream.NewReader(bytes.NewReader(spill.Bytes()), int64(spill.Len())); err != nil || rd.NumBlocks() != 1 {
@@ -499,18 +509,18 @@ func TestAdmissionControl(t *testing.T) {
 	// Different BufWords: the session is already fixed at 64.
 	send(srv.Addr(), 2, 128)
 	waitFor(t, "meta-mismatch rejection", func() bool {
-		return c.disconnectCounts()["meta-mismatch"] == 1
+		return c.Snapshot().Disconnects["meta-mismatch"] == 1
 	})
 	// Matching metadata, but 3 CPUs fit neither the 1 fresh slot left nor
 	// the 2-slot slice the first producer gives back.
 	send(srv.Addr(), 3, 64)
 	waitFor(t, "cpu-slots rejection", func() bool {
-		return c.disconnectCounts()["cpu-slots"] == 1
+		return c.Snapshot().Disconnects["cpu-slots"] == 1
 	})
 	if n := len(c.Snapshot().Producers); n != 1 {
 		t.Fatalf("%d producers admitted, want 1", n)
 	}
-	// Once the first producer's worker has given its slice back, a 2-CPU
+	// Once the first producer's handler has given its slice back, a 2-CPU
 	// producer takes it: fresh slots first, then a drained producer's.
 	waitFor(t, "the first producer's slice on the free list", func() bool {
 		c.mu.Lock()
@@ -522,9 +532,9 @@ func TestAdmissionControl(t *testing.T) {
 		s := c.Snapshot()
 		return len(s.Producers) == 2 && !s.Producers[1].Connected
 	})
-	if s := c.Snapshot(); s.Producers[1].CPUBase != s.Producers[0].CPUBase || c.disconnectCounts()["cpu-slots"] != 1 {
+	if s := c.Snapshot(); s.Producers[1].CPUBase != s.Producers[0].CPUBase || s.Disconnects["cpu-slots"] != 1 {
 		t.Fatalf("second producer on CPU base %d, first on %d, %d cpu-slots rejections; want the same base and 1",
-			s.Producers[1].CPUBase, s.Producers[0].CPUBase, c.disconnectCounts()["cpu-slots"])
+			s.Producers[1].CPUBase, s.Producers[0].CPUBase, s.Disconnects["cpu-slots"])
 	}
 	srv.Close()
 	if err := c.Drain(); err != nil {
@@ -539,7 +549,7 @@ func TestAdmissionControl(t *testing.T) {
 	defer srv2.Close()
 	send(srv2.Addr(), 2, 64)
 	waitFor(t, "draining rejection", func() bool {
-		return c.disconnectCounts()["draining"] == 1
+		return c.Snapshot().Disconnects["draining"] == 1
 	})
 }
 

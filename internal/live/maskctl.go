@@ -22,7 +22,7 @@ func (c *Collector) SetMask(mask uint64, producerID uint64) error {
 	mask |= event.MajorControl.Bit()
 	// Pick targets under the lock, write frames off it: a control frame is
 	// a network write with a multi-second deadline, and one producer that
-	// stops draining its socket must never stall ingest workers or the
+	// stops draining its socket must never stall ingest or the
 	// HTTP handlers behind c.mu.
 	c.mu.Lock()
 	var targets []*producer

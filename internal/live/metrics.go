@@ -55,8 +55,6 @@ var metricFamilies = []metricFamily{
 		perProducer(func(p ProducerSnapshot) int64 { return int64(p.StuckSeals) })},
 	{"tracecolld_reordered_blocks_total", "counter", "Blocks arriving with non-monotonic per-CPU sequence numbers.",
 		perProducer(func(p ProducerSnapshot) int64 { return int64(p.Reordered) })},
-	{"tracecolld_queue_depth", "gauge", "Blocks waiting in each producer's ingest queue.",
-		perProducer(func(p ProducerSnapshot) int64 { return int64(p.QueueDepth) })},
 	{"tracecolld_window_lag_windows", "gauge", "Analysis windows each producer trails the newest event.",
 		perProducer(func(p ProducerSnapshot) int64 { return int64(p.LagWindows) })},
 	{"tracecolld_producer_info", "gauge", "Producer identity: id label is stable, remote is the peer address.",

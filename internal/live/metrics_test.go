@@ -21,7 +21,7 @@ func TestMetricsGolden(t *testing.T) {
 		Producers: []ProducerSnapshot{{
 			ID: 1, Remote: "127.0.0.1:40001", Connected: true,
 			Blocks: 11, Bytes: 45056, Events: 3000, Garbled: 1, StuckSeals: 2, Reordered: 3,
-			QueueDepth: 4, LagWindows: 1, SentMask: "0x2001", AppliedMask: "0x2001", MaskChanges: 2,
+			LagWindows: 1, SentMask: "0x2001", AppliedMask: "0x2001", MaskChanges: 2,
 		}, {
 			ID: 2, Remote: "evil\"},fake_metric{x=\"\\oops\n127.0.0.1:1",
 			Blocks: 5, Bytes: 20480, Events: 4000,
